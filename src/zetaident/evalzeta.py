@@ -9,19 +9,24 @@ The independent cross-check `zeta_em_reference` computes zeta directly by
 Euler-Maclaurin summation and shares nothing with `eval_identity` except
 the Bernoulli table, so agreement between the two is meaningful.
 
-Inner sums use the fixed schedule N = 10 + digits direct terms and
-M = ceil(digits/4) + 5 correction terms. Truncation of the outer series
-stops at the first k >= k0 + 8 whose bound
+Each call computes its inner sums zeta(s + k) - 1 from one table of
+n^-(s+k), n = 2..N with N = 10 + digits: every power is computed once and
+stepped from k to k + 1 by a factor 1/n. Each k gets the budget
+10^-(digits+5) / (16 |coefficient_k|) and the cheaper route that meets it:
+a direct sum alone when some cutoff M <= N has a small enough tail bound,
+else the direct sum to N plus as many Euler-Maclaurin terms as the
+remainder bound asks for. The oracle keeps its own fixed schedule, N direct
+terms and ceil(digits/4) + 5 correction terms. Truncation of the outer
+series stops at the first k >= k0 + 8 whose bound
 |r_k| * |(s)_k| / (k+1)! * 2^(1 - Re s - k) * 4 drops below 10^-(digits+5);
 the 2^(1-sigma) factor majorizes |zeta(sigma) - 1| (times the safety 4).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, log2
 from typing import Union
 
 from mpmath import mp
@@ -30,6 +35,8 @@ from .derive import IdentitySpec
 from .exactmath import Polynomial, bernoulli
 
 _GUARD = 10
+# Each inner sum gets the budget threshold / (|coefficient| * _INNER_SAFETY).
+_INNER_SAFETY = 16
 
 Number = Union[int, float, complex, Fraction]
 
@@ -48,8 +55,13 @@ class EvalReport:
     """Result of one identity evaluation.
 
     error_estimate bounds |value - zeta(s)|: outer truncation bound plus
-    accumulated inner-sum bounds plus a rounding allowance.
-    inner_sum_cutoffs records the (uniform) inner schedule used.
+    accumulated inner-sum bounds plus rounding allowances for the outer sum
+    and for the inner recurrence.
+    inner_sum_cutoffs records the inner schedule the call used:
+    direct_terms, the largest n in its n^-(s+k) table (at most
+    N = 10 + digits; 0 if no inner sum was needed); correction_order, the
+    largest Euler-Maclaurin order any k needed; last_em_k, the last k that
+    needed Euler-Maclaurin terms (None if direct sums sufficed).
     """
 
     value: object
@@ -69,6 +81,8 @@ def _direct_terms(digits: int) -> int:
 
 
 def _em_order(digits: int) -> int:
+    """Fixed Euler-Maclaurin order of the oracle `zeta_em_reference`; the
+    identity evaluator sizes its order per inner sum instead."""
     return (digits + 3) // 4 + 5
 
 
@@ -125,52 +139,139 @@ def pochhammer(s, k: int):
     return result
 
 
-# One entry per (sigma, digits): the value is independent of call order, so
-# caching never changes results, only cost. Guarded for concurrent growth.
-_ZETA_M1_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
+class _InnerSums:
+    """zeta(z + k) - 1 for one z and shifts k taken in nondecreasing order,
+    each with a truncation bound and a rounding bound.
 
+    The powers n^-(z+k), n = 2..N with N = _direct_terms(digits), live in
+    one table for the whole call: an entry is computed as n^-z / n^k when
+    first needed and then stepped to later shifts by
+    n^-(w+1) = n^-w * (1/n). Each shift is summed by the cheaper of two
+    routes that meets its budget:
 
-def _zeta_m1_core(z, digits: int):
-    """(zeta(z) - 1, error bound) for Re z >= 1.5 by Euler-Maclaurin.
+    - direct only: sum_{2 <= n < M} n^-w for the first M <= N whose tail
+      bound M^-sigma + M^(1-sigma)/(sigma-1) is under budget;
+    - the direct sum to N plus Euler-Maclaurin terms, added until the
+      remainder bound (first omitted term * |w+2m+1|/(sigma+2m+1)) is under
+      budget.
 
-    z must already be an mpf/mpc created at digits + 10 working precision.
+    When neither route meets the budget the returned bound is the one
+    reached, not the budget. Create and call it at one working precision.
     """
-    key = (mp.mpc(z), digits)
-    hit = _ZETA_M1_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n_direct = _direct_terms(digits)
-    order = _em_order(digits)
-    with mp.workdps(digits + _GUARD):
-        total = mp.mpf(0)
-        for n in range(2, n_direct):
-            total += mp.power(n, -z)
-        nf = mp.mpf(n_direct)
-        total += mp.power(nf, 1 - z) / (z - 1)
-        total += mp.power(nf, -z) / 2
-        poch = z
-        npow = mp.power(nf, -z - 1)
-        inv_n2 = 1 / (nf * nf)
-        fact = 2
+
+    def __init__(self, z, k0: int, digits: int):
+        self.z = z
+        self.k0 = k0
+        self.re_z = mp.re(z)
+        self.n_max = _direct_terms(digits)
+        self.eps = mp.eps
+        # index n: n^-(z + shift[n]) and 1/n; B_2j/(2j)! at index j
+        self.powers = [None, None]
+        self.shift = [None, None]
+        self.inv = [None, None]
+        self.em_coefs = [None]
+        self.max_order = 0
+        self.last_em_k = None
+
+    def cutoffs(self) -> dict:
+        """The schedule used: the largest n tabulated (0 when no inner sum
+        was needed), the largest Euler-Maclaurin order, and the last k that
+        needed one (None when direct sums sufficed throughout)."""
+        top = len(self.powers) - 1
+        return {
+            "direct_terms": top if top >= 2 else 0,
+            "correction_order": self.max_order,
+            "last_em_k": self.last_em_k,
+        }
+
+    def _table(self, k: int, top: int) -> list:
+        """The table through n = top, every entry at shift k."""
+        pw, shift, inv = self.powers, self.shift, self.inv
+        for n in range(2, top + 1):
+            if n == len(pw):
+                # z + k would round, by up to |z + k| ulps
+                pw.append(mp.power(n, -self.z) / n**k)
+                shift.append(k)
+                inv.append(1 / mp.mpf(n))
+            elif shift[n] != k:
+                steps = k - shift[n]
+                pw[n] *= inv[n] if steps == 1 else inv[n] ** steps
+                shift[n] = k
+        return pw
+
+    def _direct_cutoff(self, sigma: float, log2_budget: int):
+        """First M in 2..N with M^-sigma + M^(1-sigma)/(sigma-1) under
+        2^log2_budget, or None. The bound falls as M grows."""
+
+        def log2_tail(m: int) -> float:
+            return -sigma * log2(m) + log2(1 + m / (sigma - 1))
+
+        lo, hi = 2, self.n_max
+        if log2_tail(hi) > log2_budget:
+            return None
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if log2_tail(mid) <= log2_budget:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def _em_coef(self, j: int):
+        coefs = self.em_coefs
+        while len(coefs) <= j:
+            i = len(coefs)
+            coefs.append(_fraction_to_mp(bernoulli(2 * i)) / factorial(2 * i))
+        return coefs[j]
+
+    def __call__(self, k: int, budget):
+        """(zeta(z+k) - 1, truncation bound, rounding bound), aiming for a
+        truncation bound <= budget."""
+        w = self.z + k
+        sigma = self.re_z + k
+        # mag(budget) - 2 is the log2 of a power of two below the budget
+        cutoff = self._direct_cutoff(float(sigma), mp.mag(budget) - 2)
+        top = self.n_max if cutoff is None else cutoff
+        pw = self._table(k, top)
+        # bounds the sum of |n^-w| over n >= 2 plus N^-sigma/2
+        size = abs(pw[2]) * (2 + 2 / (sigma - 1))
+        if cutoff is not None:
+            value = mp.fsum(pw[2:top])
+            err = abs(pw[top]) * (1 + top / (sigma - 1))
+            return value, err, self._rounding(k, top, size)
+        tail = pw[top]
+        value = mp.fsum(pw[2:top]) + top * tail / (w - 1) + tail / 2
+        poch = w
+        npow = tail * self.inv[top]
+        inv_n2 = self.inv[top] ** 2
+        prev = None
         j = 1
         while True:
-            b = bernoulli(2 * j)
-            term = _fraction_to_mp(b) / fact * poch * npow
-            if j > order:
-                # first omitted term times the standard reflection factor
-                reflect = abs((z + 2 * order + 1) / (mp.re(z) + 2 * order + 1))
-                err = abs(term) * reflect
-                err += mp.mpf(10) ** (-(digits + _GUARD - 2)) * (1 + abs(total))
+            term = self._em_coef(j) * poch * npow
+            size_j = abs(term)
+            err = size_j * abs(w + 2 * j - 1) / (sigma + 2 * j - 1)
+            # stop once under budget, or once the asymptotic terms grow
+            if err <= budget or (prev is not None and err >= prev):
                 break
-            total += term
-            poch = poch * (z + 2 * j - 1) * (z + 2 * j)
+            value += term
+            size += size_j
+            prev = err
+            poch = poch * (w + 2 * j - 1) * (w + 2 * j)
             npow = npow * inv_n2
-            fact = fact * (2 * j + 1) * (2 * j + 2)
             j += 1
-    with _CACHE_LOCK:
-        _ZETA_M1_CACHE.setdefault(key, (total, err))
-    return _ZETA_M1_CACHE[key]
+        order = j - 1
+        self.max_order = max(self.max_order, order)
+        self.last_em_k = k
+        return value, err, self._rounding(k, top + 2 * order, size)
+
+    def _rounding(self, k: int, operations: int, size):
+        """Bound on the rounding error of one inner sum whose terms have
+        absolute values summing to at most size. A table entry has been
+        through at most 2(k - k0) + 3 roundings (the power, the division by
+        n^k, then 1/n and one product per step); each summed term and each
+        Euler-Maclaurin factor adds a few more. 4 eps is 8 unit roundoffs
+        per counted operation."""
+        return size * (k - self.k0 + 3 + operations) * 4 * self.eps
 
 
 def zeta_m1(sigma, digits: int = 40):
@@ -184,7 +285,9 @@ def zeta_m1(sigma, digits: int = 40):
                 "zeta_m1 requires Re(sigma) >= 1.5; identity evaluation keeps "
                 "inner arguments in this range"
             )
-        return _zeta_m1_core(z, digits)[0]
+        # relative to 2^-Re z, the size of zeta(z) - 1 for large Re z
+        budget = mp.mpf(10) ** (-(digits + 5)) * mp.power(2, -mp.re(z))
+        return _InnerSums(z, 0, digits)(0, budget)[0]
 
 
 def zeta_em_reference(s, digits: int = 40):
@@ -264,11 +367,14 @@ def eval_identity(spec: IdentitySpec, s: Number, digits: int = 40) -> EvalReport
         threshold = mp.mpf(10) ** (-(digits + 5))
         total = _fraction_to_mp(spec.pole_coefficient) / (z - 1)
         total += _poly_eval_mp(spec.q_poly, z)
-        re_z = mp.re(z)
         k = spec.k0
         poch = pochhammer(z, k)
         fact = factorial(k + 1)
+        # 2^(1 - Re s - k), halved at each k
+        tail_factor = mp.power(2, 1 - mp.re(z) - k)
+        inner = _InnerSums(z, k, digits)
         inner_err = mp.mpf(0)
+        inner_rounding = mp.mpf(0)
         max_term = mp.mpf(0)
         while True:
             r = spec.series_coefficient(k)
@@ -280,32 +386,33 @@ def eval_identity(spec: IdentitySpec, s: Number, digits: int = 40) -> EvalReport
                 )
             r_mp = _fraction_to_mp(r)
             coef = r_mp * poch / mp.mpf(fact)
+            size = abs(r_mp) * abs(poch) / mp.mpf(fact)
             if coef != 0:
-                inner_val, ierr = _zeta_m1_core(z + k, digits)
+                budget = threshold / (size * _INNER_SAFETY)
+                inner_val, ierr, iround = inner(k, budget)
                 term = coef * inner_val
                 total += term
-                inner_err += abs(coef) * ierr
+                inner_err += size * ierr
+                inner_rounding += size * iround
                 at = abs(term)
                 if at > max_term:
                     max_term = at
-            tail_bound = abs(r_mp) * abs(poch) / mp.mpf(fact)
-            tail_bound *= mp.power(2, 1 - re_z - k) * 4
+            tail_bound = size * tail_factor * 4
             if k >= spec.k0 + 8 and tail_bound < threshold:
                 break
             poch = poch * (z + k)
             fact = fact * (k + 2)
+            tail_factor /= 2
             k += 1
         rounding = (k + 16) * mp.mpf(10) ** (-(wp - 2))
         rounding *= 1 + max_term + abs(total)
+        rounding += inner_rounding
         return EvalReport(
             value=mp.mpc(total),
             p_used=spec.p,
             terms_used=k,
             error_estimate=float(tail_bound + inner_err + rounding),
-            inner_sum_cutoffs={
-                "direct_terms": _direct_terms(digits),
-                "correction_order": _em_order(digits),
-            },
+            inner_sum_cutoffs=inner.cutoffs(),
         )
 
 
@@ -325,6 +432,7 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40):
         qprime0 = spec.q_poly.derivative().coefficient(0)
         total = -_fraction_to_mp(spec.pole_coefficient) + _fraction_to_mp(qprime0)
         k = spec.k0
+        inner = _InnerSums(mp.mpf(0), k, digits)
         while True:
             r = spec.series_coefficient(k)
             if r is None:
@@ -334,10 +442,11 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40):
                     f"at digits={digits}"
                 )
             r_mp = _fraction_to_mp(r)
-            if r_mp != 0:
-                inner_val, _ = _zeta_m1_core(mp.mpf(k), digits)
-                total += r_mp / (k * (k + 1)) * inner_val
-            bound = abs(r_mp) / (k * (k + 1)) * mp.power(2, 1 - k) * 4
+            weight = r_mp / (k * (k + 1))
+            if weight != 0:
+                budget = threshold / (abs(weight) * _INNER_SAFETY)
+                total += weight * inner(k, budget)[0]
+            bound = abs(weight) * mp.ldexp(4, 1 - k)
             if k >= spec.k0 + 8 and bound < threshold:
                 break
             k += 1
@@ -353,9 +462,11 @@ def sum_zeta_m1(digits: int = 40):
     while 2**k_top <= limit:
         k_top += 1
     with mp.workdps(digits + _GUARD):
+        budget = mp.mpf(10) ** (-(digits + 5)) / _INNER_SAFETY
+        inner = _InnerSums(mp.mpf(0), 2, digits)
         total = mp.mpf(0)
         for k in range(2, k_top + 1):
-            total += _zeta_m1_core(mp.mpf(k), digits)[0]
+            total += inner(k, budget)[0]
         return total
 
 

@@ -2,11 +2,14 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from zetaident.evalzeta import (
     CapacityError,
     PoleError,
+    _InnerSums,
     eval_identity,
     pochhammer,
     supports,
@@ -20,6 +23,14 @@ from zetaident.evalzeta import (
 
 def F(n, d=1):
     return Fraction(n, d)
+
+
+def _mp_point(s):
+    """s as an mpf/mpc at the current precision, from a Fraction or an
+    (re, im) pair of Fractions."""
+    if isinstance(s, tuple):
+        return mp.mpc(*(mp.mpf(x.numerator) / x.denominator for x in s))
+    return mp.mpf(s.numerator) / s.denominator
 
 
 # ---- pochhammer ----
@@ -181,7 +192,11 @@ def test_report_fields(specs64):
     assert report.p_used == 2
     assert report.terms_used >= specs64[2].k0 + 8
     assert report.error_estimate >= 0
-    assert report.inner_sum_cutoffs == {"direct_terms": 50, "correction_order": 15}
+    assert report.inner_sum_cutoffs == {
+        "direct_terms": 50,
+        "correction_order": 15,
+        "last_em_k": 25,
+    }
 
 
 def test_series_short_circuits_at_negative_even_integers(specs64):
@@ -204,6 +219,100 @@ def test_error_estimate_covers_observed_error(specs64):
             coarse = eval_identity(specs64[p], s, 40)
             fine = eval_identity(specs64[p], s, 60)
             assert abs(coarse.value - fine.value) <= coarse.error_estimate
+
+
+# ---- eval_identity: contract against mpmath.zeta ----
+# mp.zeta is an algorithm independent of both the identities and the
+# Euler-Maclaurin oracle.
+
+
+_ROADMAP_2 = (
+    "ROADMAP item 2: the guard digits ignore |Im s|, so the outer series "
+    "loses more digits to cancellation than the guard digits cover"
+)
+
+
+@pytest.mark.parametrize(
+    "p, s, digits",
+    [
+        (1, (F(1, 2), F(14134725, 10**6)), 40),
+        (1, (F(1, 2), F(21022040, 10**6)), 40),
+        (1, (F(1, 2), F(25010858, 10**6)), 40),
+        (1, (F(5, 2), F(20)), 40),
+        (1, F(33, 4), 40),
+        (1, F(7, 2), 100),
+        (8, F(-13, 2), 100),
+        pytest.param(
+            1, (F(1, 2), F(40)), 40, marks=pytest.mark.xfail(strict=True, reason=_ROADMAP_2)
+        ),
+        pytest.param(
+            1, (F(1, 2), F(100)), 20, marks=pytest.mark.xfail(strict=True, reason=_ROADMAP_2)
+        ),
+    ],
+)
+def test_contract_against_mpmath_zeta(specs64, p, s, digits):
+    report = eval_identity(specs64[p], s, digits)
+    with mp.workdps(digits + 20):
+        err = abs(report.value - mp.zeta(_mp_point(s)))
+    assert err <= report.error_estimate, mp.nstr(err, 3)
+    assert report.error_estimate <= 10.0**-digits, report.error_estimate
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.integers(1, 12),
+    re_steps=st.integers(1, 10**6),
+    im_steps=st.integers(-(10**6), 10**6),
+    digits=st.integers(15, 60),
+)
+def test_error_estimate_covers_mpmath_zeta_in_every_strip(
+    specs64, p, re_steps, im_steps, digits
+):
+    # Re s runs over (left, left + 2], where left is the edge of what the
+    # depth-p identity accepts; |Im s| <= 10
+    spec = specs64[p]
+    left = max(spec.effective_validity, F(3, 2) - spec.k0)
+    s = (left + F(re_steps, 5 * 10**5), F(im_steps, 10**5))
+    assume(s != (1, 0))
+    report = eval_identity(spec, s, digits)
+    with mp.workdps(digits + 20):
+        err = abs(report.value - mp.zeta(_mp_point(s)))
+    assert err <= report.error_estimate, mp.nstr(err, 3)
+
+
+# ---- inner-sum kernel ----
+
+
+@pytest.mark.parametrize("stride", [1, 7])  # 7: table entries step several shifts at once
+@pytest.mark.parametrize("z, k0", [(F(2), 0), ((F(1, 2), F(14134725, 10**6)), 1)])
+def test_inner_sums_within_their_bounds(z, k0, stride):
+    digits = 40
+    budget = mp.mpf(10) ** -50
+    routes = set()
+    with mp.workdps(digits + 10):
+        z = _mp_point(z)
+        inner = _InnerSums(z, k0, digits)
+        results = []
+        for k in range(k0, 201, stride):
+            value, err, rounding = inner(k, budget)
+            routes.add("em" if inner.last_em_k == k else "direct")
+            assert err <= budget
+            results.append((k, value, err + rounding))
+    with mp.workdps(80):
+        for k, value, bound in results:
+            assert abs(value - (mp.zeta(z + k) - 1)) <= bound, k
+    assert routes == {"direct", "em"}
+
+
+def test_inner_sum_reports_an_unmet_budget():
+    # 50 direct terms cannot take zeta(1.5 + 14i) - 1 to 1e-200: the
+    # Euler-Maclaurin terms stop shrinking near 1e-129
+    with mp.workdps(50):
+        z = mp.mpc(mp.mpf(3) / 2, 14)
+        value, err, rounding = _InnerSums(z, 0, 40)(0, mp.mpf(10) ** -200)
+        assert err > mp.mpf(10) ** -200
+    with mp.workdps(80):
+        assert abs(value - (mp.zeta(z) - 1)) <= err + rounding
 
 
 # ---- eval_identity: errors ----
