@@ -8,13 +8,13 @@ from .derive import (
     IdentitySpec,
     closed_form_part,
     derive_identity,
-    fit_closed_form,
     identities_equal,
     identities_from_json_text,
     identities_to_json_text,
     identity_from_json,
     identity_to_json,
     periodic_remainder,
+    series_poly,
     subtraction_poly,
 )
 from .evalzeta import (
@@ -49,7 +49,6 @@ __all__ = [
     "derive_identity",
     "eval_identity",
     "faulhaber",
-    "fit_closed_form",
     "identities_equal",
     "identities_from_json_text",
     "identities_to_json_text",
@@ -58,6 +57,7 @@ __all__ = [
     "periodic_remainder",
     "pochhammer",
     "reference_identity",
+    "series_poly",
     "subtraction_poly",
     "supports",
     "sum_zeta_m1",

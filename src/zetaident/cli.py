@@ -199,10 +199,7 @@ def cmd_derive(cfg: RunConfig) -> int:
             f"{spec.validity_re_gt}{extended}"
         )
         print(f"  Q_{spec.p}(s) = {spec.q_poly.to_str('s')}")
-        if spec.closed_form is not None:
-            print(f"  r_k = {spec.closed_form.to_str('k')}  (k >= {spec.k0})")
-        else:
-            print(f"  r_k stored for k = {spec.k0}..{spec.k_max}, no closed form")
+        print(f"  r_k = {spec.closed_form.to_str('k')}  (k >= {spec.k0})")
     if cfg.out_path:
         with open(cfg.out_path, "w", encoding="utf-8") as fh:
             fh.write(identities_to_json_text(specs))
@@ -224,6 +221,15 @@ def _first_mismatch(derived: IdentitySpec, ref: IdentitySpec, k_max: int) -> str
         return (
             f"Q polynomial ({derived.q_poly.to_str('s')}) != "
             f"({ref.q_poly.to_str('s')})"
+        )
+    if (
+        derived.closed_form is not None
+        and ref.closed_form is not None
+        and derived.closed_form != ref.closed_form
+    ):
+        return (
+            f"closed form r_k = ({derived.closed_form.to_str('k')}) != "
+            f"({ref.closed_form.to_str('k')})"
         )
     for k in range(min(derived.k0, ref.k0), k_max + 1):
         a = derived.series_coefficient(k)

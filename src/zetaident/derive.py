@@ -11,8 +11,10 @@ valid for Re s > validity_re_gt, where (s)_k is the rising factorial.
 The construction: the tail sum_{n} n^{-s} is rewritten as an integral of a
 step function, a degree-p subtraction polynomial splits off the closed-form
 part (the pole and Q_p), and repeated integration by parts of the period-1
-remainder emits one exact rational coefficient r_k per step. All arithmetic
-is over Fractions; nothing is approximated.
+remainder emits one exact rational coefficient r_k per step. Integrating a
+monomial repeatedly has a closed form, so all the steps collapse into one
+polynomial in k of degree at most p-1 (series_poly). All arithmetic is
+over Fractions; nothing is approximated or fitted.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ class IdentitySpec:
     """Exact data of one derived identity.
 
     terms holds (k, r_k) pairs for consecutive k starting at k0, the first
-    index with a nonzero coefficient. closed_form, when present, is a
-    polynomial in k reproducing r_k exactly at every stored k (and, for the
-    identity family handled here, at every k beyond).
+    index with a nonzero coefficient. closed_form, when present, is the
+    polynomial in k giving r_k at every k >= k0, stored or not. Derived
+    specs always carry it; it is None only in hand-written records, which
+    then hold no coefficient beyond k_max.
     validity_re_gt is the nominal half-plane bound -(p-1);
     extended_validity_re_gt is set to -p when the depth-(p+1) derivation
     produces the identical identity, and is None otherwise.
@@ -172,86 +175,64 @@ def closed_form_part(p: int) -> tuple[Fraction, Polynomial]:
     return pole, q2 / base
 
 
-def _series_terms(p: int, k_max: int) -> tuple[int, list[tuple[int, Fraction]]]:
-    """Integration-by-parts recursion: emit r_k for k = p..k_max, then trim
-    leading zeros and report the first nonzero index k0."""
-    h = periodic_remainder(p)
-    base = factorial(p - 1)
-    raw: list[tuple[int, Fraction]] = []
-    for m in range(p, k_max + 1):
-        h = h.antiderivative()
-        raw.append((m, h(Fraction(1)) * Fraction(factorial(m + 1), base)))
-    k0 = None
-    for k, r in raw:
-        if r != 0:
-            k0 = k
-            break
-    if k0 is None:
-        raise CancellationError(
-            f"no nonzero series coefficient found through k={k_max} at depth p={p}"
-        )
-    return k0, [(k, r) for k, r in raw if k >= k0]
+def series_poly(p: int) -> Polynomial:
+    """r_k as an exact polynomial in k, of degree at most p-1.
 
+    Integrating t^j from 0 a further n times gives t^(j+n) * j!/(j+n)!, so
+    the integration-by-parts step that emits r_k (after k-p+1 integrations
+    of g_p = sum_j g_j t^j, evaluated at t = 1) is
 
-def fit_closed_form(
-    terms: Sequence[tuple[int, Fraction]], max_degree: int
-) -> Optional[Polynomial]:
-    """Exact polynomial in k through the leading coefficients, if it also
-    matches every remaining one.
+        r_k = (1/(p-1)!) * sum_j g_j * j! * (k+1)(k)...(k+j-p+2),
 
-    Interpolates degree <= max_degree through the first max_degree+1 points
-    and validates exactly against the rest; returns None on any mismatch.
-    Needs at least max_degree+2 terms so at least one point validates.
+    a falling factorial of p-j factors. The polynomial holds for every
+    k >= p, including the indices below k0 where it vanishes.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    if len(terms) < max_degree + 2:
-        raise ValueError("need at least max_degree + 2 terms to fit and validate")
-    nodes = terms[: max_degree + 1]
-    # Newton form over Fractions
-    xs = [Fraction(k) for k, _ in nodes]
-    coeffs = [r for _, r in nodes]
-    for level in range(1, len(nodes)):
-        for i in range(len(nodes) - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    poly = Polynomial.constant(coeffs[-1])
-    for i in range(len(nodes) - 2, -1, -1):
-        poly = poly * Polynomial((-xs[i], 1)) + Polynomial.constant(coeffs[i])
-    for k, r in terms[max_degree + 1 :]:
-        if poly(Fraction(k)) != r:
-            return None
-    return poly
+    g = periodic_remainder(p)
+    out = Polynomial.zero()
+    falling = Polynomial.constant(1)  # (k+1)(k)...(k+j-p+2) for j = p
+    for j in range(p, 0, -1):
+        out = out + falling * (g.coefficient(j) * factorial(j))
+        falling = falling * Polynomial((j - p + 1, 1))
+    return out / factorial(p - 1)
 
 
 def derive_identity(p: int, k_max: int = 64) -> IdentitySpec:
     """Derive the depth-p identity with series coefficients through k_max.
 
+    The series coefficients are the values of series_poly(p), which is
+    also stored as closed_form; k0 is the first k >= p where it is nonzero.
     k_max must be at least p+2 so the series holds more than the possible
-    leading zero block. The extended validity field is set by deriving depth
-    p+1 and checking for exact coincidence (which happens for odd p >= 3).
+    leading zero block. The extended validity -p is set exactly when depth
+    p+1 yields the same identity: the same pole and Q, the same r_k
+    polynomial, and the same first index. Polynomial equality makes that
+    a proof for every k, not a check up to k_max (it holds for odd p >= 3).
     """
     if p < 1:
         raise ValueError("depth p must be >= 1")
     if k_max < p + 2:
         raise ValueError("k_max must be at least p + 2")
     pole, q_poly = closed_form_part(p)
-    k0, terms = _series_terms(p, k_max)
-    closed: Optional[Polynomial] = None
-    max_degree = p + 2
-    if len(terms) >= max_degree + 2:
-        closed = fit_closed_form(terms, max_degree)
+    closed = series_poly(p)
+    if closed.is_zero:
+        raise CancellationError(f"series coefficients vanish at depth p={p}")
+    k0 = p
+    while closed(k0) == 0:  # at most p-1 roots, so this ends
+        k0 += 1
+    terms = tuple((k, closed(k)) for k in range(k0, k_max + 1))
     extended: Optional[Fraction] = None
-    pole_next, q_next = closed_form_part(p + 1)
-    if pole_next == pole and q_next == q_poly:
-        k0_next, terms_next = _series_terms(p + 1, k_max)
-        if k0_next == k0 and terms_next == terms:
-            extended = Fraction(-p)
+    # depth p+1 starts its series at k = p+1, so it can only match if r_p = 0
+    if (
+        k0 > p
+        and closed_form_part(p + 1) == (pole, q_poly)
+        and series_poly(p + 1) == closed
+    ):
+        extended = Fraction(-p)
     return IdentitySpec(
         p=p,
         k0=k0,
         pole_coefficient=pole,
         q_poly=q_poly,
-        terms=tuple(terms),
+        terms=terms,
         closed_form=closed,
         validity_re_gt=Fraction(-(p - 1)),
         extended_validity_re_gt=extended,
@@ -259,8 +240,9 @@ def derive_identity(p: int, k_max: int = 64) -> IdentitySpec:
 
 
 def identities_equal(a: IdentitySpec, b: IdentitySpec, k_max: int) -> bool:
-    """Whether two identities agree exactly: pole, Q, and every r_k with
-    k <= k_max (treating indices below k0 as zero).
+    """Whether two identities agree exactly: pole, Q, the closed form of r_k
+    when both carry one, and every r_k with k <= k_max (treating indices
+    below k0 as zero).
 
     Both specs must store terms through k_max.
     """
@@ -268,6 +250,9 @@ def identities_equal(a: IdentitySpec, b: IdentitySpec, k_max: int) -> bool:
         raise ValueError("both identities must store terms through k_max")
     if a.pole_coefficient != b.pole_coefficient or a.q_poly != b.q_poly:
         return False
+    if a.closed_form is not None and b.closed_form is not None:
+        if a.closed_form != b.closed_form:
+            return False
     for k in range(min(a.k0, b.k0), k_max + 1):
         if a.series_coefficient(k) != b.series_coefficient(k):
             return False

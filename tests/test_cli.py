@@ -2,7 +2,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
+from zetaident import derive_identity, eval_identity
 from zetaident.cli import main, parse_complex_literal, parse_p_range, parse_rational
 
 
@@ -60,6 +62,11 @@ def test_derive_writes_identity_file(tmp_path, capsys):
     assert records[2]["k0"] == 4
 
 
+def test_derive_prints_closed_form_at_small_kmax(capsys):
+    assert main(["derive", "--p", "9", "--kmax", "20"]) == 0
+    assert "  r_k = " in capsys.readouterr().out
+
+
 def test_derive_rejects_bad_depth(capsys):
     assert main(["derive", "--p", "0"]) == 2
     assert main(["derive", "--p", "3", "--kmax", "4"]) == 2
@@ -100,6 +107,18 @@ def test_verify_corrupted_file_names_first_mismatch(tmp_path, capsys):
     assert "p=5" in out and "k=17" in out
 
 
+def test_verify_rejects_wrong_closed_form(tmp_path, capsys):
+    path = tmp_path / "identities.json"
+    main(["derive", "--p", "1..12", "--kmax", "20", "--out", str(path)])
+    records = json.loads(path.read_text())
+    records[1]["closed_form"]["k_poly"] = ["7/1"]  # p=2; stored terms intact
+    path.write_text(json.dumps(records))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "p=2" in out and "closed form" in out
+
+
 def test_verify_missing_file():
     assert main(["verify", "--in", "/nonexistent/identities.json"]) == 3
 
@@ -130,6 +149,19 @@ def test_eval_complex(capsys):
     assert main(["eval", "--p", "3", "--s", "0.5+14.134725i", "--digits", "20"]) == 0
     out = capsys.readouterr().out
     assert "j" in out or "e-" in out  # tiny complex value near a zero
+
+
+def test_eval_beyond_stored_terms(capsys):
+    # 30 digits at s = -8.5 need r_k far beyond k = 20: the closed form
+    # supplies them
+    argv = ["eval", "--p", "10", "--kmax", "20", "--s", "-8.5", "--digits", "30"]
+    assert main(argv) == 0
+    report = eval_identity(derive_identity(10, 20), -8.5, 30)
+    assert report.terms_used > 20
+    with mp.workdps(60):
+        target = mp.zeta(-8.5)
+        assert abs(report.value - target) <= report.error_estimate
+        assert mp.nstr(target, 30) in capsys.readouterr().out
 
 
 def test_eval_domain_errors():

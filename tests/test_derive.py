@@ -1,15 +1,17 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from zetaident import derive
 from zetaident.derive import (
     CancellationError,
     IdentitySpec,
     closed_form_part,
     derive_identity,
-    fit_closed_form,
     identities_equal,
     periodic_remainder,
+    series_poly,
     subtraction_poly,
 )
 from zetaident.exactmath import Polynomial
@@ -18,6 +20,17 @@ from zetaident.reference import reference_identity
 
 def F(n, d=1):
     return Fraction(n, d)
+
+
+def recursion_terms(p, k_max):
+    """r_k for k = p..k_max by repeated integration by parts, one step at a
+    time: the route series_poly collapses into a closed form."""
+    h = periodic_remainder(p)
+    out = []
+    for k in range(p, k_max + 1):
+        h = h.antiderivative()
+        out.append((k, h(1) * F(factorial(k + 1), factorial(p - 1))))
+    return out
 
 
 # ---- subtraction polynomial and periodic remainder ----
@@ -191,28 +204,34 @@ def test_derive_minimal_k_max():
     spec = derive_identity(3, 5)
     assert spec.k0 == 4
     assert spec.k_max == 5
-    assert spec.closed_form is None  # too few terms to fit and validate
-    assert spec.series_coefficient(6) is None
+    assert spec.closed_form == series_poly(3)
+    assert spec.series_coefficient(6) == dict(recursion_terms(3, 6))[6]
 
 
-# ---- fit_closed_form ----
+def test_vanishing_series_is_a_cancellation_error(monkeypatch):
+    monkeypatch.setattr(derive, "series_poly", lambda p: Polynomial.zero())
+    with pytest.raises(CancellationError):
+        derive_identity(3)
 
 
-def test_fit_recovers_polynomial():
-    target = Polynomial((F(1, 3), -2, 0, 1))
-    terms = [(k, target(Fraction(k))) for k in range(5, 25)]
-    assert fit_closed_form(terms, 5) == target
+# ---- series_poly against the integration-by-parts recursion ----
 
 
-def test_fit_rejects_non_polynomial_data():
-    terms = [(k, Fraction(2) ** (-k)) for k in range(1, 12)]
-    assert fit_closed_form(terms, 3) is None
+def test_series_poly_matches_recursion():
+    for p in range(1, 21):
+        poly = series_poly(p)
+        assert poly.degree <= p - 1
+        terms = recursion_terms(p, 64)
+        # so the polynomial also vanishes on p <= k < k0
+        assert derive_identity(p, p + 2).k0 == next(k for k, r in terms if r)
+        for k, r in terms:
+            assert poly(k) == r, (p, k)
 
 
-def test_fit_needs_validation_headroom():
-    terms = [(k, Fraction(k)) for k in range(4)]
-    with pytest.raises(ValueError):
-        fit_closed_form(terms, 3)
+def test_series_poly_pairs_odd_with_next_even():
+    for p in range(1, 32):
+        same = series_poly(p) == series_poly(p + 1)
+        assert same == (p % 2 == 1 and p >= 3), p
 
 
 # ---- identities_equal ----
@@ -247,6 +266,7 @@ def test_derivation_matches_reference_everywhere(specs64):
         assert spec.validity_re_gt == ref.validity_re_gt
         assert spec.extended_validity_re_gt == ref.extended_validity_re_gt
         assert spec.closed_form == ref.closed_form
+        assert spec == ref
 
 
 def test_reference_depth_range():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -50,7 +51,7 @@ def test_schema_fields(specs64):
 
 
 def test_optional_fields_round_trip_as_null():
-    spec = derive_identity(3, 5)  # no closed form at this term budget
+    spec = dataclasses.replace(derive_identity(3, 5), closed_form=None)
     record = identity_to_json(spec)
     assert record["closed_form"] is None
     assert record["extended_validity_re_gt"] == "-3/1"
