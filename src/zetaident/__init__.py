@@ -21,6 +21,7 @@ from .evalzeta import (
     CapacityError,
     EvalReport,
     PoleError,
+    eval_identities,
     eval_identity,
     pochhammer,
     supports,
@@ -47,6 +48,7 @@ __all__ = [
     "bernoulli",
     "closed_form_part",
     "derive_identity",
+    "eval_identities",
     "eval_identity",
     "faulhaber",
     "identities_equal",

@@ -31,6 +31,7 @@ from .derive import (
 from .evalzeta import (
     CapacityError,
     PoleError,
+    eval_identities,
     eval_identity,
     supports,
     sum_zeta_m1,
@@ -239,15 +240,12 @@ def _first_mismatch(derived: IdentitySpec, ref: IdentitySpec, k_max: int) -> str
     return "no mismatch found"
 
 
-def _check_coefficients(cfg: RunConfig) -> tuple[bool, str]:
+def _check_coefficients(cfg: RunConfig, derived: dict[int, IdentitySpec]) -> tuple[bool, str]:
     if cfg.in_path:
         with open(cfg.in_path, "r", encoding="utf-8") as fh:
             specs = identities_from_json_text(fh.read())
     else:
-        specs = [
-            derive_identity(p, cfg.kmax)
-            for p in range(1, MAX_REFERENCE_DEPTH + 1)
-        ]
+        specs = list(derived.values())
     if not specs:
         return False, "no identities to check"
     for spec in specs:
@@ -262,10 +260,9 @@ def _check_coefficients(cfg: RunConfig) -> tuple[bool, str]:
     return True, f"{len(specs)} identities match the reference tables exactly"
 
 
-def _check_pairing(cfg: RunConfig) -> tuple[bool, str]:
+def _check_pairing(cfg: RunConfig, derived: dict[int, IdentitySpec]) -> tuple[bool, str]:
     for j in range(2, 7):
-        odd = derive_identity(2 * j - 1, cfg.kmax)
-        even = derive_identity(2 * j, cfg.kmax)
+        odd, even = derived[2 * j - 1], derived[2 * j]
         if not identities_equal(odd, even, cfg.kmax):
             return False, f"depths {2 * j - 1} and {2 * j} differ"
     return True, "depths (3,4), (5,6), (7,8), (9,10), (11,12) pair up exactly"
@@ -285,9 +282,9 @@ def _check_trivial_zeros(cfg: RunConfig, specs: dict[int, IdentitySpec]) -> tupl
 def _check_zeta0(cfg: RunConfig, specs: dict[int, IdentitySpec]) -> tuple[bool, str]:
     tol = _tolerance(cfg.digits)
     with mp.workdps(cfg.digits + 10):
-        for p, spec in specs.items():
-            value = eval_identity(spec, 0, cfg.digits).value
-            diff = abs(value + mp.mpf(1) / 2)
+        reports = eval_identities(list(specs.values()), 0, cfg.digits)
+        for p, report in zip(specs, reports):
+            diff = abs(report.value + mp.mpf(1) / 2)
             if not diff < tol:
                 return False, f"p={p}: zeta(0) off by {mp.nstr(diff, 3)}"
     return True, f"zeta(0) = -1/2 for p = 2..{max(specs)}"
@@ -334,17 +331,15 @@ def _check_oracle(cfg: RunConfig, specs: dict[int, IdentitySpec]) -> tuple[bool,
             s = (Fraction(point.real), Fraction(point.imag))
             arg = _point_arg(s)
             reference = zeta_em_reference(arg, cfg.digits)
-            for p, spec in specs.items():
-                if not supports(spec, arg):
-                    continue
-                value = eval_identity(spec, arg, cfg.digits).value
-                diff = abs(value - reference)
+            batch = [spec for spec in specs.values() if supports(spec, arg)]
+            for spec, report in zip(batch, eval_identities(batch, arg, cfg.digits)):
+                diff = abs(report.value - reference)
                 count += 1
                 if diff > worst:
                     worst = diff
                 if not diff < tol:
                     return False, (
-                        f"s={point}, p={p}: identity and direct summation "
+                        f"s={point}, p={spec.p}: identity and direct summation "
                         f"differ by {mp.nstr(diff, 3)}"
                     )
     return True, (
@@ -357,16 +352,21 @@ def cmd_verify(cfg: RunConfig) -> int:
     names = list(cfg.only) if cfg.only else list(_CHECK_NAMES)
     if cfg.in_path and not cfg.only:
         names = ["coefficients"]
-    specs_needed = {"trivial_zeros", "zeta0", "zetaprime0", "zeta2", "oracle"}
-    specs: dict[int, IdentitySpec] = {}
-    if specs_needed & set(names):
-        specs = _derive_many(range(2, MAX_REFERENCE_DEPTH + 1), cfg.kmax)
+    # derived once for every check that reads them
+    reads_derived = set(names) - {"sum_identity"}
+    if cfg.in_path:
+        reads_derived.discard("coefficients")
+    derived: dict[int, IdentitySpec] = {}
+    if reads_derived:
+        derived = _derive_many(range(1, MAX_REFERENCE_DEPTH + 1), cfg.kmax)
+    # the evaluation checks use the depths valid at s = 0
+    specs = {p: spec for p, spec in derived.items() if p >= 2}
     failures = 0
     for name in names:
         if name == "coefficients":
-            ok, detail = _check_coefficients(cfg)
+            ok, detail = _check_coefficients(cfg, derived)
         elif name == "pairing":
-            ok, detail = _check_pairing(cfg)
+            ok, detail = _check_pairing(cfg, derived)
         elif name == "trivial_zeros":
             ok, detail = _check_trivial_zeros(cfg, specs)
         elif name == "zeta0":

@@ -9,15 +9,21 @@ The independent cross-check `zeta_em_reference` computes zeta directly by
 Euler-Maclaurin summation and shares nothing with `eval_identity` except
 the Bernoulli table, so agreement between the two is meaningful.
 
+`eval_identities` evaluates several depths at one point in one pass over
+k: every depth's identity has the same inner sums zeta(s + k) - 1 and the
+same factor (s)_k/(k+1)!, and only r_k differs. `eval_identity` is the
+batch of one.
+
 Each call computes its inner sums zeta(s + k) - 1 from one table of
 n^-(s+k), n = 2..N with N = 10 + digits: every power is computed once and
 stepped from k to k + 1 by a factor 1/n. Each k gets the budget
-10^-(digits+5) / (16 |coefficient_k|) and the cheaper route that meets it:
+10^-(digits+5) / (16 |coefficient_k|), the smallest such budget over the
+depths of a batch, and the cheaper route that meets it:
 a direct sum alone when some cutoff M <= N has a small enough tail bound,
 else the direct sum to N plus as many Euler-Maclaurin terms as the
 remainder bound asks for. The oracle keeps its own fixed schedule, N direct
-terms and ceil(digits/4) + 5 correction terms. Truncation of the outer
-series stops at the first k >= k0 + 8 whose bound
+terms and ceil(digits/4) + 5 correction terms. Truncation of each depth's
+outer series stops at the first k >= k0 + 8 whose bound
 |r_k| * |(s)_k| / (k+1)! * 2^(1 - Re s - k) * 4 drops below 10^-(digits+5);
 the 2^(1-sigma) factor majorizes |zeta(sigma) - 1| (times the safety 4).
 """
@@ -27,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, log2
-from typing import Union
+from typing import Sequence, Union
 
 from mpmath import mp
 
@@ -61,7 +67,9 @@ class EvalReport:
     direct_terms, the largest n in its n^-(s+k) table (at most
     N = 10 + digits; 0 if no inner sum was needed); correction_order, the
     largest Euler-Maclaurin order any k needed; last_em_k, the last k that
-    needed Euler-Maclaurin terms (None if direct sums sufficed).
+    needed Euler-Maclaurin terms (None if direct sums sufficed). The
+    reports of one eval_identities batch share one schedule, so they all
+    carry the same cutoffs, those of the whole pass.
     """
 
     value: object
@@ -336,6 +344,41 @@ def supports(spec: IdentitySpec, s: Number) -> bool:
     return re_s > spec.effective_validity and re_s + spec.k0 >= Fraction(3, 2)
 
 
+def _check_point(spec: IdentitySpec, z, digits: int) -> None:
+    """Raise what eval_identity raises when spec cannot be evaluated at z."""
+    bound = spec.effective_validity
+    if not mp.re(z) > _fraction_to_mp(bound):
+        raise ValueError(
+            f"s with Re s = {mp.nstr(mp.re(z), 8)} is outside the validity "
+            f"half-plane Re s > {bound} of the depth-{spec.p} identity"
+        )
+    if abs(z - 1) <= mp.mpf(10) ** (-mp.mpf(digits) / 2):
+        raise PoleError(
+            f"s is within the pole guard radius 10^-({digits}/2) of s = 1"
+        )
+    if not mp.re(z) + spec.k0 >= mp.mpf(3) / 2:
+        raise ValueError(
+            f"inner series argument Re(s) + k0 = Re(s) + {spec.k0} falls "
+            f"below 1.5; use a deeper identity (larger p)"
+        )
+
+
+class _Depth:
+    """One identity's share of a batch: its running outer sum, its error
+    terms, and, once its tail bound is met, where it stopped."""
+
+    def __init__(self, spec: IdentitySpec, z):
+        self.spec = spec
+        self.total = _fraction_to_mp(spec.pole_coefficient) / (z - 1)
+        self.total += _poly_eval_mp(spec.q_poly, z)
+        self.inner_err = mp.mpf(0)
+        self.inner_rounding = mp.mpf(0)
+        self.max_term = mp.mpf(0)
+        # r_k (s)_k / (k+1)! at the current k, and its absolute value
+        self.coef = self.size = None
+        self.terms_used = self.tail_bound = None
+
+
 def eval_identity(spec: IdentitySpec, s: Number, digits: int = 40) -> EvalReport:
     """Evaluate zeta(s) through the depth-p identity at the given target
     precision.
@@ -345,75 +388,96 @@ def eval_identity(spec: IdentitySpec, s: Number, digits: int = 40) -> EvalReport
     of s = 1, and CapacityError when more series terms are needed than the
     spec stores and no closed form is available to extrapolate.
     """
+    return eval_identities([spec], s, digits)[0]
+
+
+def eval_identities(
+    specs: Sequence[IdentitySpec], s: Number, digits: int = 40
+) -> list[EvalReport]:
+    """Evaluate zeta(s) through several identities in one pass over k; one
+    report per spec, in order.
+
+    The identities share z, (s)_k, (k+1)! and 2^(1 - Re s - k), and at each
+    k one inner sum zeta(s + k) - 1, computed at the tightest budget among
+    the depths that need it. Each depth keeps its own total, error terms
+    and tail bound, and stops on its own. Every spec is checked before any
+    work: the first that cannot be evaluated at s raises what eval_identity
+    raises for it. An empty specs raises ValueError.
+    """
     _check_digits(digits)
+    if not specs:
+        raise ValueError("eval_identities needs at least one identity")
     wp = digits + _GUARD
     with mp.workdps(wp):
         z = _to_mp(s)
-        bound = spec.effective_validity
-        if not mp.re(z) > _fraction_to_mp(bound):
-            raise ValueError(
-                f"s with Re s = {mp.nstr(mp.re(z), 8)} is outside the validity "
-                f"half-plane Re s > {bound} of the depth-{spec.p} identity"
-            )
-        if abs(z - 1) <= mp.mpf(10) ** (-mp.mpf(digits) / 2):
-            raise PoleError(
-                f"s is within the pole guard radius 10^-({digits}/2) of s = 1"
-            )
-        if not mp.re(z) + spec.k0 >= mp.mpf(3) / 2:
-            raise ValueError(
-                f"inner series argument Re(s) + k0 = Re(s) + {spec.k0} falls "
-                f"below 1.5; use a deeper identity (larger p)"
-            )
+        for spec in specs:
+            _check_point(spec, z, digits)
         threshold = mp.mpf(10) ** (-(digits + 5))
-        total = _fraction_to_mp(spec.pole_coefficient) / (z - 1)
-        total += _poly_eval_mp(spec.q_poly, z)
-        k = spec.k0
+        depths = [_Depth(spec, z) for spec in specs]
+        running = list(depths)
+        k = min(spec.k0 for spec in specs)
         poch = pochhammer(z, k)
         fact = factorial(k + 1)
         # 2^(1 - Re s - k), halved at each k
         tail_factor = mp.power(2, 1 - mp.re(z) - k)
         inner = _InnerSums(z, k, digits)
-        inner_err = mp.mpf(0)
-        inner_rounding = mp.mpf(0)
-        max_term = mp.mpf(0)
         while True:
-            r = spec.series_coefficient(k)
-            if r is None:
-                raise CapacityError(
-                    f"depth-{spec.p} identity stores coefficients through "
-                    f"k={spec.k_max} and has no closed form; k={k} is needed "
-                    f"at digits={digits}"
-                )
-            r_mp = _fraction_to_mp(r)
-            coef = r_mp * poch / mp.mpf(fact)
-            size = abs(r_mp) * abs(poch) / mp.mpf(fact)
-            if coef != 0:
-                budget = threshold / (size * _INNER_SAFETY)
+            active = [d for d in running if d.spec.k0 <= k]
+            abs_poch = abs(poch)
+            fact_mp = mp.mpf(fact)
+            largest = mp.mpf(0)
+            for d in active:
+                r = d.spec.series_coefficient(k)
+                if r is None:
+                    raise CapacityError(
+                        f"depth-{d.spec.p} identity stores coefficients through "
+                        f"k={d.spec.k_max} and has no closed form; k={k} is needed "
+                        f"at digits={digits}"
+                    )
+                r_mp = _fraction_to_mp(r)
+                d.coef = r_mp * poch / fact_mp
+                d.size = abs(r_mp) * abs_poch / fact_mp
+                if d.size > largest:
+                    largest = d.size
+            # size, not r_k, decides: (s)_k vanishes at nonpositive integers
+            if largest != 0:
+                budget = threshold / (largest * _INNER_SAFETY)
                 inner_val, ierr, iround = inner(k, budget)
-                term = coef * inner_val
-                total += term
-                inner_err += size * ierr
-                inner_rounding += size * iround
-                at = abs(term)
-                if at > max_term:
-                    max_term = at
-            tail_bound = size * tail_factor * 4
-            if k >= spec.k0 + 8 and tail_bound < threshold:
+                for d in active:
+                    if d.size != 0:
+                        term = d.coef * inner_val
+                        d.total += term
+                        d.inner_err += d.size * ierr
+                        d.inner_rounding += d.size * iround
+                        at = abs(term)
+                        if at > d.max_term:
+                            d.max_term = at
+            for d in active:
+                tail_bound = d.size * tail_factor * 4
+                if k >= d.spec.k0 + 8 and tail_bound < threshold:
+                    d.terms_used, d.tail_bound = k, tail_bound
+                    running.remove(d)
+            if not running:
                 break
             poch = poch * (z + k)
             fact = fact * (k + 2)
             tail_factor /= 2
             k += 1
-        rounding = (k + 16) * mp.mpf(10) ** (-(wp - 2))
-        rounding *= 1 + max_term + abs(total)
-        rounding += inner_rounding
-        return EvalReport(
-            value=mp.mpc(total),
-            p_used=spec.p,
-            terms_used=k,
-            error_estimate=float(tail_bound + inner_err + rounding),
-            inner_sum_cutoffs=inner.cutoffs(),
-        )
+        reports = []
+        for d in depths:
+            rounding = (d.terms_used + 16) * mp.mpf(10) ** (-(wp - 2))
+            rounding *= 1 + d.max_term + abs(d.total)
+            rounding += d.inner_rounding
+            reports.append(
+                EvalReport(
+                    value=mp.mpc(d.total),
+                    p_used=d.spec.p,
+                    terms_used=d.terms_used,
+                    error_estimate=float(d.tail_bound + d.inner_err + rounding),
+                    inner_sum_cutoffs=inner.cutoffs(),
+                )
+            )
+        return reports
 
 
 def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from zetaident import derive_identity, eval_identity
+from zetaident import cli, derive_identity, eval_identity
 from zetaident.cli import main, parse_complex_literal, parse_p_range, parse_rational
 
 
@@ -84,6 +84,28 @@ def test_verify_named_checks(capsys):
     assert main(["verify", "--only", "coefficients", "--only", "pairing"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 2
+
+
+def test_verify_derives_each_depth_once(monkeypatch, capsys):
+    derived = []
+
+    def counting(p, k_max=64):
+        derived.append(p)
+        return derive_identity(p, k_max)
+
+    monkeypatch.setattr(cli, "derive_identity", counting)
+    names = ["coefficients", "pairing", "zetaprime0", "zeta0"]
+    assert main(["verify"] + [arg for name in names for arg in ("--only", name)]) == 0
+    assert capsys.readouterr().out.count("PASS") == 4
+    assert sorted(derived) == list(range(1, 13))
+
+
+def test_verify_from_file_derives_nothing(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "identities.json"
+    main(["derive", "--p", "1..12", "--out", str(path)])
+    monkeypatch.setattr(cli, "derive_identity", None)  # any call would raise
+    assert main(["verify", "--in", str(path)]) == 0
+    assert "PASS  coefficients" in capsys.readouterr().out
 
 
 def test_verify_file_round_trip(tmp_path, capsys):

@@ -8,8 +8,10 @@ from mpmath import mp
 
 from zetaident.evalzeta import (
     CapacityError,
+    EvalReport,
     PoleError,
     _InnerSums,
+    eval_identities,
     eval_identity,
     pochhammer,
     supports,
@@ -269,15 +271,65 @@ def test_error_estimate_covers_mpmath_zeta_in_every_strip(
     specs64, p, re_steps, im_steps, digits
 ):
     # Re s runs over (left, left + 2], where left is the edge of what the
-    # depth-p identity accepts; |Im s| <= 10
+    # depth-p identity accepts; |Im s| <= 10. Every depth that accepts s
+    # is evaluated in one batch.
     spec = specs64[p]
     left = max(spec.effective_validity, F(3, 2) - spec.k0)
     s = (left + F(re_steps, 5 * 10**5), F(im_steps, 10**5))
     assume(s != (1, 0))
-    report = eval_identity(spec, s, digits)
+    batch = [other for other in specs64.values() if supports(other, s)]
+    assert spec in batch
+    reports = eval_identities(batch, s, digits)
     with mp.workdps(digits + 20):
-        err = abs(report.value - mp.zeta(_mp_point(s)))
-    assert err <= report.error_estimate, mp.nstr(err, 3)
+        target = mp.zeta(_mp_point(s))
+        for report in reports:
+            err = abs(report.value - target)
+            assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
+
+
+# ---- eval_identities: several depths in one pass ----
+
+
+@pytest.mark.parametrize("s", [F(2), F(-4), F(-11, 4), (F(1, 2), F(14134725, 10**6))])
+def test_batch_of_every_supporting_depth_meets_the_contract(specs64, s):
+    # at s = -4, (s)_k vanishes for k >= 5 while r_k does not
+    batch = [spec for spec in specs64.values() if supports(spec, s)]
+    reports = eval_identities(batch, s, 40)
+    assert [r.p_used for r in reports] == [spec.p for spec in batch]
+    with mp.workdps(60):
+        target = mp.zeta(_mp_point(s))
+        for report in reports:
+            err = abs(report.value - target)
+            assert err <= report.error_estimate <= 1e-40, (report.p_used, mp.nstr(err, 3))
+
+
+def test_batch_mixes_first_indices(specs64):
+    # k0 = 12 listed before k0 = 1: the pass starts at k = 1 and the
+    # depth-12 series joins it at k = 12
+    s = (F(3, 4), F(2))
+    deep, shallow = specs64[12], specs64[1]
+    assert (deep.k0, shallow.k0) == (12, 1)
+    reports = eval_identities([deep, shallow], s, 40)
+    assert [r.p_used for r in reports] == [12, 1]
+    assert reports[0].inner_sum_cutoffs == reports[1].inner_sum_cutoffs
+    with mp.workdps(60):
+        target = mp.zeta(_mp_point(s))
+        for spec, report in zip([deep, shallow], reports):
+            alone = eval_identity(spec, s, 40)
+            assert report.terms_used == alone.terms_used
+            assert abs(report.value - target) <= report.error_estimate <= 1e-40
+            assert abs(report.value - alone.value) <= (
+                report.error_estimate + alone.error_estimate
+            )
+
+
+@pytest.mark.parametrize("p, s", [(5, F(2)), (1, (F(1, 2), F(14134725, 10**6))), (12, F(-21, 2))])
+def test_batch_of_one_is_eval_identity(specs64, p, s):
+    batch = eval_identities([specs64[p]], s, 40)
+    assert len(batch) == 1
+    alone = eval_identity(specs64[p], s, 40)
+    for field in dataclasses.fields(EvalReport):
+        assert getattr(batch[0], field.name) == getattr(alone, field.name), field.name
 
 
 # ---- inner-sum kernel ----
@@ -345,6 +397,33 @@ def test_capacity_error_names_required_index(specs64):
 def test_digits_floor_eval(specs64):
     with pytest.raises(ValueError):
         eval_identity(specs64[2], 3, 14)
+
+
+@pytest.mark.parametrize(
+    "good, bad, s, error, match",
+    [
+        (12, 3, -5, ValueError, "validity"),
+        (5, 1, F(1, 4), ValueError, "deeper"),
+        (5, 2, 1 + F(1, 10**25), PoleError, "pole guard"),
+        (5, "stripped 2", F(1, 4), CapacityError, r"k=65"),
+    ],
+)
+def test_batch_raises_what_its_bad_spec_raises(specs64, good, bad, s, error, match):
+    if bad == "stripped 2":
+        bad_spec = dataclasses.replace(specs64[2], closed_form=None)
+    else:
+        bad_spec = specs64[bad]
+    with pytest.raises(error, match=match) as alone:
+        eval_identity(bad_spec, s, 40)
+    for batch in ([specs64[good], bad_spec], [bad_spec, specs64[good]]):
+        with pytest.raises(error) as batched:
+            eval_identities(batch, s, 40)
+        assert str(batched.value) == str(alone.value)
+
+
+def test_empty_batch_is_an_error():
+    with pytest.raises(ValueError):
+        eval_identities([], 2, 40)
 
 
 # ---- supports ----
