@@ -1,13 +1,29 @@
 """Arbitrary-precision evaluation of the derived identities.
 
-Big-float arithmetic is mpmath (mpf/mpc); every public operation takes a
-decimal `digits` target and works internally at digits + 10 guard digits
-(more where cancellation demands it). Exact rationals from the derivation
-layer are converted at working precision only at the point of use.
+The identity evaluator works in fixed point on Python integers. One call
+chooses a scale 2^P; a real number x is held as an integer within a few
+units of x * 2^P (a unit 2^-P is an "ulp" below) and a complex number as a
+pair of them. Sums are exact integer additions, products are integer
+products shifted right by P, and every rounding is a floor. The error of
+each operation is tallied in ulps as an integer, rounded up, so no float
+enters any bound. mpmath is used once per call for the irrational inputs:
+n^-s for each n of the inner-sum table and 2^(-Re s). Everything rational
+(s itself, (s)_k0 / (k0+1)!, the head pole/(s-1) + Q(s), r_k and the
+Euler-Maclaurin coefficients B_2j/(2j)!) is converted from exact values
+with one floor. Values are returned as mpmath numbers, converted exactly.
+
+P is the bit length of 10^(digits+5), plus log2 of the largest outer
+coefficient |r_k (s)_k / (k+1)!| the call will meet, plus _GUARD_BITS. The
+peak comes from a float pre-scan that mirrors the outer stopping rule, so
+the large coefficients of points with large |Im s| (which grow like
+|Im s|^k / k! before they decay) get the bits their cancellation costs. The
+scan only sets how tight the bound is; every bound is a tally of the ulps
+actually lost, whatever P is.
 
 The independent cross-check `zeta_em_reference` computes zeta directly by
-Euler-Maclaurin summation and shares nothing with `eval_identity` except
-the Bernoulli table, so agreement between the two is meaningful.
+Euler-Maclaurin summation in mpmath floats and shares nothing with
+`eval_identity` except the Bernoulli table, so agreement between the two is
+meaningful.
 
 `eval_identities` evaluates several depths at one point in one pass over
 k: every depth's identity has the same inner sums zeta(s + k) - 1 and the
@@ -16,7 +32,7 @@ batch of one.
 
 Each call computes its inner sums zeta(s + k) - 1 from one table of
 n^-(s+k), n = 2..N with N = 10 + digits: every power is computed once and
-stepped from k to k + 1 by a factor 1/n. Each k gets the budget
+stepped from k to k + 1 by a floor division by n. Each k gets the budget
 10^-(digits+5) / (16 |coefficient_k|), the smallest such budget over the
 depths of a batch, and the cheaper route that meets it:
 a direct sum alone when some cutoff M <= N has a small enough tail bound,
@@ -32,17 +48,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, log2
-from typing import Sequence, Union
+from math import factorial, floor, hypot, inf, isqrt, lcm, log2, nextafter
+from typing import Optional, Sequence, Union
 
 from mpmath import mp
 
 from .derive import IdentitySpec
-from .exactmath import Polynomial, bernoulli
+from .exactmath import bernoulli
 
 _GUARD = 10
+# Bits of the fixed-point scale beyond 10^-(digits+5) and the peak outer
+# coefficient; the ulp tally of a few hundred terms stays far below them.
+_GUARD_BITS = 24
 # Each inner sum gets the budget threshold / (|coefficient| * _INNER_SAFETY).
 _INNER_SAFETY = 16
+# Every n^-(z+k) table entry is within this many ulps (in modulus) of its
+# value, at any shift: see _InnerSums.
+_ENTRY_ULPS = 3
 
 Number = Union[int, float, complex, Fraction]
 
@@ -60,9 +82,14 @@ class CapacityError(ValueError):
 class EvalReport:
     """Result of one identity evaluation.
 
-    error_estimate bounds |value - zeta(s)|: outer truncation bound plus
-    accumulated inner-sum bounds plus rounding allowances for the outer sum
-    and for the inner recurrence.
+    value is an mpmath mpc, the fixed-point result converted exactly.
+    error_estimate bounds |value - zeta(s)|, rounded up to a float. It is
+    the sum of, in ulps of the call's scale 2^-P: the outer truncation
+    bound; the inner truncation bounds, each times its |coefficient|; and
+    the rounding tally, which covers the head, every floor of the (s)_k
+    recurrence and of each coefficient as it propagates into its term, the
+    rounding of each inner sum times its |coefficient|, and the floor of
+    each term product.
     inner_sum_cutoffs records the inner schedule the call used:
     direct_terms, the largest n in its n^-(s+k) table (at most
     N = 10 + digits; 0 if no inner sum was needed); correction_order, the
@@ -114,24 +141,30 @@ def _to_mp(x):
     return mp.mpmathify(x)
 
 
-def _poly_eval_mp(poly: Polynomial, x):
-    """Horner evaluation with per-step conversion of exact coefficients."""
-    acc = mp.mpf(0)
-    for c in reversed(poly.coefficients):
-        acc = acc * x + _fraction_to_mp(c)
-    return acc
+def _exact_real(x) -> Fraction:
+    if isinstance(x, (int, float, Fraction)):
+        return Fraction(x)
+    if not isinstance(x, mp.mpf):
+        x = mp.mpf(x)
+    sign, man, exp, _ = x._mpf_
+    value = Fraction(-man if sign else man)
+    return value * 2**exp if exp >= 0 else value / 2**-exp
 
 
-def _real_part(s: Number) -> Fraction:
-    if isinstance(s, Fraction):
-        return s
-    if isinstance(s, (int, float)):
-        return Fraction(s)
-    if isinstance(s, complex):
-        return Fraction(s.real)
+def _exact_point(s) -> tuple[Fraction, Fraction]:
+    """s as an exact (re, im) pair of rationals. Ints, floats, complex and
+    mpmath numbers are binary fractions, so nothing rounds; anything else
+    (a decimal string) goes through mpmath at the current precision."""
     if isinstance(s, tuple) and len(s) == 2:
-        return _real_part(s[0])
-    return Fraction(float(mp.re(s)))
+        return _exact_real(s[0]), _exact_real(s[1])
+    if isinstance(s, complex):
+        return Fraction(s.real), Fraction(s.imag)
+    if isinstance(s, (int, float, Fraction)):
+        return Fraction(s), Fraction(0)
+    x = mp.mpmathify(s)
+    if isinstance(x, mp.mpc):
+        return _exact_real(x.real), _exact_real(x.imag)
+    return _exact_real(x), Fraction(0)
 
 
 def pochhammer(s, k: int):
@@ -147,36 +180,165 @@ def pochhammer(s, k: int):
     return result
 
 
+# ---- fixed point: integers in units of 2^-bits ----
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def _modulus_up(re: int, im: int) -> int:
+    """An integer >= |re + i im|."""
+    return isqrt(re * re + im * im) + 1
+
+
+def _fixed(q: Fraction, bits: int) -> int:
+    """floor(q * 2^bits): within 1 ulp."""
+    return (q.numerator << bits) // q.denominator
+
+
+def _mp_fixed(x, bits: int) -> int:
+    """floor(x * 2^bits) of an mpf, exactly."""
+    sign, man, exp, _ = x._mpf_
+    if sign:
+        man = -man
+    exp += bits
+    return man << exp if exp >= 0 else man >> -exp
+
+
+def _mp_value(re: int, im: Optional[int], bits: int):
+    """(re + i im) * 2^-bits as an mpc, or re * 2^-bits as an mpf when im is
+    None, exactly."""
+    with mp.workprec(max(re.bit_length(), (im or 0).bit_length(), 53)):
+        if im is None:
+            return mp.mpf((re, -bits))
+        return mp.mpc(mp.mpf((re, -bits)), mp.mpf((im, -bits)))
+
+
+def _float_up(ulps: int, bits: int) -> float:
+    """The least float >= ulps * 2^-bits."""
+    exact = Fraction(ulps, 1 << bits)
+    x = float(exact)
+    return x if x >= exact else nextafter(x, inf)
+
+
+def _pow2_up(e: Fraction) -> int:
+    """An integer in [2^e, 2^e + 2], for e >= 0."""
+    whole = floor(e)
+    frac = e - whole
+    if not frac:
+        return 1 << whole
+    # relative error about 2^-(whole + 18): far below one unit
+    with mp.workprec(whole + 20):
+        x = mp.ldexp(mp.power(2, mp.mpf(frac.numerator) / frac.denominator), whole)
+        return int(mp.ceil(x)) + 1
+
+
+def _threshold_bits(digits: int) -> int:
+    """Bits below the point that resolve 10^-(digits+5)."""
+    return (10 ** (digits + 5)).bit_length()
+
+
+def _scale_bits(digits: int, peak_log2: float) -> int:
+    """P for a call whose largest outer coefficient is about 2^peak_log2."""
+    return _threshold_bits(digits) + (int(peak_log2) + 1 if peak_log2 > 0 else 0) + _GUARD_BITS
+
+
+def _log2_ratio(num: int, den: int) -> float:
+    return log2(abs(num)) - log2(den) if num else -inf
+
+
+class _Coefficients:
+    """r_k of one identity as an exact ratio (numerator, denominator) of
+    ints: the stored value through k_max, then the closed form, taken once
+    as integer coefficients over one common denominator and evaluated by
+    integer Horner. None past k_max when there is no closed form. Values
+    are memoized, so a call computes each r_k once."""
+
+    def __init__(self, spec: IdentitySpec):
+        self.spec = spec
+        self.numerators = self.denominator = None
+        if spec.closed_form is not None:
+            coefficients = spec.closed_form.coefficients
+            den = lcm(*(c.denominator for c in coefficients))
+            self.numerators = [c.numerator * (den // c.denominator) for c in reversed(coefficients)]
+            self.denominator = den
+        self.values = {}
+
+    def __call__(self, k: int) -> Optional[tuple[int, int]]:
+        if k in self.values:
+            return self.values[k]
+        spec = self.spec
+        if k <= spec.k_max:
+            r = spec.series_coefficient(k)
+            value = (r.numerator, r.denominator)
+        elif self.numerators is None:
+            return None
+        else:
+            acc = 0
+            for c in self.numerators:
+                acc = acc * k + c
+            value = (acc, self.denominator)
+        self.values[k] = value
+        return value
+
+
 class _InnerSums:
-    """zeta(z + k) - 1 for one z and shifts k taken in nondecreasing order,
-    each with a truncation bound and a rounding bound.
+    """zeta(z + k) - 1 in fixed point at scale 2^-bits, for one exact z and
+    shifts k taken in nondecreasing order, each with a truncation bound and
+    a rounding bound in ulps.
+
+    z = (zr + i zi) / den with integers zr, zi, den, so every z + k, and
+    every factor the Euler-Maclaurin terms need, is exact.
 
     The powers n^-(z+k), n = 2..N with N = _direct_terms(digits), live in
-    one table for the whole call: an entry is computed as n^-z / n^k when
-    first needed and then stepped to later shifts by
-    n^-(w+1) = n^-w * (1/n). Each shift is summed by the cheaper of two
-    routes that meets its budget:
+    one table for the whole call. An entry is computed when first needed
+    as floor(X / n^k) with X = floor(n^-z * 2^bits), and stepped to each
+    later shift by a floor division by n; nested floor divisions by
+    integers are one, so an entry at shift k is always floor(X / n^k).
+    mpmath computes p^-z for each prime p at `prec` bits, with an error
+    (rounding z included) assumed under 4 + |z| log p units of that
+    precision, and n^-z = a^-z * b^-z for composite n = a b, each product
+    adding at most 2 units. So n^-z is within (6 + |z|) log2 N units, which
+    prec makes under 2^-16 ulps once divided by n^k. Each component of an
+    entry is thus within 2 + 2^-16 ulps, and the entry within
+    _ENTRY_ULPS = 3 in modulus.
+
+    Each shift is summed by the cheaper of two routes that meets its
+    budget:
 
     - direct only: sum_{2 <= n < M} n^-w for the first M <= N whose tail
       bound M^-sigma + M^(1-sigma)/(sigma-1) is under budget;
-    - the direct sum to N plus Euler-Maclaurin terms, added until the
-      remainder bound (first omitted term * |w+2m+1|/(sigma+2m+1)) is under
-      budget.
+    - the direct sum to N plus N^(1-w)/(w-1) + N^-w/2 plus Euler-Maclaurin
+      terms B_2j/(2j)! (w)_(2j-1) N^-(w+2j-1), added until the remainder
+      bound (first omitted term * |w+2m+1|/(sigma+2m+1)) is under budget.
 
-    When neither route meets the budget the returned bound is the one
-    reached, not the budget. Create and call it at one working precision.
+    The rounding bound adds _ENTRY_ULPS per summed entry and, for each
+    further product or quotient, the entry error it propagates plus 2 ulps
+    for its floors. When neither route meets the budget the returned bound
+    is the one reached, not the budget.
     """
 
-    def __init__(self, z, k0: int, digits: int):
-        self.z = z
-        self.k0 = k0
-        self.re_z = mp.re(z)
+    def __init__(self, z: tuple[Fraction, Fraction], digits: int, bits: int):
+        re, im = z
+        self.den = lcm(re.denominator, im.denominator)
+        self.zr = re.numerator * (self.den // re.denominator)
+        self.zi = im.numerator * (self.den // im.denominator)
+        self.bits = bits
         self.n_max = _direct_terms(digits)
-        self.eps = mp.eps
-        # index n: n^-(z + shift[n]) and 1/n; B_2j/(2j)! at index j
+        # (6 + |z|) log2 N bounds the relative error of any n^-z in units
+        # of 2^-prec: see the class docstring
+        spread = (abs(self.zr) + abs(self.zi)) // self.den + 1
+        self.prec = bits + 16 + ((6 + spread) * self.n_max.bit_length()).bit_length()
+        with mp.workprec(self.prec):
+            self.z_mp = mp.mpc(_fraction_to_mp(re), _fraction_to_mp(im)) if im else _fraction_to_mp(re)
+        # index n: n^-z from mpmath
         self.powers = [None, None]
-        self.shift = [None, None]
-        self.inv = [None, None]
+        # index n: n^-(z + shift[n]) as an (re, im) pair of ulps
+        self.re = [0, 0]
+        self.im = [0, 0]
+        self.shift = [0, 0]
+        # B_2j/(2j)! at index j as (numerator, denominator)
         self.em_coefs = [None]
         self.max_order = 0
         self.last_em_k = None
@@ -185,27 +347,39 @@ class _InnerSums:
         """The schedule used: the largest n tabulated (0 when no inner sum
         was needed), the largest Euler-Maclaurin order, and the last k that
         needed one (None when direct sums sufficed throughout)."""
-        top = len(self.powers) - 1
+        top = len(self.re) - 1
         return {
             "direct_terms": top if top >= 2 else 0,
             "correction_order": self.max_order,
             "last_em_k": self.last_em_k,
         }
 
-    def _table(self, k: int, top: int) -> list:
+    def _table(self, k: int, top: int) -> tuple[list, list]:
         """The table through n = top, every entry at shift k."""
-        pw, shift, inv = self.powers, self.shift, self.inv
-        for n in range(2, top + 1):
-            if n == len(pw):
-                # z + k would round, by up to |z + k| ulps
-                pw.append(mp.power(n, -self.z) / n**k)
-                shift.append(k)
-                inv.append(1 / mp.mpf(n))
-            elif shift[n] != k:
-                steps = k - shift[n]
-                pw[n] *= inv[n] if steps == 1 else inv[n] ** steps
+        re, im, shift = self.re, self.im, self.shift
+        for n in range(2, min(top + 1, len(re))):
+            steps = k - shift[n]
+            if steps:
+                q = n if steps == 1 else n**steps
+                re[n] //= q
+                im[n] //= q
                 shift[n] = k
-        return pw
+        while len(re) <= top:
+            n = len(re)
+            p = 2  # the least prime factor of n, if n is composite
+            while p * p <= n and n % p:
+                p += 1
+            with mp.workprec(self.prec):
+                if p * p > n:
+                    x = mp.power(n, -self.z_mp)
+                else:
+                    x = self.powers[p] * self.powers[n // p]
+            self.powers.append(x)
+            scale = n**k
+            re.append(_mp_fixed(mp.re(x), self.bits) // scale)
+            im.append(_mp_fixed(mp.im(x), self.bits) // scale)
+            shift.append(k)
+        return re, im
 
     def _direct_cutoff(self, sigma: float, log2_budget: int):
         """First M in 2..N with M^-sigma + M^(1-sigma)/(sigma-1) under
@@ -225,77 +399,94 @@ class _InnerSums:
                 lo = mid + 1
         return lo
 
-    def _em_coef(self, j: int):
+    def _em_coef(self, j: int) -> tuple[int, int]:
         coefs = self.em_coefs
         while len(coefs) <= j:
             i = len(coefs)
-            coefs.append(_fraction_to_mp(bernoulli(2 * i)) / factorial(2 * i))
+            q = bernoulli(2 * i) / factorial(2 * i)
+            coefs.append((q.numerator, q.denominator))
         return coefs[j]
 
-    def __call__(self, k: int, budget):
-        """(zeta(z+k) - 1, truncation bound, rounding bound), aiming for a
-        truncation bound <= budget."""
-        w = self.z + k
-        sigma = self.re_z + k
-        # mag(budget) - 2 is the log2 of a power of two below the budget
-        cutoff = self._direct_cutoff(float(sigma), mp.mag(budget) - 2)
+    def __call__(self, k: int, budget: int):
+        """((re, im) of zeta(z+k) - 1, truncation bound, rounding bound),
+        all in ulps, aiming for a truncation bound <= budget."""
+        den = self.den
+        wr, wi = self.zr + k * den, self.zi  # w = z + k = (wr + i wi) / den
+        # sigma = Re w = wr / den; bit_length - bits - 2 is the log2 of a
+        # power of two below the budget
+        cutoff = self._direct_cutoff(wr / den, budget.bit_length() - self.bits - 2)
         top = self.n_max if cutoff is None else cutoff
-        pw = self._table(k, top)
-        # bounds the sum of |n^-w| over n >= 2 plus N^-sigma/2
-        size = abs(pw[2]) * (2 + 2 / (sigma - 1))
+        re, im = self._table(k, top)
+        vr, vi = sum(re[2:top]), sum(im[2:top])
+        rounding = (top - 2) * _ENTRY_ULPS
         if cutoff is not None:
-            value = mp.fsum(pw[2:top])
-            err = abs(pw[top]) * (1 + top / (sigma - 1))
-            return value, err, self._rounding(k, top, size)
-        tail = pw[top]
-        value = mp.fsum(pw[2:top]) + top * tail / (w - 1) + tail / 2
-        poch = w
-        npow = tail * self.inv[top]
-        inv_n2 = self.inv[top] ** 2
+            # top^-sigma (1 + top/(sigma - 1))
+            last = _modulus_up(re[top], im[top]) + _ENTRY_ULPS
+            err = last + _ceil_div(last * top * den, wr - den)
+            return (vr, vi), err, rounding
+        n = top
+        xr, xi = re[n], im[n]  # n^-w
+        # n * n^-w / (w - 1) = x * n * den * conj(c) / |c|^2, c = (w - 1) den
+        cr, ci = wr - den, wi
+        q = cr * cr + ci * ci
+        m = n * den
+        vr += m * (xr * cr + xi * ci) // q
+        vi += m * (xi * cr - xr * ci) // q
+        rounding += _ceil_div(_ENTRY_ULPS * m, isqrt(q)) + 2
+        vr += xr >> 1
+        vi += xi >> 1
+        rounding += (_ENTRY_ULPS + 1) // 2 + 2
+        # t = (w)_(2j-1) n^-(w+2j-1), from w n^-w / n, and its error
+        dn = den * n
+        tr, ti = (xr * wr - xi * wi) // dn, (xr * wi + xi * wr) // dn
+        t_err = _ceil_div(_ENTRY_ULPS * _modulus_up(wr, wi), dn) + 2
+        dn2 = dn * dn
         prev = None
         j = 1
         while True:
-            term = self._em_coef(j) * poch * npow
-            size_j = abs(term)
-            err = size_j * abs(w + 2 * j - 1) / (sigma + 2 * j - 1)
+            bn, bd = self._em_coef(j)
+            term_r, term_i = tr * bn // bd, ti * bn // bd
+            term_err = _ceil_div(t_err * abs(bn), bd) + 2
+            # |term| * |w + 2j - 1| / (sigma + 2j - 1)
+            gr = wr + (2 * j - 1) * den
+            size = _modulus_up(term_r, term_i) + term_err
+            err = _ceil_div(size * _modulus_up(gr, wi), gr)
             # stop once under budget, or once the asymptotic terms grow
             if err <= budget or (prev is not None and err >= prev):
                 break
-            value += term
-            size += size_j
+            vr += term_r
+            vi += term_i
+            rounding += term_err
             prev = err
-            poch = poch * (w + 2 * j - 1) * (w + 2 * j)
-            npow = npow * inv_n2
+            # t *= (w + 2j - 1)(w + 2j) / n^2
+            hr = gr + den
+            fr, fi = gr * hr - wi * wi, (gr + hr) * wi
+            tr, ti = (tr * fr - ti * fi) // dn2, (tr * fi + ti * fr) // dn2
+            t_err = _ceil_div(t_err * _modulus_up(fr, fi), dn2) + 2
             j += 1
         order = j - 1
         self.max_order = max(self.max_order, order)
         self.last_em_k = k
-        return value, err, self._rounding(k, top + 2 * order, size)
-
-    def _rounding(self, k: int, operations: int, size):
-        """Bound on the rounding error of one inner sum whose terms have
-        absolute values summing to at most size. A table entry has been
-        through at most 2(k - k0) + 3 roundings (the power, the division by
-        n^k, then 1/n and one product per step); each summed term and each
-        Euler-Maclaurin factor adds a few more. 4 eps is 8 unit roundoffs
-        per counted operation."""
-        return size * (k - self.k0 + 3 + operations) * 4 * self.eps
+        return (vr, vi), err, rounding
 
 
 def zeta_m1(sigma, digits: int = 40):
     """zeta(sigma) - 1, keeping full relative accuracy when the value is
-    tiny (large Re sigma). Requires Re sigma >= 1.5."""
+    tiny (large Re sigma). Requires Re sigma >= 1.5. Returns an mpf for
+    real sigma, else an mpc."""
     _check_digits(digits)
-    with mp.workdps(digits + _GUARD):
-        z = _to_mp(sigma)
-        if not mp.re(z) >= mp.mpf(3) / 2:
-            raise ValueError(
-                "zeta_m1 requires Re(sigma) >= 1.5; identity evaluation keeps "
-                "inner arguments in this range"
-            )
-        # relative to 2^-Re z, the size of zeta(z) - 1 for large Re z
-        budget = mp.mpf(10) ** (-(digits + 5)) * mp.power(2, -mp.re(z))
-        return _InnerSums(z, 0, digits)(0, budget)[0]
+    re, im = _exact_point(sigma)
+    if not re >= Fraction(3, 2):
+        raise ValueError(
+            "zeta_m1 requires Re(sigma) >= 1.5; identity evaluation keeps "
+            "inner arguments in this range"
+        )
+    # the scale resolves 10^-(digits+5) relative to 2^-Re z, the size of
+    # zeta(z) - 1 for large Re z, and so does the budget
+    bits = _threshold_bits(digits) + floor(re) + 1 + _GUARD_BITS
+    budget = _pow2_up(bits - re) // 10 ** (digits + 5)
+    (vr, vi), _, _ = _InnerSums((re, im), digits, bits)(0, budget)
+    return _mp_value(vr, vi if im else None, bits)
 
 
 def zeta_em_reference(s, digits: int = 40):
@@ -340,43 +531,95 @@ def zeta_em_reference(s, digits: int = 40):
 def supports(spec: IdentitySpec, s: Number) -> bool:
     """Whether eval_identity accepts s for this identity: inside the
     validity half-plane and with inner arguments Re(s) + k0 >= 1.5."""
-    re_s = _real_part(s)
+    re_s = _exact_point(s)[0]
     return re_s > spec.effective_validity and re_s + spec.k0 >= Fraction(3, 2)
 
 
-def _check_point(spec: IdentitySpec, z, digits: int) -> None:
-    """Raise what eval_identity raises when spec cannot be evaluated at z."""
+def _check_point(spec: IdentitySpec, re: Fraction, im: Fraction, digits: int) -> None:
+    """Raise what eval_identity raises when spec cannot be evaluated at
+    s = re + i im."""
     bound = spec.effective_validity
-    if not mp.re(z) > _fraction_to_mp(bound):
+    if not re > bound:
         raise ValueError(
-            f"s with Re s = {mp.nstr(mp.re(z), 8)} is outside the validity "
+            f"s with Re s = {mp.nstr(_fraction_to_mp(re), 8)} is outside the validity "
             f"half-plane Re s > {bound} of the depth-{spec.p} identity"
         )
-    if abs(z - 1) <= mp.mpf(10) ** (-mp.mpf(digits) / 2):
+    if (re - 1) ** 2 + im**2 <= Fraction(1, 10**digits):
         raise PoleError(
             f"s is within the pole guard radius 10^-({digits}/2) of s = 1"
         )
-    if not mp.re(z) + spec.k0 >= mp.mpf(3) / 2:
+    if not re + spec.k0 >= Fraction(3, 2):
         raise ValueError(
             f"inner series argument Re(s) + k0 = Re(s) + {spec.k0} falls "
             f"below 1.5; use a deeper identity (larger p)"
         )
 
 
-class _Depth:
-    """One identity's share of a batch: its running outer sum, its error
-    terms, and, once its tail bound is met, where it stopped."""
+def _capacity_error(spec: IdentitySpec, k: int, digits: int) -> CapacityError:
+    return CapacityError(
+        f"depth-{spec.p} identity stores coefficients through "
+        f"k={spec.k_max} and has no closed form; k={k} is needed "
+        f"at digits={digits}"
+    )
 
-    def __init__(self, spec: IdentitySpec, z):
+
+def _head(spec: IdentitySpec, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
+    """pole/(s - 1) + Q(s), exactly."""
+    hr = hi = Fraction(0)
+    for c in reversed(spec.q_poly.coefficients):
+        hr, hi = hr * re - hi * im + c, hr * im + hi * re
+    ar = re - 1
+    scale = spec.pole_coefficient / (ar * ar + im * im)
+    return hr + ar * scale, hi - im * scale
+
+
+def _log2_abs(re: float, im: float) -> float:
+    h = hypot(re, im)
+    return log2(h) if h else -inf
+
+
+class _Depth:
+    """One identity's share of a batch: its coefficients, its running outer
+    sum (an (re, im) pair of ulps) and error tallies, and, once its tail
+    bound is met, where it stopped."""
+
+    def __init__(self, spec: IdentitySpec):
         self.spec = spec
-        self.total = _fraction_to_mp(spec.pole_coefficient) / (z - 1)
-        self.total += _poly_eval_mp(spec.q_poly, z)
-        self.inner_err = mp.mpf(0)
-        self.inner_rounding = mp.mpf(0)
-        self.max_term = mp.mpf(0)
-        # r_k (s)_k / (k+1)! at the current k, and its absolute value
-        self.coef = self.size = None
+        self.r = _Coefficients(spec)
+        self.total_re = self.total_im = 0
+        self.inner_err = 0  # sum of size * inner truncation, ulps^2
+        self.rounding = 0  # sum of propagated errors, ulps^2
+        self.products = 0  # term products, each floored
+        # r_k (s)_k / (k+1)! at the current k, its error, and a bound on
+        # its absolute value, all in ulps
+        self.coef_re = self.coef_im = self.coef_err = self.size = 0
         self.terms_used = self.tail_bound = None
+
+
+def _peak_log2(depths: list[_Depth], re: float, im: float, k: int, digits: int) -> float:
+    """log2 of the largest |r_k (s)_k / (k+1)!| the outer loop will meet,
+    from a float scan from k that mirrors its stopping rule (-inf when
+    every coefficient vanishes). It sets only how tight the error tally
+    is."""
+    threshold = -(digits + 5) * log2(10)
+    log_a = 0.0  # log2 |(s)_k / (k+1)!|
+    for j in range(k):
+        log_a += _log2_abs(re + j, im) - log2(j + 2)
+    peak = -inf
+    running = list(depths)
+    while running:
+        for d in [d for d in running if d.spec.k0 <= k]:
+            r = d.r(k)
+            if r is None:  # the outer loop raises CapacityError here
+                running.remove(d)
+                continue
+            size = log_a + _log2_ratio(*r)
+            peak = max(peak, size)
+            if k >= d.spec.k0 + 8 and size + 3 - re - k < threshold:
+                running.remove(d)
+        log_a += _log2_abs(re + k, im) - log2(k + 2)
+        k += 1
+    return peak
 
 
 def eval_identity(spec: IdentitySpec, s: Number, digits: int = 40) -> EvalReport:
@@ -397,87 +640,101 @@ def eval_identities(
     """Evaluate zeta(s) through several identities in one pass over k; one
     report per spec, in order.
 
-    The identities share z, (s)_k, (k+1)! and 2^(1 - Re s - k), and at each
-    k one inner sum zeta(s + k) - 1, computed at the tightest budget among
-    the depths that need it. Each depth keeps its own total, error terms
-    and tail bound, and stops on its own. Every spec is checked before any
+    The identities share z, (s)_k / (k+1)!, 2^(1 - Re s - k), the
+    fixed-point scale (the largest any of them needs) and at each k one
+    inner sum zeta(s + k) - 1, computed at the tightest budget among the
+    depths that need it. Each depth keeps its own total, error tallies and
+    tail bound, and stops on its own. Every spec is checked before any
     work: the first that cannot be evaluated at s raises what eval_identity
     raises for it. An empty specs raises ValueError.
     """
     _check_digits(digits)
     if not specs:
         raise ValueError("eval_identities needs at least one identity")
-    wp = digits + _GUARD
-    with mp.workdps(wp):
-        z = _to_mp(s)
-        for spec in specs:
-            _check_point(spec, z, digits)
-        threshold = mp.mpf(10) ** (-(digits + 5))
-        depths = [_Depth(spec, z) for spec in specs]
-        running = list(depths)
-        k = min(spec.k0 for spec in specs)
-        poch = pochhammer(z, k)
-        fact = factorial(k + 1)
-        # 2^(1 - Re s - k), halved at each k
-        tail_factor = mp.power(2, 1 - mp.re(z) - k)
-        inner = _InnerSums(z, k, digits)
-        while True:
-            active = [d for d in running if d.spec.k0 <= k]
-            abs_poch = abs(poch)
-            fact_mp = mp.mpf(fact)
-            largest = mp.mpf(0)
+    re, im = _exact_point(s)
+    for spec in specs:
+        _check_point(spec, re, im, digits)
+    depths = [_Depth(spec) for spec in specs]
+    k = k_start = min(spec.k0 for spec in specs)
+    bits = _scale_bits(digits, _peak_log2(depths, float(re), float(im), k, digits))
+    one = 1 << bits
+    threshold = one // 10 ** (digits + 5)
+    inner = _InnerSums((re, im), digits, bits)
+    zr, zi, den = inner.zr, inner.zi, inner.den
+    # a = (s)_k / (k+1)! in ulps, within a_err; a_err = 0 marks an exact a
+    pr, pi = 1, 0
+    for j in range(k):
+        fr = zr + j * den
+        pr, pi = pr * fr - pi * zi, pr * zi + pi * fr
+    scale = den**k * factorial(k + 1)
+    ar, ai = (pr << bits) // scale, (pi << bits) // scale
+    a_err = 2 if pr or pi else 0
+    # 4 * 2^(1 - Re s - k_start) in ulps, rounded up; shifted right by
+    # k - k_start at each k, never halved in place
+    tail_factor = _pow2_up(bits + 3 - k - re)
+    running = list(depths)
+    while True:
+        active = [d for d in running if d.spec.k0 <= k]
+        exact_zero = not (a_err or ar or ai)
+        largest = 0
+        for d in active:
+            r = d.r(k)
+            if r is None:
+                raise _capacity_error(d.spec, k, digits)
+            num, rden = r
+            if exact_zero or not num:
+                d.coef_re = d.coef_im = d.coef_err = d.size = 0
+                continue
+            d.coef_re, d.coef_im = ar * num // rden, ai * num // rden
+            d.coef_err = _ceil_div(a_err * abs(num), rden) + 2
+            d.size = _modulus_up(d.coef_re, d.coef_im) + d.coef_err
+            largest = max(largest, d.size)
+        # size, not r_k, decides: (s)_k vanishes at nonpositive integers
+        if largest:
+            budget = (threshold << bits) // (largest * _INNER_SAFETY)
+            (vr, vi), trunc, rounding = inner(k, budget)
+            v_size = _modulus_up(vr, vi)
             for d in active:
-                r = d.spec.series_coefficient(k)
-                if r is None:
-                    raise CapacityError(
-                        f"depth-{d.spec.p} identity stores coefficients through "
-                        f"k={d.spec.k_max} and has no closed form; k={k} is needed "
-                        f"at digits={digits}"
-                    )
-                r_mp = _fraction_to_mp(r)
-                d.coef = r_mp * poch / fact_mp
-                d.size = abs(r_mp) * abs_poch / fact_mp
-                if d.size > largest:
-                    largest = d.size
-            # size, not r_k, decides: (s)_k vanishes at nonpositive integers
-            if largest != 0:
-                budget = threshold / (largest * _INNER_SAFETY)
-                inner_val, ierr, iround = inner(k, budget)
-                for d in active:
-                    if d.size != 0:
-                        term = d.coef * inner_val
-                        d.total += term
-                        d.inner_err += d.size * ierr
-                        d.inner_rounding += d.size * iround
-                        at = abs(term)
-                        if at > d.max_term:
-                            d.max_term = at
-            for d in active:
-                tail_bound = d.size * tail_factor * 4
-                if k >= d.spec.k0 + 8 and tail_bound < threshold:
-                    d.terms_used, d.tail_bound = k, tail_bound
-                    running.remove(d)
-            if not running:
-                break
-            poch = poch * (z + k)
-            fact = fact * (k + 2)
-            tail_factor /= 2
-            k += 1
-        reports = []
-        for d in depths:
-            rounding = (d.terms_used + 16) * mp.mpf(10) ** (-(wp - 2))
-            rounding *= 1 + d.max_term + abs(d.total)
-            rounding += d.inner_rounding
-            reports.append(
-                EvalReport(
-                    value=mp.mpc(d.total),
-                    p_used=d.spec.p,
-                    terms_used=d.terms_used,
-                    error_estimate=float(d.tail_bound + d.inner_err + rounding),
-                    inner_sum_cutoffs=inner.cutoffs(),
-                )
+                if d.size:
+                    cr, ci = d.coef_re, d.coef_im
+                    d.total_re += (cr * vr - ci * vi) >> bits
+                    d.total_im += (cr * vi + ci * vr) >> bits
+                    d.inner_err += d.size * trunc
+                    d.rounding += d.coef_err * v_size + d.size * rounding
+                    d.products += 1
+        for d in active:
+            tail_bound = _ceil_div(d.size * tail_factor, one << (k - k_start))
+            if k >= d.spec.k0 + 8 and tail_bound < threshold:
+                d.terms_used, d.tail_bound = k, tail_bound
+                running.remove(d)
+        if not running:
+            break
+        # a *= (s + k) / (k + 2)
+        fr = zr + k * den
+        if exact_zero or not (fr or zi):
+            ar = ai = a_err = 0
+        else:
+            q = den * (k + 2)
+            ar, ai = (ar * fr - ai * zi) // q, (ar * zi + ai * fr) // q
+            a_err = _ceil_div(a_err * _modulus_up(fr, zi), q) + 2
+        k += 1
+    reports = []
+    for d in depths:
+        hr, hi = _head(d.spec, re, im)
+        # the head's two floors and each term product's two: 2 ulps each
+        rounding = _ceil_div(d.rounding, one) + 2 * (d.products + 1)
+        error = d.tail_bound + _ceil_div(d.inner_err, one) + rounding
+        value = _mp_value(d.total_re + _fixed(hr, bits), d.total_im + _fixed(hi, bits), bits)
+        reports.append(
+            EvalReport(
+                value=value,
+                p_used=d.spec.p,
+                terms_used=d.terms_used,
+                error_estimate=_float_up(error, bits),
+                inner_sum_cutoffs=inner.cutoffs(),
             )
-        return reports
+        )
+    return reports
 
 
 def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40):
@@ -491,30 +748,38 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40):
         raise ValueError(
             f"depth-{spec.p} identity is not valid at s = 0; use p >= 2"
         )
-    with mp.workdps(digits + _GUARD):
-        threshold = mp.mpf(10) ** (-(digits + 5))
-        qprime0 = spec.q_poly.derivative().coefficient(0)
-        total = -_fraction_to_mp(spec.pole_coefficient) + _fraction_to_mp(qprime0)
-        k = spec.k0
-        inner = _InnerSums(mp.mpf(0), k, digits)
-        while True:
-            r = spec.series_coefficient(k)
-            if r is None:
-                raise CapacityError(
-                    f"depth-{spec.p} identity stores coefficients through "
-                    f"k={spec.k_max} and has no closed form; k={k} is needed "
-                    f"at digits={digits}"
-                )
-            r_mp = _fraction_to_mp(r)
-            weight = r_mp / (k * (k + 1))
-            if weight != 0:
-                budget = threshold / (abs(weight) * _INNER_SAFETY)
-                total += weight * inner(k, budget)[0]
-            bound = abs(weight) * mp.ldexp(4, 1 - k)
-            if k >= spec.k0 + 8 and bound < threshold:
-                break
-            k += 1
-        return total
+    r = _Coefficients(spec)
+    # the float scan for the largest weight, mirroring the stopping rule below
+    floor_log2 = -(digits + 5) * log2(10)
+    peak, k = -inf, spec.k0
+    while (rk := r(k)) is not None:
+        size = _log2_ratio(*rk) - log2(k * (k + 1))
+        peak = max(peak, size)
+        if k >= spec.k0 + 8 and size + 3 - k < floor_log2:
+            break
+        k += 1
+    bits = _scale_bits(digits, peak)
+    one = 1 << bits
+    threshold = one // 10 ** (digits + 5)
+    qprime0 = spec.q_poly.derivative().coefficient(0)
+    total = _fixed(qprime0 - spec.pole_coefficient, bits)
+    k = spec.k0
+    inner = _InnerSums((Fraction(0), Fraction(0)), digits, bits)
+    while True:
+        rk = r(k)
+        if rk is None:
+            raise _capacity_error(spec, k, digits)
+        num, den = rk
+        weight = (num << bits) // (den * k * (k + 1))
+        size = abs(weight) + 1
+        if num:
+            budget = (threshold << bits) // (size * _INNER_SAFETY)
+            total += (weight * inner(k, budget)[0][0]) >> bits
+        # |weight| * 4 * 2^(1 - k)
+        if k >= spec.k0 + 8 and _ceil_div(size * 8, 1 << k) < threshold:
+            break
+        k += 1
+    return _mp_value(total, None, bits)
 
 
 def sum_zeta_m1(digits: int = 40):
@@ -525,13 +790,11 @@ def sum_zeta_m1(digits: int = 40):
     limit = 2 * 10**digits
     while 2**k_top <= limit:
         k_top += 1
-    with mp.workdps(digits + _GUARD):
-        budget = mp.mpf(10) ** (-(digits + 5)) / _INNER_SAFETY
-        inner = _InnerSums(mp.mpf(0), 2, digits)
-        total = mp.mpf(0)
-        for k in range(2, k_top + 1):
-            total += inner(k, budget)[0]
-        return total
+    bits = _scale_bits(digits, 0)
+    budget = (1 << bits) // 10 ** (digits + 5) // _INNER_SAFETY
+    inner = _InnerSums((Fraction(0), Fraction(0)), digits, bits)
+    total = sum(inner(k, budget)[0][0] for k in range(2, k_top + 1))
+    return _mp_value(total, None, bits)
 
 
 def trivial_zero_report(spec: IdentitySpec, digits: int = 40) -> list[tuple[int, float]]:

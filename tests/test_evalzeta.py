@@ -6,10 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from zetaident import evalzeta
 from zetaident.evalzeta import (
     CapacityError,
     EvalReport,
     PoleError,
+    _Coefficients,
     _InnerSums,
     eval_identities,
     eval_identity,
@@ -228,12 +230,6 @@ def test_error_estimate_covers_observed_error(specs64):
 # Euler-Maclaurin oracle.
 
 
-_ROADMAP_2 = (
-    "ROADMAP item 2: the guard digits ignore |Im s|, so the outer series "
-    "loses more digits to cancellation than the guard digits cover"
-)
-
-
 @pytest.mark.parametrize(
     "p, s, digits",
     [
@@ -244,12 +240,11 @@ _ROADMAP_2 = (
         (1, F(33, 4), 40),
         (1, F(7, 2), 100),
         (8, F(-13, 2), 100),
-        pytest.param(
-            1, (F(1, 2), F(40)), 40, marks=pytest.mark.xfail(strict=True, reason=_ROADMAP_2)
-        ),
-        pytest.param(
-            1, (F(1, 2), F(100)), 20, marks=pytest.mark.xfail(strict=True, reason=_ROADMAP_2)
-        ),
+        # large |Im s|: the outer terms grow like |Im s|^k / k! before they
+        # decay, and the fixed-point scale carries the bits they cancel
+        (1, (F(1, 2), F(40)), 40),
+        (1, (F(1, 2), F(100)), 20),
+        (4, (F(-8, 5), F(31)), 40),
     ],
 )
 def test_contract_against_mpmath_zeta(specs64, p, s, digits):
@@ -303,6 +298,40 @@ def test_batch_of_every_supporting_depth_meets_the_contract(specs64, s):
             assert err <= report.error_estimate <= 1e-40, (report.p_used, mp.nstr(err, 3))
 
 
+def test_guard_bits_cover_every_depth_at_sixty_digits(specs64):
+    # |r_k| grows like k^(p-1): the fixed-point scale must count it
+    s = F(22, 5)
+    batch = [spec for spec in specs64.values() if supports(spec, s)]
+    reports = eval_identities(batch, s, 60)
+    with mp.workdps(80):
+        target = mp.zeta(_mp_point(s))
+        for report in reports:
+            err = abs(report.value - target)
+            assert err <= report.error_estimate <= 1e-60, (report.p_used, mp.nstr(err, 3))
+
+
+@pytest.mark.parametrize("s", [F(-145, 14), (F(1, 2), F(40)), (F(-8, 5), F(31)), (F(3, 4), F(2))])
+def test_error_estimate_holds_at_a_coarse_scale(specs64, monkeypatch, s):
+    # with 2 guard bits instead of 24 the rounding tally dominates the
+    # estimate; the estimate must still bound the error
+    monkeypatch.setattr(evalzeta, "_GUARD_BITS", 2)
+    batch = [spec for spec in specs64.values() if supports(spec, s)]
+    reports = eval_identities(batch, s, 40)
+    with mp.workdps(70):
+        target = mp.zeta(_mp_point(s))
+        for report in reports:
+            err = abs(report.value - target)
+            assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
+
+
+def test_three_hundred_digits(specs64):
+    # every bound is an integer tally: nothing overflows a float
+    report = eval_identity(specs64[5], 2, 300)
+    with mp.workdps(320):
+        err = abs(report.value - mp.pi**2 / 6)
+    assert err <= report.error_estimate <= 1e-300, mp.nstr(err, 3)
+
+
 def test_batch_mixes_first_indices(specs64):
     # k0 = 12 listed before k0 = 1: the pass starts at k = 1 and the
     # depth-12 series joins it at k = 12
@@ -335,36 +364,62 @@ def test_batch_of_one_is_eval_identity(specs64, p, s):
 # ---- inner-sum kernel ----
 
 
+def _ulps_to_mp(pair, bits):
+    return mp.mpc(*pair) / mp.mpf(2) ** bits
+
+
 @pytest.mark.parametrize("stride", [1, 7])  # 7: table entries step several shifts at once
-@pytest.mark.parametrize("z, k0", [(F(2), 0), ((F(1, 2), F(14134725, 10**6)), 1)])
+@pytest.mark.parametrize("z, k0", [((F(2), F(0)), 0), ((F(1, 2), F(14134725, 10**6)), 1)])
 def test_inner_sums_within_their_bounds(z, k0, stride):
-    digits = 40
-    budget = mp.mpf(10) ** -50
+    digits, bits = 40, 200
+    budget = (1 << bits) // 10**50  # 1e-50 in ulps
     routes = set()
-    with mp.workdps(digits + 10):
-        z = _mp_point(z)
-        inner = _InnerSums(z, k0, digits)
-        results = []
-        for k in range(k0, 201, stride):
-            value, err, rounding = inner(k, budget)
-            routes.add("em" if inner.last_em_k == k else "direct")
-            assert err <= budget
-            results.append((k, value, err + rounding))
+    inner = _InnerSums(z, digits, bits)
+    results = []
+    for k in range(k0, 201, stride):
+        value, err, rounding = inner(k, budget)
+        routes.add("em" if inner.last_em_k == k else "direct")
+        assert err <= budget
+        results.append((k, value, err + rounding))
     with mp.workdps(80):
+        z = _mp_point(z)
         for k, value, bound in results:
-            assert abs(value - (mp.zeta(z + k) - 1)) <= bound, k
+            err = abs(_ulps_to_mp(value, bits) - (mp.zeta(z + k) - 1))
+            assert err <= mp.mpf(bound) / mp.mpf(2) ** bits, k
     assert routes == {"direct", "em"}
 
 
 def test_inner_sum_reports_an_unmet_budget():
     # 50 direct terms cannot take zeta(1.5 + 14i) - 1 to 1e-200: the
     # Euler-Maclaurin terms stop shrinking near 1e-129
-    with mp.workdps(50):
-        z = mp.mpc(mp.mpf(3) / 2, 14)
-        value, err, rounding = _InnerSums(z, 0, 40)(0, mp.mpf(10) ** -200)
-        assert err > mp.mpf(10) ** -200
+    bits = 700
+    budget = (1 << bits) // 10**200
+    z = (F(3, 2), F(14))
+    value, err, rounding = _InnerSums(z, 40, bits)(0, budget)
+    assert err > budget
     with mp.workdps(80):
-        assert abs(value - (mp.zeta(z) - 1)) <= err + rounding
+        bound = mp.mpf(err + rounding) / mp.mpf(2) ** bits
+        assert abs(_ulps_to_mp(value, bits) - (mp.zeta(_mp_point(z)) - 1)) <= bound
+
+
+@pytest.mark.parametrize("z", [(F(2), F(0)), (F(3, 2), F(7))])
+def test_inner_sum_rounding_is_tallied(z):
+    # at a scale of 2^-64 the floors of the Euler-Maclaurin route cost more
+    # than its truncation: only the rounding bound covers them
+    bits = 64
+    value, err, rounding = _InnerSums(z, 40, bits)(0, 4)
+    with mp.workdps(60):
+        actual = abs(mp.mpc(*value) - (mp.zeta(_mp_point(z)) - 1) * mp.mpf(2) ** bits)
+    assert err < actual <= err + rounding
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_integer_coefficients_equal_series_coefficient(specs64, p):
+    spec = specs64[p]
+    r = _Coefficients(spec)
+    for k in range(spec.k0, 401):
+        assert F(*r(k)) == spec.series_coefficient(k), k
+    assert _Coefficients(dataclasses.replace(spec, closed_form=None))(65) is None
 
 
 # ---- eval_identity: errors ----
