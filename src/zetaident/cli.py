@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import os
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +32,7 @@ from .evalzeta import (
     PoleError,
     eval_identities,
     eval_identity,
+    parse_complex_literal,
     supports,
     sum_zeta_m1,
     trivial_zero_report,
@@ -108,24 +108,6 @@ class RunConfig:
 
 
 # ---- argument parsing helpers ----
-
-_DECIMAL = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-
-
-def parse_complex_literal(text: str) -> tuple[Fraction, Fraction]:
-    """Parse "a", "a+bi", or "a-bi" with decimal a, b into exact parts."""
-    text = text.strip()
-    m = re.fullmatch(
-        rf"({_DECIMAL})(?:([+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)i)?",
-        text,
-    )
-    if not m:
-        raise ValueError(
-            f'cannot parse complex literal {text!r}; use "a", "a+bi", or "a-bi"'
-        )
-    re_part = Fraction(m.group(1))
-    im_part = Fraction(m.group(2)) if m.group(2) else Fraction(0)
-    return re_part, im_part
 
 
 def parse_p_range(text: str) -> list[int]:

@@ -22,7 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property
+from math import factorial, lcm
 from typing import Optional, Sequence
 
 from .exactmath import Polynomial, faulhaber
@@ -84,16 +85,43 @@ class IdentitySpec:
             return self.extended_validity_re_gt
         return self.validity_re_gt
 
+    @cached_property
+    def _closed_form_integers(self) -> tuple[tuple[int, ...], int]:
+        """closed_form as integer coefficients, highest degree first, over
+        one common denominator."""
+        coefficients = self.closed_form.coefficients
+        den = lcm(*(c.denominator for c in coefficients))
+        return tuple(c.numerator * (den // c.denominator) for c in reversed(coefficients)), den
+
     def series_coefficient(self, k: int) -> Optional[Fraction]:
         """r_k: zero below k0, stored value through k_max, closed-form value
-        beyond that, or None when no closed form is available."""
+        beyond that (exact, by integer Horner over a common denominator),
+        or None when no closed form is available."""
         if k < self.k0:
             return Fraction(0)
         if k <= self.k_max:
             return self.terms[k - self.k0][1]
-        if self.closed_form is not None:
-            return self.closed_form(Fraction(k))
-        return None
+        if self.closed_form is None:
+            return None
+        numerators, den = self._closed_form_integers
+        acc = 0
+        for c in numerators:
+            acc = acc * k + c
+        return Fraction(acc, den)
+
+    def series_taylor(self, k: int) -> Optional[tuple[list[int], int]]:
+        """r_(k+m) as a polynomial in m: (integer coefficients, constant
+        term first, and their common denominator), so the constant term is
+        r_k times it. None when there is no closed form."""
+        if self.closed_form is None:
+            return None
+        numerators, den = self._closed_form_integers
+        b = list(numerators)
+        # Taylor shift by k: repeated synthetic division by (x - k)
+        for i in range(len(b) - 1):
+            for j in range(1, len(b) - i):
+                b[j] += k * b[j - 1]
+        return b[::-1], den
 
 
 # ---- construction of the three exact pieces ----

@@ -40,15 +40,19 @@ else the direct sum to N plus as many Euler-Maclaurin terms as the
 remainder bound asks for. The oracle keeps its own fixed schedule, N direct
 terms and ceil(digits/4) + 5 correction terms. Truncation of each depth's
 outer series stops at the first k >= k0 + 8 whose bound
-|r_k| * |(s)_k| / (k+1)! * 2^(1 - Re s - k) * 4 drops below 10^-(digits+5);
-the 2^(1-sigma) factor majorizes |zeta(sigma) - 1| (times the safety 4).
+|r_k| * |(s)_k| / (k+1)! * 2^(1 - Re s - k) * 4 drops below 10^-(digits+5)
+and where the later terms are proven to fall fast enough for that bound to
+hold (_tail_bounded). That proof fails while |s + k| / (k + 2) is large, so
+at large |s| the series runs on past the terms that grow before they fall.
 """
 
 from __future__ import annotations
 
+import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, floor, hypot, inf, isqrt, lcm, log2, nextafter
+from itertools import count
+from math import ceil, comb, factorial, floor, hypot, inf, isqrt, lcm, log2, nextafter
 from typing import Optional, Sequence, Union
 
 from mpmath import mp
@@ -62,11 +66,16 @@ _GUARD = 10
 _GUARD_BITS = 24
 # Each inner sum gets the budget threshold / (|coefficient| * _INNER_SAFETY).
 _INNER_SAFETY = 16
+# Each outer series runs to at least k0 + _MIN_TERMS.
+_MIN_TERMS = 8
+# An outer tail is within its bound once sum_i |b_i| S_i(q) <= _TAIL_RATIO
+# |r_k|: see _tail_bounded.
+_TAIL_RATIO = 6
 # Every n^-(z+k) table entry is within this many ulps (in modulus) of its
 # value, at any shift: see _InnerSums.
 _ENTRY_ULPS = 3
 
-Number = Union[int, float, complex, Fraction]
+Number = Union[int, float, complex, Fraction, str]
 
 
 class PoleError(ValueError):
@@ -141,8 +150,27 @@ def _to_mp(x):
     return mp.mpmathify(x)
 
 
+_DECIMAL = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+
+
+def parse_complex_literal(text: str) -> tuple[Fraction, Fraction]:
+    """Parse "a", "a+bi", or "a-bi" with decimal a, b into exact parts."""
+    text = text.strip()
+    m = _re.fullmatch(
+        rf"({_DECIMAL})(?:([+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)i)?",
+        text,
+    )
+    if not m:
+        raise ValueError(
+            f'cannot parse complex literal {text!r}; use "a", "a+bi", or "a-bi"'
+        )
+    re_part = Fraction(m.group(1))
+    im_part = Fraction(m.group(2)) if m.group(2) else Fraction(0)
+    return re_part, im_part
+
+
 def _exact_real(x) -> Fraction:
-    if isinstance(x, (int, float, Fraction)):
+    if isinstance(x, (int, float, Fraction, str)):
         return Fraction(x)
     if not isinstance(x, mp.mpf):
         x = mp.mpf(x)
@@ -153,18 +181,17 @@ def _exact_real(x) -> Fraction:
 
 def _exact_point(s) -> tuple[Fraction, Fraction]:
     """s as an exact (re, im) pair of rationals. Ints, floats, complex and
-    mpmath numbers are binary fractions, so nothing rounds; anything else
-    (a decimal string) goes through mpmath at the current precision."""
+    mpmath numbers are binary fractions, and a string is read as a decimal
+    literal "a", "a+bi" or "a-bi", so nothing rounds."""
     if isinstance(s, tuple) and len(s) == 2:
         return _exact_real(s[0]), _exact_real(s[1])
+    if isinstance(s, str):
+        return parse_complex_literal(s)
     if isinstance(s, complex):
         return Fraction(s.real), Fraction(s.imag)
-    if isinstance(s, (int, float, Fraction)):
-        return Fraction(s), Fraction(0)
-    x = mp.mpmathify(s)
-    if isinstance(x, mp.mpc):
-        return _exact_real(x.real), _exact_real(x.imag)
-    return _exact_real(x), Fraction(0)
+    if isinstance(s, mp.mpc):
+        return _exact_real(s.real), _exact_real(s.imag)
+    return _exact_real(s), Fraction(0)
 
 
 def pochhammer(s, k: int):
@@ -244,43 +271,14 @@ def _scale_bits(digits: int, peak_log2: float) -> int:
     return _threshold_bits(digits) + (int(peak_log2) + 1 if peak_log2 > 0 else 0) + _GUARD_BITS
 
 
-def _log2_ratio(num: int, den: int) -> float:
-    return log2(abs(num)) - log2(den) if num else -inf
+def _log2_fraction(q: Fraction) -> float:
+    return log2(abs(q.numerator)) - log2(q.denominator) if q else -inf
 
 
-class _Coefficients:
-    """r_k of one identity as an exact ratio (numerator, denominator) of
-    ints: the stored value through k_max, then the closed form, taken once
-    as integer coefficients over one common denominator and evaluated by
-    integer Horner. None past k_max when there is no closed form. Values
-    are memoized, so a call computes each r_k once."""
-
-    def __init__(self, spec: IdentitySpec):
-        self.spec = spec
-        self.numerators = self.denominator = None
-        if spec.closed_form is not None:
-            coefficients = spec.closed_form.coefficients
-            den = lcm(*(c.denominator for c in coefficients))
-            self.numerators = [c.numerator * (den // c.denominator) for c in reversed(coefficients)]
-            self.denominator = den
-        self.values = {}
-
-    def __call__(self, k: int) -> Optional[tuple[int, int]]:
-        if k in self.values:
-            return self.values[k]
-        spec = self.spec
-        if k <= spec.k_max:
-            r = spec.series_coefficient(k)
-            value = (r.numerator, r.denominator)
-        elif self.numerators is None:
-            return None
-        else:
-            acc = 0
-            for c in self.numerators:
-                acc = acc * k + c
-            value = (acc, self.denominator)
-        self.values[k] = value
-        return value
+def _integer_point(re: Fraction, im: Fraction) -> tuple[int, int, int]:
+    """(zr, zi, den) with re + i im = (zr + i zi) / den."""
+    den = lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 
 
 class _InnerSums:
@@ -300,7 +298,9 @@ class _InnerSums:
     (rounding z included) assumed under 4 + |z| log p units of that
     precision, and n^-z = a^-z * b^-z for composite n = a b, each product
     adding at most 2 units. So n^-z is within (6 + |z|) log2 N units, which
-    prec makes under 2^-16 ulps once divided by n^k. Each component of an
+    prec makes under 2^-16 ulps once divided by n^k. (A product costs about
+    a fifth of an mp.power; on the `points` benchmark the products cut the
+    median time per evaluation by about 15 %.) Each component of an
     entry is thus within 2 + 2^-16 ulps, and the entry within
     _ENTRY_ULPS = 3 in modulus.
 
@@ -321,9 +321,7 @@ class _InnerSums:
 
     def __init__(self, z: tuple[Fraction, Fraction], digits: int, bits: int):
         re, im = z
-        self.den = lcm(re.denominator, im.denominator)
-        self.zr = re.numerator * (self.den // re.denominator)
-        self.zi = im.numerator * (self.den // im.denominator)
+        self.zr, self.zi, self.den = _integer_point(re, im)
         self.bits = bits
         self.n_max = _direct_terms(digits)
         # (6 + |z|) log2 N bounds the relative error of any n^-z in units
@@ -579,13 +577,14 @@ def _log2_abs(re: float, im: float) -> float:
 
 
 class _Depth:
-    """One identity's share of a batch: its coefficients, its running outer
-    sum (an (re, im) pair of ulps) and error tallies, and, once its tail
-    bound is met, where it stopped."""
+    """One identity's share of a batch: its coefficients r_k (memoized, so
+    the peak scan and the outer loop share them), its running outer sum (an
+    (re, im) pair of ulps) and error tallies, and, once its tail bound is
+    met, where it stopped."""
 
     def __init__(self, spec: IdentitySpec):
         self.spec = spec
-        self.r = _Coefficients(spec)
+        self.coefficients = {}
         self.total_re = self.total_im = 0
         self.inner_err = 0  # sum of size * inner truncation, ulps^2
         self.rounding = 0  # sum of propagated errors, ulps^2
@@ -595,31 +594,99 @@ class _Depth:
         self.coef_re = self.coef_im = self.coef_err = self.size = 0
         self.terms_used = self.tail_bound = None
 
+    def r(self, k: int) -> Optional[Fraction]:
+        if k not in self.coefficients:
+            self.coefficients[k] = self.spec.series_coefficient(k)
+        return self.coefficients[k]
 
-def _peak_log2(depths: list[_Depth], re: float, im: float, k: int, digits: int) -> float:
-    """log2 of the largest |r_k (s)_k / (k+1)!| the outer loop will meet,
-    from a float scan from k that mirrors its stopping rule (-inf when
-    every coefficient vanishes). It sets only how tight the error tally
-    is."""
+
+def _tail_bounded(spec: IdentitySpec, point: tuple[int, int, int], k: int) -> bool:
+    """Whether the outer tail past k >= k0 + _MIN_TERMS,
+    sum_{j>k} |r_j (s)_j / (j+1)!| (zeta(Re s + j) - 1), is at most the tail
+    bound |r_k (s)_k / (k+1)!| * 4 * 2^(1 - Re s - k), for
+    s = (zr + i zi) / den given as point = (zr, zi, den).
+
+    The bound assumes the terms fall by half per k; this proves that they
+    fall fast enough. For j >= k, |s + j| / (j + 2) is at most
+    rho = max(1, |s + k| / (k + 2)), because its square is convex in
+    1/(j + 2) and so peaks at an end of the range; and
+    zeta(x + 1) - 1 <= (zeta(x) - 1) / 2. With r_(k+m) = sum_i b_i m^i,
+    the tail is thus at most |(s)_k / (k+1)!| (zeta(x) - 1) times
+    sum_i |b_i| S_i(q), for x = Re s + k, q = rho / 2 and
+    S_i(q) = sum_{m>=1} m^i q^m. Since x >= 9.5,
+    zeta(x) - 1 <= 2^-x (1 + 2/(x - 1)) < 2^-x * 8/6, so the tail bound
+    holds once sum_i |b_i| S_i(q) <= 6 |b_0|. Without a closed form r_j is
+    unknown past k_max and nothing bounds the tail.
+
+    Everything is exact: q is rounded up to a/c, and
+    S_i(q) = T_i / u^(i+1) with u = c - a, T_0 = a and
+    T_i = c sum_{l<i} C(i, l) (-1)^(i-l+1) T_l u^(i-1-l), from
+    (1 - q) S_i = sum_{m>=1} (m^i - (m-1)^i) q^m.
+    """
+    taylor = spec.series_taylor(k)
+    if taylor is None:
+        return False
+    b = taylor[0]
+    zr, zi, den = point
+    c = 2 * den * (k + 2)
+    a = max(den * (k + 2), _modulus_up(zr + k * den, zi))
+    u = c - a
+    if u <= 0:
+        return False
+    t = [a]
+    for i in range(1, len(b)):
+        t.append(c * sum(comb(i, l) * (-1) ** (i - l + 1) * t[l] * u ** (i - 1 - l) for l in range(i)))
+    d = len(b) - 1
+    return sum(abs(b_i) * t_i * u ** (d - i) for i, (b_i, t_i) in enumerate(zip(b, t))) <= (
+        _TAIL_RATIO * abs(b[0]) * u ** (d + 1)
+    )
+
+
+def _tail_met(d: _Depth, k: int, tail_bound, threshold, point, vanished: bool) -> bool:
+    """The outer stopping rule: k at least k0 + _MIN_TERMS, the tail bound
+    under the threshold (both in ulps, or both as log2), and the tail
+    proven to be within its bound, which it is at once when every later
+    coefficient vanishes."""
+    return (
+        k >= d.spec.k0 + _MIN_TERMS
+        and tail_bound < threshold
+        and (vanished or _tail_bounded(d.spec, point, k))
+    )
+
+
+def _peak_log2(depths: list[_Depth], factors, point, tail_log2: float, digits: int) -> float:
+    """log2 of the largest outer coefficient |r_k f_k| a loop over k will
+    meet, from a float scan that stops each depth where the loop does
+    (_tail_met, with the tail bound |r_k f_k| 2^(tail_log2 - k)); -inf when
+    every coefficient vanishes. factors yields (k, log2 |f_k|) from the
+    loop's first k, -inf once f_k and every later factor vanish. The scan
+    also stops a depth where the loop raises CapacityError. The peak sets
+    only how tight the error tally is."""
     threshold = -(digits + 5) * log2(10)
-    log_a = 0.0  # log2 |(s)_k / (k+1)!|
-    for j in range(k):
-        log_a += _log2_abs(re + j, im) - log2(j + 2)
     peak = -inf
     running = list(depths)
-    while running:
+    for k, log_f in factors:
+        if not running:
+            return peak
         for d in [d for d in running if d.spec.k0 <= k]:
             r = d.r(k)
-            if r is None:  # the outer loop raises CapacityError here
+            if r is None:
                 running.remove(d)
                 continue
-            size = log_a + _log2_ratio(*r)
+            size = log_f + _log2_fraction(r)
             peak = max(peak, size)
-            if k >= d.spec.k0 + 8 and size + 3 - re - k < threshold:
+            if _tail_met(d, k, size + tail_log2 - k, threshold, point, log_f == -inf):
                 running.remove(d)
+    return peak
+
+
+def _log2_rising(re: float, im: float, k: int):
+    """(j, log2 |(s)_j / (j+1)!|) for j = k, k+1, ..."""
+    log_a = sum(_log2_abs(re + j, im) - log2(j + 2) for j in range(k))
+    while True:
+        yield k, log_a
         log_a += _log2_abs(re + k, im) - log2(k + 2)
         k += 1
-    return peak
 
 
 def eval_identity(spec: IdentitySpec, s: Number, digits: int = 40) -> EvalReport:
@@ -656,11 +723,13 @@ def eval_identities(
         _check_point(spec, re, im, digits)
     depths = [_Depth(spec) for spec in specs]
     k = k_start = min(spec.k0 for spec in specs)
-    bits = _scale_bits(digits, _peak_log2(depths, float(re), float(im), k, digits))
+    point = zr, zi, den = _integer_point(re, im)
+    # the tail bound is |coefficient| * 4 * 2^(1 - Re s - k)
+    factors = _log2_rising(float(re), float(im), k)
+    bits = _scale_bits(digits, _peak_log2(depths, factors, point, 3 - float(re), digits))
     one = 1 << bits
     threshold = one // 10 ** (digits + 5)
     inner = _InnerSums((re, im), digits, bits)
-    zr, zi, den = inner.zr, inner.zi, inner.den
     # a = (s)_k / (k+1)! in ulps, within a_err; a_err = 0 marks an exact a
     pr, pi = 1, 0
     for j in range(k):
@@ -669,9 +738,11 @@ def eval_identities(
     scale = den**k * factorial(k + 1)
     ar, ai = (pr << bits) // scale, (pi << bits) // scale
     a_err = 2 if pr or pi else 0
-    # 4 * 2^(1 - Re s - k_start) in ulps, rounded up; shifted right by
-    # k - k_start at each k, never halved in place
-    tail_factor = _pow2_up(bits + 3 - k - re)
+    # 4 * 2^(1 - Re s - k_start) in units of 2^-(bits + extra), rounded
+    # up, with extra >= 0 keeping it at least 2^bits for any Re s; shifted
+    # right by k - k_start at each k, never halved in place
+    extra = max(0, ceil(re) + k - 3)
+    tail_factor = _pow2_up(bits + extra + 3 - k - re)
     running = list(depths)
     while True:
         active = [d for d in running if d.spec.k0 <= k]
@@ -681,7 +752,7 @@ def eval_identities(
             r = d.r(k)
             if r is None:
                 raise _capacity_error(d.spec, k, digits)
-            num, rden = r
+            num, rden = r.numerator, r.denominator
             if exact_zero or not num:
                 d.coef_re = d.coef_im = d.coef_err = d.size = 0
                 continue
@@ -703,8 +774,8 @@ def eval_identities(
                     d.rounding += d.coef_err * v_size + d.size * rounding
                     d.products += 1
         for d in active:
-            tail_bound = _ceil_div(d.size * tail_factor, one << (k - k_start))
-            if k >= d.spec.k0 + 8 and tail_bound < threshold:
+            tail_bound = _ceil_div(d.size * tail_factor, one << (k - k_start + extra))
+            if _tail_met(d, k, tail_bound, threshold, point, exact_zero):
                 d.terms_used, d.tail_bound = k, tail_bound
                 running.remove(d)
         if not running:
@@ -748,17 +819,13 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40):
         raise ValueError(
             f"depth-{spec.p} identity is not valid at s = 0; use p >= 2"
         )
-    r = _Coefficients(spec)
-    # the float scan for the largest weight, mirroring the stopping rule below
-    floor_log2 = -(digits + 5) * log2(10)
-    peak, k = -inf, spec.k0
-    while (rk := r(k)) is not None:
-        size = _log2_ratio(*rk) - log2(k * (k + 1))
-        peak = max(peak, size)
-        if k >= spec.k0 + 8 and size + 3 - k < floor_log2:
-            break
-        k += 1
-    bits = _scale_bits(digits, peak)
+    d = _Depth(spec)
+    # the weights are r_k / (k(k+1)), the tail bound |weight| * 4 * 2^(1 - k);
+    # from k to k + 1 a weight changes by r_(k+1)/r_k times k/(k+2), as an
+    # outer coefficient does at s = 0, so _tail_bounded applies at s = 0
+    point = (0, 0, 1)
+    weights = ((k, -log2(k * (k + 1))) for k in count(spec.k0))
+    bits = _scale_bits(digits, _peak_log2([d], weights, point, 3, digits))
     one = 1 << bits
     threshold = one // 10 ** (digits + 5)
     qprime0 = spec.q_poly.derivative().coefficient(0)
@@ -766,17 +833,16 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40):
     k = spec.k0
     inner = _InnerSums((Fraction(0), Fraction(0)), digits, bits)
     while True:
-        rk = r(k)
+        rk = d.r(k)
         if rk is None:
             raise _capacity_error(spec, k, digits)
-        num, den = rk
+        num, den = rk.numerator, rk.denominator
         weight = (num << bits) // (den * k * (k + 1))
         size = abs(weight) + 1
         if num:
             budget = (threshold << bits) // (size * _INNER_SAFETY)
             total += (weight * inner(k, budget)[0][0]) >> bits
-        # |weight| * 4 * 2^(1 - k)
-        if k >= spec.k0 + 8 and _ceil_div(size * 8, 1 << k) < threshold:
+        if _tail_met(d, k, _ceil_div(size * 8, 1 << k), threshold, point, False):
             break
         k += 1
     return _mp_value(total, None, bits)

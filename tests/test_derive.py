@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import factorial
 
@@ -191,6 +192,24 @@ def test_series_coefficient_extrapolates(specs64):
     spec = specs64[2]
     assert spec.series_coefficient(200) == F(199, 2)
     assert spec.series_coefficient(0) == 0
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_series_coefficient_past_k_max_is_the_closed_form(specs64, p):
+    # the integer Horner form equals the polynomial's own Fraction value
+    spec = specs64[p]
+    for k in range(spec.k0, 401):
+        assert spec.series_coefficient(k) == spec.closed_form(F(k)), k
+    assert dataclasses.replace(spec, closed_form=None).series_coefficient(65) is None
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_series_taylor_is_the_shifted_closed_form(specs64, p):
+    spec = specs64[p]
+    for k in (0, spec.k0 + 8, 200):
+        b, den = spec.series_taylor(k)
+        assert Polynomial(b) / den == spec.closed_form.shift(k), k
+    assert dataclasses.replace(spec, closed_form=None).series_taylor(65) is None
 
 
 def test_derive_argument_validation():
