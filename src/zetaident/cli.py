@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from mpmath import mp
 
@@ -40,19 +40,6 @@ from .evalzeta import (
     zeta_prime_at_zero,
 )
 from .reference import MAX_REFERENCE_DEPTH, reference_identity
-
-_CHECK_NAMES = (
-    "coefficients",
-    "pairing",
-    "trivial_zeros",
-    "zeta0",
-    "zetaprime0",
-    "zeta2",
-    "sum_identity",
-    "oracle",
-)
-
-_SPECIAL_CHECKS = ("zeta0", "zetaprime0", "zeta2", "sum_identity", "trivial_zeros")
 
 # Cross-check grid: real axis spans the deepest reachable strip; complex
 # points keep Re large enough that the oracle's fixed Euler-Maclaurin
@@ -84,6 +71,9 @@ ORACLE_GRID: tuple[complex, ...] = (
     4.0 - 20j,
     6.25 + 15j,
 )
+
+_ALL_DEPTHS = tuple(range(1, MAX_REFERENCE_DEPTH + 1))
+_DEPTHS_AT_ZERO = _ALL_DEPTHS[1:]  # depth 1 is valid only for Re s > 0
 
 
 @dataclass
@@ -166,6 +156,18 @@ def _choose_depth(specs: dict[int, IdentitySpec], s) -> Optional[IdentitySpec]:
     return None
 
 
+def _depth_for(cfg: RunConfig) -> Callable[[object], Optional[IdentitySpec]]:
+    """The depth `eval` and `table` use at a point: the single depth --p
+    names, else _choose_depth over p = 1..12 (None where none covers it)."""
+    if cfg.p_values:
+        if len(cfg.p_values) != 1:
+            raise ValueError(f"{cfg.command} expects a single depth, not a range")
+        spec = derive_identity(cfg.p_values[0], cfg.kmax)
+        return lambda s: spec
+    specs = _derive_many(_ALL_DEPTHS, cfg.kmax)
+    return lambda s: _choose_depth(specs, s)
+
+
 # ---- subcommand: derive ----
 
 
@@ -191,7 +193,18 @@ def cmd_derive(cfg: RunConfig) -> int:
     return 0
 
 
-# ---- subcommand: verify ----
+# ---- checks: one registry, viewed by verify and special ----
+
+
+# A check maps the specs of its depths and the digits to (ok, detail, lines):
+# whether it passed, the line `verify` prints after PASS/FAIL, and the value
+# lines `special` prints before its verdict.
+_Result = tuple[bool, str, Sequence[str]]
+
+
+def _verdict(misses: list[str], passed: str, lines: Sequence[str] = ()) -> _Result:
+    """Fail on the first miss, else pass with the given detail."""
+    return not misses, misses[0] if misses else passed, lines
 
 
 def _first_mismatch(derived: IdentitySpec, ref: IdentitySpec, k_max: int) -> str:
@@ -222,177 +235,193 @@ def _first_mismatch(derived: IdentitySpec, ref: IdentitySpec, k_max: int) -> str
     return "no mismatch found"
 
 
-def _check_coefficients(cfg: RunConfig, derived: dict[int, IdentitySpec]) -> tuple[bool, str]:
-    if cfg.in_path:
-        with open(cfg.in_path, "r", encoding="utf-8") as fh:
-            specs = identities_from_json_text(fh.read())
-    else:
-        specs = list(derived.values())
+def _check_coefficients(specs: list[IdentitySpec], digits: int) -> _Result:
     if not specs:
-        return False, "no identities to check"
+        return False, "no identities to check", ()
     for spec in specs:
         if not 1 <= spec.p <= MAX_REFERENCE_DEPTH:
-            return False, f"p={spec.p}: no reference table beyond depth 12"
+            return False, f"p={spec.p}: no reference table beyond depth 12", ()
         k_cap = min(spec.k_max, 64)
         ref = reference_identity(spec.p, spec.k_max)
         if not identities_equal(spec, ref, k_cap):
-            return False, f"p={spec.p}: {_first_mismatch(spec, ref, k_cap)}"
+            return False, f"p={spec.p}: {_first_mismatch(spec, ref, k_cap)}", ()
         if spec.validity_re_gt != ref.validity_re_gt:
-            return False, f"p={spec.p}: validity bound differs"
-    return True, f"{len(specs)} identities match the reference tables exactly"
+            return False, f"p={spec.p}: validity bound differs", ()
+    return True, f"{len(specs)} identities match the reference tables exactly", ()
 
 
-def _check_pairing(cfg: RunConfig, derived: dict[int, IdentitySpec]) -> tuple[bool, str]:
-    for j in range(2, 7):
-        odd, even = derived[2 * j - 1], derived[2 * j]
-        if not identities_equal(odd, even, cfg.kmax):
-            return False, f"depths {2 * j - 1} and {2 * j} differ"
-    return True, "depths (3,4), (5,6), (7,8), (9,10), (11,12) pair up exactly"
+def _check_pairing(specs: list[IdentitySpec], digits: int) -> _Result:
+    by_p = {spec.p: spec for spec in specs}
+    for p in (3, 5, 7, 9, 11):
+        if not identities_equal(by_p[p], by_p[p + 1], by_p[p].k_max):
+            return False, f"depths {p} and {p + 1} differ", ()
+    return True, "depths (3,4), (5,6), (7,8), (9,10), (11,12) pair up exactly", ()
 
 
-def _check_trivial_zeros(cfg: RunConfig, specs: dict[int, IdentitySpec]) -> tuple[bool, str]:
-    tol = _tolerance(cfg.digits)
-    worst = 0.0
-    for p, spec in specs.items():
-        for s, magnitude in trivial_zero_report(spec, cfg.digits):
+def _check_trivial_zeros(specs: list[IdentitySpec], digits: int) -> _Result:
+    lines, misses, worst = [], [], 0.0
+    for spec in specs:
+        report = trivial_zero_report(spec, digits)
+        if not report:
+            lines.append(
+                f"p={spec.p}: no trivial zeros inside Re s > {spec.effective_validity}"
+            )
+        for s, magnitude in report:
+            lines.append(f"p={spec.p}: |zeta({s})| = {magnitude:.3e}")
             worst = max(worst, magnitude)
-            if not magnitude < tol:
-                return False, f"p={p}: |zeta({s})| = {magnitude:.3e} >= tolerance"
-    return True, f"all trivial zeros below tolerance (worst {worst:.3e})"
+            if not magnitude < _tolerance(digits):
+                misses.append(f"{lines[-1]} >= tolerance")
+    passed = f"all trivial zeros below tolerance (worst {worst:.3e})"
+    return _verdict(misses, passed, lines)
 
 
-def _check_zeta0(cfg: RunConfig, specs: dict[int, IdentitySpec]) -> tuple[bool, str]:
-    tol = _tolerance(cfg.digits)
-    with mp.workdps(cfg.digits + 10):
-        reports = eval_identities(list(specs.values()), 0, cfg.digits)
-        for p, report in zip(specs, reports):
-            diff = abs(report.value + mp.mpf(1) / 2)
-            if not diff < tol:
-                return False, f"p={p}: zeta(0) off by {mp.nstr(diff, 3)}"
-    return True, f"zeta(0) = -1/2 for p = 2..{max(specs)}"
+def _exact_value(
+    specs: list[IdentitySpec], s: int, target, digits: int, passed: str, label: str = ""
+) -> _Result:
+    """Check each depth's zeta(s) against an exact target. A value passes
+    inside the tolerance and inside its error estimate plus 10^-(digits+9),
+    which covers the target's rounding at digits + 10. A label adds the
+    target and the largest difference to the value lines."""
+    lines, misses, worst = [], [], mp.mpf(0)
+    for spec, report in zip(specs, eval_identities(specs, s, digits)):
+        lines.append(f"p={spec.p}: zeta({s}) = {mp.nstr(mp.re(report.value), digits)}")
+        diff = abs(report.value - target)
+        worst = max(worst, diff)
+        bound = mp.mpf(report.error_estimate) + mp.mpf(10) ** (-(digits + 9))
+        if not (diff < _tolerance(digits) and diff <= bound):
+            misses.append(
+                f"p={spec.p}: zeta({s}) off by {mp.nstr(diff, 3)} "
+                f"(error estimate {report.error_estimate:.3e})"
+            )
+    if label:
+        lines.append(f"{label:<10} = {mp.nstr(target, digits)}")
+        lines.append(f"difference = {mp.nstr(worst, 3)}")
+    return _verdict(misses, passed, lines)
 
 
-def _check_zetaprime0(cfg: RunConfig, specs: dict[int, IdentitySpec]) -> tuple[bool, str]:
-    tol = _tolerance(cfg.digits)
-    with mp.workdps(cfg.digits + 10):
-        target = -mp.log(2 * mp.pi) / 2
-        v2 = zeta_prime_at_zero(specs[2], cfg.digits)
-        v3 = zeta_prime_at_zero(specs[3], cfg.digits)
-        if not abs(v2 - v3) < tol:
-            return False, f"p=2 and p=3 disagree by {mp.nstr(abs(v2 - v3), 3)}"
-        if not abs(v2 - target) < tol:
-            return False, f"off -log(2*pi)/2 by {mp.nstr(abs(v2 - target), 3)}"
-    return True, "zeta'(0) = -log(2*pi)/2 from p=2 and p=3"
+def _check_zeta0(specs: list[IdentitySpec], digits: int) -> _Result:
+    passed = f"zeta(0) = -1/2 for p = {specs[0].p}..{specs[-1].p}"
+    return _exact_value(specs, 0, -mp.mpf(1) / 2, digits, passed)
 
 
-def _check_zeta2(cfg: RunConfig, specs: dict[int, IdentitySpec]) -> tuple[bool, str]:
-    tol = _tolerance(cfg.digits)
-    with mp.workdps(cfg.digits + 10):
-        value = eval_identity(specs[5], 2, cfg.digits).value
-        diff = abs(value - mp.pi**2 / 6)
-        if not diff < tol:
-            return False, f"zeta(2) off pi^2/6 by {mp.nstr(diff, 3)}"
-    return True, "zeta(2) = pi^2/6 through the depth-5 series"
+def _check_zeta2(specs: list[IdentitySpec], digits: int) -> _Result:
+    depths = ", ".join(str(spec.p) for spec in specs)
+    passed = f"zeta(2) = pi^2/6 through the depth-{depths} series"
+    return _exact_value(specs, 2, mp.pi**2 / 6, digits, passed, "pi^2/6")
 
 
-def _check_sum_identity(cfg: RunConfig) -> tuple[bool, str]:
-    with mp.workdps(cfg.digits + 10):
-        total = sum_zeta_m1(cfg.digits)
-        diff = abs(total - 1)
-        if not diff < mp.mpf(10) ** (-cfg.digits):
-            return False, f"sum_k (zeta(k)-1) off 1 by {mp.nstr(diff, 3)}"
-    return True, "sum_{k>=2} (zeta(k) - 1) = 1"
+def _check_zetaprime0(specs: list[IdentitySpec], digits: int) -> _Result:
+    tol = _tolerance(digits)
+    target = -mp.log(2 * mp.pi) / 2
+    values = {spec.p: zeta_prime_at_zero(spec, digits) for spec in specs}
+    lines = [f"p={p}: zeta'(0) = {mp.nstr(v, digits)}" for p, v in values.items()]
+    lines.append(f"-log(2*pi)/2 = {mp.nstr(target, digits)}")
+    listed = " and ".join(f"p={p}" for p in values)
+    # the depths must agree with each other as well as with the target
+    spread = max(values.values()) - min(values.values())
+    misses = [] if spread < tol else [f"{listed} disagree by {mp.nstr(spread, 3)}"]
+    misses += [
+        f"p={p}: off -log(2*pi)/2 by {mp.nstr(abs(value - target), 3)}"
+        for p, value in values.items()
+        if not abs(value - target) < tol
+    ]
+    return _verdict(misses, f"zeta'(0) = -log(2*pi)/2 from {listed}", lines)
 
 
-def _check_oracle(cfg: RunConfig, specs: dict[int, IdentitySpec]) -> tuple[bool, str]:
-    tol = _tolerance(cfg.digits)
-    worst = mp.mpf(0)
-    count = 0
-    with mp.workdps(cfg.digits + 10):
-        for point in ORACLE_GRID:
-            s = (Fraction(point.real), Fraction(point.imag))
-            arg = _point_arg(s)
-            reference = zeta_em_reference(arg, cfg.digits)
-            batch = [spec for spec in specs.values() if supports(spec, arg)]
-            for spec, report in zip(batch, eval_identities(batch, arg, cfg.digits)):
-                diff = abs(report.value - reference)
-                count += 1
-                if diff > worst:
-                    worst = diff
-                if not diff < tol:
-                    return False, (
-                        f"s={point}, p={spec.p}: identity and direct summation "
-                        f"differ by {mp.nstr(diff, 3)}"
-                    )
-    return True, (
-        f"{count} (s, p) evaluations match direct summation "
-        f"(worst {mp.nstr(worst, 3)})"
-    )
+def _check_sum_identity(specs: list[IdentitySpec], digits: int) -> _Result:
+    total = sum_zeta_m1(digits)
+    diff = abs(total - 1)
+    lines = [
+        f"sum_(k>=2) (zeta(k) - 1) = {mp.nstr(total, digits)}",
+        f"difference from 1 = {mp.nstr(diff, 3)}",
+    ]
+    if not diff < mp.mpf(10) ** (-digits):
+        return False, f"sum_k (zeta(k)-1) off 1 by {mp.nstr(diff, 3)}", lines
+    return True, "sum_{k>=2} (zeta(k) - 1) = 1", lines
+
+
+def _check_oracle(specs: list[IdentitySpec], digits: int) -> _Result:
+    misses, diffs = [], []
+    for point in ORACLE_GRID:
+        arg = _point_arg((Fraction(point.real), Fraction(point.imag)))
+        reference = zeta_em_reference(arg, digits)
+        batch = [spec for spec in specs if supports(spec, arg)]
+        for spec, report in zip(batch, eval_identities(batch, arg, digits)):
+            diffs.append(abs(report.value - reference))
+            if not diffs[-1] < _tolerance(digits):
+                misses.append(
+                    f"s={point}, p={spec.p}: identity and direct summation "
+                    f"differ by {mp.nstr(diffs[-1], 3)}"
+                )
+    worst = mp.nstr(max(diffs, default=mp.zero), 3)
+    passed = f"{len(diffs)} (s, p) evaluations match direct summation (worst {worst})"
+    return _verdict(misses, passed)
+
+
+class _Check(NamedTuple):
+    run: Callable[[list[IdentitySpec], int], _Result]
+    depths: tuple[int, ...]  # the depths it reads, unless `special --p` names others
+
+
+_CHECKS: dict[str, _Check] = {
+    "coefficients": _Check(_check_coefficients, _ALL_DEPTHS),
+    "pairing": _Check(_check_pairing, _ALL_DEPTHS),
+    "trivial_zeros": _Check(_check_trivial_zeros, _DEPTHS_AT_ZERO),
+    "zeta0": _Check(_check_zeta0, _DEPTHS_AT_ZERO),
+    "zetaprime0": _Check(_check_zetaprime0, (2, 3)),
+    "zeta2": _Check(_check_zeta2, (5,)),
+    "sum_identity": _Check(_check_sum_identity, ()),
+    "oracle": _Check(_check_oracle, _DEPTHS_AT_ZERO),
+}
+_CHECK_NAMES = tuple(_CHECKS)
+# the checks `special` offers: those with values to print
+_SPECIAL_CHECKS = ("zeta0", "zetaprime0", "zeta2", "sum_identity", "trivial_zeros")
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    names = list(cfg.only) if cfg.only else list(_CHECK_NAMES)
-    if cfg.in_path and not cfg.only:
-        names = ["coefficients"]
-    # derived once for every check that reads them
-    reads_derived = set(names) - {"sum_identity"}
-    if cfg.in_path:
-        reads_derived.discard("coefficients")
-    derived: dict[int, IdentitySpec] = {}
-    if reads_derived:
-        derived = _derive_many(range(1, MAX_REFERENCE_DEPTH + 1), cfg.kmax)
-    # the evaluation checks use the depths valid at s = 0
-    specs = {p: spec for p, spec in derived.items() if p >= 2}
+    names = cfg.only or (["coefficients"] if cfg.in_path else list(_CHECK_NAMES))
+    specs: dict[str, list[IdentitySpec]] = {}  # the identities each check reads
+    if cfg.in_path and "coefficients" in names:
+        with open(cfg.in_path, "r", encoding="utf-8") as fh:
+            specs["coefficients"] = identities_from_json_text(fh.read())
+    # the rest are derived, each depth once
+    to_derive = [name for name in names if name not in specs]
+    wanted = {p for name in to_derive for p in _CHECKS[name].depths}
+    derived = _derive_many(sorted(wanted), cfg.kmax)
+    for name in to_derive:
+        specs[name] = [derived[p] for p in _CHECKS[name].depths]
     failures = 0
     for name in names:
-        if name == "coefficients":
-            ok, detail = _check_coefficients(cfg, derived)
-        elif name == "pairing":
-            ok, detail = _check_pairing(cfg, derived)
-        elif name == "trivial_zeros":
-            ok, detail = _check_trivial_zeros(cfg, specs)
-        elif name == "zeta0":
-            ok, detail = _check_zeta0(cfg, specs)
-        elif name == "zetaprime0":
-            ok, detail = _check_zetaprime0(cfg, specs)
-        elif name == "zeta2":
-            ok, detail = _check_zeta2(cfg, specs)
-        elif name == "sum_identity":
-            ok, detail = _check_sum_identity(cfg)
-        elif name == "oracle":
-            ok, detail = _check_oracle(cfg, specs)
-        else:
-            raise ValueError(f"unknown check {name!r}; choose from {_CHECK_NAMES}")
+        with mp.workdps(cfg.digits + 10):
+            ok, detail, _ = _CHECKS[name].run(specs[name], cfg.digits)
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
         if not ok:
             failures += 1
     return 1 if failures else 0
 
 
+def cmd_special(cfg: RunConfig) -> int:
+    depths = _CHECKS[cfg.check].depths
+    if cfg.p_values and depths:  # a check that reads no identity ignores --p
+        depths = cfg.p_values
+    specs = list(_derive_many(depths, cfg.kmax).values())
+    with mp.workdps(cfg.digits + 10):
+        ok, _, lines = _CHECKS[cfg.check].run(specs, cfg.digits)
+    print(*lines, "PASS" if ok else "FAIL", sep="\n")
+    return 0 if ok else 1
+
+
 # ---- subcommand: eval ----
-
-
-def _single_depth(cfg: RunConfig) -> Optional[int]:
-    if not cfg.p_values:
-        return None
-    if len(cfg.p_values) != 1:
-        raise ValueError(f"{cfg.command} expects a single depth, not a range")
-    return cfg.p_values[0]
 
 
 def cmd_eval(cfg: RunConfig) -> int:
     arg = _point_arg(cfg.s)
-    p = _single_depth(cfg)
-    if p is not None:
-        spec = derive_identity(p, cfg.kmax)
-    else:
-        specs = _derive_many(range(1, MAX_REFERENCE_DEPTH + 1), cfg.kmax)
-        spec = _choose_depth(specs, arg)
-        if spec is None:
-            raise ValueError(
-                f"no identity with p <= {MAX_REFERENCE_DEPTH} covers "
-                f"Re s = {float(cfg.s[0])}"
-            )
+    spec = _depth_for(cfg)(arg)
+    if spec is None:
+        raise ValueError(
+            f"no identity with p <= {MAX_REFERENCE_DEPTH} covers "
+            f"Re s = {float(cfg.s[0])}"
+        )
     report = eval_identity(spec, arg, cfg.digits)
     with mp.workdps(cfg.digits + 10):
         if mp.im(report.value) == 0:
@@ -427,27 +456,15 @@ def _grid_points(cfg: RunConfig) -> list[tuple[Fraction, Fraction]]:
 
 def cmd_table(cfg: RunConfig) -> int:
     points = _grid_points(cfg)
-    p = _single_depth(cfg)
-    if p is not None:
-        specs = _derive_many([p], cfg.kmax)
-    else:
-        specs = _derive_many(range(1, MAX_REFERENCE_DEPTH + 1), cfg.kmax)
+    depth_for = _depth_for(cfg)
     rows = []
     with mp.workdps(cfg.digits + 10):
         for s in points:
             arg = _point_arg(s)
-            if p is not None:
-                spec = specs[p]
-            else:
-                spec = _choose_depth(specs, arg)
-                if spec is None:
-                    print(
-                        f"skipping s = {float(s[0])}+{float(s[1])}i: "
-                        f"no identity covers it",
-                        file=sys.stderr,
-                    )
-                    continue
             try:
+                spec = depth_for(arg)
+                if spec is None:
+                    raise ValueError("no identity covers it")
                 report = eval_identity(spec, arg, cfg.digits)
             except (PoleError, ValueError) as exc:
                 print(
@@ -480,64 +497,6 @@ def cmd_table(cfg: RunConfig) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-# ---- subcommand: special ----
-
-
-def cmd_special(cfg: RunConfig) -> int:
-    digits = cfg.digits
-    tol = _tolerance(digits)
-    p_list = cfg.p_values or list(range(2, MAX_REFERENCE_DEPTH + 1))
-    ok = True
-    with mp.workdps(digits + 10):
-        if cfg.check == "zeta0":
-            for p in p_list:
-                spec = derive_identity(p, cfg.kmax)
-                value = eval_identity(spec, 0, digits).value
-                diff = abs(value + mp.mpf(1) / 2)
-                ok = ok and diff < tol
-                print(f"p={p}: zeta(0) = {mp.nstr(mp.re(value), digits)}")
-        elif cfg.check == "zetaprime0":
-            target = -mp.log(2 * mp.pi) / 2
-            for p in cfg.p_values or (2, 3):
-                spec = derive_identity(p, cfg.kmax)
-                value = zeta_prime_at_zero(spec, digits)
-                diff = abs(value - target)
-                ok = ok and diff < tol
-                print(f"p={p}: zeta'(0) = {mp.nstr(value, digits)}")
-            print(f"-log(2*pi)/2 = {mp.nstr(target, digits)}")
-        elif cfg.check == "zeta2":
-            spec = derive_identity(_single_depth(cfg) or 5, cfg.kmax)
-            value = eval_identity(spec, 2, digits).value
-            target = mp.pi**2 / 6
-            diff = abs(value - target)
-            ok = diff < tol
-            print(f"p={spec.p}: zeta(2) = {mp.nstr(mp.re(value), digits)}")
-            print(f"pi^2/6     = {mp.nstr(target, digits)}")
-            print(f"difference = {mp.nstr(diff, 3)}")
-        elif cfg.check == "sum_identity":
-            total = sum_zeta_m1(digits)
-            diff = abs(total - 1)
-            ok = diff < mp.mpf(10) ** (-digits)
-            print(f"sum_(k>=2) (zeta(k) - 1) = {mp.nstr(total, digits)}")
-            print(f"difference from 1 = {mp.nstr(diff, 3)}")
-        elif cfg.check == "trivial_zeros":
-            for p in p_list:
-                spec = derive_identity(p, cfg.kmax)
-                report = trivial_zero_report(spec, digits)
-                if not report:
-                    print(f"p={p}: no trivial zeros inside Re s > "
-                          f"{spec.effective_validity}")
-                for s, magnitude in report:
-                    ok = ok and magnitude < tol
-                    print(f"p={p}: |zeta({s})| = {magnitude:.3e}")
-        else:
-            raise ValueError(
-                f"unknown special check {cfg.check!r}; choose from {_SPECIAL_CHECKS}"
-            )
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
 
 
 # ---- parser wiring ----

@@ -7,7 +7,9 @@ pair of them. Sums are exact integer additions, products are integer
 products shifted right by P, and every rounding is a floor. The error of
 each operation is tallied in ulps as an integer, rounded up, so no float
 enters any bound. mpmath is used once per call for the irrational inputs:
-n^-s for each n of the inner-sum table and 2^(-Re s). Everything rational
+p^-s for each prime p of the inner-sum table (a composite n takes n^-s as
+the product q^-s (n/q)^-s of two earlier powers, q its least prime factor)
+and 2^(-Re s). Everything rational
 (s itself, (s)_k0 / (k0+1)!, the head pole/(s-1) + Q(s), r_k and the
 Euler-Maclaurin coefficients B_2j/(2j)!) is converted from exact values
 with one floor. Values are returned as mpmath numbers, converted exactly.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -288,6 +289,49 @@ def test_special_checks_pass(capsys):
 
 def test_special_depth_one_is_domain_error():
     assert main(["special", "--check", "zetaprime0", "--p", "1"]) == 2
+
+
+# ---- verify and special: two views of one check registry ----
+
+SHARED_CHECKS = ("zeta0", "zetaprime0", "zeta2", "sum_identity", "trivial_zeros")
+
+
+@pytest.mark.parametrize("name", SHARED_CHECKS)
+def test_verify_and_special_agree(name, capsys):
+    verify_code = main(["verify", "--only", name, "--digits", "20"])
+    special_code = main(["special", "--check", name, "--digits", "20"])
+    assert verify_code == special_code == 0
+
+
+@pytest.mark.parametrize("name", SHARED_CHECKS)
+def test_failing_check_fails_both_views(name, monkeypatch, capsys):
+    def failing(specs, digits):
+        return False, "stubbed failure", ["stubbed value"]
+
+    monkeypatch.setitem(cli._CHECKS, name, cli._CHECKS[name]._replace(run=failing))
+    assert main(["verify", "--only", name]) == 1
+    assert capsys.readouterr().out == f"FAIL  {name}: stubbed failure\n"
+    assert main(["special", "--check", name]) == 1
+    assert capsys.readouterr().out == "stubbed value\nFAIL\n"
+
+
+@pytest.mark.parametrize("name", ["zeta0", "zeta2"])
+def test_exact_values_must_lie_within_their_estimate(name, monkeypatch, capsys):
+    # moves every value by 10^-(digits-2): outside its error estimate (at
+    # most 10^-digits) but inside the tolerance 10^-(digits-5)
+    digits = 25
+    shift = mp.mpf(10) ** (2 - digits)
+
+    def moved(report):
+        assert report.error_estimate < shift / 100
+        return dataclasses.replace(report, value=report.value + shift)
+
+    # both evaluator entry points, whichever a check calls
+    batch, single = cli.eval_identities, cli.eval_identity
+    monkeypatch.setattr(cli, "eval_identities", lambda *a: list(map(moved, batch(*a))))
+    monkeypatch.setattr(cli, "eval_identity", lambda *a: moved(single(*a)))
+    assert main(["verify", "--only", name, "--digits", str(digits)]) == 1
+    assert main(["special", "--check", name, "--digits", str(digits)]) == 1
 
 
 # ---- global behavior ----
