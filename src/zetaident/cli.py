@@ -23,12 +23,14 @@ from mpmath import mp
 from .derive import (
     IdentitySpec,
     derive_identity,
+    first_difference,
     identities_equal,
     identities_from_json_text,
     identities_to_json_text,
 )
 from .evalzeta import (
     CapacityError,
+    EvalReport,
     PoleError,
     eval_identities,
     eval_identity,
@@ -207,46 +209,20 @@ def _verdict(misses: list[str], passed: str, lines: Sequence[str] = ()) -> _Resu
     return not misses, misses[0] if misses else passed, lines
 
 
-def _first_mismatch(derived: IdentitySpec, ref: IdentitySpec, k_max: int) -> str:
-    if derived.pole_coefficient != ref.pole_coefficient:
-        return (
-            f"pole coefficient {derived.pole_coefficient} != "
-            f"{ref.pole_coefficient}"
-        )
-    if derived.q_poly != ref.q_poly:
-        return (
-            f"Q polynomial ({derived.q_poly.to_str('s')}) != "
-            f"({ref.q_poly.to_str('s')})"
-        )
-    if (
-        derived.closed_form is not None
-        and ref.closed_form is not None
-        and derived.closed_form != ref.closed_form
-    ):
-        return (
-            f"closed form r_k = ({derived.closed_form.to_str('k')}) != "
-            f"({ref.closed_form.to_str('k')})"
-        )
-    for k in range(min(derived.k0, ref.k0), k_max + 1):
-        a = derived.series_coefficient(k)
-        b = ref.series_coefficient(k)
-        if a != b:
-            return f"k={k}: coefficient {a} != reference {b}"
-    return "no mismatch found"
-
-
 def _check_coefficients(specs: list[IdentitySpec], digits: int) -> _Result:
     if not specs:
         return False, "no identities to check", ()
     for spec in specs:
         if not 1 <= spec.p <= MAX_REFERENCE_DEPTH:
             return False, f"p={spec.p}: no reference table beyond depth 12", ()
-        k_cap = min(spec.k_max, 64)
         ref = reference_identity(spec.p, spec.k_max)
-        if not identities_equal(spec, ref, k_cap):
-            return False, f"p={spec.p}: {_first_mismatch(spec, ref, k_cap)}", ()
+        difference = first_difference(spec, ref, min(spec.k_max, 64))
+        if difference:
+            return False, f"p={spec.p}: {difference}", ()
         if spec.validity_re_gt != ref.validity_re_gt:
             return False, f"p={spec.p}: validity bound differs", ()
+        if spec.extended_validity_re_gt != ref.extended_validity_re_gt:
+            return False, f"p={spec.p}: extended validity bound differs", ()
     return True, f"{len(specs)} identities match the reference tables exactly", ()
 
 
@@ -275,24 +251,29 @@ def _check_trivial_zeros(specs: list[IdentitySpec], digits: int) -> _Result:
     return _verdict(misses, passed, lines)
 
 
+def _off_target(p: int, name: str, report: EvalReport, target, digits: int):
+    """|value - target| for depth p's value of name, and the miss, if any:
+    a value passes inside the tolerance and inside its error estimate plus
+    10^-(digits+9), which covers the target's rounding at digits + 10."""
+    diff = abs(report.value - target)
+    bound = mp.mpf(report.error_estimate) + mp.mpf(10) ** (-(digits + 9))
+    if diff < _tolerance(digits) and diff <= bound:
+        return diff, []
+    estimate = f"{report.error_estimate:.3e}"
+    return diff, [f"p={p}: {name} off by {mp.nstr(diff, 3)} (error estimate {estimate})"]
+
+
 def _exact_value(
     specs: list[IdentitySpec], s: int, target, digits: int, passed: str, label: str = ""
 ) -> _Result:
-    """Check each depth's zeta(s) against an exact target. A value passes
-    inside the tolerance and inside its error estimate plus 10^-(digits+9),
-    which covers the target's rounding at digits + 10. A label adds the
-    target and the largest difference to the value lines."""
+    """Check each depth's zeta(s) against an exact target (_off_target). A
+    label adds the target and the largest difference to the value lines."""
     lines, misses, worst = [], [], mp.mpf(0)
     for spec, report in zip(specs, eval_identities(specs, s, digits)):
         lines.append(f"p={spec.p}: zeta({s}) = {mp.nstr(mp.re(report.value), digits)}")
-        diff = abs(report.value - target)
+        diff, miss = _off_target(spec.p, f"zeta({s})", report, target, digits)
         worst = max(worst, diff)
-        bound = mp.mpf(report.error_estimate) + mp.mpf(10) ** (-(digits + 9))
-        if not (diff < _tolerance(digits) and diff <= bound):
-            misses.append(
-                f"p={spec.p}: zeta({s}) off by {mp.nstr(diff, 3)} "
-                f"(error estimate {report.error_estimate:.3e})"
-            )
+        misses += miss
     if label:
         lines.append(f"{label:<10} = {mp.nstr(target, digits)}")
         lines.append(f"difference = {mp.nstr(worst, 3)}")
@@ -311,20 +292,17 @@ def _check_zeta2(specs: list[IdentitySpec], digits: int) -> _Result:
 
 
 def _check_zetaprime0(specs: list[IdentitySpec], digits: int) -> _Result:
-    tol = _tolerance(digits)
     target = -mp.log(2 * mp.pi) / 2
-    values = {spec.p: zeta_prime_at_zero(spec, digits) for spec in specs}
-    lines = [f"p={p}: zeta'(0) = {mp.nstr(v, digits)}" for p, v in values.items()]
+    reports = {spec.p: zeta_prime_at_zero(spec, digits) for spec in specs}
+    values = [mp.re(report.value) for report in reports.values()]
+    lines = [f"p={p}: zeta'(0) = {mp.nstr(v, digits)}" for p, v in zip(reports, values)]
     lines.append(f"-log(2*pi)/2 = {mp.nstr(target, digits)}")
-    listed = " and ".join(f"p={p}" for p in values)
+    listed = " and ".join(f"p={p}" for p in reports)
     # the depths must agree with each other as well as with the target
-    spread = max(values.values()) - min(values.values())
-    misses = [] if spread < tol else [f"{listed} disagree by {mp.nstr(spread, 3)}"]
-    misses += [
-        f"p={p}: off -log(2*pi)/2 by {mp.nstr(abs(value - target), 3)}"
-        for p, value in values.items()
-        if not abs(value - target) < tol
-    ]
+    spread = max(values) - min(values)
+    misses = [] if spread < _tolerance(digits) else [f"{listed} disagree by {mp.nstr(spread, 3)}"]
+    for p, report in reports.items():
+        misses += _off_target(p, "zeta'(0)", report, target, digits)[1]
     return _verdict(misses, f"zeta'(0) = -log(2*pi)/2 from {listed}", lines)
 
 
@@ -365,7 +343,7 @@ class _Check(NamedTuple):
 
 _CHECKS: dict[str, _Check] = {
     "coefficients": _Check(_check_coefficients, _ALL_DEPTHS),
-    "pairing": _Check(_check_pairing, _ALL_DEPTHS),
+    "pairing": _Check(_check_pairing, _ALL_DEPTHS[2:]),  # each odd p >= 3 and p + 1
     "trivial_zeros": _Check(_check_trivial_zeros, _DEPTHS_AT_ZERO),
     "zeta0": _Check(_check_zeta0, _DEPTHS_AT_ZERO),
     "zetaprime0": _Check(_check_zetaprime0, (2, 3)),
@@ -378,18 +356,34 @@ _CHECK_NAMES = tuple(_CHECKS)
 _SPECIAL_CHECKS = ("zeta0", "zetaprime0", "zeta2", "sum_identity", "trivial_zeros")
 
 
+def _verify_specs(cfg: RunConfig, names: list[str]) -> dict[str, list[IdentitySpec]]:
+    """The identities each named check reads, from one source: the records
+    of --in FILE, else fresh derivations, each depth once. From FILE,
+    `coefficients` reads every record and each other check its own depths,
+    which FILE must hold."""
+    records = None
+    if cfg.in_path:
+        with open(cfg.in_path, "r", encoding="utf-8") as fh:
+            records = identities_from_json_text(fh.read())
+        source = {spec.p: spec for spec in records}
+    else:
+        wanted = {p for name in names for p in _CHECKS[name].depths}
+        source = _derive_many(sorted(wanted), cfg.kmax)
+    specs = {}
+    for name in names:
+        if name == "coefficients" and records is not None:
+            specs[name] = records
+            continue
+        missing = [p for p in _CHECKS[name].depths if p not in source]
+        if missing:
+            raise ValueError(f"{cfg.in_path} has no depth-{missing[0]} identity; {name} reads it")
+        specs[name] = [source[p] for p in _CHECKS[name].depths]
+    return specs
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     names = cfg.only or (["coefficients"] if cfg.in_path else list(_CHECK_NAMES))
-    specs: dict[str, list[IdentitySpec]] = {}  # the identities each check reads
-    if cfg.in_path and "coefficients" in names:
-        with open(cfg.in_path, "r", encoding="utf-8") as fh:
-            specs["coefficients"] = identities_from_json_text(fh.read())
-    # the rest are derived, each depth once
-    to_derive = [name for name in names if name not in specs]
-    wanted = {p for name in to_derive for p in _CHECKS[name].depths}
-    derived = _derive_many(sorted(wanted), cfg.kmax)
-    for name in to_derive:
-        specs[name] = [derived[p] for p in _CHECKS[name].depths]
+    specs = _verify_specs(cfg, names)
     failures = 0
     for name in names:
         with mp.workdps(cfg.digits + 10):

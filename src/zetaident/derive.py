@@ -267,24 +267,35 @@ def derive_identity(p: int, k_max: int = 64) -> IdentitySpec:
     )
 
 
-def identities_equal(a: IdentitySpec, b: IdentitySpec, k_max: int) -> bool:
-    """Whether two identities agree exactly: pole, Q, the closed form of r_k
-    when both carry one, and every r_k with k <= k_max (treating indices
-    below k0 as zero).
+def first_difference(a: IdentitySpec, b: IdentitySpec, k_max: int) -> Optional[str]:
+    """The first way identity a differs from the reference b, as text, or
+    None when they agree exactly: pole, Q, the closed form of r_k when both
+    carry one, and every r_k with k <= k_max (treating indices below k0 as
+    zero).
 
     Both specs must store terms through k_max.
     """
     if a.k_max < k_max or b.k_max < k_max:
         raise ValueError("both identities must store terms through k_max")
-    if a.pole_coefficient != b.pole_coefficient or a.q_poly != b.q_poly:
-        return False
-    if a.closed_form is not None and b.closed_form is not None:
-        if a.closed_form != b.closed_form:
-            return False
+    if a.pole_coefficient != b.pole_coefficient:
+        return f"pole coefficient {a.pole_coefficient} != {b.pole_coefficient}"
+    if a.q_poly != b.q_poly:
+        return f"Q polynomial ({a.q_poly.to_str('s')}) != ({b.q_poly.to_str('s')})"
+    if a.closed_form is not None and b.closed_form is not None and a.closed_form != b.closed_form:
+        return (
+            f"closed form r_k = ({a.closed_form.to_str('k')}) != "
+            f"({b.closed_form.to_str('k')})"
+        )
     for k in range(min(a.k0, b.k0), k_max + 1):
-        if a.series_coefficient(k) != b.series_coefficient(k):
-            return False
-    return True
+        r_a, r_b = a.series_coefficient(k), b.series_coefficient(k)
+        if r_a != r_b:
+            return f"k={k}: coefficient {r_a} != reference {r_b}"
+    return None
+
+
+def identities_equal(a: IdentitySpec, b: IdentitySpec, k_max: int) -> bool:
+    """Whether two identities agree exactly: first_difference finds none."""
+    return first_difference(a, b, k_max) is None
 
 
 # ---- serialization ----

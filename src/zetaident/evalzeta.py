@@ -6,13 +6,15 @@ units of x * 2^P (a unit 2^-P is an "ulp" below) and a complex number as a
 pair of them. Sums are exact integer additions, products are integer
 products shifted right by P, and every rounding is a floor. The error of
 each operation is tallied in ulps as an integer, rounded up, so no float
-enters any bound. mpmath is used once per call for the irrational inputs:
-p^-s for each prime p of the inner-sum table (a composite n takes n^-s as
-the product q^-s (n/q)^-s of two earlier powers, q its least prime factor)
-and 2^(-Re s). Everything rational
-(s itself, (s)_k0 / (k0+1)!, the head pole/(s-1) + Q(s), r_k and the
-Euler-Maclaurin coefficients B_2j/(2j)!) is converted from exact values
-with one floor. Values are returned as mpmath numbers, converted exactly.
+enters any bound. mpmath's libmp kernels are used once per call for the
+irrational inputs: p^-s for each prime p of the inner-sum table (a
+composite n takes n^-s as the product q^-s (n/q)^-s of two earlier powers,
+q its least prime factor) and 2^(-Re s). Each takes its precision as an
+argument: no call sets mpmath's shared precision, so concurrent calls
+cannot disturb each other. Everything rational (s itself, (s)_k0 / (k0+1)!,
+the head pole/(s-1) + Q(s), r_k and the Euler-Maclaurin coefficients
+B_2j/(2j)!) is converted from exact values with one floor. Values are
+returned as mpmath numbers, built exactly.
 
 P is the bit length of 10^(digits+5), plus log2 of the largest outer
 coefficient |r_k (s)_k / (k+1)!| the call will meet, plus _GUARD_BITS. The
@@ -30,7 +32,9 @@ meaningful.
 `eval_identities` evaluates several depths at one point in one pass over
 k: every depth's identity has the same inner sums zeta(s + k) - 1 and the
 same factor (s)_k/(k+1)!, and only r_k differs. `eval_identity` is the
-batch of one.
+batch of one. `zeta_prime_at_zero` runs the same loop at s = 0 with the
+factor 1/(k(k+1)) and the head Q'(0) - pole (the identity differentiated
+term by term), so zeta'(0) gets an error bound too.
 
 Each call computes its inner sums zeta(s + k) - 1 from one table of
 n^-(s+k), n = 2..N with N = 10 + digits: every power is computed once and
@@ -53,11 +57,12 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from math import ceil, comb, factorial, floor, hypot, inf, isqrt, lcm, log2, nextafter
 from typing import Optional, Sequence, Union
 
 from mpmath import mp
+from mpmath.libmp import from_int, from_man_exp, fzero, mpc_mul, mpc_pow, mpf_div, mpf_mul
+from mpmath.libmp import mpf_neg, mpf_pow, mpf_shift, round_ceiling, round_nearest, to_int
 
 from .derive import IdentitySpec
 from .exactmath import bernoulli
@@ -94,7 +99,8 @@ class EvalReport:
     """Result of one identity evaluation.
 
     value is an mpmath mpc, the fixed-point result converted exactly.
-    error_estimate bounds |value - zeta(s)|, rounded up to a float. It is
+    error_estimate bounds |value - zeta(s)| (|value - zeta'(0)| for
+    zeta_prime_at_zero), rounded up to a float. It is
     the sum of, in ulps of the call's scale 2^-P: the outer truncation
     bound; the inner truncation bounds, each times its |coefficient|; and
     the rounding tally, which covers the head, every floor of the (s)_k
@@ -226,22 +232,28 @@ def _fixed(q: Fraction, bits: int) -> int:
     return (q.numerator << bits) // q.denominator
 
 
-def _mp_fixed(x, bits: int) -> int:
-    """floor(x * 2^bits) of an mpf, exactly."""
-    sign, man, exp, _ = x._mpf_
+def _mp_fixed(x: tuple, bits: int) -> int:
+    """floor(x * 2^bits) of a raw mpf tuple, exactly."""
+    sign, man, exp, _ = x
     if sign:
         man = -man
     exp += bits
     return man << exp if exp >= 0 else man >> -exp
 
 
+def _mpf_fraction(q: Fraction, prec: int) -> tuple:
+    """q as a raw mpf tuple rounded to prec bits, as mp.mpf(q.numerator) /
+    q.denominator rounds it at that precision."""
+    numerator = from_int(q.numerator, prec, round_nearest)
+    return mpf_div(numerator, from_int(q.denominator), prec, round_nearest)
+
+
 def _mp_value(re: int, im: Optional[int], bits: int):
     """(re + i im) * 2^-bits as an mpc, or re * 2^-bits as an mpf when im is
     None, exactly."""
-    with mp.workprec(max(re.bit_length(), (im or 0).bit_length(), 53)):
-        if im is None:
-            return mp.mpf((re, -bits))
-        return mp.mpc(mp.mpf((re, -bits)), mp.mpf((im, -bits)))
+    if im is None:
+        return mp.make_mpf(from_man_exp(re, -bits))
+    return mp.make_mpc((from_man_exp(re, -bits), from_man_exp(im, -bits)))
 
 
 def _float_up(ulps: int, bits: int) -> float:
@@ -258,9 +270,9 @@ def _pow2_up(e: Fraction) -> int:
     if not frac:
         return 1 << whole
     # relative error about 2^-(whole + 18): far below one unit
-    with mp.workprec(whole + 20):
-        x = mp.ldexp(mp.power(2, mp.mpf(frac.numerator) / frac.denominator), whole)
-        return int(mp.ceil(x)) + 1
+    prec = whole + 20
+    x = mpf_pow(from_int(2), _mpf_fraction(frac, prec), prec, round_nearest)
+    return to_int(mpf_shift(x, whole), round_ceiling) + 1
 
 
 def _threshold_bits(digits: int) -> int:
@@ -330,9 +342,11 @@ class _InnerSums:
         # of 2^-prec: see the class docstring
         spread = (abs(self.zr) + abs(self.zi)) // self.den + 1
         self.prec = bits + 16 + ((6 + spread) * self.n_max.bit_length()).bit_length()
-        with mp.workprec(self.prec):
-            self.z_mp = mp.mpc(_fraction_to_mp(re), _fraction_to_mp(im)) if im else _fraction_to_mp(re)
-        # index n: n^-z from mpmath
+        # -z at prec: a raw mpf tuple, or for complex z an mpc pair of them
+        self.complex = bool(im)
+        minus_z = tuple(mpf_neg(_mpf_fraction(x, self.prec)) for x in z)
+        self.minus_z = minus_z if im else minus_z[0]
+        # index n: n^-z from mpmath, a raw tuple like minus_z
         self.powers = [None, None]
         # index n: n^-(z + shift[n]) as an (re, im) pair of ulps
         self.re = [0, 0]
@@ -369,15 +383,19 @@ class _InnerSums:
             p = 2  # the least prime factor of n, if n is composite
             while p * p <= n and n % p:
                 p += 1
-            with mp.workprec(self.prec):
-                if p * p > n:
-                    x = mp.power(n, -self.z_mp)
-                else:
-                    x = self.powers[p] * self.powers[n // p]
+            # the libmp kernels of mp.power and of the product, at prec
+            if p * p > n and self.complex:
+                x = mpc_pow((from_int(n), fzero), self.minus_z, self.prec, round_nearest)
+            elif p * p > n:
+                x = mpf_pow(from_int(n), self.minus_z, self.prec, round_nearest)
+            else:
+                mul = mpc_mul if self.complex else mpf_mul
+                x = mul(self.powers[p], self.powers[n // p], self.prec, round_nearest)
             self.powers.append(x)
+            xr, xi = x if self.complex else (x, fzero)
             scale = n**k
-            re.append(_mp_fixed(mp.re(x), self.bits) // scale)
-            im.append(_mp_fixed(mp.im(x), self.bits) // scale)
+            re.append(_mp_fixed(xr, self.bits) // scale)
+            im.append(_mp_fixed(xi, self.bits) // scale)
             shift.append(k)
         return re, im
 
@@ -555,14 +573,6 @@ def _check_point(spec: IdentitySpec, re: Fraction, im: Fraction, digits: int) ->
         )
 
 
-def _capacity_error(spec: IdentitySpec, k: int, digits: int) -> CapacityError:
-    return CapacityError(
-        f"depth-{spec.p} identity stores coefficients through "
-        f"k={spec.k_max} and has no closed form; k={k} is needed "
-        f"at digits={digits}"
-    )
-
-
 def _head(spec: IdentitySpec, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
     """pole/(s - 1) + Q(s), exactly."""
     hr = hi = Fraction(0)
@@ -571,11 +581,6 @@ def _head(spec: IdentitySpec, re: Fraction, im: Fraction) -> tuple[Fraction, Fra
     ar = re - 1
     scale = spec.pole_coefficient / (ar * ar + im * im)
     return hr + ar * scale, hi - im * scale
-
-
-def _log2_abs(re: float, im: float) -> float:
-    h = hypot(re, im)
-    return log2(h) if h else -inf
 
 
 class _Depth:
@@ -591,8 +596,8 @@ class _Depth:
         self.inner_err = 0  # sum of size * inner truncation, ulps^2
         self.rounding = 0  # sum of propagated errors, ulps^2
         self.products = 0  # term products, each floored
-        # r_k (s)_k / (k+1)! at the current k, its error, and a bound on
-        # its absolute value, all in ulps
+        # r_k a_k at the current k (see _outer_series), its error, and a
+        # bound on its absolute value, all in ulps
         self.coef_re = self.coef_im = self.coef_err = self.size = 0
         self.terms_used = self.tail_bound = None
 
@@ -656,39 +661,34 @@ def _tail_met(d: _Depth, k: int, tail_bound, threshold, point, vanished: bool) -
     )
 
 
-def _peak_log2(depths: list[_Depth], factors, point, tail_log2: float, digits: int) -> float:
-    """log2 of the largest outer coefficient |r_k f_k| a loop over k will
+def _peak_log2(depths: list[_Depth], point, factor, k: int, digits: int) -> float:
+    """log2 of the largest outer coefficient |r_k a_k| _outer_series will
     meet, from a float scan that stops each depth where the loop does
-    (_tail_met, with the tail bound |r_k f_k| 2^(tail_log2 - k)); -inf when
-    every coefficient vanishes. factors yields (k, log2 |f_k|) from the
-    loop's first k, -inf once f_k and every later factor vanish. The scan
-    also stops a depth where the loop raises CapacityError. The peak sets
-    only how tight the error tally is."""
+    (_tail_met) or raises CapacityError; -inf when every coefficient
+    vanishes. a_k starts at factor and steps as in _outer_series; point is
+    s as (zr, zi, den). The peak sets only how tight the error tally is."""
     threshold = -(digits + 5) * log2(10)
+    zr, zi, den = point
+    re, im = zr / den, zi / den
+    tail_log2 = 3 - re  # the tail bound is |coefficient| * 4 * 2^(1 - Re s - k)
+    fr, fi = factor
+    log_a = _log2_fraction(fr * fr + fi * fi) / 2
     peak = -inf
     running = list(depths)
-    for k, log_f in factors:
-        if not running:
-            return peak
+    while running:
         for d in [d for d in running if d.spec.k0 <= k]:
             r = d.r(k)
             if r is None:
                 running.remove(d)
                 continue
-            size = log_f + _log2_fraction(r)
+            size = log_a + _log2_fraction(r)
             peak = max(peak, size)
-            if _tail_met(d, k, size + tail_log2 - k, threshold, point, log_f == -inf):
+            if _tail_met(d, k, size + tail_log2 - k, threshold, point, log_a == -inf):
                 running.remove(d)
-    return peak
-
-
-def _log2_rising(re: float, im: float, k: int):
-    """(j, log2 |(s)_j / (j+1)!|) for j = k, k+1, ..."""
-    log_a = sum(_log2_abs(re + j, im) - log2(j + 2) for j in range(k))
-    while True:
-        yield k, log_a
-        log_a += _log2_abs(re + k, im) - log2(k + 2)
+        h = hypot(re + k, im)
+        log_a += (log2(h) if h else -inf) - log2(k + 2)
         k += 1
+    return peak
 
 
 def eval_identity(spec: IdentitySpec, s: Number, digits: int = 40) -> EvalReport:
@@ -723,23 +723,47 @@ def eval_identities(
     re, im = _exact_point(s)
     for spec in specs:
         _check_point(spec, re, im, digits)
+    # (s)_k / (k+1)! at the least k0, from 1 at k = 0 by _outer_series's step
+    ar, ai = Fraction(1), Fraction(0)
+    for j in range(min(spec.k0 for spec in specs)):
+        ar, ai = (ar * (re + j) - ai * im) / (j + 2), (ar * im + ai * (re + j)) / (j + 2)
+    heads = [_head(spec, re, im) for spec in specs]
+    return _outer_series(specs, (re, im), (ar, ai), heads, digits)
+
+
+def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
+    """zeta'(0) from the term-by-term derivative of the identity at s = 0:
+    Q'(0) - pole + sum_k r_k / (k(k+1)) * (zeta(k) - 1), with an error
+    bound like any evaluation.
+
+    Needs an identity valid at 0, i.e. depth p >= 2.
+    """
+    _check_digits(digits)
+    if spec.effective_validity >= 0:
+        raise ValueError(f"depth-{spec.p} identity is not valid at s = 0; use p >= 2")
+    head = spec.q_poly.derivative().coefficient(0) - spec.pole_coefficient
+    zero, seed = Fraction(0), Fraction(1, spec.k0 * (spec.k0 + 1))
+    return _outer_series([spec], (zero, zero), (seed, zero), [(head, zero)], digits)[0]
+
+
+def _outer_series(specs, point, factor, heads, digits: int) -> list[EvalReport]:
+    """head + sum_{k >= k0} r_k a_k (zeta(s + k) - 1) for each spec, in one
+    pass over k from the least k0, for the exact s = point, a_k = factor at
+    that k and a_(k+1) = a_k (s + k) / (k + 2); one report per exact head.
+    eval_identities passes (s)_k / (k+1)!; zeta_prime_at_zero passes
+    1/(k(k+1)) at s = 0, which steps the same way, so _tail_bounded covers
+    both."""
+    re = point[0]
     depths = [_Depth(spec) for spec in specs]
     k = k_start = min(spec.k0 for spec in specs)
-    point = zr, zi, den = _integer_point(re, im)
-    # the tail bound is |coefficient| * 4 * 2^(1 - Re s - k)
-    factors = _log2_rising(float(re), float(im), k)
-    bits = _scale_bits(digits, _peak_log2(depths, factors, point, 3 - float(re), digits))
+    whole = zr, zi, den = _integer_point(*point)
+    bits = _scale_bits(digits, _peak_log2(depths, whole, factor, k, digits))
     one = 1 << bits
     threshold = one // 10 ** (digits + 5)
-    inner = _InnerSums((re, im), digits, bits)
-    # a = (s)_k / (k+1)! in ulps, within a_err; a_err = 0 marks an exact a
-    pr, pi = 1, 0
-    for j in range(k):
-        fr = zr + j * den
-        pr, pi = pr * fr - pi * zi, pr * zi + pi * fr
-    scale = den**k * factorial(k + 1)
-    ar, ai = (pr << bits) // scale, (pi << bits) // scale
-    a_err = 2 if pr or pi else 0
+    inner = _InnerSums(point, digits, bits)
+    # a_k in ulps, within a_err; a_err = 0 marks an exact a
+    ar, ai = _fixed(factor[0], bits), _fixed(factor[1], bits)
+    a_err = 2 if any(factor) else 0
     # 4 * 2^(1 - Re s - k_start) in units of 2^-(bits + extra), rounded
     # up, with extra >= 0 keeping it at least 2^bits for any Re s; shifted
     # right by k - k_start at each k, never halved in place
@@ -753,7 +777,11 @@ def eval_identities(
         for d in active:
             r = d.r(k)
             if r is None:
-                raise _capacity_error(d.spec, k, digits)
+                raise CapacityError(
+                    f"depth-{d.spec.p} identity stores coefficients through "
+                    f"k={d.spec.k_max} and has no closed form; k={k} is needed "
+                    f"at digits={digits}"
+                )
             num, rden = r.numerator, r.denominator
             if exact_zero or not num:
                 d.coef_re = d.coef_im = d.coef_err = d.size = 0
@@ -777,7 +805,7 @@ def eval_identities(
                     d.products += 1
         for d in active:
             tail_bound = _ceil_div(d.size * tail_factor, one << (k - k_start + extra))
-            if _tail_met(d, k, tail_bound, threshold, point, exact_zero):
+            if _tail_met(d, k, tail_bound, threshold, whole, exact_zero):
                 d.terms_used, d.tail_bound = k, tail_bound
                 running.remove(d)
         if not running:
@@ -792,8 +820,7 @@ def eval_identities(
             a_err = _ceil_div(a_err * _modulus_up(fr, zi), q) + 2
         k += 1
     reports = []
-    for d in depths:
-        hr, hi = _head(d.spec, re, im)
+    for d, (hr, hi) in zip(depths, heads):
         # the head's two floors and each term product's two: 2 ulps each
         rounding = _ceil_div(d.rounding, one) + 2 * (d.products + 1)
         error = d.tail_bound + _ceil_div(d.inner_err, one) + rounding
@@ -810,54 +837,11 @@ def eval_identities(
     return reports
 
 
-def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40):
-    """zeta'(0) from the term-by-term derivative of the identity at s = 0:
-    -pole + Q'(0) + sum_k r_k / (k(k+1)) * (zeta(k) - 1).
-
-    Needs an identity valid at 0, i.e. depth p >= 2.
-    """
-    _check_digits(digits)
-    if spec.effective_validity >= 0:
-        raise ValueError(
-            f"depth-{spec.p} identity is not valid at s = 0; use p >= 2"
-        )
-    d = _Depth(spec)
-    # the weights are r_k / (k(k+1)), the tail bound |weight| * 4 * 2^(1 - k);
-    # from k to k + 1 a weight changes by r_(k+1)/r_k times k/(k+2), as an
-    # outer coefficient does at s = 0, so _tail_bounded applies at s = 0
-    point = (0, 0, 1)
-    weights = ((k, -log2(k * (k + 1))) for k in count(spec.k0))
-    bits = _scale_bits(digits, _peak_log2([d], weights, point, 3, digits))
-    one = 1 << bits
-    threshold = one // 10 ** (digits + 5)
-    qprime0 = spec.q_poly.derivative().coefficient(0)
-    total = _fixed(qprime0 - spec.pole_coefficient, bits)
-    k = spec.k0
-    inner = _InnerSums((Fraction(0), Fraction(0)), digits, bits)
-    while True:
-        rk = d.r(k)
-        if rk is None:
-            raise _capacity_error(spec, k, digits)
-        num, den = rk.numerator, rk.denominator
-        weight = (num << bits) // (den * k * (k + 1))
-        size = abs(weight) + 1
-        if num:
-            budget = (threshold << bits) // (size * _INNER_SAFETY)
-            total += (weight * inner(k, budget)[0][0]) >> bits
-        if _tail_met(d, k, _ceil_div(size * 8, 1 << k), threshold, point, False):
-            break
-        k += 1
-    return _mp_value(total, None, bits)
-
-
 def sum_zeta_m1(digits: int = 40):
     """Partial sum of sum_{k>=2} (zeta(k) - 1), truncated at the first K
     with 2*2^-K < 10^-digits. The full sum is exactly 1."""
     _check_digits(digits)
-    k_top = 2
-    limit = 2 * 10**digits
-    while 2**k_top <= limit:
-        k_top += 1
+    k_top = (2 * 10**digits).bit_length()  # the least K with 2^K > 2 * 10^digits
     bits = _scale_bits(digits, 0)
     budget = (1 << bits) // 10 ** (digits + 5) // _INNER_SAFETY
     inner = _InnerSums((Fraction(0), Fraction(0)), digits, bits)

@@ -142,8 +142,48 @@ def test_verify_rejects_wrong_closed_form(tmp_path, capsys):
     assert "p=2" in out and "closed form" in out
 
 
+def test_verify_rejects_wrong_extended_validity(tmp_path, capsys):
+    path = tmp_path / "identities.json"
+    main(["derive", "--p", "1..12", "--out", str(path)])
+    records = json.loads(path.read_text())
+    records[1]["extended_validity_re_gt"] = "-5/1"  # p=2, which has no extension
+    path.write_text(json.dumps(records))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL  coefficients: p=2: extended validity")
+
+
 def test_verify_missing_file():
     assert main(["verify", "--in", "/nonexistent/identities.json"]) == 3
+
+
+def test_any_check_reads_a_missing_file():
+    assert main(["verify", "--in", "/nonexistent/identities.json", "--only", "pairing"]) == 3
+
+
+def test_every_check_reads_the_file(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "identities.json"
+    main(["derive", "--p", "1..12", "--out", str(path)])
+    monkeypatch.setattr(cli, "derive_identity", None)  # any call would raise
+    assert main(["verify", "--in", str(path), "--only", "pairing", "--only", "zeta0"]) == 0
+    records = json.loads(path.read_text())
+    records[3]["terms"][5]["r"] = "7/6"  # p=4, k=10: no longer the twin of p=3
+    path.write_text(json.dumps(records))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path), "--only", "pairing"]) == 1
+    assert capsys.readouterr().out == "FAIL  pairing: depths 3 and 4 differ\n"
+
+
+def test_file_must_hold_the_depths_a_check_reads(tmp_path, capsys):
+    path = tmp_path / "identities.json"
+    main(["derive", "--p", "1..3", "--out", str(path)])
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path), "--only", "zetaprime0"]) == 0
+    assert main(["verify", "--in", str(path), "--only", "pairing"]) == 2
+    captured = capsys.readouterr()
+    assert "PASS  zetaprime0" in captured.out and "pairing" not in captured.out
+    assert "no depth-4 identity" in captured.err
 
 
 def test_verify_unparseable_file(tmp_path):
@@ -315,7 +355,7 @@ def test_failing_check_fails_both_views(name, monkeypatch, capsys):
     assert capsys.readouterr().out == "stubbed value\nFAIL\n"
 
 
-@pytest.mark.parametrize("name", ["zeta0", "zeta2"])
+@pytest.mark.parametrize("name", ["zeta0", "zeta2", "zetaprime0"])
 def test_exact_values_must_lie_within_their_estimate(name, monkeypatch, capsys):
     # moves every value by 10^-(digits-2): outside its error estimate (at
     # most 10^-digits) but inside the tolerance 10^-(digits-5)
@@ -326,10 +366,11 @@ def test_exact_values_must_lie_within_their_estimate(name, monkeypatch, capsys):
         assert report.error_estimate < shift / 100
         return dataclasses.replace(report, value=report.value + shift)
 
-    # both evaluator entry points, whichever a check calls
-    batch, single = cli.eval_identities, cli.eval_identity
+    # every evaluator entry point, whichever a check calls
+    batch, single, derivative = cli.eval_identities, cli.eval_identity, cli.zeta_prime_at_zero
     monkeypatch.setattr(cli, "eval_identities", lambda *a: list(map(moved, batch(*a))))
     monkeypatch.setattr(cli, "eval_identity", lambda *a: moved(single(*a)))
+    monkeypatch.setattr(cli, "zeta_prime_at_zero", lambda *a: moved(derivative(*a)))
     assert main(["verify", "--only", name, "--digits", str(digits)]) == 1
     assert main(["special", "--check", name, "--digits", str(digits)]) == 1
 

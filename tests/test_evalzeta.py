@@ -1,10 +1,12 @@
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import ctx_mp_python, mp
 
 from zetaident import derive_identity, evalzeta
 from zetaident.evalzeta import (
@@ -516,8 +518,8 @@ def test_supports_half_plane(specs64):
 def test_zeta_prime_at_zero_two_depths(specs64):
     with mp.workdps(60):
         target = -mp.log(2 * mp.pi) / 2
-        v2 = zeta_prime_at_zero(specs64[2], 40)
-        v3 = zeta_prime_at_zero(specs64[3], 40)
+        v2 = zeta_prime_at_zero(specs64[2], 40).value
+        v3 = zeta_prime_at_zero(specs64[3], 40).value
         assert abs(v2 - target) < mp.mpf(10) ** -38
         assert abs(v3 - target) < mp.mpf(10) ** -38
         assert abs(v2 - v3) < mp.mpf(10) ** -38
@@ -526,6 +528,64 @@ def test_zeta_prime_at_zero_two_depths(specs64):
 def test_zeta_prime_needs_validity_at_zero(specs64):
     with pytest.raises(ValueError):
         zeta_prime_at_zero(specs64[1], 40)
+
+
+@pytest.mark.parametrize("digits", [15, 40, 100])
+@pytest.mark.parametrize("p", [2, 3, 5, 12])
+def test_zeta_prime_at_zero_meets_the_contract(specs64, p, digits):
+    report = zeta_prime_at_zero(specs64[p], digits)
+    assert report.p_used == p
+    assert report.terms_used >= specs64[p].k0 + 8
+    with mp.workdps(digits + 20):
+        err = abs(report.value + mp.log(2 * mp.pi) / 2)
+    assert err <= report.error_estimate <= 10.0**-digits
+
+
+# ---- no shared precision ----
+
+
+def _raw(x):
+    return x._mpc_ if hasattr(x, "_mpc_") else x._mpf_
+
+
+def test_evaluator_never_sets_mpmath_precision(specs64, monkeypatch):
+    calls = [
+        lambda: [_raw(r.value) for r in eval_identities([specs64[3], specs64[5]], F(-9, 4), 40)],
+        lambda: _raw(eval_identity(specs64[2], (F(1, 2), F(14134725, 10**6)), 30).value),
+        lambda: _raw(zeta_prime_at_zero(specs64[2], 40).value),
+        lambda: _raw(zeta_m1(F(5, 2), 40)),
+        lambda: _raw(zeta_m1((F(3, 2), F(7)), 40)),
+        lambda: _raw(sum_zeta_m1(25)),
+    ]
+    expected = [call() for call in calls]
+
+    def refuse(ctx, value):
+        raise AssertionError("the evaluator set mpmath's shared precision")
+
+    context = ctx_mp_python.PythonMPContext
+    monkeypatch.setattr(context, "prec", property(lambda ctx: ctx._prec, refuse))
+    monkeypatch.setattr(context, "dps", property(lambda ctx: ctx._dps, refuse))
+    assert [call() for call in calls] == expected
+
+
+def test_threads_get_the_serial_bits(specs64):
+    spec = specs64[5]
+    points = [F(-13, 4), F(-3, 2), F(-1, 4), F(5, 2), (F(1, 2), F(3)), (F(-2), F(5, 2))]
+    tasks = [(s, digits) for s in points for digits in (15, 120)]
+
+    def run(task):
+        report = eval_identity(spec, *task)
+        return _raw(report.value), report.error_estimate, report.terms_used
+
+    serial = [run(task) for task in tasks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(run, tasks * 8, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial * 8
 
 
 def test_sum_zeta_m1_totals_one():
