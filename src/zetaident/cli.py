@@ -44,8 +44,9 @@ from .evalzeta import (
 from .reference import MAX_REFERENCE_DEPTH, reference_identity
 
 # Cross-check grid: real axis spans the deepest reachable strip; complex
-# points keep Re large enough that the oracle's fixed Euler-Maclaurin
-# schedule stays below the comparison tolerance (see zeta_em_reference).
+# points keep |Im s| small enough that the oracle's Euler-Maclaurin terms,
+# with N = 10 + digits, fall below 10^-(digits+10) before they start to
+# grow (see zeta_em_reference).
 ORACLE_GRID: tuple[complex, ...] = (
     -10.5 + 0j,
     -9.75 + 0j,

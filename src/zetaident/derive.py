@@ -95,14 +95,18 @@ class IdentitySpec:
 
     def series_coefficient(self, k: int) -> Optional[Fraction]:
         """r_k: zero below k0, stored value through k_max, closed-form value
-        beyond that (exact, by integer Horner over a common denominator),
-        or None when no closed form is available."""
+        beyond that, or None when no closed form is available."""
         if k < self.k0:
             return Fraction(0)
         if k <= self.k_max:
             return self.terms[k - self.k0][1]
         if self.closed_form is None:
             return None
+        return self.closed_form_at(k)
+
+    def closed_form_at(self, k: int) -> Fraction:
+        """The closed form at any integer k, below k0 too, exactly, by
+        integer Horner over a common denominator."""
         numerators, den = self._closed_form_integers
         acc = 0
         for c in numerators:
@@ -122,6 +126,16 @@ class IdentitySpec:
             for j in range(1, len(b) - i):
                 b[j] += k * b[j - 1]
         return b[::-1], den
+
+    @cached_property
+    def falling_coefficients(self) -> Optional[tuple[Fraction, ...]]:
+        """closed_form in the falling-factorial basis series_poly builds it
+        in: beta_0, beta_1, ... with r_k = sum_i beta_i (k+1) k ... (k+2-i)
+        (i factors) at every k, those below k0 included. None when there is
+        no closed form."""
+        if self.closed_form is None:
+            return None
+        return falling_factorial_coefficients(self.closed_form)
 
 
 # ---- construction of the three exact pieces ----
@@ -222,6 +236,22 @@ def series_poly(p: int) -> Polynomial:
         out = out + falling * (g.coefficient(j) * factorial(j))
         falling = falling * Polynomial((j - p + 1, 1))
     return out / factorial(p - 1)
+
+
+def falling_factorial_coefficients(poly: Polynomial) -> tuple[Fraction, ...]:
+    """beta_0..beta_d, d the degree, with
+    poly(k) = sum_i beta_i (k+1) k ... (k+2-i), i factors in term i.
+
+    In u = k + 1 the basis is the falling factorial u(u-1)...(u-i+1), so
+    beta_i is the i-th forward difference of poly at k = -1 over i!
+    (Newton's forward-difference formula), exactly.
+    """
+    values = [poly(k) for k in range(-1, poly.degree)]
+    out = []
+    for i in range(poly.degree + 1):
+        out.append(values[0] / factorial(i))
+        values = [b - a for a, b in zip(values, values[1:])]
+    return tuple(out)
 
 
 def derive_identity(p: int, k_max: int = 64) -> IdentitySpec:

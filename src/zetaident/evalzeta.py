@@ -1,5 +1,21 @@
 """Arbitrary-precision evaluation of the derived identities.
 
+Each identity zeta(s) = pole/(s-1) + Q(s) + sum_{k>=k0} r_k (s)_k/(k+1)!
+(zeta(s+k) - 1) is evaluated in its shifted split: the part n <= m of each
+inner sum zeta(s+k) - 1 = sum_{n>=2} n^-(s+k) moves into the head, exactly,
+
+    zeta(s) = [pole/(s-1) + Q(s)] + sum_{n=1..m} n^-s W_n(s)
+              + sum_{k>=k0} r_k (s)_k/(k+1)! zeta(s+k, m+1),
+
+so the outer series shrinks like (m+1)^-k instead of 2^-k. The weights
+W_n(s) are exact complex rationals (`_shifted_head`): with r_k written in
+the falling-factorial basis of its closed form, the sum over k of each
+n^-(s+k) is a binomial series in 1/n. r_k, k0 and the validity half-plane
+do not depend on m. m + 1 = _FIRST_N = 16, a power of two, at every digits
+and s: of 4, 8 and 16 it was the fastest everywhere it was measured. A
+batch holding a spec without a closed form has no weights and takes
+m = 1, the paper's split.
+
 The identity evaluator works in fixed point on Python integers. One call
 chooses a scale 2^P; a real number x is held as an integer within a few
 units of x * 2^P (a unit 2^-P is an "ulp" below) and a complex number as a
@@ -9,15 +25,18 @@ each operation is tallied in ulps as an integer, rounded up, so no float
 enters any bound. mpmath's libmp kernels are used once per call for the
 irrational inputs: p^-s for each prime p of the inner-sum table (a
 composite n takes n^-s as the product q^-s (n/q)^-s of two earlier powers,
-q its least prime factor) and 2^(-Re s). Each takes its precision as an
-argument: no call sets mpmath's shared precision, so concurrent calls
-cannot disturb each other. Everything rational (s itself, (s)_k0 / (k0+1)!,
-the head pole/(s-1) + Q(s), r_k and the Euler-Maclaurin coefficients
-B_2j/(2j)!) is converted from exact values with one floor. Values are
-returned as mpmath numbers, built exactly.
+q its least prime factor) and (m+1)^(-Re s) in the tail bound. Each takes
+its precision as an argument: no call sets mpmath's shared precision, so
+concurrent calls cannot disturb each other. Everything rational (s itself, (s)_k0 / (k0+1)!,
+the head pole/(s-1) + Q(s) + W_1, the weights W_n, r_k and the
+Euler-Maclaurin coefficients B_2j/(2j)!) is exact; each is floored once
+where it meets a fixed-point number. Values are returned as mpmath
+numbers, built exactly.
 
 P is the bit length of 10^(digits+5), plus log2 of the largest outer
-coefficient |r_k (s)_k / (k+1)!| the call will meet, plus _GUARD_BITS. The
+coefficient |r_k (s)_k / (k+1)!| the call will meet or of the largest head
+weight |W_n|, plus _GUARD_BITS: the error of each product is the error of
+its fixed-point factor, a few ulps, times the size of its exact one. The
 peak comes from a float pre-scan that mirrors the outer stopping rule, so
 the large coefficients of points with large |Im s| (which grow like
 |Im s|^k / k! before they decay) get the bits their cancellation costs. The
@@ -30,26 +49,29 @@ Euler-Maclaurin summation in mpmath floats and shares nothing with
 meaningful.
 
 `eval_identities` evaluates several depths at one point in one pass over
-k: every depth's identity has the same inner sums zeta(s + k) - 1 and the
-same factor (s)_k/(k+1)!, and only r_k differs. `eval_identity` is the
-batch of one. `zeta_prime_at_zero` runs the same loop at s = 0 with the
-factor 1/(k(k+1)) and the head Q'(0) - pole (the identity differentiated
-term by term), so zeta'(0) gets an error bound too.
+k: every depth's identity has the same inner sums zeta(s + k, m + 1) and
+the same factor (s)_k/(k+1)!, and only r_k and the weights differ.
+`eval_identity` is the batch of one. `zeta_prime_at_zero` runs the same
+loop at s = 0 with the factor 1/(k(k+1)), the head Q'(0) - pole (the
+identity differentiated term by term) and m = 1, since that head has no
+shifted form; so zeta'(0) gets an error bound too.
 
-Each call computes its inner sums zeta(s + k) - 1 from one table of
-n^-(s+k), n = 2..N with N = 10 + digits: every power is computed once and
-stepped from k to k + 1 by a floor division by n. Each k gets the budget
+Each call computes n^-s for n = 2..m once, for the head, and its inner
+sums zeta(s + k, m + 1) from one table of n^-(s+k), n = m+1..N with
+N = 10 + digits: every power is computed once and stepped from k to k + 1
+by a floor division by n. Each k gets the budget
 10^-(digits+5) / (16 |coefficient_k|), the smallest such budget over the
 depths of a batch, and the cheaper route that meets it:
 a direct sum alone when some cutoff M <= N has a small enough tail bound,
 else the direct sum to N plus as many Euler-Maclaurin terms as the
-remainder bound asks for. The oracle keeps its own fixed schedule, N direct
-terms and ceil(digits/4) + 5 correction terms. Truncation of each depth's
-outer series stops at the first k >= k0 + 8 whose bound
-|r_k| * |(s)_k| / (k+1)! * 2^(1 - Re s - k) * 4 drops below 10^-(digits+5)
-and where the later terms are proven to fall fast enough for that bound to
-hold (_tail_bounded). That proof fails while |s + k| / (k + 2) is large, so
-at large |s| the series runs on past the terms that grow before they fall.
+remainder bound asks for. The oracle sums N direct terms and adds
+correction terms while they exceed 10^-(digits + _GUARD). Truncation of
+each depth's outer series stops at the first k >= k0 + 8 whose bound
+|r_k| * |(s)_k| / (k+1)! * 4 * (m+1)^(1 - Re s - k) drops below
+10^-(digits+5) and where the later terms are proven to fall fast enough for
+that bound to hold (_tail_bounded). That proof fails while
+|s + k| / (k + 2) >= m + 1, so at large |s| the series runs on past the
+terms that grow before they fall.
 """
 
 from __future__ import annotations
@@ -78,6 +100,11 @@ _MIN_TERMS = 8
 # An outer tail is within its bound once sum_i |b_i| S_i(q) <= _TAIL_RATIO
 # |r_k|: see _tail_bounded.
 _TAIL_RATIO = 6
+# m + 1 of the shifted split: the inner sums start at n = _FIRST_N, a power
+# of two and below N = 10 + digits at every digits >= 15. Of 4, 8 and 16, 16 was the fastest at every digits (15..300) and
+# every kind of s measured: strips from Re s = -30.5 to 300, |Im s| up to
+# 1000, and s within 10^-19 of the pole.
+_FIRST_N = 16
 # Every n^-(z+k) table entry is within this many ulps (in modulus) of its
 # value, at any shift: see _InnerSums.
 _ENTRY_ULPS = 3
@@ -103,13 +130,15 @@ class EvalReport:
     zeta_prime_at_zero), rounded up to a float. It is
     the sum of, in ulps of the call's scale 2^-P: the outer truncation
     bound; the inner truncation bounds, each times its |coefficient|; and
-    the rounding tally, which covers the head, every floor of the (s)_k
+    the rounding tally, which covers the head, _ENTRY_ULPS times |W_n| for
+    each power n^-s of the shifted head, every floor of the (s)_k
     recurrence and of each coefficient as it propagates into its term, the
     rounding of each inner sum times its |coefficient|, and the floor of
-    each term product.
-    inner_sum_cutoffs records the inner schedule the call used:
-    direct_terms, the largest n in its n^-(s+k) table (at most
-    N = 10 + digits; 0 if no inner sum was needed); correction_order, the
+    each product.
+    inner_sum_cutoffs records the inner schedule the call used: first_n,
+    the first n of every inner sum (m + 1 of the shifted split; 2 for the
+    paper's split); direct_terms, the largest n in its n^-(s+k) table (at
+    most N = 10 + digits; 0 if no inner sum was needed); correction_order, the
     largest Euler-Maclaurin order any k needed; last_em_k, the last k that
     needed Euler-Maclaurin terms (None if direct sums sufficed). The
     reports of one eval_identities batch share one schedule, so they all
@@ -130,12 +159,6 @@ def _check_digits(digits: int) -> None:
 
 def _direct_terms(digits: int) -> int:
     return 10 + digits
-
-
-def _em_order(digits: int) -> int:
-    """Fixed Euler-Maclaurin order of the oracle `zeta_em_reference`; the
-    identity evaluator sizes its order per inner sum instead."""
-    return (digits + 3) // 4 + 5
 
 
 def _fraction_to_mp(q: Fraction):
@@ -296,33 +319,35 @@ def _integer_point(re: Fraction, im: Fraction) -> tuple[int, int, int]:
 
 
 class _InnerSums:
-    """zeta(z + k) - 1 in fixed point at scale 2^-bits, for one exact z and
-    shifts k taken in nondecreasing order, each with a truncation bound and
-    a rounding bound in ulps.
+    """zeta(z + k, first_n) in fixed point at scale 2^-bits, for one exact z
+    and shifts k taken in nondecreasing order, each with a truncation bound
+    and a rounding bound in ulps. first_n = 2 gives zeta(z + k) - 1.
 
     z = (zr + i zi) / den with integers zr, zi, den, so every z + k, and
     every factor the Euler-Maclaurin terms need, is exact.
 
-    The powers n^-(z+k), n = 2..N with N = _direct_terms(digits), live in
-    one table for the whole call. An entry is computed when first needed
-    as floor(X / n^k) with X = floor(n^-z * 2^bits), and stepped to each
-    later shift by a floor division by n; nested floor divisions by
+    The powers n^-(z+k), n = first_n..N with N = _direct_terms(digits),
+    live in one table for the whole call. An entry is computed when first
+    needed as floor(X / n^k) with X = floor(n^-z * 2^bits), and stepped to
+    each later shift by a floor division by n; nested floor divisions by
     integers are one, so an entry at shift k is always floor(X / n^k).
-    mpmath computes p^-z for each prime p at `prec` bits, with an error
-    (rounding z included) assumed under 4 + |z| log p units of that
+    `head` gives the entries n = 2..first_n-1 at shift 0, which are not
+    stepped. mpmath computes p^-z for each prime p at `prec` bits, with an
+    error (rounding z included) assumed under 4 + |z| log p units of that
     precision, and n^-z = a^-z * b^-z for composite n = a b, each product
     adding at most 2 units. So n^-z is within (6 + |z|) log2 N units, which
-    prec makes under 2^-16 ulps once divided by n^k. (A product costs about
-    a fifth of an mp.power; on the `points` benchmark the products cut the
-    median time per evaluation by about 15 %.) Each component of an
-    entry is thus within 2 + 2^-16 ulps, and the entry within
-    _ENTRY_ULPS = 3 in modulus.
+    prec makes under 2^-16 ulps once divided by n^k: every table shift has
+    Re(z + k) > 0, and prec has -Re z log2 n more bits for the head entries.
+    (A product costs about a fifth of an mp.power; on the `points`
+    benchmark the products cut the median time per evaluation by about
+    15 %.) Each component of an entry is thus within 2 + 2^-16 ulps, and
+    the entry within _ENTRY_ULPS = 3 in modulus.
 
     Each shift is summed by the cheaper of two routes that meets its
     budget:
 
-    - direct only: sum_{2 <= n < M} n^-w for the first M <= N whose tail
-      bound M^-sigma + M^(1-sigma)/(sigma-1) is under budget;
+    - direct only: sum_{first_n <= n < M} n^-w for the first M <= N whose
+      tail bound M^-sigma + M^(1-sigma)/(sigma-1) is under budget;
     - the direct sum to N plus N^(1-w)/(w-1) + N^-w/2 plus Euler-Maclaurin
       terms B_2j/(2j)! (w)_(2j-1) N^-(w+2j-1), added until the remainder
       bound (first omitted term * |w+2m+1|/(sigma+2m+1)) is under budget.
@@ -333,45 +358,81 @@ class _InnerSums:
     is the one reached, not the budget.
     """
 
-    def __init__(self, z: tuple[Fraction, Fraction], digits: int, bits: int):
+    def __init__(self, z: tuple[Fraction, Fraction], digits: int, bits: int, first_n: int = 2):
         re, im = z
         self.zr, self.zi, self.den = _integer_point(re, im)
         self.bits = bits
+        self.first = first_n
         self.n_max = _direct_terms(digits)
         # (6 + |z|) log2 N bounds the relative error of any n^-z in units
-        # of 2^-prec: see the class docstring
+        # of 2^-prec: see the class docstring; the head entries n < first_n
+        # are as large as n^-Re z, and (first_n - 2).bit_length() >= log2 n
         spread = (abs(self.zr) + abs(self.zi)) // self.den + 1
-        self.prec = bits + 16 + ((6 + spread) * self.n_max.bit_length()).bit_length()
+        head_bits = max(0, ceil(-re)) * (first_n - 2).bit_length()
+        self.prec = bits + 16 + ((6 + spread) * self.n_max.bit_length()).bit_length() + head_bits
         # -z at prec: a raw mpf tuple, or for complex z an mpc pair of them
         self.complex = bool(im)
         minus_z = tuple(mpf_neg(_mpf_fraction(x, self.prec)) for x in z)
         self.minus_z = minus_z if im else minus_z[0]
         # index n: n^-z from mpmath, a raw tuple like minus_z
         self.powers = [None, None]
-        # index n: n^-(z + shift[n]) as an (re, im) pair of ulps
-        self.re = [0, 0]
-        self.im = [0, 0]
-        self.shift = [0, 0]
+        # index n >= first_n: n^-(z + shift[n]) as an (re, im) pair of ulps
+        self.re = [0] * first_n
+        self.im = [0] * first_n
+        self.shift = [0] * first_n
         # B_2j/(2j)! at index j as (numerator, denominator)
         self.em_coefs = [None]
         self.max_order = 0
         self.last_em_k = None
 
     def cutoffs(self) -> dict:
-        """The schedule used: the largest n tabulated (0 when no inner sum
-        was needed), the largest Euler-Maclaurin order, and the last k that
-        needed one (None when direct sums sufficed throughout)."""
+        """The schedule used: the first and the largest n tabulated (0 when
+        no inner sum was needed), the largest Euler-Maclaurin order, and the
+        last k that needed one (None when direct sums sufficed
+        throughout)."""
         top = len(self.re) - 1
         return {
-            "direct_terms": top if top >= 2 else 0,
+            "first_n": self.first,
+            "direct_terms": top if top >= self.first else 0,
             "correction_order": self.max_order,
             "last_em_k": self.last_em_k,
         }
 
+    def _power(self, n: int) -> tuple:
+        """n^-z at prec, computing the powers below n first."""
+        powers = self.powers
+        while len(powers) <= n:
+            i = len(powers)
+            p = 2  # the least prime factor of i, if i is composite
+            while p * p <= i and i % p:
+                p += 1
+            # the libmp kernels of mp.power and of the product, at prec
+            if p * p > i and self.complex:
+                x = mpc_pow((from_int(i), fzero), self.minus_z, self.prec, round_nearest)
+            elif p * p > i:
+                x = mpf_pow(from_int(i), self.minus_z, self.prec, round_nearest)
+            else:
+                mul = mpc_mul if self.complex else mpf_mul
+                x = mul(powers[p], powers[i // p], self.prec, round_nearest)
+            powers.append(x)
+        return powers[n]
+
+    def _entry(self, n: int, k: int) -> tuple[int, int]:
+        """floor(X / n^k) of each component, X = floor(n^-z * 2^bits)."""
+        x = self._power(n)
+        xr, xi = x if self.complex else (x, fzero)
+        scale = n**k
+        return _mp_fixed(xr, self.bits) // scale, _mp_fixed(xi, self.bits) // scale
+
+    def head(self) -> list[tuple[int, int]]:
+        """n^-z for n = 2..first_n-1 as (re, im) pairs of ulps, each within
+        _ENTRY_ULPS in modulus."""
+        return [self._entry(n, 0) for n in range(2, self.first)]
+
     def _table(self, k: int, top: int) -> tuple[list, list]:
         """The table through n = top, every entry at shift k."""
         re, im, shift = self.re, self.im, self.shift
-        for n in range(2, min(top + 1, len(re))):
+        for n in range(self.first, min(top + 1, len(re))):
             steps = k - shift[n]
             if steps:
                 q = n if steps == 1 else n**steps
@@ -379,34 +440,20 @@ class _InnerSums:
                 im[n] //= q
                 shift[n] = k
         while len(re) <= top:
-            n = len(re)
-            p = 2  # the least prime factor of n, if n is composite
-            while p * p <= n and n % p:
-                p += 1
-            # the libmp kernels of mp.power and of the product, at prec
-            if p * p > n and self.complex:
-                x = mpc_pow((from_int(n), fzero), self.minus_z, self.prec, round_nearest)
-            elif p * p > n:
-                x = mpf_pow(from_int(n), self.minus_z, self.prec, round_nearest)
-            else:
-                mul = mpc_mul if self.complex else mpf_mul
-                x = mul(self.powers[p], self.powers[n // p], self.prec, round_nearest)
-            self.powers.append(x)
-            xr, xi = x if self.complex else (x, fzero)
-            scale = n**k
-            re.append(_mp_fixed(xr, self.bits) // scale)
-            im.append(_mp_fixed(xi, self.bits) // scale)
+            xr, xi = self._entry(len(re), k)
+            re.append(xr)
+            im.append(xi)
             shift.append(k)
         return re, im
 
     def _direct_cutoff(self, sigma: float, log2_budget: int):
-        """First M in 2..N with M^-sigma + M^(1-sigma)/(sigma-1) under
+        """First M in first_n..N with M^-sigma + M^(1-sigma)/(sigma-1) under
         2^log2_budget, or None. The bound falls as M grows."""
 
         def log2_tail(m: int) -> float:
             return -sigma * log2(m) + log2(1 + m / (sigma - 1))
 
-        lo, hi = 2, self.n_max
+        lo, hi = self.first, self.n_max
         if log2_tail(hi) > log2_budget:
             return None
         while lo < hi:
@@ -426,8 +473,8 @@ class _InnerSums:
         return coefs[j]
 
     def __call__(self, k: int, budget: int):
-        """((re, im) of zeta(z+k) - 1, truncation bound, rounding bound),
-        all in ulps, aiming for a truncation bound <= budget."""
+        """((re, im) of zeta(z+k, first_n), truncation bound, rounding
+        bound), all in ulps, aiming for a truncation bound <= budget."""
         den = self.den
         wr, wi = self.zr + k * den, self.zi  # w = z + k = (wr + i wi) / den
         # sigma = Re w = wr / den; bit_length - bits - 2 is the log2 of a
@@ -435,8 +482,9 @@ class _InnerSums:
         cutoff = self._direct_cutoff(wr / den, budget.bit_length() - self.bits - 2)
         top = self.n_max if cutoff is None else cutoff
         re, im = self._table(k, top)
-        vr, vi = sum(re[2:top]), sum(im[2:top])
-        rounding = (top - 2) * _ENTRY_ULPS
+        first = self.first
+        vr, vi = sum(re[first:top]), sum(im[first:top])
+        rounding = (top - first) * _ENTRY_ULPS
         if cutoff is not None:
             # top^-sigma (1 + top/(sigma - 1))
             last = _modulus_up(re[top], im[top]) + _ENTRY_ULPS
@@ -510,13 +558,16 @@ def zeta_m1(sigma, digits: int = 40):
 def zeta_em_reference(s, digits: int = 40):
     """Independent zeta oracle: direct Euler-Maclaurin continuation.
 
-    Shares only the Bernoulli table with the identity evaluator. For
-    Re s < 1 the direct sum grows like N^(1-Re s) while zeta(s) = O(1), so
-    the lost leading digits are compensated with extra working precision.
+    Shares only the Bernoulli table with the identity evaluator. The
+    direct sum runs to N = 10 + digits; correction terms are added until
+    the next one falls below 10^-(digits + _GUARD), or stops falling (the
+    series is asymptotic), so the order grows with |s| as well as with
+    digits. For Re s < 1 the direct sum grows like N^(1-Re s) while
+    zeta(s) = O(1), so the lost leading digits are compensated with extra
+    working precision.
     """
     _check_digits(digits)
     n_direct = _direct_terms(digits)
-    order = _em_order(digits)
     with mp.workdps(digits + _GUARD):
         probe = _to_mp(s)
         if probe == 1:
@@ -533,16 +584,24 @@ def zeta_em_reference(s, digits: int = 40):
         nf = mp.mpf(n_direct)
         total += mp.power(nf, 1 - z) / (z - 1)
         total += mp.power(nf, -z) / 2
+        small = mp.mpf(10) ** -(digits + _GUARD)
         poch = z
         npow = mp.power(nf, -z - 1)
         inv_n2 = 1 / (nf * nf)
         fact = 2
-        for j in range(1, order + 1):
-            b = bernoulli(2 * j)
-            total += _fraction_to_mp(b) / fact * poch * npow
+        previous = mp.inf
+        j = 1
+        while True:
+            term = _fraction_to_mp(bernoulli(2 * j)) / fact * poch * npow
+            size = abs(term)
+            if size < small or size >= previous:
+                break
+            total += term
+            previous = size
             poch = poch * (z + 2 * j - 1) * (z + 2 * j)
             npow = npow * inv_n2
             fact = fact * (2 * j + 1) * (2 * j + 2)
+            j += 1
     return total
 
 
@@ -583,6 +642,89 @@ def _head(spec: IdentitySpec, re: Fraction, im: Fraction) -> tuple[Fraction, Fra
     return hr + ar * scale, hi - im * scale
 
 
+def _horner(coefficients: list[int], rising: list[tuple[int, int]], step: int) -> tuple[int, int]:
+    """sum_j coefficients[j] * rising[j] * step^(J - j), J = len(coefficients)
+    - 1, as an (re, im) pair of integers."""
+    ar = ai = 0
+    for c, (cr, ci) in zip(coefficients, rising):
+        ar, ai = ar * step + c * cr, ai * step + c * ci
+    return ar, ai
+
+
+def _rising(point: tuple[int, int, int], count: int) -> list[tuple[int, int]]:
+    """(s)_j den^j for j < count as (re, im) pairs of integers, for
+    s = (zr + i zi) / den given as point = (zr, zi, den)."""
+    zr, zi, den = point
+    out = [(1, 0)]
+    for j in range(count - 1):
+        cr, ci = out[-1]
+        fr = zr + j * den
+        out.append((cr * fr - ci * zi, cr * zi + ci * fr))
+    return out
+
+
+def _shifted_head(spec: IdentitySpec, point: tuple[int, int, int], m: int):
+    """The weights W_n, n = 1..m, of the head split off the inner sums:
+
+        sum_{n=2..m} sum_{k>=k0} r_k (s)_k/(k+1)! n^(-s-k) = sum_{n=1..m} n^-s W_n
+
+    for s = (zr + i zi) / den given as point = (zr, zi, den) and m >= 2.
+    Returns W_1 as an exact (re, im) pair of Fractions and W_2..W_m as
+    (re, im, den) triples of integers.
+
+    With r_k = sum_i beta_i (k+1) k ... (k+2-i) (spec.falling_coefficients)
+    and R the closed form at every k, the binomial series gives, for
+    x = 1/n, sum_{k>=0} (k+1) k ... (k+2-i) (s)_k/(k+1)! x^k =
+    (s)_(i-1) x^(i-1) (1 - x)^(1-i-s) for i >= 1 and
+    (1 - (1 - x)^(1-s)) / ((1 - s) x) for i = 0. Summed over n (the i = 0
+    part telescopes), less the terms k < k0, where r_k = 0 but R(k) need
+    not be, the left side is
+
+        beta_0 (m^(1-s) - 1)/(1-s) + sum_{i>=1} beta_i (s)_(i-1) sum_{n=1..m-1} n^(1-i-s)
+        - sum_{k<k0} R(k) (s)_k/(k+1)! sum_{n=2..m} n^(-s-k).
+
+    So W_1 = sum_{i>=1} beta_i (s)_(i-1) - beta_0/(1-s),
+    W_n = sum_j g_j (s)_j n^-j for 1 < n < m with
+    g_j = beta_(j+1) - [j < k0] h_j and h_j = R(j)/(j+1)!, and
+    W_m = beta_0 m/(1-s) - sum_{j<k0} h_j (s)_j m^-j: exact rationals.
+    """
+    zr, zi, den = point
+    beta = spec.falling_coefficients
+    k0 = spec.k0
+    size = max(len(beta) - 1, k0)
+    rising = _rising(point, size)
+    h = [spec.closed_form_at(j) / factorial(j + 1) for j in range(k0)]
+    g = [
+        (beta[j + 1] if j + 1 < len(beta) else 0) - (h[j] if j < k0 else 0)
+        for j in range(size)
+    ]
+    # everything over one denominator L
+    L = lcm(beta[0].denominator, *(Fraction(x).denominator for x in g + h))
+    G = [x.numerator * (L // x.denominator) for x in g]
+    H = [x.numerator * (L // x.denominator) for x in h]
+    b0 = beta[0].numerator * (L // beta[0].denominator)
+    # beta_0 / (1 - s) = b0 den (den - zr + i zi) / (L q)
+    q = (den - zr) ** 2 + zi * zi
+    pole_r, pole_i = b0 * den * (den - zr), b0 * den * zi
+    # W_1: the coefficients of sum_{i>=1} beta_i (s)_(i-1) are G + H
+    ar, ai = _horner([x + (H[j] if j < k0 else 0) for j, x in enumerate(G)], rising, den)
+    scale = L * den ** (size - 1)
+    first = (
+        Fraction(ar, scale) - Fraction(pole_r, L * q),
+        Fraction(ai, scale) - Fraction(pole_i, L * q),
+    )
+    weights = []
+    for n in range(2, m):
+        step = den * n
+        ar, ai = _horner(G, rising, step)
+        weights.append((ar, ai, L * step ** (size - 1)))
+    step = den * m
+    kr, ki = _horner(H, rising, step)
+    scale = step ** (k0 - 1)
+    weights.append((pole_r * m * scale - kr * q, pole_i * m * scale - ki * q, L * q * scale))
+    return first, weights
+
+
 class _Depth:
     """One identity's share of a batch: its coefficients r_k (memoized, so
     the peak scan and the outer loop share them), its running outer sum (an
@@ -607,23 +749,25 @@ class _Depth:
         return self.coefficients[k]
 
 
-def _tail_bounded(spec: IdentitySpec, point: tuple[int, int, int], k: int) -> bool:
+def _tail_bounded(spec: IdentitySpec, point: tuple[int, int, int], k: int, base_bits: int) -> bool:
     """Whether the outer tail past k >= k0 + _MIN_TERMS,
-    sum_{j>k} |r_j (s)_j / (j+1)!| (zeta(Re s + j) - 1), is at most the tail
-    bound |r_k (s)_k / (k+1)!| * 4 * 2^(1 - Re s - k), for
-    s = (zr + i zi) / den given as point = (zr, zi, den).
+    sum_{j>k} |r_j (s)_j / (j+1)!| zeta(Re s + j, b), is at most the tail
+    bound |r_k (s)_k / (k+1)!| * 4 * b^(1 - Re s - k), for b = 2^base_bits
+    (the inner sums start at n = b) and s = (zr + i zi) / den given as
+    point = (zr, zi, den).
 
-    The bound assumes the terms fall by half per k; this proves that they
-    fall fast enough. For j >= k, |s + j| / (j + 2) is at most
+    The bound assumes the terms fall by a factor b per k; this proves that
+    they fall fast enough. For j >= k, |s + j| / (j + 2) is at most
     rho = max(1, |s + k| / (k + 2)), because its square is convex in
     1/(j + 2) and so peaks at an end of the range; and
-    zeta(x + 1) - 1 <= (zeta(x) - 1) / 2. With r_(k+m) = sum_i b_i m^i,
-    the tail is thus at most |(s)_k / (k+1)!| (zeta(x) - 1) times
-    sum_i |b_i| S_i(q), for x = Re s + k, q = rho / 2 and
-    S_i(q) = sum_{m>=1} m^i q^m. Since x >= 9.5,
-    zeta(x) - 1 <= 2^-x (1 + 2/(x - 1)) < 2^-x * 8/6, so the tail bound
-    holds once sum_i |b_i| S_i(q) <= 6 |b_0|. Without a closed form r_j is
-    unknown past k_max and nothing bounds the tail.
+    zeta(x + 1, b) <= zeta(x, b) / b, every n^-x it sums having n >= b.
+    With r_(k+m) = sum_i b_i m^i, the tail is thus at most
+    |(s)_k / (k+1)!| zeta(x, b) times sum_i |b_i| S_i(q), for x = Re s + k,
+    q = rho / b and S_i(q) = sum_{m>=1} m^i q^m. Since x >= 9.5,
+    zeta(x, b) <= b^-x (1 + b/(x - 1)) <= b^-x (1 + b/8.5), and
+    6 (1 + b/8.5) <= 4 b for b >= 2, so the tail bound holds once
+    sum_i |b_i| S_i(q) <= _TAIL_RATIO |b_0| = 6 |b_0|. Without a closed form
+    r_j is unknown past k_max and nothing bounds the tail.
 
     Everything is exact: q is rounded up to a/c, and
     S_i(q) = T_i / u^(i+1) with u = c - a, T_0 = a and
@@ -635,7 +779,7 @@ def _tail_bounded(spec: IdentitySpec, point: tuple[int, int, int], k: int) -> bo
         return False
     b = taylor[0]
     zr, zi, den = point
-    c = 2 * den * (k + 2)
+    c = (den * (k + 2)) << base_bits
     a = max(den * (k + 2), _modulus_up(zr + k * den, zi))
     u = c - a
     if u <= 0:
@@ -649,7 +793,9 @@ def _tail_bounded(spec: IdentitySpec, point: tuple[int, int, int], k: int) -> bo
     )
 
 
-def _tail_met(d: _Depth, k: int, tail_bound, threshold, point, vanished: bool) -> bool:
+def _tail_met(
+    d: _Depth, k: int, tail_bound, threshold, point, vanished: bool, base_bits: int
+) -> bool:
     """The outer stopping rule: k at least k0 + _MIN_TERMS, the tail bound
     under the threshold (both in ulps, or both as log2), and the tail
     proven to be within its bound, which it is at once when every later
@@ -657,11 +803,11 @@ def _tail_met(d: _Depth, k: int, tail_bound, threshold, point, vanished: bool) -
     return (
         k >= d.spec.k0 + _MIN_TERMS
         and tail_bound < threshold
-        and (vanished or _tail_bounded(d.spec, point, k))
+        and (vanished or _tail_bounded(d.spec, point, k, base_bits))
     )
 
 
-def _peak_log2(depths: list[_Depth], point, factor, k: int, digits: int) -> float:
+def _peak_log2(depths: list[_Depth], point, factor, k: int, digits: int, base_bits: int) -> float:
     """log2 of the largest outer coefficient |r_k a_k| _outer_series will
     meet, from a float scan that stops each depth where the loop does
     (_tail_met) or raises CapacityError; -inf when every coefficient
@@ -670,7 +816,8 @@ def _peak_log2(depths: list[_Depth], point, factor, k: int, digits: int) -> floa
     threshold = -(digits + 5) * log2(10)
     zr, zi, den = point
     re, im = zr / den, zi / den
-    tail_log2 = 3 - re  # the tail bound is |coefficient| * 4 * 2^(1 - Re s - k)
+    # the tail bound is |coefficient| * 4 * b^(1 - Re s - k), b = 2^base_bits
+    tail_log2 = 2 + base_bits * (1 - re)
     fr, fi = factor
     log_a = _log2_fraction(fr * fr + fi * fi) / 2
     peak = -inf
@@ -683,7 +830,8 @@ def _peak_log2(depths: list[_Depth], point, factor, k: int, digits: int) -> floa
                 continue
             size = log_a + _log2_fraction(r)
             peak = max(peak, size)
-            if _tail_met(d, k, size + tail_log2 - k, threshold, point, log_a == -inf):
+            tail = size + tail_log2 - base_bits * k
+            if _tail_met(d, k, tail, threshold, point, log_a == -inf, base_bits):
                 running.remove(d)
         h = hypot(re + k, im)
         log_a += (log2(h) if h else -inf) - log2(k + 2)
@@ -709,13 +857,18 @@ def eval_identities(
     """Evaluate zeta(s) through several identities in one pass over k; one
     report per spec, in order.
 
-    The identities share z, (s)_k / (k+1)!, 2^(1 - Re s - k), the
+    Each identity is evaluated in its shifted split (see the module
+    docstring): the head pole/(s-1) + Q(s) + sum_{n<=m} n^-s W_n and the
+    series over the inner sums zeta(s + k, m + 1), m + 1 = _FIRST_N.
+    A batch with a spec that has no closed form takes m = 1, the paper's
+    split, which needs no weights.
+    The identities share z, (s)_k / (k+1)!, (m+1)^(1 - Re s - k), the
     fixed-point scale (the largest any of them needs) and at each k one
-    inner sum zeta(s + k) - 1, computed at the tightest budget among the
-    depths that need it. Each depth keeps its own total, error tallies and
-    tail bound, and stops on its own. Every spec is checked before any
-    work: the first that cannot be evaluated at s raises what eval_identity
-    raises for it. An empty specs raises ValueError.
+    inner sum, computed at the tightest budget among the depths that need
+    it. Each depth keeps its own total, error tallies and tail bound, and
+    stops on its own. Every spec is checked before any work: the first
+    that cannot be evaluated at s raises what eval_identity raises for it.
+    An empty specs raises ValueError.
     """
     _check_digits(digits)
     if not specs:
@@ -723,18 +876,28 @@ def eval_identities(
     re, im = _exact_point(s)
     for spec in specs:
         _check_point(spec, re, im, digits)
-    # (s)_k / (k+1)! at the least k0, from 1 at k = 0 by _outer_series's step
-    ar, ai = Fraction(1), Fraction(0)
-    for j in range(min(spec.k0 for spec in specs)):
-        ar, ai = (ar * (re + j) - ai * im) / (j + 2), (ar * im + ai * (re + j)) / (j + 2)
-    heads = [_head(spec, re, im) for spec in specs]
-    return _outer_series(specs, (re, im), (ar, ai), heads, digits)
+    first_n = _FIRST_N if all(spec.closed_form is not None for spec in specs) else 2
+    point = _integer_point(re, im)
+    heads = []
+    for spec in specs:
+        hr, hi = _head(spec, re, im)
+        weights = []
+        if first_n > 2:
+            (wr, wi), weights = _shifted_head(spec, point, first_n - 1)
+            hr, hi = hr + wr, hi + wi
+        heads.append(((hr, hi), weights))
+    # (s)_k0 / (k0+1)! at the least k0
+    k0 = min(spec.k0 for spec in specs)
+    (ar, ai), scale = _rising(point, k0 + 1)[k0], point[2] ** k0 * factorial(k0 + 1)
+    factor = Fraction(ar, scale), Fraction(ai, scale)
+    return _outer_series(specs, (re, im), factor, heads, digits, first_n)
 
 
 def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
     """zeta'(0) from the term-by-term derivative of the identity at s = 0:
     Q'(0) - pole + sum_k r_k / (k(k+1)) * (zeta(k) - 1), with an error
-    bound like any evaluation.
+    bound like any evaluation. The differentiated head has no shifted
+    form, so the inner sums start at n = 2.
 
     Needs an identity valid at 0, i.e. depth p >= 2.
     """
@@ -743,32 +906,48 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
         raise ValueError(f"depth-{spec.p} identity is not valid at s = 0; use p >= 2")
     head = spec.q_poly.derivative().coefficient(0) - spec.pole_coefficient
     zero, seed = Fraction(0), Fraction(1, spec.k0 * (spec.k0 + 1))
-    return _outer_series([spec], (zero, zero), (seed, zero), [(head, zero)], digits)[0]
+    return _outer_series([spec], (zero, zero), (seed, zero), [((head, zero), [])], digits, 2)[0]
 
 
-def _outer_series(specs, point, factor, heads, digits: int) -> list[EvalReport]:
-    """head + sum_{k >= k0} r_k a_k (zeta(s + k) - 1) for each spec, in one
-    pass over k from the least k0, for the exact s = point, a_k = factor at
-    that k and a_(k+1) = a_k (s + k) / (k + 2); one report per exact head.
-    eval_identities passes (s)_k / (k+1)!; zeta_prime_at_zero passes
-    1/(k(k+1)) at s = 0, which steps the same way, so _tail_bounded covers
-    both."""
+def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> list[EvalReport]:
+    """head + sum_{n=2..m} n^-s W_n + sum_{k >= k0} r_k a_k zeta(s + k, m + 1)
+    for each spec, in one pass over k from the least k0, for the exact
+    s = point, a_k = factor at that k and a_(k+1) = a_k (s + k) / (k + 2),
+    and m + 1 = first_n, a power of two; one report per (exact head,
+    weights W_2..W_m) in heads. eval_identities passes (s)_k / (k+1)!;
+    zeta_prime_at_zero passes 1/(k(k+1)) at s = 0 and first_n = 2, which
+    steps the same way, so _tail_bounded covers both."""
     re = point[0]
+    base_bits = first_n.bit_length() - 1  # log2(m + 1)
     depths = [_Depth(spec) for spec in specs]
     k = k_start = min(spec.k0 for spec in specs)
     whole = zr, zi, den = _integer_point(*point)
-    bits = _scale_bits(digits, _peak_log2(depths, whole, factor, k, digits))
+    peak = _peak_log2(depths, whole, factor, k, digits, base_bits)
+    # and log2 |W_n| rounded up, W_n = (wr + i wi) / wd
+    for _, weights in heads:
+        for wr, wi, wd in weights:
+            peak = max(peak, max(wr.bit_length(), wi.bit_length()) - wd.bit_length() + 2)
+    bits = _scale_bits(digits, peak)
     one = 1 << bits
     threshold = one // 10 ** (digits + 5)
-    inner = _InnerSums(point, digits, bits)
+    inner = _InnerSums(point, digits, bits, first_n)
+    # sum_{n=2..m} n^-s W_n, each entry within _ENTRY_ULPS
+    powers = inner.head()
+    for d, (_, weights) in zip(depths, heads):
+        for (xr, xi), (wr, wi, wd) in zip(powers, weights):
+            d.total_re += (wr * xr - wi * xi) // wd
+            d.total_im += (wr * xi + wi * xr) // wd
+            d.rounding += _ceil_div((_ENTRY_ULPS * _modulus_up(wr, wi)) << bits, wd)
+            d.products += 1
     # a_k in ulps, within a_err; a_err = 0 marks an exact a
     ar, ai = _fixed(factor[0], bits), _fixed(factor[1], bits)
     a_err = 2 if any(factor) else 0
-    # 4 * 2^(1 - Re s - k_start) in units of 2^-(bits + extra), rounded
-    # up, with extra >= 0 keeping it at least 2^bits for any Re s; shifted
-    # right by k - k_start at each k, never halved in place
-    extra = max(0, ceil(re) + k - 3)
-    tail_factor = _pow2_up(bits + extra + 3 - k - re)
+    # 4 * b^(1 - Re s - k_start), b = 2^base_bits, in units of
+    # 2^-(bits + extra), rounded up, with extra >= 0 keeping it at least
+    # 2^bits for any Re s; shifted right by base_bits (k - k_start) at each
+    # k, never divided in place
+    extra = max(0, ceil(base_bits * (re + k - 1)) - 2)
+    tail_factor = _pow2_up(bits + extra + 2 + base_bits * (1 - k - re))
     running = list(depths)
     while True:
         active = [d for d in running if d.spec.k0 <= k]
@@ -804,8 +983,8 @@ def _outer_series(specs, point, factor, heads, digits: int) -> list[EvalReport]:
                     d.rounding += d.coef_err * v_size + d.size * rounding
                     d.products += 1
         for d in active:
-            tail_bound = _ceil_div(d.size * tail_factor, one << (k - k_start + extra))
-            if _tail_met(d, k, tail_bound, threshold, whole, exact_zero):
+            tail_bound = _ceil_div(d.size * tail_factor, one << (base_bits * (k - k_start) + extra))
+            if _tail_met(d, k, tail_bound, threshold, whole, exact_zero, base_bits):
                 d.terms_used, d.tail_bound = k, tail_bound
                 running.remove(d)
         if not running:
@@ -820,8 +999,8 @@ def _outer_series(specs, point, factor, heads, digits: int) -> list[EvalReport]:
             a_err = _ceil_div(a_err * _modulus_up(fr, zi), q) + 2
         k += 1
     reports = []
-    for d, (hr, hi) in zip(depths, heads):
-        # the head's two floors and each term product's two: 2 ulps each
+    for d, ((hr, hi), _) in zip(depths, heads):
+        # the head's two floors and each product's two: 2 ulps each
         rounding = _ceil_div(d.rounding, one) + 2 * (d.products + 1)
         error = d.tail_bound + _ceil_div(d.inner_err, one) + rounding
         value = _mp_value(d.total_re + _fixed(hr, bits), d.total_im + _fixed(hi, bits), bits)

@@ -10,6 +10,7 @@ from zetaident.derive import (
     IdentitySpec,
     closed_form_part,
     derive_identity,
+    falling_factorial_coefficients,
     identities_equal,
     periodic_remainder,
     series_poly,
@@ -210,6 +211,28 @@ def test_series_taylor_is_the_shifted_closed_form(specs64, p):
         b, den = spec.series_taylor(k)
         assert Polynomial(b) / den == spec.closed_form.shift(k), k
     assert dataclasses.replace(spec, closed_form=None).series_taylor(65) is None
+
+
+@pytest.mark.parametrize("p", range(1, 33))
+def test_falling_coefficients_are_the_closed_form(p):
+    # r_k = sum_i beta_i (k+1) k ... (k+2-i) as a polynomial identity, so it
+    # holds at every k, those below k0 included
+    closed = series_poly(p)
+    beta = falling_factorial_coefficients(closed)
+    assert len(beta) == closed.degree + 1
+    total, falling = Polynomial.zero(), Polynomial.constant(1)
+    for i, b in enumerate(beta):
+        total = total + falling * b
+        falling = falling * Polynomial((1 - i, 1))  # times (k + 1 - i)
+    assert total == closed
+
+
+def test_spec_falling_coefficients(specs64):
+    spec = specs64[5]
+    assert spec.falling_coefficients == falling_factorial_coefficients(spec.closed_form)
+    for k in range(-3, spec.k0):
+        assert spec.closed_form_at(k) == spec.closed_form(F(k)), k
+    assert dataclasses.replace(spec, closed_form=None).falling_coefficients is None
 
 
 def test_derive_argument_validation():

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from mpmath import ctx_mp_python, mp
 
 from zetaident import derive_identity, evalzeta
+from zetaident.cli import ORACLE_GRID
 from zetaident.evalzeta import (
     CapacityError,
     EvalReport,
     PoleError,
     _InnerSums,
+    _integer_point,
+    _shifted_head,
     eval_identities,
     eval_identity,
     pochhammer,
@@ -128,6 +131,19 @@ def test_em_reference_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("digits", [40, 60, 100])
+def test_em_reference_meets_its_digits_on_the_oracle_grid(digits):
+    # the correction order follows |s| as well as digits: with an order
+    # fixed by digits alone the reference missed 10^-55 at s = -10.5 and
+    # 60 digits by four orders of magnitude
+    for point in ORACLE_GRID:
+        s = (Fraction(point.real), Fraction(point.imag))
+        value = zeta_em_reference(s, digits)
+        with mp.workdps(digits + 20):
+            err = abs(value - mp.zeta(_mp_point(s)))
+            assert err <= mp.mpf(10) ** -(digits + 1), (point, mp.nstr(err, 3))
+
+
 # ---- eval_identity: values ----
 
 
@@ -212,6 +228,7 @@ def test_report_fields(specs64):
     assert report.terms_used >= specs64[2].k0 + 8
     assert report.error_estimate >= 0
     assert report.inner_sum_cutoffs == {
+        "first_n": 16,
         "direct_terms": 50,
         "correction_order": 15,
         "last_em_k": 25,
@@ -379,6 +396,129 @@ def test_batch_of_one_is_eval_identity(specs64, p, s):
     alone = eval_identity(specs64[p], s, 40)
     for field in dataclasses.fields(EvalReport):
         assert getattr(batch[0], field.name) == getattr(alone, field.name), field.name
+
+
+# ---- the shifted split ----
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 15])
+@pytest.mark.parametrize("p", [1, 4, 12])
+@pytest.mark.parametrize("s", [F(5, 2), (F(3, 4), F(2))])
+def test_head_weights_are_the_split_off_sum(specs64, s, p, m):
+    # sum_{n=1..m} n^-s W_n against the sum it replaces,
+    # sum_{n=2..m} sum_{k>=k0} r_k (s)_k/(k+1)! n^(-s-k), summed term by term
+    spec = specs64[p]
+    re, im = s if isinstance(s, tuple) else (s, F(0))
+    point = _integer_point(re, im)
+    first, weights = _shifted_head(spec, point, m)
+    assert len(weights) == m - 1
+    with mp.workdps(60):
+        z = _mp_point(s)
+        ns = range(2, m + 1)
+        split = _mp_point(first) + sum(
+            mp.mpf(n) ** -z * mp.mpc(wr, wi) / wd for n, (wr, wi, wd) in zip(ns, weights)
+        )
+        direct, a = 0, 1
+        for k in range(400):
+            if k >= spec.k0:
+                direct += spec.series_coefficient(k) * a * sum(mp.mpf(n) ** (-z - k) for n in ns)
+            a *= (z + k) / (k + 2)
+        assert abs(split - direct) < mp.mpf(10) ** -50, mp.nstr(abs(split - direct), 3)
+
+
+# the real centres of the `points` benchmark, one in each depth strip, and
+# complex points with |Im s| <= 40
+_STRIP_CENTRES = (F(-19, 2), F(-15, 2), F(-11, 2), F(-7, 2), F(-3, 2), F(0), F(2), F(5), F(33, 4))
+_COMPLEX_POINTS = ((F(-3, 2), F(2)), (F(3, 2), F(43, 2)), (F(-3, 2), F(40)), (F(9, 2), F(-40)))
+
+
+@pytest.mark.parametrize(
+    "s, digits",
+    [(s, digits) for s in _STRIP_CENTRES + _COMPLEX_POINTS for digits in (15, 40, 100, 300)]
+    + [
+        # far right the tail bound (m+1)^(1 - Re s - k) is far below an ulp
+        (F(300), 40),
+        # large |Im s|: the tail is proven only once |s+k|/(k+2) < m + 1
+        ((F(1, 2), F(100)), 20),
+        # near the pole the weights grow like 1/|s - 1|
+        (1 + F(1, 10**15), 40),
+    ],
+)
+def test_shifted_split_meets_the_contract_at_every_depth(specs64, s, digits):
+    # every depth that accepts s, in one batch; at s = 2 that is all twelve
+    batch = [spec for spec in specs64.values() if supports(spec, s)]
+    reports = eval_identities(batch, s, digits)
+    # 30 more digits: at 1 + 10^-15, zeta moves 10^30 times as far as s
+    with mp.workdps(digits + 50):
+        target = mp.zeta(_mp_point(s))
+        for report in reports:
+            assert report.inner_sum_cutoffs["first_n"] == 16
+            err = abs(report.value - target)
+            assert err <= report.error_estimate <= 10.0**-digits, (report.p_used, mp.nstr(err, 3))
+
+
+@pytest.mark.parametrize("s", [1 + F(1, 10**12), (F(-37, 4), F(3, 2))])
+def test_head_weights_are_tallied(specs64, monkeypatch, s):
+    # a scale that ignores the weights' size: near the pole |W_n| is about
+    # 10^13, and each n^-s, within 3 ulps, then costs 10^13 ulps. Only the
+    # tally of 3 |W_n| ulps per power covers that
+    monkeypatch.setattr(
+        evalzeta, "_scale_bits", lambda digits, peak: evalzeta._threshold_bits(digits) + 2
+    )
+    batch = [spec for spec in specs64.values() if supports(spec, s)]
+    reports = eval_identities(batch, s, 30)
+    with mp.workdps(80):
+        target = mp.zeta(_mp_point(s))
+        for report in reports:
+            err = abs(report.value - target)
+            assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
+
+
+@pytest.mark.parametrize("p, s", [(1, (F(50), F(1000))), (1, F(300)), (5, (F(1, 2), F(100)))])
+def test_tail_proof_holds_where_it_claims(specs64, p, s):
+    # wherever _tail_bounded proves the tail for m + 1 = 16, the tail
+    # sum_{j>k} |r_j (s)_j/(j+1)!| zeta(Re s + j, 16), summed here, is
+    # within 4 * 16^(1 - Re s - k) |r_k (s)_k/(k+1)!|. At 50 + 1000i the
+    # terms grow until k is near 60, so no k before that may be claimed
+    spec = specs64[p]
+    re, im = s if isinstance(s, tuple) else (s, F(0))
+    point = _integer_point(re, im)
+    claimed = [k for k in range(spec.k0 + 8, 200) if evalzeta._tail_bounded(spec, point, k, 4)]
+    assert claimed
+    with mp.workdps(30):
+        z, sigma = _mp_point(s), _mp_point(re)
+        # n^-(Re s + j) for n = 16..63, for an upper bound on
+        # zeta(Re s + j, 16): those terms, then 64^-x (1 + 64/(x - 1))
+        powers = [mp.mpf(n) ** -sigma for n in range(16, 64)]
+        sizes, terms, a = [], [], mp.mpf(1)
+        for j in range(400):
+            x = sigma + j
+            sizes.append(abs(spec.series_coefficient(j) * a))
+            terms.append(sizes[-1] * (sum(powers) + mp.mpf(64) ** -x * (1 + 64 / (x - 1))))
+            a *= (z + j) / (j + 2)
+            powers = [power / n for power, n in zip(powers, range(16, 64))]
+        # past j = 400 each term is below a fifth of the one before
+        tails = [mp.zero]
+        for term in reversed(terms[1:]):
+            tails.append(tails[-1] + term)
+        tails.reverse()  # tails[k] = sum_{k<j<400} terms[j]
+        for k in claimed:
+            assert tails[k] <= 4 * mp.mpf(16) ** (1 - sigma - k) * sizes[k], k
+
+
+def test_shifted_split_shrinks_the_outer_series(specs64):
+    # the paper's split (inner sums from n = 2) needs 151 terms here
+    assert eval_identity(specs64[1], 2, 40).terms_used <= 80
+
+
+def test_without_a_closed_form_the_paper_split_runs(specs64):
+    # no closed form, no weights: the batch keeps its inner sums from n = 2.
+    # At s = -2 every (s)_k with k >= 3 vanishes, so the series still ends
+    stripped = dataclasses.replace(specs64[5], closed_form=None)
+    bare, full = eval_identities([stripped, specs64[5]], -2, 40)
+    assert bare.inner_sum_cutoffs["first_n"] == full.inner_sum_cutoffs["first_n"] == 2
+    assert eval_identity(specs64[5], -2, 40).inner_sum_cutoffs["first_n"] == 16
+    assert abs(bare.value) <= bare.error_estimate <= 1e-40
 
 
 # ---- inner-sum kernel ----
