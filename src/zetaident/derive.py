@@ -13,8 +13,9 @@ step function, a degree-p subtraction polynomial splits off the closed-form
 part (the pole and Q_p), and repeated integration by parts of the period-1
 remainder emits one exact rational coefficient r_k per step. Integrating a
 monomial repeatedly has a closed form, so all the steps collapse into one
-polynomial in k of degree at most p-1 (series_poly). All arithmetic is
-over Fractions; nothing is approximated or fitted.
+polynomial in k of degree at most p-1 (series_poly). Every value is an
+exact rational, computed on integer numerators over one common denominator
+and returned as Fractions; nothing is approximated or fitted.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ from functools import cached_property
 from math import factorial, lcm
 from typing import Optional, Sequence
 
-from .exactmath import Polynomial, faulhaber
+from .exactmath import Polynomial, divide_linear, faulhaber, taylor_shift, times_linear
 
 
 class CancellationError(ArithmeticError):
-    """Raised when the spurious-pole cancellation is not exact.
+    """Raised when the derived closed-form part is inconsistent: a
+    subtraction polynomial with a constant term, a pole coefficient other
+    than 1, or a series that vanishes.
 
     This indicates an internal inconsistency in the derivation, never a
     user error; the derivation must abort rather than return bad data.
@@ -85,14 +88,6 @@ class IdentitySpec:
             return self.extended_validity_re_gt
         return self.validity_re_gt
 
-    @cached_property
-    def _closed_form_integers(self) -> tuple[tuple[int, ...], int]:
-        """closed_form as integer coefficients, highest degree first, over
-        one common denominator."""
-        coefficients = self.closed_form.coefficients
-        den = lcm(*(c.denominator for c in coefficients))
-        return tuple(c.numerator * (den // c.denominator) for c in reversed(coefficients)), den
-
     def series_coefficient(self, k: int) -> Optional[Fraction]:
         """r_k: zero below k0, stored value through k_max, closed-form value
         beyond that, or None when no closed form is available."""
@@ -106,12 +101,8 @@ class IdentitySpec:
 
     def closed_form_at(self, k: int) -> Fraction:
         """The closed form at any integer k, below k0 too, exactly, by
-        integer Horner over a common denominator."""
-        numerators, den = self._closed_form_integers
-        acc = 0
-        for c in numerators:
-            acc = acc * k + c
-        return Fraction(acc, den)
+        integer Horner over a common denominator (Polynomial.__call__)."""
+        return self.closed_form(k)
 
     def series_taylor(self, k: int) -> Optional[tuple[list[int], int]]:
         """r_(k+m) as a polynomial in m: (integer coefficients, constant
@@ -119,13 +110,8 @@ class IdentitySpec:
         r_k times it. None when there is no closed form."""
         if self.closed_form is None:
             return None
-        numerators, den = self._closed_form_integers
-        b = list(numerators)
-        # Taylor shift by k: repeated synthetic division by (x - k)
-        for i in range(len(b) - 1):
-            for j in range(1, len(b) - i):
-                b[j] += k * b[j - 1]
-        return b[::-1], den
+        numerators, den = self.closed_form.integer_coefficients()
+        return taylor_shift(numerators, k), den
 
     @cached_property
     def falling_coefficients(self) -> Optional[tuple[Fraction, ...]]:
@@ -136,6 +122,31 @@ class IdentitySpec:
         if self.closed_form is None:
             return None
         return falling_factorial_coefficients(self.closed_form)
+
+    @cached_property
+    def shifted_head_coefficients(
+        self,
+    ) -> Optional[tuple[int, tuple[int, ...], tuple[int, ...], int, int]]:
+        """The s-independent data of the shifted head (evalzeta's
+        _shifted_head), over one common denominator L: (size, G, H, b0, L)
+        with G_j = L g_j for j < size = max(len(beta) - 1, k0),
+        H_j = L h_j for j < k0 and b0 = L beta_0, where beta is
+        falling_coefficients, h_j = R(j)/(j+1)! for the closed form R and
+        g_j = beta_(j+1) - [j < k0] h_j. None when there is no closed form."""
+        beta = self.falling_coefficients
+        if beta is None:
+            return None
+        k0 = self.k0
+        size = max(len(beta) - 1, k0)
+        h = [self.closed_form(j) / factorial(j + 1) for j in range(k0)]
+        g = [
+            (beta[j + 1] if j + 1 < len(beta) else 0) - (h[j] if j < k0 else 0)
+            for j in range(size)
+        ]
+        L = lcm(beta[0].denominator, *(Fraction(x).denominator for x in g + h))
+        G = tuple(x.numerator * (L // x.denominator) for x in g)
+        H = tuple(x.numerator * (L // x.denominator) for x in h)
+        return size, G, H, beta[0].numerator * (L // beta[0].denominator), L
 
 
 # ---- construction of the three exact pieces ----
@@ -151,7 +162,8 @@ def subtraction_poly(p: int) -> Polynomial:
         raise ValueError("depth p must be >= 1")
     if p == 1:
         return Polynomial((0, 1))
-    return faulhaber(p - 1).shift(-1)
+    numerators, den = faulhaber(p - 1).integer_coefficients()
+    return Polynomial.from_integers(taylor_shift(numerators, -1), den)
 
 
 def periodic_remainder(p: int) -> Polynomial:
@@ -161,29 +173,42 @@ def periodic_remainder(p: int) -> Polynomial:
     at both endpoints so every later integration by parts drops its
     boundary terms.
     """
+    return Polynomial.from_integers(*_remainder_integers(p))
+
+
+def _remainder_integers(p: int) -> tuple[list[int], int]:
+    """periodic_remainder(p) as integer coefficients, ascending, over one
+    denominator."""
     if p < 1:
         raise ValueError("depth p must be >= 1")
     if p == 1:
-        return Polynomial((0, -1))
-    return Polynomial.monomial(p - 1) - faulhaber(p - 1)
-
-
-def _rising_factorial_poly(n: int) -> Polynomial:
-    """(s)_n = s(s+1)...(s+n-1) as a polynomial in s."""
-    out = Polynomial.constant(1)
-    for m in range(n):
-        out = out * Polynomial((m, 1))
-    return out
+        return [0, -1], 1
+    numerators, den = faulhaber(p - 1).integer_coefficients()
+    out = [-n for n in numerators]
+    out[p - 1] += den
+    return out, den
 
 
 def closed_form_part(p: int) -> tuple[Fraction, Polynomial]:
     """Pole coefficient and polynomial part Q_p of the depth-p identity.
 
-    Integrating the subtraction polynomial term by term gives
-    sum_j a_j / (s + p - 1 - j) with f_p = sum_j a_j x^j; multiplying by the
-    rising-factorial prefactor must cancel every spurious pole at
-    s in {2-p, ..., 0} exactly, leaving only the true pole at s = 1.
-    The cancellation is asserted (exact zero remainder); failure raises
+    Integrating the subtraction polynomial f_p = sum_j a_j x^j term by term
+    gives sum_j a_j / (s + p - 1 - j), j = 1..p, which is G(s)/F(s) over
+    F(s) = prod_{i=1..p} (s + p - 1 - i) = (s - 1) (s)_(p-1) with
+    G(s) = sum_j a_j F(s)/(s + p - 1 - j). Times the prefactor
+    (s)_p/(p-1)!, the spurious poles at s in {2-p, ..., 0} cancel, leaving
+    (s + p - 1) G(s) / ((s - 1) (p-1)!), whose division by s - 1 gives the
+    pole (the remainder) and Q_p (the quotient).
+
+    All on integer coefficient lists, in O(p^2): F once, each
+    F/(s + p - 1 - j) by synthetic division, then one multiplication and
+    one division by a linear factor.
+
+    The cancellation itself cannot fail, so it is not checked: a check that
+    divides (s)_p G by (s)_(p-1) is a tautology, since
+    (s)_p = (s)_(p-1) (s + p - 1) and its remainder is identically zero.
+    The pole can fail: the series part is analytic at s = 1 and zeta has
+    residue 1 there, so a pole coefficient other than exactly 1 raises
     CancellationError.
     """
     if p < 1:
@@ -191,30 +216,24 @@ def closed_form_part(p: int) -> tuple[Fraction, Polynomial]:
     f = subtraction_poly(p)
     if f.coefficient(0) != 0:
         raise CancellationError("subtraction polynomial has a constant term")
-    # G(s) = sum_j a_j * prod_{i != j} (s + p - 1 - i), the integral of f_p
-    # over common denominator prod_i (s + p - 1 - i), i and j in 1..p.
-    factors = [Polynomial((p - 1 - i, 1)) for i in range(1, p + 1)]
-    g = Polynomial.zero()
-    for j in range(1, p + 1):
-        a = f.coefficient(j)
-        if a == 0:
-            continue
-        prod = Polynomial.constant(a)
-        for i in range(1, p + 1):
-            if i != j:
-                prod = prod * factors[i - 1]
-        g = g + prod
-    numerator = _rising_factorial_poly(p) * g
-    quotient, remainder = divmod(numerator, _rising_factorial_poly(p - 1))
-    if not remainder.is_zero:
+    a, den = f.integer_coefficients()
+    F = [1]  # (s - 1) s (s + 1) ... (s + p - 2)
+    for c in range(-1, p - 1):
+        F = times_linear(F, c)
+    g = [0] * p
+    for j in range(1, min(p + 1, len(a))):
+        if a[j]:
+            quotient, _ = divide_linear(F, p - 1 - j)
+            for i, x in enumerate(quotient):
+                g[i] += a[j] * x
+    # (s + p - 1) G(s) = q(s) (s - 1) + pole, all over base
+    q, pole = divide_linear(times_linear(g, p - 1), -1)
+    base = den * factorial(p - 1)
+    if pole != base:
         raise CancellationError(
-            f"spurious poles did not cancel at depth p={p}"
+            f"pole coefficient {Fraction(pole, base)} != 1 at depth p={p}"
         )
-    # split off the true pole: quotient = Q2*(s-1) + quotient(1)
-    q2, const = divmod(quotient, Polynomial((-1, 1)))
-    base = factorial(p - 1)
-    pole = const.coefficient(0) / base
-    return pole, q2 / base
+    return Fraction(1), Polynomial.from_integers(q, base)
 
 
 def series_poly(p: int) -> Polynomial:
@@ -227,15 +246,18 @@ def series_poly(p: int) -> Polynomial:
         r_k = (1/(p-1)!) * sum_j g_j * j! * (k+1)(k)...(k+j-p+2),
 
     a falling factorial of p-j factors. The polynomial holds for every
-    k >= p, including the indices below k0 where it vanishes.
+    k >= p, including the indices below k0 where it vanishes. Summed on
+    integer coefficient lists over g_p's common denominator.
     """
-    g = periodic_remainder(p)
-    out = Polynomial.zero()
-    falling = Polynomial.constant(1)  # (k+1)(k)...(k+j-p+2) for j = p
+    g, den = _remainder_integers(p)
+    out = [0] * p
+    falling = [1]  # (k+1)(k)...(k+j-p+2) for j = p
     for j in range(p, 0, -1):
-        out = out + falling * (g.coefficient(j) * factorial(j))
-        falling = falling * Polynomial((j - p + 1, 1))
-    return out / factorial(p - 1)
+        c = g[j] * factorial(j) if j < len(g) else 0
+        for i, x in enumerate(falling):
+            out[i] += c * x
+        falling = times_linear(falling, j - p + 1)
+    return Polynomial.from_integers(out, den * factorial(p - 1))
 
 
 def falling_factorial_coefficients(poly: Polynomial) -> tuple[Fraction, ...]:

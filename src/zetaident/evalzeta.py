@@ -87,7 +87,7 @@ from mpmath.libmp import from_int, from_man_exp, fzero, mpc_mul, mpc_pow, mpf_di
 from mpmath.libmp import mpf_neg, mpf_pow, mpf_shift, round_ceiling, round_nearest, to_int
 
 from .derive import IdentitySpec
-from .exactmath import bernoulli
+from .exactmath import bernoulli, bernoulli_over_factorial
 
 _GUARD = 10
 # Bits of the fixed-point scale beyond 10^-(digits+5) and the peak outer
@@ -380,8 +380,6 @@ class _InnerSums:
         self.re = [0] * first_n
         self.im = [0] * first_n
         self.shift = [0] * first_n
-        # B_2j/(2j)! at index j as (numerator, denominator)
-        self.em_coefs = [None]
         self.max_order = 0
         self.last_em_k = None
 
@@ -464,14 +462,6 @@ class _InnerSums:
                 lo = mid + 1
         return lo
 
-    def _em_coef(self, j: int) -> tuple[int, int]:
-        coefs = self.em_coefs
-        while len(coefs) <= j:
-            i = len(coefs)
-            q = bernoulli(2 * i) / factorial(2 * i)
-            coefs.append((q.numerator, q.denominator))
-        return coefs[j]
-
     def __call__(self, k: int, budget: int):
         """((re, im) of zeta(z+k, first_n), truncation bound, rounding
         bound), all in ulps, aiming for a truncation bound <= budget."""
@@ -510,7 +500,7 @@ class _InnerSums:
         prev = None
         j = 1
         while True:
-            bn, bd = self._em_coef(j)
+            bn, bd = bernoulli_over_factorial(j)
             term_r, term_i = tr * bn // bd, ti * bn // bd
             term_err = _ceil_div(t_err * abs(bn), bd) + 2
             # |term| * |w + 2j - 1| / (sigma + 2j - 1)
@@ -632,14 +622,31 @@ def _check_point(spec: IdentitySpec, re: Fraction, im: Fraction, digits: int) ->
         )
 
 
-def _head(spec: IdentitySpec, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
-    """pole/(s - 1) + Q(s), exactly."""
-    hr = hi = Fraction(0)
-    for c in reversed(spec.q_poly.coefficients):
-        hr, hi = hr * re - hi * im + c, hr * im + hi * re
-    ar = re - 1
-    scale = spec.pole_coefficient / (ar * ar + im * im)
-    return hr + ar * scale, hi - im * scale
+def _head(spec: IdentitySpec, point: tuple[int, int, int]) -> tuple[int, int, int]:
+    """pole/(s - 1) + Q(s), exactly, as integers (re, im, den) with the
+    value (re + i im) / den, for s = (zr + i zi) / den given as
+    point = (zr, zi, den) and s != 1.
+
+    With Q = sum_i N_i s^i / D, integer Horner gives
+    sum_i N_i (zr + i zi)^i den^(d-i) = Q(s) D den^d, and
+    pole/(s - 1) = pole den (zr - den - i zi) / |zr - den + i zi|^2."""
+    zr, zi, den = point
+    numerators, q_den = spec.q_poly.integer_coefficients()
+    hr = hi = 0
+    scale = 1
+    for c in reversed(numerators):
+        hr, hi = hr * zr - hi * zi + c * scale, hr * zi + hi * zr
+        scale *= den
+    q_den *= den ** max(spec.q_poly.degree, 0)
+    pole = spec.pole_coefficient
+    ar = zr - den
+    q = ar * ar + zi * zi
+    pole_scale = pole.numerator * den * q_den
+    return (
+        hr * pole.denominator * q + ar * pole_scale,
+        hi * pole.denominator * q - zi * pole_scale,
+        q_den * pole.denominator * q,
+    )
 
 
 def _horner(coefficients: list[int], rising: list[tuple[int, int]], step: int) -> tuple[int, int]:
@@ -669,8 +676,8 @@ def _shifted_head(spec: IdentitySpec, point: tuple[int, int, int], m: int):
         sum_{n=2..m} sum_{k>=k0} r_k (s)_k/(k+1)! n^(-s-k) = sum_{n=1..m} n^-s W_n
 
     for s = (zr + i zi) / den given as point = (zr, zi, den) and m >= 2.
-    Returns W_1 as an exact (re, im) pair of Fractions and W_2..W_m as
-    (re, im, den) triples of integers.
+    Returns W_1..W_m as (re, im, den) triples of integers, the value
+    (re + i im) / den: W_1 alone, then the list of W_2..W_m.
 
     With r_k = sum_i beta_i (k+1) k ... (k+2-i) (spec.falling_coefficients)
     and R the closed form at every k, the binomial series gives, for
@@ -687,32 +694,21 @@ def _shifted_head(spec: IdentitySpec, point: tuple[int, int, int], m: int):
     W_n = sum_j g_j (s)_j n^-j for 1 < n < m with
     g_j = beta_(j+1) - [j < k0] h_j and h_j = R(j)/(j+1)!, and
     W_m = beta_0 m/(1-s) - sum_{j<k0} h_j (s)_j m^-j: exact rationals.
+    G, H and beta_0 over one denominator L come from
+    spec.shifted_head_coefficients, computed once per spec.
     """
     zr, zi, den = point
-    beta = spec.falling_coefficients
+    size, G, H, b0, L = spec.shifted_head_coefficients
     k0 = spec.k0
-    size = max(len(beta) - 1, k0)
     rising = _rising(point, size)
-    h = [spec.closed_form_at(j) / factorial(j + 1) for j in range(k0)]
-    g = [
-        (beta[j + 1] if j + 1 < len(beta) else 0) - (h[j] if j < k0 else 0)
-        for j in range(size)
-    ]
-    # everything over one denominator L
-    L = lcm(beta[0].denominator, *(Fraction(x).denominator for x in g + h))
-    G = [x.numerator * (L // x.denominator) for x in g]
-    H = [x.numerator * (L // x.denominator) for x in h]
-    b0 = beta[0].numerator * (L // beta[0].denominator)
     # beta_0 / (1 - s) = b0 den (den - zr + i zi) / (L q)
     q = (den - zr) ** 2 + zi * zi
     pole_r, pole_i = b0 * den * (den - zr), b0 * den * zi
-    # W_1: the coefficients of sum_{i>=1} beta_i (s)_(i-1) are G + H
+    # W_1: the coefficients of sum_{i>=1} beta_i (s)_(i-1) are G + H, and
+    # W_1 = (a q - pole den^(size-1)) / (L den^(size-1) q)
     ar, ai = _horner([x + (H[j] if j < k0 else 0) for j, x in enumerate(G)], rising, den)
-    scale = L * den ** (size - 1)
-    first = (
-        Fraction(ar, scale) - Fraction(pole_r, L * q),
-        Fraction(ai, scale) - Fraction(pole_i, L * q),
-    )
+    power = den ** (size - 1)
+    first = ar * q - pole_r * power, ai * q - pole_i * power, L * power * q
     weights = []
     for n in range(2, m):
         step = den * n
@@ -880,12 +876,12 @@ def eval_identities(
     point = _integer_point(re, im)
     heads = []
     for spec in specs:
-        hr, hi = _head(spec, re, im)
+        head = hr, hi, hd = _head(spec, point)
         weights = []
         if first_n > 2:
-            (wr, wi), weights = _shifted_head(spec, point, first_n - 1)
-            hr, hi = hr + wr, hi + wi
-        heads.append(((hr, hi), weights))
+            (wr, wi, wd), weights = _shifted_head(spec, point, first_n - 1)
+            head = hr * wd + wr * hd, hi * wd + wi * hd, hd * wd
+        heads.append((head, weights))
     # (s)_k0 / (k0+1)! at the least k0
     k0 = min(spec.k0 for spec in specs)
     (ar, ai), scale = _rising(point, k0 + 1)[k0], point[2] ** k0 * factorial(k0 + 1)
@@ -906,7 +902,8 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
         raise ValueError(f"depth-{spec.p} identity is not valid at s = 0; use p >= 2")
     head = spec.q_poly.derivative().coefficient(0) - spec.pole_coefficient
     zero, seed = Fraction(0), Fraction(1, spec.k0 * (spec.k0 + 1))
-    return _outer_series([spec], (zero, zero), (seed, zero), [((head, zero), [])], digits, 2)[0]
+    exact_head = head.numerator, 0, head.denominator
+    return _outer_series([spec], (zero, zero), (seed, zero), [(exact_head, [])], digits, 2)[0]
 
 
 def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> list[EvalReport]:
@@ -914,9 +911,10 @@ def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> lis
     for each spec, in one pass over k from the least k0, for the exact
     s = point, a_k = factor at that k and a_(k+1) = a_k (s + k) / (k + 2),
     and m + 1 = first_n, a power of two; one report per (exact head,
-    weights W_2..W_m) in heads. eval_identities passes (s)_k / (k+1)!;
-    zeta_prime_at_zero passes 1/(k(k+1)) at s = 0 and first_n = 2, which
-    steps the same way, so _tail_bounded covers both."""
+    weights W_2..W_m) in heads, each value an integer triple (re, im, den).
+    eval_identities passes (s)_k / (k+1)!; zeta_prime_at_zero passes
+    1/(k(k+1)) at s = 0 and first_n = 2, which steps the same way, so
+    _tail_bounded covers both."""
     re = point[0]
     base_bits = first_n.bit_length() - 1  # log2(m + 1)
     depths = [_Depth(spec) for spec in specs]
@@ -999,11 +997,11 @@ def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> lis
             a_err = _ceil_div(a_err * _modulus_up(fr, zi), q) + 2
         k += 1
     reports = []
-    for d, ((hr, hi), _) in zip(depths, heads):
+    for d, ((hr, hi, hd), _) in zip(depths, heads):
         # the head's two floors and each product's two: 2 ulps each
         rounding = _ceil_div(d.rounding, one) + 2 * (d.products + 1)
         error = d.tail_bound + _ceil_div(d.inner_err, one) + rounding
-        value = _mp_value(d.total_re + _fixed(hr, bits), d.total_im + _fixed(hi, bits), bits)
+        value = _mp_value(d.total_re + (hr << bits) // hd, d.total_im + (hi << bits) // hd, bits)
         reports.append(
             EvalReport(
                 value=value,

@@ -1,9 +1,12 @@
 """Exact rational building blocks: polynomials over Q, Bernoulli numbers,
 and power-sum (Faulhaber) polynomials.
 
-Everything here is exact. Coefficients are `fractions.Fraction` values
-(arbitrary precision, lowest terms by construction) and no floating point
-enters any computation. The numeric layer converts to big floats only at
+Everything here is exact. Values are `fractions.Fraction` rationals in
+lowest terms, and no floating point enters any computation. The inner
+loops run on integer numerators over one common denominator: a polynomial
+evaluates at a rational point by integer Horner steps, and the helpers
+times_linear, divide_linear and taylor_shift work on integer coefficient
+lists. The numeric layer converts to big floats only at
 evaluation time.
 
 Bernoulli numbers use the B1 = +1/2 convention, which is the one under
@@ -14,12 +17,45 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Union
+from itertools import accumulate
+from math import comb, factorial, lcm
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
 Scalar = Union[int, Fraction]
+
+
+# ---- integer coefficient lists, ascending in degree ----
+
+
+def times_linear(a: Sequence[int], c: int) -> list[int]:
+    """(x + c) * sum_i a_i x^i."""
+    out = [0, *a]
+    for i, x in enumerate(a):
+        out[i] += c * x
+    return out
+
+
+def divide_linear(a: Sequence[int], c: int) -> tuple[list[int], int]:
+    """Quotient and remainder of sum_i a_i x^i, a nonempty, by (x + c), by
+    synthetic division."""
+    quotient = [0] * (len(a) - 1)
+    acc = 0
+    for i in range(len(a) - 1, 0, -1):
+        acc = a[i] - c * acc
+        quotient[i - 1] = acc
+    return quotient, a[0] - c * acc
+
+
+def taylor_shift(a: Sequence[int], c: int) -> list[int]:
+    """The coefficients of sum_i a_i (x + c)^i: repeated synthetic
+    division by (x - c)."""
+    b = list(a)
+    for i in range(len(b) - 1):
+        for j in range(len(b) - 2, i - 1, -1):
+            b[j] += c * b[j + 1]
+    return b
 
 
 class Polynomial:
@@ -31,7 +67,7 @@ class Polynomial:
     Instances are immutable and hashable.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_integers")
 
     def __init__(self, coefficients: Iterable[Scalar] = ()):
         coeffs = [Fraction(c) for c in coefficients]
@@ -48,6 +84,11 @@ class Polynomial:
     @classmethod
     def constant(cls, c: Scalar) -> "Polynomial":
         return cls((c,))
+
+    @classmethod
+    def from_integers(cls, numerators: Iterable[int], den: int = 1) -> "Polynomial":
+        """sum_i numerators[i] x^i / den."""
+        return cls(Fraction(n, den) for n in numerators)
 
     @classmethod
     def monomial(cls, degree: int, coefficient: Scalar = 1) -> "Polynomial":
@@ -76,6 +117,17 @@ class Polynomial:
         if i >= len(self._coeffs):
             return Fraction(0)
         return self._coeffs[i]
+
+    def integer_coefficients(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, den): the coefficients, ascending, as integers over
+        their least common denominator. Computed once per instance."""
+        try:
+            return self._integers
+        except AttributeError:
+            den = lcm(*(c.denominator for c in self._coeffs))
+            numerators = tuple(c.numerator * (den // c.denominator) for c in self._coeffs)
+            self._integers = numerators, den
+            return self._integers
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
@@ -171,12 +223,21 @@ class Polynomial:
     def __call__(self, x):
         """Evaluate by Horner's rule.
 
-        Exact for int/Fraction arguments; also works for any ring element
-        that mixes with Fraction (e.g. mpmath mpf/mpc), rounding at the
-        caller's working precision.
+        Exact for int/Fraction arguments x = a/b, by integer Horner on the
+        numerators: sum_i N_i a^i b^(d-i) over den b^d. Also works for any
+        ring element that mixes with Fraction (e.g. mpmath mpf/mpc),
+        rounding at the caller's working precision.
         """
+        if isinstance(x, (int, Fraction)):
+            numerators, den = self.integer_coefficients()
+            a, b = x.numerator, x.denominator
+            acc, scale = 0, 1
+            for c in reversed(numerators):
+                acc = acc * a + c * scale
+                scale *= b
+            return Fraction(acc, den * b ** max(self.degree, 0))
         if not self._coeffs:
-            return Fraction(0) if isinstance(x, (int, Fraction)) else 0 * x
+            return 0 * x
         acc = self._coeffs[-1]
         for c in reversed(self._coeffs[:-1]):
             acc = acc * x + c
@@ -231,15 +292,22 @@ class Polynomial:
 
 
 class BernoulliCache:
-    """Grow-on-demand table of Bernoulli numbers, B1 = +1/2 convention.
+    """Grow-on-demand table of Bernoulli numbers, B1 = +1/2 convention, and
+    of the ratios B_2j/(2j)!.
 
-    Uses the defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = m + 1.
+    The odd B_m vanish for m >= 3. The even ones come from the tangent
+    numbers T_n, B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)). T_n is the
+    zigzag number A_(2n-1), the last entry of row 2n-1 of the Seidel
+    boustrophedon triangle: row 0 is (1), and row m is 0 followed by the
+    running sums of row m-1 read backwards, m integer additions.
     Growth happens under a lock; reads of already-computed entries are
     lock-free (entries are immutable once written).
     """
 
     def __init__(self) -> None:
-        self._table: list[Fraction] = [Fraction(1)]
+        self._table: list[Fraction] = [Fraction(1), Fraction(1, 2)]
+        self._ratios: list[tuple[int, int]] = [(1, 1)]
+        self._row = [1]  # the last boustrophedon row built
         self._lock = threading.Lock()
 
     def get(self, m: int) -> Fraction:
@@ -248,12 +316,32 @@ class BernoulliCache:
         if m >= len(self._table):
             with self._lock:
                 while len(self._table) <= m:
-                    n = len(self._table)
-                    acc = Fraction(0)
-                    for j, bj in enumerate(self._table):
-                        acc += comb(n + 1, j) * bj
-                    self._table.append((n + 1 - acc) / (n + 1))
+                    self._table.append(self._next())
         return self._table[m]
+
+    def _next(self) -> Fraction:
+        """B_m for m = len(self._table) >= 2."""
+        m = len(self._table)
+        if m % 2:
+            return Fraction(0)
+        n = m // 2
+        while len(self._row) < m:  # row m-1 has m entries
+            self._row = list(accumulate(reversed(self._row), initial=0))
+        power = 4**n
+        return Fraction((-1) ** (n - 1) * m * self._row[-1], power * (power - 1))
+
+    def ratio(self, j: int) -> tuple[int, int]:
+        """B_2j/(2j)! in lowest terms, as (numerator, denominator)."""
+        if j < 0:
+            raise ValueError("Bernoulli index must be nonnegative")
+        if j >= len(self._ratios):
+            self.get(2 * j)
+            with self._lock:
+                while len(self._ratios) <= j:
+                    i = len(self._ratios)
+                    q = self._table[2 * i] / factorial(2 * i)
+                    self._ratios.append((q.numerator, q.denominator))
+        return self._ratios[j]
 
 
 _BERNOULLI = BernoulliCache()
@@ -262,6 +350,11 @@ _BERNOULLI = BernoulliCache()
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m (convention B_1 = +1/2)."""
     return _BERNOULLI.get(m)
+
+
+def bernoulli_over_factorial(j: int) -> tuple[int, int]:
+    """B_2j/(2j)! in lowest terms, as (numerator, denominator)."""
+    return _BERNOULLI.ratio(j)
 
 
 def faulhaber(m: int) -> Polynomial:

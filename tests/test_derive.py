@@ -16,7 +16,7 @@ from zetaident.derive import (
     series_poly,
     subtraction_poly,
 )
-from zetaident.exactmath import Polynomial
+from zetaident.exactmath import Polynomial, faulhaber
 from zetaident.reference import reference_identity
 
 
@@ -33,6 +33,50 @@ def recursion_terms(p, k_max):
         h = h.antiderivative()
         out.append((k, h(1) * F(factorial(k + 1), factorial(p - 1))))
     return out
+
+
+def fraction_horner(poly, x):
+    """poly(x) by Horner's rule on the Fraction coefficients."""
+    acc = F(0)
+    for c in reversed(poly.coefficients):
+        acc = acc * x + c
+    return acc
+
+
+def rising_poly(n):
+    """(s)_n as a polynomial in s."""
+    out = Polynomial.constant(1)
+    for m in range(n):
+        out = out * Polynomial((m, 1))
+    return out
+
+
+def closed_form_part_oracle(p):
+    """Pole and Q_p by Polynomial/Fraction arithmetic in O(p^3): the product
+    of p - 1 linear factors for each j, times (s)_p, divided by (s)_(p-1)
+    and then by s - 1."""
+    f = faulhaber(p - 1).shift(-1) if p > 1 else Polynomial((0, 1))
+    g = Polynomial.zero()
+    for j in range(1, p + 1):
+        prod = Polynomial.constant(f.coefficient(j))
+        for i in range(1, p + 1):
+            if i != j:
+                prod = prod * Polynomial((p - 1 - i, 1))
+        g = g + prod
+    quotient, remainder = divmod(rising_poly(p) * g, rising_poly(p - 1))
+    assert remainder.is_zero
+    q2, const = divmod(quotient, Polynomial((-1, 1)))
+    return const.coefficient(0) / factorial(p - 1), q2 / factorial(p - 1)
+
+
+def series_poly_oracle(p):
+    """r_k as a polynomial in k by Polynomial/Fraction arithmetic."""
+    g = periodic_remainder(p)
+    out, falling = Polynomial.zero(), Polynomial.constant(1)
+    for j in range(p, 0, -1):
+        out = out + falling * (g.coefficient(j) * factorial(j))
+        falling = falling * Polynomial((j - p + 1, 1))
+    return out / factorial(p - 1)
 
 
 # ---- subtraction polynomial and periodic remainder ----
@@ -112,6 +156,31 @@ def test_closed_form_part_depth_eleven():
         (119750400, 19542240, -403272, 213628, 270090, 85515, 18522, 2532, 180, 5)
     )
     assert q * 239500800 == expected
+
+
+@pytest.mark.parametrize("k_max", [64, 128])
+@pytest.mark.parametrize("p", range(1, 33))
+def test_derivation_is_the_fraction_oracle(p, k_max):
+    # the integer routes of closed_form_part, series_poly and the stored
+    # terms give exactly what Polynomial/Fraction arithmetic gives
+    spec = derive_identity(p, k_max)
+    pole, q = closed_form_part_oracle(p)
+    assert spec.pole_coefficient == pole
+    assert spec.q_poly == q
+    closed = series_poly_oracle(p)
+    assert spec.closed_form == closed
+    assert spec.terms == tuple(
+        (k, fraction_horner(closed, k)) for k in range(spec.k0, k_max + 1)
+    )
+
+
+def test_pole_other_than_one_is_a_cancellation_error(monkeypatch):
+    # twice f_p doubles the pole; the old division by (s)_(p-1) had a zero
+    # remainder whatever f_p was, so only the pole check can catch this
+    f = subtraction_poly(5)
+    monkeypatch.setattr(derive, "subtraction_poly", lambda p: f * 2)
+    with pytest.raises(CancellationError, match="pole coefficient 2 != 1"):
+        closed_form_part(5)
 
 
 def test_pole_coefficient_is_one_through_depth_twenty():
@@ -233,6 +302,7 @@ def test_spec_falling_coefficients(specs64):
     for k in range(-3, spec.k0):
         assert spec.closed_form_at(k) == spec.closed_form(F(k)), k
     assert dataclasses.replace(spec, closed_form=None).falling_coefficients is None
+    assert dataclasses.replace(spec, closed_form=None).shifted_head_coefficients is None
 
 
 def test_derive_argument_validation():

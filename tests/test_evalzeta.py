@@ -15,6 +15,7 @@ from zetaident.evalzeta import (
     EvalReport,
     PoleError,
     _InnerSums,
+    _head,
     _integer_point,
     _shifted_head,
     eval_identities,
@@ -414,16 +415,44 @@ def test_head_weights_are_the_split_off_sum(specs64, s, p, m):
     assert len(weights) == m - 1
     with mp.workdps(60):
         z = _mp_point(s)
-        ns = range(2, m + 1)
-        split = _mp_point(first) + sum(
-            mp.mpf(n) ** -z * mp.mpc(wr, wi) / wd for n, (wr, wi, wd) in zip(ns, weights)
+        split = sum(
+            mp.mpf(n) ** -z * mp.mpc(wr, wi) / wd
+            for n, (wr, wi, wd) in enumerate([first, *weights], 1)
         )
+        ns = range(2, m + 1)
         direct, a = 0, 1
         for k in range(400):
             if k >= spec.k0:
                 direct += spec.series_coefficient(k) * a * sum(mp.mpf(n) ** (-z - k) for n in ns)
             a *= (z + k) / (k + 2)
         assert abs(split - direct) < mp.mpf(10) ** -50, mp.nstr(abs(split - direct), 3)
+
+
+def _fraction_head(spec, re, im):
+    """pole/(s - 1) + Q(s) by Horner's rule on Fractions."""
+    hr = hi = F(0)
+    for c in reversed(spec.q_poly.coefficients):
+        hr, hi = hr * re - hi * im + c, hr * im + hi * re
+    ar = re - 1
+    scale = spec.pole_coefficient / (ar * ar + im * im)
+    return hr + ar * scale, hi - im * scale
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_head_is_the_fraction_horner(specs64, p):
+    # real, complex, and decimal points whose den is 10^6
+    points = [
+        (F(5, 2), F(0)),
+        (F(-37, 4), F(0)),
+        (F(3, 4), F(2)),
+        (F(-3, 2), F(-40)),
+        (F(-1234567, 10**6), F(0)),
+        (F(2500001, 10**6), F(-3141593, 10**6)),
+        (1 + F(1, 10**6), F(0)),
+    ]
+    for re, im in points:
+        hr, hi, hd = _head(specs64[p], _integer_point(re, im))
+        assert (F(hr, hd), F(hi, hd)) == _fraction_head(specs64[p], re, im), (re, im)
 
 
 # the real centres of the `points` benchmark, one in each depth strip, and

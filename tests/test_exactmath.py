@@ -1,9 +1,20 @@
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from zetaident.exactmath import BernoulliCache, Polynomial, bernoulli, faulhaber
+from zetaident.exactmath import (
+    BernoulliCache,
+    Polynomial,
+    bernoulli,
+    bernoulli_over_factorial,
+    divide_linear,
+    faulhaber,
+    taylor_shift,
+    times_linear,
+)
 
 
 def bernoulli_oracle(n):
@@ -99,6 +110,37 @@ def test_shift_round_trip(poly, c):
     assert poly.shift(c).shift(-c) == poly
 
 
+@given(small_polys, small_fractions)
+def test_evaluation_is_the_fraction_horner(poly, x):
+    acc = Fraction(0)
+    for c in reversed(poly.coefficients):
+        acc = acc * x + c
+    assert poly(x) == acc
+    assert poly(x.numerator) == poly(Fraction(x.numerator))
+
+
+def test_integer_coefficients():
+    p = Polynomial((Fraction(1, 2), Fraction(-1, 3), 2))
+    assert p.integer_coefficients() == ((3, -2, 12), 6)
+    assert Polynomial.from_integers(*p.integer_coefficients()) == p
+    assert Polynomial().integer_coefficients() == ((), 1)
+
+
+small_ints = st.lists(st.integers(-50, 50), max_size=8)
+
+
+@given(small_ints, st.integers(-9, 9))
+def test_linear_factor_helpers(a, c):
+    linear = Polynomial((c, 1))
+    product = times_linear(a, c)
+    assert Polynomial(product) == Polynomial(a) * linear
+    assert divide_linear(product, c) == (list(a) + [0] * (len(product) - 1 - len(a)), 0)
+    if a:
+        q, r = divide_linear(a, c)
+        assert Polynomial(q) * linear + Polynomial.constant(r) == Polynomial(a)
+    assert Polynomial(taylor_shift(a, c)) == Polynomial(a).shift(c)
+
+
 @given(small_polys)
 def test_antiderivative_inverts_derivative(poly):
     anti = poly.antiderivative()
@@ -130,8 +172,28 @@ def test_bernoulli_odd_vanish():
 
 
 def test_bernoulli_against_independent_oracle():
-    for m in range(0, 31):
-        assert bernoulli(m) == bernoulli_oracle(m)
+    for m in [*range(0, 61), 100, 150, 200]:
+        assert bernoulli(m) == bernoulli_oracle(m), m
+
+
+def test_bernoulli_cache_grows_safely_across_threads():
+    cache = BernoulliCache()
+    indices = [120, 7, 64, 2, 99, 31, 80, 0] * 4
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        values = list(pool.map(cache.get, indices))
+        ratios = list(pool.map(cache.ratio, [i // 2 for i in indices]))
+    assert values == [bernoulli(m) for m in indices]
+    assert ratios == [bernoulli_over_factorial(i // 2) for i in indices]
+
+
+def test_bernoulli_over_factorial():
+    for j in range(0, 80):
+        q = bernoulli(2 * j) / factorial(2 * j)
+        assert bernoulli_over_factorial(j) == (q.numerator, q.denominator), j
+    cache = BernoulliCache()
+    assert cache.ratio(6) == bernoulli_over_factorial(6)
+    with pytest.raises(ValueError):
+        bernoulli_over_factorial(-1)
 
 
 def test_bernoulli_negative_index():
