@@ -22,16 +22,18 @@ units of x * 2^P (a unit 2^-P is an "ulp" below) and a complex number as a
 pair of them. Sums are exact integer additions, products are integer
 products shifted right by P, and every rounding is a floor. The error of
 each operation is tallied in ulps as an integer, rounded up, so no float
-enters any bound. mpmath's libmp kernels are used once per call for the
-irrational inputs: p^-s for each prime p of the inner-sum table (a
-composite n takes n^-s as the product q^-s (n/q)^-s of two earlier powers,
-q its least prime factor) and (m+1)^(-Re s) in the tail bound. Each takes
-its precision as an argument: no call sets mpmath's shared precision, so
-concurrent calls cannot disturb each other. Everything rational (s itself, (s)_k0 / (k0+1)!,
-the head pole/(s-1) + Q(s) + W_1, the weights W_n, r_k and the
-Euler-Maclaurin coefficients B_2j/(2j)!) is exact; each is floored once
-where it meets a fixed-point number. Values are returned as mpmath
-numbers, built exactly.
+enters any bound; the modulus of a complex number in a bound is the
+square-root-free max + min/2 + 1 of its parts (_modulus_up). mpmath's
+libmp kernels are used once per call for the irrational inputs: p^-s for
+each prime p of the inner-sum table (a composite n takes n^-s as the
+product q^-s (n/q)^-s of two earlier powers, q its least prime factor)
+and (m+1)^(-Re s) in the tail bound. Each takes its precision as an
+argument: no call sets mpmath's shared precision, so concurrent calls
+cannot disturb each other. Everything rational (s itself,
+(s)_k0 / (k0+1)!, the head pole/(s-1) + Q(s) + W_1, the weights W_n, r_k
+and the Euler-Maclaurin steps between consecutive B_2j/(2j)!) is exact;
+each is floored once where it meets a fixed-point number. Values are
+returned as mpmath numbers, built exactly.
 
 P is the bit length of 10^(digits+5), plus log2 of the largest outer
 coefficient |r_k (s)_k / (k+1)!| the call will meet or of the largest head
@@ -77,9 +79,10 @@ terms that grow before they fall.
 from __future__ import annotations
 
 import re as _re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, factorial, floor, hypot, inf, isqrt, lcm, log2, nextafter
+from math import ceil, comb, factorial, floor, hypot, inf, isfinite, isqrt, lcm, log2, nextafter
 from typing import Optional, Sequence, Union
 
 from mpmath import mp
@@ -87,7 +90,7 @@ from mpmath.libmp import from_int, from_man_exp, fzero, mpc_mul, mpc_pow, mpf_di
 from mpmath.libmp import mpf_neg, mpf_pow, mpf_shift, round_ceiling, round_nearest, to_int
 
 from .derive import IdentitySpec
-from .exactmath import bernoulli, bernoulli_over_factorial
+from .exactmath import bernoulli_over_factorial, bernoulli_ratio_steps
 
 _GUARD = 10
 # Bits of the fixed-point scale beyond 10^-(digits+5) and the peak outer
@@ -201,28 +204,39 @@ def parse_complex_literal(text: str) -> tuple[Fraction, Fraction]:
 
 
 def _exact_real(x) -> Fraction:
+    if isinstance(x, float) and not isfinite(x):
+        raise ValueError(f"s must be finite, not {x}")
     if isinstance(x, (int, float, Fraction, str)):
         return Fraction(x)
     if not isinstance(x, mp.mpf):
         x = mp.mpf(x)
     sign, man, exp, _ = x._mpf_
+    if not man and exp:  # mpmath's inf, -inf and nan
+        raise ValueError(f"s must be finite, not {x}")
     value = Fraction(-man if sign else man)
     return value * 2**exp if exp >= 0 else value / 2**-exp
+
+
+_FLOAT_MAX = Fraction(sys.float_info.max)
 
 
 def _exact_point(s) -> tuple[Fraction, Fraction]:
     """s as an exact (re, im) pair of rationals. Ints, floats, complex and
     mpmath numbers are binary fractions, and a string is read as a decimal
-    literal "a", "a+bi" or "a-bi", so nothing rounds."""
+    literal "a", "a+bi" or "a-bi", so nothing rounds. Raises ValueError for
+    a non-finite s and for a part beyond the float range, which the float
+    pre-scan of the outer series cannot hold."""
     if isinstance(s, tuple) and len(s) == 2:
-        return _exact_real(s[0]), _exact_real(s[1])
-    if isinstance(s, str):
-        return parse_complex_literal(s)
-    if isinstance(s, complex):
-        return Fraction(s.real), Fraction(s.imag)
-    if isinstance(s, mp.mpc):
-        return _exact_real(s.real), _exact_real(s.imag)
-    return _exact_real(s), Fraction(0)
+        re, im = _exact_real(s[0]), _exact_real(s[1])
+    elif isinstance(s, str):
+        re, im = parse_complex_literal(s)
+    elif isinstance(s, (complex, mp.mpc)):
+        re, im = _exact_real(s.real), _exact_real(s.imag)
+    else:
+        re, im = _exact_real(s), Fraction(0)
+    if abs(re) > _FLOAT_MAX or abs(im) > _FLOAT_MAX:
+        raise ValueError(f"s has a part beyond the float range, |part| > {sys.float_info.max:.4g}")
+    return re, im
 
 
 def pochhammer(s, k: int):
@@ -246,8 +260,18 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _modulus_up(re: int, im: int) -> int:
-    """An integer >= |re + i im|."""
-    return isqrt(re * re + im * im) + 1
+    """An integer > |re + i im|, at most sqrt(5)/2 |re + i im| + 1, without a
+    square root.
+
+    With a = max(|re|, |im|) and b = min(|re|, |im|),
+    (a + b/2)^2 = a^2 + b^2 + b (a - 3b/4) >= a^2 + b^2, so
+    a + b//2 + 1 > a + b/2 >= |re + i im|. The ratio (a + b/2) / |re + i im|
+    peaks at b = a/2, where it is sqrt(5)/2 < 1.119. Every fixed-point
+    magnitude of this module is bounded by it."""
+    a, b = abs(re), abs(im)
+    if a < b:
+        a, b = b, a
+    return a + (b >> 1) + 1
 
 
 def _fixed(q: Fraction, bits: int) -> int:
@@ -349,13 +373,25 @@ class _InnerSums:
     - direct only: sum_{first_n <= n < M} n^-w for the first M <= N whose
       tail bound M^-sigma + M^(1-sigma)/(sigma-1) is under budget;
     - the direct sum to N plus N^(1-w)/(w-1) + N^-w/2 plus Euler-Maclaurin
-      terms B_2j/(2j)! (w)_(2j-1) N^-(w+2j-1), added until the remainder
-      bound (first omitted term * |w+2m+1|/(sigma+2m+1)) is under budget.
+      terms T_j = B_2j/(2j)! (w)_(2j-1) N^-(w+2j-1), added until the
+      remainder bound (first omitted term * |w+2m+1|/(sigma+2m+1)) is
+      under budget.
+
+    The terms come from one recurrence, B_2j/(2j)! folded in:
+    T_1 = w N^-w / (12 N) and
+    T_(j+1) = T_j (w+2j-1)(w+2j) / N^2 * rho_j, with the exact
+    rho_j = [B_(2j+2)/(2j+2)!] / [B_2j/(2j)!] (exactmath.bernoulli_ratio_steps)
+    and w = (wr + i wi)/den, so each step is one integer product and one
+    floor division per component. A step carries the error E_j of T_j to
+    E_(j+1) = E_j |f| |rho_j| / (N den)^2 + 2, f = (w+2j-1)(w+2j) den^2
+    an exact Gaussian integer bounded by |Re f| + |Im f|; T_1 is within
+    _ENTRY_ULPS |w| / (12 N) + 2.
 
     The rounding bound adds _ENTRY_ULPS per summed entry and, for each
     further product or quotient, the entry error it propagates plus 2 ulps
-    for its floors. When neither route meets the budget the returned bound
-    is the one reached, not the budget.
+    for its floors; each Euler-Maclaurin term adds its E_j. When neither
+    route meets the budget the returned bound is the one reached, not the
+    budget.
     """
 
     def __init__(self, z: tuple[Fraction, Fraction], digits: int, bits: int, first_n: int = 2):
@@ -382,6 +418,8 @@ class _InnerSums:
         self.shift = [0] * first_n
         self.max_order = 0
         self.last_em_k = None
+        # rho_j of the Euler-Maclaurin recurrence, grown as orders rise
+        self.steps = ()
 
     def cutoffs(self) -> dict:
         """The schedule used: the first and the largest n tabulated (0 when
@@ -492,33 +530,36 @@ class _InnerSums:
         vr += xr >> 1
         vi += xi >> 1
         rounding += (_ENTRY_ULPS + 1) // 2 + 2
-        # t = (w)_(2j-1) n^-(w+2j-1), from w n^-w / n, and its error
+        # T_1 = B_2/2! w n^-w / n = w n^-w / (12 n), within t_err
         dn = den * n
-        tr, ti = (xr * wr - xi * wi) // dn, (xr * wi + xi * wr) // dn
-        t_err = _ceil_div(_ENTRY_ULPS * _modulus_up(wr, wi), dn) + 2
+        q = 12 * dn
+        tr, ti = (xr * wr - xi * wi) // q, (xr * wi + xi * wr) // q
+        t_err = _ceil_div(_ENTRY_ULPS * (abs(wr) + abs(wi)), q) + 2
         dn2 = dn * dn
+        steps = self.steps
         prev = None
         j = 1
         while True:
-            bn, bd = bernoulli_over_factorial(j)
-            term_r, term_i = tr * bn // bd, ti * bn // bd
-            term_err = _ceil_div(t_err * abs(bn), bd) + 2
-            # |term| * |w + 2j - 1| / (sigma + 2j - 1)
+            # the remainder after j - 1 terms: |T_j| |w + 2j - 1| / (sigma + 2j - 1)
             gr = wr + (2 * j - 1) * den
-            size = _modulus_up(term_r, term_i) + term_err
+            size = _modulus_up(tr, ti) + t_err
             err = _ceil_div(size * _modulus_up(gr, wi), gr)
             # stop once under budget, or once the asymptotic terms grow
             if err <= budget or (prev is not None and err >= prev):
                 break
-            vr += term_r
-            vi += term_i
-            rounding += term_err
+            vr += tr
+            vi += ti
+            rounding += t_err
             prev = err
-            # t *= (w + 2j - 1)(w + 2j) / n^2
+            # T_(j+1) = T_j (w + 2j - 1)(w + 2j) / n^2 rho_j: one floor
+            if j >= len(steps):
+                steps = self.steps = bernoulli_ratio_steps(2 * j)
+            rn, rd = steps[j]
             hr = gr + den
-            fr, fi = gr * hr - wi * wi, (gr + hr) * wi
-            tr, ti = (tr * fr - ti * fi) // dn2, (tr * fi + ti * fr) // dn2
-            t_err = _ceil_div(t_err * _modulus_up(fr, fi), dn2) + 2
+            fr, fi = (gr * hr - wi * wi) * rn, (gr + hr) * wi * rn
+            q = dn2 * rd
+            tr, ti = (tr * fr - ti * fi) // q, (tr * fi + ti * fr) // q
+            t_err = _ceil_div(t_err * (abs(fr) + abs(fi)), q) + 2
             j += 1
         order = j - 1
         self.max_order = max(self.max_order, order)
@@ -578,11 +619,11 @@ def zeta_em_reference(s, digits: int = 40):
         poch = z
         npow = mp.power(nf, -z - 1)
         inv_n2 = 1 / (nf * nf)
-        fact = 2
         previous = mp.inf
         j = 1
         while True:
-            term = _fraction_to_mp(bernoulli(2 * j)) / fact * poch * npow
+            bn, bd = bernoulli_over_factorial(j)
+            term = mp.mpf(bn) / bd * poch * npow
             size = abs(term)
             if size < small or size >= previous:
                 break
@@ -590,7 +631,6 @@ def zeta_em_reference(s, digits: int = 40):
             previous = size
             poch = poch * (z + 2 * j - 1) * (z + 2 * j)
             npow = npow * inv_n2
-            fact = fact * (2 * j + 1) * (2 * j + 2)
             j += 1
     return total
 
@@ -981,7 +1021,9 @@ def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> lis
                     d.rounding += d.coef_err * v_size + d.size * rounding
                     d.products += 1
         for d in active:
-            tail_bound = _ceil_div(d.size * tail_factor, one << (base_bits * (k - k_start) + extra))
+            # size * tail_factor / 2^shift, rounded up by a shift
+            shift = bits + base_bits * (k - k_start) + extra
+            tail_bound = -((-d.size * tail_factor) >> shift)
             if _tail_met(d, k, tail_bound, threshold, whole, exact_zero, base_bits):
                 d.terms_used, d.tail_bound = k, tail_bound
                 running.remove(d)

@@ -235,6 +235,13 @@ def test_eval_domain_errors():
     assert main(["eval", "--p", "3", "--s", "nonsense"]) == 2
 
 
+def test_eval_out_of_range_s_exits_two(capsys):
+    # the float pre-scan cannot hold 1e400; the CLI says so and exits 2
+    assert main(["eval", "--s", "1e400", "--digits", "20"]) == 2
+    assert "float range" in capsys.readouterr().err
+    assert main(["eval", "--p", "1", "--s", "2+1e400i"]) == 2
+
+
 def test_eval_digits_floor():
     assert main(["eval", "--p", "3", "--s", "2", "--digits", "5"]) == 2
 

@@ -2,6 +2,7 @@ import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +18,7 @@ from zetaident.evalzeta import (
     _InnerSums,
     _head,
     _integer_point,
+    _modulus_up,
     _shifted_head,
     eval_identities,
     eval_identity,
@@ -602,7 +604,63 @@ def test_inner_sum_rounding_is_tallied(z):
     assert err < actual <= err + rounding
 
 
+@pytest.mark.parametrize(
+    "z, k, digits",
+    [
+        ((F(1, 2), F(40)), 1, 40),
+        ((F(1, 2), F(-100)), 1, 40),
+        ((F(2), F(0)), 0, 100),
+        ((F(3, 2), F(14134725, 10**6)), 0, 100),
+        ((F(1, 4), F(30)), 2, 300),
+        # a point of the `points` benchmark, on its grid of 10^-6
+        ((F(1801021, 400000), F(8670021, 500000)), 0, 40),
+    ],
+)
+def test_shifted_inner_sums_within_their_bounds(z, k, digits):
+    # first_n = 16, as in the shifted split: the Euler-Maclaurin route at a
+    # budget of 10^-(digits+5), against Hurwitz zeta(w, 16)
+    bits = evalzeta._threshold_bits(digits) + evalzeta._GUARD_BITS
+    budget = (1 << bits) // 10 ** (digits + 5)
+    inner = _InnerSums(z, digits, bits, first_n=16)
+    value, err, rounding = inner(k, budget)
+    assert inner.last_em_k == k
+    assert err <= budget
+    with mp.workdps(digits + 20):
+        actual = abs(_ulps_to_mp(value, bits) - mp.zeta(_mp_point(z) + k, 16))
+        assert actual <= mp.mpf(err + rounding) / mp.mpf(2) ** bits
+
+
+_BIG = st.integers(min_value=-(2**2000), max_value=2**2000)
+
+
+@given(_BIG, _BIG)
+def test_modulus_up_is_a_tight_upper_bound(a, b):
+    root = isqrt(a * a + b * b)
+    assert root < _modulus_up(a, b) <= (9 * root) // 8 + 2
+
+
 # ---- eval_identity: errors ----
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        float("inf"),
+        float("nan"),
+        complex(2, float("-inf")),
+        mp.inf,
+        mp.mpc(2, mp.nan),
+        (F(2), float("inf")),
+        F(10**400),
+        "1e400",
+        "2-1e309i",
+    ],
+)
+def test_non_finite_or_out_of_range_s_is_a_value_error(specs64, s):
+    with pytest.raises(ValueError, match="finite|float range"):
+        eval_identity(specs64[1], s, 20)
+    with pytest.raises(ValueError, match="finite|float range"):
+        supports(specs64[1], s)
 
 
 def test_outside_validity(specs64):
