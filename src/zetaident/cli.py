@@ -449,6 +449,11 @@ def _grid_points(cfg: RunConfig) -> list[tuple[Fraction, Fraction]]:
     return points
 
 
+def _decimal(x: Fraction, digits: int) -> str:
+    """x to digits significant digits, at any magnitude: no float round trip."""
+    return mp.nstr(mp.mpf(x.numerator) / x.denominator, digits)
+
+
 def cmd_table(cfg: RunConfig) -> int:
     points = _grid_points(cfg)
     depth_for = _depth_for(cfg)
@@ -462,15 +467,13 @@ def cmd_table(cfg: RunConfig) -> int:
                     raise ValueError("no identity covers it")
                 report = eval_identity(spec, arg, cfg.digits)
             except (PoleError, ValueError) as exc:
-                print(
-                    f"skipping s = {float(s[0])}+{float(s[1])}i: {exc}",
-                    file=sys.stderr,
-                )
+                where = f"{_decimal(s[0], cfg.digits)}+{_decimal(s[1], cfg.digits)}i"
+                print(f"skipping s = {where}: {exc}", file=sys.stderr)
                 continue
             rows.append(
                 {
-                    "s_re": mp.nstr(mp.mpf(s[0].numerator) / s[0].denominator, cfg.digits),
-                    "s_im": mp.nstr(mp.mpf(s[1].numerator) / s[1].denominator, cfg.digits),
+                    "s_re": _decimal(s[0], cfg.digits),
+                    "s_im": _decimal(s[1], cfg.digits),
                     "value_re": mp.nstr(mp.re(report.value), cfg.digits),
                     "value_im": mp.nstr(mp.im(report.value), cfg.digits),
                     "terms_used": report.terms_used,

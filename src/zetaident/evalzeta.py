@@ -10,11 +10,20 @@ inner sum zeta(s+k) - 1 = sum_{n>=2} n^-(s+k) moves into the head, exactly,
 so the outer series shrinks like (m+1)^-k instead of 2^-k. The weights
 W_n(s) are exact complex rationals (`_shifted_head`): with r_k written in
 the falling-factorial basis of its closed form, the sum over k of each
-n^-(s+k) is a binomial series in 1/n. r_k, k0 and the validity half-plane
-do not depend on m. m + 1 = _FIRST_N = 16, a power of two, at every digits
-and s: of 4, 8 and 16 it was the fastest everywhere it was measured. A
-batch holding a spec without a closed form has no weights and takes
-m = 1, the paper's split.
+n^-(s+k) is a binomial series in 1/n. For 1 < n < m the weight is a
+polynomial in 1/n, W_n = sum_j g_j (s)_j n^-j, so those n are summed by
+powers, not by n: sum_{n=2..m-1} n^-s W_n = sum_j g_j (s)_j S_j with the
+power sums S_j = sum_{n=2..m-1} n^-(s+j), which every depth of a batch
+shares. W_1 and W_m have closed forms of their own. r_k, k0 and the
+validity half-plane do not depend on m.
+
+m + 1 = _split_point(digits), the least power of two >= 10 + digits (32 up
+to 22 digits, 64 at 40, 128 at 100, 512 at 300). The inner sums of the
+shifted split are then Euler-Maclaurin sums at N = m + 1 with no direct
+terms, so N is their only cutoff; it is never below 10 + digits, the
+cutoff of the paper's split, so no Euler-Maclaurin remainder is worse than
+there. A batch holding a spec without a closed form has no weights and
+takes m = 1, the paper's split.
 
 The identity evaluator works in fixed point on Python integers. One call
 chooses a scale 2^P; a real number x is held as an integer within a few
@@ -25,30 +34,31 @@ each operation is tallied in ulps as an integer, rounded up, so no float
 enters any bound; the modulus of a complex number in a bound is the
 square-root-free max + min/2 + 1 of its parts (_modulus_up). mpmath's
 libmp kernels are used once per call for the irrational inputs: p^-s for
-each prime p of the inner-sum table (a composite n takes n^-s as the
-product q^-s (n/q)^-s of two earlier powers, q its least prime factor)
-and (m+1)^(-Re s) in the tail bound. Each takes its precision as an
+each prime p of the head and the inner-sum table (a composite n takes n^-s
+as the product q^-s (n/q)^-s of two earlier powers, q its least prime
+factor) and (m+1)^(-Re s) in the tail bound. Each takes its precision as an
 argument: no call sets mpmath's shared precision, so concurrent calls
 cannot disturb each other. Everything rational (s itself,
-(s)_k0 / (k0+1)!, the head pole/(s-1) + Q(s) + W_1, the weights W_n, r_k
-and the Euler-Maclaurin steps between consecutive B_2j/(2j)!) is exact;
-each is floored once where it meets a fixed-point number. Values are
-returned as mpmath numbers, built exactly.
+(s)_k0 / (k0+1)!, the head pole/(s-1) + Q(s) + W_1, the weights W_m and
+g_j (s)_j, r_k and the Euler-Maclaurin steps between consecutive
+B_2j/(2j)!) is exact; each is floored once where it meets a fixed-point
+number. Values are returned as mpmath numbers, built exactly.
 
 P is the bit length of 10^(digits+5), plus log2 of the largest outer
 coefficient |r_k (s)_k / (k+1)!| the call will meet or of the largest head
-weight |W_n|, plus _GUARD_BITS: the error of each product is the error of
-its fixed-point factor, a few ulps, times the size of its exact one. The
-peak comes from a float pre-scan that mirrors the outer stopping rule, so
-the large coefficients of points with large |Im s| (which grow like
-|Im s|^k / k! before they decay) get the bits their cancellation costs. The
-scan only sets how tight the bound is; every bound is a tally of the ulps
-actually lost, whatever P is.
+weight times the error of the value it multiplies (3 |W_m| ulps for m^-s,
+3 (m - 2) |g_j (s)_j| for S_j), plus _GUARD_BITS: the error of each
+product is the error of its fixed-point factor times the size of its
+exact one. The outer peak comes from a float pre-scan that mirrors the
+outer stopping rule, so the large coefficients of points with large |Im s|
+(which grow like |Im s|^k / k! before they decay) get the bits their
+cancellation costs. The scan only sets how tight the bound is; every bound
+is a tally of the ulps actually lost, whatever P is.
 
 The independent cross-check `zeta_em_reference` computes zeta directly by
 Euler-Maclaurin summation in mpmath floats and shares nothing with
-`eval_identity` except the Bernoulli table, so agreement between the two is
-meaningful.
+`eval_identity` except the Bernoulli table and `_least_factor`, so
+agreement between the two is meaningful.
 
 `eval_identities` evaluates several depths at one point in one pass over
 k: every depth's identity has the same inner sums zeta(s + k, m + 1) and
@@ -58,10 +68,13 @@ loop at s = 0 with the factor 1/(k(k+1)), the head Q'(0) - pole (the
 identity differentiated term by term) and m = 1, since that head has no
 shifted form; so zeta'(0) gets an error bound too.
 
-Each call computes n^-s for n = 2..m once, for the head, and its inner
-sums zeta(s + k, m + 1) from one table of n^-(s+k), n = m+1..N with
-N = 10 + digits: every power is computed once and stepped from k to k + 1
-by a floor division by n. Each k gets the budget
+Each call computes n^-s for n = 2..m once, for the head, and steps them
+to each power sum S_j by a floor division by n. Its inner sums
+zeta(s + k, m + 1) come from one table of n^-(s+k), n = m+1..N, each power
+computed once and stepped from k to k + 1 by a floor division by n. In the
+shifted split m + 1 = N and the table holds N^-(s+k) alone; in the paper's
+split (m = 1, and zeta_prime_at_zero, sum_zeta_m1 and zeta_m1) it runs
+from n = 2 to N = 10 + digits. Each k gets the budget
 10^-(digits+5) / (16 |coefficient_k|), the smallest such budget over the
 depths of a batch, and the cheaper route that meets it:
 a direct sum alone when some cutoff M <= N has a small enough tail bound,
@@ -103,11 +116,6 @@ _MIN_TERMS = 8
 # An outer tail is within its bound once sum_i |b_i| S_i(q) <= _TAIL_RATIO
 # |r_k|: see _tail_bounded.
 _TAIL_RATIO = 6
-# m + 1 of the shifted split: the inner sums start at n = _FIRST_N, a power
-# of two and below N = 10 + digits at every digits >= 15. Of 4, 8 and 16, 16 was the fastest at every digits (15..300) and
-# every kind of s measured: strips from Re s = -30.5 to 300, |Im s| up to
-# 1000, and s within 10^-19 of the pole.
-_FIRST_N = 16
 # Every n^-(z+k) table entry is within this many ulps (in modulus) of its
 # value, at any shift: see _InnerSums.
 _ENTRY_ULPS = 3
@@ -133,19 +141,22 @@ class EvalReport:
     zeta_prime_at_zero), rounded up to a float. It is
     the sum of, in ulps of the call's scale 2^-P: the outer truncation
     bound; the inner truncation bounds, each times its |coefficient|; and
-    the rounding tally, which covers the head, _ENTRY_ULPS times |W_n| for
-    each power n^-s of the shifted head, every floor of the (s)_k
-    recurrence and of each coefficient as it propagates into its term, the
-    rounding of each inner sum times its |coefficient|, and the floor of
-    each product.
+    the rounding tally, which covers the head, _ENTRY_ULPS times |W_m| for
+    m^-s and _ENTRY_ULPS (m - 2) times |g_j (s)_j| for each power sum S_j
+    of the shifted head, every floor of the (s)_k recurrence and of each
+    coefficient as it propagates into its term, the rounding of each inner
+    sum times its |coefficient|, and the floor of each product.
     inner_sum_cutoffs records the inner schedule the call used: first_n,
-    the first n of every inner sum (m + 1 of the shifted split; 2 for the
-    paper's split); direct_terms, the largest n in its n^-(s+k) table (at
-    most N = 10 + digits; 0 if no inner sum was needed); correction_order, the
-    largest Euler-Maclaurin order any k needed; last_em_k, the last k that
-    needed Euler-Maclaurin terms (None if direct sums sufficed). The
-    reports of one eval_identities batch share one schedule, so they all
-    carry the same cutoffs, those of the whole pass.
+    the first n of every inner sum (m + 1 of the shifted split, the least
+    power of two >= 10 + digits; 2 for the paper's split); direct_terms,
+    the largest n in its n^-(s+k) table (0 if no inner sum was needed):
+    first_n itself in the shifted split, whose inner sums are
+    Euler-Maclaurin sums at n = first_n with no direct terms, and at most
+    N = 10 + digits in the paper's split; correction_order, the largest
+    Euler-Maclaurin order any k needed; last_em_k, the last k that needed
+    Euler-Maclaurin terms (None if direct sums sufficed). The reports of
+    one eval_identities batch share one schedule, so they all carry the
+    same cutoffs, those of the whole pass.
     """
 
     value: object
@@ -162,6 +173,22 @@ def _check_digits(digits: int) -> None:
 
 def _direct_terms(digits: int) -> int:
     return 10 + digits
+
+
+def _split_point(digits: int) -> int:
+    """m + 1 of the shifted split: the least power of two >= N = 10 + digits.
+    The inner sums of a closed-form batch are Euler-Maclaurin sums at
+    n = m + 1 with no direct terms, and their remainder is no worse than at
+    N."""
+    return 1 << (_direct_terms(digits) - 1).bit_length()
+
+
+def _least_factor(n: int) -> int:
+    """The least prime factor of n >= 2 (n itself when n is prime)."""
+    p = 2
+    while p * p <= n and n % p:
+        p += 1
+    return p if p * p <= n else n
 
 
 def _fraction_to_mp(q: Fraction):
@@ -350,13 +377,18 @@ class _InnerSums:
     z = (zr + i zi) / den with integers zr, zi, den, so every z + k, and
     every factor the Euler-Maclaurin terms need, is exact.
 
-    The powers n^-(z+k), n = first_n..N with N = _direct_terms(digits),
-    live in one table for the whole call. An entry is computed when first
+    The powers n^-(z+k), n = first_n..N, live in one table for the whole
+    call. N = _direct_terms(digits), or first_n when that is larger: the
+    shifted split passes first_n = _split_point(digits), so its table holds
+    n = first_n alone and every shift is an Euler-Maclaurin sum at n = N
+    with no direct terms (or, when even the tail bound at N meets the
+    budget, the empty direct sum). An entry is computed when first
     needed as floor(X / n^k) with X = floor(n^-z * 2^bits), and stepped to
     each later shift by a floor division by n; nested floor divisions by
     integers are one, so an entry at shift k is always floor(X / n^k).
-    `head` gives the entries n = 2..first_n-1 at shift 0, which are not
-    stepped. mpmath computes p^-z for each prime p at `prec` bits, with an
+    `head` gives the entries n = 2..first_n-1 at shift 0, outside the
+    table; _head_values steps them into the power sums of the shifted head
+    in the same way. mpmath computes p^-z for each prime p at `prec` bits, with an
     error (rounding z included) assumed under 4 + |z| log p units of that
     precision, and n^-z = a^-z * b^-z for composite n = a b, each product
     adding at most 2 units. So n^-z is within (6 + |z|) log2 N units, which
@@ -399,7 +431,7 @@ class _InnerSums:
         self.zr, self.zi, self.den = _integer_point(re, im)
         self.bits = bits
         self.first = first_n
-        self.n_max = _direct_terms(digits)
+        self.n_max = max(_direct_terms(digits), first_n)
         # (6 + |z|) log2 N bounds the relative error of any n^-z in units
         # of 2^-prec: see the class docstring; the head entries n < first_n
         # are as large as n^-Re z, and (first_n - 2).bit_length() >= log2 n
@@ -439,13 +471,11 @@ class _InnerSums:
         powers = self.powers
         while len(powers) <= n:
             i = len(powers)
-            p = 2  # the least prime factor of i, if i is composite
-            while p * p <= i and i % p:
-                p += 1
+            p = _least_factor(i)
             # the libmp kernels of mp.power and of the product, at prec
-            if p * p > i and self.complex:
+            if p == i and self.complex:
                 x = mpc_pow((from_int(i), fzero), self.minus_z, self.prec, round_nearest)
-            elif p * p > i:
+            elif p == i:
                 x = mpf_pow(from_int(i), self.minus_z, self.prec, round_nearest)
             else:
                 mul = mpc_mul if self.complex else mpf_mul
@@ -589,13 +619,15 @@ def zeta_m1(sigma, digits: int = 40):
 def zeta_em_reference(s, digits: int = 40):
     """Independent zeta oracle: direct Euler-Maclaurin continuation.
 
-    Shares only the Bernoulli table with the identity evaluator. The
-    direct sum runs to N = 10 + digits; correction terms are added until
-    the next one falls below 10^-(digits + _GUARD), or stops falling (the
-    series is asymptotic), so the order grows with |s| as well as with
-    digits. For Re s < 1 the direct sum grows like N^(1-Re s) while
-    zeta(s) = O(1), so the lost leading digits are compensated with extra
-    working precision.
+    Shares only the Bernoulli table and _least_factor with the identity
+    evaluator, and works in mpmath floats. The direct sum runs to
+    N = 10 + digits, each n^-z from mp.power for a prime n and as a product
+    of two earlier powers otherwise; correction terms are added until the
+    next one falls below 10^-(digits + _GUARD), or stops falling (the series
+    is asymptotic), so the order grows with |s| as well as with digits.
+    For Re s < 1 the direct sum grows like N^(1-Re s) while zeta(s) = O(1),
+    so the lost leading digits are compensated with extra working
+    precision.
     """
     _check_digits(digits)
     n_direct = _direct_terms(digits)
@@ -609,15 +641,21 @@ def zeta_em_reference(s, digits: int = 40):
             extra = int(mp.ceil((1 - re_s) * mp.log10(n_direct))) + 2
     with mp.workdps(digits + _GUARD + extra):
         z = _to_mp(s)
+        # n^-z for n = 1..N: mp.power for a prime n, and p^-z (n/p)^-z for a
+        # composite n with least prime factor p
+        powers = [None, mp.mpf(1)]
+        for n in range(2, n_direct + 1):
+            p = _least_factor(n)
+            powers.append(mp.power(n, -z) if p == n else powers[p] * powers[n // p])
         total = mp.mpf(0)
-        for n in range(1, n_direct):
-            total += mp.power(n, -z)
+        for x in powers[1:n_direct]:
+            total += x
         nf = mp.mpf(n_direct)
-        total += mp.power(nf, 1 - z) / (z - 1)
-        total += mp.power(nf, -z) / 2
+        total += powers[n_direct] * nf / (z - 1)
+        total += powers[n_direct] / 2
         small = mp.mpf(10) ** -(digits + _GUARD)
         poch = z
-        npow = mp.power(nf, -z - 1)
+        npow = powers[n_direct] / nf
         inv_n2 = 1 / (nf * nf)
         previous = mp.inf
         j = 1
@@ -711,13 +749,15 @@ def _rising(point: tuple[int, int, int], count: int) -> list[tuple[int, int]]:
 
 
 def _shifted_head(spec: IdentitySpec, point: tuple[int, int, int], m: int):
-    """The weights W_n, n = 1..m, of the head split off the inner sums:
+    """The exact parts of the head split off the inner sums,
 
-        sum_{n=2..m} sum_{k>=k0} r_k (s)_k/(k+1)! n^(-s-k) = sum_{n=1..m} n^-s W_n
+        sum_{n=2..m} sum_{k>=k0} r_k (s)_k/(k+1)! n^(-s-k)
+            = W_1 + sum_j g_j (s)_j S_j + m^-s W_m,
+        S_j = sum_{n=2..m-1} n^-(s+j),
 
     for s = (zr + i zi) / den given as point = (zr, zi, den) and m >= 2.
-    Returns W_1..W_m as (re, im, den) triples of integers, the value
-    (re + i im) / den: W_1 alone, then the list of W_2..W_m.
+    Returns W_1, the list of g_j (s)_j for j < size, and W_m, each an
+    (re, im, den) triple of integers with the value (re + i im) / den.
 
     With r_k = sum_i beta_i (k+1) k ... (k+2-i) (spec.falling_coefficients)
     and R the closed form at every k, the binomial series gives, for
@@ -730,8 +770,8 @@ def _shifted_head(spec: IdentitySpec, point: tuple[int, int, int], m: int):
         beta_0 (m^(1-s) - 1)/(1-s) + sum_{i>=1} beta_i (s)_(i-1) sum_{n=1..m-1} n^(1-i-s)
         - sum_{k<k0} R(k) (s)_k/(k+1)! sum_{n=2..m} n^(-s-k).
 
-    So W_1 = sum_{i>=1} beta_i (s)_(i-1) - beta_0/(1-s),
-    W_n = sum_j g_j (s)_j n^-j for 1 < n < m with
+    So W_1 = sum_{i>=1} beta_i (s)_(i-1) - beta_0/(1-s), the weight of
+    n^-s for 1 < n < m is W_n = sum_j g_j (s)_j n^-j with
     g_j = beta_(j+1) - [j < k0] h_j and h_j = R(j)/(j+1)!, and
     W_m = beta_0 m/(1-s) - sum_{j<k0} h_j (s)_j m^-j: exact rationals.
     G, H and beta_0 over one denominator L come from
@@ -749,16 +789,35 @@ def _shifted_head(spec: IdentitySpec, point: tuple[int, int, int], m: int):
     ar, ai = _horner([x + (H[j] if j < k0 else 0) for j, x in enumerate(G)], rising, den)
     power = den ** (size - 1)
     first = ar * q - pole_r * power, ai * q - pole_i * power, L * power * q
-    weights = []
-    for n in range(2, m):
-        step = den * n
-        ar, ai = _horner(G, rising, step)
-        weights.append((ar, ai, L * step ** (size - 1)))
+    coefficients = []
+    scale = L
+    for g, (cr, ci) in zip(G, rising):
+        coefficients.append((g * cr, g * ci, scale))
+        scale *= den
     step = den * m
     kr, ki = _horner(H, rising, step)
     scale = step ** (k0 - 1)
-    weights.append((pole_r * m * scale - kr * q, pole_i * m * scale - ki * q, L * q * scale))
-    return first, weights
+    last = pole_r * m * scale - kr * q, pole_i * m * scale - ki * q, L * q * scale
+    return first, coefficients, last
+
+
+def _head_values(entries: list[tuple[int, int]], count: int) -> list[tuple[int, int]]:
+    """The values the shifted head's weights multiply, from the entries
+    n^-s, n = 2..m (_InnerSums.head): m^-s, within _ENTRY_ULPS, then the
+    power sums S_j = sum_{n=2..m-1} n^-(s+j) for j < count, each within
+    _ENTRY_ULPS (m - 2). S_(j+1) steps each entry of S_j by a floor division
+    by n, so, as in the inner-sum table, every entry stays within
+    _ENTRY_ULPS. All depths of a batch share these sums."""
+    *middle, last = entries
+    ns = range(2, len(middle) + 2)
+    re = [x for x, _ in middle]
+    im = [y for _, y in middle]
+    values = [last, (sum(re), sum(im))]
+    for _ in range(count - 1):
+        re = [x // n for x, n in zip(re, ns)]
+        im = [y // n for y, n in zip(im, ns)]
+        values.append((sum(re), sum(im)))
+    return values
 
 
 class _Depth:
@@ -895,7 +954,7 @@ def eval_identities(
 
     Each identity is evaluated in its shifted split (see the module
     docstring): the head pole/(s-1) + Q(s) + sum_{n<=m} n^-s W_n and the
-    series over the inner sums zeta(s + k, m + 1), m + 1 = _FIRST_N.
+    series over the inner sums zeta(s + k, m + 1), m + 1 = _split_point(digits).
     A batch with a spec that has no closed form takes m = 1, the paper's
     split, which needs no weights.
     The identities share z, (s)_k / (k+1)!, (m+1)^(1 - Re s - k), the
@@ -912,15 +971,16 @@ def eval_identities(
     re, im = _exact_point(s)
     for spec in specs:
         _check_point(spec, re, im, digits)
-    first_n = _FIRST_N if all(spec.closed_form is not None for spec in specs) else 2
+    first_n = _split_point(digits) if all(spec.closed_form is not None for spec in specs) else 2
     point = _integer_point(re, im)
     heads = []
     for spec in specs:
         head = hr, hi, hd = _head(spec, point)
         weights = []
         if first_n > 2:
-            (wr, wi, wd), weights = _shifted_head(spec, point, first_n - 1)
+            (wr, wi, wd), coefficients, last = _shifted_head(spec, point, first_n - 1)
             head = hr * wd + wr * hd, hi * wd + wi * hd, hd * wd
+            weights = [last, *coefficients]  # in the order of _head_values
         heads.append((head, weights))
     # (s)_k0 / (k0+1)! at the least k0
     k0 = min(spec.k0 for spec in specs)
@@ -947,11 +1007,12 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
 
 
 def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> list[EvalReport]:
-    """head + sum_{n=2..m} n^-s W_n + sum_{k >= k0} r_k a_k zeta(s + k, m + 1)
-    for each spec, in one pass over k from the least k0, for the exact
-    s = point, a_k = factor at that k and a_(k+1) = a_k (s + k) / (k + 2),
-    and m + 1 = first_n, a power of two; one report per (exact head,
-    weights W_2..W_m) in heads, each value an integer triple (re, im, den).
+    """head + m^-s W_m + sum_j g_j (s)_j S_j
+    + sum_{k >= k0} r_k a_k zeta(s + k, m + 1) for each spec, in one pass
+    over k from the least k0, for the exact s = point, a_k = factor at that
+    k and a_(k+1) = a_k (s + k) / (k + 2), and m + 1 = first_n, a power of
+    two; one report per (exact head, weights W_m and g_j (s)_j, in the order
+    of _head_values) in heads, each value an integer triple (re, im, den).
     eval_identities passes (s)_k / (k+1)!; zeta_prime_at_zero passes
     1/(k(k+1)) at s = 0 and first_n = 2, which steps the same way, so
     _tail_bounded covers both."""
@@ -961,21 +1022,25 @@ def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> lis
     k = k_start = min(spec.k0 for spec in specs)
     whole = zr, zi, den = _integer_point(*point)
     peak = _peak_log2(depths, whole, factor, k, digits, base_bits)
-    # and log2 |W_n| rounded up, W_n = (wr + i wi) / wd
+    # and log2 |w| times the ulps of the value it multiplies, rounded up, for
+    # each head weight w = (wr + i wi) / wd; the values are m^-s and the
+    # power sums S_j (_head_values), m = first_n - 1
+    count = max(len(weights) for _, weights in heads) - 1
+    head_ulps = [_ENTRY_ULPS] + [_ENTRY_ULPS * (first_n - 3)] * count
     for _, weights in heads:
-        for wr, wi, wd in weights:
-            peak = max(peak, max(wr.bit_length(), wi.bit_length()) - wd.bit_length() + 2)
+        for (wr, wi, wd), ulps in zip(weights, head_ulps):
+            log_w = max(wr.bit_length(), wi.bit_length()) - wd.bit_length() + 2
+            peak = max(peak, log_w + ulps.bit_length())
     bits = _scale_bits(digits, peak)
     one = 1 << bits
     threshold = one // 10 ** (digits + 5)
     inner = _InnerSums(point, digits, bits, first_n)
-    # sum_{n=2..m} n^-s W_n, each entry within _ENTRY_ULPS
-    powers = inner.head()
+    values = _head_values(inner.head(), count) if first_n > 2 else []
     for d, (_, weights) in zip(depths, heads):
-        for (xr, xi), (wr, wi, wd) in zip(powers, weights):
+        for (xr, xi), ulps, (wr, wi, wd) in zip(values, head_ulps, weights):
             d.total_re += (wr * xr - wi * xi) // wd
             d.total_im += (wr * xi + wi * xr) // wd
-            d.rounding += _ceil_div((_ENTRY_ULPS * _modulus_up(wr, wi)) << bits, wd)
+            d.rounding += _ceil_div((ulps * _modulus_up(wr, wi)) << bits, wd)
             d.products += 1
     # a_k in ulps, within a_err; a_err = 0 marks an exact a
     ar, ai = _fixed(factor[0], bits), _fixed(factor[1], bits)

@@ -310,6 +310,15 @@ def test_table_imaginary_offset(capsys):
     assert any(row["value_im"] != "0.0" for row in rows)
 
 
+def test_table_skips_a_point_beyond_the_float_range(capsys):
+    # rejected like any other point: one skip line, a header-only table
+    assert main(["table", "--start", "1e400", "--stop", "1e400", "--step", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("skipping s = 1.0e+400+0.0i: s has a part beyond the float")
+    assert "Traceback" not in captured.err
+    assert captured.out == "s_re,s_im,value_re,value_im,terms_used,error_estimate\n"
+
+
 def test_table_bad_grid():
     assert main(["table", "--start", "2", "--stop", "1", "--step", "1"]) == 2
     assert main(["table", "--start", "1", "--stop", "2", "--step", "0"]) == 2

@@ -230,11 +230,12 @@ def test_report_fields(specs64):
     assert report.p_used == 2
     assert report.terms_used >= specs64[2].k0 + 8
     assert report.error_estimate >= 0
+    # m + 1 = 64 at 40 digits: every inner sum is Euler-Maclaurin at n = 64
     assert report.inner_sum_cutoffs == {
-        "first_n": 16,
-        "direct_terms": 50,
-        "correction_order": 15,
-        "last_em_k": 25,
+        "first_n": 64,
+        "direct_terms": 64,
+        "correction_order": 13,
+        "last_em_k": 24,
     }
 
 
@@ -404,29 +405,33 @@ def test_batch_of_one_is_eval_identity(specs64, p, s):
 # ---- the shifted split ----
 
 
-@pytest.mark.parametrize("m", [2, 3, 7, 15])
+@pytest.mark.parametrize("m", [2, 3, 7, 15, 31, 63])
 @pytest.mark.parametrize("p", [1, 4, 12])
 @pytest.mark.parametrize("s", [F(5, 2), (F(3, 4), F(2))])
 def test_head_weights_are_the_split_off_sum(specs64, s, p, m):
-    # sum_{n=1..m} n^-s W_n against the sum it replaces,
+    # W_1 + sum_j g_j (s)_j S_j + m^-s W_m, S_j = sum_{n=2..m-1} n^-(s+j),
+    # against the sum it replaces,
     # sum_{n=2..m} sum_{k>=k0} r_k (s)_k/(k+1)! n^(-s-k), summed term by term
     spec = specs64[p]
     re, im = s if isinstance(s, tuple) else (s, F(0))
     point = _integer_point(re, im)
-    first, weights = _shifted_head(spec, point, m)
-    assert len(weights) == m - 1
+    first, coefficients, last = _shifted_head(spec, point, m)
+    assert len(coefficients) == spec.shifted_head_coefficients[0]
     with mp.workdps(60):
         z = _mp_point(s)
-        split = sum(
-            mp.mpf(n) ** -z * mp.mpc(wr, wi) / wd
-            for n, (wr, wi, wd) in enumerate([first, *weights], 1)
-        )
         ns = range(2, m + 1)
+        # powers[i] = n^-(s+k) for n = ns[i], at k = 0, 1, ...
+        powers = [mp.mpf(n) ** -z for n in ns]
+        split = mp.mpc(*first[:2]) / first[2] + powers[-1] * mp.mpc(*last[:2]) / last[2]
         direct, a = 0, 1
         for k in range(400):
+            if k < len(coefficients):
+                cr, ci, cd = coefficients[k]
+                split += mp.mpc(cr, ci) / cd * sum(powers[:-1])
             if k >= spec.k0:
-                direct += spec.series_coefficient(k) * a * sum(mp.mpf(n) ** (-z - k) for n in ns)
+                direct += spec.series_coefficient(k) * a * sum(powers)
             a *= (z + k) / (k + 2)
+            powers = [x / n for x, n in zip(powers, ns)]
         assert abs(split - direct) < mp.mpf(10) ** -50, mp.nstr(abs(split - direct), 3)
 
 
@@ -457,6 +462,13 @@ def test_head_is_the_fraction_horner(specs64, p):
         assert (F(hr, hd), F(hi, hd)) == _fraction_head(specs64[p], re, im), (re, im)
 
 
+def _least_power_of_two(n):
+    b = 1
+    while b < n:
+        b *= 2
+    return b
+
+
 # the real centres of the `points` benchmark, one in each depth strip, and
 # complex points with |Im s| <= 40
 _STRIP_CENTRES = (F(-19, 2), F(-15, 2), F(-11, 2), F(-7, 2), F(-3, 2), F(0), F(2), F(5), F(33, 4))
@@ -483,16 +495,35 @@ def test_shifted_split_meets_the_contract_at_every_depth(specs64, s, digits):
     with mp.workdps(digits + 50):
         target = mp.zeta(_mp_point(s))
         for report in reports:
-            assert report.inner_sum_cutoffs["first_n"] == 16
+            assert report.inner_sum_cutoffs["first_n"] == _least_power_of_two(10 + digits)
             err = abs(report.value - target)
             assert err <= report.error_estimate <= 10.0**-digits, (report.p_used, mp.nstr(err, 3))
 
 
+@pytest.mark.parametrize(
+    "p, s, digits",
+    [
+        # deep identities: the shifted head sums 96 and 128 power sums S_j
+        # against coefficients |g_j (s)_j| far above zeta(s)
+        (96, F(-189, 2), 30),
+        (128, F(-505, 4), 60),
+        (12, (F(-37, 4), F(3, 2)), 300),
+    ],
+)
+def test_shifted_head_meets_the_contract_far_left(specs64, p, s, digits):
+    spec = specs64[p] if p in specs64 else derive_identity(p, p + 2)
+    report = eval_identity(spec, s, digits)
+    with mp.workdps(digits + 300):
+        err = abs(report.value - mp.zeta(_mp_point(s)))
+    assert err <= report.error_estimate <= 10.0**-digits, mp.nstr(err, 3)
+
+
 @pytest.mark.parametrize("s", [1 + F(1, 10**12), (F(-37, 4), F(3, 2))])
 def test_head_weights_are_tallied(specs64, monkeypatch, s):
-    # a scale that ignores the weights' size: near the pole |W_n| is about
-    # 10^13, and each n^-s, within 3 ulps, then costs 10^13 ulps. Only the
-    # tally of 3 |W_n| ulps per power covers that
+    # a scale that ignores the weights' size: near the pole |W_m| is about
+    # 10^13, and m^-s, within 3 ulps, then costs 10^13 ulps. Only the tally
+    # of 3 |W_m| ulps, and of 3 (m - 2) |g_j (s)_j| ulps per power sum S_j,
+    # covers that
     monkeypatch.setattr(
         evalzeta, "_scale_bits", lambda digits, peak: evalzeta._threshold_bits(digits) + 2
     )
@@ -505,41 +536,58 @@ def test_head_weights_are_tallied(specs64, monkeypatch, s):
             assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
 
 
+@pytest.mark.parametrize("base_bits", [5, 6, 7])  # m + 1 at 15..22, 23..54 and 55..118 digits
 @pytest.mark.parametrize("p, s", [(1, (F(50), F(1000))), (1, F(300)), (5, (F(1, 2), F(100)))])
-def test_tail_proof_holds_where_it_claims(specs64, p, s):
-    # wherever _tail_bounded proves the tail for m + 1 = 16, the tail
-    # sum_{j>k} |r_j (s)_j/(j+1)!| zeta(Re s + j, 16), summed here, is
-    # within 4 * 16^(1 - Re s - k) |r_k (s)_k/(k+1)!|. At 50 + 1000i the
-    # terms grow until k is near 60, so no k before that may be claimed
+def test_tail_proof_holds_where_it_claims(specs64, p, s, base_bits):
+    # wherever _tail_bounded proves the tail for m + 1 = b = 2^base_bits,
+    # the tail sum_{j>k} |r_j (s)_j/(j+1)!| zeta(Re s + j, b), summed here,
+    # is within 4 * b^(1 - Re s - k) |r_k (s)_k/(k+1)!|. At 50 + 1000i the
+    # terms grow until |s + k|/(k + 2) < b, so no k before that may be claimed
     spec = specs64[p]
+    b = 1 << base_bits
     re, im = s if isinstance(s, tuple) else (s, F(0))
     point = _integer_point(re, im)
-    claimed = [k for k in range(spec.k0 + 8, 200) if evalzeta._tail_bounded(spec, point, k, 4)]
+    claimed = [
+        k for k in range(spec.k0 + 8, 200) if evalzeta._tail_bounded(spec, point, k, base_bits)
+    ]
     assert claimed
     with mp.workdps(30):
         z, sigma = _mp_point(s), _mp_point(re)
-        # n^-(Re s + j) for n = 16..63, for an upper bound on
-        # zeta(Re s + j, 16): those terms, then 64^-x (1 + 64/(x - 1))
-        powers = [mp.mpf(n) ** -sigma for n in range(16, 64)]
+        # n^-(Re s + j) for n = b..4b-1, for an upper bound on
+        # zeta(Re s + j, b): those terms, then (4b)^-x (1 + 4b/(x - 1))
+        ns = range(b, 4 * b)
+        powers = [mp.mpf(n) ** -sigma for n in ns]
         sizes, terms, a = [], [], mp.mpf(1)
         for j in range(400):
             x = sigma + j
             sizes.append(abs(spec.series_coefficient(j) * a))
-            terms.append(sizes[-1] * (sum(powers) + mp.mpf(64) ** -x * (1 + 64 / (x - 1))))
+            terms.append(sizes[-1] * (sum(powers) + mp.mpf(4 * b) ** -x * (1 + 4 * b / (x - 1))))
             a *= (z + j) / (j + 2)
-            powers = [power / n for power, n in zip(powers, range(16, 64))]
+            powers = [power / n for power, n in zip(powers, ns)]
         # past j = 400 each term is below a fifth of the one before
         tails = [mp.zero]
         for term in reversed(terms[1:]):
             tails.append(tails[-1] + term)
         tails.reverse()  # tails[k] = sum_{k<j<400} terms[j]
         for k in claimed:
-            assert tails[k] <= 4 * mp.mpf(16) ** (1 - sigma - k) * sizes[k], k
+            assert tails[k] <= 4 * mp.mpf(b) ** (1 - sigma - k) * sizes[k], k
+
+
+@pytest.mark.parametrize("digits, first_n", [(15, 32), (40, 64), (100, 128), (300, 512)])
+def test_split_point_is_the_euler_maclaurin_cutoff(specs64, digits, first_n):
+    # m + 1 is the least power of two >= 10 + digits, and every inner sum
+    # is an Euler-Maclaurin sum at n = m + 1 with no direct terms
+    for s in (F(2), (F(-3, 2), F(40))):
+        batch = [spec for spec in specs64.values() if supports(spec, s)]
+        for report in eval_identities(batch, s, digits):
+            cutoffs = report.inner_sum_cutoffs
+            assert cutoffs["first_n"] == cutoffs["direct_terms"] == first_n, cutoffs
 
 
 def test_shifted_split_shrinks_the_outer_series(specs64):
-    # the paper's split (inner sums from n = 2) needs 151 terms here
-    assert eval_identity(specs64[1], 2, 40).terms_used <= 80
+    # the paper's split (inner sums from n = 2) needs 151 terms here, and
+    # inner sums from n = 16 needed 37
+    assert eval_identity(specs64[1], 2, 40).terms_used <= 25
 
 
 def test_without_a_closed_form_the_paper_split_runs(specs64):
@@ -548,7 +596,7 @@ def test_without_a_closed_form_the_paper_split_runs(specs64):
     stripped = dataclasses.replace(specs64[5], closed_form=None)
     bare, full = eval_identities([stripped, specs64[5]], -2, 40)
     assert bare.inner_sum_cutoffs["first_n"] == full.inner_sum_cutoffs["first_n"] == 2
-    assert eval_identity(specs64[5], -2, 40).inner_sum_cutoffs["first_n"] == 16
+    assert eval_identity(specs64[5], -2, 40).inner_sum_cutoffs["first_n"] == 64
     assert abs(bare.value) <= bare.error_estimate <= 1e-40
 
 
@@ -617,16 +665,18 @@ def test_inner_sum_rounding_is_tallied(z):
     ],
 )
 def test_shifted_inner_sums_within_their_bounds(z, k, digits):
-    # first_n = 16, as in the shifted split: the Euler-Maclaurin route at a
-    # budget of 10^-(digits+5), against Hurwitz zeta(w, 16)
+    # first_n as in the shifted split: the Euler-Maclaurin route at n = first_n
+    # and a budget of 10^-(digits+5), against Hurwitz zeta(w, first_n)
     bits = evalzeta._threshold_bits(digits) + evalzeta._GUARD_BITS
     budget = (1 << bits) // 10 ** (digits + 5)
-    inner = _InnerSums(z, digits, bits, first_n=16)
+    first_n = _least_power_of_two(10 + digits)
+    inner = _InnerSums(z, digits, bits, first_n=first_n)
     value, err, rounding = inner(k, budget)
     assert inner.last_em_k == k
+    assert inner.cutoffs()["direct_terms"] == first_n
     assert err <= budget
     with mp.workdps(digits + 20):
-        actual = abs(_ulps_to_mp(value, bits) - mp.zeta(_mp_point(z) + k, 16))
+        actual = abs(_ulps_to_mp(value, bits) - mp.zeta(_mp_point(z) + k, first_n))
         assert actual <= mp.mpf(err + rounding) / mp.mpf(2) ** bits
 
 
