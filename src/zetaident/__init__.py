@@ -18,12 +18,10 @@ from .derive import (
     subtraction_poly,
 )
 from .evalzeta import (
-    CapacityError,
     EvalReport,
     PoleError,
     eval_identities,
     eval_identity,
-    pochhammer,
     supports,
     sum_zeta_m1,
     trivial_zero_report,
@@ -38,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BernoulliCache",
     "CancellationError",
-    "CapacityError",
     "EvalReport",
     "IdentitySpec",
     "MAX_REFERENCE_DEPTH",
@@ -57,7 +54,6 @@ __all__ = [
     "identity_from_json",
     "identity_to_json",
     "periodic_remainder",
-    "pochhammer",
     "reference_identity",
     "series_poly",
     "subtraction_poly",

@@ -29,9 +29,7 @@ from .derive import (
     identities_to_json_text,
 )
 from .evalzeta import (
-    CapacityError,
     EvalReport,
-    PoleError,
     eval_identities,
     eval_identity,
     parse_complex_literal,
@@ -466,7 +464,7 @@ def cmd_table(cfg: RunConfig) -> int:
                 if spec is None:
                     raise ValueError("no identity covers it")
                 report = eval_identity(spec, arg, cfg.digits)
-            except (PoleError, ValueError) as exc:
+            except ValueError as exc:
                 where = f"{_decimal(s[0], cfg.digits)}+{_decimal(s[1], cfg.digits)}i"
                 print(f"skipping s = {where}: {exc}", file=sys.stderr)
                 continue
@@ -623,9 +621,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PoleError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

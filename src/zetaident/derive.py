@@ -45,10 +45,10 @@ class IdentitySpec:
     """Exact data of one derived identity.
 
     terms holds (k, r_k) pairs for consecutive k starting at k0, the first
-    index with a nonzero coefficient. closed_form, when present, is the
-    polynomial in k giving r_k at every k >= k0, stored or not. Derived
-    specs always carry it; it is None only in hand-written records, which
-    then hold no coefficient beyond k_max.
+    index with a nonzero coefficient. closed_form is the polynomial in k
+    giving r_k at every k >= k0, stored or not; every spec carries it (a
+    record read with a null closed_form gets series_poly(p), see
+    identity_from_json).
     validity_re_gt is the nominal half-plane bound -(p-1);
     extended_validity_re_gt is set to -p when the depth-(p+1) derivation
     produces the identical identity, and is None otherwise.
@@ -59,7 +59,7 @@ class IdentitySpec:
     pole_coefficient: Fraction
     q_poly: Polynomial
     terms: tuple[tuple[int, Fraction], ...]
-    closed_form: Optional[Polynomial]
+    closed_form: Polynomial
     validity_re_gt: Fraction
     extended_validity_re_gt: Optional[Fraction] = None
 
@@ -88,54 +88,39 @@ class IdentitySpec:
             return self.extended_validity_re_gt
         return self.validity_re_gt
 
-    def series_coefficient(self, k: int) -> Optional[Fraction]:
-        """r_k: zero below k0, stored value through k_max, closed-form value
-        beyond that, or None when no closed form is available."""
+    def series_coefficient(self, k: int) -> Fraction:
+        """r_k: zero below k0, stored value through k_max, and beyond that
+        the closed form, exactly, by integer Horner over a common
+        denominator (Polynomial.__call__)."""
         if k < self.k0:
             return Fraction(0)
         if k <= self.k_max:
             return self.terms[k - self.k0][1]
-        if self.closed_form is None:
-            return None
-        return self.closed_form_at(k)
-
-    def closed_form_at(self, k: int) -> Fraction:
-        """The closed form at any integer k, below k0 too, exactly, by
-        integer Horner over a common denominator (Polynomial.__call__)."""
         return self.closed_form(k)
 
-    def series_taylor(self, k: int) -> Optional[tuple[list[int], int]]:
+    def series_taylor(self, k: int) -> tuple[list[int], int]:
         """r_(k+m) as a polynomial in m: (integer coefficients, constant
         term first, and their common denominator), so the constant term is
-        r_k times it. None when there is no closed form."""
-        if self.closed_form is None:
-            return None
+        r_k times it."""
         numerators, den = self.closed_form.integer_coefficients()
         return taylor_shift(numerators, k), den
 
     @cached_property
-    def falling_coefficients(self) -> Optional[tuple[Fraction, ...]]:
+    def falling_coefficients(self) -> tuple[Fraction, ...]:
         """closed_form in the falling-factorial basis series_poly builds it
         in: beta_0, beta_1, ... with r_k = sum_i beta_i (k+1) k ... (k+2-i)
-        (i factors) at every k, those below k0 included. None when there is
-        no closed form."""
-        if self.closed_form is None:
-            return None
+        (i factors) at every k, those below k0 included."""
         return falling_factorial_coefficients(self.closed_form)
 
     @cached_property
-    def shifted_head_coefficients(
-        self,
-    ) -> Optional[tuple[int, tuple[int, ...], tuple[int, ...], int, int]]:
+    def shifted_head_coefficients(self) -> tuple[int, tuple[int, ...], tuple[int, ...], int, int]:
         """The s-independent data of the shifted head (evalzeta's
         _shifted_head), over one common denominator L: (size, G, H, b0, L)
         with G_j = L g_j for j < size = max(len(beta) - 1, k0),
         H_j = L h_j for j < k0 and b0 = L beta_0, where beta is
         falling_coefficients, h_j = R(j)/(j+1)! for the closed form R and
-        g_j = beta_(j+1) - [j < k0] h_j. None when there is no closed form."""
+        g_j = beta_(j+1) - [j < k0] h_j."""
         beta = self.falling_coefficients
-        if beta is None:
-            return None
         k0 = self.k0
         size = max(len(beta) - 1, k0)
         h = [self.closed_form(j) / factorial(j + 1) for j in range(k0)]
@@ -321,9 +306,8 @@ def derive_identity(p: int, k_max: int = 64) -> IdentitySpec:
 
 def first_difference(a: IdentitySpec, b: IdentitySpec, k_max: int) -> Optional[str]:
     """The first way identity a differs from the reference b, as text, or
-    None when they agree exactly: pole, Q, the closed form of r_k when both
-    carry one, and every r_k with k <= k_max (treating indices below k0 as
-    zero).
+    None when they agree exactly: pole, Q, the closed form of r_k, and every
+    r_k with k <= k_max (treating indices below k0 as zero).
 
     Both specs must store terms through k_max.
     """
@@ -333,7 +317,7 @@ def first_difference(a: IdentitySpec, b: IdentitySpec, k_max: int) -> Optional[s
         return f"pole coefficient {a.pole_coefficient} != {b.pole_coefficient}"
     if a.q_poly != b.q_poly:
         return f"Q polynomial ({a.q_poly.to_str('s')}) != ({b.q_poly.to_str('s')})"
-    if a.closed_form is not None and b.closed_form is not None and a.closed_form != b.closed_form:
+    if a.closed_form != b.closed_form:
         return (
             f"closed form r_k = ({a.closed_form.to_str('k')}) != "
             f"({b.closed_form.to_str('k')})"
@@ -354,7 +338,9 @@ def identities_equal(a: IdentitySpec, b: IdentitySpec, k_max: int) -> bool:
 #
 # Rationals are "num/den" strings in lowest terms (denominator always
 # explicit), polynomials are ascending-degree coefficient arrays. Optional
-# fields are present with null. The round trip is lossless.
+# fields are present with null. closed_form is always written; a null one
+# is accepted on read as series_poly(p) once that polynomial reproduces
+# every stored r_k. The round trip is lossless.
 
 
 def _fraction_to_str(q: Fraction) -> str:
@@ -383,11 +369,7 @@ def identity_to_json(spec: IdentitySpec) -> dict:
         "pole_coefficient": _fraction_to_str(spec.pole_coefficient),
         "q_poly": _poly_to_json(spec.q_poly),
         "terms": [{"k": k, "r": _fraction_to_str(r)} for k, r in spec.terms],
-        "closed_form": (
-            None
-            if spec.closed_form is None
-            else {"k_poly": _poly_to_json(spec.closed_form)}
-        ),
+        "closed_form": {"k_poly": _poly_to_json(spec.closed_form)},
         "validity_re_gt": _fraction_to_str(spec.validity_re_gt),
         "extended_validity_re_gt": (
             None
@@ -397,20 +379,36 @@ def identity_to_json(spec: IdentitySpec) -> dict:
     }
 
 
+def _closed_form_of(p: int, terms: Sequence[tuple[int, Fraction]]) -> Polynomial:
+    """series_poly(p), the closed form of a record that stores none, once it
+    reproduces every stored r_k exactly; raises ValueError otherwise."""
+    closed = series_poly(p)
+    for k, r in terms:
+        if closed(k) != r:
+            raise ValueError(
+                f"depth-{p} record has a null closed_form, and series_poly({p}) "
+                f"gives r_{k} = {closed(k)}, not the stored {r}"
+            )
+    return closed
+
+
 def identity_from_json(data: dict) -> IdentitySpec:
-    """Parse one identity record; raises ValueError on malformed data."""
+    """Parse one identity record; raises ValueError on malformed data. A null
+    closed_form is read as series_poly(p), checked against every stored r_k."""
     try:
+        p = int(data["p"])
+        terms = tuple((int(t["k"]), _fraction_from_str(t["r"])) for t in data["terms"])
         closed = data["closed_form"]
         extended = data["extended_validity_re_gt"]
         return IdentitySpec(
-            p=int(data["p"]),
+            p=p,
             k0=int(data["k0"]),
             pole_coefficient=_fraction_from_str(data["pole_coefficient"]),
             q_poly=_poly_from_json(data["q_poly"]),
-            terms=tuple(
-                (int(t["k"]), _fraction_from_str(t["r"])) for t in data["terms"]
+            terms=terms,
+            closed_form=(
+                _closed_form_of(p, terms) if closed is None else _poly_from_json(closed["k_poly"])
             ),
-            closed_form=None if closed is None else _poly_from_json(closed["k_poly"]),
             validity_re_gt=_fraction_from_str(data["validity_re_gt"]),
             extended_validity_re_gt=(
                 None if extended is None else _fraction_from_str(extended)

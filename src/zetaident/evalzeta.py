@@ -22,8 +22,7 @@ to 22 digits, 64 at 40, 128 at 100, 512 at 300). The inner sums of the
 shifted split are then Euler-Maclaurin sums at N = m + 1 with no direct
 terms, so N is their only cutoff; it is never below 10 + digits, the
 cutoff of the paper's split, so no Euler-Maclaurin remainder is worse than
-there. A batch holding a spec without a closed form has no weights and
-takes m = 1, the paper's split.
+there.
 
 The identity evaluator works in fixed point on Python integers. One call
 chooses a scale 2^P; a real number x is held as an integer within a few
@@ -72,12 +71,12 @@ Each call computes n^-s for n = 2..m once, for the head, and steps them
 to each power sum S_j by a floor division by n. Its inner sums
 zeta(s + k, m + 1) come from one table of n^-(s+k), n = m+1..N, each power
 computed once and stepped from k to k + 1 by a floor division by n. In the
-shifted split m + 1 = N and the table holds N^-(s+k) alone; in the paper's
-split (m = 1, and zeta_prime_at_zero, sum_zeta_m1 and zeta_m1) it runs
-from n = 2 to N = 10 + digits. Each k gets the budget
-10^-(digits+5) / (16 |coefficient_k|), the smallest such budget over the
-depths of a batch, and the cheaper route that meets it:
-a direct sum alone when some cutoff M <= N has a small enough tail bound,
+shifted split m + 1 = N and the table holds N^-(s+k) alone;
+zeta_prime_at_zero, sum_zeta_m1 and zeta_m1 have no shifted head (m = 1,
+the paper's split), and their table runs from n = 2 to N = 10 + digits.
+Each k gets the budget 10^-(digits+5) / (16 |coefficient_k|), the smallest
+such budget over the depths of a batch, and the cheaper route that meets
+it: a direct sum alone when some cutoff M <= N has a small enough tail bound,
 else the direct sum to N plus as many Euler-Maclaurin terms as the
 remainder bound asks for. The oracle sums N direct terms and adds
 correction terms while they exceed 10^-(digits + _GUARD). Truncation of
@@ -127,11 +126,6 @@ class PoleError(ValueError):
     """Evaluation point is at (or numerically indistinguishable from) s = 1."""
 
 
-class CapacityError(ValueError):
-    """The identity does not store (or extrapolate to) enough series terms
-    for the requested precision."""
-
-
 @dataclass
 class EvalReport:
     """Result of one identity evaluation.
@@ -148,11 +142,11 @@ class EvalReport:
     sum times its |coefficient|, and the floor of each product.
     inner_sum_cutoffs records the inner schedule the call used: first_n,
     the first n of every inner sum (m + 1 of the shifted split, the least
-    power of two >= 10 + digits; 2 for the paper's split); direct_terms,
+    power of two >= 10 + digits; 2 for zeta_prime_at_zero); direct_terms,
     the largest n in its n^-(s+k) table (0 if no inner sum was needed):
     first_n itself in the shifted split, whose inner sums are
     Euler-Maclaurin sums at n = first_n with no direct terms, and at most
-    N = 10 + digits in the paper's split; correction_order, the largest
+    N = 10 + digits for zeta_prime_at_zero; correction_order, the largest
     Euler-Maclaurin order any k needed; last_em_k, the last k that needed
     Euler-Maclaurin terms (None if direct sums sufficed). The reports of
     one eval_identities batch share one schedule, so they all carry the
@@ -189,10 +183,6 @@ def _least_factor(n: int) -> int:
     while p * p <= n and n % p:
         p += 1
     return p if p * p <= n else n
-
-
-def _fraction_to_mp(q: Fraction):
-    return mp.mpf(q.numerator) / q.denominator
 
 
 def _to_mp(x):
@@ -264,19 +254,6 @@ def _exact_point(s) -> tuple[Fraction, Fraction]:
     if abs(re) > _FLOAT_MAX or abs(im) > _FLOAT_MAX:
         raise ValueError(f"s has a part beyond the float range, |part| > {sys.float_info.max:.4g}")
     return re, im
-
-
-def pochhammer(s, k: int):
-    """Rising factorial s(s+1)...(s+k-1); empty product 1 for k = 0.
-
-    Exact for int/Fraction input, working-precision floats otherwise.
-    """
-    if k < 0:
-        raise ValueError("pochhammer order must be nonnegative")
-    result = 1
-    for i in range(k):
-        result = result * (s + i)
-    return result
 
 
 # ---- fixed point: integers in units of 2^-bits ----
@@ -686,7 +663,7 @@ def _check_point(spec: IdentitySpec, re: Fraction, im: Fraction, digits: int) ->
     bound = spec.effective_validity
     if not re > bound:
         raise ValueError(
-            f"s with Re s = {mp.nstr(_fraction_to_mp(re), 8)} is outside the validity "
+            f"s with Re s = {mp.nstr(_to_mp(re), 8)} is outside the validity "
             f"half-plane Re s > {bound} of the depth-{spec.p} identity"
         )
     if (re - 1) ** 2 + im**2 <= Fraction(1, 10**digits):
@@ -838,7 +815,7 @@ class _Depth:
         self.coef_re = self.coef_im = self.coef_err = self.size = 0
         self.terms_used = self.tail_bound = None
 
-    def r(self, k: int) -> Optional[Fraction]:
+    def r(self, k: int) -> Fraction:
         if k not in self.coefficients:
             self.coefficients[k] = self.spec.series_coefficient(k)
         return self.coefficients[k]
@@ -861,18 +838,14 @@ def _tail_bounded(spec: IdentitySpec, point: tuple[int, int, int], k: int, base_
     q = rho / b and S_i(q) = sum_{m>=1} m^i q^m. Since x >= 9.5,
     zeta(x, b) <= b^-x (1 + b/(x - 1)) <= b^-x (1 + b/8.5), and
     6 (1 + b/8.5) <= 4 b for b >= 2, so the tail bound holds once
-    sum_i |b_i| S_i(q) <= _TAIL_RATIO |b_0| = 6 |b_0|. Without a closed form
-    r_j is unknown past k_max and nothing bounds the tail.
+    sum_i |b_i| S_i(q) <= _TAIL_RATIO |b_0| = 6 |b_0|.
 
     Everything is exact: q is rounded up to a/c, and
     S_i(q) = T_i / u^(i+1) with u = c - a, T_0 = a and
     T_i = c sum_{l<i} C(i, l) (-1)^(i-l+1) T_l u^(i-1-l), from
     (1 - q) S_i = sum_{m>=1} (m^i - (m-1)^i) q^m.
     """
-    taylor = spec.series_taylor(k)
-    if taylor is None:
-        return False
-    b = taylor[0]
+    b, _ = spec.series_taylor(k)
     zr, zi, den = point
     c = (den * (k + 2)) << base_bits
     a = max(den * (k + 2), _modulus_up(zr + k * den, zi))
@@ -905,7 +878,7 @@ def _tail_met(
 def _peak_log2(depths: list[_Depth], point, factor, k: int, digits: int, base_bits: int) -> float:
     """log2 of the largest outer coefficient |r_k a_k| _outer_series will
     meet, from a float scan that stops each depth where the loop does
-    (_tail_met) or raises CapacityError; -inf when every coefficient
+    (_tail_met); -inf when every coefficient
     vanishes. a_k starts at factor and steps as in _outer_series; point is
     s as (zr, zi, den). The peak sets only how tight the error tally is."""
     threshold = -(digits + 5) * log2(10)
@@ -919,11 +892,7 @@ def _peak_log2(depths: list[_Depth], point, factor, k: int, digits: int, base_bi
     running = list(depths)
     while running:
         for d in [d for d in running if d.spec.k0 <= k]:
-            r = d.r(k)
-            if r is None:
-                running.remove(d)
-                continue
-            size = log_a + _log2_fraction(r)
+            size = log_a + _log2_fraction(d.r(k))
             peak = max(peak, size)
             tail = size + tail_log2 - base_bits * k
             if _tail_met(d, k, tail, threshold, point, log_a == -inf, base_bits):
@@ -939,9 +908,8 @@ def eval_identity(spec: IdentitySpec, s: Number, digits: int = 40) -> EvalReport
     precision.
 
     Raises ValueError outside the validity half-plane or when the inner
-    series arguments would leave Re >= 1.5, PoleError within 10^(-digits/2)
-    of s = 1, and CapacityError when more series terms are needed than the
-    spec stores and no closed form is available to extrapolate.
+    series arguments would leave Re >= 1.5, and PoleError (a ValueError)
+    within 10^(-digits/2) of s = 1.
     """
     return eval_identities([spec], s, digits)[0]
 
@@ -955,8 +923,6 @@ def eval_identities(
     Each identity is evaluated in its shifted split (see the module
     docstring): the head pole/(s-1) + Q(s) + sum_{n<=m} n^-s W_n and the
     series over the inner sums zeta(s + k, m + 1), m + 1 = _split_point(digits).
-    A batch with a spec that has no closed form takes m = 1, the paper's
-    split, which needs no weights.
     The identities share z, (s)_k / (k+1)!, (m+1)^(1 - Re s - k), the
     fixed-point scale (the largest any of them needs) and at each k one
     inner sum, computed at the tightest budget among the depths that need
@@ -971,17 +937,14 @@ def eval_identities(
     re, im = _exact_point(s)
     for spec in specs:
         _check_point(spec, re, im, digits)
-    first_n = _split_point(digits) if all(spec.closed_form is not None for spec in specs) else 2
+    first_n = _split_point(digits)
     point = _integer_point(re, im)
     heads = []
     for spec in specs:
-        head = hr, hi, hd = _head(spec, point)
-        weights = []
-        if first_n > 2:
-            (wr, wi, wd), coefficients, last = _shifted_head(spec, point, first_n - 1)
-            head = hr * wd + wr * hd, hi * wd + wi * hd, hd * wd
-            weights = [last, *coefficients]  # in the order of _head_values
-        heads.append((head, weights))
+        hr, hi, hd = _head(spec, point)
+        (wr, wi, wd), coefficients, last = _shifted_head(spec, point, first_n - 1)
+        head = hr * wd + wr * hd, hi * wd + wi * hd, hd * wd
+        heads.append((head, [last, *coefficients]))  # in the order of _head_values
     # (s)_k0 / (k0+1)! at the least k0
     k0 = min(spec.k0 for spec in specs)
     (ar, ai), scale = _rising(point, k0 + 1)[k0], point[2] ** k0 * factorial(k0 + 1)
@@ -1058,12 +1021,6 @@ def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> lis
         largest = 0
         for d in active:
             r = d.r(k)
-            if r is None:
-                raise CapacityError(
-                    f"depth-{d.spec.p} identity stores coefficients through "
-                    f"k={d.spec.k_max} and has no closed form; k={k} is needed "
-                    f"at digits={digits}"
-                )
             num, rden = r.numerator, r.denominator
             if exact_zero or not num:
                 d.coef_re = d.coef_im = d.coef_err = d.size = 0

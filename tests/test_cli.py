@@ -154,6 +154,25 @@ def test_verify_rejects_wrong_extended_validity(tmp_path, capsys):
     assert out.startswith("FAIL  coefficients: p=2: extended validity")
 
 
+def test_verify_reads_null_closed_forms(tmp_path, capsys):
+    path = tmp_path / "identities.json"
+    main(["derive", "--p", "1..12", "--out", str(path)])
+    records = json.loads(path.read_text())
+    for record in records:
+        record["closed_form"] = None
+    path.write_text(json.dumps(records))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 0
+    # one wrong term: series_poly(p) no longer reproduces the record
+    records[1]["terms"][3]["r"] = "1/7"  # p=2, k=5
+    path.write_text(json.dumps(records))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: depth-2 record has a null closed_form")
+    assert "r_5 = " in err and "not the stored 1/7" in err
+
+
 def test_verify_missing_file():
     assert main(["verify", "--in", "/nonexistent/identities.json"]) == 3
 

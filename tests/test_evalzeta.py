@@ -11,8 +11,8 @@ from mpmath import ctx_mp_python, mp
 
 from zetaident import derive_identity, evalzeta
 from zetaident.cli import ORACLE_GRID
+from zetaident.derive import identity_from_json, identity_to_json
 from zetaident.evalzeta import (
-    CapacityError,
     EvalReport,
     PoleError,
     _InnerSums,
@@ -22,7 +22,6 @@ from zetaident.evalzeta import (
     _shifted_head,
     eval_identities,
     eval_identity,
-    pochhammer,
     supports,
     sum_zeta_m1,
     trivial_zero_report,
@@ -44,27 +43,9 @@ def _mp_point(s):
     return mp.mpf(s.numerator) / s.denominator
 
 
-# ---- pochhammer ----
-
-
-def test_pochhammer_integers():
-    assert pochhammer(3, 2) == 12
-    assert pochhammer(5, 0) == 1
-    assert pochhammer(0, 3) == 0
-
-
-def test_pochhammer_exact_fraction():
-    assert pochhammer(F(1, 2), 3) == F(15, 8)
-
-
-def test_pochhammer_float_context():
-    with mp.workdps(30):
-        assert pochhammer(mp.mpf("0.5"), 3) == mp.mpf(15) / 8
-
-
-def test_pochhammer_negative_order():
-    with pytest.raises(ValueError):
-        pochhammer(2, -1)
+def _without_closed_form(spec):
+    """spec read back from its JSON record with a null closed_form."""
+    return identity_from_json({**identity_to_json(spec), "closed_form": None})
 
 
 # ---- zeta_m1 ----
@@ -590,13 +571,14 @@ def test_shifted_split_shrinks_the_outer_series(specs64):
     assert eval_identity(specs64[1], 2, 40).terms_used <= 25
 
 
-def test_without_a_closed_form_the_paper_split_runs(specs64):
-    # no closed form, no weights: the batch keeps its inner sums from n = 2.
-    # At s = -2 every (s)_k with k >= 3 vanishes, so the series still ends
-    stripped = dataclasses.replace(specs64[5], closed_form=None)
-    bare, full = eval_identities([stripped, specs64[5]], -2, 40)
-    assert bare.inner_sum_cutoffs["first_n"] == full.inner_sum_cutoffs["first_n"] == 2
-    assert eval_identity(specs64[5], -2, 40).inner_sum_cutoffs["first_n"] == 64
+def test_a_null_closed_form_runs_the_shifted_split(specs64):
+    # a record without a closed form reads as series_poly(p), so its batch
+    # gets the weights and the split point like any derived spec
+    loaded = _without_closed_form(specs64[5])
+    assert loaded == specs64[5]
+    bare, full = eval_identities([loaded, specs64[5]], -2, 40)
+    assert bare.inner_sum_cutoffs["first_n"] == full.inner_sum_cutoffs["first_n"] == 64
+    assert bare == full == eval_identity(specs64[5], -2, 40)
     assert abs(bare.value) <= bare.error_estimate <= 1e-40
 
 
@@ -731,18 +713,17 @@ def test_pole_guard(specs64):
     eval_identity(specs64[2], F(5, 4), 40)  # outside the guard radius
 
 
-def test_capacity_error_names_required_index(specs64):
-    stripped = dataclasses.replace(specs64[2], closed_form=None)
-    with pytest.raises(CapacityError, match=r"k=65"):
-        eval_identity(stripped, F(1, 4), 40)
-
-
-def test_no_closed_form_leaves_the_tail_unproven():
-    # r_k past k_max is unknown, so no stopping point inside the stored
-    # terms bounds the tail
-    stripped = dataclasses.replace(derive_identity(1, 200), closed_form=None)
-    with pytest.raises(CapacityError, match=r"k=201"):
-        eval_identity(stripped, 2, 15)
+@pytest.mark.parametrize("p, k_max, s, digits", [(2, 10, F(1, 4), 40), (1, 3, F(2), 15)])
+def test_a_null_closed_form_extends_past_the_stored_terms(p, k_max, s, digits):
+    # the closed form read for the record supplies r_k past k_max and
+    # proves the tail, so the record evaluates as the derived spec does
+    spec = derive_identity(p, k_max)
+    report = eval_identity(_without_closed_form(spec), s, digits)
+    assert report == eval_identity(spec, s, digits)
+    assert report.terms_used > k_max
+    with mp.workdps(digits + 30):
+        err = abs(report.value - mp.zeta(_mp_point(s)))
+    assert err <= report.error_estimate <= mp.mpf(10) ** -digits
 
 
 def test_digits_floor_eval(specs64):
@@ -756,14 +737,10 @@ def test_digits_floor_eval(specs64):
         (12, 3, -5, ValueError, "validity"),
         (5, 1, F(1, 4), ValueError, "deeper"),
         (5, 2, 1 + F(1, 10**25), PoleError, "pole guard"),
-        (5, "stripped 2", F(1, 4), CapacityError, r"k=65"),
     ],
 )
 def test_batch_raises_what_its_bad_spec_raises(specs64, good, bad, s, error, match):
-    if bad == "stripped 2":
-        bad_spec = dataclasses.replace(specs64[2], closed_form=None)
-    else:
-        bad_spec = specs64[bad]
+    bad_spec = specs64[bad]
     with pytest.raises(error, match=match) as alone:
         eval_identity(bad_spec, s, 40)
     for batch in ([specs64[good], bad_spec], [bad_spec, specs64[good]]):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -9,6 +8,7 @@ from zetaident.derive import (
     identities_to_json_text,
     identity_from_json,
     identity_to_json,
+    series_poly,
 )
 
 
@@ -51,13 +51,31 @@ def test_schema_fields(specs64):
 
 
 def test_optional_fields_round_trip_as_null():
-    spec = dataclasses.replace(derive_identity(3, 5), closed_form=None)
-    record = identity_to_json(spec)
-    assert record["closed_form"] is None
-    assert record["extended_validity_re_gt"] == "-3/1"
-    assert identity_from_json(record) == spec
+    odd = derive_identity(3, 5)
+    assert identity_to_json(odd)["extended_validity_re_gt"] == "-3/1"
     even = derive_identity(2, 8)
-    assert identity_to_json(even)["extended_validity_re_gt"] is None
+    record = identity_to_json(even)
+    assert record["extended_validity_re_gt"] is None
+    assert identity_from_json(record) == even
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 12])
+def test_null_closed_form_reads_as_the_derived_polynomial(p):
+    spec = derive_identity(p, p + 6)
+    record = {**identity_to_json(spec), "closed_form": None}
+    loaded = identity_from_json(record)
+    assert loaded == spec
+    assert loaded.closed_form == series_poly(p)
+    # written back, the record carries its closed form
+    assert identity_to_json(loaded) == identity_to_json(spec)
+
+
+def test_null_closed_form_with_a_wrong_term_is_rejected():
+    record = {**identity_to_json(derive_identity(5, 20)), "closed_form": None}
+    record["terms"] = [dict(term) for term in record["terms"]]
+    record["terms"][3]["r"] = "1/7"  # k = 9
+    with pytest.raises(ValueError, match=r"depth-5 .*r_9 = .*not the stored 1/7"):
+        identity_from_json(record)
 
 
 def test_json_is_plain_data(specs64):
