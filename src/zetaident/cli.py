@@ -141,7 +141,10 @@ def _point_arg(s: tuple[Fraction, Fraction]):
 
 
 def _derive_many(p_values: Sequence[int], kmax: int) -> dict[int, IdentitySpec]:
-    return {p: derive_identity(p, kmax) for p in p_values}
+    """Each depth derived with terms through max(kmax, p + 2): every command
+    but `derive` reads r_k from the closed form, so --kmax, which only sets
+    how many terms a record stores, cannot make a depth underivable."""
+    return {p: derive_identity(p, max(kmax, p + 2)) for p in p_values}
 
 
 def _choose_depth(specs: dict[int, IdentitySpec], s) -> Optional[IdentitySpec]:
@@ -163,7 +166,7 @@ def _depth_for(cfg: RunConfig) -> Callable[[object], Optional[IdentitySpec]]:
     if cfg.p_values:
         if len(cfg.p_values) != 1:
             raise ValueError(f"{cfg.command} expects a single depth, not a range")
-        spec = derive_identity(cfg.p_values[0], cfg.kmax)
+        (spec,) = _derive_many(cfg.p_values, cfg.kmax).values()
         return lambda s: spec
     specs = _derive_many(_ALL_DEPTHS, cfg.kmax)
     return lambda s: _choose_depth(specs, s)

@@ -379,22 +379,27 @@ def identity_to_json(spec: IdentitySpec) -> dict:
     }
 
 
-def _closed_form_of(p: int, terms: Sequence[tuple[int, Fraction]]) -> Polynomial:
-    """series_poly(p), the closed form of a record that stores none, once it
-    reproduces every stored r_k exactly; raises ValueError otherwise."""
-    closed = series_poly(p)
+def _closed_form_of(
+    p: int, terms: Sequence[tuple[int, Fraction]], stored: Optional[Polynomial]
+) -> Polynomial:
+    """The closed form of a record: the stored polynomial, or series_poly(p)
+    when it stores none, once it reproduces every stored r_k exactly;
+    raises ValueError naming the depth and the first differing term
+    otherwise."""
+    closed = series_poly(p) if stored is None else stored
+    source = f"a null closed_form, and series_poly({p})" if stored is None else "a closed_form that"
     for k, r in terms:
         if closed(k) != r:
             raise ValueError(
-                f"depth-{p} record has a null closed_form, and series_poly({p}) "
-                f"gives r_{k} = {closed(k)}, not the stored {r}"
+                f"depth-{p} record has {source} gives r_{k} = {closed(k)}, not the stored {r}"
             )
     return closed
 
 
 def identity_from_json(data: dict) -> IdentitySpec:
-    """Parse one identity record; raises ValueError on malformed data. A null
-    closed_form is read as series_poly(p), checked against every stored r_k."""
+    """Parse one identity record; raises ValueError on malformed data. The
+    closed form, series_poly(p) when closed_form is null, is checked against
+    every stored r_k."""
     try:
         p = int(data["p"])
         terms = tuple((int(t["k"]), _fraction_from_str(t["r"])) for t in data["terms"])
@@ -406,8 +411,8 @@ def identity_from_json(data: dict) -> IdentitySpec:
             pole_coefficient=_fraction_from_str(data["pole_coefficient"]),
             q_poly=_poly_from_json(data["q_poly"]),
             terms=terms,
-            closed_form=(
-                _closed_form_of(p, terms) if closed is None else _poly_from_json(closed["k_poly"])
+            closed_form=_closed_form_of(
+                p, terms, None if closed is None else _poly_from_json(closed["k_poly"])
             ),
             validity_re_gt=_fraction_from_str(data["validity_re_gt"]),
             extended_validity_re_gt=(

@@ -17,12 +17,10 @@ power sums S_j = sum_{n=2..m-1} n^-(s+j), which every depth of a batch
 shares. W_1 and W_m have closed forms of their own. r_k, k0 and the
 validity half-plane do not depend on m.
 
-m + 1 = _split_point(digits), the least power of two >= 10 + digits (32 up
-to 22 digits, 64 at 40, 128 at 100, 512 at 300). The inner sums of the
-shifted split are then Euler-Maclaurin sums at N = m + 1 with no direct
-terms, so N is their only cutoff; it is never below 10 + digits, the
-cutoff of the paper's split, so no Euler-Maclaurin remainder is worse than
-there.
+N = m + 1 = _split_point(digits), the least power of two >= 10 + digits
+(32 up to 22 digits, 64 at 40, 128 at 100, 512 at 300), is the one cutoff
+of every inner sum of every caller: each is the Hurwitz sum
+zeta(s + k, N), an Euler-Maclaurin sum at N with no direct terms.
 
 The identity evaluator works in fixed point on Python integers. One call
 chooses a scale 2^P; a real number x is held as an integer within a few
@@ -33,9 +31,9 @@ each operation is tallied in ulps as an integer, rounded up, so no float
 enters any bound; the modulus of a complex number in a bound is the
 square-root-free max + min/2 + 1 of its parts (_modulus_up). mpmath's
 libmp kernels are used once per call for the irrational inputs: p^-s for
-each prime p of the head and the inner-sum table (a composite n takes n^-s
-as the product q^-s (n/q)^-s of two earlier powers, q its least prime
-factor) and (m+1)^(-Re s) in the tail bound. Each takes its precision as an
+each prime p <= N (a composite n takes n^-s as the product q^-s (n/q)^-s
+of two earlier powers, q its least prime factor) and (m+1)^(-Re s) in the
+tail bound. Each takes its precision as an
 argument: no call sets mpmath's shared precision, so concurrent calls
 cannot disturb each other. Everything rational (s itself,
 (s)_k0 / (k0+1)!, the head pole/(s-1) + Q(s) + W_1, the weights W_m and
@@ -60,25 +58,24 @@ Euler-Maclaurin summation in mpmath floats and shares nothing with
 agreement between the two is meaningful.
 
 `eval_identities` evaluates several depths at one point in one pass over
-k: every depth's identity has the same inner sums zeta(s + k, m + 1) and
+k: every depth's identity has the same inner sums zeta(s + k, N) and
 the same factor (s)_k/(k+1)!, and only r_k and the weights differ.
 `eval_identity` is the batch of one. `zeta_prime_at_zero` runs the same
 loop at s = 0 with the factor 1/(k(k+1)), the head Q'(0) - pole (the
 identity differentiated term by term) and m = 1, since that head has no
 shifted form; so zeta'(0) gets an error bound too.
 
-Each call computes n^-s for n = 2..m once, for the head, and steps them
-to each power sum S_j by a floor division by n. Its inner sums
-zeta(s + k, m + 1) come from one table of n^-(s+k), n = m+1..N, each power
-computed once and stepped from k to k + 1 by a floor division by n. In the
-shifted split m + 1 = N and the table holds N^-(s+k) alone;
-zeta_prime_at_zero, sum_zeta_m1 and zeta_m1 have no shifted head (m = 1,
-the paper's split), and their table runs from n = 2 to N = 10 + digits.
-Each k gets the budget 10^-(digits+5) / (16 |coefficient_k|), the smallest
-such budget over the depths of a batch, and the cheaper route that meets
-it: a direct sum alone when some cutoff M <= N has a small enough tail bound,
-else the direct sum to N plus as many Euler-Maclaurin terms as the
-remainder bound asks for. The oracle sums N direct terms and adds
+Each call computes n^-s for n = 2..N-1 once and steps them by floor
+divisions by n into power sums (_power_sums): the S_j of the shifted head,
+or, for the paper's split (m = 1) of zeta_prime_at_zero, sum_zeta_m1 and
+zeta_m1, sum_{n=2..N-1} n^-(s+k), to which each k adds zeta(s + k, N) to
+make zeta(s + k) - 1 (_minus_one). Each k gets the budget
+10^-(digits+5) / (16 |coefficient_k|), the smallest such budget over the
+depths of a batch. Its zeta(s + k, N) is the empty sum when the tail bound
+at N alone meets the budget, else N^(1-w)/(w-1) + N^-w/2 plus as many
+Euler-Maclaurin terms as the remainder bound asks for, w = s + k, with
+N^-w computed once and stepped from k to k + 1 by a floor division by N
+(_InnerSums). The oracle sums 10 + digits direct terms and adds
 correction terms while they exceed 10^-(digits + _GUARD). Truncation of
 each depth's outer series stops at the first k >= k0 + 8 whose bound
 |r_k| * |(s)_k| / (k+1)! * 4 * (m+1)^(1 - Re s - k) drops below
@@ -115,8 +112,8 @@ _MIN_TERMS = 8
 # An outer tail is within its bound once sum_i |b_i| S_i(q) <= _TAIL_RATIO
 # |r_k|: see _tail_bounded.
 _TAIL_RATIO = 6
-# Every n^-(z+k) table entry is within this many ulps (in modulus) of its
-# value, at any shift: see _InnerSums.
+# Every entry n^-(z+k) is within this many ulps (in modulus) of its value,
+# at any shift: see _InnerSums.
 _ENTRY_ULPS = 3
 
 Number = Union[int, float, complex, Fraction, str]
@@ -140,16 +137,17 @@ class EvalReport:
     of the shifted head, every floor of the (s)_k recurrence and of each
     coefficient as it propagates into its term, the rounding of each inner
     sum times its |coefficient|, and the floor of each product.
-    inner_sum_cutoffs records the inner schedule the call used: first_n,
-    the first n of every inner sum (m + 1 of the shifted split, the least
-    power of two >= 10 + digits; 2 for zeta_prime_at_zero); direct_terms,
-    the largest n in its n^-(s+k) table (0 if no inner sum was needed):
-    first_n itself in the shifted split, whose inner sums are
-    Euler-Maclaurin sums at n = first_n with no direct terms, and at most
-    N = 10 + digits for zeta_prime_at_zero; correction_order, the largest
-    Euler-Maclaurin order any k needed; last_em_k, the last k that needed
-    Euler-Maclaurin terms (None if direct sums sufficed). The reports of
-    one eval_identities batch share one schedule, so they all carry the
+    For zeta_prime_at_zero the rounding tally also covers _ENTRY_ULPS
+    (N - 2) for the power sum of each inner sum zeta(k) - 1, times its
+    |coefficient|. inner_sum_cutoffs records the inner schedule the call
+    used: first_n, the first n of every inner sum (m + 1 of the shifted
+    split; 2 for the paper's split of zeta_prime_at_zero); direct_terms,
+    N = _split_point(digits), the least power of two >= 10 + digits, at
+    which every inner sum of every caller is an Euler-Maclaurin sum
+    zeta(s + k, N) (0 if no inner sum was needed); correction_order, the
+    largest Euler-Maclaurin order any k needed; last_em_k, the last k that
+    needed Euler-Maclaurin terms (None if empty sums sufficed). The reports
+    of one eval_identities batch share one schedule, so they all carry the
     same cutoffs, those of the whole pass.
     """
 
@@ -165,16 +163,11 @@ def _check_digits(digits: int) -> None:
         raise ValueError("digits must be an integer >= 15")
 
 
-def _direct_terms(digits: int) -> int:
-    return 10 + digits
-
-
 def _split_point(digits: int) -> int:
-    """m + 1 of the shifted split: the least power of two >= N = 10 + digits.
-    The inner sums of a closed-form batch are Euler-Maclaurin sums at
-    n = m + 1 with no direct terms, and their remainder is no worse than at
-    N."""
-    return 1 << (_direct_terms(digits) - 1).bit_length()
+    """N, the one cutoff of every inner sum: the least power of two
+    >= 10 + digits. Every inner sum is an Euler-Maclaurin sum at N, and N is
+    m + 1 of the shifted split."""
+    return 1 << (9 + digits).bit_length()
 
 
 def _least_factor(n: int) -> int:
@@ -347,44 +340,36 @@ def _integer_point(re: Fraction, im: Fraction) -> tuple[int, int, int]:
 
 
 class _InnerSums:
-    """zeta(z + k, first_n) in fixed point at scale 2^-bits, for one exact z
-    and shifts k taken in nondecreasing order, each with a truncation bound
-    and a rounding bound in ulps. first_n = 2 gives zeta(z + k) - 1.
+    """The Hurwitz sums zeta(z + k, N), N = _split_point(digits), in fixed
+    point at scale 2^-bits, for one exact z and shifts k taken in
+    nondecreasing order, each with a truncation bound and a rounding bound
+    in ulps; and the head entries n^-z, n < N, that _power_sums steps.
 
     z = (zr + i zi) / den with integers zr, zi, den, so every z + k, and
     every factor the Euler-Maclaurin terms need, is exact.
 
-    The powers n^-(z+k), n = first_n..N, live in one table for the whole
-    call. N = _direct_terms(digits), or first_n when that is larger: the
-    shifted split passes first_n = _split_point(digits), so its table holds
-    n = first_n alone and every shift is an Euler-Maclaurin sum at n = N
-    with no direct terms (or, when even the tail bound at N meets the
-    budget, the empty direct sum). An entry is computed when first
-    needed as floor(X / n^k) with X = floor(n^-z * 2^bits), and stepped to
-    each later shift by a floor division by n; nested floor divisions by
-    integers are one, so an entry at shift k is always floor(X / n^k).
-    `head` gives the entries n = 2..first_n-1 at shift 0, outside the
-    table; _head_values steps them into the power sums of the shifted head
-    in the same way. mpmath computes p^-z for each prime p at `prec` bits, with an
-    error (rounding z included) assumed under 4 + |z| log p units of that
+    mpmath computes p^-z for each prime p <= N at `prec` bits, with an error
+    (rounding z included) assumed under 4 + |z| log p units of that
     precision, and n^-z = a^-z * b^-z for composite n = a b, each product
     adding at most 2 units. So n^-z is within (6 + |z|) log2 N units, which
-    prec makes under 2^-16 ulps once divided by n^k: every table shift has
+    prec makes under 2^-16 ulps once divided by n^k: every shift has
     Re(z + k) > 0, and prec has -Re z log2 n more bits for the head entries.
     (A product costs about a fifth of an mp.power; on the `points`
     benchmark the products cut the median time per evaluation by about
-    15 %.) Each component of an entry is thus within 2 + 2^-16 ulps, and
-    the entry within _ENTRY_ULPS = 3 in modulus.
+    15 %.) An entry at shift k is floor(X / n^k), X = floor(n^-z * 2^bits),
+    so each of its components is within 2 + 2^-16 ulps, and the entry
+    within _ENTRY_ULPS = 3 in modulus. The one entry of the sums, N^-(z+k),
+    is computed when first needed and stepped to each later shift by a
+    floor division by N^(k - previous k); nested floor divisions by integers
+    are one, so it is always floor(X / N^k).
 
-    Each shift is summed by the cheaper of two routes that meets its
-    budget:
+    Each shift w = z + k, sigma = Re w, is one of two sums:
 
-    - direct only: sum_{first_n <= n < M} n^-w for the first M <= N whose
-      tail bound M^-sigma + M^(1-sigma)/(sigma-1) is under budget;
-    - the direct sum to N plus N^(1-w)/(w-1) + N^-w/2 plus Euler-Maclaurin
-      terms T_j = B_2j/(2j)! (w)_(2j-1) N^-(w+2j-1), added until the
-      remainder bound (first omitted term * |w+2m+1|/(sigma+2m+1)) is
-      under budget.
+    - the empty sum, when its bound N^-sigma (1 + N/(sigma - 1)) is at most
+      2^(L - 2), L the bit length of the budget (1 for a budget under 4);
+    - else N^(1-w)/(w-1) + N^-w/2 plus Euler-Maclaurin terms
+      T_j = B_2j/(2j)! (w)_(2j-1) N^-(w+2j-1), added until the remainder
+      bound (first omitted term * |w+2m+1|/(sigma+2m+1)) is under budget.
 
     The terms come from one recurrence, B_2j/(2j)! folded in:
     T_1 = w N^-w / (12 N) and
@@ -396,49 +381,44 @@ class _InnerSums:
     an exact Gaussian integer bounded by |Re f| + |Im f|; T_1 is within
     _ENTRY_ULPS |w| / (12 N) + 2.
 
-    The rounding bound adds _ENTRY_ULPS per summed entry and, for each
-    further product or quotient, the entry error it propagates plus 2 ulps
-    for its floors; each Euler-Maclaurin term adds its E_j. When neither
-    route meets the budget the returned bound is the one reached, not the
-    budget.
+    The rounding bound adds, for each product or quotient of N^-w, the
+    entry error it propagates plus 2 ulps for its floors, and each
+    Euler-Maclaurin term its E_j. When the terms stop shrinking before the
+    budget is met, the returned bound is the one reached, not the budget.
+    No float enters: every test and bound is an integer.
     """
 
-    def __init__(self, z: tuple[Fraction, Fraction], digits: int, bits: int, first_n: int = 2):
+    def __init__(self, z: tuple[Fraction, Fraction], digits: int, bits: int):
         re, im = z
         self.zr, self.zi, self.den = _integer_point(re, im)
         self.bits = bits
-        self.first = first_n
-        self.n_max = max(_direct_terms(digits), first_n)
+        self.n = n = _split_point(digits)
         # (6 + |z|) log2 N bounds the relative error of any n^-z in units
-        # of 2^-prec: see the class docstring; the head entries n < first_n
-        # are as large as n^-Re z, and (first_n - 2).bit_length() >= log2 n
+        # of 2^-prec: see the class docstring; the head entries n < N are as
+        # large as n^-Re z, and (N - 2).bit_length() >= log2 n
         spread = (abs(self.zr) + abs(self.zi)) // self.den + 1
-        head_bits = max(0, ceil(-re)) * (first_n - 2).bit_length()
-        self.prec = bits + 16 + ((6 + spread) * self.n_max.bit_length()).bit_length() + head_bits
+        head_bits = max(0, ceil(-re)) * (n - 2).bit_length()
+        self.prec = bits + 16 + ((6 + spread) * n.bit_length()).bit_length() + head_bits
         # -z at prec: a raw mpf tuple, or for complex z an mpc pair of them
         self.complex = bool(im)
         minus_z = tuple(mpf_neg(_mpf_fraction(x, self.prec)) for x in z)
         self.minus_z = minus_z if im else minus_z[0]
         # index n: n^-z from mpmath, a raw tuple like minus_z
         self.powers = [None, None]
-        # index n >= first_n: n^-(z + shift[n]) as an (re, im) pair of ulps
-        self.re = [0] * first_n
-        self.im = [0] * first_n
-        self.shift = [0] * first_n
+        # N^-(z + shift) as an (re, im) pair of ulps, once an inner sum ran
+        self.entry = None
+        self.shift = 0
         self.max_order = 0
         self.last_em_k = None
         # rho_j of the Euler-Maclaurin recurrence, grown as orders rise
         self.steps = ()
 
     def cutoffs(self) -> dict:
-        """The schedule used: the first and the largest n tabulated (0 when
-        no inner sum was needed), the largest Euler-Maclaurin order, and the
-        last k that needed one (None when direct sums sufficed
-        throughout)."""
-        top = len(self.re) - 1
+        """The schedule used: N (0 when no inner sum was needed), the
+        largest Euler-Maclaurin order, and the last k that needed one (None
+        when empty sums sufficed throughout)."""
         return {
-            "first_n": self.first,
-            "direct_terms": top if top >= self.first else 0,
+            "direct_terms": 0 if self.entry is None else self.n,
             "correction_order": self.max_order,
             "last_em_k": self.last_em_k,
         }
@@ -460,80 +440,39 @@ class _InnerSums:
             powers.append(x)
         return powers[n]
 
-    def _entry(self, n: int, k: int) -> tuple[int, int]:
-        """floor(X / n^k) of each component, X = floor(n^-z * 2^bits)."""
+    def _entry(self, n: int) -> tuple[int, int]:
+        """floor(n^-z * 2^bits) of each component."""
         x = self._power(n)
         xr, xi = x if self.complex else (x, fzero)
-        scale = n**k
-        return _mp_fixed(xr, self.bits) // scale, _mp_fixed(xi, self.bits) // scale
+        return _mp_fixed(xr, self.bits), _mp_fixed(xi, self.bits)
 
     def head(self) -> list[tuple[int, int]]:
-        """n^-z for n = 2..first_n-1 as (re, im) pairs of ulps, each within
+        """n^-z for n = 2..N-1 as (re, im) pairs of ulps, each within
         _ENTRY_ULPS in modulus."""
-        return [self._entry(n, 0) for n in range(2, self.first)]
-
-    def _table(self, k: int, top: int) -> tuple[list, list]:
-        """The table through n = top, every entry at shift k."""
-        re, im, shift = self.re, self.im, self.shift
-        for n in range(self.first, min(top + 1, len(re))):
-            steps = k - shift[n]
-            if steps:
-                q = n if steps == 1 else n**steps
-                re[n] //= q
-                im[n] //= q
-                shift[n] = k
-        while len(re) <= top:
-            xr, xi = self._entry(len(re), k)
-            re.append(xr)
-            im.append(xi)
-            shift.append(k)
-        return re, im
-
-    def _direct_cutoff(self, sigma: float, log2_budget: int):
-        """First M in first_n..N with M^-sigma + M^(1-sigma)/(sigma-1) under
-        2^log2_budget, or None. The bound falls as M grows."""
-
-        def log2_tail(m: int) -> float:
-            return -sigma * log2(m) + log2(1 + m / (sigma - 1))
-
-        lo, hi = self.first, self.n_max
-        if log2_tail(hi) > log2_budget:
-            return None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if log2_tail(mid) <= log2_budget:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return [self._entry(n) for n in range(2, self.n)]
 
     def __call__(self, k: int, budget: int):
-        """((re, im) of zeta(z+k, first_n), truncation bound, rounding
-        bound), all in ulps, aiming for a truncation bound <= budget."""
-        den = self.den
+        """((re, im) of zeta(z+k, N), truncation bound, rounding bound), all
+        in ulps, aiming for a truncation bound <= budget."""
+        den, n = self.den, self.n
         wr, wi = self.zr + k * den, self.zi  # w = z + k = (wr + i wi) / den
-        # sigma = Re w = wr / den; bit_length - bits - 2 is the log2 of a
-        # power of two below the budget
-        cutoff = self._direct_cutoff(wr / den, budget.bit_length() - self.bits - 2)
-        top = self.n_max if cutoff is None else cutoff
-        re, im = self._table(k, top)
-        first = self.first
-        vr, vi = sum(re[first:top]), sum(im[first:top])
-        rounding = (top - first) * _ENTRY_ULPS
-        if cutoff is not None:
-            # top^-sigma (1 + top/(sigma - 1))
-            last = _modulus_up(re[top], im[top]) + _ENTRY_ULPS
-            err = last + _ceil_div(last * top * den, wr - den)
-            return (vr, vi), err, rounding
-        n = top
-        xr, xi = re[n], im[n]  # n^-w
+        if self.entry is None:
+            self.entry = self._entry(n)
+        q = n ** (k - self.shift)
+        xr, xi = self.entry = self.entry[0] // q, self.entry[1] // q  # n^-w
+        self.shift = k
+        # the empty sum, within n^-sigma (1 + n/(sigma - 1))
+        last = _modulus_up(xr, xi) + _ENTRY_ULPS
+        err = last + _ceil_div(last * n * den, wr - den)
+        if err <= 1 << max(budget.bit_length() - 2, 0):
+            return (0, 0), err, 0
         # n * n^-w / (w - 1) = x * n * den * conj(c) / |c|^2, c = (w - 1) den
         cr, ci = wr - den, wi
         q = cr * cr + ci * ci
         m = n * den
-        vr += m * (xr * cr + xi * ci) // q
-        vi += m * (xi * cr - xr * ci) // q
-        rounding += _ceil_div(_ENTRY_ULPS * m, isqrt(q)) + 2
+        vr = m * (xr * cr + xi * ci) // q
+        vi = m * (xi * cr - xr * ci) // q
+        rounding = _ceil_div(_ENTRY_ULPS * m, isqrt(q)) + 2
         vr += xr >> 1
         vi += xi >> 1
         rounding += (_ENTRY_ULPS + 1) // 2 + 2
@@ -568,10 +507,44 @@ class _InnerSums:
             tr, ti = (tr * fr - ti * fi) // q, (tr * fi + ti * fr) // q
             t_err = _ceil_div(t_err * (abs(fr) + abs(fi)), q) + 2
             j += 1
-        order = j - 1
-        self.max_order = max(self.max_order, order)
+        self.max_order = max(self.max_order, j - 1)
         self.last_em_k = k
         return (vr, vi), err, rounding
+
+
+def _power_sums(entries: list[tuple[int, int]]):
+    """Yield the power sums sum_n n^-(z+j) for j = 0, 1, ..., from the
+    entries n^-z, n = 2, 3, ... (_InnerSums.head), each an (re, im) pair of
+    ulps. Each entry steps from j to j + 1 by a floor division by n, so, as
+    in _InnerSums, it is floor(X / n^j) and within _ENTRY_ULPS; a sum of c
+    entries is within _ENTRY_ULPS c. A part that floors to 0 stays 0, so it
+    is dropped."""
+    re = [(x, n) for n, (x, _) in enumerate(entries, 2) if x]
+    im = [(y, n) for n, (_, y) in enumerate(entries, 2) if y]
+    while True:
+        yield sum(x for x, _ in re), sum(y for y, _ in im)
+        re = [(x // n, n) for x, n in re if x >= n or x < 0]
+        im = [(y // n, n) for y, n in im if y >= n or y < 0]
+
+
+def _minus_one(inner: _InnerSums):
+    """zeta(z + k) - 1 for the paper's split (m = 1), as a function of
+    (k, budget) that returns what inner does, for nondecreasing k: the power
+    sum sum_{n=2..N-1} n^-(z+k) (_power_sums of inner.head()) plus
+    zeta(z + k, N) from inner, with _ENTRY_ULPS (N - 2) more rounding."""
+    sums = _power_sums(inner.head())
+    head_ulps = _ENTRY_ULPS * (inner.n - 2)
+    shift, (hr, hi) = 0, next(sums)
+
+    def minus_one(k: int, budget: int):
+        nonlocal shift, hr, hi
+        while shift < k:
+            hr, hi = next(sums)
+            shift += 1
+        (vr, vi), err, rounding = inner(k, budget)
+        return (vr + hr, vi + hi), err, rounding + head_ulps
+
+    return minus_one
 
 
 def zeta_m1(sigma, digits: int = 40):
@@ -589,7 +562,7 @@ def zeta_m1(sigma, digits: int = 40):
     # zeta(z) - 1 for large Re z, and so does the budget
     bits = _threshold_bits(digits) + floor(re) + 1 + _GUARD_BITS
     budget = _pow2_up(bits - re) // 10 ** (digits + 5)
-    (vr, vi), _, _ = _InnerSums((re, im), digits, bits)(0, budget)
+    (vr, vi), _, _ = _minus_one(_InnerSums((re, im), digits, bits))(0, budget)
     return _mp_value(vr, vi if im else None, bits)
 
 
@@ -607,7 +580,7 @@ def zeta_em_reference(s, digits: int = 40):
     precision.
     """
     _check_digits(digits)
-    n_direct = _direct_terms(digits)
+    n_direct = 10 + digits
     with mp.workdps(digits + _GUARD):
         probe = _to_mp(s)
         if probe == 1:
@@ -782,19 +755,10 @@ def _head_values(entries: list[tuple[int, int]], count: int) -> list[tuple[int, 
     """The values the shifted head's weights multiply, from the entries
     n^-s, n = 2..m (_InnerSums.head): m^-s, within _ENTRY_ULPS, then the
     power sums S_j = sum_{n=2..m-1} n^-(s+j) for j < count, each within
-    _ENTRY_ULPS (m - 2). S_(j+1) steps each entry of S_j by a floor division
-    by n, so, as in the inner-sum table, every entry stays within
-    _ENTRY_ULPS. All depths of a batch share these sums."""
+    _ENTRY_ULPS (m - 2) (_power_sums). All depths of a batch share them."""
     *middle, last = entries
-    ns = range(2, len(middle) + 2)
-    re = [x for x, _ in middle]
-    im = [y for _, y in middle]
-    values = [last, (sum(re), sum(im))]
-    for _ in range(count - 1):
-        re = [x // n for x, n in zip(re, ns)]
-        im = [y // n for y, n in zip(im, ns)]
-        values.append((sum(re), sum(im)))
-    return values
+    sums = _power_sums(middle)
+    return [last] + [next(sums) for _ in range(count)]
 
 
 class _Depth:
@@ -956,7 +920,8 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
     """zeta'(0) from the term-by-term derivative of the identity at s = 0:
     Q'(0) - pole + sum_k r_k / (k(k+1)) * (zeta(k) - 1), with an error
     bound like any evaluation. The differentiated head has no shifted
-    form, so the inner sums start at n = 2.
+    form, so the inner sums are zeta(k) - 1, each the power sum to N - 1
+    plus zeta(k, N) (_minus_one).
 
     Needs an identity valid at 0, i.e. depth p >= 2.
     """
@@ -977,7 +942,8 @@ def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> lis
     two; one report per (exact head, weights W_m and g_j (s)_j, in the order
     of _head_values) in heads, each value an integer triple (re, im, den).
     eval_identities passes (s)_k / (k+1)!; zeta_prime_at_zero passes
-    1/(k(k+1)) at s = 0 and first_n = 2, which steps the same way, so
+    1/(k(k+1)) at s = 0 and first_n = 2 (the paper's split, whose inner sums
+    zeta(k) - 1 come from _minus_one), which steps the same way, so
     _tail_bounded covers both."""
     re = point[0]
     base_bits = first_n.bit_length() - 1  # log2(m + 1)
@@ -997,8 +963,11 @@ def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> lis
     bits = _scale_bits(digits, peak)
     one = 1 << bits
     threshold = one // 10 ** (digits + 5)
-    inner = _InnerSums(point, digits, bits, first_n)
-    values = _head_values(inner.head(), count) if first_n > 2 else []
+    inner = _InnerSums(point, digits, bits)
+    if first_n > 2:
+        values, inner_sum = _head_values(inner.head(), count), inner
+    else:
+        values, inner_sum = [], _minus_one(inner)
     for d, (_, weights) in zip(depths, heads):
         for (xr, xi), ulps, (wr, wi, wd) in zip(values, head_ulps, weights):
             d.total_re += (wr * xr - wi * xi) // wd
@@ -1032,7 +1001,7 @@ def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> lis
         # size, not r_k, decides: (s)_k vanishes at nonpositive integers
         if largest:
             budget = (threshold << bits) // (largest * _INNER_SAFETY)
-            (vr, vi), trunc, rounding = inner(k, budget)
+            (vr, vi), trunc, rounding = inner_sum(k, budget)
             v_size = _modulus_up(vr, vi)
             for d in active:
                 if d.size:
@@ -1072,7 +1041,7 @@ def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> lis
                 p_used=d.spec.p,
                 terms_used=d.terms_used,
                 error_estimate=_float_up(error, bits),
-                inner_sum_cutoffs=inner.cutoffs(),
+                inner_sum_cutoffs={"first_n": first_n, **inner.cutoffs()},
             )
         )
     return reports
@@ -1085,8 +1054,8 @@ def sum_zeta_m1(digits: int = 40):
     k_top = (2 * 10**digits).bit_length()  # the least K with 2^K > 2 * 10^digits
     bits = _scale_bits(digits, 0)
     budget = (1 << bits) // 10 ** (digits + 5) // _INNER_SAFETY
-    inner = _InnerSums((Fraction(0), Fraction(0)), digits, bits)
-    total = sum(inner(k, budget)[0][0] for k in range(2, k_top + 1))
+    minus_one = _minus_one(_InnerSums((Fraction(0), Fraction(0)), digits, bits))
+    total = sum(minus_one(k, budget)[0][0] for k in range(2, k_top + 1))
     return _mp_value(total, None, bits)
 
 

@@ -124,10 +124,10 @@ def test_verify_corrupted_file_names_first_mismatch(tmp_path, capsys):
     records[4]["terms"][11]["r"] = "7/6"  # p=5, k=17
     path.write_text(json.dumps(records))
     capsys.readouterr()
-    assert main(["verify", "--in", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert "p=5" in out and "k=17" in out
+    # the stored term disagrees with the record's closed form: a malformed file
+    assert main(["verify", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "depth-5" in err and "r_17 = " in err and "not the stored 7/6" in err
 
 
 def test_verify_rejects_wrong_closed_form(tmp_path, capsys):
@@ -137,9 +137,10 @@ def test_verify_rejects_wrong_closed_form(tmp_path, capsys):
     records[1]["closed_form"]["k_poly"] = ["7/1"]  # p=2; stored terms intact
     path.write_text(json.dumps(records))
     capsys.readouterr()
-    assert main(["verify", "--in", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "p=2" in out and "closed form" in out
+    # every record's closed form is checked against its terms on read
+    assert main(["verify", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "depth-2" in err and "closed_form" in err and "r_2 = 7" in err
 
 
 def test_verify_rejects_wrong_extended_validity(tmp_path, capsys):
@@ -187,7 +188,9 @@ def test_every_check_reads_the_file(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "derive_identity", None)  # any call would raise
     assert main(["verify", "--in", str(path), "--only", "pairing", "--only", "zeta0"]) == 0
     records = json.loads(path.read_text())
-    records[3]["terms"][5]["r"] = "7/6"  # p=4, k=10: no longer the twin of p=3
+    # p=4's Q, which no stored term checks, so the file still loads: no
+    # longer the twin of p=3
+    records[3]["q_poly"][0] = "7/6"
     path.write_text(json.dumps(records))
     capsys.readouterr()
     assert main(["verify", "--in", str(path), "--only", "pairing"]) == 1
@@ -244,6 +247,17 @@ def test_eval_beyond_stored_terms(capsys):
         target = mp.zeta(-8.5)
         assert abs(report.value - target) <= report.error_estimate
         assert mp.nstr(target, 30) in capsys.readouterr().out
+
+
+def test_depth_beyond_the_default_kmax(capsys):
+    # --p 128 needs k_max >= 130, past the default 64; eval derives at
+    # max(--kmax, p + 2), as --kmax cannot change the value
+    assert main(["eval", "--s", "-126.25", "--p", "128", "--digits", "30"]) == 0
+    estimate = float(capsys.readouterr().out.rsplit("error estimate <= ", 1)[1])
+    assert estimate <= 1e-30
+    assert main(["special", "--check", "zetaprime0", "--p", "70", "--digits", "20"]) == 0
+    # derive stores exactly the terms asked for, so it stays strict
+    assert main(["derive", "--p", "128"]) == 2
 
 
 def test_eval_domain_errors():

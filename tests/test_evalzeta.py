@@ -563,6 +563,11 @@ def test_split_point_is_the_euler_maclaurin_cutoff(specs64, digits, first_n):
         for report in eval_identities(batch, s, digits):
             cutoffs = report.inner_sum_cutoffs
             assert cutoffs["first_n"] == cutoffs["direct_terms"] == first_n, cutoffs
+    # the paper's split of zeta'(0) (inner sums from n = 2) sums its
+    # Euler-Maclaurin parts at the same N
+    cutoffs = zeta_prime_at_zero(specs64[2], digits).inner_sum_cutoffs
+    assert cutoffs["first_n"] == 2
+    assert cutoffs["direct_terms"] == evalzeta._split_point(digits) == first_n
 
 
 def test_shifted_split_shrinks_the_outer_series(specs64):
@@ -589,30 +594,52 @@ def _ulps_to_mp(pair, bits):
     return mp.mpc(*pair) / mp.mpf(2) ** bits
 
 
-@pytest.mark.parametrize("stride", [1, 7])  # 7: table entries step several shifts at once
+@pytest.mark.parametrize("stride", [1, 7])  # 7: the entry N^-(z+k) steps several shifts at once
 @pytest.mark.parametrize("z, k0", [((F(2), F(0)), 0), ((F(1, 2), F(14134725, 10**6)), 1)])
 def test_inner_sums_within_their_bounds(z, k0, stride):
+    # Hurwitz zeta(z + k, N), N = 64 at 40 digits: Euler-Maclaurin sums
+    # while N^-(z+k) is large, the empty sum once its tail bound meets the
+    # budget
     digits, bits = 40, 200
     budget = (1 << bits) // 10**50  # 1e-50 in ulps
     routes = set()
     inner = _InnerSums(z, digits, bits)
+    assert inner.n == 64
     results = []
     for k in range(k0, 201, stride):
         value, err, rounding = inner(k, budget)
-        routes.add("em" if inner.last_em_k == k else "direct")
+        routes.add("em" if inner.last_em_k == k else "empty")
         assert err <= budget
         results.append((k, value, err + rounding))
     with mp.workdps(80):
         z = _mp_point(z)
         for k, value, bound in results:
-            err = abs(_ulps_to_mp(value, bits) - (mp.zeta(z + k) - 1))
+            err = abs(_ulps_to_mp(value, bits) - mp.zeta(z + k, 64))
             assert err <= mp.mpf(bound) / mp.mpf(2) ** bits, k
-    assert routes == {"direct", "em"}
+    assert routes == {"empty", "em"}
+
+
+@pytest.mark.parametrize("z", [(F(2), F(0)), (F(1, 2), F(14134725, 10**6)), (F(-5, 2), F(3))])
+def test_paper_split_inner_sums_within_their_bounds(z):
+    # zeta(z + k) - 1 as the callers with the paper's split build it: the
+    # head power sum over n = 2..N-1 plus the kernel's zeta(z + k, N); k
+    # skips shifts, so the power sums step several at once
+    digits, bits = 40, 200
+    budget = (1 << bits) // 10**50
+    minus_one = evalzeta._minus_one(_InnerSums(z, digits, bits))
+    ks = [k for k in range(0, 201, 3) if z[0] + k >= F(3, 2)]
+    results = [(k, *minus_one(k, budget)) for k in ks]
+    with mp.workdps(80):
+        w = _mp_point(z)
+        for k, value, err, rounding in results:
+            assert err <= budget
+            actual = abs(_ulps_to_mp(value, bits) - (mp.zeta(w + k) - 1))
+            assert actual <= mp.mpf(err + rounding) / mp.mpf(2) ** bits, k
 
 
 def test_inner_sum_reports_an_unmet_budget():
-    # 50 direct terms cannot take zeta(1.5 + 14i) - 1 to 1e-200: the
-    # Euler-Maclaurin terms stop shrinking near 1e-129
+    # Euler-Maclaurin at N = 64 cannot take zeta(1.5 + 14i, 64) to 1e-200:
+    # its terms stop shrinking near 1e-167
     bits = 700
     budget = (1 << bits) // 10**200
     z = (F(3, 2), F(14))
@@ -620,15 +647,28 @@ def test_inner_sum_reports_an_unmet_budget():
     assert err > budget
     with mp.workdps(80):
         bound = mp.mpf(err + rounding) / mp.mpf(2) ** bits
-        assert abs(_ulps_to_mp(value, bits) - (mp.zeta(_mp_point(z)) - 1)) <= bound
+        assert abs(_ulps_to_mp(value, bits) - mp.zeta(_mp_point(z), 64)) <= bound
 
 
-@pytest.mark.parametrize("z", [(F(2), F(0)), (F(3, 2), F(7))])
+# z = 5/2, not 2: 64^-2 is a power of two, so at z = 2 no floor touches the
+# entry and the other floors stay under the truncation bound
+@pytest.mark.parametrize("z", [(F(5, 2), F(0)), (F(3, 2), F(7))])
 def test_inner_sum_rounding_is_tallied(z):
     # at a scale of 2^-64 the floors of the Euler-Maclaurin route cost more
     # than its truncation: only the rounding bound covers them
     bits = 64
     value, err, rounding = _InnerSums(z, 40, bits)(0, 4)
+    with mp.workdps(60):
+        actual = abs(mp.mpc(*value) - mp.zeta(_mp_point(z), 64) * mp.mpf(2) ** bits)
+    assert err < actual <= err + rounding
+
+
+@pytest.mark.parametrize("z", [(F(2), F(0)), (F(3, 2), F(7))])
+def test_paper_split_rounding_is_tallied(z):
+    # the power sum over n = 2..63 adds a floor per entry: at 2^-64 they
+    # cost more than the truncation, and the tally of 3 (N - 2) ulps holds
+    bits = 64
+    value, err, rounding = evalzeta._minus_one(_InnerSums(z, 40, bits))(0, 4)
     with mp.workdps(60):
         actual = abs(mp.mpc(*value) - (mp.zeta(_mp_point(z)) - 1) * mp.mpf(2) ** bits)
     assert err < actual <= err + rounding
@@ -647,18 +687,19 @@ def test_inner_sum_rounding_is_tallied(z):
     ],
 )
 def test_shifted_inner_sums_within_their_bounds(z, k, digits):
-    # first_n as in the shifted split: the Euler-Maclaurin route at n = first_n
-    # and a budget of 10^-(digits+5), against Hurwitz zeta(w, first_n)
+    # N = _split_point(digits) and a budget of 10^-(digits+5), as in the
+    # shifted split: the Euler-Maclaurin route at n = N, against Hurwitz
+    # zeta(w, N)
     bits = evalzeta._threshold_bits(digits) + evalzeta._GUARD_BITS
     budget = (1 << bits) // 10 ** (digits + 5)
-    first_n = _least_power_of_two(10 + digits)
-    inner = _InnerSums(z, digits, bits, first_n=first_n)
+    n = _least_power_of_two(10 + digits)
+    inner = _InnerSums(z, digits, bits)
     value, err, rounding = inner(k, budget)
     assert inner.last_em_k == k
-    assert inner.cutoffs()["direct_terms"] == first_n
+    assert inner.cutoffs()["direct_terms"] == n
     assert err <= budget
     with mp.workdps(digits + 20):
-        actual = abs(_ulps_to_mp(value, bits) - mp.zeta(_mp_point(z) + k, first_n))
+        actual = abs(_ulps_to_mp(value, bits) - mp.zeta(_mp_point(z) + k, n))
         assert actual <= mp.mpf(err + rounding) / mp.mpf(2) ** bits
 
 
@@ -784,7 +825,8 @@ def test_zeta_prime_needs_validity_at_zero(specs64):
         zeta_prime_at_zero(specs64[1], 40)
 
 
-@pytest.mark.parametrize("digits", [15, 40, 100])
+# 300 digits: N moves the most there, from 10 + digits = 310 to 512
+@pytest.mark.parametrize("digits", [15, 40, 100, 300])
 @pytest.mark.parametrize("p", [2, 3, 5, 12])
 def test_zeta_prime_at_zero_meets_the_contract(specs64, p, digits):
     report = zeta_prime_at_zero(specs64[p], digits)

@@ -78,6 +78,15 @@ def test_null_closed_form_with_a_wrong_term_is_rejected():
         identity_from_json(record)
 
 
+def test_stored_closed_form_with_a_wrong_term_is_rejected():
+    # a closed form that disagrees with the stored terms would otherwise
+    # give the evaluator head weights from one and outer terms from the other
+    record = identity_to_json(derive_identity(2, 20))
+    record["closed_form"] = {"k_poly": ["7/1"]}
+    with pytest.raises(ValueError, match=r"depth-2 record has a closed_form that gives r_2 = 7, not"):
+        identity_from_json(record)
+
+
 def test_json_is_plain_data(specs64):
     text = identities_to_json_text([specs64[7]])
     parsed = json.loads(text)
