@@ -45,10 +45,14 @@ class IdentitySpec:
     """Exact data of one derived identity.
 
     terms holds (k, r_k) pairs for consecutive k starting at k0, the first
-    index with a nonzero coefficient. closed_form is the polynomial in k
-    giving r_k at every k >= k0, stored or not; every spec carries it (a
-    record read with a null closed_form gets series_poly(p), see
-    identity_from_json).
+    index k >= p with a nonzero coefficient. closed_form is the polynomial
+    in k giving r_k at every k >= k0, stored or not; every spec carries it
+    (a record read with a null closed_form gets series_poly(p), see
+    identity_from_json). The pole coefficient is exactly 1: zeta has
+    residue 1 at s = 1. A spec that breaks any of these raises ValueError
+    naming its depth, since the evaluator would otherwise return a wrong
+    value with a small error bound: it sums the series from k0 and splits
+    the head with the closed form at every k < k0.
     validity_re_gt is the nominal half-plane bound -(p-1);
     extended_validity_re_gt is set to -p when the depth-(p+1) derivation
     produces the identical identity, and is None otherwise.
@@ -75,6 +79,18 @@ class IdentitySpec:
         ks = [k for k, _ in self.terms]
         if ks != list(range(self.k0, self.k0 + len(ks))):
             raise ValueError("stored terms must cover consecutive k")
+        if self.pole_coefficient != 1:
+            raise ValueError(
+                f"depth-{self.p} identity has pole coefficient {self.pole_coefficient}, not 1"
+            )
+        if self.k0 < self.p:
+            raise ValueError(f"depth-{self.p} identity has k0 = {self.k0} < p")
+        for k in range(self.p, self.k0):
+            if self.closed_form(k):
+                raise ValueError(
+                    f"depth-{self.p} identity has k0 = {self.k0}, but its closed form gives "
+                    f"r_{k} = {self.closed_form(k)}, not 0"
+                )
 
     @property
     def k_max(self) -> int:

@@ -26,7 +26,7 @@ The identity evaluator works in fixed point on Python integers. One call
 chooses a scale 2^P; a real number x is held as an integer within a few
 units of x * 2^P (a unit 2^-P is an "ulp" below) and a complex number as a
 pair of them. Sums are exact integer additions, products are integer
-products shifted right by P, and every rounding is a floor. The error of
+products shifted right, and every rounding is a floor. The error of
 each operation is tallied in ulps as an integer, rounded up, so no float
 enters any bound; the modulus of a complex number in a bound is the
 square-root-free max + min/2 + 1 of its parts (_modulus_up). mpmath's
@@ -41,16 +41,21 @@ g_j (s)_j, r_k and the Euler-Maclaurin steps between consecutive
 B_2j/(2j)!) is exact; each is floored once where it meets a fixed-point
 number. Values are returned as mpmath numbers, built exactly.
 
-P is the bit length of 10^(digits+5), plus log2 of the largest outer
-coefficient |r_k (s)_k / (k+1)!| the call will meet or of the largest head
+The outer terms r_k a_k zeta(s + k, b), b = m + 1 (a_k the rational factor
+at k), fall like b^-k, but the bare coefficients r_k a_k can first grow by
+many bits (by 2^57 at |Im s| = 40). So each inner sum comes back times
+b^(k - k_start), k_start the first k of the pass, and each product with its
+coefficient is shifted right by P + log2(b) (k - k_start): every rounding
+of an inner sum, and its budget, is measured against the term, not the
+bare coefficient. P is then the bit length of 10^(digits+5), plus log2 of
+the largest coefficient |r_k a_k| at k = k_start or of the largest head
 weight times the error of the value it multiplies (3 |W_m| ulps for m^-s,
-3 (m - 2) |g_j (s)_j| for S_j), plus _GUARD_BITS: the error of each
-product is the error of its fixed-point factor times the size of its
-exact one. The outer peak comes from a float pre-scan that mirrors the
-outer stopping rule, so the large coefficients of points with large |Im s|
-(which grow like |Im s|^k / k! before they decay) get the bits their
-cancellation costs. The scan only sets how tight the bound is; every bound
-is a tally of the ulps actually lost, whatever P is.
+3 (m - 2) |g_j (s)_j| for S_j), plus _GUARD_BITS, with no scan of the
+series. Where the terms still grow relative to the first one (large |s|,
+or deep identities at s = 0), the rounding tally shows it: if a depth's
+tally exceeds its share of 10^-(digits+5), the pass runs once more at a
+scale finer by the bits of that excess (_outer_series). Every bound is a
+tally of the ulps actually lost, whatever P is.
 
 The independent cross-check `zeta_em_reference` computes zeta directly by
 Euler-Maclaurin summation in mpmath floats and shares nothing with
@@ -66,23 +71,24 @@ identity differentiated term by term) and m = 1, since that head has no
 shifted form; so zeta'(0) gets an error bound too.
 
 Each call computes n^-s for n = 2..N-1 once and steps them by floor
-divisions by n into power sums (_power_sums): the S_j of the shifted head,
-or, for the paper's split (m = 1) of zeta_prime_at_zero, sum_zeta_m1 and
-zeta_m1, sum_{n=2..N-1} n^-(s+k), to which each k adds zeta(s + k, N) to
-make zeta(s + k) - 1 (_minus_one). Each k gets the budget
-10^-(digits+5) / (16 |coefficient_k|), the smallest such budget over the
-depths of a batch. Its zeta(s + k, N) is the empty sum when the tail bound
-at N alone meets the budget, else N^(1-w)/(w-1) + N^-w/2 plus as many
-Euler-Maclaurin terms as the remainder bound asks for, w = s + k, with
-N^-w computed once and stepped from k to k + 1 by a floor division by N
-(_InnerSums). The oracle sums 10 + digits direct terms and adds
-correction terms while they exceed 10^-(digits + _GUARD). Truncation of
-each depth's outer series stops at the first k >= k0 + 8 whose bound
-|r_k| * |(s)_k| / (k+1)! * 4 * (m+1)^(1 - Re s - k) drops below
-10^-(digits+5) and where the later terms are proven to fall fast enough for
-that bound to hold (_tail_bounded). That proof fails while
-|s + k| / (k + 2) >= m + 1, so at large |s| the series runs on past the
-terms that grow before they fall.
+divisions into power sums (_power_sums): the S_j of the shifted head, or,
+for the paper's split (m = 1) of zeta_prime_at_zero, sum_zeta_m1 and
+zeta_m1, sum_{n=2..N-1} n^-(s+k) 2^(k - k_start), to which each k adds
+zeta(s + k, N) 2^(k - k_start) to make (zeta(s + k) - 1) 2^(k - k_start)
+(_minus_one). Each k gets the budget 10^-(digits+5) / (16 |coefficient_k|)
+b^(k - k_start) in ulps of its scaled inner sum, the smallest such budget
+over the depths of a batch. Its zeta(s + k, N) is the empty sum when the
+tail bound at N alone meets the budget, else N^(1-w)/(w-1) + N^-w/2 plus as
+many Euler-Maclaurin terms as the remainder bound asks for, w = s + k,
+with the scaled N^-w computed once and, for b = 2, stepped by floor
+divisions by N/2 (_InnerSums). The oracle sums
+10 + digits direct terms and adds correction terms while they exceed
+10^-(digits + _GUARD). Truncation of each depth's outer series stops at the
+first k >= k0 + 8 whose bound |r_k| * |(s)_k| / (k+1)! * 4 *
+(m+1)^(1 - Re s - k) drops below 10^-(digits+5) and where the later terms
+are proven to fall fast enough for that bound to hold (_tail_bounded). That
+proof fails while |s + k| / (k + 2) >= m + 1, so at large |s| the series
+runs on past the terms that grow before they fall.
 """
 
 from __future__ import annotations
@@ -91,7 +97,7 @@ import re as _re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, factorial, floor, hypot, inf, isfinite, isqrt, lcm, log2, nextafter
+from math import ceil, comb, factorial, floor, inf, isfinite, isqrt, lcm, nextafter
 from typing import Optional, Sequence, Union
 
 from mpmath import mp
@@ -102,7 +108,7 @@ from .derive import IdentitySpec
 from .exactmath import bernoulli_over_factorial, bernoulli_ratio_steps
 
 _GUARD = 10
-# Bits of the fixed-point scale beyond 10^-(digits+5) and the peak outer
+# Bits of the fixed-point scale beyond 10^-(digits+5) and the first outer
 # coefficient; the ulp tally of a few hundred terms stays far below them.
 _GUARD_BITS = 24
 # Each inner sum gets the budget threshold / (|coefficient| * _INNER_SAFETY).
@@ -115,6 +121,9 @@ _TAIL_RATIO = 6
 # Every entry n^-(z+k) is within this many ulps (in modulus) of its value,
 # at any shift: see _InnerSums.
 _ENTRY_ULPS = 3
+# Every entry n^-(z+k) 2^(k - start) of the paper's power sums is within
+# this many ulps (in modulus): see _minus_one.
+_DOUBLED_ULPS = 5
 
 Number = Union[int, float, complex, Fraction, str]
 
@@ -136,11 +145,14 @@ class EvalReport:
     m^-s and _ENTRY_ULPS (m - 2) times |g_j (s)_j| for each power sum S_j
     of the shifted head, every floor of the (s)_k recurrence and of each
     coefficient as it propagates into its term, the rounding of each inner
-    sum times its |coefficient|, and the floor of each product.
-    For zeta_prime_at_zero the rounding tally also covers _ENTRY_ULPS
-    (N - 2) for the power sum of each inner sum zeta(k) - 1, times its
-    |coefficient|. inner_sum_cutoffs records the inner schedule the call
-    used: first_n, the first n of every inner sum (m + 1 of the shifted
+    sum times its |coefficient|, and the floor of each product. The inner
+    sums come back times b^(k - k_start) (b = first_n), so their truncation
+    and rounding bounds count divided by that factor, each rounded up.
+    For zeta_prime_at_zero the rounding of each inner sum zeta(k) - 1
+    includes _DOUBLED_ULPS (N - 2) for its power sum. The estimate is that
+    of the last pass: a call whose first tally exceeds its share runs once
+    more at a finer scale. inner_sum_cutoffs records the inner schedule the
+    call used: first_n, the first n of every inner sum (m + 1 of the shifted
     split; 2 for the paper's split of zeta_prime_at_zero); direct_terms,
     N = _split_point(digits), the least power of two >= 10 + digits, at
     which every inner sum of every caller is an Euler-Maclaurin sum
@@ -234,8 +246,8 @@ def _exact_point(s) -> tuple[Fraction, Fraction]:
     """s as an exact (re, im) pair of rationals. Ints, floats, complex and
     mpmath numbers are binary fractions, and a string is read as a decimal
     literal "a", "a+bi" or "a-bi", so nothing rounds. Raises ValueError for
-    a non-finite s and for a part beyond the float range, which the float
-    pre-scan of the outer series cannot hold."""
+    a non-finite s and for a part beyond the float range: the outer series
+    at such an s would run for about |s| / N terms before they fall."""
     if isinstance(s, tuple) and len(s) == 2:
         re, im = _exact_real(s[0]), _exact_real(s[1])
     elif isinstance(s, str):
@@ -301,8 +313,11 @@ def _mp_value(re: int, im: Optional[int], bits: int):
 
 
 def _float_up(ulps: int, bits: int) -> float:
-    """The least float >= ulps * 2^-bits."""
+    """The least float >= ulps * 2^-bits: inf beyond the float range, as
+    the bound of a pass at too coarse a scale can be (_outer_series)."""
     exact = Fraction(ulps, 1 << bits)
+    if exact > _FLOAT_MAX:
+        return inf
     x = float(exact)
     return x if x >= exact else nextafter(x, inf)
 
@@ -324,13 +339,17 @@ def _threshold_bits(digits: int) -> int:
     return (10 ** (digits + 5)).bit_length()
 
 
-def _scale_bits(digits: int, peak_log2: float) -> int:
-    """P for a call whose largest outer coefficient is about 2^peak_log2."""
-    return _threshold_bits(digits) + (int(peak_log2) + 1 if peak_log2 > 0 else 0) + _GUARD_BITS
+def _scale_bits(digits: int, peak: int) -> int:
+    """P for a call whose largest first outer coefficient or weighted head
+    error is at most 2^peak."""
+    return _threshold_bits(digits) + max(peak, 0) + _GUARD_BITS
 
 
-def _log2_fraction(q: Fraction) -> float:
-    return log2(abs(q.numerator)) - log2(q.denominator) if q else -inf
+def _log2_up(re: int, im: int, den: int) -> int:
+    """An integer >= log2 |(re + i im) / den|: the modulus is below
+    sqrt(2) 2^B for B the larger bit length of re and im, and den is at
+    least 2^(D - 1) for its bit length D."""
+    return max(re.bit_length(), im.bit_length()) - den.bit_length() + 2
 
 
 def _integer_point(re: Fraction, im: Fraction) -> tuple[int, int, int]:
@@ -340,13 +359,19 @@ def _integer_point(re: Fraction, im: Fraction) -> tuple[int, int, int]:
 
 
 class _InnerSums:
-    """The Hurwitz sums zeta(z + k, N), N = _split_point(digits), in fixed
-    point at scale 2^-bits, for one exact z and shifts k taken in
-    nondecreasing order, each with a truncation bound and a rounding bound
-    in ulps; and the head entries n^-z, n < N, that _power_sums steps.
+    """The Hurwitz sums zeta(z + k, N), N = _split_point(digits), each
+    times base^(k - start), in fixed point at scale 2^-bits, for one exact z
+    and shifts k >= start taken in nondecreasing order, each with a
+    truncation bound and a rounding bound in ulps of the scaled sum; and the
+    head entries n^-(z + shift), n < N, that _power_sums steps.
 
-    z = (zr + i zi) / den with integers zr, zi, den, so every z + k, and
-    every factor the Euler-Maclaurin terms need, is exact.
+    base is N (the shifted split: the scaled sum stays near N^-(z + start)
+    at every k) or 2 (the paper's split: it follows the term of
+    zeta(z + k) - 1, about 2^-(z + k), relative to the first one). The outer
+    series shifts each product right by log2(base) (k - start) more bits
+    (_outer_series), so every error of a scaled sum counts against its
+    term. z = (zr + i zi) / den with integers zr, zi, den, so every z + k,
+    and every factor the Euler-Maclaurin terms need, is exact.
 
     mpmath computes p^-z for each prime p <= N at `prec` bits, with an error
     (rounding z included) assumed under 4 + |z| log p units of that
@@ -358,10 +383,12 @@ class _InnerSums:
     benchmark the products cut the median time per evaluation by about
     15 %.) An entry at shift k is floor(X / n^k), X = floor(n^-z * 2^bits),
     so each of its components is within 2 + 2^-16 ulps, and the entry
-    within _ENTRY_ULPS = 3 in modulus. The one entry of the sums, N^-(z+k),
-    is computed when first needed and stepped to each later shift by a
-    floor division by N^(k - previous k); nested floor divisions by integers
-    are one, so it is always floor(X / N^k).
+    within _ENTRY_ULPS = 3 in modulus. The one entry of the sums,
+    N^-(z+k) base^(k - start), is floor(X / N^start) when first needed. With
+    base N it is the same at every k, and is never stepped. With base 2 it
+    steps to each later shift by a floor division by (N/2)^(k - previous k);
+    nested floor divisions by integers are one, so it is always
+    floor(X / (N^start (N/2)^(k - start))), within _ENTRY_ULPS too.
 
     Each shift w = z + k, sigma = Re w, is one of two sums:
 
@@ -381,18 +408,21 @@ class _InnerSums:
     an exact Gaussian integer bounded by |Re f| + |Im f|; T_1 is within
     _ENTRY_ULPS |w| / (12 N) + 2.
 
-    The rounding bound adds, for each product or quotient of N^-w, the
-    entry error it propagates plus 2 ulps for its floors, and each
+    Every term is linear in N^-w, so the scaled entry gives the scaled sum,
+    and the tests and bounds below hold in its ulps; the budget comes in the
+    same ulps. The rounding bound adds, for each product or quotient of
+    N^-w, the entry error it propagates plus 2 ulps for its floors, and each
     Euler-Maclaurin term its E_j. When the terms stop shrinking before the
     budget is met, the returned bound is the one reached, not the budget.
     No float enters: every test and bound is an integer.
     """
 
-    def __init__(self, z: tuple[Fraction, Fraction], digits: int, bits: int):
+    def __init__(self, z: tuple[Fraction, Fraction], digits: int, bits: int, base: int, start: int):
         re, im = z
         self.zr, self.zi, self.den = _integer_point(re, im)
         self.bits = bits
         self.n = n = _split_point(digits)
+        self.base, self.start = base, start
         # (6 + |z|) log2 N bounds the relative error of any n^-z in units
         # of 2^-prec: see the class docstring; the head entries n < N are as
         # large as n^-Re z, and (N - 2).bit_length() >= log2 n
@@ -405,9 +435,10 @@ class _InnerSums:
         self.minus_z = minus_z if im else minus_z[0]
         # index n: n^-z from mpmath, a raw tuple like minus_z
         self.powers = [None, None]
-        # N^-(z + shift) as an (re, im) pair of ulps, once an inner sum ran
+        # N^-(z + shift) base^(shift - start) as an (re, im) pair of ulps,
+        # once an inner sum ran
         self.entry = None
-        self.shift = 0
+        self.shift = start
         self.max_order = 0
         self.last_em_k = None
         # rho_j of the Euler-Maclaurin recurrence, grown as orders rise
@@ -440,26 +471,29 @@ class _InnerSums:
             powers.append(x)
         return powers[n]
 
-    def _entry(self, n: int) -> tuple[int, int]:
-        """floor(n^-z * 2^bits) of each component."""
+    def _entry(self, n: int, shift: int) -> tuple[int, int]:
+        """floor(n^-(z + shift) * 2^bits) of each component, as
+        floor(floor(n^-z * 2^bits) / n^shift)."""
         x = self._power(n)
         xr, xi = x if self.complex else (x, fzero)
-        return _mp_fixed(xr, self.bits), _mp_fixed(xi, self.bits)
+        q = n**shift
+        return _mp_fixed(xr, self.bits) // q, _mp_fixed(xi, self.bits) // q
 
-    def head(self) -> list[tuple[int, int]]:
-        """n^-z for n = 2..N-1 as (re, im) pairs of ulps, each within
-        _ENTRY_ULPS in modulus."""
-        return [self._entry(n) for n in range(2, self.n)]
+    def head(self, shift: int = 0) -> list[tuple[int, int]]:
+        """n^-(z + shift) for n = 2..N-1 as (re, im) pairs of ulps, each
+        within _ENTRY_ULPS in modulus."""
+        return [self._entry(n, shift) for n in range(2, self.n)]
 
     def __call__(self, k: int, budget: int):
-        """((re, im) of zeta(z+k, N), truncation bound, rounding bound), all
-        in ulps, aiming for a truncation bound <= budget."""
+        """((re, im) of zeta(z+k, N) base^(k - start), truncation bound,
+        rounding bound), all in ulps, aiming for a truncation bound
+        <= budget."""
         den, n = self.den, self.n
         wr, wi = self.zr + k * den, self.zi  # w = z + k = (wr + i wi) / den
         if self.entry is None:
-            self.entry = self._entry(n)
-        q = n ** (k - self.shift)
-        xr, xi = self.entry = self.entry[0] // q, self.entry[1] // q  # n^-w
+            self.entry = self._entry(n, self.start)
+        q = (n // self.base) ** (k - self.shift)
+        xr, xi = self.entry = self.entry[0] // q, self.entry[1] // q  # n^-w scaled
         self.shift = k
         # the empty sum, within n^-sigma (1 + n/(sigma - 1))
         last = _modulus_up(xr, xi) + _ENTRY_ULPS
@@ -512,29 +546,39 @@ class _InnerSums:
         return (vr, vi), err, rounding
 
 
-def _power_sums(entries: list[tuple[int, int]]):
-    """Yield the power sums sum_n n^-(z+j) for j = 0, 1, ..., from the
-    entries n^-z, n = 2, 3, ... (_InnerSums.head), each an (re, im) pair of
-    ulps. Each entry steps from j to j + 1 by a floor division by n, so, as
-    in _InnerSums, it is floor(X / n^j) and within _ENTRY_ULPS; a sum of c
-    entries is within _ENTRY_ULPS c. A part that floors to 0 stays 0, so it
-    is dropped."""
+def _power_sums(entries: list[tuple[int, int]], base: int):
+    """Yield the power sums sum_n n^-(z+j) base^j for j = 0, 1, ..., from
+    the entries n^-z, n = 2, 3, ... (_InnerSums.head), each an (re, im) pair
+    of ulps. Each entry steps from j to j + 1 as x -> floor(x base / n). With
+    base 1 that is, as in _InnerSums, floor(X / n^j), within _ENTRY_ULPS,
+    and a sum of c entries is within _ENTRY_ULPS c; base 2 is _minus_one's.
+    A part that floors to 0 stays 0, so it is dropped."""
     re = [(x, n) for n, (x, _) in enumerate(entries, 2) if x]
     im = [(y, n) for n, (_, y) in enumerate(entries, 2) if y]
     while True:
         yield sum(x for x, _ in re), sum(y for y, _ in im)
-        re = [(x // n, n) for x, n in re if x >= n or x < 0]
-        im = [(y // n, n) for y, n in im if y >= n or y < 0]
+        re = [(step, n) for x, n in re if (step := x * base // n)]
+        im = [(step, n) for y, n in im if (step := y * base // n)]
 
 
 def _minus_one(inner: _InnerSums):
-    """zeta(z + k) - 1 for the paper's split (m = 1), as a function of
-    (k, budget) that returns what inner does, for nondecreasing k: the power
-    sum sum_{n=2..N-1} n^-(z+k) (_power_sums of inner.head()) plus
-    zeta(z + k, N) from inner, with _ENTRY_ULPS (N - 2) more rounding."""
-    sums = _power_sums(inner.head())
-    head_ulps = _ENTRY_ULPS * (inner.n - 2)
-    shift, (hr, hi) = 0, next(sums)
+    """(zeta(z + k) - 1) 2^(k - start) for the paper's split (m = 1), as a
+    function of (k, budget) that returns what inner (base 2) does, for
+    nondecreasing k >= start = inner.start: the power sum
+    sum_{n=2..N-1} n^-(z+k) 2^(k - start) (_power_sums of
+    inner.head(start), base 2) plus zeta(z + k, N) 2^(k - start) from
+    inner, with _DOUBLED_ULPS (N - 2) more rounding.
+
+    Each entry is within _DOUBLED_ULPS = 5 ulps in modulus. At k = start
+    each part is floor(X / n^start), X = floor(n^-z 2^bits), within
+    2 + 2^-16 ulps (_InnerSums). A step x -> floor(2x / n) takes a part x
+    within e ulps of its value y to within 2e/n + 1 of 2y/n: the floor adds
+    under 1. For n >= 3, e <= 3 gives 2e/n + 1 <= 3; for n = 2 the step
+    x -> x is exact. So each part stays within 3 ulps at every k, and the
+    entry within 3 sqrt(2) < 5 in modulus."""
+    sums = _power_sums(inner.head(inner.start), 2)
+    head_ulps = _DOUBLED_ULPS * (inner.n - 2)
+    shift, (hr, hi) = inner.start, next(sums)
 
     def minus_one(k: int, budget: int):
         nonlocal shift, hr, hi
@@ -562,7 +606,7 @@ def zeta_m1(sigma, digits: int = 40):
     # zeta(z) - 1 for large Re z, and so does the budget
     bits = _threshold_bits(digits) + floor(re) + 1 + _GUARD_BITS
     budget = _pow2_up(bits - re) // 10 ** (digits + 5)
-    (vr, vi), _, _ = _minus_one(_InnerSums((re, im), digits, bits))(0, budget)
+    (vr, vi), _, _ = _minus_one(_InnerSums((re, im), digits, bits, 2, 0))(0, budget)
     return _mp_value(vr, vi if im else None, bits)
 
 
@@ -757,32 +801,25 @@ def _head_values(entries: list[tuple[int, int]], count: int) -> list[tuple[int, 
     power sums S_j = sum_{n=2..m-1} n^-(s+j) for j < count, each within
     _ENTRY_ULPS (m - 2) (_power_sums). All depths of a batch share them."""
     *middle, last = entries
-    sums = _power_sums(middle)
+    sums = _power_sums(middle, 1)
     return [last] + [next(sums) for _ in range(count)]
 
 
 class _Depth:
-    """One identity's share of a batch: its coefficients r_k (memoized, so
-    the peak scan and the outer loop share them), its running outer sum (an
-    (re, im) pair of ulps) and error tallies, and, once its tail bound is
+    """One identity's share of a pass: its running outer sum (an (re, im)
+    pair of ulps), its error tallies in ulps, and, once its tail bound is
     met, where it stopped."""
 
     def __init__(self, spec: IdentitySpec):
         self.spec = spec
-        self.coefficients = {}
         self.total_re = self.total_im = 0
-        self.inner_err = 0  # sum of size * inner truncation, ulps^2
-        self.rounding = 0  # sum of propagated errors, ulps^2
+        self.inner_err = 0  # sum of size * inner truncation
+        self.rounding = 0  # sum of propagated errors
         self.products = 0  # term products, each floored
-        # r_k a_k at the current k (see _outer_series), its error, and a
+        # r_k a_k at the current k (see _outer_pass), its error, and a
         # bound on its absolute value, all in ulps
         self.coef_re = self.coef_im = self.coef_err = self.size = 0
         self.terms_used = self.tail_bound = None
-
-    def r(self, k: int) -> Fraction:
-        if k not in self.coefficients:
-            self.coefficients[k] = self.spec.series_coefficient(k)
-        return self.coefficients[k]
 
 
 def _tail_bounded(spec: IdentitySpec, point: tuple[int, int, int], k: int, base_bits: int) -> bool:
@@ -823,48 +860,6 @@ def _tail_bounded(spec: IdentitySpec, point: tuple[int, int, int], k: int, base_
     return sum(abs(b_i) * t_i * u ** (d - i) for i, (b_i, t_i) in enumerate(zip(b, t))) <= (
         _TAIL_RATIO * abs(b[0]) * u ** (d + 1)
     )
-
-
-def _tail_met(
-    d: _Depth, k: int, tail_bound, threshold, point, vanished: bool, base_bits: int
-) -> bool:
-    """The outer stopping rule: k at least k0 + _MIN_TERMS, the tail bound
-    under the threshold (both in ulps, or both as log2), and the tail
-    proven to be within its bound, which it is at once when every later
-    coefficient vanishes."""
-    return (
-        k >= d.spec.k0 + _MIN_TERMS
-        and tail_bound < threshold
-        and (vanished or _tail_bounded(d.spec, point, k, base_bits))
-    )
-
-
-def _peak_log2(depths: list[_Depth], point, factor, k: int, digits: int, base_bits: int) -> float:
-    """log2 of the largest outer coefficient |r_k a_k| _outer_series will
-    meet, from a float scan that stops each depth where the loop does
-    (_tail_met); -inf when every coefficient
-    vanishes. a_k starts at factor and steps as in _outer_series; point is
-    s as (zr, zi, den). The peak sets only how tight the error tally is."""
-    threshold = -(digits + 5) * log2(10)
-    zr, zi, den = point
-    re, im = zr / den, zi / den
-    # the tail bound is |coefficient| * 4 * b^(1 - Re s - k), b = 2^base_bits
-    tail_log2 = 2 + base_bits * (1 - re)
-    fr, fi = factor
-    log_a = _log2_fraction(fr * fr + fi * fi) / 2
-    peak = -inf
-    running = list(depths)
-    while running:
-        for d in [d for d in running if d.spec.k0 <= k]:
-            size = log_a + _log2_fraction(d.r(k))
-            peak = max(peak, size)
-            tail = size + tail_log2 - base_bits * k
-            if _tail_met(d, k, tail, threshold, point, log_a == -inf, base_bits):
-                running.remove(d)
-        h = hypot(re + k, im)
-        log_a += (log2(h) if h else -inf) - log2(k + 2)
-        k += 1
-    return peak
 
 
 def eval_identity(spec: IdentitySpec, s: Number, digits: int = 40) -> EvalReport:
@@ -937,42 +932,70 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
 def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> list[EvalReport]:
     """head + m^-s W_m + sum_j g_j (s)_j S_j
     + sum_{k >= k0} r_k a_k zeta(s + k, m + 1) for each spec, in one pass
-    over k from the least k0, for the exact s = point, a_k = factor at that
-    k and a_(k+1) = a_k (s + k) / (k + 2), and m + 1 = first_n, a power of
-    two; one report per (exact head, weights W_m and g_j (s)_j, in the order
-    of _head_values) in heads, each value an integer triple (re, im, den).
-    eval_identities passes (s)_k / (k+1)!; zeta_prime_at_zero passes
-    1/(k(k+1)) at s = 0 and first_n = 2 (the paper's split, whose inner sums
-    zeta(k) - 1 come from _minus_one), which steps the same way, so
-    _tail_bounded covers both."""
+    over k from the least k0 (_outer_pass), for the exact s = point,
+    a_k = factor at that k and a_(k+1) = a_k (s + k) / (k + 2), and
+    m + 1 = first_n, a power of two; one report per (exact head, weights W_m
+    and g_j (s)_j, in the order of _head_values) in heads, each value an
+    integer triple (re, im, den). eval_identities passes (s)_k / (k+1)!;
+    zeta_prime_at_zero passes 1/(k(k+1)) at s = 0 and first_n = 2 (the
+    paper's split, whose inner sums zeta(k) - 1 come from _minus_one), which
+    steps the same way, so _tail_bounded covers both.
+
+    The pass measures each inner sum against its term (_InnerSums), so P
+    needs only the bits of the largest first coefficient |r_k a_k| at the
+    least k0 and of the head weights times the ulps of the values they
+    multiply (_scale_bits). A depth that starts later enters the pass
+    already divided by b^(k0 - least k0). Where the terms grow relative to
+    the first one, the rounding tally grows with them: if a depth's tally
+    exceeds share = threshold // _INNER_SAFETY ulps (at least 1), the pass
+    runs once more at P plus the bit length of tally // share, and that
+    pass's reports are final."""
+    count = max(len(weights) for _, weights in heads) - 1
+    head_ulps = [_ENTRY_ULPS] + [_ENTRY_ULPS * (first_n - 3)] * count
+    peak, k = 0, min(spec.k0 for spec in specs)
+    for spec, (_, weights) in zip(specs, heads):
+        r = spec.series_coefficient(k)
+        if r and any(factor):
+            peak = max(peak, _log2_up(*_integer_point(r * factor[0], r * factor[1])))
+        for (wr, wi, wd), ulps in zip(weights, head_ulps):
+            peak = max(peak, _log2_up(wr, wi, wd) + ulps.bit_length())
+    bits = _scale_bits(digits, peak)
+    reports, tally = _outer_pass(specs, point, factor, heads, head_ulps, digits, first_n, bits)
+    share = max((1 << bits) // 10 ** (digits + 5) // _INNER_SAFETY, 1)
+    if tally > share:
+        bits += (tally // share).bit_length()
+        reports, _ = _outer_pass(specs, point, factor, heads, head_ulps, digits, first_n, bits)
+    return reports
+
+
+def _outer_pass(specs, point, factor, heads, head_ulps, digits: int, first_n: int, bits: int):
+    """One pass of _outer_series at scale 2^-bits, with head_ulps the
+    errors of the values the head weights multiply: the reports, and the
+    largest rounding tally among them in ulps.
+
+    Each inner sum comes back times b^(k - k_start), b = first_n, and each
+    product with a coefficient r_k a_k, each truncation and rounding bound
+    it carries and the inner budget are shifted by bits + log2(b)
+    (k - k_start); the coefficient recurrence and the tail bound stay at
+    scale 2^-bits. A depth stops at the first k >= k0 + _MIN_TERMS whose
+    tail bound is under the threshold and proven to hold (_tail_bounded),
+    which it is at once when every later coefficient vanishes."""
     re = point[0]
+    whole = zr, zi, den = _integer_point(*point)
     base_bits = first_n.bit_length() - 1  # log2(m + 1)
     depths = [_Depth(spec) for spec in specs]
     k = k_start = min(spec.k0 for spec in specs)
-    whole = zr, zi, den = _integer_point(*point)
-    peak = _peak_log2(depths, whole, factor, k, digits, base_bits)
-    # and log2 |w| times the ulps of the value it multiplies, rounded up, for
-    # each head weight w = (wr + i wi) / wd; the values are m^-s and the
-    # power sums S_j (_head_values), m = first_n - 1
-    count = max(len(weights) for _, weights in heads) - 1
-    head_ulps = [_ENTRY_ULPS] + [_ENTRY_ULPS * (first_n - 3)] * count
-    for _, weights in heads:
-        for (wr, wi, wd), ulps in zip(weights, head_ulps):
-            log_w = max(wr.bit_length(), wi.bit_length()) - wd.bit_length() + 2
-            peak = max(peak, log_w + ulps.bit_length())
-    bits = _scale_bits(digits, peak)
-    one = 1 << bits
-    threshold = one // 10 ** (digits + 5)
-    inner = _InnerSums(point, digits, bits)
+    threshold = (1 << bits) // 10 ** (digits + 5)
+    inner = _InnerSums(point, digits, bits, first_n, k_start)
     if first_n > 2:
-        values, inner_sum = _head_values(inner.head(), count), inner
+        values, inner_sum = _head_values(inner.head(), len(head_ulps) - 1), inner
     else:
         values, inner_sum = [], _minus_one(inner)
     for d, (_, weights) in zip(depths, heads):
         for (xr, xi), ulps, (wr, wi, wd) in zip(values, head_ulps, weights):
             d.total_re += (wr * xr - wi * xi) // wd
             d.total_im += (wr * xi + wi * xr) // wd
-            d.rounding += _ceil_div((ulps * _modulus_up(wr, wi)) << bits, wd)
+            d.rounding += _ceil_div(ulps * _modulus_up(wr, wi), wd)
             d.products += 1
     # a_k in ulps, within a_err; a_err = 0 marks an exact a
     ar, ai = _fixed(factor[0], bits), _fixed(factor[1], bits)
@@ -987,9 +1010,10 @@ def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> lis
     while True:
         active = [d for d in running if d.spec.k0 <= k]
         exact_zero = not (a_err or ar or ai)
+        shift = bits + base_bits * (k - k_start)
         largest = 0
         for d in active:
-            r = d.r(k)
+            r = d.spec.series_coefficient(k)
             num, rden = r.numerator, r.denominator
             if exact_zero or not num:
                 d.coef_re = d.coef_im = d.coef_err = d.size = 0
@@ -1000,22 +1024,26 @@ def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> lis
             largest = max(largest, d.size)
         # size, not r_k, decides: (s)_k vanishes at nonpositive integers
         if largest:
-            budget = (threshold << bits) // (largest * _INNER_SAFETY)
+            budget = (threshold << shift) // (largest * _INNER_SAFETY)
             (vr, vi), trunc, rounding = inner_sum(k, budget)
             v_size = _modulus_up(vr, vi)
             for d in active:
                 if d.size:
                     cr, ci = d.coef_re, d.coef_im
-                    d.total_re += (cr * vr - ci * vi) >> bits
-                    d.total_im += (cr * vi + ci * vr) >> bits
-                    d.inner_err += d.size * trunc
-                    d.rounding += d.coef_err * v_size + d.size * rounding
+                    d.total_re += (cr * vr - ci * vi) >> shift
+                    d.total_im += (cr * vi + ci * vr) >> shift
+                    # each bound divided by 2^shift, rounded up by a shift
+                    d.inner_err -= (-d.size * trunc) >> shift
+                    d.rounding -= (-d.coef_err * v_size - d.size * rounding) >> shift
                     d.products += 1
         for d in active:
-            # size * tail_factor / 2^shift, rounded up by a shift
-            shift = bits + base_bits * (k - k_start) + extra
-            tail_bound = -((-d.size * tail_factor) >> shift)
-            if _tail_met(d, k, tail_bound, threshold, whole, exact_zero, base_bits):
+            # size * tail_factor / 2^(shift + extra), rounded up by a shift
+            tail_bound = -((-d.size * tail_factor) >> (shift + extra))
+            if (
+                k >= d.spec.k0 + _MIN_TERMS
+                and tail_bound < threshold
+                and (exact_zero or _tail_bounded(d.spec, whole, k, base_bits))
+            ):
                 d.terms_used, d.tail_bound = k, tail_bound
                 running.remove(d)
         if not running:
@@ -1029,22 +1057,22 @@ def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> lis
             ar, ai = (ar * fr - ai * zi) // q, (ar * zi + ai * fr) // q
             a_err = _ceil_div(a_err * _modulus_up(fr, zi), q) + 2
         k += 1
-    reports = []
+    reports, tally = [], 0
     for d, ((hr, hi, hd), _) in zip(depths, heads):
         # the head's two floors and each product's two: 2 ulps each
-        rounding = _ceil_div(d.rounding, one) + 2 * (d.products + 1)
-        error = d.tail_bound + _ceil_div(d.inner_err, one) + rounding
+        rounding = d.rounding + 2 * (d.products + 1)
+        tally = max(tally, rounding)
         value = _mp_value(d.total_re + (hr << bits) // hd, d.total_im + (hi << bits) // hd, bits)
         reports.append(
             EvalReport(
                 value=value,
                 p_used=d.spec.p,
                 terms_used=d.terms_used,
-                error_estimate=_float_up(error, bits),
+                error_estimate=_float_up(d.tail_bound + d.inner_err + rounding, bits),
                 inner_sum_cutoffs={"first_n": first_n, **inner.cutoffs()},
             )
         )
-    return reports
+    return reports, tally
 
 
 def sum_zeta_m1(digits: int = 40):
@@ -1053,9 +1081,12 @@ def sum_zeta_m1(digits: int = 40):
     _check_digits(digits)
     k_top = (2 * 10**digits).bit_length()  # the least K with 2^K > 2 * 10^digits
     bits = _scale_bits(digits, 0)
-    budget = (1 << bits) // 10 ** (digits + 5) // _INNER_SAFETY
-    minus_one = _minus_one(_InnerSums((Fraction(0), Fraction(0)), digits, bits))
-    total = sum(minus_one(k, budget)[0][0] for k in range(2, k_top + 1))
+    minus_one = _minus_one(_InnerSums((Fraction(0), Fraction(0)), digits, bits, 2, 2))
+    total = 0
+    for k in range(2, k_top + 1):
+        # the budget and the value are those of (zeta(k) - 1) 2^(k - 2)
+        budget = (1 << (bits + k - 2)) // (10 ** (digits + 5) * _INNER_SAFETY)
+        total += minus_one(k, budget)[0][0] >> (k - 2)
     return _mp_value(total, None, bits)
 
 

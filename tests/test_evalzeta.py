@@ -43,6 +43,22 @@ def _mp_point(s):
     return mp.mpf(s.numerator) / s.denominator
 
 
+def _record_passes(monkeypatch):
+    """(reports, rounding tally, scale bits) of every pass of _outer_series,
+    in order, from here on. A call whose first rounding tally exceeds its
+    share runs a second, finer pass, whose reports it returns."""
+    passes = []
+    run = evalzeta._outer_pass
+
+    def recording(*args):
+        reports, tally = run(*args)
+        passes.append((reports, tally, args[-1]))
+        return reports, tally
+
+    monkeypatch.setattr(evalzeta, "_outer_pass", recording)
+    return passes
+
+
 def _without_closed_form(spec):
     """spec read back from its JSON record with a null closed_form."""
     return identity_from_json({**identity_to_json(spec), "closed_form": None})
@@ -267,6 +283,10 @@ def test_error_estimate_covers_observed_error(specs64):
         (1, F(300), 40),
         (1, F(200), 15),
         (1, (F(120), F(50)), 20),
+        # the terms grow relative to the first by hundreds of bits: the
+        # rounding tally of the first pass calls for a second, finer one
+        (1, F(10**4), 20),
+        (1, F(3 * 10**4), 20),
     ],
 )
 def test_contract_against_mpmath_zeta(specs64, p, s, digits):
@@ -334,16 +354,25 @@ def test_guard_bits_cover_every_depth_at_sixty_digits(specs64):
 
 @pytest.mark.parametrize("s", [F(-145, 14), (F(1, 2), F(40)), (F(-8, 5), F(31)), (F(3, 4), F(2))])
 def test_error_estimate_holds_at_a_coarse_scale(specs64, monkeypatch, s):
-    # with 2 guard bits instead of 24 the rounding tally dominates the
-    # estimate; the estimate must still bound the error
-    monkeypatch.setattr(evalzeta, "_GUARD_BITS", 2)
+    # with a scale 2 bits finer than 10^-45, and no bits for the outer
+    # coefficients or guard, the rounding tally of the first pass dominates
+    # its estimate and calls for a second pass; the estimate of every pass
+    # must still bound the error
+    monkeypatch.setattr(
+        evalzeta, "_scale_bits", lambda digits, peak: evalzeta._threshold_bits(digits) + 2
+    )
+    passes = _record_passes(monkeypatch)
     batch = [spec for spec in specs64.values() if supports(spec, s)]
-    reports = eval_identities(batch, s, 40)
+    eval_identities(batch, s, 40)
+    assert len(passes) == 2
+    _, tally, bits = passes[0]
+    assert tally > (1 << bits) // 10**45  # more than the truncation threshold
     with mp.workdps(70):
         target = mp.zeta(_mp_point(s))
-        for report in reports:
-            err = abs(report.value - target)
-            assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
+        for reports, _, _ in passes:
+            for report in reports:
+                err = abs(report.value - target)
+                assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
 
 
 def test_three_hundred_digits(specs64):
@@ -504,17 +533,23 @@ def test_head_weights_are_tallied(specs64, monkeypatch, s):
     # a scale that ignores the weights' size: near the pole |W_m| is about
     # 10^13, and m^-s, within 3 ulps, then costs 10^13 ulps. Only the tally
     # of 3 |W_m| ulps, and of 3 (m - 2) |g_j (s)_j| ulps per power sum S_j,
-    # covers that
+    # covers that. The first pass is checked as well as the second it calls
+    # for, whose scale adds the bits of the tally
     monkeypatch.setattr(
         evalzeta, "_scale_bits", lambda digits, peak: evalzeta._threshold_bits(digits) + 2
     )
+    passes = _record_passes(monkeypatch)
     batch = [spec for spec in specs64.values() if supports(spec, s)]
-    reports = eval_identities(batch, s, 30)
+    eval_identities(batch, s, 30)
+    assert len(passes) == 2
+    _, tally, bits = passes[0]
+    assert tally > (1 << bits) // 10**35  # more than the truncation threshold
     with mp.workdps(80):
         target = mp.zeta(_mp_point(s))
-        for report in reports:
-            err = abs(report.value - target)
-            assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
+        for reports, _, _ in passes:
+            for report in reports:
+                err = abs(report.value - target)
+                assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
 
 
 @pytest.mark.parametrize("base_bits", [5, 6, 7])  # m + 1 at 15..22, 23..54 and 55..118 digits
@@ -594,47 +629,79 @@ def _ulps_to_mp(pair, bits):
     return mp.mpc(*pair) / mp.mpf(2) ** bits
 
 
-@pytest.mark.parametrize("stride", [1, 7])  # 7: the entry N^-(z+k) steps several shifts at once
+@pytest.mark.parametrize("stride", [1, 7])  # 7: the entry steps several shifts at once
 @pytest.mark.parametrize("z, k0", [((F(2), F(0)), 0), ((F(1, 2), F(14134725, 10**6)), 1)])
 def test_inner_sums_within_their_bounds(z, k0, stride):
-    # Hurwitz zeta(z + k, N), N = 64 at 40 digits: Euler-Maclaurin sums
-    # while N^-(z+k) is large, the empty sum once its tail bound meets the
-    # budget
+    # Hurwitz zeta(z + k, N) b^(k - k0), N = 64 at 40 digits, for both
+    # bases: b = N keeps one entry N^-(z+k0), b = 2 steps it by N/2.
+    # Euler-Maclaurin sums while N^-(z+k) is large, the empty sum once its
+    # tail bound meets the budget, 1e-50 scaled as the sum is
     digits, bits = 40, 200
-    budget = (1 << bits) // 10**50  # 1e-50 in ulps
-    routes = set()
-    inner = _InnerSums(z, digits, bits)
-    assert inner.n == 64
-    results = []
-    for k in range(k0, 201, stride):
-        value, err, rounding = inner(k, budget)
-        routes.add("em" if inner.last_em_k == k else "empty")
-        assert err <= budget
-        results.append((k, value, err + rounding))
-    with mp.workdps(80):
-        z = _mp_point(z)
-        for k, value, bound in results:
-            err = abs(_ulps_to_mp(value, bits) - mp.zeta(z + k, 64))
-            assert err <= mp.mpf(bound) / mp.mpf(2) ** bits, k
-    assert routes == {"empty", "em"}
+    ks = range(k0, 201, stride)
+    results = {k: [] for k in ks}
+    for base in (64, 2):
+        routes = set()
+        inner = _InnerSums(z, digits, bits, base, k0)
+        assert inner.n == 64
+        for k in ks:
+            budget = (base ** (k - k0) << bits) // 10**50
+            value, err, rounding = inner(k, budget)
+            routes.add("em" if inner.last_em_k == k else "empty")
+            assert err <= budget
+            results[k].append((base, value, err + rounding))
+        assert routes == {"empty", "em"}, base
+    for k, row in results.items():
+        # mpmath subtracts sum_{n<64} n^-w from zeta(w), which cancels
+        # 2 digits per k
+        with mp.workdps(80 + 2 * k):
+            target = mp.zeta(_mp_point(z) + k, 64)
+            for base, value, bound in row:
+                err = abs(_ulps_to_mp(value, bits) - target * base ** (k - k0))
+                assert err <= mp.mpf(bound) / mp.mpf(2) ** bits, (base, k)
 
 
 @pytest.mark.parametrize("z", [(F(2), F(0)), (F(1, 2), F(14134725, 10**6)), (F(-5, 2), F(3))])
 def test_paper_split_inner_sums_within_their_bounds(z):
-    # zeta(z + k) - 1 as the callers with the paper's split build it: the
-    # head power sum over n = 2..N-1 plus the kernel's zeta(z + k, N); k
-    # skips shifts, so the power sums step several at once
+    # (zeta(z + k) - 1) 2^(k - start) as the callers with the paper's split
+    # build it: the head power sum over n = 2..N-1 plus the kernel's
+    # zeta(z + k, N), both times 2^(k - start); k skips shifts, so the power
+    # sums step several at once
     digits, bits = 40, 200
-    budget = (1 << bits) // 10**50
-    minus_one = evalzeta._minus_one(_InnerSums(z, digits, bits))
     ks = [k for k in range(0, 201, 3) if z[0] + k >= F(3, 2)]
-    results = [(k, *minus_one(k, budget)) for k in ks]
-    with mp.workdps(80):
-        w = _mp_point(z)
-        for k, value, err, rounding in results:
-            assert err <= budget
-            actual = abs(_ulps_to_mp(value, bits) - (mp.zeta(w + k) - 1))
+    start = ks[0]
+    minus_one = evalzeta._minus_one(_InnerSums(z, digits, bits, 2, start))
+    results = []
+    for k in ks:
+        budget = (1 << (bits + k - start)) // 10**50
+        results.append((k, budget, *minus_one(k, budget)))
+    for k, budget, value, err, rounding in results:
+        assert err <= budget
+        # zeta(w + k) - 1 cancels k log10(2) digits
+        with mp.workdps(80 + k):
+            target = (mp.zeta(_mp_point(z) + k) - 1) * 2 ** (k - start)
+            actual = abs(_ulps_to_mp(value, bits) - target)
             assert actual <= mp.mpf(err + rounding) / mp.mpf(2) ** bits, k
+
+
+@pytest.mark.parametrize(
+    "z, start", [((F(3, 2), F(7)), 0), ((F(0), F(0)), 2), ((F(-5, 2), F(3)), 4)]
+)
+def test_doubled_power_sums_stay_within_five_ulps(z, start):
+    # each entry n^-(z+k) 2^(k - start) of _minus_one's power sums steps as
+    # x -> floor(2x / n): each part stays within 3 ulps, the entry within 5
+    digits, bits, steps = 40, 100, 120
+    head = _InnerSums(z, digits, bits, 2, start).head(start)
+    with mp.workdps(60):
+        w = _mp_point(z)
+        for n, entry in enumerate(head, 2):
+            # the power sum of this entry alone: the others are 0
+            sums = evalzeta._power_sums([(0, 0)] * (n - 2) + [entry], 2)
+            x = mp.mpf(n) ** -(w + start) * mp.mpf(2) ** bits
+            for j in range(steps):
+                xr, xi = next(sums)
+                dr, di = abs(xr - x.real), abs(xi - x.imag)
+                assert dr <= 3 and di <= 3 and mp.sqrt(dr**2 + di**2) <= 5, (n, j)
+                x = x * 2 / n
 
 
 def test_inner_sum_reports_an_unmet_budget():
@@ -643,7 +710,7 @@ def test_inner_sum_reports_an_unmet_budget():
     bits = 700
     budget = (1 << bits) // 10**200
     z = (F(3, 2), F(14))
-    value, err, rounding = _InnerSums(z, 40, bits)(0, budget)
+    value, err, rounding = _InnerSums(z, 40, bits, 64, 0)(0, budget)
     assert err > budget
     with mp.workdps(80):
         bound = mp.mpf(err + rounding) / mp.mpf(2) ** bits
@@ -657,7 +724,7 @@ def test_inner_sum_rounding_is_tallied(z):
     # at a scale of 2^-64 the floors of the Euler-Maclaurin route cost more
     # than its truncation: only the rounding bound covers them
     bits = 64
-    value, err, rounding = _InnerSums(z, 40, bits)(0, 4)
+    value, err, rounding = _InnerSums(z, 40, bits, 64, 0)(0, 4)
     with mp.workdps(60):
         actual = abs(mp.mpc(*value) - mp.zeta(_mp_point(z), 64) * mp.mpf(2) ** bits)
     assert err < actual <= err + rounding
@@ -666,9 +733,9 @@ def test_inner_sum_rounding_is_tallied(z):
 @pytest.mark.parametrize("z", [(F(2), F(0)), (F(3, 2), F(7))])
 def test_paper_split_rounding_is_tallied(z):
     # the power sum over n = 2..63 adds a floor per entry: at 2^-64 they
-    # cost more than the truncation, and the tally of 3 (N - 2) ulps holds
+    # cost more than the truncation, and the tally of 5 (N - 2) ulps holds
     bits = 64
-    value, err, rounding = evalzeta._minus_one(_InnerSums(z, 40, bits))(0, 4)
+    value, err, rounding = evalzeta._minus_one(_InnerSums(z, 40, bits, 2, 0))(0, 4)
     with mp.workdps(60):
         actual = abs(mp.mpc(*value) - (mp.zeta(_mp_point(z)) - 1) * mp.mpf(2) ** bits)
     assert err < actual <= err + rounding
@@ -687,19 +754,19 @@ def test_paper_split_rounding_is_tallied(z):
     ],
 )
 def test_shifted_inner_sums_within_their_bounds(z, k, digits):
-    # N = _split_point(digits) and a budget of 10^-(digits+5), as in the
-    # shifted split: the Euler-Maclaurin route at n = N, against Hurwitz
-    # zeta(w, N)
+    # N = _split_point(digits), base N from start 0 and a budget of
+    # 10^-(digits+5) N^k, as in the shifted split: the Euler-Maclaurin
+    # route at n = N, against Hurwitz zeta(w, N) N^k
     bits = evalzeta._threshold_bits(digits) + evalzeta._GUARD_BITS
-    budget = (1 << bits) // 10 ** (digits + 5)
     n = _least_power_of_two(10 + digits)
-    inner = _InnerSums(z, digits, bits)
+    budget = (n**k << bits) // 10 ** (digits + 5)
+    inner = _InnerSums(z, digits, bits, n, 0)
     value, err, rounding = inner(k, budget)
     assert inner.last_em_k == k
     assert inner.cutoffs()["direct_terms"] == n
     assert err <= budget
     with mp.workdps(digits + 20):
-        actual = abs(_ulps_to_mp(value, bits) - mp.zeta(_mp_point(z) + k, n))
+        actual = abs(_ulps_to_mp(value, bits) - mp.zeta(_mp_point(z) + k, n) * n**k)
         assert actual <= mp.mpf(err + rounding) / mp.mpf(2) ** bits
 
 
@@ -825,13 +892,16 @@ def test_zeta_prime_needs_validity_at_zero(specs64):
         zeta_prime_at_zero(specs64[1], 40)
 
 
-# 300 digits: N moves the most there, from 10 + digits = 310 to 512
+# 300 digits: N moves the most there, from 10 + digits = 310 to 512.
+# p >= 32: r_k / (k (k+1)) grows like k^(p-3) against the 2^-k of its
+# inner sum, so the first pass calls for a second, finer one
 @pytest.mark.parametrize("digits", [15, 40, 100, 300])
-@pytest.mark.parametrize("p", [2, 3, 5, 12])
+@pytest.mark.parametrize("p", [2, 3, 5, 12, 32, 64, 128])
 def test_zeta_prime_at_zero_meets_the_contract(specs64, p, digits):
-    report = zeta_prime_at_zero(specs64[p], digits)
+    spec = specs64[p] if p in specs64 else derive_identity(p, p + 2)
+    report = zeta_prime_at_zero(spec, digits)
     assert report.p_used == p
-    assert report.terms_used >= specs64[p].k0 + 8
+    assert report.terms_used >= spec.k0 + 8
     with mp.workdps(digits + 20):
         err = abs(report.value + mp.log(2 * mp.pi) / 2)
     assert err <= report.error_estimate <= 10.0**-digits

@@ -87,6 +87,35 @@ def test_stored_closed_form_with_a_wrong_term_is_rejected():
         identity_from_json(record)
 
 
+@pytest.mark.parametrize(
+    "k0, match",
+    [
+        # r_4 = -1/6 is the first nonzero term: a record that starts at 5
+        # would drop it, and evaluate zeta(2) as 1.6478...
+        pytest.param(
+            5, r"depth-3 identity has k0 = 5, but its closed form gives r_4 = -1/6, not 0",
+            id="5",
+        ),
+        # r_1 = -1/6 is nonzero, but the series of depth 3 starts at k >= 3
+        pytest.param(1, r"depth-3 identity has k0 = 1 < p", id="1"),
+    ],
+)
+def test_record_with_a_wrong_k0_is_rejected(k0, match):
+    spec = derive_identity(3, 12)
+    record = identity_to_json(spec)
+    record["k0"] = k0
+    record["terms"] = [{"k": k, "r": str(spec.closed_form(k))} for k in range(k0, 13)]
+    with pytest.raises(ValueError, match=match):
+        identity_from_json(record)
+
+
+def test_record_with_a_pole_other_than_one_is_rejected():
+    record = identity_to_json(derive_identity(3, 12))
+    record["pole_coefficient"] = "2/1"
+    with pytest.raises(ValueError, match=r"depth-3 identity has pole coefficient 2, not 1"):
+        identity_from_json(record)
+
+
 def test_json_is_plain_data(specs64):
     text = identities_to_json_text([specs64[7]])
     parsed = json.loads(text)
