@@ -24,7 +24,6 @@ from .evalzeta import (
     eval_identity,
     supports,
     sum_zeta_m1,
-    trivial_zero_report,
     zeta_em_reference,
     zeta_m1,
     zeta_prime_at_zero,
@@ -59,7 +58,6 @@ __all__ = [
     "subtraction_poly",
     "supports",
     "sum_zeta_m1",
-    "trivial_zero_report",
     "zeta_em_reference",
     "zeta_m1",
     "zeta_prime_at_zero",

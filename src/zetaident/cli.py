@@ -2,8 +2,8 @@
 reference tables and the independent oracle, and evaluate zeta.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage/domain errors,
-3 I/O errors. The ZETA_DIGITS environment variable overrides the default
-precision (40) wherever --digits is not given.
+3 I/O errors. Every command but derive takes --digits; where it is not
+given, the ZETA_DIGITS environment variable overrides the default (40).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -35,7 +34,6 @@ from .evalzeta import (
     parse_complex_literal,
     supports,
     sum_zeta_m1,
-    trivial_zero_report,
     zeta_em_reference,
     zeta_prime_at_zero,
 )
@@ -75,27 +73,11 @@ ORACLE_GRID: tuple[complex, ...] = (
 
 _ALL_DEPTHS = tuple(range(1, MAX_REFERENCE_DEPTH + 1))
 _DEPTHS_AT_ZERO = _ALL_DEPTHS[1:]  # depth 1 is valid only for Re s > 0
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation, normalized: depth selection, evaluation point or
-    grid, precision, term budget, and output destination."""
-
-    command: str
-    p_values: Optional[list[int]] = None
-    kmax: int = 64
-    digits: int = 40
-    s: Optional[tuple[Fraction, Fraction]] = None
-    start: Optional[Fraction] = None
-    stop: Optional[Fraction] = None
-    step: Optional[Fraction] = None
-    im: Fraction = Fraction(0)
-    fmt: str = "csv"
-    out_path: Optional[str] = None
-    in_path: Optional[str] = None
-    only: Optional[list[str]] = None
-    check: Optional[str] = None
+# Every command but `derive` derives each depth with r_k stored through
+# k = max(_STORED_TERMS, p + 2). Past them the closed form supplies r_k, so
+# the count cannot change a value: the stored terms are the evaluator's
+# coefficient cache, read faster than the closed form is evaluated.
+_STORED_TERMS = 64
 
 
 # ---- argument parsing helpers ----
@@ -140,11 +122,14 @@ def _point_arg(s: tuple[Fraction, Fraction]):
     return re_part if im_part == 0 else (re_part, im_part)
 
 
-def _derive_many(p_values: Sequence[int], kmax: int) -> dict[int, IdentitySpec]:
-    """Each depth derived with terms through max(kmax, p + 2): every command
-    but `derive` reads r_k from the closed form, so --kmax, which only sets
-    how many terms a record stores, cannot make a depth underivable."""
-    return {p: derive_identity(p, max(kmax, p + 2)) for p in p_values}
+def _p_values(text: Optional[str]) -> Optional[list[int]]:
+    """The depths an optional --p names, or None without one."""
+    return parse_p_range(text) if text else None
+
+
+def _derive_many(p_values: Sequence[int]) -> dict[int, IdentitySpec]:
+    """Each depth derived with terms through max(_STORED_TERMS, p + 2)."""
+    return {p: derive_identity(p, max(_STORED_TERMS, p + 2)) for p in p_values}
 
 
 def _choose_depth(specs: dict[int, IdentitySpec], s) -> Optional[IdentitySpec]:
@@ -160,23 +145,25 @@ def _choose_depth(specs: dict[int, IdentitySpec], s) -> Optional[IdentitySpec]:
     return None
 
 
-def _depth_for(cfg: RunConfig) -> Callable[[object], Optional[IdentitySpec]]:
+def _depth_for(
+    command: str, p_values: Optional[list[int]]
+) -> Callable[[object], Optional[IdentitySpec]]:
     """The depth `eval` and `table` use at a point: the single depth --p
     names, else _choose_depth over p = 1..12 (None where none covers it)."""
-    if cfg.p_values:
-        if len(cfg.p_values) != 1:
-            raise ValueError(f"{cfg.command} expects a single depth, not a range")
-        (spec,) = _derive_many(cfg.p_values, cfg.kmax).values()
+    if p_values:
+        if len(p_values) != 1:
+            raise ValueError(f"{command} expects a single depth, not a range")
+        (spec,) = _derive_many(p_values).values()
         return lambda s: spec
-    specs = _derive_many(_ALL_DEPTHS, cfg.kmax)
+    specs = _derive_many(_ALL_DEPTHS)
     return lambda s: _choose_depth(specs, s)
 
 
 # ---- subcommand: derive ----
 
 
-def cmd_derive(cfg: RunConfig) -> int:
-    specs = [derive_identity(p, cfg.kmax) for p in cfg.p_values]
+def cmd_derive(args: argparse.Namespace) -> int:
+    specs = [derive_identity(p, args.kmax) for p in parse_p_range(args.p)]
     for spec in specs:
         extended = (
             f", extends to Re s > {spec.extended_validity_re_gt}"
@@ -189,11 +176,11 @@ def cmd_derive(cfg: RunConfig) -> int:
         )
         print(f"  Q_{spec.p}(s) = {spec.q_poly.to_str('s')}")
         print(f"  r_k = {spec.closed_form.to_str('k')}  (k >= {spec.k0})")
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(identities_to_json_text(specs))
             fh.write("\n")
-        print(f"wrote {len(specs)} identities to {cfg.out_path}")
+        print(f"wrote {len(specs)} identities to {args.out}")
     return 0
 
 
@@ -236,23 +223,6 @@ def _check_pairing(specs: list[IdentitySpec], digits: int) -> _Result:
     return True, "depths (3,4), (5,6), (7,8), (9,10), (11,12) pair up exactly", ()
 
 
-def _check_trivial_zeros(specs: list[IdentitySpec], digits: int) -> _Result:
-    lines, misses, worst = [], [], 0.0
-    for spec in specs:
-        report = trivial_zero_report(spec, digits)
-        if not report:
-            lines.append(
-                f"p={spec.p}: no trivial zeros inside Re s > {spec.effective_validity}"
-            )
-        for s, magnitude in report:
-            lines.append(f"p={spec.p}: |zeta({s})| = {magnitude:.3e}")
-            worst = max(worst, magnitude)
-            if not magnitude < _tolerance(digits):
-                misses.append(f"{lines[-1]} >= tolerance")
-    passed = f"all trivial zeros below tolerance (worst {worst:.3e})"
-    return _verdict(misses, passed, lines)
-
-
 def _off_target(p: int, name: str, report: EvalReport, target, digits: int):
     """|value - target| for depth p's value of name, and the miss, if any:
     a value passes inside the tolerance and inside its error estimate plus
@@ -265,32 +235,51 @@ def _off_target(p: int, name: str, report: EvalReport, target, digits: int):
     return diff, [f"p={p}: {name} off by {mp.nstr(diff, 3)} (error estimate {estimate})"]
 
 
-def _exact_value(
-    specs: list[IdentitySpec], s: int, target, digits: int, passed: str, label: str = ""
-) -> _Result:
-    """Check each depth's zeta(s) against an exact target (_off_target). A
-    label adds the target and the largest difference to the value lines."""
+def _exact_value(specs: list[IdentitySpec], s: int, target, digits: int, magnitude=False):
+    """Each depth's zeta(s), in one batch, against an exact target
+    (_off_target): a line per depth with Re zeta(s) to digits, or |zeta(s)|
+    to 4 if magnitude; the misses; and the largest difference."""
     lines, misses, worst = [], [], mp.mpf(0)
     for spec, report in zip(specs, eval_identities(specs, s, digits)):
-        lines.append(f"p={spec.p}: zeta({s}) = {mp.nstr(mp.re(report.value), digits)}")
+        if magnitude:
+            lines.append(f"p={spec.p}: |zeta({s})| = {float(abs(report.value)):.3e}")
+        else:
+            lines.append(f"p={spec.p}: zeta({s}) = {mp.nstr(mp.re(report.value), digits)}")
         diff, miss = _off_target(spec.p, f"zeta({s})", report, target, digits)
         worst = max(worst, diff)
         misses += miss
-    if label:
-        lines.append(f"{label:<10} = {mp.nstr(target, digits)}")
-        lines.append(f"difference = {mp.nstr(worst, 3)}")
-    return _verdict(misses, passed, lines)
+    return lines, misses, worst
 
 
 def _check_zeta0(specs: list[IdentitySpec], digits: int) -> _Result:
-    passed = f"zeta(0) = -1/2 for p = {specs[0].p}..{specs[-1].p}"
-    return _exact_value(specs, 0, -mp.mpf(1) / 2, digits, passed)
+    lines, misses, _ = _exact_value(specs, 0, -mp.mpf(1) / 2, digits)
+    return _verdict(misses, f"zeta(0) = -1/2 for p = {specs[0].p}..{specs[-1].p}", lines)
 
 
 def _check_zeta2(specs: list[IdentitySpec], digits: int) -> _Result:
+    target = mp.pi**2 / 6
+    lines, misses, worst = _exact_value(specs, 2, target, digits)
+    lines += [f"pi^2/6     = {mp.nstr(target, digits)}", f"difference = {mp.nstr(worst, 3)}"]
     depths = ", ".join(str(spec.p) for spec in specs)
-    passed = f"zeta(2) = pi^2/6 through the depth-{depths} series"
-    return _exact_value(specs, 2, mp.pi**2 / 6, digits, passed, "pi^2/6")
+    return _verdict(misses, f"zeta(2) = pi^2/6 through the depth-{depths} series", lines)
+
+
+def _check_trivial_zeros(specs: list[IdentitySpec], digits: int) -> _Result:
+    """zeta(s) = 0 at s = -2, -4, ...: one batch per zero, of the depths
+    that support it, each value held to _off_target. Lines by depth."""
+    found, misses, worst, s = {spec.p: [] for spec in specs}, [], mp.mpf(0), -2
+    while batch := [spec for spec in specs if supports(spec, s)]:
+        values, miss, diff = _exact_value(batch, s, 0, digits, magnitude=True)
+        for spec, line in zip(batch, values):
+            found[spec.p].append(line)
+        misses += miss
+        worst = max(worst, diff)
+        s -= 2
+    lines = []
+    for spec in specs:
+        none = f"p={spec.p}: no trivial zeros inside Re s > {spec.effective_validity}"
+        lines += found[spec.p] or [none]
+    return _verdict(misses, f"all trivial zeros below tolerance (worst {float(worst):.3e})", lines)
 
 
 def _check_zetaprime0(specs: list[IdentitySpec], digits: int) -> _Result:
@@ -358,19 +347,19 @@ _CHECK_NAMES = tuple(_CHECKS)
 _SPECIAL_CHECKS = ("zeta0", "zetaprime0", "zeta2", "sum_identity", "trivial_zeros")
 
 
-def _verify_specs(cfg: RunConfig, names: list[str]) -> dict[str, list[IdentitySpec]]:
+def _verify_specs(in_path: Optional[str], names: list[str]) -> dict[str, list[IdentitySpec]]:
     """The identities each named check reads, from one source: the records
     of --in FILE, else fresh derivations, each depth once. From FILE,
     `coefficients` reads every record and each other check its own depths,
     which FILE must hold."""
     records = None
-    if cfg.in_path:
-        with open(cfg.in_path, "r", encoding="utf-8") as fh:
+    if in_path:
+        with open(in_path, "r", encoding="utf-8") as fh:
             records = identities_from_json_text(fh.read())
         source = {spec.p: spec for spec in records}
     else:
         wanted = {p for name in names for p in _CHECKS[name].depths}
-        source = _derive_many(sorted(wanted), cfg.kmax)
+        source = _derive_many(sorted(wanted))
     specs = {}
     for name in names:
         if name == "coefficients" and records is not None:
@@ -378,31 +367,31 @@ def _verify_specs(cfg: RunConfig, names: list[str]) -> dict[str, list[IdentitySp
             continue
         missing = [p for p in _CHECKS[name].depths if p not in source]
         if missing:
-            raise ValueError(f"{cfg.in_path} has no depth-{missing[0]} identity; {name} reads it")
+            raise ValueError(f"{in_path} has no depth-{missing[0]} identity; {name} reads it")
         specs[name] = [source[p] for p in _CHECKS[name].depths]
     return specs
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    names = cfg.only or (["coefficients"] if cfg.in_path else list(_CHECK_NAMES))
-    specs = _verify_specs(cfg, names)
+def cmd_verify(args: argparse.Namespace) -> int:
+    names = args.only or (["coefficients"] if args.in_path else list(_CHECK_NAMES))
+    specs = _verify_specs(args.in_path, names)
     failures = 0
     for name in names:
-        with mp.workdps(cfg.digits + 10):
-            ok, detail, _ = _CHECKS[name].run(specs[name], cfg.digits)
+        with mp.workdps(args.digits + 10):
+            ok, detail, _ = _CHECKS[name].run(specs[name], args.digits)
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
         if not ok:
             failures += 1
     return 1 if failures else 0
 
 
-def cmd_special(cfg: RunConfig) -> int:
-    depths = _CHECKS[cfg.check].depths
-    if cfg.p_values and depths:  # a check that reads no identity ignores --p
-        depths = cfg.p_values
-    specs = list(_derive_many(depths, cfg.kmax).values())
-    with mp.workdps(cfg.digits + 10):
-        ok, _, lines = _CHECKS[cfg.check].run(specs, cfg.digits)
+def cmd_special(args: argparse.Namespace) -> int:
+    p_values, depths = _p_values(args.p), _CHECKS[args.check].depths
+    if p_values and depths:  # a check that reads no identity ignores --p
+        depths = p_values
+    specs = list(_derive_many(depths).values())
+    with mp.workdps(args.digits + 10):
+        ok, _, lines = _CHECKS[args.check].run(specs, args.digits)
     print(*lines, "PASS" if ok else "FAIL", sep="\n")
     return 0 if ok else 1
 
@@ -410,20 +399,21 @@ def cmd_special(cfg: RunConfig) -> int:
 # ---- subcommand: eval ----
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    arg = _point_arg(cfg.s)
-    spec = _depth_for(cfg)(arg)
+def cmd_eval(args: argparse.Namespace) -> int:
+    p_values, s = _p_values(args.p), parse_complex_literal(args.s)
+    arg = _point_arg(s)
+    spec = _depth_for("eval", p_values)(arg)
     if spec is None:
         raise ValueError(
             f"no identity with p <= {MAX_REFERENCE_DEPTH} covers "
-            f"Re s = {float(cfg.s[0])}"
+            f"Re s = {float(s[0])}"
         )
-    report = eval_identity(spec, arg, cfg.digits)
-    with mp.workdps(cfg.digits + 10):
+    report = eval_identity(spec, arg, args.digits)
+    with mp.workdps(args.digits + 10):
         if mp.im(report.value) == 0:
-            print(f"zeta(s) = {mp.nstr(mp.re(report.value), cfg.digits)}")
+            print(f"zeta(s) = {mp.nstr(mp.re(report.value), args.digits)}")
         else:
-            print(f"zeta(s) = {mp.nstr(report.value, cfg.digits)}")
+            print(f"zeta(s) = {mp.nstr(report.value, args.digits)}")
     print(
         f"p = {report.p_used}, terms used through k = {report.terms_used}, "
         f"error estimate <= {report.error_estimate:.3e}"
@@ -434,18 +424,20 @@ def cmd_eval(cfg: RunConfig) -> int:
 # ---- subcommand: table ----
 
 
-def _grid_points(cfg: RunConfig) -> list[tuple[Fraction, Fraction]]:
-    if cfg.step <= 0:
+def _grid_points(
+    start: Fraction, stop: Fraction, step: Fraction, im: Fraction
+) -> list[tuple[Fraction, Fraction]]:
+    if step <= 0:
         raise ValueError("grid step must be positive")
-    if cfg.stop < cfg.start:
+    if stop < start:
         raise ValueError("grid stop must not precede start")
     points = []
     j = 0
     while True:
-        s_re = cfg.start + j * cfg.step
-        if s_re > cfg.stop:
+        s_re = start + j * step
+        if s_re > stop:
             break
-        points.append((s_re, cfg.im))
+        points.append((s_re, im))
         j += 1
     return points
 
@@ -455,34 +447,36 @@ def _decimal(x: Fraction, digits: int) -> str:
     return mp.nstr(mp.mpf(x.numerator) / x.denominator, digits)
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    points = _grid_points(cfg)
-    depth_for = _depth_for(cfg)
+def cmd_table(args: argparse.Namespace) -> int:
+    p_values, digits = _p_values(args.p), args.digits
+    grid = (args.start, args.stop, args.step, args.im)
+    points = _grid_points(*map(parse_rational, grid))
+    depth_for = _depth_for("table", p_values)
     rows = []
-    with mp.workdps(cfg.digits + 10):
+    with mp.workdps(digits + 10):
         for s in points:
             arg = _point_arg(s)
             try:
                 spec = depth_for(arg)
                 if spec is None:
                     raise ValueError("no identity covers it")
-                report = eval_identity(spec, arg, cfg.digits)
+                report = eval_identity(spec, arg, digits)
             except ValueError as exc:
-                where = f"{_decimal(s[0], cfg.digits)}+{_decimal(s[1], cfg.digits)}i"
+                where = f"{_decimal(s[0], digits)}+{_decimal(s[1], digits)}i"
                 print(f"skipping s = {where}: {exc}", file=sys.stderr)
                 continue
             rows.append(
                 {
-                    "s_re": _decimal(s[0], cfg.digits),
-                    "s_im": _decimal(s[1], cfg.digits),
-                    "value_re": mp.nstr(mp.re(report.value), cfg.digits),
-                    "value_im": mp.nstr(mp.im(report.value), cfg.digits),
+                    "s_re": _decimal(s[0], digits),
+                    "s_im": _decimal(s[1], digits),
+                    "value_re": mp.nstr(mp.re(report.value), digits),
+                    "value_im": mp.nstr(mp.im(report.value), digits),
                     "terms_used": report.terms_used,
                     "error_estimate": repr(report.error_estimate),
                 }
             )
     header = ["s_re", "s_im", "value_re", "value_im", "terms_used", "error_estimate"]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -490,8 +484,8 @@ def cmd_table(cfg: RunConfig) -> int:
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -511,25 +505,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_kmax=True):
+    def add_digits(sp):
         sp.add_argument(
             "--digits",
             type=int,
             default=None,
             help="decimal digits of working target (default 40 or ZETA_DIGITS)",
         )
-        if with_kmax:
-            sp.add_argument(
-                "--kmax",
-                type=int,
-                default=64,
-                help="largest stored series index (default 64)",
-            )
 
     sp = sub.add_parser("derive", help="derive identities and print/store them")
     sp.add_argument("--p", required=True, help='depth or range, e.g. "3" or "1..12"')
     sp.add_argument("--out", default=None, help="write identities as JSON")
-    add_common(sp)
+    sp.add_argument(
+        "--kmax", type=int, default=64, help="largest stored series index (default 64)"
+    )
 
     sp = sub.add_parser(
         "verify",
@@ -548,14 +537,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="verify identities from a JSON file against the reference tables",
     )
-    add_common(sp)
+    add_digits(sp)
 
     sp = sub.add_parser("eval", help="evaluate zeta(s) through an identity")
     sp.add_argument("--p", default=None, help="depth (default: chosen from Re s)")
     sp.add_argument(
         "--s", required=True, help='evaluation point, e.g. "2", "-2.5", "0.5+14.1i"'
     )
-    add_common(sp)
+    add_digits(sp)
 
     sp = sub.add_parser("table", help="evaluate zeta on a grid, CSV or JSON")
     sp.add_argument("--p", default=None, help="depth (default: chosen per point)")
@@ -565,39 +554,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--im", default="0", help="imaginary part for all rows")
     sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    add_common(sp)
+    add_digits(sp)
 
     sp = sub.add_parser("special", help="special-value and series checks")
     sp.add_argument("--check", required=True, choices=_SPECIAL_CHECKS)
     sp.add_argument("--p", default=None, help="depth or range (default per check)")
-    add_common(sp)
+    add_digits(sp)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    digits = args.digits if args.digits is not None else _default_digits()
-    cfg = RunConfig(command=args.command, digits=digits)
-    if getattr(args, "kmax", None) is not None:
-        cfg.kmax = args.kmax
-    if getattr(args, "p", None):
-        cfg.p_values = parse_p_range(args.p)
-    if getattr(args, "s", None):
-        cfg.s = parse_complex_literal(args.s)
-    for name in ("start", "stop", "step", "im"):
-        if getattr(args, name, None) is not None:
-            setattr(cfg, name, parse_rational(getattr(args, name)))
-    if getattr(args, "fmt", None):
-        cfg.fmt = args.fmt
-    if getattr(args, "out", None):
-        cfg.out_path = args.out
-    if getattr(args, "in_path", None):
-        cfg.in_path = args.in_path
-    if getattr(args, "only", None):
-        cfg.only = args.only
-    if getattr(args, "check", None):
-        cfg.check = args.check
-    return cfg
 
 
 _HANDLERS = {
@@ -616,8 +580,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[args.command](cfg)
+        if "digits" in args and args.digits is None:  # every command but derive
+            args.digits = _default_digits()
+        return _HANDLERS[args.command](args)
     except json.JSONDecodeError as exc:
         print(f"error: cannot parse JSON input: {exc}", file=sys.stderr)
         return 3

@@ -667,27 +667,35 @@ def zeta_em_reference(s, digits: int = 40):
     return total
 
 
+def _outside(spec: IdentitySpec, re: Fraction) -> str:
+    """The validity rule of every evaluation: which half-plane excludes
+    Re s = re for this identity, or "" if none does. s must lie inside the
+    validity half-plane Re s > effective_validity ("validity"), and the
+    inner arguments need Re s + k0 >= 3/2 ("inner")."""
+    if not re > spec.effective_validity:
+        return "validity"
+    return "" if re + spec.k0 >= Fraction(3, 2) else "inner"
+
+
 def supports(spec: IdentitySpec, s: Number) -> bool:
-    """Whether eval_identity accepts s for this identity: inside the
-    validity half-plane and with inner arguments Re(s) + k0 >= 1.5."""
-    re_s = _exact_point(s)[0]
-    return re_s > spec.effective_validity and re_s + spec.k0 >= Fraction(3, 2)
+    """Whether eval_identity accepts s for this identity (_outside)."""
+    return not _outside(spec, _exact_point(s)[0])
 
 
 def _check_point(spec: IdentitySpec, re: Fraction, im: Fraction, digits: int) -> None:
     """Raise what eval_identity raises when spec cannot be evaluated at
     s = re + i im."""
-    bound = spec.effective_validity
-    if not re > bound:
+    outside = _outside(spec, re)
+    if outside == "validity":
         raise ValueError(
             f"s with Re s = {mp.nstr(_to_mp(re), 8)} is outside the validity "
-            f"half-plane Re s > {bound} of the depth-{spec.p} identity"
+            f"half-plane Re s > {spec.effective_validity} of the depth-{spec.p} identity"
         )
     if (re - 1) ** 2 + im**2 <= Fraction(1, 10**digits):
         raise PoleError(
             f"s is within the pole guard radius 10^-({digits}/2) of s = 1"
         )
-    if not re + spec.k0 >= Fraction(3, 2):
+    if outside:
         raise ValueError(
             f"inner series argument Re(s) + k0 = Re(s) + {spec.k0} falls "
             f"below 1.5; use a deeper identity (larger p)"
@@ -921,7 +929,7 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
     Needs an identity valid at 0, i.e. depth p >= 2.
     """
     _check_digits(digits)
-    if spec.effective_validity >= 0:
+    if _outside(spec, Fraction(0)):
         raise ValueError(f"depth-{spec.p} identity is not valid at s = 0; use p >= 2")
     head = spec.q_poly.derivative().coefficient(0) - spec.pole_coefficient
     zero, seed = Fraction(0), Fraction(1, spec.k0 * (spec.k0 + 1))
@@ -1088,17 +1096,3 @@ def sum_zeta_m1(digits: int = 40):
         budget = (1 << (bits + k - 2)) // (10 ** (digits + 5) * _INNER_SAFETY)
         total += minus_one(k, budget)[0][0] >> (k - 2)
     return _mp_value(total, None, bits)
-
-
-def trivial_zero_report(spec: IdentitySpec, digits: int = 40) -> list[tuple[int, float]]:
-    """|zeta(-2m)| through the identity at every even negative integer
-    inside the validity half-plane. Empty for depths whose half-plane
-    contains no such point (p <= 2)."""
-    _check_digits(digits)
-    out: list[tuple[int, float]] = []
-    m = -2
-    while m > spec.effective_validity:
-        report = eval_identity(spec, m, digits)
-        out.append((m, float(abs(report.value))))
-        m -= 2
-    return out

@@ -71,6 +71,7 @@ def test_derive_prints_closed_form_at_small_kmax(capsys):
 def test_derive_rejects_bad_depth(capsys):
     assert main(["derive", "--p", "0"]) == 2
     assert main(["derive", "--p", "3", "--kmax", "4"]) == 2
+    assert main(["derive", "--p", ""]) == 2
 
 
 def test_derive_unwritable_output(tmp_path):
@@ -239,7 +240,7 @@ def test_eval_complex(capsys):
 def test_eval_beyond_stored_terms(capsys):
     # 30 digits at s = -8.5 need r_k far beyond k = 20: the closed form
     # supplies them
-    argv = ["eval", "--p", "10", "--kmax", "20", "--s", "-8.5", "--digits", "30"]
+    argv = ["eval", "--p", "10", "--s", "-8.5", "--digits", "30"]
     assert main(argv) == 0
     report = eval_identity(derive_identity(10, 20), -8.5, 30)
     assert report.terms_used > 20
@@ -250,8 +251,8 @@ def test_eval_beyond_stored_terms(capsys):
 
 
 def test_depth_beyond_the_default_kmax(capsys):
-    # --p 128 needs k_max >= 130, past the default 64; eval derives at
-    # max(--kmax, p + 2), as --kmax cannot change the value
+    # --p 128 needs k_max >= 130, past the 64 stored terms; eval derives at
+    # max(64, p + 2), as the stored terms cannot change the value
     assert main(["eval", "--s", "-126.25", "--p", "128", "--digits", "30"]) == 0
     estimate = float(capsys.readouterr().out.rsplit("error estimate <= ", 1)[1])
     assert estimate <= 1e-30
@@ -266,6 +267,7 @@ def test_eval_domain_errors():
     assert main(["eval", "--s", "-30"]) == 2
     assert main(["eval", "--p", "1..3", "--s", "2"]) == 2
     assert main(["eval", "--p", "3", "--s", "nonsense"]) == 2
+    assert main(["eval", "--s", ""]) == 2
 
 
 def test_eval_out_of_range_s_exits_two(capsys):
@@ -376,6 +378,19 @@ def test_special_checks_pass(capsys):
     assert "pi^2/6" in capsys.readouterr().out
 
 
+def test_special_trivial_zeros_domains(capsys):
+    # the zeros inside each depth's half-plane, or a line saying there are none
+    assert main(["special", "--check", "trivial_zeros", "--p", "2"]) == 0
+    assert capsys.readouterr().out == "p=2: no trivial zeros inside Re s > -1\nPASS\n"
+    for p, zeros in ((5, [-2, -4]), (12, [-2, -4, -6, -8, -10])):
+        assert main(["special", "--check", "trivial_zeros", "--p", str(p)]) == 0
+        *lines, verdict = capsys.readouterr().out.splitlines()
+        assert verdict == "PASS"
+        assert [line.split(": ")[0] for line in lines] == [f"p={p}"] * len(zeros)
+        assert [int(line.split("zeta(")[1].split(")")[0]) for line in lines] == zeros
+        assert all(float(line.rsplit("= ", 1)[1]) < 1e-39 for line in lines)
+
+
 def test_special_depth_one_is_domain_error():
     assert main(["special", "--check", "zetaprime0", "--p", "1"]) == 2
 
@@ -404,7 +419,7 @@ def test_failing_check_fails_both_views(name, monkeypatch, capsys):
     assert capsys.readouterr().out == "stubbed value\nFAIL\n"
 
 
-@pytest.mark.parametrize("name", ["zeta0", "zeta2", "zetaprime0"])
+@pytest.mark.parametrize("name", ["zeta0", "zeta2", "zetaprime0", "trivial_zeros"])
 def test_exact_values_must_lie_within_their_estimate(name, monkeypatch, capsys):
     # moves every value by 10^-(digits-2): outside its error estimate (at
     # most 10^-digits) but inside the tolerance 10^-(digits-5)
@@ -438,6 +453,28 @@ def test_digits_env_override(monkeypatch, capsys):
 def test_digits_env_invalid(monkeypatch):
     monkeypatch.setenv("ZETA_DIGITS", "plenty")
     assert main(["eval", "--p", "5", "--s", "2"]) == 2
+
+
+def test_derive_ignores_digits_env(monkeypatch, capsys):
+    # derive takes no --digits, so it never reads ZETA_DIGITS
+    assert main(["derive", "--p", "3"]) == 0
+    usual = capsys.readouterr().out
+    monkeypatch.setenv("ZETA_DIGITS", "plenty")
+    assert main(["derive", "--p", "3"]) == 0
+    assert capsys.readouterr().out == usual
+
+
+def test_removed_options_are_usage_errors(capsys):
+    # --kmax only sets what derive stores, and derive reads no digits
+    for argv in (
+        ["eval", "--s", "2"],
+        ["table", "--start", "2", "--stop", "3", "--step", "1"],
+        ["special", "--check", "zeta0"],
+        ["verify", "--only", "pairing"],
+    ):
+        assert main(argv + ["--kmax", "20"]) == 2
+    assert main(["derive", "--p", "3", "--digits", "30"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -24,7 +24,6 @@ from zetaident.evalzeta import (
     eval_identity,
     supports,
     sum_zeta_m1,
-    trivial_zero_report,
     zeta_em_reference,
     zeta_m1,
     zeta_prime_at_zero,
@@ -957,12 +956,3 @@ def test_threads_get_the_serial_bits(specs64):
 def test_sum_zeta_m1_totals_one():
     with mp.workdps(60):
         assert abs(sum_zeta_m1(40) - 1) < mp.mpf(10) ** -40
-
-
-def test_trivial_zero_report_domains(specs64):
-    assert trivial_zero_report(specs64[2], 40) == []
-    report = trivial_zero_report(specs64[5], 40)
-    assert [s for s, _ in report] == [-2, -4]
-    assert all(magnitude < 1e-39 for _, magnitude in report)
-    deep = trivial_zero_report(specs64[12], 40)
-    assert [s for s, _ in deep] == [-2, -4, -6, -8, -10]
