@@ -462,7 +462,9 @@ def cmd_table(args: argparse.Namespace) -> int:
                     raise ValueError("no identity covers it")
                 report = eval_identity(spec, arg, digits)
             except ValueError as exc:
-                where = f"{_decimal(s[0], digits)}+{_decimal(s[1], digits)}i"
+                # "a+bi" or "a-bi", as parse_complex_literal reads it
+                sign = "-" if s[1] < 0 else "+"
+                where = f"{_decimal(s[0], digits)}{sign}{_decimal(abs(s[1]), digits)}i"
                 print(f"skipping s = {where}: {exc}", file=sys.stderr)
                 continue
             rows.append(

@@ -30,12 +30,14 @@ products shifted right, and every rounding is a floor. The error of
 each operation is tallied in ulps as an integer, rounded up, so no float
 enters any bound; the modulus of a complex number in a bound is the
 square-root-free max + min/2 + 1 of its parts (_modulus_up). mpmath's
-libmp kernels are used once per call for the irrational inputs: p^-s for
-each prime p <= N (a composite n takes n^-s as the product q^-s (n/q)^-s
-of two earlier powers, q its least prime factor) and (m+1)^(-Re s) in the
-tail bound. Each takes its precision as an
-argument: no call sets mpmath's shared precision, so concurrent calls
-cannot disturb each other. Everything rational (s itself,
+fixed-point kernels give the irrational inputs. For each prime p <= N,
+log_int_fixed gives log p, and exp_fixed and cos_sin_fixed turn -s log p
+into p^-s as an integer pair; a composite n takes n^-s as the integer
+product q^-s (n/q)^-s of two earlier powers, q its least prime factor
+(_InnerSums). mpf_pow gives (m+1)^(-Re s) in the tail bound. Each kernel
+takes its precision as an argument: no call sets mpmath's shared
+precision, so concurrent calls cannot disturb each other. Everything
+rational (s itself,
 (s)_k0 / (k0+1)!, the head pole/(s-1) + Q(s) + W_1, the weights W_m and
 g_j (s)_j, r_k and the Euler-Maclaurin steps between consecutive
 B_2j/(2j)!) is exact; each is floored once where it meets a fixed-point
@@ -101,8 +103,9 @@ from math import ceil, comb, factorial, floor, inf, isfinite, isqrt, lcm, nextaf
 from typing import Optional, Sequence, Union
 
 from mpmath import mp
-from mpmath.libmp import from_int, from_man_exp, fzero, mpc_mul, mpc_pow, mpf_div, mpf_mul
-from mpmath.libmp import mpf_neg, mpf_pow, mpf_shift, round_ceiling, round_nearest, to_int
+from mpmath.libmp import from_int, from_man_exp, log_int_fixed, mpf_div, mpf_pow, mpf_shift
+from mpmath.libmp import round_ceiling, round_nearest, to_int
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .derive import IdentitySpec
 from .exactmath import bernoulli_over_factorial, bernoulli_ratio_steps
@@ -288,15 +291,6 @@ def _fixed(q: Fraction, bits: int) -> int:
     return (q.numerator << bits) // q.denominator
 
 
-def _mp_fixed(x: tuple, bits: int) -> int:
-    """floor(x * 2^bits) of a raw mpf tuple, exactly."""
-    sign, man, exp, _ = x
-    if sign:
-        man = -man
-    exp += bits
-    return man << exp if exp >= 0 else man >> -exp
-
-
 def _mpf_fraction(q: Fraction, prec: int) -> tuple:
     """q as a raw mpf tuple rounded to prec bits, as mp.mpf(q.numerator) /
     q.denominator rounds it at that precision."""
@@ -373,22 +367,56 @@ class _InnerSums:
     term. z = (zr + i zi) / den with integers zr, zi, den, so every z + k,
     and every factor the Euler-Maclaurin terms need, is exact.
 
-    mpmath computes p^-z for each prime p <= N at `prec` bits, with an error
-    (rounding z included) assumed under 4 + |z| log p units of that
-    precision, and n^-z = a^-z * b^-z for composite n = a b, each product
-    adding at most 2 units. So n^-z is within (6 + |z|) log2 N units, which
-    prec makes under 2^-16 ulps once divided by n^k: every shift has
-    Re(z + k) > 0, and prec has -Re z log2 n more bits for the head entries.
-    (A product costs about a fifth of an mp.power; on the `points`
-    benchmark the products cut the median time per evaluation by about
-    15 %.) An entry at shift k is floor(X / n^k), X = floor(n^-z * 2^bits),
-    so each of its components is within 2 + 2^-16 ulps, and the entry
+    Every power n^-z, n <= N, is an (re, im) pair of integers in units of
+    2^-wp, from mpmath's fixed-point kernels and integer products. Below, a
+    unit is 2^-wp, e_b = wp 2^(isqrt(wp)//4 + 1), S = |Re z| + |Im z|
+    rounded up, and V_n = n^-z. For each prime p:
+
+    - L = log_int_fixed(p, wp) is within e_L = 2 units of log p 2^wp, and so
+      are the ln 2 and pi/2 that exp_fixed and cos_sin_fixed reduce by.
+      mpmath caches all three and serves a lower precision by shifting
+      the highest one computed so far; each is within 2 units either way
+      (in practice the exact floor), so no bound depends on the calls
+      before.
+    - u = exp_fixed(floor(-Re z L)) and (c, s) = cos_sin_fixed(floor(-Im z L)).
+      Their arguments are within |Re z| e_L + 1 and |Im z| e_L + 1 units of
+      -z log p 2^wp. Reducing modulo ln 2 and pi/2 adds 2 units per multiple
+      taken off: at most |Re z| log2 p + 2 multiples for exp, and
+      0.45 |Im z| log2 p + 2 for cos and sin.
+    - The basecase kernels are within e_b units. Each sums about sqrt(wp)
+      Taylor terms, floored once or twice each, with guard bits for its
+      r ~ sqrt(wp)/2 squarings or doublings. Above 400 bits (cos, sin) or
+      600 (exp), mpmath takes sin or sinh as a square root. That divides
+      the error of cos or cosh, 2^-10 units per term, by a reduced argument
+      as small as 2^-(r/2).
+    - So u is within a relative error of d_u = (2 |Re z| + 1)
+      + 2 (|Re z| log2 p + 2) + e_b units, plus one unit for its floor where
+      exp_fixed shifts right, and c and s within d_cs = (2 |Im z| + 1)
+      + 2 (0.45 |Im z| log2 p + 2) + e_b. The entry ((u c) >> wp, (u s) >> wp)
+      is then within |V_p| (d_u + d_cs + 1) + 2 units per component: one
+      more for the second-order terms, and two for the floors. In modulus
+      that is within (6S + 3e_b + 20) log2 p max(1, |V_p|) units.
+
+    A composite n = a b, a its least prime factor, is the integer product
+    of the entries of a and b, shifted right by wp. Its error is that of
+    a times |V_b|, plus that of b times |V_a|, plus 2 units per product: the
+    floors of two components and the product of the two errors. By
+    induction, every entry n is within kappa log2 n max(1, |V_n|) units in
+    modulus, kappa = 6S + 3e_b + 22. And |V_n| <= 2^h, h = max(0,
+    ceil(-Re z)) log2 N. wp is the least fixed point of wp >= bits + 16 + h
+    + bitlen(kappa log2 N); e_b grows with wp. So every component of every
+    power is within 2^-16 ulps of n^-z 2^bits once shifted right by
+    wp - bits.
+
+    An entry at shift k is (x >> (wp - bits)) // n^k, x the power n^-z at
+    wp. So each of its components is within 2 + 2^-16 ulps, and the entry
     within _ENTRY_ULPS = 3 in modulus. The one entry of the sums,
-    N^-(z+k) base^(k - start), is floor(X / N^start) when first needed. With
-    base N it is the same at every k, and is never stepped. With base 2 it
-    steps to each later shift by a floor division by (N/2)^(k - previous k);
-    nested floor divisions by integers are one, so it is always
-    floor(X / (N^start (N/2)^(k - start))), within _ENTRY_ULPS too.
+    N^-(z+k) base^(k - start), is the entry at shift start when first
+    needed. With base N it is the same at every k, and is never stepped.
+    With base 2 it steps to each later shift by a floor division by
+    (N/2)^(k - previous k); nested floor divisions by integers are one, so
+    it is always floor(X / (N^start (N/2)^(k - start))),
+    X = x >> (wp - bits), within _ENTRY_ULPS too.
 
     Each shift w = z + k, sigma = Re w, is one of two sums:
 
@@ -423,17 +451,19 @@ class _InnerSums:
         self.bits = bits
         self.n = n = _split_point(digits)
         self.base, self.start = base, start
-        # (6 + |z|) log2 N bounds the relative error of any n^-z in units
-        # of 2^-prec: see the class docstring; the head entries n < N are as
-        # large as n^-Re z, and (N - 2).bit_length() >= log2 n
+        # wp, the least fixed point of the class docstring's error model
         spread = (abs(self.zr) + abs(self.zi)) // self.den + 1
-        head_bits = max(0, ceil(-re)) * (n - 2).bit_length()
-        self.prec = bits + 16 + ((6 + spread) * n.bit_length()).bit_length() + head_bits
-        # -z at prec: a raw mpf tuple, or for complex z an mpc pair of them
-        self.complex = bool(im)
-        minus_z = tuple(mpf_neg(_mpf_fraction(x, self.prec)) for x in z)
-        self.minus_z = minus_z if im else minus_z[0]
-        # index n: n^-z from mpmath, a raw tuple like minus_z
+        log_n = n.bit_length() - 1
+        least = bits + 16 + max(0, ceil(-re)) * log_n
+        wp = least
+        while True:
+            kernel = wp << (isqrt(wp) // 4 + 1)  # e_b at wp
+            need = least + ((6 * spread + 3 * kernel + 22) * log_n).bit_length()
+            if need <= wp:
+                break
+            wp = need
+        self.wp = wp
+        # index n: n^-z as an (re, im) pair of units 2^-wp
         self.powers = [None, None]
         # N^-(z + shift) base^(shift - start) as an (re, im) pair of ulps,
         # once an inner sum ran
@@ -454,30 +484,31 @@ class _InnerSums:
             "last_em_k": self.last_em_k,
         }
 
-    def _power(self, n: int) -> tuple:
-        """n^-z at prec, computing the powers below n first."""
-        powers = self.powers
+    def _power(self, n: int) -> tuple[int, int]:
+        """n^-z in units of 2^-wp, computing the powers below n first."""
+        powers, wp = self.powers, self.wp
         while len(powers) <= n:
             i = len(powers)
             p = _least_factor(i)
-            # the libmp kernels of mp.power and of the product, at prec
-            if p == i and self.complex:
-                x = mpc_pow((from_int(i), fzero), self.minus_z, self.prec, round_nearest)
-            elif p == i:
-                x = mpf_pow(from_int(i), self.minus_z, self.prec, round_nearest)
+            if p < i:
+                (ar, ai), (br, bi) = powers[p], powers[i // p]
+                powers.append(((ar * br - ai * bi) >> wp, (ar * bi + ai * br) >> wp))
+                continue
+            log = log_int_fixed(i, wp)
+            u = exp_fixed(-(self.zr * log) // self.den, wp)
+            if self.zi:
+                c, s = cos_sin_fixed(-(self.zi * log) // self.den, wp)
+                powers.append(((u * c) >> wp, (u * s) >> wp))
             else:
-                mul = mpc_mul if self.complex else mpf_mul
-                x = mul(powers[p], powers[i // p], self.prec, round_nearest)
-            powers.append(x)
+                powers.append((u, 0))
         return powers[n]
 
     def _entry(self, n: int, shift: int) -> tuple[int, int]:
-        """floor(n^-(z + shift) * 2^bits) of each component, as
-        floor(floor(n^-z * 2^bits) / n^shift)."""
-        x = self._power(n)
-        xr, xi = x if self.complex else (x, fzero)
-        q = n**shift
-        return _mp_fixed(xr, self.bits) // q, _mp_fixed(xi, self.bits) // q
+        """n^-(z + shift) * 2^bits as (x >> (wp - bits)) // n^shift of each
+        component, x the power n^-z at wp: within 2 + 2^-16 ulps."""
+        xr, xi = self._power(n)
+        drop, q = self.wp - self.bits, n**shift
+        return (xr >> drop) // q, (xi >> drop) // q
 
     def head(self, shift: int = 0) -> list[tuple[int, int]]:
         """n^-(z + shift) for n = 2..N-1 as (re, im) pairs of ulps, each
@@ -570,10 +601,10 @@ def _minus_one(inner: _InnerSums):
     inner, with _DOUBLED_ULPS (N - 2) more rounding.
 
     Each entry is within _DOUBLED_ULPS = 5 ulps in modulus. At k = start
-    each part is floor(X / n^start), X = floor(n^-z 2^bits), within
-    2 + 2^-16 ulps (_InnerSums). A step x -> floor(2x / n) takes a part x
-    within e ulps of its value y to within 2e/n + 1 of 2y/n: the floor adds
-    under 1. For n >= 3, e <= 3 gives 2e/n + 1 <= 3; for n = 2 the step
+    each part is floor(X / n^start), X the power n^-z shifted to scale
+    2^-bits, within 2 + 2^-16 ulps (_InnerSums). A step x -> floor(2x / n)
+    takes a part x within e ulps of its value y to within 2e/n + 1 of 2y/n:
+    the floor adds under 1. For n >= 3, e <= 3 gives 2e/n + 1 <= 3; for n = 2 the step
     x -> x is exact. So each part stays within 3 ulps at every k, and the
     entry within 3 sqrt(2) < 5 in modulus."""
     sums = _power_sums(inner.head(inner.start), 2)

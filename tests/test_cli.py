@@ -354,6 +354,16 @@ def test_table_skips_a_point_beyond_the_float_range(capsys):
     assert captured.out == "s_re,s_im,value_re,value_im,terms_used,error_estimate\n"
 
 
+def test_table_skip_message_reads_back_for_a_negative_imaginary_part(capsys):
+    # depth 12 reaches only Re s > -10.5, so s = -20 - 3i is skipped; the
+    # message writes it as "a-bi", which parse_complex_literal reads back
+    assert main(["table", "--start", "-20", "--stop", "-20", "--step", "1", "--im", "-3"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("skipping s = -20.0-3.0i: ")
+    where = err.split()[3].rstrip(":")
+    assert parse_complex_literal(where) == (F(-20), F(-3))
+
+
 def test_table_bad_grid():
     assert main(["table", "--start", "2", "--stop", "1", "--step", "1"]) == 2
     assert main(["table", "--start", "1", "--stop", "2", "--step", "0"]) == 2

@@ -1,8 +1,11 @@
 import dataclasses
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -769,6 +772,39 @@ def test_shifted_inner_sums_within_their_bounds(z, k, digits):
         assert actual <= mp.mpf(err + rounding) / mp.mpf(2) ** bits
 
 
+@pytest.mark.parametrize("digits", [15, 40, 100, 300])
+@pytest.mark.parametrize(
+    "z",
+    [
+        (F(-21, 2), F(0)),
+        # entries up to (N - 1)^126: exp_fixed shifts left by hundreds of bits
+        (F(-126), F(7, 3)),
+        # large |Im z|: cos_sin_fixed reduces arguments of thousands of pi/2
+        (F(1, 2), F(1000)),
+        (F(1, 2), F(-123456, 100)),
+        (F(3, 2), F(10**5)),
+        # a point of the `points` benchmark, on its grid of 10^-6
+        (F(1801021, 400000), F(8670021, 500000)),
+    ],
+)
+def test_head_entries_within_two_ulps(z, digits):
+    # every component of every head entry n^-(z + shift), n < N, is within
+    # 2 + 2^-16 ulps of its value, as _ENTRY_ULPS = 3 assumes
+    bits = evalzeta._scale_bits(digits, 0)
+    n_split = _least_power_of_two(10 + digits)
+    inner = _InnerSums(z, digits, bits, n_split, 0)
+    bound = 2 + mp.mpf(2) ** -16
+    # the entries are as large as N^-Re z; 40 bits more than that resolve
+    # the reference to 2^-40 ulps
+    extra = max(0, -z[0]) * n_split.bit_length()
+    with mp.workprec(bits + int(extra) + 40):
+        w = _mp_point(z)
+        for shift in (0, 3):
+            for n, (xr, xi) in enumerate(inner.head(shift), 2):
+                x = mp.power(n, -(w + shift)) * mp.mpf(2) ** bits
+                assert abs(xr - x.real) <= bound and abs(xi - x.imag) <= bound, (n, shift)
+
+
 _BIG = st.integers(min_value=-(2**2000), max_value=2**2000)
 
 
@@ -951,6 +987,61 @@ def test_threads_get_the_serial_bits(specs64):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial * 8
+
+
+_HISTORY_SCRIPT = """
+import sys
+from fractions import Fraction as F
+from zetaident import derive_identity
+from zetaident.evalzeta import _InnerSums, eval_identity
+
+spec = derive_identity(6, 64)
+if sys.argv[1] == "warm":
+    # mpmath caches ln 2, pi and log n at the highest precision asked for
+    # and serves lower ones by shifting: fill them at about 3400 bits
+    eval_identity(spec, (F(1, 2), F(7)), 1000)
+    eval_identity(spec, (F(-5, 2), F(3)), 300)
+points = [F(-13, 4), F(5, 2), (F(1, 2), F(3)), (F(-2), F(5, 2))]
+results = []
+# the powers n^-z before any shift, at rising working precisions: the cold
+# interpreter's caches serve each from just above it, the warm one's from
+# about 3400 bits
+for s in points:
+    z = s if isinstance(s, tuple) else (s, F(0))
+    for bits in range(150, 250):
+        inner = _InnerSums(z, 40, bits, 64, 0)
+        inner.head()
+        results.append(inner.powers)
+for s in points:
+    for digits in (15, 40, 100):
+        report = eval_identity(spec, s, digits)
+        value = report.value
+        raw = value._mpc_ if hasattr(value, "_mpc_") else value._mpf_
+        results.append((raw, report.error_estimate))
+print(repr(results))
+"""
+
+
+def test_bits_do_not_depend_on_call_history():
+    # two fresh interpreters evaluate the same points; one of them first
+    # runs 1000- and 300-digit evaluations, so mpmath's fixed-point caches
+    # serve the second from higher precisions than the first
+    env = dict(os.environ)
+    src = str(Path(evalzeta.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _HISTORY_SCRIPT, mode],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=600,
+        ).stdout
+        for mode in ("cold", "warm")
+    ]
+    assert outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_sum_zeta_m1_totals_one():
