@@ -67,23 +67,24 @@ agreement between the two is meaningful.
 `eval_identities` evaluates several depths at one point in one pass over
 k: every depth's identity has the same inner sums zeta(s + k, N) and
 the same factor (s)_k/(k+1)!, and only r_k and the weights differ.
-`eval_identity` is the batch of one. `zeta_prime_at_zero` runs the same
-loop at s = 0 with the factor 1/(k(k+1)), the head Q'(0) - pole (the
-identity differentiated term by term) and m = 1, since that head has no
-shifted form; so zeta'(0) gets an error bound too.
+`eval_identity` is the batch of one. `zeta_prime_at_zero` differentiates
+the shifted split term by term at s = 0, where (s)_j vanishes for j >= 1
+and has derivative (j-1)!. That leaves the exact Q'(0) - pole + W_1'(0)
++ W_m'(0), the power sums S_j(0) with the weights g_j (j-1)!, j >= 1, the
+two logs -g_0 log((m-1)!) and -W_m(0) log m, and the series over
+zeta(k, N) with the factor 1/(k(k+1)): the same pass, so zeta'(0) gets an
+error bound too.
 
 Each call computes n^-s for n = 2..N-1 once and steps them by floor
-divisions into power sums (_power_sums): the S_j of the shifted head, or,
-for the paper's split (m = 1) of zeta_prime_at_zero, sum_zeta_m1 and
-zeta_m1, sum_{n=2..N-1} n^-(s+k) 2^(k - k_start), to which each k adds
-zeta(s + k, N) 2^(k - k_start) to make (zeta(s + k) - 1) 2^(k - k_start)
-(_minus_one). Each k gets the budget 10^-(digits+5) / (16 |coefficient_k|)
-b^(k - k_start) in ulps of its scaled inner sum, the smallest such budget
-over the depths of a batch. Its zeta(s + k, N) is the empty sum when the
-tail bound at N alone meets the budget, else N^(1-w)/(w-1) + N^-w/2 plus as
-many Euler-Maclaurin terms as the remainder bound asks for, w = s + k,
-with the scaled N^-w computed once and, for b = 2, stepped by floor
-divisions by N/2 (_InnerSums). The oracle sums
+divisions into the power sums S_j (_power_sums); sum_zeta_m1 and zeta_m1
+add zeta(z + k, N) to the power sum sum_{n<N} n^-(z+k) to make
+zeta(z + k) - 1. Each k gets the budget 10^-(digits+5) / (16
+|coefficient_k|) N^(k - k_start) in ulps of its scaled inner sum, the
+smallest such budget over the depths of a batch. Its zeta(s + k, N) is the
+empty sum when the tail bound at N alone meets the budget, else
+N^(1-w)/(w-1) + N^-w/2 plus as many Euler-Maclaurin terms as the remainder
+bound asks for, w = s + k, with the scaled N^-w computed once
+(_InnerSums). The oracle sums
 10 + digits direct terms and adds correction terms while they exceed
 10^-(digits + _GUARD). Truncation of each depth's outer series stops at the
 first k >= k0 + 8 whose bound |r_k| * |(s)_k| / (k+1)! * 4 *
@@ -124,9 +125,6 @@ _TAIL_RATIO = 6
 # Every entry n^-(z+k) is within this many ulps (in modulus) of its value,
 # at any shift: see _InnerSums.
 _ENTRY_ULPS = 3
-# Every entry n^-(z+k) 2^(k - start) of the paper's power sums is within
-# this many ulps (in modulus): see _minus_one.
-_DOUBLED_ULPS = 5
 
 Number = Union[int, float, complex, Fraction, str]
 
@@ -149,14 +147,15 @@ class EvalReport:
     of the shifted head, every floor of the (s)_k recurrence and of each
     coefficient as it propagates into its term, the rounding of each inner
     sum times its |coefficient|, and the floor of each product. The inner
-    sums come back times b^(k - k_start) (b = first_n), so their truncation
-    and rounding bounds count divided by that factor, each rounded up.
-    For zeta_prime_at_zero the rounding of each inner sum zeta(k) - 1
-    includes _DOUBLED_ULPS (N - 2) for its power sum. The estimate is that
+    sums come back times N^(k - k_start), so their truncation and rounding
+    bounds count divided by that factor, each rounded up. For
+    zeta_prime_at_zero the head values are S_j(0), j >= 1, and the logs
+    log m and log((m-1)!), each within 2 ulps, and the tally counts them
+    the same way. The estimate is that
     of the last pass: a call whose first tally exceeds its share runs once
     more at a finer scale. inner_sum_cutoffs records the inner schedule the
-    call used: first_n, the first n of every inner sum (m + 1 of the shifted
-    split; 2 for the paper's split of zeta_prime_at_zero); direct_terms,
+    call used: first_n, the first n of every inner sum, m + 1 of the shifted
+    split; direct_terms, the same
     N = _split_point(digits), the least power of two >= 10 + digits, at
     which every inner sum of every caller is an Euler-Maclaurin sum
     zeta(s + k, N) (0 if no inner sum was needed); correction_order, the
@@ -354,21 +353,20 @@ def _integer_point(re: Fraction, im: Fraction) -> tuple[int, int, int]:
 
 class _InnerSums:
     """The Hurwitz sums zeta(z + k, N), N = _split_point(digits), each
-    times base^(k - start), in fixed point at scale 2^-bits, for one exact z
-    and shifts k >= start taken in nondecreasing order, each with a
-    truncation bound and a rounding bound in ulps of the scaled sum; and the
-    head entries n^-(z + shift), n < N, that _power_sums steps.
+    times N^(k - start), in fixed point at scale 2^-bits, for one exact z
+    and shifts k >= start, each with a truncation bound and a rounding
+    bound in ulps of the scaled sum; and the head entries n^-(z + shift),
+    n < N, that _power_sums steps.
 
-    base is N (the shifted split: the scaled sum stays near N^-(z + start)
-    at every k) or 2 (the paper's split: it follows the term of
-    zeta(z + k) - 1, about 2^-(z + k), relative to the first one). The outer
-    series shifts each product right by log2(base) (k - start) more bits
+    The scaled sum stays near N^-(z + start) at every k. The outer series
+    shifts each product right by log2(N) (k - start) more bits
     (_outer_series), so every error of a scaled sum counts against its
     term. z = (zr + i zi) / den with integers zr, zi, den, so every z + k,
     and every factor the Euler-Maclaurin terms need, is exact.
 
     Every power n^-z, n <= N, is an (re, im) pair of integers in units of
-    2^-wp, from mpmath's fixed-point kernels and integer products. Below, a
+    2^-wp, from mpmath's fixed-point kernels and integer products; at
+    z = 0 every power is exactly 2^wp. Below, a
     unit is 2^-wp, e_b = wp 2^(isqrt(wp)//4 + 1), S = |Re z| + |Im z|
     rounded up, and V_n = n^-z. For each prime p:
 
@@ -377,7 +375,10 @@ class _InnerSums:
       mpmath caches all three and serves a lower precision by shifting
       the highest one computed so far; each is within 2 units either way
       (in practice the exact floor), so no bound depends on the calls
-      before.
+      before. log_int_fixed takes any integer n through the same mpf_log
+      of the exact n with 15 guard bits, so logs() is within 2 units at
+      wp as well, while the log is below 2^14, and within 2 ulps once
+      shifted right by wp - bits >= 16.
     - u = exp_fixed(floor(-Re z L)) and (c, s) = cos_sin_fixed(floor(-Im z L)).
       Their arguments are within |Re z| e_L + 1 and |Im z| e_L + 1 units of
       -z log p 2^wp. Reducing modulo ln 2 and pi/2 adds 2 units per multiple
@@ -411,12 +412,8 @@ class _InnerSums:
     An entry at shift k is (x >> (wp - bits)) // n^k, x the power n^-z at
     wp. So each of its components is within 2 + 2^-16 ulps, and the entry
     within _ENTRY_ULPS = 3 in modulus. The one entry of the sums,
-    N^-(z+k) base^(k - start), is the entry at shift start when first
-    needed. With base N it is the same at every k, and is never stepped.
-    With base 2 it steps to each later shift by a floor division by
-    (N/2)^(k - previous k); nested floor divisions by integers are one, so
-    it is always floor(X / (N^start (N/2)^(k - start))),
-    X = x >> (wp - bits), within _ENTRY_ULPS too.
+    N^-(z+k) N^(k - start), is the entry at shift start, the same at every
+    k.
 
     Each shift w = z + k, sigma = Re w, is one of two sums:
 
@@ -445,12 +442,12 @@ class _InnerSums:
     No float enters: every test and bound is an integer.
     """
 
-    def __init__(self, z: tuple[Fraction, Fraction], digits: int, bits: int, base: int, start: int):
+    def __init__(self, z: tuple[Fraction, Fraction], digits: int, bits: int, start: int):
         re, im = z
         self.zr, self.zi, self.den = _integer_point(re, im)
         self.bits = bits
         self.n = n = _split_point(digits)
-        self.base, self.start = base, start
+        self.start = start
         # wp, the least fixed point of the class docstring's error model
         spread = (abs(self.zr) + abs(self.zi)) // self.den + 1
         log_n = n.bit_length() - 1
@@ -465,10 +462,8 @@ class _InnerSums:
         self.wp = wp
         # index n: n^-z as an (re, im) pair of units 2^-wp
         self.powers = [None, None]
-        # N^-(z + shift) base^(shift - start) as an (re, im) pair of ulps,
-        # once an inner sum ran
+        # N^-(z + start) as an (re, im) pair of ulps, once an inner sum ran
         self.entry = None
-        self.shift = start
         self.max_order = 0
         self.last_em_k = None
         # rho_j of the Euler-Maclaurin recurrence, grown as orders rise
@@ -487,6 +482,8 @@ class _InnerSums:
     def _power(self, n: int) -> tuple[int, int]:
         """n^-z in units of 2^-wp, computing the powers below n first."""
         powers, wp = self.powers, self.wp
+        if not (self.zr or self.zi):
+            return 1 << wp, 0
         while len(powers) <= n:
             i = len(powers)
             p = _least_factor(i)
@@ -515,17 +512,19 @@ class _InnerSums:
         within _ENTRY_ULPS in modulus."""
         return [self._entry(n, shift) for n in range(2, self.n)]
 
+    def logs(self) -> list[tuple[int, int]]:
+        """log m and log((m-1)!), m = N - 1, as (re, 0) pairs of ulps, each
+        within 2 ulps."""
+        drop, m = self.wp - self.bits, self.n - 1
+        return [(log_int_fixed(x, self.wp) >> drop, 0) for x in (m, factorial(m - 1))]
+
     def __call__(self, k: int, budget: int):
-        """((re, im) of zeta(z+k, N) base^(k - start), truncation bound,
+        """((re, im) of zeta(z+k, N) N^(k - start), truncation bound,
         rounding bound), all in ulps, aiming for a truncation bound
         <= budget."""
         den, n = self.den, self.n
         wr, wi = self.zr + k * den, self.zi  # w = z + k = (wr + i wi) / den
-        if self.entry is None:
-            self.entry = self._entry(n, self.start)
-        q = (n // self.base) ** (k - self.shift)
-        xr, xi = self.entry = self.entry[0] // q, self.entry[1] // q  # n^-w scaled
-        self.shift = k
+        xr, xi = self.entry = self.entry or self._entry(n, self.start)  # n^-w scaled
         # the empty sum, within n^-sigma (1 + n/(sigma - 1))
         last = _modulus_up(xr, xi) + _ENTRY_ULPS
         err = last + _ceil_div(last * n * den, wr - den)
@@ -577,49 +576,19 @@ class _InnerSums:
         return (vr, vi), err, rounding
 
 
-def _power_sums(entries: list[tuple[int, int]], base: int):
-    """Yield the power sums sum_n n^-(z+j) base^j for j = 0, 1, ..., from
-    the entries n^-z, n = 2, 3, ... (_InnerSums.head), each an (re, im) pair
-    of ulps. Each entry steps from j to j + 1 as x -> floor(x base / n). With
-    base 1 that is, as in _InnerSums, floor(X / n^j), within _ENTRY_ULPS,
-    and a sum of c entries is within _ENTRY_ULPS c; base 2 is _minus_one's.
-    A part that floors to 0 stays 0, so it is dropped."""
+def _power_sums(entries: list[tuple[int, int]]):
+    """Yield the power sums sum_n n^-(z+j) for j = 0, 1, ..., from the
+    entries n^-z, n = 2, 3, ... (_InnerSums.head), each an (re, im) pair of
+    ulps. Each entry steps from j to j + 1 as x -> floor(x / n), so it is,
+    as in _InnerSums, floor(X / n^j), within _ENTRY_ULPS, and a sum of c
+    entries is within _ENTRY_ULPS c. A part that floors to 0 stays 0, so it
+    is dropped."""
     re = [(x, n) for n, (x, _) in enumerate(entries, 2) if x]
     im = [(y, n) for n, (_, y) in enumerate(entries, 2) if y]
     while True:
         yield sum(x for x, _ in re), sum(y for y, _ in im)
-        re = [(step, n) for x, n in re if (step := x * base // n)]
-        im = [(step, n) for y, n in im if (step := y * base // n)]
-
-
-def _minus_one(inner: _InnerSums):
-    """(zeta(z + k) - 1) 2^(k - start) for the paper's split (m = 1), as a
-    function of (k, budget) that returns what inner (base 2) does, for
-    nondecreasing k >= start = inner.start: the power sum
-    sum_{n=2..N-1} n^-(z+k) 2^(k - start) (_power_sums of
-    inner.head(start), base 2) plus zeta(z + k, N) 2^(k - start) from
-    inner, with _DOUBLED_ULPS (N - 2) more rounding.
-
-    Each entry is within _DOUBLED_ULPS = 5 ulps in modulus. At k = start
-    each part is floor(X / n^start), X the power n^-z shifted to scale
-    2^-bits, within 2 + 2^-16 ulps (_InnerSums). A step x -> floor(2x / n)
-    takes a part x within e ulps of its value y to within 2e/n + 1 of 2y/n:
-    the floor adds under 1. For n >= 3, e <= 3 gives 2e/n + 1 <= 3; for n = 2 the step
-    x -> x is exact. So each part stays within 3 ulps at every k, and the
-    entry within 3 sqrt(2) < 5 in modulus."""
-    sums = _power_sums(inner.head(inner.start), 2)
-    head_ulps = _DOUBLED_ULPS * (inner.n - 2)
-    shift, (hr, hi) = inner.start, next(sums)
-
-    def minus_one(k: int, budget: int):
-        nonlocal shift, hr, hi
-        while shift < k:
-            hr, hi = next(sums)
-            shift += 1
-        (vr, vi), err, rounding = inner(k, budget)
-        return (vr + hr, vi + hi), err, rounding + head_ulps
-
-    return minus_one
+        re = [(step, n) for x, n in re if (step := x // n)]
+        im = [(step, n) for y, n in im if (step := y // n)]
 
 
 def zeta_m1(sigma, digits: int = 40):
@@ -637,8 +606,11 @@ def zeta_m1(sigma, digits: int = 40):
     # zeta(z) - 1 for large Re z, and so does the budget
     bits = _threshold_bits(digits) + floor(re) + 1 + _GUARD_BITS
     budget = _pow2_up(bits - re) // 10 ** (digits + 5)
-    (vr, vi), _, _ = _minus_one(_InnerSums((re, im), digits, bits, 2, 0))(0, budget)
-    return _mp_value(vr, vi if im else None, bits)
+    # sum_{n<N} n^-z plus zeta(z, N)
+    inner = _InnerSums((re, im), digits, bits, 0)
+    hr, hi = next(_power_sums(inner.head()))
+    (vr, vi), _, _ = inner(0, budget)
+    return _mp_value(vr + hr, vi + hi if im else None, bits)
 
 
 def zeta_em_reference(s, digits: int = 40):
@@ -840,7 +812,7 @@ def _head_values(entries: list[tuple[int, int]], count: int) -> list[tuple[int, 
     power sums S_j = sum_{n=2..m-1} n^-(s+j) for j < count, each within
     _ENTRY_ULPS (m - 2) (_power_sums). All depths of a batch share them."""
     *middle, last = entries
-    sums = _power_sums(middle, 1)
+    sums = _power_sums(middle)
     return [last] + [next(sums) for _ in range(count)]
 
 
@@ -935,62 +907,84 @@ def eval_identities(
     re, im = _exact_point(s)
     for spec in specs:
         _check_point(spec, re, im, digits)
-    first_n = _split_point(digits)
+    m = _split_point(digits) - 1
     point = _integer_point(re, im)
     heads = []
     for spec in specs:
         hr, hi, hd = _head(spec, point)
-        (wr, wi, wd), coefficients, last = _shifted_head(spec, point, first_n - 1)
+        (wr, wi, wd), coefficients, last = _shifted_head(spec, point, m)
         head = hr * wd + wr * hd, hi * wd + wi * hd, hd * wd
         heads.append((head, [last, *coefficients]))  # in the order of _head_values
+    count = max(len(weights) for _, weights in heads) - 1
+    head_ulps = [_ENTRY_ULPS] + [_ENTRY_ULPS * (m - 2)] * count
     # (s)_k0 / (k0+1)! at the least k0
     k0 = min(spec.k0 for spec in specs)
     (ar, ai), scale = _rising(point, k0 + 1)[k0], point[2] ** k0 * factorial(k0 + 1)
     factor = Fraction(ar, scale), Fraction(ai, scale)
-    return _outer_series(specs, (re, im), factor, heads, digits, first_n)
+    values = lambda inner: _head_values(inner.head(), count)
+    return _outer_series(specs, (re, im), factor, heads, head_ulps, values, digits)
 
 
 def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
-    """zeta'(0) from the term-by-term derivative of the identity at s = 0:
-    Q'(0) - pole + sum_k r_k / (k(k+1)) * (zeta(k) - 1), with an error
-    bound like any evaluation. The differentiated head has no shifted
-    form, so the inner sums are zeta(k) - 1, each the power sum to N - 1
-    plus zeta(k, N) (_minus_one).
+    """zeta'(0) from the shifted split differentiated term by term at
+    s = 0, with an error bound like any evaluation. For j >= 1, (s)_j
+    vanishes at 0 and has derivative (j-1)!. So with (size, G, H, b0, L) =
+    spec.shifted_head_coefficients (see _shifted_head), m = N - 1,
+    g_j = G_j / L and S_j(0) = sum_{n=2..m-1} n^-j,
+
+        zeta'(0) = Q'(0) - pole + W_1'(0) + W_m'(0)
+                   + sum_{j>=1} g_j (j-1)! S_j(0)
+                   - g_0 log((m-1)!) - W_m(0) log m
+                   + sum_{k>=k0} r_k / (k(k+1)) zeta(k, N),
+
+    with the exact W_1'(0) = [sum_{j>=1} (G_j + [j < k0] H_j) (j-1)! - b0] / L,
+    W_m'(0) = [b0 m - sum_{1<=j<k0} H_j (j-1)! m^-j] / L and
+    W_m(0) = (b0 m - H_0) / L. The S_j(0) come from _head_values, and
+    the logs from _InnerSums.logs, each within 2 ulps.
 
     Needs an identity valid at 0, i.e. depth p >= 2.
     """
     _check_digits(digits)
     if _outside(spec, Fraction(0)):
         raise ValueError(f"depth-{spec.p} identity is not valid at s = 0; use p >= 2")
-    head = spec.q_poly.derivative().coefficient(0) - spec.pole_coefficient
-    zero, seed = Fraction(0), Fraction(1, spec.k0 * (spec.k0 + 1))
-    exact_head = head.numerator, 0, head.denominator
-    return _outer_series([spec], (zero, zero), (seed, zero), [(exact_head, [])], digits, 2)[0]
+    m = _split_point(digits) - 1
+    size, G, H, b0, L = spec.shifted_head_coefficients
+    k0 = spec.k0
+    weights = [(g * factorial(j - 1), 0, L) for j, g in enumerate(G) if j]
+    # L (W_1'(0) + W_m'(0)) = sum_{j>=1} G_j (j-1)! + b0 (m - 1)
+    # + sum_{1<=j<k0} H_j (j-1)! (1 - m^-j)
+    tail = sum(h * factorial(j - 1) * (m**j - 1) * m ** (k0 - 1 - j) for j, h in enumerate(H) if j)
+    exact = sum(w for w, _, _ in weights) + b0 * (m - 1) + Fraction(tail, m ** (k0 - 1))
+    head = spec.q_poly.derivative().coefficient(0) - spec.pole_coefficient + exact / L
+    weights += [(H[0] - b0 * m, 0, L), (-G[0], 0, L)]  # of log m and log((m-1)!)
+    head_ulps = [_ENTRY_ULPS * (m - 2)] * (size - 1) + [2, 2]
+    values = lambda inner: _head_values(inner.head(), size)[2:] + inner.logs()
+    zero, seed = Fraction(0), Fraction(1, k0 * (k0 + 1))
+    heads = [((head.numerator, 0, head.denominator), weights)]
+    return _outer_series([spec], (zero, zero), (seed, zero), heads, head_ulps, values, digits)[0]
 
 
-def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> list[EvalReport]:
-    """head + m^-s W_m + sum_j g_j (s)_j S_j
-    + sum_{k >= k0} r_k a_k zeta(s + k, m + 1) for each spec, in one pass
-    over k from the least k0 (_outer_pass), for the exact s = point,
-    a_k = factor at that k and a_(k+1) = a_k (s + k) / (k + 2), and
-    m + 1 = first_n, a power of two; one report per (exact head, weights W_m
-    and g_j (s)_j, in the order of _head_values) in heads, each value an
-    integer triple (re, im, den). eval_identities passes (s)_k / (k+1)!;
-    zeta_prime_at_zero passes 1/(k(k+1)) at s = 0 and first_n = 2 (the
-    paper's split, whose inner sums zeta(k) - 1 come from _minus_one), which
-    steps the same way, so _tail_bounded covers both.
+def _outer_series(specs, point, factor, heads, head_ulps, values, digits: int) -> list[EvalReport]:
+    """head + sum_i w_i x_i + sum_{k >= k0} r_k a_k zeta(s + k, N) for each
+    spec, in one pass over k from the least k0 (_outer_pass), for the exact
+    s = point, a_k = factor at that k and a_(k+1) = a_k (s + k) / (k + 2),
+    and N = _split_point(digits); one report per (exact head, weights w_i)
+    in heads, each an integer triple (re, im, den). values(inner) gives the
+    x_i in ulps of the pass's _InnerSums, each within head_ulps[i].
+    eval_identities passes (s)_k / (k+1)!, the weights W_m and g_j (s)_j
+    and _head_values; zeta_prime_at_zero passes 1/(k(k+1)) at s = 0, which
+    steps the same way, so _tail_bounded covers both, and the weights of
+    S_j(0), log m and log((m-1)!).
 
     The pass measures each inner sum against its term (_InnerSums), so P
     needs only the bits of the largest first coefficient |r_k a_k| at the
     least k0 and of the head weights times the ulps of the values they
     multiply (_scale_bits). A depth that starts later enters the pass
-    already divided by b^(k0 - least k0). Where the terms grow relative to
+    already divided by N^(k0 - least k0). Where the terms grow relative to
     the first one, the rounding tally grows with them: if a depth's tally
     exceeds share = threshold // _INNER_SAFETY ulps (at least 1), the pass
     runs once more at P plus the bit length of tally // share, and that
     pass's reports are final."""
-    count = max(len(weights) for _, weights in heads) - 1
-    head_ulps = [_ENTRY_ULPS] + [_ENTRY_ULPS * (first_n - 3)] * count
     peak, k = 0, min(spec.k0 for spec in specs)
     for spec, (_, weights) in zip(specs, heads):
         r = spec.series_coefficient(k)
@@ -999,39 +993,36 @@ def _outer_series(specs, point, factor, heads, digits: int, first_n: int) -> lis
         for (wr, wi, wd), ulps in zip(weights, head_ulps):
             peak = max(peak, _log2_up(wr, wi, wd) + ulps.bit_length())
     bits = _scale_bits(digits, peak)
-    reports, tally = _outer_pass(specs, point, factor, heads, head_ulps, digits, first_n, bits)
+    reports, tally = _outer_pass(specs, point, factor, heads, head_ulps, values, digits, bits)
     share = max((1 << bits) // 10 ** (digits + 5) // _INNER_SAFETY, 1)
     if tally > share:
         bits += (tally // share).bit_length()
-        reports, _ = _outer_pass(specs, point, factor, heads, head_ulps, digits, first_n, bits)
+        reports, _ = _outer_pass(specs, point, factor, heads, head_ulps, values, digits, bits)
     return reports
 
 
-def _outer_pass(specs, point, factor, heads, head_ulps, digits: int, first_n: int, bits: int):
+def _outer_pass(specs, point, factor, heads, head_ulps, values, digits: int, bits: int):
     """One pass of _outer_series at scale 2^-bits, with head_ulps the
     errors of the values the head weights multiply: the reports, and the
     largest rounding tally among them in ulps.
 
-    Each inner sum comes back times b^(k - k_start), b = first_n, and each
-    product with a coefficient r_k a_k, each truncation and rounding bound
-    it carries and the inner budget are shifted by bits + log2(b)
-    (k - k_start); the coefficient recurrence and the tail bound stay at
+    Each inner sum comes back times N^(k - k_start), and each product with
+    a coefficient r_k a_k, each truncation and rounding bound it carries
+    and the inner budget are shifted by bits + log2(N) (k - k_start); the
+    coefficient recurrence and the tail bound stay at
     scale 2^-bits. A depth stops at the first k >= k0 + _MIN_TERMS whose
     tail bound is under the threshold and proven to hold (_tail_bounded),
     which it is at once when every later coefficient vanishes."""
     re = point[0]
     whole = zr, zi, den = _integer_point(*point)
-    base_bits = first_n.bit_length() - 1  # log2(m + 1)
     depths = [_Depth(spec) for spec in specs]
     k = k_start = min(spec.k0 for spec in specs)
     threshold = (1 << bits) // 10 ** (digits + 5)
-    inner = _InnerSums(point, digits, bits, first_n, k_start)
-    if first_n > 2:
-        values, inner_sum = _head_values(inner.head(), len(head_ulps) - 1), inner
-    else:
-        values, inner_sum = [], _minus_one(inner)
+    inner = _InnerSums(point, digits, bits, k_start)
+    base_bits = inner.n.bit_length() - 1  # log2 N
+    head_values = values(inner)
     for d, (_, weights) in zip(depths, heads):
-        for (xr, xi), ulps, (wr, wi, wd) in zip(values, head_ulps, weights):
+        for (xr, xi), ulps, (wr, wi, wd) in zip(head_values, head_ulps, weights):
             d.total_re += (wr * xr - wi * xi) // wd
             d.total_im += (wr * xi + wi * xr) // wd
             d.rounding += _ceil_div(ulps * _modulus_up(wr, wi), wd)
@@ -1064,7 +1055,7 @@ def _outer_pass(specs, point, factor, heads, head_ulps, digits: int, first_n: in
         # size, not r_k, decides: (s)_k vanishes at nonpositive integers
         if largest:
             budget = (threshold << shift) // (largest * _INNER_SAFETY)
-            (vr, vi), trunc, rounding = inner_sum(k, budget)
+            (vr, vi), trunc, rounding = inner(k, budget)
             v_size = _modulus_up(vr, vi)
             for d in active:
                 if d.size:
@@ -1108,7 +1099,7 @@ def _outer_pass(specs, point, factor, heads, head_ulps, digits: int, first_n: in
                 p_used=d.spec.p,
                 terms_used=d.terms_used,
                 error_estimate=_float_up(d.tail_bound + d.inner_err + rounding, bits),
-                inner_sum_cutoffs={"first_n": first_n, **inner.cutoffs()},
+                inner_sum_cutoffs={"first_n": inner.n, **inner.cutoffs()},
             )
         )
     return reports, tally
@@ -1116,14 +1107,17 @@ def _outer_pass(specs, point, factor, heads, head_ulps, digits: int, first_n: in
 
 def sum_zeta_m1(digits: int = 40):
     """Partial sum of sum_{k>=2} (zeta(k) - 1), truncated at the first K
-    with 2*2^-K < 10^-digits. The full sum is exactly 1."""
+    with 2*2^-K < 10^-digits. The full sum is exactly 1. Each zeta(k) - 1
+    is the power sum sum_{n<N} n^-k plus zeta(k, N)."""
     _check_digits(digits)
     k_top = (2 * 10**digits).bit_length()  # the least K with 2^K > 2 * 10^digits
     bits = _scale_bits(digits, 0)
-    minus_one = _minus_one(_InnerSums((Fraction(0), Fraction(0)), digits, bits, 2, 2))
+    inner = _InnerSums((Fraction(0), Fraction(0)), digits, bits, 2)
+    sums = _power_sums(inner.head(2))
+    log_n, unit = inner.n.bit_length() - 1, 10 ** (digits + 5) * _INNER_SAFETY
     total = 0
     for k in range(2, k_top + 1):
-        # the budget and the value are those of (zeta(k) - 1) 2^(k - 2)
-        budget = (1 << (bits + k - 2)) // (10 ** (digits + 5) * _INNER_SAFETY)
-        total += minus_one(k, budget)[0][0] >> (k - 2)
+        # the budget and the value of zeta(k, N) are scaled by N^(k - 2)
+        shift = log_n * (k - 2)
+        total += next(sums)[0] + (inner(k, (1 << (bits + shift)) // unit)[0][0] >> shift)
     return _mp_value(total, None, bits)

@@ -86,9 +86,12 @@ def test_zeta_m1_keeps_relative_accuracy_when_tiny():
 
 
 def test_zeta_m1_complex_argument():
-    with mp.workdps(60):
-        value = zeta_m1(mp.mpc(2, 20), 40)
-        assert abs(value) < 1
+    # at each split point: N = 32, 64, 128 and 512
+    for digits in (15, 40, 100, 300):
+        value = zeta_m1(mp.mpc(2, 20), digits)
+        with mp.workdps(digits + 20):
+            assert abs(value) < 1
+            assert abs(value - (mp.zeta(mp.mpc(2, 20)) - 1)) < mp.mpf(10) ** -digits, digits
 
 
 def test_zeta_m1_domain():
@@ -600,15 +603,13 @@ def test_split_point_is_the_euler_maclaurin_cutoff(specs64, digits, first_n):
         for report in eval_identities(batch, s, digits):
             cutoffs = report.inner_sum_cutoffs
             assert cutoffs["first_n"] == cutoffs["direct_terms"] == first_n, cutoffs
-    # the paper's split of zeta'(0) (inner sums from n = 2) sums its
-    # Euler-Maclaurin parts at the same N
+    # and so is every inner sum zeta(k, N) of zeta'(0)
     cutoffs = zeta_prime_at_zero(specs64[2], digits).inner_sum_cutoffs
-    assert cutoffs["first_n"] == 2
-    assert cutoffs["direct_terms"] == evalzeta._split_point(digits) == first_n
+    assert cutoffs["first_n"] == cutoffs["direct_terms"] == first_n, cutoffs
 
 
 def test_shifted_split_shrinks_the_outer_series(specs64):
-    # the paper's split (inner sums from n = 2) needs 151 terms here, and
+    # the paper's split (inner sums from n = 2) needed 151 terms here, and
     # inner sums from n = 16 needed 37
     assert eval_identity(specs64[1], 2, 40).terms_used <= 25
 
@@ -631,79 +632,31 @@ def _ulps_to_mp(pair, bits):
     return mp.mpc(*pair) / mp.mpf(2) ** bits
 
 
-@pytest.mark.parametrize("stride", [1, 7])  # 7: the entry steps several shifts at once
+@pytest.mark.parametrize("stride", [1, 7])  # 7: k skips several shifts at once
 @pytest.mark.parametrize("z, k0", [((F(2), F(0)), 0), ((F(1, 2), F(14134725, 10**6)), 1)])
 def test_inner_sums_within_their_bounds(z, k0, stride):
-    # Hurwitz zeta(z + k, N) b^(k - k0), N = 64 at 40 digits, for both
-    # bases: b = N keeps one entry N^-(z+k0), b = 2 steps it by N/2.
-    # Euler-Maclaurin sums while N^-(z+k) is large, the empty sum once its
-    # tail bound meets the budget, 1e-50 scaled as the sum is
+    # Hurwitz zeta(z + k, N) N^(k - k0), N = 64 at 40 digits, from the one
+    # entry N^-(z+k0): Euler-Maclaurin sums while N^-(z+k) is large, the
+    # empty sum once its tail bound meets the budget, 1e-50 scaled as the
+    # sum is
     digits, bits = 40, 200
     ks = range(k0, 201, stride)
-    results = {k: [] for k in ks}
-    for base in (64, 2):
-        routes = set()
-        inner = _InnerSums(z, digits, bits, base, k0)
-        assert inner.n == 64
-        for k in ks:
-            budget = (base ** (k - k0) << bits) // 10**50
-            value, err, rounding = inner(k, budget)
-            routes.add("em" if inner.last_em_k == k else "empty")
-            assert err <= budget
-            results[k].append((base, value, err + rounding))
-        assert routes == {"empty", "em"}, base
-    for k, row in results.items():
+    routes, results = set(), []
+    inner = _InnerSums(z, digits, bits, k0)
+    assert inner.n == 64
+    for k in ks:
+        budget = (64 ** (k - k0) << bits) // 10**50
+        value, err, rounding = inner(k, budget)
+        routes.add("em" if inner.last_em_k == k else "empty")
+        assert err <= budget
+        results.append((k, value, err + rounding))
+    assert routes == {"empty", "em"}
+    for k, value, bound in results:
         # mpmath subtracts sum_{n<64} n^-w from zeta(w), which cancels
         # 2 digits per k
         with mp.workdps(80 + 2 * k):
-            target = mp.zeta(_mp_point(z) + k, 64)
-            for base, value, bound in row:
-                err = abs(_ulps_to_mp(value, bits) - target * base ** (k - k0))
-                assert err <= mp.mpf(bound) / mp.mpf(2) ** bits, (base, k)
-
-
-@pytest.mark.parametrize("z", [(F(2), F(0)), (F(1, 2), F(14134725, 10**6)), (F(-5, 2), F(3))])
-def test_paper_split_inner_sums_within_their_bounds(z):
-    # (zeta(z + k) - 1) 2^(k - start) as the callers with the paper's split
-    # build it: the head power sum over n = 2..N-1 plus the kernel's
-    # zeta(z + k, N), both times 2^(k - start); k skips shifts, so the power
-    # sums step several at once
-    digits, bits = 40, 200
-    ks = [k for k in range(0, 201, 3) if z[0] + k >= F(3, 2)]
-    start = ks[0]
-    minus_one = evalzeta._minus_one(_InnerSums(z, digits, bits, 2, start))
-    results = []
-    for k in ks:
-        budget = (1 << (bits + k - start)) // 10**50
-        results.append((k, budget, *minus_one(k, budget)))
-    for k, budget, value, err, rounding in results:
-        assert err <= budget
-        # zeta(w + k) - 1 cancels k log10(2) digits
-        with mp.workdps(80 + k):
-            target = (mp.zeta(_mp_point(z) + k) - 1) * 2 ** (k - start)
-            actual = abs(_ulps_to_mp(value, bits) - target)
-            assert actual <= mp.mpf(err + rounding) / mp.mpf(2) ** bits, k
-
-
-@pytest.mark.parametrize(
-    "z, start", [((F(3, 2), F(7)), 0), ((F(0), F(0)), 2), ((F(-5, 2), F(3)), 4)]
-)
-def test_doubled_power_sums_stay_within_five_ulps(z, start):
-    # each entry n^-(z+k) 2^(k - start) of _minus_one's power sums steps as
-    # x -> floor(2x / n): each part stays within 3 ulps, the entry within 5
-    digits, bits, steps = 40, 100, 120
-    head = _InnerSums(z, digits, bits, 2, start).head(start)
-    with mp.workdps(60):
-        w = _mp_point(z)
-        for n, entry in enumerate(head, 2):
-            # the power sum of this entry alone: the others are 0
-            sums = evalzeta._power_sums([(0, 0)] * (n - 2) + [entry], 2)
-            x = mp.mpf(n) ** -(w + start) * mp.mpf(2) ** bits
-            for j in range(steps):
-                xr, xi = next(sums)
-                dr, di = abs(xr - x.real), abs(xi - x.imag)
-                assert dr <= 3 and di <= 3 and mp.sqrt(dr**2 + di**2) <= 5, (n, j)
-                x = x * 2 / n
+            target = mp.zeta(_mp_point(z) + k, 64) * 64 ** (k - k0)
+            assert abs(_ulps_to_mp(value, bits) - target) <= mp.mpf(bound) / mp.mpf(2) ** bits, k
 
 
 def test_inner_sum_reports_an_unmet_budget():
@@ -712,7 +665,7 @@ def test_inner_sum_reports_an_unmet_budget():
     bits = 700
     budget = (1 << bits) // 10**200
     z = (F(3, 2), F(14))
-    value, err, rounding = _InnerSums(z, 40, bits, 64, 0)(0, budget)
+    value, err, rounding = _InnerSums(z, 40, bits, 0)(0, budget)
     assert err > budget
     with mp.workdps(80):
         bound = mp.mpf(err + rounding) / mp.mpf(2) ** bits
@@ -726,20 +679,9 @@ def test_inner_sum_rounding_is_tallied(z):
     # at a scale of 2^-64 the floors of the Euler-Maclaurin route cost more
     # than its truncation: only the rounding bound covers them
     bits = 64
-    value, err, rounding = _InnerSums(z, 40, bits, 64, 0)(0, 4)
+    value, err, rounding = _InnerSums(z, 40, bits, 0)(0, 4)
     with mp.workdps(60):
         actual = abs(mp.mpc(*value) - mp.zeta(_mp_point(z), 64) * mp.mpf(2) ** bits)
-    assert err < actual <= err + rounding
-
-
-@pytest.mark.parametrize("z", [(F(2), F(0)), (F(3, 2), F(7))])
-def test_paper_split_rounding_is_tallied(z):
-    # the power sum over n = 2..63 adds a floor per entry: at 2^-64 they
-    # cost more than the truncation, and the tally of 5 (N - 2) ulps holds
-    bits = 64
-    value, err, rounding = evalzeta._minus_one(_InnerSums(z, 40, bits, 2, 0))(0, 4)
-    with mp.workdps(60):
-        actual = abs(mp.mpc(*value) - (mp.zeta(_mp_point(z)) - 1) * mp.mpf(2) ** bits)
     assert err < actual <= err + rounding
 
 
@@ -756,13 +698,13 @@ def test_paper_split_rounding_is_tallied(z):
     ],
 )
 def test_shifted_inner_sums_within_their_bounds(z, k, digits):
-    # N = _split_point(digits), base N from start 0 and a budget of
+    # N = _split_point(digits), from start 0 and a budget of
     # 10^-(digits+5) N^k, as in the shifted split: the Euler-Maclaurin
     # route at n = N, against Hurwitz zeta(w, N) N^k
     bits = evalzeta._threshold_bits(digits) + evalzeta._GUARD_BITS
     n = _least_power_of_two(10 + digits)
     budget = (n**k << bits) // 10 ** (digits + 5)
-    inner = _InnerSums(z, digits, bits, n, 0)
+    inner = _InnerSums(z, digits, bits, 0)
     value, err, rounding = inner(k, budget)
     assert inner.last_em_k == k
     assert inner.cutoffs()["direct_terms"] == n
@@ -792,7 +734,7 @@ def test_head_entries_within_two_ulps(z, digits):
     # 2 + 2^-16 ulps of its value, as _ENTRY_ULPS = 3 assumes
     bits = evalzeta._scale_bits(digits, 0)
     n_split = _least_power_of_two(10 + digits)
-    inner = _InnerSums(z, digits, bits, n_split, 0)
+    inner = _InnerSums(z, digits, bits, 0)
     bound = 2 + mp.mpf(2) ** -16
     # the entries are as large as N^-Re z; 40 bits more than that resolve
     # the reference to 2^-40 ulps
@@ -803,6 +745,31 @@ def test_head_entries_within_two_ulps(z, digits):
             for n, (xr, xi) in enumerate(inner.head(shift), 2):
                 x = mp.power(n, -(w + shift)) * mp.mpf(2) ** bits
                 assert abs(xr - x.real) <= bound and abs(xi - x.imag) <= bound, (n, shift)
+
+
+@pytest.mark.parametrize("digits", [15, 40, 100, 300])
+def test_head_entries_are_exact_at_zero(digits):
+    # at z = 0 every power n^-z is exactly 1, so each entry n^-shift is the
+    # floor of 2^bits / n^shift, with no error at all
+    bits = evalzeta._scale_bits(digits, 0)
+    inner = _InnerSums((F(0), F(0)), digits, bits, 0)
+    for shift in (0, 1, 2, 7):
+        expected = [((1 << bits) // n**shift, 0) for n in range(2, inner.n)]
+        assert inner.head(shift) == expected, shift
+
+
+@pytest.mark.parametrize("digits", [15, 40, 100, 300])
+def test_logs_within_two_ulps(digits):
+    # zeta_prime_at_zero's log m and log((m-1)!), m = N - 1, at several scales
+    for bits in (64, 201, evalzeta._scale_bits(digits, 0)):
+        inner = _InnerSums((F(0), F(0)), digits, bits, 0)
+        m = inner.n - 1
+        (log_m, zero), (log_factorial, _) = inner.logs()
+        assert zero == 0
+        with mp.workprec(bits + 80):
+            unit = mp.mpf(2) ** bits
+            assert abs(log_m - mp.log(m) * unit) <= 2, bits
+            assert abs(log_factorial - mp.loggamma(m) * unit) <= 2, bits
 
 
 _BIG = st.integers(min_value=-(2**2000), max_value=2**2000)
@@ -928,8 +895,8 @@ def test_zeta_prime_needs_validity_at_zero(specs64):
 
 
 # 300 digits: N moves the most there, from 10 + digits = 310 to 512.
-# p >= 32: r_k / (k (k+1)) grows like k^(p-3) against the 2^-k of its
-# inner sum, so the first pass calls for a second, finer one
+# p >= 32: r_k / (k (k+1)) grows like k^(p-3), and the head weights
+# g_j (j-1)! of the power sums S_j(0) run to j = k0 - 1
 @pytest.mark.parametrize("digits", [15, 40, 100, 300])
 @pytest.mark.parametrize("p", [2, 3, 5, 12, 32, 64, 128])
 def test_zeta_prime_at_zero_meets_the_contract(specs64, p, digits):
@@ -940,6 +907,18 @@ def test_zeta_prime_at_zero_meets_the_contract(specs64, p, digits):
     with mp.workdps(digits + 20):
         err = abs(report.value + mp.log(2 * mp.pi) / 2)
     assert err <= report.error_estimate <= 10.0**-digits
+
+
+# the outer series falls like N^-k from k0 on: N = 64 at 40 digits and 512
+# at 300, where the split m = 1 of the paper took 145/303/1054 terms at 40
+# digits and 1006/1225/2041 at 300
+@pytest.mark.parametrize("digits, extra", [(40, 40), (300, 150)])
+@pytest.mark.parametrize("p", [2, 32, 128])
+def test_zeta_prime_at_zero_work_is_pinned(specs64, monkeypatch, p, digits, extra):
+    spec = specs64[p] if p in specs64 else derive_identity(p, p + 2)
+    passes = _record_passes(monkeypatch)
+    assert zeta_prime_at_zero(spec, digits).terms_used <= spec.k0 + extra
+    assert len(passes) == 1  # no second, finer pass
 
 
 # ---- no shared precision ----
@@ -1009,7 +988,7 @@ results = []
 for s in points:
     z = s if isinstance(s, tuple) else (s, F(0))
     for bits in range(150, 250):
-        inner = _InnerSums(z, 40, bits, 64, 0)
+        inner = _InnerSums(z, 40, bits, 0)
         inner.head()
         results.append(inner.powers)
 for s in points:
@@ -1045,5 +1024,7 @@ def test_bits_do_not_depend_on_call_history():
 
 
 def test_sum_zeta_m1_totals_one():
-    with mp.workdps(60):
-        assert abs(sum_zeta_m1(40) - 1) < mp.mpf(10) ** -40
+    # at N = 64, 128 and 512
+    for digits in (40, 100, 300):
+        with mp.workdps(digits + 20):
+            assert abs(sum_zeta_m1(digits) - 1) < mp.mpf(10) ** -digits, digits
