@@ -34,30 +34,32 @@ fixed-point kernels give the irrational inputs. For each prime p <= N,
 log_int_fixed gives log p, and exp_fixed and cos_sin_fixed turn -s log p
 into p^-s as an integer pair; a composite n takes n^-s as the integer
 product q^-s (n/q)^-s of two earlier powers, q its least prime factor
-(_InnerSums). mpf_pow gives (m+1)^(-Re s) in the tail bound. Each kernel
-takes its precision as an argument: no call sets mpmath's shared
-precision, so concurrent calls cannot disturb each other. Everything
-rational (s itself,
-(s)_k0 / (k0+1)!, the head pole/(s-1) + Q(s) + W_1, the weights W_m and
-g_j (s)_j, r_k and the Euler-Maclaurin steps between consecutive
-B_2j/(2j)!) is exact; each is floored once where it meets a fixed-point
-number. Values are returned as mpmath numbers, built exactly.
+(_InnerSums). Each kernel takes its precision as an argument: no call sets
+mpmath's shared precision, so concurrent calls cannot disturb each other.
+Everything rational (s itself, the head pole/(s-1) + Q(s) + W_1, the
+weights W_m and g_j (s)_j, r_k/(k+1)! and B_2j/(2j)!) is exact; each is
+floored once where it meets a fixed-point number. Values are returned as
+mpmath numbers, built exactly.
 
-The outer terms r_k a_k zeta(s + k, b), b = m + 1 (a_k the rational factor
-at k), fall like b^-k, but the bare coefficients r_k a_k can first grow by
-many bits (by 2^57 at |Im s| = 40). So each inner sum comes back times
-b^(k - k_start), k_start the first k of the pass, and each product with its
-coefficient is shifted right by P + log2(b) (k - k_start): every rounding
-of an inner sum, and its budget, is measured against the term, not the
-bare coefficient. P is then the bit length of 10^(digits+5), plus log2 of
-the largest coefficient |r_k a_k| at k = k_start or of the largest head
-weight times the error of the value it multiplies (3 |W_m| ulps for m^-s,
-3 (m - 2) |g_j (s)_j| for S_j), plus _GUARD_BITS, with no scan of the
-series. Where the terms still grow relative to the first one (large |s|,
-or deep identities at s = 0), the rounding tally shows it: if a depth's
-tally exceeds its share of 10^-(digits+5), the pass runs once more at a
-scale finer by the bits of that excess (_outer_series). Every bound is a
-tally of the ulps actually lost, whatever P is.
+Every term of the outer series comes from one sequence,
+V_m = (s)_m N^-(s+m), V_0 = N^-s and V_(m+1) = V_m (s + m)/N. With
+beta_j = B_2j/(2j)!, Euler-Maclaurin at N times (s)_k reads
+
+    G_k = (s)_k zeta(s+k, N) = V_(k-1) + V_k/2 + sum_j beta_j V_(k+2j-1) + R,
+
+since (s)_k (s+k)_i = (s)_(k+i), and the outer term is rho_k G_k with the
+exact rho_k = r_k/(k+1)! (_InnerSums, _outer_pass). The bare coefficients
+r_k (s)_k/(k+1)! can grow by many bits before the terms fall (by 2^57 at
+|Im s| = 40), but no rounding meets them: each floor of V_m is relative to
+V_m, and rho_k is exact, so every rounding counts against its term. P is
+the bit length of 10^(digits+5), plus log2 of the largest first
+coefficient |r_k (s)_k/(k+1)!| or of the largest head weight times the
+error of the value it multiplies (3 |W_m| ulps for m^-s, 3 (m - 2)
+|g_j (s)_j| for S_j), plus _GUARD_BITS, with no scan of the series. Where
+the terms still grow relative to the first one, the rounding tally shows
+it: if a depth's tally exceeds its share of 10^-(digits+5), the pass runs
+once more at a scale finer by the bits of that excess (_outer_series).
+Every bound is a tally of the ulps actually lost, whatever P is.
 
 The independent cross-check `zeta_em_reference` computes zeta directly by
 Euler-Maclaurin summation in mpmath floats and shares nothing with
@@ -65,33 +67,32 @@ Euler-Maclaurin summation in mpmath floats and shares nothing with
 agreement between the two is meaningful.
 
 `eval_identities` evaluates several depths at one point in one pass over
-k: every depth's identity has the same inner sums zeta(s + k, N) and
-the same factor (s)_k/(k+1)!, and only r_k and the weights differ.
-`eval_identity` is the batch of one. `zeta_prime_at_zero` differentiates
-the shifted split term by term at s = 0, where (s)_j vanishes for j >= 1
-and has derivative (j-1)!. That leaves the exact Q'(0) - pole + W_1'(0)
-+ W_m'(0), the power sums S_j(0) with the weights g_j (j-1)!, j >= 1, the
-two logs -g_0 log((m-1)!) and -W_m(0) log m, and the series over
-zeta(k, N) with the factor 1/(k(k+1)): the same pass, so zeta'(0) gets an
-error bound too.
+k: every depth's identity has the same G_k, and only r_k and the weights
+differ. `eval_identity` is the batch of one. `zeta_prime_at_zero`
+differentiates the shifted split term by term at s = 0, where (s)_j
+vanishes for j >= 1 and has derivative (j-1)!. That leaves the exact
+Q'(0) - pole + W_1'(0) + W_m'(0), the power sums S_j(0) with the weights
+g_j (j-1)!, j >= 1, the two logs -g_0 log((m-1)!) and -W_m(0) log m, and
+the series rho_k G'_k = r_k/(k(k+1)) zeta(k, N), G'_k read off
+V'_m = (m-1)! N^-m in the same way: the same pass, so zeta'(0) gets an
+error bound too. sum_zeta_m1 takes G'_k / (k-1)! = zeta(k, N), and
+zeta_m1 takes G_0 = zeta(z, N), with V_(-1) = N V_0/(z - 1).
 
 Each call computes n^-s for n = 2..N-1 once and steps them by floor
 divisions into the power sums S_j (_power_sums); sum_zeta_m1 and zeta_m1
 add zeta(z + k, N) to the power sum sum_{n<N} n^-(z+k) to make
-zeta(z + k) - 1. Each k gets the budget 10^-(digits+5) / (16
-|coefficient_k|) N^(k - k_start) in ulps of its scaled inner sum, the
-smallest such budget over the depths of a batch. Its zeta(s + k, N) is the
-empty sum when the tail bound at N alone meets the budget, else
-N^(1-w)/(w-1) + N^-w/2 plus as many Euler-Maclaurin terms as the remainder
-bound asks for, w = s + k, with the scaled N^-w computed once
-(_InnerSums). The oracle sums
+zeta(z + k) - 1. Each k gets the budget 10^-(digits+5) / (16 |rho_k|) in
+ulps of G_k, the smallest such budget over the depths of a batch. G_k is
+the empty sum when its bound |V_k| (1 + N/(Re s + k - 1)) alone meets the
+budget, else V_(k-1) + V_k/2 plus as many terms beta_j V_(k+2j-1) as the
+remainder bound asks for. The oracle sums
 10 + digits direct terms and adds correction terms while they exceed
 10^-(digits + _GUARD). Truncation of each depth's outer series stops at the
-first k >= k0 + 8 whose bound |r_k| * |(s)_k| / (k+1)! * 4 *
-(m+1)^(1 - Re s - k) drops below 10^-(digits+5) and where the later terms
-are proven to fall fast enough for that bound to hold (_tail_bounded). That
-proof fails while |s + k| / (k + 2) >= m + 1, so at large |s| the series
-runs on past the terms that grow before they fall.
+first k >= k0 + 8 whose bound 4 N |rho_k| |V_k| = |r_k| * |(s)_k| /
+(k+1)! * 4 * N^(1 - Re s - k) drops below 10^-(digits+5) and where the
+later terms are proven to fall fast enough for that bound to hold
+(_tail_bounded). That proof fails while |s + k| / (k + 2) >= N, so at
+large |s| the series runs on past the terms that grow before they fall.
 """
 
 from __future__ import annotations
@@ -100,22 +101,21 @@ import re as _re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, factorial, floor, inf, isfinite, isqrt, lcm, nextafter
+from math import ceil, factorial, floor, inf, isfinite, isqrt, lcm, nextafter
 from typing import Optional, Sequence, Union
 
 from mpmath import mp
-from mpmath.libmp import from_int, from_man_exp, log_int_fixed, mpf_div, mpf_pow, mpf_shift
-from mpmath.libmp import round_ceiling, round_nearest, to_int
+from mpmath.libmp import from_man_exp, log_int_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .derive import IdentitySpec
-from .exactmath import bernoulli_over_factorial, bernoulli_ratio_steps
+from .exactmath import bernoulli_over_factorial
 
 _GUARD = 10
 # Bits of the fixed-point scale beyond 10^-(digits+5) and the first outer
 # coefficient; the ulp tally of a few hundred terms stays far below them.
 _GUARD_BITS = 24
-# Each inner sum gets the budget threshold / (|coefficient| * _INNER_SAFETY).
+# Each G_k gets the budget threshold / (|r_k/(k+1)!| * _INNER_SAFETY).
 _INNER_SAFETY = 16
 # Each outer series runs to at least k0 + _MIN_TERMS.
 _MIN_TERMS = 8
@@ -141,14 +141,13 @@ class EvalReport:
     error_estimate bounds |value - zeta(s)| (|value - zeta'(0)| for
     zeta_prime_at_zero), rounded up to a float. It is
     the sum of, in ulps of the call's scale 2^-P: the outer truncation
-    bound; the inner truncation bounds, each times its |coefficient|; and
+    bound; the inner truncation bounds, each times its |r_k/(k+1)!|; and
     the rounding tally, which covers the head, _ENTRY_ULPS times |W_m| for
     m^-s and _ENTRY_ULPS (m - 2) times |g_j (s)_j| for each power sum S_j
-    of the shifted head, every floor of the (s)_k recurrence and of each
-    coefficient as it propagates into its term, the rounding of each inner
-    sum times its |coefficient|, and the floor of each product. The inner
-    sums come back times N^(k - k_start), so their truncation and rounding
-    bounds count divided by that factor, each rounded up. For
+    of the shifted head, the rounding of each G_k (every floor of the
+    V_m it reads, carried forward through |s + m|/N and capped by the size
+    of V_m, and of its terms) times the exact |r_k/(k+1)!|, each rounded
+    up, and the floor of each product. For
     zeta_prime_at_zero the head values are S_j(0), j >= 1, and the logs
     log m and log((m-1)!), each within 2 ulps, and the tally counts them
     the same way. The estimate is that
@@ -285,18 +284,6 @@ def _modulus_up(re: int, im: int) -> int:
     return a + (b >> 1) + 1
 
 
-def _fixed(q: Fraction, bits: int) -> int:
-    """floor(q * 2^bits): within 1 ulp."""
-    return (q.numerator << bits) // q.denominator
-
-
-def _mpf_fraction(q: Fraction, prec: int) -> tuple:
-    """q as a raw mpf tuple rounded to prec bits, as mp.mpf(q.numerator) /
-    q.denominator rounds it at that precision."""
-    numerator = from_int(q.numerator, prec, round_nearest)
-    return mpf_div(numerator, from_int(q.denominator), prec, round_nearest)
-
-
 def _mp_value(re: int, im: Optional[int], bits: int):
     """(re + i im) * 2^-bits as an mpc, or re * 2^-bits as an mpf when im is
     None, exactly."""
@@ -313,18 +300,6 @@ def _float_up(ulps: int, bits: int) -> float:
         return inf
     x = float(exact)
     return x if x >= exact else nextafter(x, inf)
-
-
-def _pow2_up(e: Fraction) -> int:
-    """An integer in [2^e, 2^e + 2], for e >= 0."""
-    whole = floor(e)
-    frac = e - whole
-    if not frac:
-        return 1 << whole
-    # relative error about 2^-(whole + 18): far below one unit
-    prec = whole + 20
-    x = mpf_pow(from_int(2), _mpf_fraction(frac, prec), prec, round_nearest)
-    return to_int(mpf_shift(x, whole), round_ceiling) + 1
 
 
 def _threshold_bits(digits: int) -> int:
@@ -352,23 +327,31 @@ def _integer_point(re: Fraction, im: Fraction) -> tuple[int, int, int]:
 
 
 class _InnerSums:
-    """The Hurwitz sums zeta(z + k, N), N = _split_point(digits), each
-    times N^(k - start), in fixed point at scale 2^-bits, for one exact z
-    and shifts k >= start, each with a truncation bound and a rounding
-    bound in ulps of the scaled sum; and the head entries n^-(z + shift),
-    n < N, that _power_sums steps.
+    """The sums G_k = (c)_(k - start) zeta(z + k, N), c = z + start and
+    N = _split_point(digits), in fixed point at scale 2^-bits, for one exact
+    z and k >= start, each with a truncation bound and a rounding bound in
+    ulps; and the head entries n^-(z + shift), n < N, that _power_sums
+    steps. eval_identities takes start = 0, so G_k = (s)_k zeta(s + k, N);
+    zeta_prime_at_zero and sum_zeta_m1 take z = 0 and start = 1, so
+    G_k = (k-1)! zeta(k, N).
 
-    The scaled sum stays near N^-(z + start) at every k. The outer series
-    shifts each product right by log2(N) (k - start) more bits
-    (_outer_series), so every error of a scaled sum counts against its
-    term. z = (zr + i zi) / den with integers zr, zi, den, so every z + k,
-    and every factor the Euler-Maclaurin terms need, is exact.
+    Every G_k is read off one sequence V_m = (c)_(m - start) N^-(z+m),
+    m >= start, with V_start = N^-(z+start) and V_(m+1) = V_m (z + m)/N.
+    With beta_j = B_2j/(2j)!, Euler-Maclaurin at N times (c)_(k - start),
+    since (c)_(k-start) (z+k)_i = (c)_(k-start+i), reads
+
+        G_k = V_(k-1) + V_k/2 + sum_{j<=M} beta_j V_(k+2j-1) + R,
+        |R| <= |beta_(M+1)| |V_(k+2M+1)| |z+k+2M+1| / (Re z + k + 2M + 1),
+
+    V_(start-1) = N V_start / (c - 1) standing in for V_(k-1) at k = start.
+    z = (zr + i zi) / den with integers zr, zi, den, so every z + m, and
+    every factor the sums need, is exact.
 
     Every power n^-z, n <= N, is an (re, im) pair of integers in units of
     2^-wp, from mpmath's fixed-point kernels and integer products; at
     z = 0 every power is exactly 2^wp. Below, a
     unit is 2^-wp, e_b = wp 2^(isqrt(wp)//4 + 1), S = |Re z| + |Im z|
-    rounded up, and V_n = n^-z. For each prime p:
+    rounded up, and X_n = n^-z. For each prime p:
 
     - L = log_int_fixed(p, wp) is within e_L = 2 units of log p 2^wp, and so
       are the ln 2 and pi/2 that exp_fixed and cos_sin_fixed reduce by.
@@ -394,16 +377,16 @@ class _InnerSums:
       + 2 (|Re z| log2 p + 2) + e_b units, plus one unit for its floor where
       exp_fixed shifts right, and c and s within d_cs = (2 |Im z| + 1)
       + 2 (0.45 |Im z| log2 p + 2) + e_b. The entry ((u c) >> wp, (u s) >> wp)
-      is then within |V_p| (d_u + d_cs + 1) + 2 units per component: one
+      is then within |X_p| (d_u + d_cs + 1) + 2 units per component: one
       more for the second-order terms, and two for the floors. In modulus
-      that is within (6S + 3e_b + 20) log2 p max(1, |V_p|) units.
+      that is within (6S + 3e_b + 20) log2 p max(1, |X_p|) units.
 
     A composite n = a b, a its least prime factor, is the integer product
     of the entries of a and b, shifted right by wp. Its error is that of
-    a times |V_b|, plus that of b times |V_a|, plus 2 units per product: the
+    a times |X_b|, plus that of b times |X_a|, plus 2 units per product: the
     floors of two components and the product of the two errors. By
-    induction, every entry n is within kappa log2 n max(1, |V_n|) units in
-    modulus, kappa = 6S + 3e_b + 22. And |V_n| <= 2^h, h = max(0,
+    induction, every entry n is within kappa log2 n max(1, |X_n|) units in
+    modulus, kappa = 6S + 3e_b + 22. And |X_n| <= 2^h, h = max(0,
     ceil(-Re z)) log2 N. wp is the least fixed point of wp >= bits + 16 + h
     + bitlen(kappa log2 N); e_b grows with wp. So every component of every
     power is within 2^-16 ulps of n^-z 2^bits once shifted right by
@@ -411,35 +394,36 @@ class _InnerSums:
 
     An entry at shift k is (x >> (wp - bits)) // n^k, x the power n^-z at
     wp. So each of its components is within 2 + 2^-16 ulps, and the entry
-    within _ENTRY_ULPS = 3 in modulus. The one entry of the sums,
-    N^-(z+k) N^(k - start), is the entry at shift start, the same at every
-    k.
+    within _ENTRY_ULPS = 3 in modulus. V_start is the entry N^-(z+start).
 
-    Each shift w = z + k, sigma = Re w, is one of two sums:
+    Each step V_(m+1) = V_m (fr + i zi) / (N den), fr = zr + m den, is one
+    Gaussian product and one floor division per component, so its error
+    E_(m+1) is at most ceil(E_m |fr + i zi| / (N den)) + 2, the modulus
+    bounded by _modulus_up. Where V falls below the scale (Re z in the
+    thousands), that product would grow the bound by |z + m| / N per step
+    while the value stays under one ulp; so the step also carries an
+    integer L_m >= log2(|V_m| 2^bits): L_start = ceil(bits - (Re z + start)
+    log2 N), exact since N is a power of two, and L_(m+1) = L_m +
+    bitlen(_modulus_up(fr, zi)) - bitlen(den) + 1 - log2 N. Then E_m is
+    also at most |V_m| + 2^max(L_m, 0), |V_m| the stored value bounded by
+    _modulus_up, and the lesser bound is kept. Where z + m = 0, every
+    later V is exactly 0, with E = 0; E = 0 marks exactly that.
 
-    - the empty sum, when its bound N^-sigma (1 + N/(sigma - 1)) is at most
+    Each G_k is one of two sums, with the budget in ulps of G_k:
+
+    - the empty sum, when its bound |V_k| (1 + N/(Re z + k - 1)) is at most
       2^(L - 2), L the bit length of the budget (1 for a budget under 4);
-    - else N^(1-w)/(w-1) + N^-w/2 plus Euler-Maclaurin terms
-      T_j = B_2j/(2j)! (w)_(2j-1) N^-(w+2j-1), added until the remainder
-      bound (first omitted term * |w+2m+1|/(sigma+2m+1)) is under budget.
+    - else V_(k-1) + V_k/2 plus the terms beta_j V_(k+2j-1), added until
+      the remainder bound is under budget, or until it stops falling (the
+      series is asymptotic). beta_j is exact: each term is the floor of
+      bn V / bd, beta_j = bn/bd, since a fixed-point beta_j, about
+      2 (2 pi)^-2j, would floor to 0 where V grows.
 
-    The terms come from one recurrence, B_2j/(2j)! folded in:
-    T_1 = w N^-w / (12 N) and
-    T_(j+1) = T_j (w+2j-1)(w+2j) / N^2 * rho_j, with the exact
-    rho_j = [B_(2j+2)/(2j+2)!] / [B_2j/(2j)!] (exactmath.bernoulli_ratio_steps)
-    and w = (wr + i wi)/den, so each step is one integer product and one
-    floor division per component. A step carries the error E_j of T_j to
-    E_(j+1) = E_j |f| |rho_j| / (N den)^2 + 2, f = (w+2j-1)(w+2j) den^2
-    an exact Gaussian integer bounded by |Re f| + |Im f|; T_1 is within
-    _ENTRY_ULPS |w| / (12 N) + 2.
-
-    Every term is linear in N^-w, so the scaled entry gives the scaled sum,
-    and the tests and bounds below hold in its ulps; the budget comes in the
-    same ulps. The rounding bound adds, for each product or quotient of
-    N^-w, the entry error it propagates plus 2 ulps for its floors, and each
-    Euler-Maclaurin term its E_j. When the terms stop shrinking before the
-    budget is met, the returned bound is the one reached, not the budget.
-    No float enters: every test and bound is an integer.
+    The rounding bound adds E_(k-1), the half of E_k and 2 ulps for its
+    floors, and |beta_j| E plus 2 ulps for each term. When the terms stop
+    shrinking before the budget is met, the returned bound is the one
+    reached, not the budget. No float enters: every test and bound is an
+    integer.
     """
 
     def __init__(self, z: tuple[Fraction, Fraction], digits: int, bits: int, start: int):
@@ -450,7 +434,7 @@ class _InnerSums:
         self.start = start
         # wp, the least fixed point of the class docstring's error model
         spread = (abs(self.zr) + abs(self.zi)) // self.den + 1
-        log_n = n.bit_length() - 1
+        self.log_n = log_n = n.bit_length() - 1
         least = bits + 16 + max(0, ceil(-re)) * log_n
         wp = least
         while True:
@@ -462,19 +446,21 @@ class _InnerSums:
         self.wp = wp
         # index n: n^-z as an (re, im) pair of units 2^-wp
         self.powers = [None, None]
-        # N^-(z + start) as an (re, im) pair of ulps, once an inner sum ran
-        self.entry = None
+        # V_m for m = start, start + 1, ... (term), and the L of the last one
+        self.sequence = []
+        self.level = ceil(bits - (re + start) * log_n)
+        # B_2j/(2j)! as (numerator, denominator, |numerator|), from j = 1
+        self.betas = [None]
+        self.used = False
         self.max_order = 0
         self.last_em_k = None
-        # rho_j of the Euler-Maclaurin recurrence, grown as orders rise
-        self.steps = ()
 
     def cutoffs(self) -> dict:
         """The schedule used: N (0 when no inner sum was needed), the
         largest Euler-Maclaurin order, and the last k that needed one (None
         when empty sums sufficed throughout)."""
         return {
-            "direct_terms": 0 if self.entry is None else self.n,
+            "direct_terms": self.n if self.used else 0,
             "correction_order": self.max_order,
             "last_em_k": self.last_em_k,
         }
@@ -518,58 +504,83 @@ class _InnerSums:
         drop, m = self.wp - self.bits, self.n - 1
         return [(log_int_fixed(x, self.wp) >> drop, 0) for x in (m, factorial(m - 1))]
 
+    def term(self, m: int) -> tuple[int, int, int, int]:
+        """V_m for m >= start as (re, im, E, B) in ulps: E bounds its error
+        in modulus and B = _modulus_up(re, im) + E bounds |V_m|, both 0
+        only where V_m is exactly 0. Steps on from the last one computed."""
+        sequence, index = self.sequence, m - self.start
+        if index < len(sequence):
+            return sequence[index]
+        zr, zi, den = self.zr, self.zi, self.den
+        if not sequence:
+            vr, vi = self._entry(self.n, self.start)
+            sequence.append((vr, vi, _ENTRY_ULPS, _modulus_up(vr, vi) + _ENTRY_ULPS))
+        q, den_bits = self.n * den, den.bit_length() + self.log_n - 1
+        while len(sequence) <= index:
+            vr, vi, err, _ = sequence[-1]
+            fr = zr + (self.start + len(sequence) - 1) * den
+            if not (err and (fr or zi)):
+                sequence.append((0, 0, 0, 0))
+                continue
+            size = _modulus_up(fr, zi)
+            vr, vi = (vr * fr - vi * zi) // q, (vr * zi + vi * fr) // q
+            self.level += size.bit_length() - den_bits
+            err = _ceil_div(err * size, q) + 2
+            bound = _modulus_up(vr, vi)
+            if err.bit_length() > self.level:
+                err = min(err, bound + (1 << max(self.level, 0)))
+            sequence.append((vr, vi, err, bound + err))
+        return sequence[index]
+
     def __call__(self, k: int, budget: int):
-        """((re, im) of zeta(z+k, N) N^(k - start), truncation bound,
-        rounding bound), all in ulps, aiming for a truncation bound
-        <= budget."""
+        """((re, im) of G_k, truncation bound, rounding bound), all in ulps,
+        aiming for a truncation bound <= budget."""
+        self.used = True
         den, n = self.den, self.n
         wr, wi = self.zr + k * den, self.zi  # w = z + k = (wr + i wi) / den
-        xr, xi = self.entry = self.entry or self._entry(n, self.start)  # n^-w scaled
-        # the empty sum, within n^-sigma (1 + n/(sigma - 1))
-        last = _modulus_up(xr, xi) + _ENTRY_ULPS
+        # the empty sum, within |V_k| (1 + n/(Re w - 1))
+        xr, xi, x_err, last = self.term(k)
         err = last + _ceil_div(last * n * den, wr - den)
         if err <= 1 << max(budget.bit_length() - 2, 0):
             return (0, 0), err, 0
-        # n * n^-w / (w - 1) = x * n * den * conj(c) / |c|^2, c = (w - 1) den
-        cr, ci = wr - den, wi
-        q = cr * cr + ci * ci
-        m = n * den
-        vr = m * (xr * cr + xi * ci) // q
-        vi = m * (xi * cr - xr * ci) // q
-        rounding = _ceil_div(_ENTRY_ULPS * m, isqrt(q)) + 2
+        if k > self.start:
+            vr, vi, rounding, _ = self.term(k - 1)
+        else:
+            # V_(k-1) = n V_k / (w - 1) = V_k n den conj(c) / |c|^2, c = (w - 1) den
+            cr, ci = wr - den, wi
+            q = cr * cr + ci * ci
+            m = n * den
+            vr = m * (xr * cr + xi * ci) // q
+            vi = m * (xi * cr - xr * ci) // q
+            rounding = _ceil_div(x_err * m, isqrt(q)) + 2
         vr += xr >> 1
         vi += xi >> 1
-        rounding += (_ENTRY_ULPS + 1) // 2 + 2
-        # T_1 = B_2/2! w n^-w / n = w n^-w / (12 n), within t_err
-        dn = den * n
-        q = 12 * dn
-        tr, ti = (xr * wr - xi * wi) // q, (xr * wi + xi * wr) // q
-        t_err = _ceil_div(_ENTRY_ULPS * (abs(wr) + abs(wi)), q) + 2
-        dn2 = dn * dn
-        steps = self.steps
+        rounding += (x_err + 1) // 2 + 2
+        betas, sequence = self.betas, self.sequence
+        # _modulus_up(gr, wi) inline where gr >= |wi|, as gr grows with j
+        half = abs(wi) >> 1
         prev = None
         j = 1
         while True:
-            # the remainder after j - 1 terms: |T_j| |w + 2j - 1| / (sigma + 2j - 1)
+            # the remainder after j - 1 terms:
+            # |beta_j| |V_(k+2j-1)| |w + 2j - 1| / (Re w + 2j - 1)
+            if j == len(betas):
+                bn, bd = bernoulli_over_factorial(j)
+                betas.append((bn, bd, abs(bn)))
+            bn, bd, size = betas[j]
+            m = k + 2 * j - 1
+            index = m - self.start
+            xr, xi, x_err, bound = sequence[index] if index < len(sequence) else self.term(m)
             gr = wr + (2 * j - 1) * den
-            size = _modulus_up(tr, ti) + t_err
-            err = _ceil_div(size * _modulus_up(gr, wi), gr)
+            mod = gr + half + 1 if gr > 2 * half else _modulus_up(gr, wi)
+            err = -(-bound * size * mod // (bd * gr))
             # stop once under budget, or once the asymptotic terms grow
             if err <= budget or (prev is not None and err >= prev):
                 break
-            vr += tr
-            vi += ti
-            rounding += t_err
+            vr += bn * xr // bd
+            vi += bn * xi // bd
+            rounding -= -size * x_err // bd - 2
             prev = err
-            # T_(j+1) = T_j (w + 2j - 1)(w + 2j) / n^2 rho_j: one floor
-            if j >= len(steps):
-                steps = self.steps = bernoulli_ratio_steps(2 * j)
-            rn, rd = steps[j]
-            hr = gr + den
-            fr, fi = (gr * hr - wi * wi) * rn, (gr + hr) * wi * rn
-            q = dn2 * rd
-            tr, ti = (tr * fr - ti * fi) // q, (tr * fi + ti * fr) // q
-            t_err = _ceil_div(t_err * (abs(fr) + abs(fi)), q) + 2
             j += 1
         self.max_order = max(self.max_order, j - 1)
         self.last_em_k = k
@@ -605,8 +616,8 @@ def zeta_m1(sigma, digits: int = 40):
     # the scale resolves 10^-(digits+5) relative to 2^-Re z, the size of
     # zeta(z) - 1 for large Re z, and so does the budget
     bits = _threshold_bits(digits) + floor(re) + 1 + _GUARD_BITS
-    budget = _pow2_up(bits - re) // 10 ** (digits + 5)
-    # sum_{n<N} n^-z plus zeta(z, N)
+    budget = (1 << (bits - ceil(re))) // 10 ** (digits + 5)
+    # sum_{n<N} n^-z plus zeta(z, N), G_0 at start 0
     inner = _InnerSums((re, im), digits, bits, 0)
     hr, hi = next(_power_sums(inner.head()))
     (vr, vi), _, _ = inner(0, budget)
@@ -824,12 +835,9 @@ class _Depth:
     def __init__(self, spec: IdentitySpec):
         self.spec = spec
         self.total_re = self.total_im = 0
-        self.inner_err = 0  # sum of size * inner truncation
+        self.inner_err = 0  # sum of |rho_k| * inner truncation
         self.rounding = 0  # sum of propagated errors
         self.products = 0  # term products, each floored
-        # r_k a_k at the current k (see _outer_pass), its error, and a
-        # bound on its absolute value, all in ulps
-        self.coef_re = self.coef_im = self.coef_err = self.size = 0
         self.terms_used = self.tail_bound = None
 
 
@@ -855,7 +863,8 @@ def _tail_bounded(spec: IdentitySpec, point: tuple[int, int, int], k: int, base_
     Everything is exact: q is rounded up to a/c, and
     S_i(q) = T_i / u^(i+1) with u = c - a, T_0 = a and
     T_i = c sum_{l<i} C(i, l) (-1)^(i-l+1) T_l u^(i-1-l), from
-    (1 - q) S_i = sum_{m>=1} (m^i - (m-1)^i) q^m.
+    (1 - q) S_i = sum_{m>=1} (m^i - (m-1)^i) q^m. The powers of u and each
+    row of binomials are built once, not per term.
     """
     b, _ = spec.series_taylor(k)
     zr, zi, den = point
@@ -864,12 +873,16 @@ def _tail_bounded(spec: IdentitySpec, point: tuple[int, int, int], k: int, base_
     u = c - a
     if u <= 0:
         return False
-    t = [a]
-    for i in range(1, len(b)):
-        t.append(c * sum(comb(i, l) * (-1) ** (i - l + 1) * t[l] * u ** (i - 1 - l) for l in range(i)))
     d = len(b) - 1
-    return sum(abs(b_i) * t_i * u ** (d - i) for i, (b_i, t_i) in enumerate(zip(b, t))) <= (
-        _TAIL_RATIO * abs(b[0]) * u ** (d + 1)
+    powers = [1]  # u^i
+    for _ in range(d + 1):
+        powers.append(powers[-1] * u)
+    t, row = [a], [-1]  # row: C(i, l) (-1)^(i-l+1) for l <= i
+    for i in range(1, d + 1):
+        row = [x - y for x, y in zip([0, *row], [*row, 0])]
+        t.append(c * sum(x * y * z for x, y, z in zip(row, t, powers[i - 1 :: -1])))
+    return sum(abs(b_i) * t_i * powers[d - i] for i, (b_i, t_i) in enumerate(zip(b, t))) <= (
+        _TAIL_RATIO * abs(b[0]) * powers[d + 1]
     )
 
 
@@ -893,10 +906,10 @@ def eval_identities(
     Each identity is evaluated in its shifted split (see the module
     docstring): the head pole/(s-1) + Q(s) + sum_{n<=m} n^-s W_n and the
     series over the inner sums zeta(s + k, m + 1), m + 1 = _split_point(digits).
-    The identities share z, (s)_k / (k+1)!, (m+1)^(1 - Re s - k), the
+    The identities share z, the sequence V_m = (s)_m (m+1)^-(s+m), the
     fixed-point scale (the largest any of them needs) and at each k one
-    inner sum, computed at the tightest budget among the depths that need
-    it. Each depth keeps its own total, error tallies and tail bound, and
+    G_k = (s)_k zeta(s + k, m + 1), computed at the tightest budget among
+    the depths that need it. Each depth keeps its own total, error tallies and tail bound, and
     stops on its own. Every spec is checked before any work: the first
     that cannot be evaluated at s raises what eval_identity raises for it.
     An empty specs raises ValueError.
@@ -917,12 +930,8 @@ def eval_identities(
         heads.append((head, [last, *coefficients]))  # in the order of _head_values
     count = max(len(weights) for _, weights in heads) - 1
     head_ulps = [_ENTRY_ULPS] + [_ENTRY_ULPS * (m - 2)] * count
-    # (s)_k0 / (k0+1)! at the least k0
-    k0 = min(spec.k0 for spec in specs)
-    (ar, ai), scale = _rising(point, k0 + 1)[k0], point[2] ** k0 * factorial(k0 + 1)
-    factor = Fraction(ar, scale), Fraction(ai, scale)
     values = lambda inner: _head_values(inner.head(), count)
-    return _outer_series(specs, (re, im), factor, heads, head_ulps, values, digits)
+    return _outer_series(specs, (re, im), 0, heads, head_ulps, values, digits)
 
 
 def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
@@ -959,33 +968,39 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
     weights += [(H[0] - b0 * m, 0, L), (-G[0], 0, L)]  # of log m and log((m-1)!)
     head_ulps = [_ENTRY_ULPS * (m - 2)] * (size - 1) + [2, 2]
     values = lambda inner: _head_values(inner.head(), size)[2:] + inner.logs()
-    zero, seed = Fraction(0), Fraction(1, k0 * (k0 + 1))
+    zero = Fraction(0)
     heads = [((head.numerator, 0, head.denominator), weights)]
-    return _outer_series([spec], (zero, zero), (seed, zero), heads, head_ulps, values, digits)[0]
+    return _outer_series([spec], (zero, zero), 1, heads, head_ulps, values, digits)[0]
 
 
-def _outer_series(specs, point, factor, heads, head_ulps, values, digits: int) -> list[EvalReport]:
-    """head + sum_i w_i x_i + sum_{k >= k0} r_k a_k zeta(s + k, N) for each
-    spec, in one pass over k from the least k0 (_outer_pass), for the exact
-    s = point, a_k = factor at that k and a_(k+1) = a_k (s + k) / (k + 2),
-    and N = _split_point(digits); one report per (exact head, weights w_i)
-    in heads, each an integer triple (re, im, den). values(inner) gives the
-    x_i in ulps of the pass's _InnerSums, each within head_ulps[i].
-    eval_identities passes (s)_k / (k+1)!, the weights W_m and g_j (s)_j
-    and _head_values; zeta_prime_at_zero passes 1/(k(k+1)) at s = 0, which
-    steps the same way, so _tail_bounded covers both, and the weights of
-    S_j(0), log m and log((m-1)!).
+def _outer_series(specs, point, start, heads, head_ulps, values, digits: int) -> list[EvalReport]:
+    """head + sum_i w_i x_i + sum_{k >= k0} rho_k G_k for each spec, in one
+    pass over k from the least k0 (_outer_pass), for the exact s = point,
+    rho_k = r_k/(k+1)! and G_k = (s + start)_(k - start) zeta(s + k, N)
+    (_InnerSums), N = _split_point(digits); one report per (exact head,
+    weights w_i) in heads, each an integer triple (re, im, den).
+    values(inner) gives the x_i in ulps of the pass's _InnerSums, each
+    within head_ulps[i]. eval_identities passes start 0, so rho_k G_k is
+    r_k (s)_k/(k+1)! zeta(s + k, N), the weights W_m and g_j (s)_j and
+    _head_values; zeta_prime_at_zero passes s = 0 and start 1, so
+    rho_k G_k is r_k/(k(k+1)) zeta(k, N), the s-derivative at 0 of the
+    same term, and the weights of S_j(0), log m and log((m-1)!).
 
-    The pass measures each inner sum against its term (_InnerSums), so P
-    needs only the bits of the largest first coefficient |r_k a_k| at the
-    least k0 and of the head weights times the ulps of the values they
-    multiply (_scale_bits). A depth that starts later enters the pass
-    already divided by N^(k0 - least k0). Where the terms grow relative to
-    the first one, the rounding tally grows with them: if a depth's tally
-    exceeds share = threshold // _INNER_SAFETY ulps (at least 1), the pass
-    runs once more at P plus the bit length of tally // share, and that
-    pass's reports are final."""
-    peak, k = 0, min(spec.k0 for spec in specs)
+    Each rounding of G_k counts against its term, since rho_k is exact,
+    so P needs only the bits of the largest first coefficient
+    |rho_k (s + start)_(k - start)| at the least k0 and of the head weights
+    times the ulps of the values they multiply (_scale_bits). Where the
+    terms grow relative to the first one, the rounding tally grows with
+    them: if a depth's tally exceeds share = threshold // _INNER_SAFETY
+    ulps (at least 1), the pass runs once more at P plus the bit length of
+    tally // share, and that pass's reports are final."""
+    k = min(spec.k0 for spec in specs)
+    zr, zi, den = _integer_point(*point)
+    # (s + start)_(k - start) / (k+1)! at the least k0
+    ar, ai = _rising((zr + start * den, zi, den), k - start + 1)[-1]
+    scale = den ** (k - start) * factorial(k + 1)
+    factor = Fraction(ar, scale), Fraction(ai, scale)
+    peak = 0
     for spec, (_, weights) in zip(specs, heads):
         r = spec.series_coefficient(k)
         if r and any(factor):
@@ -993,33 +1008,33 @@ def _outer_series(specs, point, factor, heads, head_ulps, values, digits: int) -
         for (wr, wi, wd), ulps in zip(weights, head_ulps):
             peak = max(peak, _log2_up(wr, wi, wd) + ulps.bit_length())
     bits = _scale_bits(digits, peak)
-    reports, tally = _outer_pass(specs, point, factor, heads, head_ulps, values, digits, bits)
+    reports, tally = _outer_pass(specs, point, start, heads, head_ulps, values, digits, bits)
     share = max((1 << bits) // 10 ** (digits + 5) // _INNER_SAFETY, 1)
     if tally > share:
         bits += (tally // share).bit_length()
-        reports, _ = _outer_pass(specs, point, factor, heads, head_ulps, values, digits, bits)
+        reports, _ = _outer_pass(specs, point, start, heads, head_ulps, values, digits, bits)
     return reports
 
 
-def _outer_pass(specs, point, factor, heads, head_ulps, values, digits: int, bits: int):
+def _outer_pass(specs, point, start, heads, head_ulps, values, digits: int, bits: int):
     """One pass of _outer_series at scale 2^-bits, with head_ulps the
     errors of the values the head weights multiply: the reports, and the
     largest rounding tally among them in ulps.
 
-    Each inner sum comes back times N^(k - k_start), and each product with
-    a coefficient r_k a_k, each truncation and rounding bound it carries
-    and the inner budget are shifted by bits + log2(N) (k - k_start); the
-    coefficient recurrence and the tail bound stay at
-    scale 2^-bits. A depth stops at the first k >= k0 + _MIN_TERMS whose
-    tail bound is under the threshold and proven to hold (_tail_bounded),
-    which it is at once when every later coefficient vanishes."""
-    re = point[0]
-    whole = zr, zi, den = _integer_point(*point)
+    At each k every running depth adds rho_k G_k, G_k shared and computed
+    at the least budget threshold / (_INNER_SAFETY |rho_k|) among them. A
+    depth stops at the first k >= k0 + _MIN_TERMS whose tail bound
+    4 N |rho_k| |V_k| = |r_k (s + start)_(k - start) / (k+1)!| 4 N^(1 - Re s - k)
+    is under the threshold and proven to hold (_tail_bounded), which it is
+    at once when V_k, and so every later term, is exactly 0. For
+    zeta_prime_at_zero, |rho_k V'_k| = |r_k/(k(k+1))| N^-k steps by
+    k/(k+2) N^-1 as |(s)_k/(k+1)!| N^-k does at s = 0, so _tail_bounded at
+    s = 0 covers it too."""
+    whole = _integer_point(*point)
     depths = [_Depth(spec) for spec in specs]
-    k = k_start = min(spec.k0 for spec in specs)
+    k = min(spec.k0 for spec in specs)
     threshold = (1 << bits) // 10 ** (digits + 5)
-    inner = _InnerSums(point, digits, bits, k_start)
-    base_bits = inner.n.bit_length() - 1  # log2 N
+    inner = _InnerSums(point, digits, bits, start)
     head_values = values(inner)
     for d, (_, weights) in zip(depths, heads):
         for (xr, xi), ulps, (wr, wi, wd) in zip(head_values, head_ulps, weights):
@@ -1027,66 +1042,41 @@ def _outer_pass(specs, point, factor, heads, head_ulps, values, digits: int, bit
             d.total_im += (wr * xi + wi * xr) // wd
             d.rounding += _ceil_div(ulps * _modulus_up(wr, wi), wd)
             d.products += 1
-    # a_k in ulps, within a_err; a_err = 0 marks an exact a
-    ar, ai = _fixed(factor[0], bits), _fixed(factor[1], bits)
-    a_err = 2 if any(factor) else 0
-    # 4 * b^(1 - Re s - k_start), b = 2^base_bits, in units of
-    # 2^-(bits + extra), rounded up, with extra >= 0 keeping it at least
-    # 2^bits for any Re s; shifted right by base_bits (k - k_start) at each
-    # k, never divided in place
-    extra = max(0, ceil(base_bits * (re + k - 1)) - 2)
-    tail_factor = _pow2_up(bits + extra + 2 + base_bits * (1 - k - re))
+    top = factorial(k + 1)  # (k+1)!, exact at every k
     running = list(depths)
     while True:
         active = [d for d in running if d.spec.k0 <= k]
-        exact_zero = not (a_err or ar or ai)
-        shift = bits + base_bits * (k - k_start)
-        largest = 0
+        size = inner.term(k)[3]
+        rhos, budget = [], None
         for d in active:
             r = d.spec.series_coefficient(k)
-            num, rden = r.numerator, r.denominator
-            if exact_zero or not num:
-                d.coef_re = d.coef_im = d.coef_err = d.size = 0
-                continue
-            d.coef_re, d.coef_im = ar * num // rden, ai * num // rden
-            d.coef_err = _ceil_div(a_err * abs(num), rden) + 2
-            d.size = _modulus_up(d.coef_re, d.coef_im) + d.coef_err
-            largest = max(largest, d.size)
-        # size, not r_k, decides: (s)_k vanishes at nonpositive integers
-        if largest:
-            budget = (threshold << shift) // (largest * _INNER_SAFETY)
+            num, rden = r.numerator, r.denominator * top
+            rhos.append((num, rden))
+            if size and num:
+                least = threshold * rden // (abs(num) * _INNER_SAFETY)
+                budget = least if budget is None else min(budget, least)
+        if budget is not None:
             (vr, vi), trunc, rounding = inner(k, budget)
-            v_size = _modulus_up(vr, vi)
-            for d in active:
-                if d.size:
-                    cr, ci = d.coef_re, d.coef_im
-                    d.total_re += (cr * vr - ci * vi) >> shift
-                    d.total_im += (cr * vi + ci * vr) >> shift
-                    # each bound divided by 2^shift, rounded up by a shift
-                    d.inner_err -= (-d.size * trunc) >> shift
-                    d.rounding -= (-d.coef_err * v_size - d.size * rounding) >> shift
+            for d, (num, rden) in zip(active, rhos):
+                if num:
+                    d.total_re += vr * num // rden
+                    d.total_im += vi * num // rden
+                    d.inner_err += _ceil_div(abs(num) * trunc, rden)
+                    d.rounding += _ceil_div(abs(num) * rounding, rden)
                     d.products += 1
-        for d in active:
-            # size * tail_factor / 2^(shift + extra), rounded up by a shift
-            tail_bound = -((-d.size * tail_factor) >> (shift + extra))
+        for d, (num, rden) in zip(active, rhos):
+            tail_bound = _ceil_div(4 * inner.n * abs(num) * size, rden)
             if (
                 k >= d.spec.k0 + _MIN_TERMS
                 and tail_bound < threshold
-                and (exact_zero or _tail_bounded(d.spec, whole, k, base_bits))
+                and (not size or _tail_bounded(d.spec, whole, k, inner.log_n))
             ):
                 d.terms_used, d.tail_bound = k, tail_bound
                 running.remove(d)
         if not running:
             break
-        # a *= (s + k) / (k + 2)
-        fr = zr + k * den
-        if exact_zero or not (fr or zi):
-            ar = ai = a_err = 0
-        else:
-            q = den * (k + 2)
-            ar, ai = (ar * fr - ai * zi) // q, (ar * zi + ai * fr) // q
-            a_err = _ceil_div(a_err * _modulus_up(fr, zi), q) + 2
         k += 1
+        top *= k + 1
     reports, tally = [], 0
     for d, ((hr, hi, hd), _) in zip(depths, heads):
         # the head's two floors and each product's two: 2 ulps each
@@ -1108,16 +1098,16 @@ def _outer_pass(specs, point, factor, heads, head_ulps, values, digits: int, bit
 def sum_zeta_m1(digits: int = 40):
     """Partial sum of sum_{k>=2} (zeta(k) - 1), truncated at the first K
     with 2*2^-K < 10^-digits. The full sum is exactly 1. Each zeta(k) - 1
-    is the power sum sum_{n<N} n^-k plus zeta(k, N)."""
+    is the power sum sum_{n<N} n^-k plus zeta(k, N) = G_k / (k-1)!, G_k
+    from the _InnerSums of z = 0 at start 1."""
     _check_digits(digits)
     k_top = (2 * 10**digits).bit_length()  # the least K with 2^K > 2 * 10^digits
     bits = _scale_bits(digits, 0)
-    inner = _InnerSums((Fraction(0), Fraction(0)), digits, bits, 2)
+    inner = _InnerSums((Fraction(0), Fraction(0)), digits, bits, 1)
     sums = _power_sums(inner.head(2))
-    log_n, unit = inner.n.bit_length() - 1, 10 ** (digits + 5) * _INNER_SAFETY
-    total = 0
+    unit = 10 ** (digits + 5) * _INNER_SAFETY
+    total, weight = 0, 1
     for k in range(2, k_top + 1):
-        # the budget and the value of zeta(k, N) are scaled by N^(k - 2)
-        shift = log_n * (k - 2)
-        total += next(sums)[0] + (inner(k, (1 << (bits + shift)) // unit)[0][0] >> shift)
+        weight *= k - 1  # (k-1)!: the budget and the value of G_k are scaled by it
+        total += next(sums)[0] + inner(k, (weight << bits) // unit)[0][0] // weight
     return _mp_value(total, None, bits)

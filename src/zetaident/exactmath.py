@@ -292,8 +292,8 @@ class Polynomial:
 
 
 class BernoulliCache:
-    """Grow-on-demand table of Bernoulli numbers, B1 = +1/2 convention, of
-    the ratios c_j = B_2j/(2j)!, and of the steps c_(j+1)/c_j between them.
+    """Grow-on-demand table of Bernoulli numbers, B1 = +1/2 convention, and
+    of the ratios c_j = B_2j/(2j)!.
 
     The odd B_m vanish for m >= 3. The even ones come from the tangent
     numbers T_n, B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)). T_n is the
@@ -307,7 +307,6 @@ class BernoulliCache:
     def __init__(self) -> None:
         self._table: list[Fraction] = [Fraction(1), Fraction(1, 2)]
         self._ratios: list[tuple[int, int]] = [(1, 1)]
-        self._steps: list[tuple[int, int]] = []
         self._row = [1]  # the last boustrophedon row built
         self._lock = threading.Lock()
 
@@ -344,20 +343,6 @@ class BernoulliCache:
                     self._ratios.append((q.numerator, q.denominator))
         return self._ratios[j]
 
-    def ratio_steps(self, count: int) -> tuple[tuple[int, int], ...]:
-        """rho_j = [B_(2j+2)/(2j+2)!] / [B_2j/(2j)!] for j < count, each in
-        lowest terms as (numerator, denominator), the denominator positive.
-        rho_0 = 1/12, and the product rho_0 ... rho_(j-1) is B_2j/(2j)!."""
-        if count > len(self._steps):
-            self.ratio(count)
-            with self._lock:
-                while len(self._steps) < count:
-                    j = len(self._steps)
-                    (a, b), (c, d) = self._ratios[j], self._ratios[j + 1]
-                    q = Fraction(c * b, d * a)
-                    self._steps.append((q.numerator, q.denominator))
-        return tuple(self._steps[:count])
-
 
 _BERNOULLI = BernoulliCache()
 
@@ -370,12 +355,6 @@ def bernoulli(m: int) -> Fraction:
 def bernoulli_over_factorial(j: int) -> tuple[int, int]:
     """B_2j/(2j)! in lowest terms, as (numerator, denominator)."""
     return _BERNOULLI.ratio(j)
-
-
-def bernoulli_ratio_steps(count: int) -> tuple[tuple[int, int], ...]:
-    """The steps [B_(2j+2)/(2j+2)!] / [B_2j/(2j)!], j < count, in lowest
-    terms, as (numerator, denominator)."""
-    return _BERNOULLI.ratio_steps(count)
 
 
 def faulhaber(m: int) -> Polynomial:

@@ -10,7 +10,6 @@ from zetaident.exactmath import (
     Polynomial,
     bernoulli,
     bernoulli_over_factorial,
-    bernoulli_ratio_steps,
     divide_linear,
     faulhaber,
     taylor_shift,
@@ -183,10 +182,8 @@ def test_bernoulli_cache_grows_safely_across_threads():
     with ThreadPoolExecutor(max_workers=4) as pool:
         values = list(pool.map(cache.get, indices))
         ratios = list(pool.map(cache.ratio, [i // 2 for i in indices]))
-        steps = list(pool.map(cache.ratio_steps, [i // 2 for i in indices]))
     assert values == [bernoulli(m) for m in indices]
     assert ratios == [bernoulli_over_factorial(i // 2) for i in indices]
-    assert steps == [bernoulli_ratio_steps(i // 2) for i in indices]
 
 
 def test_bernoulli_over_factorial():
@@ -197,24 +194,6 @@ def test_bernoulli_over_factorial():
     assert cache.ratio(6) == bernoulli_over_factorial(6)
     with pytest.raises(ValueError):
         bernoulli_over_factorial(-1)
-
-
-def test_bernoulli_ratio_steps():
-    # rho_j = c_(j+1) / c_j for c_j = B_2j/(2j)!, and the running product of
-    # the rho_j gives back every c_j from c_0 = 1
-    steps = bernoulli_ratio_steps(61)
-    assert len(steps) == 61 and steps[0] == (1, 12)
-    product = Fraction(1)
-    for j, (num, den) in enumerate(steps):
-        assert den > 0
-        step = Fraction(num, den)
-        assert (step.numerator, step.denominator) == (num, den)  # lowest terms
-        ratio = Fraction(*bernoulli_over_factorial(j + 1)) / Fraction(*bernoulli_over_factorial(j))
-        assert step == ratio, j
-        product *= step
-        assert product == bernoulli(2 * j + 2) / factorial(2 * j + 2), j
-    assert BernoulliCache().ratio_steps(61) == steps
-    assert bernoulli_ratio_steps(5) == steps[:5]
 
 
 def test_bernoulli_negative_index():
