@@ -81,11 +81,7 @@ zeta_m1 takes G_0 = zeta(z, N), with V_(-1) = N V_0/(z - 1).
 Each call computes n^-s for n = 2..N-1 once and steps them by floor
 divisions into the power sums S_j (_power_sums); sum_zeta_m1 and zeta_m1
 add zeta(z + k, N) to the power sum sum_{n<N} n^-(z+k) to make
-zeta(z + k) - 1. Each k gets the budget 10^-(digits+5) / (16 |rho_k|) in
-ulps of G_k, the smallest such budget over the depths of a batch. G_k is
-the empty sum when its bound |V_k| (1 + N/(Re s + k - 1)) alone meets the
-budget, else V_(k-1) + V_k/2 plus as many terms beta_j V_(k+2j-1) as the
-remainder bound asks for. The oracle sums
+zeta(z + k) - 1. The oracle sums
 10 + digits direct terms and adds correction terms while they exceed
 10^-(digits + _GUARD). Truncation of each depth's outer series stops at the
 first k >= k0 + 8 whose bound 4 N |rho_k| |V_k| = |r_k| * |(s)_k| /
@@ -93,6 +89,20 @@ first k >= k0 + 8 whose bound 4 N |rho_k| |V_k| = |r_k| * |(s)_k| /
 later terms are proven to fall fast enough for that bound to hold
 (_tail_bounded). That proof fails while |s + k| / (k + 2) >= N, so at
 large |s| the series runs on past the terms that grow before they fall.
+
+Once every depth's last k is known, one band of Euler-Maclaurin orders
+serves the whole pass (_band), after Johansson, who fixes the order from
+the target rather than term by term. The last V index G_k reads barely
+moves with k, so with k* the k of the largest |rho_k V_k| and K the last
+k, J is the least order whose remainder at k* meets 10^-(digits+5) / 16
+relative to rho_k* (or the order where that remainder stops falling),
+T = max(k* + 2J - 1, K + 1), and G_k takes
+min(J, (T - k + 1) // 2) terms. J widens by one while some depth's summed
+truncation sum_k |rho_k| R_k exceeds max(10^-(digits+5) / 16, 1 ulp) and
+one more order at least halves it. Each G_k is then three integer dot
+products over one common denominator of the B_2j/(2j)!
+(exactmath.bernoulli_ratios). zeta_m1 and sum_zeta_m1 search the order
+once, for their own budget, and take the same dot products.
 """
 
 from __future__ import annotations
@@ -102,6 +112,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, floor, inf, isfinite, isqrt, lcm, nextafter
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from mpmath import mp
@@ -109,13 +120,14 @@ from mpmath.libmp import from_man_exp, log_int_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .derive import IdentitySpec
-from .exactmath import bernoulli_over_factorial
+from .exactmath import bernoulli_over_factorial, bernoulli_ratios
 
 _GUARD = 10
 # Bits of the fixed-point scale beyond 10^-(digits+5) and the first outer
 # coefficient; the ulp tally of a few hundred terms stays far below them.
 _GUARD_BITS = 24
-# Each G_k gets the budget threshold / (|r_k/(k+1)!| * _INNER_SAFETY).
+# Each depth's summed inner truncation, and its rounding tally, aims at
+# threshold / _INNER_SAFETY ulps (at least 1).
 _INNER_SAFETY = 16
 # Each outer series runs to at least k0 + _MIN_TERMS.
 _MIN_TERMS = 8
@@ -141,13 +153,14 @@ class EvalReport:
     error_estimate bounds |value - zeta(s)| (|value - zeta'(0)| for
     zeta_prime_at_zero), rounded up to a float. It is
     the sum of, in ulps of the call's scale 2^-P: the outer truncation
-    bound; the inner truncation bounds, each times its |r_k/(k+1)!|; and
-    the rounding tally, which covers the head, _ENTRY_ULPS times |W_m| for
-    m^-s and _ENTRY_ULPS (m - 2) times |g_j (s)_j| for each power sum S_j
-    of the shifted head, the rounding of each G_k (every floor of the
-    V_m it reads, carried forward through |s + m|/N and capped by the size
-    of V_m, and of its terms) times the exact |r_k/(k+1)!|, each rounded
-    up, and the floor of each product. For
+    bound; the inner truncation bounds, each times its |r_k/(k+1)!|,
+    summed per depth; and the rounding tally, which covers the head,
+    _ENTRY_ULPS times |W_m| for m^-s and _ENTRY_ULPS (m - 2) times
+    |g_j (s)_j| for each power sum S_j of the shifted head, the rounding
+    of each G_k (every floor of the V_m it reads, carried forward through
+    |s + m|/N and capped by the size of V_m, and of its dot product) times
+    the exact |r_k/(k+1)!|, each rounded up, and the floor of each
+    product. For
     zeta_prime_at_zero the head values are S_j(0), j >= 1, and the logs
     log m and log((m-1)!), each within 2 ulps, and the tally counts them
     the same way. The estimate is that
@@ -158,10 +171,12 @@ class EvalReport:
     N = _split_point(digits), the least power of two >= 10 + digits, at
     which every inner sum of every caller is an Euler-Maclaurin sum
     zeta(s + k, N) (0 if no inner sum was needed); correction_order, the
-    largest Euler-Maclaurin order any k needed; last_em_k, the last k that
-    needed Euler-Maclaurin terms (None if empty sums sufficed). The reports
-    of one eval_identities batch share one schedule, so they all carry the
-    same cutoffs, those of the whole pass.
+    order J of the pass's band, the most correction terms any G_k took
+    (G_k takes min(J, (T - k + 1) // 2), see _band); last_em_k, the last k
+    whose G_k the pass summed, the last k of the pass unless V_k is
+    exactly 0 there (None if no G_k was summed). The reports of one
+    eval_identities batch share one band, so they all carry the same
+    cutoffs, those of the whole pass.
     """
 
     value: object
@@ -409,21 +424,19 @@ class _InnerSums:
     _modulus_up, and the lesser bound is kept. Where z + m = 0, every
     later V is exactly 0, with E = 0; E = 0 marks exactly that.
 
-    Each G_k is one of two sums, with the budget in ulps of G_k:
-
-    - the empty sum, when its bound |V_k| (1 + N/(Re z + k - 1)) is at most
-      2^(L - 2), L the bit length of the budget (1 for a budget under 4);
-    - else V_(k-1) + V_k/2 plus the terms beta_j V_(k+2j-1), added until
-      the remainder bound is under budget, or until it stops falling (the
-      series is asymptotic). beta_j is exact: each term is the floor of
-      bn V / bd, beta_j = bn/bd, since a fixed-point beta_j, about
-      2 (2 pi)^-2j, would floor to 0 where V grows.
-
-    The rounding bound adds E_(k-1), the half of E_k and 2 ulps for its
-    floors, and |beta_j| E plus 2 ulps for each term. When the terms stop
-    shrinking before the budget is met, the returned bound is the one
-    reached, not the budget. No float enters: every test and bound is an
-    integer.
+    G_k with M correction terms (`sums`) is
+    V_(k-1) + V_k/2 + floor(sum_{j<=M} n_j V_(k+2j-1) / D), where
+    B_2j/(2j)! = n_j/D exactly over one common denominator
+    (exactmath.bernoulli_ratios): a fixed-point beta_j, about 2 (2 pi)^-2j,
+    would floor to 0 where V grows. The real part, the imaginary part and
+    the rounding tally sum_j |n_j| E_(k+2j-1) / D are each one integer dot
+    product. The rounding bound adds E_(k-1), the half of E_k and 2 ulps
+    for its floors, that tally, and 2 ulps for the floor of the dot
+    product. M comes from the caller:
+    `order` finds the least M whose remainder bound meets a budget, or,
+    where the bounds stop falling first (the series is asymptotic), the M
+    of the least one; `remainder` gives the bound of a given M. No float
+    enters: every test and bound is an integer.
     """
 
     def __init__(self, z: tuple[Fraction, Fraction], digits: int, bits: int, start: int):
@@ -446,19 +459,23 @@ class _InnerSums:
         self.wp = wp
         # index n: n^-z as an (re, im) pair of units 2^-wp
         self.powers = [None, None]
-        # V_m for m = start, start + 1, ... (term), and the L of the last one
-        self.sequence = []
+        # V_m for m = start, start + 1, ...: its parts, its error E_m and
+        # the bound _modulus_up + E_m of |V_m|, and the L of the last one
+        self.re, self.im, self.err, self.bound = [], [], [], []
         self.level = ceil(bits - (re + start) * log_n)
-        # B_2j/(2j)! as (numerator, denominator, |numerator|), from j = 1
+        # |B_2j/(2j)!| as (|numerator|, denominator), from j = 1
         self.betas = [None]
+        # D and the n_j, |n_j| for j >= 1 of bernoulli_ratios(M), M the
+        # largest order summed so far
+        self.count, self.ratios = -1, None
         self.used = False
         self.max_order = 0
         self.last_em_k = None
 
     def cutoffs(self) -> dict:
         """The schedule used: N (0 when no inner sum was needed), the
-        largest Euler-Maclaurin order, and the last k that needed one (None
-        when empty sums sufficed throughout)."""
+        largest Euler-Maclaurin order, and the last k whose G_k was summed
+        (None when none was)."""
         return {
             "direct_terms": self.n if self.used else 0,
             "correction_order": self.max_order,
@@ -504,87 +521,105 @@ class _InnerSums:
         drop, m = self.wp - self.bits, self.n - 1
         return [(log_int_fixed(x, self.wp) >> drop, 0) for x in (m, factorial(m - 1))]
 
-    def term(self, m: int) -> tuple[int, int, int, int]:
-        """V_m for m >= start as (re, im, E, B) in ulps: E bounds its error
-        in modulus and B = _modulus_up(re, im) + E bounds |V_m|, both 0
-        only where V_m is exactly 0. Steps on from the last one computed."""
-        sequence, index = self.sequence, m - self.start
-        if index < len(sequence):
-            return sequence[index]
+    def size(self, m: int) -> int:
+        """The bound of |V_m| in ulps, m >= start, 0 only where V_m is
+        exactly 0. Steps the sequence on to m first."""
+        re, im, errs, bounds = self.re, self.im, self.err, self.bound
+        index = m - self.start
+        if index < len(bounds):
+            return bounds[index]
         zr, zi, den = self.zr, self.zi, self.den
-        if not sequence:
+        if not bounds:
             vr, vi = self._entry(self.n, self.start)
-            sequence.append((vr, vi, _ENTRY_ULPS, _modulus_up(vr, vi) + _ENTRY_ULPS))
+            re.append(vr)
+            im.append(vi)
+            errs.append(_ENTRY_ULPS)
+            bounds.append(_modulus_up(vr, vi) + _ENTRY_ULPS)
         q, den_bits = self.n * den, den.bit_length() + self.log_n - 1
-        while len(sequence) <= index:
-            vr, vi, err, _ = sequence[-1]
-            fr = zr + (self.start + len(sequence) - 1) * den
-            if not (err and (fr or zi)):
-                sequence.append((0, 0, 0, 0))
-                continue
-            size = _modulus_up(fr, zi)
-            vr, vi = (vr * fr - vi * zi) // q, (vr * zi + vi * fr) // q
-            self.level += size.bit_length() - den_bits
-            err = _ceil_div(err * size, q) + 2
-            bound = _modulus_up(vr, vi)
-            if err.bit_length() > self.level:
-                err = min(err, bound + (1 << max(self.level, 0)))
-            sequence.append((vr, vi, err, bound + err))
-        return sequence[index]
+        vr, vi, err, level = re[-1], im[-1], errs[-1], self.level
+        fr = zr + (self.start + len(bounds) - 1) * den
+        while len(bounds) <= index:
+            if err and (fr or zi):
+                size = _modulus_up(fr, zi)
+                vr, vi = (vr * fr - vi * zi) // q, (vr * zi + vi * fr) // q
+                level += size.bit_length() - den_bits
+                err = -(-err * size // q) + 2
+                bound = _modulus_up(vr, vi)
+                if err.bit_length() > level:
+                    err = min(err, bound + (1 << max(level, 0)))
+                bound += err
+            else:
+                vr = vi = err = bound = 0
+            re.append(vr)
+            im.append(vi)
+            errs.append(err)
+            bounds.append(bound)
+            fr += den
+        self.level = level
+        return bounds[index]
 
-    def __call__(self, k: int, budget: int):
-        """((re, im) of G_k, truncation bound, rounding bound), all in ulps,
-        aiming for a truncation bound <= budget."""
-        self.used = True
-        den, n = self.den, self.n
-        wr, wi = self.zr + k * den, self.zi  # w = z + k = (wr + i wi) / den
-        # the empty sum, within |V_k| (1 + n/(Re w - 1))
-        xr, xi, x_err, last = self.term(k)
-        err = last + _ceil_div(last * n * den, wr - den)
-        if err <= 1 << max(budget.bit_length() - 2, 0):
-            return (0, 0), err, 0
-        if k > self.start:
-            vr, vi, rounding, _ = self.term(k - 1)
-        else:
-            # V_(k-1) = n V_k / (w - 1) = V_k n den conj(c) / |c|^2, c = (w - 1) den
-            cr, ci = wr - den, wi
-            q = cr * cr + ci * ci
-            m = n * den
-            vr = m * (xr * cr + xi * ci) // q
-            vi = m * (xi * cr - xr * ci) // q
-            rounding = _ceil_div(x_err * m, isqrt(q)) + 2
-        vr += xr >> 1
-        vi += xi >> 1
-        rounding += (x_err + 1) // 2 + 2
-        betas, sequence = self.betas, self.sequence
-        # _modulus_up(gr, wi) inline where gr >= |wi|, as gr grows with j
-        half = abs(wi) >> 1
-        prev = None
-        j = 1
-        while True:
-            # the remainder after j - 1 terms:
-            # |beta_j| |V_(k+2j-1)| |w + 2j - 1| / (Re w + 2j - 1)
-            if j == len(betas):
-                bn, bd = bernoulli_over_factorial(j)
-                betas.append((bn, bd, abs(bn)))
-            bn, bd, size = betas[j]
-            m = k + 2 * j - 1
-            index = m - self.start
-            xr, xi, x_err, bound = sequence[index] if index < len(sequence) else self.term(m)
-            gr = wr + (2 * j - 1) * den
-            mod = gr + half + 1 if gr > 2 * half else _modulus_up(gr, wi)
-            err = -(-bound * size * mod // (bd * gr))
-            # stop once under budget, or once the asymptotic terms grow
-            if err <= budget or (prev is not None and err >= prev):
+    def remainder(self, k: int, order: int) -> int:
+        """The bound of R for G_k with M = order correction terms, in ulps:
+        |beta_(M+1)| |V_(k+2M+1)| |w + 2M + 1| / (Re w + 2M + 1), w = z + k,
+        rounded up."""
+        betas = self.betas
+        while len(betas) <= order + 1:
+            bn, bd = bernoulli_over_factorial(len(betas))
+            betas.append((abs(bn), bd))
+        size, bd = betas[order + 1]
+        m = k + 2 * order + 1
+        gr = self.zr + m * self.den  # > 0
+        return -(-self.size(m) * size * _modulus_up(gr, self.zi) // (bd * gr))
+
+    def order(self, k: int, budget: int) -> int:
+        """The least M whose remainder bound for G_k is at most budget ulps,
+        or, where the bounds stop falling first, the M of the least one."""
+        order, best = 0, self.remainder(k, 0)
+        while best > budget:
+            nearer = self.remainder(k, order + 1)
+            if nearer >= best:
                 break
-            vr += bn * xr // bd
-            vi += bn * xi // bd
-            rounding -= -size * x_err // bd - 2
-            prev = err
-            j += 1
-        self.max_order = max(self.max_order, j - 1)
-        self.last_em_k = k
-        return (vr, vi), err, rounding
+            order, best = order + 1, nearer
+        return order
+
+    def sums(self, pairs: list[tuple[int, int]]) -> list[tuple[tuple[int, int], int]]:
+        """((re, im) of G_k with M correction terms, rounding bound), all in
+        ulps, for each (k, M) in pairs."""
+        count = max(m for _, m in pairs)
+        self.used = True
+        self.max_order = max(self.max_order, count)
+        self.last_em_k = max(k for k, _ in pairs)
+        self.size(max(k + 2 * m for k, m in pairs))
+        if count > self.count:
+            den, numerators = bernoulli_ratios(count)
+            self.count, self.ratios = count, (den, numerators[1:], [abs(x) for x in numerators[1:]])
+        den, numerators, sizes = self.ratios
+        re, im, errs, start = self.re, self.im, self.err, self.start
+        out = []
+        for k, m in pairs:
+            index = k - start
+            xr, xi, x_err = re[index], im[index], errs[index]
+            if index:
+                vr, vi, rounding = re[index - 1], im[index - 1], errs[index - 1]
+            else:
+                # V_(k-1) = n V_k / (w - 1) = V_k n den conj(c) / |c|^2,
+                # w = z + k and c = (w - 1) den
+                cr, ci = self.zr + (k - 1) * self.den, self.zi
+                q = cr * cr + ci * ci
+                scale = self.n * self.den
+                vr = scale * (xr * cr + xi * ci) // q
+                vi = scale * (xi * cr - xr * ci) // q
+                rounding = _ceil_div(x_err * scale, isqrt(q)) + 2
+            vr += xr >> 1
+            vi += xi >> 1
+            rounding += (x_err + 1) // 2 + 2
+            if m:
+                part = slice(index + 1, index + 2 * m, 2)  # V_(k+1), V_(k+3), ...
+                vr += sum(map(mul, numerators, re[part])) // den
+                vi += sum(map(mul, numerators, im[part])) // den
+                rounding -= -sum(map(mul, sizes, errs[part])) // den - 2
+            out.append(((vr, vi), rounding))
+        return out
 
 
 def _power_sums(entries: list[tuple[int, int]]):
@@ -620,7 +655,7 @@ def zeta_m1(sigma, digits: int = 40):
     # sum_{n<N} n^-z plus zeta(z, N), G_0 at start 0
     inner = _InnerSums((re, im), digits, bits, 0)
     hr, hi = next(_power_sums(inner.head()))
-    (vr, vi), _, _ = inner(0, budget)
+    [((vr, vi), _)] = inner.sums([(0, inner.order(0, budget))])
     return _mp_value(vr + hr, vi + hi if im else None, bits)
 
 
@@ -829,12 +864,14 @@ def _head_values(entries: list[tuple[int, int]], count: int) -> list[tuple[int, 
 
 class _Depth:
     """One identity's share of a pass: its running outer sum (an (re, im)
-    pair of ulps), its error tallies in ulps, and, once its tail bound is
-    met, where it stopped."""
+    pair of ulps), its error tallies in ulps, the G_k it adds, and, once its
+    tail bound is met, where it stopped."""
 
     def __init__(self, spec: IdentitySpec):
         self.spec = spec
         self.total_re = self.total_im = 0
+        # (index of k in the pass, num, |num|, rden): rho_k = num/rden
+        self.terms = []
         self.inner_err = 0  # sum of |rho_k| * inner truncation
         self.rounding = 0  # sum of propagated errors
         self.products = 0  # term products, each floored
@@ -908,11 +945,12 @@ def eval_identities(
     series over the inner sums zeta(s + k, m + 1), m + 1 = _split_point(digits).
     The identities share z, the sequence V_m = (s)_m (m+1)^-(s+m), the
     fixed-point scale (the largest any of them needs) and at each k one
-    G_k = (s)_k zeta(s + k, m + 1), computed at the tightest budget among
-    the depths that need it. Each depth keeps its own total, error tallies and tail bound, and
-    stops on its own. Every spec is checked before any work: the first
-    that cannot be evaluated at s raises what eval_identity raises for it.
-    An empty specs raises ValueError.
+    G_k = (s)_k zeta(s + k, m + 1), from one band of Euler-Maclaurin orders
+    that meets every depth's summed budget (_band). Each depth keeps its
+    own total, error tallies and tail bound, and stops on its own. Every
+    spec is checked before any work: the first that cannot be evaluated at
+    s raises what eval_identity raises for it. An empty specs raises
+    ValueError.
     """
     _check_digits(digits)
     if not specs:
@@ -1016,20 +1054,39 @@ def _outer_series(specs, point, start, heads, head_ulps, values, digits: int) ->
     return reports
 
 
+def _band(inner: _InnerSums, ks: list[int], depths: list[_Depth], k_star: int, order: int):
+    """The band of `order` over the G_k, k in ks (_outer_pass): the orders
+    M_k = min(order, (T - k + 1) // 2), T = max(k_star + 2 order - 1,
+    K + 1) and K the last k, so no G_k reads V past V_T; and
+    each depth's summed truncation sum_k |rho_k| R_k in ulps, R_k the
+    remainder bound of M_k, rounded up per k."""
+    last = max(ks[-1] + 1, k_star + 2 * order - 1)
+    orders = [min(order, (last - k + 1) // 2) for k in ks]
+    bounds = [inner.remainder(k, m) for k, m in zip(ks, orders)]
+    truncation = [sum(-(-size * bounds[i] // rden) for i, _, size, rden in d.terms) for d in depths]
+    return orders, truncation
+
+
 def _outer_pass(specs, point, start, heads, head_ulps, values, digits: int, bits: int):
     """One pass of _outer_series at scale 2^-bits, with head_ulps the
     errors of the values the head weights multiply: the reports, and the
     largest rounding tally among them in ulps.
 
-    At each k every running depth adds rho_k G_k, G_k shared and computed
-    at the least budget threshold / (_INNER_SAFETY |rho_k|) among them. A
-    depth stops at the first k >= k0 + _MIN_TERMS whose tail bound
+    First each depth's last k: a depth stops at the first
+    k >= k0 + _MIN_TERMS whose tail bound
     4 N |rho_k| |V_k| = |r_k (s + start)_(k - start) / (k+1)!| 4 N^(1 - Re s - k)
     is under the threshold and proven to hold (_tail_bounded), which it is
     at once when V_k, and so every later term, is exactly 0. For
     zeta_prime_at_zero, |rho_k V'_k| = |r_k/(k(k+1))| N^-k steps by
     k/(k+2) N^-1 as |(s)_k/(k+1)!| N^-k does at s = 0, so _tail_bounded at
-    s = 0 covers it too."""
+    s = 0 covers it too. Then one band of orders for every G_k (_band): J is
+    the least order that meets share = max(threshold // _INNER_SAFETY, 1)
+    at k*, the k with the largest tail bound, relative to its rho_k*, or
+    the order where that remainder stops falling. J widens by one while
+    some depth's summed truncation exceeds share and one more order at
+    least halves every such sum; otherwise the reports carry the bound
+    reached. Every running depth then adds rho_k G_k at each of its k, G_k
+    shared; G_k is exactly 0 where V_k is, and is skipped there."""
     whole = _integer_point(*point)
     depths = [_Depth(spec) for spec in specs]
     k = min(spec.k0 for spec in specs)
@@ -1044,28 +1101,21 @@ def _outer_pass(specs, point, start, heads, head_ulps, values, digits: int, bits
             d.products += 1
     top = factorial(k + 1)  # (k+1)!, exact at every k
     running = list(depths)
-    while True:
-        active = [d for d in running if d.spec.k0 <= k]
-        size = inner.term(k)[3]
-        rhos, budget = [], None
-        for d in active:
+    # each k whose G_k some depth adds, and the k whose tail bound, 4 N
+    # times the bound of |rho_k V_k|, is the largest
+    ks, peak, star = [], -1, None
+    while running:
+        size = inner.size(k)
+        for d in [d for d in running if d.spec.k0 <= k]:
             r = d.spec.series_coefficient(k)
             num, rden = r.numerator, r.denominator * top
-            rhos.append((num, rden))
-            if size and num:
-                least = threshold * rden // (abs(num) * _INNER_SAFETY)
-                budget = least if budget is None else min(budget, least)
-        if budget is not None:
-            (vr, vi), trunc, rounding = inner(k, budget)
-            for d, (num, rden) in zip(active, rhos):
-                if num:
-                    d.total_re += vr * num // rden
-                    d.total_im += vi * num // rden
-                    d.inner_err += _ceil_div(abs(num) * trunc, rden)
-                    d.rounding += _ceil_div(abs(num) * rounding, rden)
-                    d.products += 1
-        for d, (num, rden) in zip(active, rhos):
             tail_bound = _ceil_div(4 * inner.n * abs(num) * size, rden)
+            if size and num:
+                if not ks or ks[-1] != k:
+                    ks.append(k)
+                d.terms.append((len(ks) - 1, num, abs(num), rden))
+                if tail_bound > peak:
+                    peak, star = tail_bound, (k, abs(num), rden)
             if (
                 k >= d.spec.k0 + _MIN_TERMS
                 and tail_bound < threshold
@@ -1073,10 +1123,33 @@ def _outer_pass(specs, point, start, heads, head_ulps, values, digits: int, bits
             ):
                 d.terms_used, d.tail_bound = k, tail_bound
                 running.remove(d)
-        if not running:
-            break
         k += 1
         top *= k + 1
+    if ks:
+        share = max(threshold // _INNER_SAFETY, 1)
+        k_star, num, rden = star
+        order = inner.order(k_star, share * rden // num)
+        orders, truncation = _band(inner, ks, depths, k_star, order)
+        while max(truncation) > share:
+            wider, widened = _band(inner, ks, depths, k_star, order + 1)
+            # one more order costs one more product per G_k: worth it only
+            # while it at least halves every sum over the share
+            if any(2 * w > t for t, w in zip(truncation, widened) if t > share):
+                break
+            order, orders, truncation = order + 1, wider, widened
+        sums = inner.sums(list(zip(ks, orders)))
+        for d, t in zip(depths, truncation):
+            d.inner_err = t
+            total_re = total_im = rounding = 0
+            for i, num, size, rden in d.terms:
+                (vr, vi), err = sums[i]
+                total_re += vr * num // rden
+                total_im += vi * num // rden
+                rounding -= -size * err // rden
+            d.total_re += total_re
+            d.total_im += total_im
+            d.rounding += rounding
+            d.products += len(d.terms)
     reports, tally = [], 0
     for d, ((hr, hi, hd), _) in zip(depths, heads):
         # the head's two floors and each product's two: 2 ulps each
@@ -1105,9 +1178,13 @@ def sum_zeta_m1(digits: int = 40):
     bits = _scale_bits(digits, 0)
     inner = _InnerSums((Fraction(0), Fraction(0)), digits, bits, 1)
     sums = _power_sums(inner.head(2))
-    unit = 10 ** (digits + 5) * _INNER_SAFETY
+    # G_k / (k-1)! = zeta(k, N) is largest at k = 2: its order J sets the
+    # band, and no G_k reads V past V_(2J+1), the last one G_2 reads
+    order = inner.order(2, (1 << bits) // (10 ** (digits + 5) * _INNER_SAFETY))
+    ks = range(2, k_top + 1)
+    orders = [max(min(order, order + 1 - (k + 1) // 2), 0) for k in ks]
     total, weight = 0, 1
-    for k in range(2, k_top + 1):
-        weight *= k - 1  # (k-1)!: the budget and the value of G_k are scaled by it
-        total += next(sums)[0] + inner(k, (weight << bits) // unit)[0][0] // weight
+    for k, ((vr, _), _) in zip(ks, inner.sums(list(zip(ks, orders)))):
+        weight *= k - 1  # (k-1)!
+        total += next(sums)[0] + vr // weight
     return _mp_value(total, None, bits)

@@ -300,6 +300,9 @@ class BernoulliCache:
     zigzag number A_(2n-1), the last entry of row 2n-1 of the Seidel
     boustrophedon triangle: row 0 is (1), and row m is 0 followed by the
     running sums of row m-1 read backwards, m integer additions.
+    The table also holds, per count, the ratios c_j, j <= count, as
+    integers over their least common denominator, so a sum of several
+    c_j x_j is one integer dot product and one division.
     Growth happens under a lock; reads of already-computed entries are
     lock-free (entries are immutable once written).
     """
@@ -307,6 +310,7 @@ class BernoulliCache:
     def __init__(self) -> None:
         self._table: list[Fraction] = [Fraction(1), Fraction(1, 2)]
         self._ratios: list[tuple[int, int]] = [(1, 1)]
+        self._common: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._row = [1]  # the last boustrophedon row built
         self._lock = threading.Lock()
 
@@ -343,6 +347,26 @@ class BernoulliCache:
                     self._ratios.append((q.numerator, q.denominator))
         return self._ratios[j]
 
+    def common(self, count: int) -> tuple[int, tuple[int, ...]]:
+        """(D, (n_0, ..., n_count)) with B_2j/(2j)! = n_j/D for j <= count,
+        D the least common denominator of those ratios. Each count's
+        snapshot is built once and never changes. A snapshot for a larger
+        count would serve too, but its D, and so every n_j, is larger:
+        about 2 count log2(count) bits."""
+        if count < 0:
+            raise ValueError("Bernoulli index must be nonnegative")
+        snapshot = self._common.get(count)
+        if snapshot is None:
+            self.ratio(count)
+            with self._lock:
+                snapshot = self._common.get(count)
+                if snapshot is None:
+                    ratios = self._ratios[: count + 1]
+                    den = lcm(*(d for _, d in ratios))
+                    snapshot = den, tuple(n * (den // d) for n, d in ratios)
+                    self._common[count] = snapshot
+        return snapshot
+
 
 _BERNOULLI = BernoulliCache()
 
@@ -355,6 +379,12 @@ def bernoulli(m: int) -> Fraction:
 def bernoulli_over_factorial(j: int) -> tuple[int, int]:
     """B_2j/(2j)! in lowest terms, as (numerator, denominator)."""
     return _BERNOULLI.ratio(j)
+
+
+def bernoulli_ratios(count: int) -> tuple[int, tuple[int, ...]]:
+    """(D, (n_0, ..., n_count)) with B_2j/(2j)! = n_j/D for j <= count, over
+    one common denominator D."""
+    return _BERNOULLI.common(count)
 
 
 def faulhaber(m: int) -> Polynomial:

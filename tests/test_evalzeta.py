@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import isqrt
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import ctx_mp_python, mp
 
-from zetaident import derive_identity, evalzeta
+from zetaident import derive_identity, evalzeta, exactmath
 from zetaident.cli import ORACLE_GRID
 from zetaident.derive import identity_from_json, identity_to_json
 from zetaident.evalzeta import (
@@ -232,13 +233,15 @@ def test_report_fields(specs64):
     assert report.p_used == 2
     assert report.terms_used >= specs64[2].k0 + 8
     assert report.error_estimate >= 0
-    # m + 1 = 64 at 40 digits: every inner sum is Euler-Maclaurin at n = 64
+    # m + 1 = 64 at 40 digits: every inner sum is Euler-Maclaurin at n = 64,
+    # with the band's order J and through the pass's last k
     assert report.inner_sum_cutoffs == {
         "first_n": 64,
         "direct_terms": 64,
-        "correction_order": 13,
-        "last_em_k": 24,
+        "correction_order": 14,
+        "last_em_k": 25,
     }
+    assert report.terms_used == 25
 
 
 def test_series_short_circuits_at_negative_even_integers(specs64):
@@ -300,6 +303,28 @@ def test_contract_against_mpmath_zeta(specs64, p, s, digits):
         err = abs(report.value - mp.zeta(_mp_point(s)))
     assert err <= report.error_estimate, mp.nstr(err, 3)
     assert report.error_estimate <= 10.0**-digits, report.error_estimate
+
+
+@pytest.mark.parametrize(
+    "t, digits, order",
+    # no more than a least order searched at every k takes at these points
+    [(100, 20, 54), (200, 20, 17), (400, 40, 25), (1000, 40, 1)],
+)
+def test_band_stops_widening_at_large_imaginary_part(specs64, t, digits, order):
+    # depth 1 at 0.5 + ti: past t = 100 Euler-Maclaurin at N = 32 or 64
+    # cannot meet the target, and one more order lowers the summed
+    # truncation by little or nothing. The band stops widening there and
+    # reports the bound it reached, which must still hold.
+    s = (F(1, 2), F(t))
+    start = time.process_time()
+    report = eval_identity(specs64[1], s, digits)
+    assert time.process_time() - start < 1
+    assert report.inner_sum_cutoffs["correction_order"] <= order
+    with mp.workdps(digits + 40):
+        err = abs(report.value - mp.zeta(_mp_point(s)))
+    assert err <= report.error_estimate, (mp.nstr(err, 3), report.error_estimate)
+    if t == 100:
+        assert report.error_estimate <= 10.0**-digits
 
 
 @settings(max_examples=25, deadline=None)
@@ -651,6 +676,14 @@ def _shift(z, k):
     return z[0] + k, z[1]
 
 
+def _inner_sum(inner, k, budget):
+    """G_k at the least order whose remainder meets budget, as zeta_m1 takes
+    it: (value, truncation bound, rounding bound), all in ulps."""
+    order = inner.order(k, budget)
+    [(value, rounding)] = inner.sums([(k, order)])
+    return value, inner.remainder(k, order), rounding
+
+
 def _rising_budget(c, j, bits, digits):
     """|(c)_j| 10^-digits in ulps of 2^-bits, rounded down: a budget of
     10^-digits for zeta(w, N), in the ulps of G = (c)_j zeta(w, N)."""
@@ -662,21 +695,21 @@ def _rising_budget(c, j, bits, digits):
 @pytest.mark.parametrize("z, k0", [((F(2), F(0)), 0), ((F(1, 2), F(14134725, 10**6)), 1)])
 def test_inner_sums_within_their_bounds(z, k0, stride):
     # G_k = (z + k0)_(k - k0) zeta(z + k, N), N = 64 at 40 digits, from the
-    # one sequence V_m started at N^-(z+k0): Euler-Maclaurin sums while V_k
-    # is large, the empty sum once its tail bound meets the budget, 1e-50
+    # one sequence V_m started at N^-(z+k0): several correction terms while
+    # V_k is large, none once V_(k-1) + V_k/2 alone meets the budget, 1e-50
     # scaled as G_k is
     digits, bits = 40, 200
     ks = range(k0, 201, stride)
-    routes, results = set(), []
+    orders, results = set(), []
     inner = _InnerSums(z, digits, bits, k0)
     assert inner.n == 64
     for k in ks:
         budget = _rising_budget(_shift(z, k0), k - k0, bits, 50)
-        value, err, rounding = inner(k, budget)
-        routes.add("em" if inner.last_em_k == k else "empty")
+        orders.add(inner.order(k, budget))
+        value, err, rounding = _inner_sum(inner, k, budget)
         assert err <= budget
         results.append((k, value, err + rounding))
-    assert routes == {"empty", "em"}
+    assert 0 in orders and max(orders) > 1
     for k, value, bound in results:
         # mpmath subtracts sum_{n<64} n^-w from zeta(w), which cancels
         # 2 digits per k
@@ -692,7 +725,7 @@ def test_inner_sum_reports_an_unmet_budget():
     bits = 700
     budget = (1 << bits) // 10**200
     z = (F(3, 2), F(14))
-    value, err, rounding = _InnerSums(z, 40, bits, 0)(0, budget)
+    value, err, rounding = _inner_sum(_InnerSums(z, 40, bits, 0), 0, budget)
     assert err > budget
     with mp.workdps(80):
         bound = mp.mpf(err + rounding) / mp.mpf(2) ** bits
@@ -706,7 +739,7 @@ def test_inner_sum_rounding_is_tallied(z):
     # at a scale of 2^-64 the floors of the Euler-Maclaurin route cost more
     # than its truncation: only the rounding bound covers them
     bits = 64
-    value, err, rounding = _InnerSums(z, 40, bits, 0)(0, 4)
+    value, err, rounding = _inner_sum(_InnerSums(z, 40, bits, 0), 0, 4)
     with mp.workdps(60):
         actual = abs(mp.mpc(*value) - mp.zeta(_mp_point(z), 64) * mp.mpf(2) ** bits)
     assert err < actual <= err + rounding
@@ -732,7 +765,7 @@ def test_shifted_inner_sums_within_their_bounds(z, k, digits):
     n = _least_power_of_two(10 + digits)
     budget = _rising_budget(z, k, bits, digits + 5)
     inner = _InnerSums(z, digits, bits, 0)
-    value, err, rounding = inner(k, budget)
+    value, err, rounding = _inner_sum(inner, k, budget)
     assert inner.last_em_k == k
     assert inner.cutoffs()["direct_terms"] == n
     assert err <= budget
@@ -980,16 +1013,19 @@ def test_evaluator_never_sets_mpmath_precision(specs64, monkeypatch):
     assert [call() for call in calls] == expected
 
 
-def test_threads_get_the_serial_bits(specs64):
+def test_threads_get_the_serial_bits(specs64, monkeypatch):
     spec = specs64[5]
     points = [F(-13, 4), F(-3, 2), F(-1, 4), F(5, 2), (F(1, 2), F(3)), (F(-2), F(5, 2))]
-    tasks = [(s, digits) for s in points for digits in (15, 120)]
+    tasks = [(s, digits) for s in points for digits in (15, 40, 120, 300)]
 
     def run(task):
         report = eval_identity(spec, *task)
         return _raw(report.value), report.error_estimate, report.terms_used
 
     serial = [run(task) for task in tasks]
+    # a fresh Bernoulli table: the threads grow its common-denominator
+    # snapshots at 40 and 300 digits while others read them
+    monkeypatch.setattr(exactmath, "_BERNOULLI", exactmath.BernoulliCache())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:

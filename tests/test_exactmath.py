@@ -1,6 +1,6 @@
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +10,7 @@ from zetaident.exactmath import (
     Polynomial,
     bernoulli,
     bernoulli_over_factorial,
+    bernoulli_ratios,
     divide_linear,
     faulhaber,
     taylor_shift,
@@ -194,6 +195,35 @@ def test_bernoulli_over_factorial():
     assert cache.ratio(6) == bernoulli_over_factorial(6)
     with pytest.raises(ValueError):
         bernoulli_over_factorial(-1)
+
+
+def test_bernoulli_ratios_share_one_denominator():
+    # n_j / D = B_2j/(2j)! for every j <= count, D the least common
+    # denominator of those ratios
+    den, numerators = bernoulli_ratios(120)
+    assert len(numerators) == 121
+    assert den == lcm(*(bernoulli_over_factorial(j)[1] for j in range(121)))
+    for j, n in enumerate(numerators):
+        assert Fraction(n, den) == Fraction(*bernoulli_over_factorial(j)), j
+    assert bernoulli_ratios(0) == (1, (1,))
+    with pytest.raises(ValueError):
+        bernoulli_ratios(-1)
+
+
+def test_bernoulli_ratios_grow_safely_across_threads():
+    # threads grow one fresh table to different counts at once; every
+    # snapshot holds the exact ratios, and a count has one snapshot
+    cache = BernoulliCache()
+    counts = [120, 7, 64, 2, 99, 31, 80, 0] * 4
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        snapshots = list(pool.map(cache.common, counts))
+    for count, (den, numerators) in zip(counts, snapshots):
+        assert len(numerators) == count + 1
+        assert [Fraction(n, den) for n in numerators] == [
+            Fraction(*bernoulli_over_factorial(j)) for j in range(count + 1)
+        ]
+        assert cache.common(count) is cache.common(count)
+        assert (den, numerators) == bernoulli_ratios(count)
 
 
 def test_bernoulli_negative_index():
