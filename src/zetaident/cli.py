@@ -73,11 +73,6 @@ ORACLE_GRID: tuple[complex, ...] = (
 
 _ALL_DEPTHS = tuple(range(1, MAX_REFERENCE_DEPTH + 1))
 _DEPTHS_AT_ZERO = _ALL_DEPTHS[1:]  # depth 1 is valid only for Re s > 0
-# Every command but `derive` derives each depth with r_k stored through
-# k = max(_STORED_TERMS, p + 2). Past them the closed form supplies r_k, so
-# the count cannot change a value: the stored terms are the evaluator's
-# coefficient cache, read faster than the closed form is evaluated.
-_STORED_TERMS = 64
 
 
 # ---- argument parsing helpers ----
@@ -128,8 +123,9 @@ def _p_values(text: Optional[str]) -> Optional[list[int]]:
 
 
 def _derive_many(p_values: Sequence[int]) -> dict[int, IdentitySpec]:
-    """Each depth derived with terms through max(_STORED_TERMS, p + 2)."""
-    return {p: derive_identity(p, max(_STORED_TERMS, p + 2)) for p in p_values}
+    """Each depth derived at the least k_max derive_identity allows, p + 2:
+    r_k comes from the closed form at every k, so k_max changes no value."""
+    return {p: derive_identity(p, p + 2) for p in p_values}
 
 
 def _choose_depth(specs: dict[int, IdentitySpec], s) -> Optional[IdentitySpec]:
@@ -205,7 +201,7 @@ def _check_coefficients(specs: list[IdentitySpec], digits: int) -> _Result:
         if not 1 <= spec.p <= MAX_REFERENCE_DEPTH:
             return False, f"p={spec.p}: no reference table beyond depth 12", ()
         ref = reference_identity(spec.p, spec.k_max)
-        difference = first_difference(spec, ref, min(spec.k_max, 64))
+        difference = first_difference(spec, ref, spec.k_max)
         if difference:
             return False, f"p={spec.p}: {difference}", ()
         if spec.validity_re_gt != ref.validity_re_gt:
@@ -519,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", required=True, help='depth or range, e.g. "3" or "1..12"')
     sp.add_argument("--out", default=None, help="write identities as JSON")
     sp.add_argument(
-        "--kmax", type=int, default=64, help="largest stored series index (default 64)"
+        "--kmax", type=int, default=64, help="the last k the written records list (default 64)"
     )
 
     sp = sub.add_parser(

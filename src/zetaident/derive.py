@@ -44,15 +44,17 @@ class CancellationError(ArithmeticError):
 class IdentitySpec:
     """Exact data of one derived identity.
 
-    terms holds (k, r_k) pairs for consecutive k starting at k0, the first
-    index k >= p with a nonzero coefficient. closed_form is the polynomial
-    in k giving r_k at every k >= k0, stored or not; every spec carries it
+    closed_form is the polynomial in k giving r_k at every k >= k0, the
+    first index k >= p where it is nonzero, and the one place r_k is held
     (a record read with a null closed_form gets series_poly(p), see
-    identity_from_json). The pole coefficient is exactly 1: zeta has
-    residue 1 at s = 1. A spec that breaks any of these raises ValueError
-    naming its depth, since the evaluator would otherwise return a wrong
-    value with a small error bound: it sums the series from k0 and splits
-    the head with the closed form at every k < k0.
+    identity_from_json). k_max is the last k a JSON record of the spec
+    lists, and changes no value: terms computes those (k, r_k) pairs from
+    the closed form, which gives r_k past k_max as well. The pole
+    coefficient is exactly 1: zeta has residue 1 at s = 1. A spec that
+    breaks any of these raises ValueError naming its depth, since the
+    evaluator would otherwise return a wrong value with a small error
+    bound: it sums the series from k0 and splits the head with the closed
+    form at every k < k0.
     validity_re_gt is the nominal half-plane bound -(p-1);
     extended_validity_re_gt is set to -p when the depth-(p+1) derivation
     produces the identical identity, and is None otherwise.
@@ -62,7 +64,7 @@ class IdentitySpec:
     k0: int
     pole_coefficient: Fraction
     q_poly: Polynomial
-    terms: tuple[tuple[int, Fraction], ...]
+    k_max: int
     closed_form: Polynomial
     validity_re_gt: Fraction
     extended_validity_re_gt: Optional[Fraction] = None
@@ -70,15 +72,10 @@ class IdentitySpec:
     def __post_init__(self) -> None:
         if self.p < 1:
             raise ValueError("depth p must be >= 1")
-        if not self.terms:
-            raise ValueError("identity must store at least one series term")
-        if self.terms[0][0] != self.k0:
-            raise ValueError("first stored term must sit at k0")
-        if self.terms[0][1] == 0:
+        if self.k_max < self.k0:
+            raise ValueError("k_max must be at least k0")
+        if not self.closed_form(self.k0):
             raise ValueError("coefficient at k0 must be nonzero")
-        ks = [k for k, _ in self.terms]
-        if ks != list(range(self.k0, self.k0 + len(ks))):
-            raise ValueError("stored terms must cover consecutive k")
         if self.pole_coefficient != 1:
             raise ValueError(
                 f"depth-{self.p} identity has pole coefficient {self.pole_coefficient}, not 1"
@@ -93,9 +90,9 @@ class IdentitySpec:
                 )
 
     @property
-    def k_max(self) -> int:
-        """Largest k with a stored coefficient."""
-        return self.terms[-1][0]
+    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        """(k, r_k) for k = k0..k_max, from the closed form."""
+        return tuple((k, self.closed_form(k)) for k in range(self.k0, self.k_max + 1))
 
     @property
     def effective_validity(self) -> Fraction:
@@ -105,13 +102,10 @@ class IdentitySpec:
         return self.validity_re_gt
 
     def series_coefficient(self, k: int) -> Fraction:
-        """r_k: zero below k0, stored value through k_max, and beyond that
-        the closed form, exactly, by integer Horner over a common
-        denominator (Polynomial.__call__)."""
+        """r_k: zero below k0, and from k0 on the closed form, exactly, by
+        integer Horner over a common denominator (Polynomial.__call__)."""
         if k < self.k0:
             return Fraction(0)
-        if k <= self.k_max:
-            return self.terms[k - self.k0][1]
         return self.closed_form(k)
 
     def series_taylor(self, k: int) -> tuple[list[int], int]:
@@ -278,15 +272,15 @@ def falling_factorial_coefficients(poly: Polynomial) -> tuple[Fraction, ...]:
 
 
 def derive_identity(p: int, k_max: int = 64) -> IdentitySpec:
-    """Derive the depth-p identity with series coefficients through k_max.
+    """Derive the depth-p identity, its record listing r_k through k_max.
 
-    The series coefficients are the values of series_poly(p), which is
-    also stored as closed_form; k0 is the first k >= p where it is nonzero.
-    k_max must be at least p+2 so the series holds more than the possible
-    leading zero block. The extended validity -p is set exactly when depth
-    p+1 yields the same identity: the same pole and Q, the same r_k
-    polynomial, and the same first index. Polynomial equality makes that
-    a proof for every k, not a check up to k_max (it holds for odd p >= 3).
+    The series coefficients are the values of series_poly(p), stored as
+    closed_form; k0 is the first k >= p where it is nonzero. k_max must be
+    at least p+2 so the record lists more than the possible leading zero
+    block. The extended validity -p is set exactly when depth p+1 yields
+    the same identity: the same pole and Q, the same r_k polynomial, and
+    the same first index. Polynomial equality makes that a proof for every
+    k (it holds for odd p >= 3).
     """
     if p < 1:
         raise ValueError("depth p must be >= 1")
@@ -299,7 +293,6 @@ def derive_identity(p: int, k_max: int = 64) -> IdentitySpec:
     k0 = p
     while closed(k0) == 0:  # at most p-1 roots, so this ends
         k0 += 1
-    terms = tuple((k, closed(k)) for k in range(k0, k_max + 1))
     extended: Optional[Fraction] = None
     # depth p+1 starts its series at k = p+1, so it can only match if r_p = 0
     if (
@@ -313,7 +306,7 @@ def derive_identity(p: int, k_max: int = 64) -> IdentitySpec:
         k0=k0,
         pole_coefficient=pole,
         q_poly=q_poly,
-        terms=terms,
+        k_max=k_max,
         closed_form=closed,
         validity_re_gt=Fraction(-(p - 1)),
         extended_validity_re_gt=extended,
@@ -323,9 +316,12 @@ def derive_identity(p: int, k_max: int = 64) -> IdentitySpec:
 def first_difference(a: IdentitySpec, b: IdentitySpec, k_max: int) -> Optional[str]:
     """The first way identity a differs from the reference b, as text, or
     None when they agree exactly: pole, Q, the closed form of r_k, and every
-    r_k with k <= k_max (treating indices below k0 as zero).
+    r_k with k <= k_max (treating indices below k0 as zero). With the
+    closed forms equal, r_k can differ only below the larger k0, and does
+    at the smaller one, where one closed form is nonzero and the other
+    series has not started.
 
-    Both specs must store terms through k_max.
+    Both specs must list terms through k_max.
     """
     if a.k_max < k_max or b.k_max < k_max:
         raise ValueError("both identities must store terms through k_max")
@@ -338,10 +334,9 @@ def first_difference(a: IdentitySpec, b: IdentitySpec, k_max: int) -> Optional[s
             f"closed form r_k = ({a.closed_form.to_str('k')}) != "
             f"({b.closed_form.to_str('k')})"
         )
-    for k in range(min(a.k0, b.k0), k_max + 1):
-        r_a, r_b = a.series_coefficient(k), b.series_coefficient(k)
-        if r_a != r_b:
-            return f"k={k}: coefficient {r_a} != reference {r_b}"
+    k = min(a.k0, b.k0)
+    if a.k0 != b.k0 and k <= k_max:
+        return f"k={k}: coefficient {a.series_coefficient(k)} != reference {b.series_coefficient(k)}"
     return None
 
 
@@ -354,9 +349,10 @@ def identities_equal(a: IdentitySpec, b: IdentitySpec, k_max: int) -> bool:
 #
 # Rationals are "num/den" strings in lowest terms (denominator always
 # explicit), polynomials are ascending-degree coefficient arrays. Optional
-# fields are present with null. closed_form is always written; a null one
-# is accepted on read as series_poly(p) once that polynomial reproduces
-# every stored r_k. The round trip is lossless.
+# fields are present with null. A record lists r_k for k = k0..k_max, each
+# the closed form's value. closed_form is always written; a null one is
+# accepted on read as series_poly(p) once that polynomial reproduces every
+# listed r_k. The round trip is lossless.
 
 
 def _fraction_to_str(q: Fraction) -> str:
@@ -396,12 +392,16 @@ def identity_to_json(spec: IdentitySpec) -> dict:
 
 
 def _closed_form_of(
-    p: int, terms: Sequence[tuple[int, Fraction]], stored: Optional[Polynomial]
+    p: int, k0: int, terms: Sequence[tuple[int, Fraction]], stored: Optional[Polynomial]
 ) -> Polynomial:
     """The closed form of a record: the stored polynomial, or series_poly(p)
-    when it stores none, once it reproduces every stored r_k exactly;
-    raises ValueError naming the depth and the first differing term
-    otherwise."""
+    when it stores none, once the record lists r_k for consecutive k from
+    k0 and the polynomial reproduces every one exactly; raises ValueError
+    otherwise, naming the depth and the first differing term."""
+    if not terms:
+        raise ValueError("identity must store at least one series term")
+    if [k for k, _ in terms] != list(range(k0, k0 + len(terms))):
+        raise ValueError(f"depth-{p} record must list r_k for consecutive k from k0 = {k0}")
     closed = series_poly(p) if stored is None else stored
     source = f"a null closed_form, and series_poly({p})" if stored is None else "a closed_form that"
     for k, r in terms:
@@ -414,22 +414,23 @@ def _closed_form_of(
 
 def identity_from_json(data: dict) -> IdentitySpec:
     """Parse one identity record; raises ValueError on malformed data. The
-    closed form, series_poly(p) when closed_form is null, is checked against
-    every stored r_k."""
+    listed terms must run consecutively from k0, and the closed form,
+    series_poly(p) when closed_form is null, must reproduce every one; the
+    spec's k_max is the last k listed."""
     try:
-        p = int(data["p"])
+        p, k0 = int(data["p"]), int(data["k0"])
         terms = tuple((int(t["k"]), _fraction_from_str(t["r"])) for t in data["terms"])
         closed = data["closed_form"]
         extended = data["extended_validity_re_gt"]
         return IdentitySpec(
             p=p,
-            k0=int(data["k0"]),
+            k0=k0,
             pole_coefficient=_fraction_from_str(data["pole_coefficient"]),
             q_poly=_poly_from_json(data["q_poly"]),
-            terms=terms,
             closed_form=_closed_form_of(
-                p, terms, None if closed is None else _poly_from_json(closed["k_poly"])
+                p, k0, terms, None if closed is None else _poly_from_json(closed["k_poly"])
             ),
+            k_max=terms[-1][0],
             validity_re_gt=_fraction_from_str(data["validity_re_gt"]),
             extended_validity_re_gt=(
                 None if extended is None else _fraction_from_str(extended)

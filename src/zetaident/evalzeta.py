@@ -62,9 +62,10 @@ once more at a scale finer by the bits of that excess (_outer_series).
 Every bound is a tally of the ulps actually lost, whatever P is.
 
 The independent cross-check `zeta_em_reference` computes zeta directly by
-Euler-Maclaurin summation in mpmath floats and shares nothing with
-`eval_identity` except the Bernoulli table and `_least_factor`, so
-agreement between the two is meaningful.
+Euler-Maclaurin summation in mpmath floats, on a private mpmath context
+per thread, and shares nothing with `eval_identity` except the Bernoulli
+table, `_least_factor` and the exact reading of s, so agreement between
+the two is meaningful.
 
 `eval_identities` evaluates several depths at one point in one pass over
 k: every depth's identity has the same G_k, and only r_k and the weights
@@ -109,13 +110,14 @@ from __future__ import annotations
 
 import re as _re
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, floor, inf, isfinite, isqrt, lcm, nextafter
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from mpmath import mp
+from mpmath import MPContext, mp
 from mpmath.libmp import from_man_exp, log_int_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
@@ -165,25 +167,27 @@ class EvalReport:
     log m and log((m-1)!), each within 2 ulps, and the tally counts them
     the same way. The estimate is that
     of the last pass: a call whose first tally exceeds its share runs once
-    more at a finer scale. inner_sum_cutoffs records the inner schedule the
-    call used: first_n, the first n of every inner sum, m + 1 of the shifted
-    split; direct_terms, the same
-    N = _split_point(digits), the least power of two >= 10 + digits, at
-    which every inner sum of every caller is an Euler-Maclaurin sum
-    zeta(s + k, N) (0 if no inner sum was needed); correction_order, the
-    order J of the pass's band, the most correction terms any G_k took
-    (G_k takes min(J, (T - k + 1) // 2), see _band); last_em_k, the last k
-    whose G_k the pass summed, the last k of the pass unless V_k is
-    exactly 0 there (None if no G_k was summed). The reports of one
-    eval_identities batch share one band, so they all carry the same
-    cutoffs, those of the whole pass.
+    more at a finer scale.
+
+    The last three fields record the inner schedule of that pass.
+    split_point is N = _split_point(digits), m + 1 of the shifted split and
+    the least power of two >= 10 + digits, at which every inner sum of
+    every caller is an Euler-Maclaurin sum zeta(s + k, N). correction_order
+    is the order J of the pass's band, the most correction terms any G_k
+    took (G_k takes min(J, (T - k + 1) // 2), see _band), or 0 if no G_k
+    was summed. last_em_k is the last k whose G_k the pass summed, the
+    last k of the pass unless V_k is exactly 0 there, or None if no G_k
+    was summed. The reports of one eval_identities batch share one band,
+    so they all carry the same schedule, that of the whole pass.
     """
 
     value: object
     p_used: int
     terms_used: int
     error_estimate: float
-    inner_sum_cutoffs: dict
+    split_point: int
+    correction_order: int
+    last_em_k: Optional[int]
 
 
 def _check_digits(digits: int) -> None:
@@ -204,22 +208,6 @@ def _least_factor(n: int) -> int:
     while p * p <= n and n % p:
         p += 1
     return p if p * p <= n else n
-
-
-def _to_mp(x):
-    """Convert to mpf/mpc at the current working precision.
-
-    Accepts ints, floats, complex, Fractions, mpf/mpc, and (re, im) pairs
-    of exact rationals (how the CLI passes decimal complex literals without
-    a float round trip).
-    """
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    if isinstance(x, complex):
-        return mp.mpc(x)
-    if isinstance(x, tuple) and len(x) == 2:
-        return mp.mpc(_to_mp(x[0]), _to_mp(x[1]))
-    return mp.mpmathify(x)
 
 
 _DECIMAL = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -468,19 +456,6 @@ class _InnerSums:
         # D and the n_j, |n_j| for j >= 1 of bernoulli_ratios(M), M the
         # largest order summed so far
         self.count, self.ratios = -1, None
-        self.used = False
-        self.max_order = 0
-        self.last_em_k = None
-
-    def cutoffs(self) -> dict:
-        """The schedule used: N (0 when no inner sum was needed), the
-        largest Euler-Maclaurin order, and the last k whose G_k was summed
-        (None when none was)."""
-        return {
-            "direct_terms": self.n if self.used else 0,
-            "correction_order": self.max_order,
-            "last_em_k": self.last_em_k,
-        }
 
     def _power(self, n: int) -> tuple[int, int]:
         """n^-z in units of 2^-wp, computing the powers below n first."""
@@ -586,9 +561,6 @@ class _InnerSums:
         """((re, im) of G_k with M correction terms, rounding bound), all in
         ulps, for each (k, M) in pairs."""
         count = max(m for _, m in pairs)
-        self.used = True
-        self.max_order = max(self.max_order, count)
-        self.last_em_k = max(k for k, _ in pairs)
         self.size(max(k + 2 * m for k, m in pairs))
         if count > self.count:
             den, numerators = bernoulli_ratios(count)
@@ -659,61 +631,81 @@ def zeta_m1(sigma, digits: int = 40):
     return _mp_value(vr + hr, vi + hi if im else None, bits)
 
 
+class _OracleContext(threading.local):
+    """One private mpmath context per thread for zeta_em_reference, so its
+    working precision is neither mpmath's shared one nor another thread's."""
+
+    def __init__(self):
+        self.ctx = MPContext()
+
+
+_ORACLE = _OracleContext()
+
+
 def zeta_em_reference(s, digits: int = 40):
     """Independent zeta oracle: direct Euler-Maclaurin continuation.
 
-    Shares only the Bernoulli table and _least_factor with the identity
-    evaluator, and works in mpmath floats. The direct sum runs to
-    N = 10 + digits, each n^-z from mp.power for a prime n and as a product
-    of two earlier powers otherwise; correction terms are added until the
-    next one falls below 10^-(digits + _GUARD), or stops falling (the series
-    is asymptotic), so the order grows with |s| as well as with digits.
-    For Re s < 1 the direct sum grows like N^(1-Re s) while zeta(s) = O(1),
-    so the lost leading digits are compensated with extra working
-    precision.
+    Shares only the Bernoulli table, _least_factor and the reading of s
+    (_exact_point) with the identity evaluator, and works in mpmath floats
+    on a private context of the calling thread: it never sets mpmath's
+    shared precision. The direct sum runs to N = 10 + digits, each n^-z
+    from a power for a prime n and as a product of two earlier powers
+    otherwise; correction terms are added until the next one falls below
+    10^-(digits + _GUARD), or stops falling (the series is asymptotic), so
+    the order grows with |s| as well as with digits. For Re s < 1 the
+    direct sum grows like N^(1-Re s) while zeta(s) = O(1), so the lost
+    leading digits are compensated with extra working precision. Returns an
+    mpf for real s, else an mpc, built exactly from the private result.
     """
     _check_digits(digits)
+    re, im = _exact_point(s)
+    ctx = _ORACLE.ctx
     n_direct = 10 + digits
-    with mp.workdps(digits + _GUARD):
-        probe = _to_mp(s)
-        if probe == 1:
-            raise PoleError("zeta has a pole at s = 1")
-        re_s = mp.re(probe)
-        extra = 0
-        if re_s < 1:
-            extra = int(mp.ceil((1 - re_s) * mp.log10(n_direct))) + 2
-    with mp.workdps(digits + _GUARD + extra):
-        z = _to_mp(s)
-        # n^-z for n = 1..N: mp.power for a prime n, and p^-z (n/p)^-z for a
-        # composite n with least prime factor p
-        powers = [None, mp.mpf(1)]
-        for n in range(2, n_direct + 1):
-            p = _least_factor(n)
-            powers.append(mp.power(n, -z) if p == n else powers[p] * powers[n // p])
-        total = mp.mpf(0)
-        for x in powers[1:n_direct]:
-            total += x
-        nf = mp.mpf(n_direct)
-        total += powers[n_direct] * nf / (z - 1)
-        total += powers[n_direct] / 2
-        small = mp.mpf(10) ** -(digits + _GUARD)
-        poch = z
-        npow = powers[n_direct] / nf
-        inv_n2 = 1 / (nf * nf)
-        previous = mp.inf
-        j = 1
-        while True:
-            bn, bd = bernoulli_over_factorial(j)
-            term = mp.mpf(bn) / bd * poch * npow
-            size = abs(term)
-            if size < small or size >= previous:
-                break
-            total += term
-            previous = size
-            poch = poch * (z + 2 * j - 1) * (z + 2 * j)
-            npow = npow * inv_n2
-            j += 1
-    return total
+
+    def point():
+        x = ctx.mpf(re.numerator) / re.denominator
+        return ctx.mpc(x, ctx.mpf(im.numerator) / im.denominator) if im else x
+
+    ctx.dps = digits + _GUARD
+    probe = point()
+    if probe == 1:
+        raise PoleError("zeta has a pole at s = 1")
+    re_s = ctx.re(probe)
+    extra = 0
+    if re_s < 1:
+        extra = int(ctx.ceil((1 - re_s) * ctx.log10(n_direct))) + 2
+    ctx.dps = digits + _GUARD + extra
+    z = point()
+    # n^-z for n = 1..N: a power for a prime n, and p^-z (n/p)^-z for a
+    # composite n with least prime factor p
+    powers = [None, ctx.mpf(1)]
+    for n in range(2, n_direct + 1):
+        p = _least_factor(n)
+        powers.append(ctx.power(n, -z) if p == n else powers[p] * powers[n // p])
+    total = ctx.mpf(0)
+    for x in powers[1:n_direct]:
+        total += x
+    nf = ctx.mpf(n_direct)
+    total += powers[n_direct] * nf / (z - 1)
+    total += powers[n_direct] / 2
+    small = ctx.mpf(10) ** -(digits + _GUARD)
+    poch = z
+    npow = powers[n_direct] / nf
+    inv_n2 = 1 / (nf * nf)
+    previous = ctx.inf
+    j = 1
+    while True:
+        bn, bd = bernoulli_over_factorial(j)
+        term = ctx.mpf(bn) / bd * poch * npow
+        size = abs(term)
+        if size < small or size >= previous:
+            break
+        total += term
+        previous = size
+        poch = poch * (z + 2 * j - 1) * (z + 2 * j)
+        npow = npow * inv_n2
+        j += 1
+    return mp.make_mpc(total._mpc_) if im else mp.make_mpf(total._mpf_)
 
 
 def _outside(spec: IdentitySpec, re: Fraction) -> str:
@@ -737,7 +729,7 @@ def _check_point(spec: IdentitySpec, re: Fraction, im: Fraction, digits: int) ->
     outside = _outside(spec, re)
     if outside == "validity":
         raise ValueError(
-            f"s with Re s = {mp.nstr(_to_mp(re), 8)} is outside the validity "
+            f"s with Re s = {re} is outside the validity "
             f"half-plane Re s > {spec.effective_validity} of the depth-{spec.p} identity"
         )
     if (re - 1) ** 2 + im**2 <= Fraction(1, 10**digits):
@@ -869,6 +861,9 @@ class _Depth:
 
     def __init__(self, spec: IdentitySpec):
         self.spec = spec
+        # the closed form's integer coefficients over den, highest degree first
+        numerators, self.den = spec.closed_form.integer_coefficients()
+        self.numerators = numerators[::-1]
         self.total_re = self.total_im = 0
         # (index of k in the pass, num, |num|, rden): rho_k = num/rden
         self.terms = []
@@ -1107,8 +1102,10 @@ def _outer_pass(specs, point, start, heads, head_ulps, values, digits: int, bits
     while running:
         size = inner.size(k)
         for d in [d for d in running if d.spec.k0 <= k]:
-            r = d.spec.series_coefficient(k)
-            num, rden = r.numerator, r.denominator * top
+            num = 0  # rho_k = r_k / (k+1)! = num / rden, num by integer Horner
+            for c in d.numerators:
+                num = num * k + c
+            rden = d.den * top
             tail_bound = _ceil_div(4 * inner.n * abs(num) * size, rden)
             if size and num:
                 if not ks or ks[-1] != k:
@@ -1125,6 +1122,7 @@ def _outer_pass(specs, point, start, heads, head_ulps, values, digits: int, bits
                 running.remove(d)
         k += 1
         top *= k + 1
+    order = 0
     if ks:
         share = max(threshold // _INNER_SAFETY, 1)
         k_star, num, rden = star
@@ -1162,7 +1160,9 @@ def _outer_pass(specs, point, start, heads, head_ulps, values, digits: int, bits
                 p_used=d.spec.p,
                 terms_used=d.terms_used,
                 error_estimate=_float_up(d.tail_bound + d.inner_err + rounding, bits),
-                inner_sum_cutoffs={"first_n": inner.n, **inner.cutoffs()},
+                split_point=inner.n,
+                correction_order=order,
+                last_em_k=ks[-1] if ks else None,
             )
         )
     return reports, tally

@@ -95,11 +95,9 @@ def _expand_closed_form(p_base: int) -> Polynomial:
 
 
 def reference_identity(p: int, k_max: int = 64) -> IdentitySpec:
-    """The depth-p identity built from the transcribed tables.
-
-    Series terms are the closed form evaluated at each stored k, which is
-    exactly what the source's formulas assert. Supported depths are
-    1 <= p <= 12.
+    """The depth-p identity built from the transcribed tables, its record
+    listing r_k through k_max: the closed form's values, which is exactly
+    what the source's formulas assert. Supported depths are 1 <= p <= 12.
     """
     if not 1 <= p <= MAX_REFERENCE_DEPTH:
         raise ValueError(
@@ -107,17 +105,14 @@ def reference_identity(p: int, k_max: int = 64) -> IdentitySpec:
         )
     base = p if p in _SERIES_TABLE else p - 1
     k0 = _SERIES_TABLE[base][0]
-    if k_max < k0:
-        raise ValueError("k_max must be at least k0")
     closed = _expand_closed_form(base)
-    terms = tuple((k, closed(Fraction(k))) for k in range(k0, k_max + 1))
     extended = Fraction(-p) if (p == base and p % 2 == 1 and p >= 3) else None
     return IdentitySpec(
         p=p,
         k0=k0,
         pole_coefficient=Fraction(1),
         q_poly=Polynomial(_Q_TABLE[base]),
-        terms=terms,
+        k_max=k_max,
         closed_form=closed,
         validity_re_gt=Fraction(-(p - 1)),
         extended_validity_re_gt=extended,

@@ -251,13 +251,13 @@ def test_eval_beyond_stored_terms(capsys):
 
 
 def test_depth_beyond_the_default_kmax(capsys):
-    # --p 128 needs k_max >= 130, past the 64 stored terms; eval derives at
-    # max(64, p + 2), as the stored terms cannot change the value
+    # --p 128 needs k_max >= 130; eval derives at p + 2, the least k_max
+    # allowed, as r_k comes from the closed form at every k
     assert main(["eval", "--s", "-126.25", "--p", "128", "--digits", "30"]) == 0
     estimate = float(capsys.readouterr().out.rsplit("error estimate <= ", 1)[1])
     assert estimate <= 1e-30
     assert main(["special", "--check", "zetaprime0", "--p", "70", "--digits", "20"]) == 0
-    # derive stores exactly the terms asked for, so it stays strict
+    # derive lists the terms asked for, and keeps its rule k_max >= p + 2
     assert main(["derive", "--p", "128"]) == 2
 
 

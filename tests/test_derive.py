@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import factorial
 
@@ -10,7 +11,10 @@ from zetaident.derive import (
     closed_form_part,
     derive_identity,
     falling_factorial_coefficients,
+    first_difference,
     identities_equal,
+    identity_from_json,
+    identity_to_json,
     periodic_remainder,
     series_poly,
     subtraction_poly,
@@ -253,6 +257,8 @@ def test_extension_only_for_odd_depths(specs64):
 def test_closed_form_reproduces_all_stored_terms(specs64):
     for spec in specs64.values():
         assert spec.closed_form is not None
+        assert [k for k, _ in spec.terms] == list(range(spec.k0, spec.k_max + 1))
+        assert spec.k_max == 64
         for k, r in spec.terms:
             assert spec.closed_form(Fraction(k)) == r
 
@@ -312,6 +318,7 @@ def test_derive_minimal_k_max():
     spec = derive_identity(3, 5)
     assert spec.k0 == 4
     assert spec.k_max == 5
+    assert spec.terms == ((4, F(-1, 6)), (5, F(-1, 2)))
     assert spec.closed_form == series_poly(3)
     assert spec.series_coefficient(6) == dict(recursion_terms(3, 6))[6]
 
@@ -357,6 +364,18 @@ def test_depths_one_and_two_differ(specs64):
     assert specs64[2].series_coefficient(2) == F(1, 2)
 
 
+def test_first_difference_of_a_shared_closed_form_is_at_the_lesser_k0(specs64):
+    # depth 3's closed form vanishes at k = 2, 3; read as a depth-5 series
+    # it starts at k0 = 5, so the two differ first at r_4 = -1/6
+    a = specs64[3]
+    b = dataclasses.replace(a, p=5, k0=5)
+    assert (a.k0, b.k0, a.closed_form == b.closed_form) == (4, 5, True)
+    assert first_difference(a, b, 64) == "k=4: coefficient -1/6 != reference 0"
+    assert first_difference(b, a, 64) == "k=4: coefficient 0 != reference -1/6"
+    assert first_difference(a, b, 3) is None  # past the k compared
+    assert first_difference(a, a, 64) is None
+
+
 def test_identities_equal_needs_enough_terms(specs64):
     short = derive_identity(3, 10)
     with pytest.raises(ValueError):
@@ -393,31 +412,55 @@ def _records(spec):
         k0=spec.k0,
         pole_coefficient=spec.pole_coefficient,
         q_poly=spec.q_poly,
-        terms=spec.terms,
+        k_max=spec.k_max,
         closed_form=spec.closed_form,
         validity_re_gt=spec.validity_re_gt,
         extended_validity_re_gt=spec.extended_validity_re_gt,
     )
 
 
+def test_spec_stores_no_terms(specs64):
+    # r_k lives only in the closed form, so no spec can carry a second,
+    # disagreeing copy of it: a spec with r_10 doubled is not accepted
+    spec = specs64[5]
+    assert "terms" not in {field.name for field in dataclasses.fields(IdentitySpec)}
+    doubled = tuple((k, 2 * r if k == 10 else r) for k, r in spec.terms)
+    with pytest.raises(TypeError):
+        dataclasses.replace(spec, terms=doubled)
+
+
 def test_spec_rejects_nonconsecutive_terms(specs64):
-    fields = _records(specs64[2])
-    fields["terms"] = ((2, F(1, 2)), (4, F(3, 2)))
-    with pytest.raises(ValueError):
-        IdentitySpec(**fields)
+    # the JSON reader owns the check: a spec lists no terms of its own
+    record = identity_to_json(specs64[2])
+    record["terms"] = [{"k": 2, "r": "1/2"}, {"k": 4, "r": "3/2"}]
+    with pytest.raises(ValueError, match="consecutive k from k0 = 2"):
+        identity_from_json(record)
 
 
 def test_spec_rejects_zero_leading_coefficient(specs64):
+    # a record that lists r_2 = 0 disagrees with its closed form ...
+    record = identity_to_json(specs64[2])
+    record["terms"][0]["r"] = "0/1"
+    with pytest.raises(ValueError, match=r"depth-2 record has a closed_form that gives r_2 = 1/2"):
+        identity_from_json(record)
+    # ... and a spec whose closed form vanishes at k0 is refused
     fields = _records(specs64[2])
-    fields["terms"] = ((2, F(0)),) + fields["terms"][1:]
-    with pytest.raises(ValueError):
+    fields["closed_form"] = Polynomial((-1, F(1, 2)))  # (k - 2)/2: r_2 = 0
+    with pytest.raises(ValueError, match="coefficient at k0 must be nonzero"):
+        IdentitySpec(**fields)
+
+
+def test_spec_rejects_k_max_below_k0(specs64):
+    fields = _records(specs64[3])
+    fields["k_max"] = 3
+    with pytest.raises(ValueError, match="k_max must be at least k0"):
         IdentitySpec(**fields)
 
 
 def test_spec_rejects_k0_mismatch(specs64):
     fields = _records(specs64[2])
     fields["k0"] = 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k0 = 3, but its closed form gives r_2 = 1/2, not 0"):
         IdentitySpec(**fields)
 
 

@@ -137,6 +137,25 @@ def test_em_reference_deterministic():
     assert a == b
 
 
+def test_em_reference_threads_get_the_serial_bits():
+    # each thread works on a context of its own: no call sets mpmath's
+    # shared precision, so calls at other digits cannot change its bits
+    points = [F(-21, 2), (F(1, 2), F(5)), F(5, 2)]
+    tasks = [(s, digits) for s in points for digits in (20, 100)]
+    run = lambda task: _raw(zeta_em_reference(*task))
+    dps = mp.dps
+    serial = [run(task) for task in tasks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(run, tasks * 10, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial * 10
+    assert mp.dps == dps
+
+
 @pytest.mark.parametrize("digits", [40, 60, 100])
 def test_em_reference_meets_its_digits_on_the_oracle_grid(digits):
     # the correction order follows |s| as well as digits: with an order
@@ -235,12 +254,7 @@ def test_report_fields(specs64):
     assert report.error_estimate >= 0
     # m + 1 = 64 at 40 digits: every inner sum is Euler-Maclaurin at n = 64,
     # with the band's order J and through the pass's last k
-    assert report.inner_sum_cutoffs == {
-        "first_n": 64,
-        "direct_terms": 64,
-        "correction_order": 14,
-        "last_em_k": 25,
-    }
+    assert (report.split_point, report.correction_order, report.last_em_k) == (64, 14, 25)
     assert report.terms_used == 25
 
 
@@ -319,7 +333,7 @@ def test_band_stops_widening_at_large_imaginary_part(specs64, t, digits, order):
     start = time.process_time()
     report = eval_identity(specs64[1], s, digits)
     assert time.process_time() - start < 1
-    assert report.inner_sum_cutoffs["correction_order"] <= order
+    assert report.correction_order <= order
     with mp.workdps(digits + 40):
         err = abs(report.value - mp.zeta(_mp_point(s)))
     assert err <= report.error_estimate, (mp.nstr(err, 3), report.error_estimate)
@@ -432,7 +446,8 @@ def test_batch_mixes_first_indices(specs64):
     assert (deep.k0, shallow.k0) == (12, 1)
     reports = eval_identities([deep, shallow], s, 40)
     assert [r.p_used for r in reports] == [12, 1]
-    assert reports[0].inner_sum_cutoffs == reports[1].inner_sum_cutoffs
+    schedule = lambda r: (r.split_point, r.correction_order, r.last_em_k)
+    assert schedule(reports[0]) == schedule(reports[1])
     with mp.workdps(60):
         target = mp.zeta(_mp_point(s))
         for spec, report in zip([deep, shallow], reports):
@@ -546,7 +561,7 @@ def test_shifted_split_meets_the_contract_at_every_depth(specs64, s, digits):
     with mp.workdps(digits + 50):
         target = mp.zeta(_mp_point(s))
         for report in reports:
-            assert report.inner_sum_cutoffs["first_n"] == _least_power_of_two(10 + digits)
+            assert report.split_point == _least_power_of_two(10 + digits)
             err = abs(report.value - target)
             assert err <= report.error_estimate <= 10.0**-digits, (report.p_used, mp.nstr(err, 3))
 
@@ -640,11 +655,10 @@ def test_split_point_is_the_euler_maclaurin_cutoff(specs64, digits, first_n):
     for s in (F(2), (F(-3, 2), F(40))):
         batch = [spec for spec in specs64.values() if supports(spec, s)]
         for report in eval_identities(batch, s, digits):
-            cutoffs = report.inner_sum_cutoffs
-            assert cutoffs["first_n"] == cutoffs["direct_terms"] == first_n, cutoffs
+            assert report.split_point == first_n and report.last_em_k is not None, report
     # and so is every inner sum zeta(k, N) of zeta'(0)
-    cutoffs = zeta_prime_at_zero(specs64[2], digits).inner_sum_cutoffs
-    assert cutoffs["first_n"] == cutoffs["direct_terms"] == first_n, cutoffs
+    report = zeta_prime_at_zero(specs64[2], digits)
+    assert report.split_point == first_n and report.last_em_k is not None, report
 
 
 def test_shifted_split_shrinks_the_outer_series(specs64):
@@ -659,7 +673,7 @@ def test_a_null_closed_form_runs_the_shifted_split(specs64):
     loaded = _without_closed_form(specs64[5])
     assert loaded == specs64[5]
     bare, full = eval_identities([loaded, specs64[5]], -2, 40)
-    assert bare.inner_sum_cutoffs["first_n"] == full.inner_sum_cutoffs["first_n"] == 64
+    assert bare.split_point == full.split_point == 64
     assert bare == full == eval_identity(specs64[5], -2, 40)
     assert abs(bare.value) <= bare.error_estimate <= 1e-40
 
@@ -766,8 +780,7 @@ def test_shifted_inner_sums_within_their_bounds(z, k, digits):
     budget = _rising_budget(z, k, bits, digits + 5)
     inner = _InnerSums(z, digits, bits, 0)
     value, err, rounding = _inner_sum(inner, k, budget)
-    assert inner.last_em_k == k
-    assert inner.cutoffs()["direct_terms"] == n
+    assert inner.n == n
     assert err <= budget
     with mp.workdps(digits + 20):
         target = mp.zeta(_mp_point(z) + k, n) * mp.rf(_mp_point(z), k)

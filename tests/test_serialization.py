@@ -79,8 +79,8 @@ def test_null_closed_form_with_a_wrong_term_is_rejected():
 
 
 def test_stored_closed_form_with_a_wrong_term_is_rejected():
-    # a closed form that disagrees with the stored terms would otherwise
-    # give the evaluator head weights from one and outer terms from the other
+    # the spec keeps only the closed form, so one that disagrees with the
+    # listed terms would otherwise replace the record's r_k unseen
     record = identity_to_json(derive_identity(2, 20))
     record["closed_form"] = {"k_poly": ["7/1"]}
     with pytest.raises(ValueError, match=r"depth-2 record has a closed_form that gives r_2 = 7, not"):
@@ -137,7 +137,18 @@ def test_malformed_records_rejected(specs64):
 
     broken = dict(record)
     broken["terms"] = record["terms"][:1] + record["terms"][2:]  # gap in k
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="consecutive k from k0 = 2"):
+        identity_from_json(broken)
+
+    # the record lists no r_2 = 1/2, though k0 = 2
+    broken = dict(record)
+    broken["terms"] = record["terms"][1:]
+    with pytest.raises(ValueError, match="consecutive k from k0 = 2"):
+        identity_from_json(broken)
+
+    broken = dict(record)
+    broken["terms"] = []
+    with pytest.raises(ValueError, match="at least one series term"):
         identity_from_json(broken)
 
     broken = dict(record)
