@@ -20,6 +20,7 @@ from .derive import (
 from .evalzeta import (
     EvalReport,
     PoleError,
+    PrecisionError,
     eval_identities,
     eval_identity,
     supports,
@@ -40,6 +41,7 @@ __all__ = [
     "MAX_REFERENCE_DEPTH",
     "PoleError",
     "Polynomial",
+    "PrecisionError",
     "Rational",
     "bernoulli",
     "closed_form_part",

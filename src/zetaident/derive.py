@@ -108,13 +108,6 @@ class IdentitySpec:
             return Fraction(0)
         return self.closed_form(k)
 
-    def series_taylor(self, k: int) -> tuple[list[int], int]:
-        """r_(k+m) as a polynomial in m: (integer coefficients, constant
-        term first, and their common denominator), so the constant term is
-        r_k times it."""
-        numerators, den = self.closed_form.integer_coefficients()
-        return taylor_shift(numerators, k), den
-
     @cached_property
     def falling_coefficients(self) -> tuple[Fraction, ...]:
         """closed_form in the falling-factorial basis series_poly builds it

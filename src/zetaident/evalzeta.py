@@ -59,7 +59,9 @@ error of the value it multiplies (3 |W_m| ulps for m^-s, 3 (m - 2)
 the terms still grow relative to the first one, the rounding tally shows
 it: if a depth's tally exceeds its share of 10^-(digits+5), the pass runs
 once more at a scale finer by the bits of that excess (_outer_series).
-Every bound is a tally of the ulps actually lost, whatever P is.
+Every bound is a tally of the ulps actually lost, whatever P is. A call
+whose final bound still exceeds 10^-digits, compared in integers, raises
+PrecisionError, which carries the reports.
 
 The independent cross-check `zeta_em_reference` computes zeta directly by
 Euler-Maclaurin summation in mpmath floats, on a private mpmath context
@@ -84,12 +86,18 @@ divisions into the power sums S_j (_power_sums); sum_zeta_m1 and zeta_m1
 add zeta(z + k, N) to the power sum sum_{n<N} n^-(z+k) to make
 zeta(z + k) - 1. The oracle sums
 10 + digits direct terms and adds correction terms while they exceed
-10^-(digits + _GUARD). Truncation of each depth's outer series stops at the
-first k >= k0 + 8 whose bound 4 N |rho_k| |V_k| = |r_k| * |(s)_k| /
-(k+1)! * 4 * N^(1 - Re s - k) drops below 10^-(digits+5) and where the
-later terms are proven to fall fast enough for that bound to hold
-(_tail_bounded). That proof fails while |s + k| / (k + 2) >= N, so at
-large |s| the series runs on past the terms that grow before they fall.
+10^-(digits + _GUARD). Each depth's outer series stops at the first
+k >= k0 whose tail past k has an a-priori majorant below 10^-(digits+5)
+(_tail_factor), after Borwein, Bradley and Crandall's series in
+(s)_k (zeta(s+k) - 1) and Johansson's truncation from rigorous a-priori
+bounds: with the falling coefficients beta_i of r_k and A = |s + k|,
+
+    |V_k| (1 + N/(Re s + k - 1)) sum_i |beta_i|/(k+1-i)! ((1 - 1/N)^-A - 1),
+
+and the last factor is at most y 2^ceil(3y/2), y = A/(N - 1). The bound is
+the proof: no term past k is looked at. At large |s| the factor 2^(3y/2)
+holds the series on until 1/(k+1)! outgrows it (k = 90 at s = 10^4,
+N = 32), and no longer.
 
 Once every depth's last k is known, one band of Euler-Maclaurin orders
 serves the whole pass (_band), after Johansson, who fixes the order from
@@ -131,11 +139,6 @@ _GUARD_BITS = 24
 # Each depth's summed inner truncation, and its rounding tally, aims at
 # threshold / _INNER_SAFETY ulps (at least 1).
 _INNER_SAFETY = 16
-# Each outer series runs to at least k0 + _MIN_TERMS.
-_MIN_TERMS = 8
-# An outer tail is within its bound once sum_i |b_i| S_i(q) <= _TAIL_RATIO
-# |r_k|: see _tail_bounded.
-_TAIL_RATIO = 6
 # Every entry n^-(z+k) is within this many ulps (in modulus) of its value,
 # at any shift: see _InnerSums.
 _ENTRY_ULPS = 3
@@ -145,6 +148,16 @@ Number = Union[int, float, complex, Fraction, str]
 
 class PoleError(ValueError):
     """Evaluation point is at (or numerically indistinguishable from) s = 1."""
+
+
+class PrecisionError(ValueError):
+    """Some depth's error bound exceeds 10^-digits. reports holds the
+    reports of the last pass, one per depth: each bound still holds, but
+    at least one is above the target."""
+
+    def __init__(self, message: str, reports: list):
+        super().__init__(message)
+        self.reports = reports
 
 
 @dataclass
@@ -165,9 +178,11 @@ class EvalReport:
     product. For
     zeta_prime_at_zero the head values are S_j(0), j >= 1, and the logs
     log m and log((m-1)!), each within 2 ulps, and the tally counts them
-    the same way. The estimate is that
-    of the last pass: a call whose first tally exceeds its share runs once
-    more at a finer scale.
+    the same way. The outer truncation bound is the a-priori majorant of
+    the tail past terms_used (_tail_factor). The estimate is that of the
+    last pass: a call whose first tally exceeds its share runs once more
+    at a finer scale. A call whose estimate still exceeds 10^-digits
+    raises PrecisionError, whose reports are these.
 
     The last three fields record the inner schedule of that pass.
     split_point is N = _split_point(digits), m + 1 of the shifted split and
@@ -857,13 +872,21 @@ def _head_values(entries: list[tuple[int, int]], count: int) -> list[tuple[int, 
 class _Depth:
     """One identity's share of a pass: its running outer sum (an (re, im)
     pair of ulps), its error tallies in ulps, the G_k it adds, and, once its
-    tail bound is met, where it stopped."""
+    tail majorant is under the threshold, where it stopped and that
+    majorant (tail_bound, in ulps)."""
 
     def __init__(self, spec: IdentitySpec):
         self.spec = spec
         # the closed form's integer coefficients over den, highest degree first
         numerators, self.den = spec.closed_form.integer_coefficients()
         self.numerators = numerators[::-1]
+        # (1 - i, |beta_i| den) for the falling coefficients beta_i, highest
+        # i first (integers: the basis change from k^j has integer entries)
+        beta = spec.falling_coefficients
+        self.falling = [
+            (1 - i, _ceil_div(abs(b.numerator) * self.den, b.denominator))
+            for i, b in reversed(list(enumerate(beta)))
+        ]
         self.total_re = self.total_im = 0
         # (index of k in the pass, num, |num|, rden): rho_k = num/rden
         self.terms = []
@@ -872,50 +895,38 @@ class _Depth:
         self.products = 0  # term products, each floored
         self.terms_used = self.tail_bound = None
 
+    def majorant(self, k: int) -> int:
+        """sum_i |beta_i| (k+1) k ... (k+2-i) times den, by Horner: at least
+        |r_k| den."""
+        out = 0
+        for shift, c in self.falling:
+            out = out * (k + shift) + c
+        return out
 
-def _tail_bounded(spec: IdentitySpec, point: tuple[int, int, int], k: int, base_bits: int) -> bool:
-    """Whether the outer tail past k >= k0 + _MIN_TERMS,
-    sum_{j>k} |r_j (s)_j / (j+1)!| zeta(Re s + j, b), is at most the tail
-    bound |r_k (s)_k / (k+1)!| * 4 * b^(1 - Re s - k), for b = 2^base_bits
-    (the inner sums start at n = b) and s = (zr + i zi) / den given as
-    point = (zr, zi, den).
 
-    The bound assumes the terms fall by a factor b per k; this proves that
-    they fall fast enough. For j >= k, |s + j| / (j + 2) is at most
-    rho = max(1, |s + k| / (k + 2)), because its square is convex in
-    1/(j + 2) and so peaks at an end of the range; and
-    zeta(x + 1, b) <= zeta(x, b) / b, every n^-x it sums having n >= b.
-    With r_(k+m) = sum_i b_i m^i, the tail is thus at most
-    |(s)_k / (k+1)!| zeta(x, b) times sum_i |b_i| S_i(q), for x = Re s + k,
-    q = rho / b and S_i(q) = sum_{m>=1} m^i q^m. Since x >= 9.5,
-    zeta(x, b) <= b^-x (1 + b/(x - 1)) <= b^-x (1 + b/8.5), and
-    6 (1 + b/8.5) <= 4 b for b >= 2, so the tail bound holds once
-    sum_i |b_i| S_i(q) <= _TAIL_RATIO |b_0| = 6 |b_0|.
+def _tail_factor(inner: _InnerSums, k: int) -> tuple[int, int]:
+    """(growth, below) with which the a-priori majorant of any depth d's
+    outer tail past k >= k0, sum_{m>=1} |rho_(k+m)| |G_(k+m)|, is
+    growth * d.majorant(k) / (below * d.den * (k+1)!) ulps, for z, N and
+    the bound size(k) of |V_k| from inner. It rests on three facts:
 
-    Everything is exact: q is rounded up to a/c, and
-    S_i(q) = T_i / u^(i+1) with u = c - a, T_0 = a and
-    T_i = c sum_{l<i} C(i, l) (-1)^(i-l+1) T_l u^(i-1-l), from
-    (1 - q) S_i = sum_{m>=1} (m^i - (m-1)^i) q^m. The powers of u and each
-    row of binomials are built once, not per term.
-    """
-    b, _ = spec.series_taylor(k)
-    zr, zi, den = point
-    c = (den * (k + 2)) << base_bits
-    a = max(den * (k + 2), _modulus_up(zr + k * den, zi))
-    u = c - a
-    if u <= 0:
-        return False
-    d = len(b) - 1
-    powers = [1]  # u^i
-    for _ in range(d + 1):
-        powers.append(powers[-1] * u)
-    t, row = [a], [-1]  # row: C(i, l) (-1)^(i-l+1) for l <= i
-    for i in range(1, d + 1):
-        row = [x - y for x, y in zip([0, *row], [*row, 0])]
-        t.append(c * sum(x * y * z for x, y, z in zip(row, t, powers[i - 1 :: -1])))
-    return sum(abs(b_i) * t_i * powers[d - i] for i, (b_i, t_i) in enumerate(zip(b, t))) <= (
-        _TAIL_RATIO * abs(b[0]) * powers[d + 1]
-    )
+    - rho_j = r_j/(j+1)! = sum_i beta_i/(j+1-i)!, beta = falling_coefficients,
+      and (k+1+m-i)! >= (k+1-i)! m!;
+    - |(c)_(k+m-start)| <= |(c)_(k-start)| (A)_m, A = |z + k|;
+    - zeta(sigma+k+m, N) <= N^-m N^-(sigma+k) (1 + N/(sigma+k-1)),
+      sigma = Re z, with sigma + k - 1 >= 1/2 by _outside.
+
+    So the tail is at most |V_k| (1 + N/(sigma+k-1))
+    sum_i |beta_i|/(k+1-i)! sum_{m>=1} (A)_m/m! N^-m, and the last sum is
+    (1 - 1/N)^-A - 1 <= e^y - 1 <= y e^y <= y 2^ceil(3y/2), y = A/(N-1).
+    Everything is an integer: with z = (zr + i zi) / den,
+    a = _modulus_up(den (z + k)) > den A and g = den (sigma + k - 1), and
+    d.majorant(k) / (d.den (k+1)!) = sum_i |beta_i|/(k+1-i)!. The majorant
+    is exactly 0 where V_k is, and so is every later term."""
+    zr, zi, den, n = inner.zr, inner.zi, inner.den, inner.n
+    a, g = _modulus_up(zr + k * den, zi), zr + (k - 1) * den
+    growth = (inner.size(k) * (g + n * den) * a) << _ceil_div(3 * a, 2 * den * (n - 1))
+    return growth, g * den * (n - 1)
 
 
 def eval_identity(spec: IdentitySpec, s: Number, digits: int = 40) -> EvalReport:
@@ -923,8 +934,9 @@ def eval_identity(spec: IdentitySpec, s: Number, digits: int = 40) -> EvalReport
     precision.
 
     Raises ValueError outside the validity half-plane or when the inner
-    series arguments would leave Re >= 1.5, and PoleError (a ValueError)
-    within 10^(-digits/2) of s = 1.
+    series arguments would leave Re >= 1.5, PoleError (a ValueError)
+    within 10^(-digits/2) of s = 1, and PrecisionError (a ValueError) when
+    the error bound reached exceeds 10^-digits.
     """
     return eval_identities([spec], s, digits)[0]
 
@@ -945,7 +957,8 @@ def eval_identities(
     own total, error tallies and tail bound, and stops on its own. Every
     spec is checked before any work: the first that cannot be evaluated at
     s raises what eval_identity raises for it. An empty specs raises
-    ValueError.
+    ValueError, and a depth whose bound exceeds 10^-digits PrecisionError
+    for the whole batch.
     """
     _check_digits(digits)
     if not specs:
@@ -1026,7 +1039,9 @@ def _outer_series(specs, point, start, heads, head_ulps, values, digits: int) ->
     terms grow relative to the first one, the rounding tally grows with
     them: if a depth's tally exceeds share = threshold // _INNER_SAFETY
     ulps (at least 1), the pass runs once more at P plus the bit length of
-    tally // share, and that pass's reports are final."""
+    tally // share, and that pass's reports are final. If the error bound
+    of any of them, in ulps, exceeds 2^P 10^-digits, PrecisionError raises
+    with them."""
     k = min(spec.k0 for spec in specs)
     zr, zi, den = _integer_point(*point)
     # (s + start)_(k - start) / (k+1)! at the least k0
@@ -1041,11 +1056,16 @@ def _outer_series(specs, point, start, heads, head_ulps, values, digits: int) ->
         for (wr, wi, wd), ulps in zip(weights, head_ulps):
             peak = max(peak, _log2_up(wr, wi, wd) + ulps.bit_length())
     bits = _scale_bits(digits, peak)
-    reports, tally = _outer_pass(specs, point, start, heads, head_ulps, values, digits, bits)
+    args = specs, point, start, heads, head_ulps, values, digits
+    reports, tally, errors = _outer_pass(*args, bits)
     share = max((1 << bits) // 10 ** (digits + 5) // _INNER_SAFETY, 1)
     if tally > share:
         bits += (tally // share).bit_length()
-        reports, _ = _outer_pass(specs, point, start, heads, head_ulps, values, digits, bits)
+        reports, _, errors = _outer_pass(*args, bits)
+    missed = [r for r, ulps in zip(reports, errors) if ulps * 10**digits > 1 << bits]
+    if missed:
+        bounds = ", ".join(f"{r.error_estimate:.3e} (depth {r.p_used})" for r in missed)
+        raise PrecisionError(f"cannot meet 10^-{digits}: error bound {bounds}", reports)
     return reports
 
 
@@ -1064,25 +1084,23 @@ def _band(inner: _InnerSums, ks: list[int], depths: list[_Depth], k_star: int, o
 
 def _outer_pass(specs, point, start, heads, head_ulps, values, digits: int, bits: int):
     """One pass of _outer_series at scale 2^-bits, with head_ulps the
-    errors of the values the head weights multiply: the reports, and the
-    largest rounding tally among them in ulps.
+    errors of the values the head weights multiply: the reports, the
+    largest rounding tally among them, and each report's error bound, all
+    in ulps.
 
-    First each depth's last k: a depth stops at the first
-    k >= k0 + _MIN_TERMS whose tail bound
-    4 N |rho_k| |V_k| = |r_k (s + start)_(k - start) / (k+1)!| 4 N^(1 - Re s - k)
-    is under the threshold and proven to hold (_tail_bounded), which it is
-    at once when V_k, and so every later term, is exactly 0. For
-    zeta_prime_at_zero, |rho_k V'_k| = |r_k/(k(k+1))| N^-k steps by
-    k/(k+2) N^-1 as |(s)_k/(k+1)!| N^-k does at s = 0, so _tail_bounded at
-    s = 0 covers it too. Then one band of orders for every G_k (_band): J is
-    the least order that meets share = max(threshold // _INNER_SAFETY, 1)
-    at k*, the k with the largest tail bound, relative to its rho_k*, or
-    the order where that remainder stops falling. J widens by one while
+    First each depth's last k: a depth stops at the first k >= k0 where
+    the a-priori majorant of its tail past k (_tail_factor) is under the
+    threshold, at once where V_k, and so every later term, is exactly 0.
+    It covers zeta_prime_at_zero as well: there z = 0, start = 1, A = k
+    and V_k = (k-1)! N^-k. Then one band of orders for every G_k (_band):
+    J is the least order that meets share = max(threshold // _INNER_SAFETY,
+    1) at k*, the k with the largest bound |rho_k| size(k) of
+    |rho_k V_k|, relative to its rho_k*, or the order where that remainder
+    stops falling. J widens by one while
     some depth's summed truncation exceeds share and one more order at
     least halves every such sum; otherwise the reports carry the bound
     reached. Every running depth then adds rho_k G_k at each of its k, G_k
     shared; G_k is exactly 0 where V_k is, and is skipped there."""
-    whole = _integer_point(*point)
     depths = [_Depth(spec) for spec in specs]
     k = min(spec.k0 for spec in specs)
     threshold = (1 << bits) // 10 ** (digits + 5)
@@ -1096,29 +1114,28 @@ def _outer_pass(specs, point, start, heads, head_ulps, values, digits: int, bits
             d.products += 1
     top = factorial(k + 1)  # (k+1)!, exact at every k
     running = list(depths)
-    # each k whose G_k some depth adds, and the k whose tail bound, 4 N
-    # times the bound of |rho_k V_k|, is the largest
-    ks, peak, star = [], -1, None
+    # each k whose G_k some depth adds, and the k of the largest bound
+    # |num| size(k) / rden of |rho_k V_k|, with that bound
+    ks, peak, star = [], (0, 1), None
     while running:
         size = inner.size(k)
+        growth, below = _tail_factor(inner, k)
         for d in [d for d in running if d.spec.k0 <= k]:
             num = 0  # rho_k = r_k / (k+1)! = num / rden, num by integer Horner
             for c in d.numerators:
                 num = num * k + c
             rden = d.den * top
-            tail_bound = _ceil_div(4 * inner.n * abs(num) * size, rden)
             if size and num:
                 if not ks or ks[-1] != k:
                     ks.append(k)
                 d.terms.append((len(ks) - 1, num, abs(num), rden))
-                if tail_bound > peak:
-                    peak, star = tail_bound, (k, abs(num), rden)
-            if (
-                k >= d.spec.k0 + _MIN_TERMS
-                and tail_bound < threshold
-                and (not size or _tail_bounded(d.spec, whole, k, inner.log_n))
-            ):
-                d.terms_used, d.tail_bound = k, tail_bound
+                if abs(num) * size * peak[1] > peak[0] * rden:
+                    peak, star = (abs(num) * size, rden), (k, abs(num), rden)
+            # the majorant is bound / scale ulps: compared by a product, not
+            # divided, since at large Re s both run to tens of thousands of bits
+            bound, scale = growth * d.majorant(k), below * rden
+            if bound < threshold * scale:
+                d.terms_used, d.tail_bound = k, _ceil_div(bound, scale)
                 running.remove(d)
         k += 1
         top *= k + 1
@@ -1148,24 +1165,25 @@ def _outer_pass(specs, point, start, heads, head_ulps, values, digits: int, bits
             d.total_im += total_im
             d.rounding += rounding
             d.products += len(d.terms)
-    reports, tally = [], 0
+    reports, tally, errors = [], 0, []
     for d, ((hr, hi, hd), _) in zip(depths, heads):
         # the head's two floors and each product's two: 2 ulps each
         rounding = d.rounding + 2 * (d.products + 1)
         tally = max(tally, rounding)
+        errors.append(d.tail_bound + d.inner_err + rounding)
         value = _mp_value(d.total_re + (hr << bits) // hd, d.total_im + (hi << bits) // hd, bits)
         reports.append(
             EvalReport(
                 value=value,
                 p_used=d.spec.p,
                 terms_used=d.terms_used,
-                error_estimate=_float_up(d.tail_bound + d.inner_err + rounding, bits),
+                error_estimate=_float_up(errors[-1], bits),
                 split_point=inner.n,
                 correction_order=order,
                 last_em_k=ks[-1] if ks else None,
             )
         )
-    return reports, tally
+    return reports, tally, errors
 
 
 def sum_zeta_m1(digits: int = 40):

@@ -277,6 +277,16 @@ def test_eval_out_of_range_s_exits_two(capsys):
     assert main(["eval", "--p", "1", "--s", "2+1e400i"]) == 2
 
 
+def test_eval_missed_target_exits_two(capsys):
+    # Euler-Maclaurin at N = 64 cannot reach 30 digits at |Im s| = 1000:
+    # the bound still holds, but the call raises PrecisionError and the CLI
+    # exits 2 with the bound it reached, printing no value
+    assert main(["eval", "--s", "0.5+1000i", "--digits", "30"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cannot meet 10^-30: error bound 4.745e+06 (depth 1)" in err
+
+
 def test_eval_digits_floor():
     assert main(["eval", "--p", "3", "--s", "2", "--digits", "5"]) == 2
 

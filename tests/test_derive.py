@@ -277,14 +277,6 @@ def test_series_coefficient_past_k_max_is_the_closed_form(specs64, p):
         assert spec.series_coefficient(k) == spec.closed_form(F(k)), k
 
 
-@pytest.mark.parametrize("p", range(1, 13))
-def test_series_taylor_is_the_shifted_closed_form(specs64, p):
-    spec = specs64[p]
-    for k in (0, spec.k0 + 8, 200):
-        b, den = spec.series_taylor(k)
-        assert Polynomial(b) / den == spec.closed_form.shift(k), k
-
-
 @pytest.mark.parametrize("p", range(1, 33))
 def test_falling_coefficients_are_the_closed_form(p):
     # r_k = sum_i beta_i (k+1) k ... (k+2-i) as a polynomial identity, so it

@@ -5,7 +5,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
 from pathlib import Path
 
 import pytest
@@ -19,6 +19,8 @@ from zetaident.derive import identity_from_json, identity_to_json
 from zetaident.evalzeta import (
     EvalReport,
     PoleError,
+    PrecisionError,
+    _Depth,
     _InnerSums,
     _head,
     _integer_point,
@@ -54,9 +56,9 @@ def _record_passes(monkeypatch):
     run = evalzeta._outer_pass
 
     def recording(*args):
-        reports, tally = run(*args)
+        reports, tally, errors = run(*args)
         passes.append((reports, tally, args[-1]))
-        return reports, tally
+        return reports, tally, errors
 
     monkeypatch.setattr(evalzeta, "_outer_pass", recording)
     return passes
@@ -250,18 +252,18 @@ def test_deterministic_bits(specs64):
 def test_report_fields(specs64):
     report = eval_identity(specs64[2], 3, 40)
     assert report.p_used == 2
-    assert report.terms_used >= specs64[2].k0 + 8
+    assert report.terms_used >= specs64[2].k0
     assert report.error_estimate >= 0
     # m + 1 = 64 at 40 digits: every inner sum is Euler-Maclaurin at n = 64,
     # with the band's order J and through the pass's last k
-    assert (report.split_point, report.correction_order, report.last_em_k) == (64, 14, 25)
-    assert report.terms_used == 25
+    assert (report.split_point, report.correction_order, report.last_em_k) == (64, 14, 24)
+    assert report.terms_used == 24
 
 
 def test_series_short_circuits_at_negative_even_integers(specs64):
-    # all rising factorials vanish there, so only k0+8 terms are touched
+    # all rising factorials vanish there, so the series stops at k0
     report = eval_identity(specs64[5], -2, 40)
-    assert report.terms_used == specs64[5].k0 + 8
+    assert report.terms_used == specs64[5].k0
     assert abs(report.value) < 1e-40
 
 
@@ -327,18 +329,24 @@ def test_contract_against_mpmath_zeta(specs64, p, s, digits):
 def test_band_stops_widening_at_large_imaginary_part(specs64, t, digits, order):
     # depth 1 at 0.5 + ti: past t = 100 Euler-Maclaurin at N = 32 or 64
     # cannot meet the target, and one more order lowers the summed
-    # truncation by little or nothing. The band stops widening there and
-    # reports the bound it reached, which must still hold.
+    # truncation by little or nothing. The band stops widening there, and
+    # the call raises PrecisionError with the reports of the bound it
+    # reached, which must still hold.
     s = (F(1, 2), F(t))
     start = time.process_time()
-    report = eval_identity(specs64[1], s, digits)
+    if t == 100:
+        [report] = eval_identities([specs64[1]], s, digits)
+        assert report.error_estimate <= 10.0**-digits
+    else:
+        with pytest.raises(PrecisionError, match=f"cannot meet 10\\^-{digits}") as raised:
+            eval_identities([specs64[1]], s, digits)
+        [report] = raised.value.reports
+        assert report.error_estimate > 10.0**-digits
     assert time.process_time() - start < 1
     assert report.correction_order <= order
     with mp.workdps(digits + 40):
         err = abs(report.value - mp.zeta(_mp_point(s)))
     assert err <= report.error_estimate, (mp.nstr(err, 3), report.error_estimate)
-    if t == 100:
-        assert report.error_estimate <= 10.0**-digits
 
 
 @settings(max_examples=25, deadline=None)
@@ -377,6 +385,34 @@ def test_large_real_part_runs_one_pass(specs64, monkeypatch, s):
     report = eval_identity(specs64[1], s, 20)
     assert len(passes) == 1
     assert report.error_estimate <= 1e-20
+
+
+@pytest.mark.parametrize("s, terms", [(F(10**4), 90), (F(10**5), 617), (F(10**6), 4537)])
+def test_large_real_part_stops_at_the_majorant(specs64, s, terms):
+    # every term past k0 is far below the threshold. The majorant of the
+    # tail past k carries y 2^ceil(3y/2), y = |s + k|/(N - 1), from the
+    # terms that grow before they fall, and 1/(k+1)! outgrows it at about
+    # k = 90 for s = 10^4 (N = 32), where the ratio test of each term's
+    # successor needed |s + k|/(k + 2) < N, k > 300. At 10^6 the majorant
+    # and (k+1)! run to tens of thousands of bits
+    start = time.process_time()
+    report = eval_identity(specs64[1], s, 20)
+    assert time.process_time() - start < 2
+    assert report.terms_used <= terms
+    with mp.workdps(40):
+        err = abs(report.value - mp.zeta(s))
+    assert err <= report.error_estimate <= 10.0**-20
+
+
+def test_deep_zeta_prime_at_zero_stops_at_k0(monkeypatch):
+    # r_k/(k(k+1)) zeta(k, N) falls like N^-k from k0 = 128: the majorant
+    # of the tail past k0 is under the threshold at once, in one pass
+    # (test_zeta_prime_at_zero_meets_the_contract checks its value)
+    spec = derive_identity(128, 130)
+    passes = _record_passes(monkeypatch)
+    report = zeta_prime_at_zero(spec, 40)
+    assert len(passes) == 1
+    assert report.terms_used == spec.k0
 
 
 # ---- eval_identities: several depths in one pass ----
@@ -611,41 +647,35 @@ def test_head_weights_are_tallied(specs64, monkeypatch, s):
                 assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
 
 
-@pytest.mark.parametrize("base_bits", [5, 6, 7])  # m + 1 at 15..22, 23..54 and 55..118 digits
+@pytest.mark.parametrize("base_bits", [5, 6, 7])  # N at 15..22, 23..54 and 55..118 digits
 @pytest.mark.parametrize("p, s", [(1, (F(50), F(1000))), (1, F(300)), (5, (F(1, 2), F(100)))])
 def test_tail_proof_holds_where_it_claims(specs64, p, s, base_bits):
-    # wherever _tail_bounded proves the tail for m + 1 = b = 2^base_bits,
-    # the tail sum_{j>k} |r_j (s)_j/(j+1)!| zeta(Re s + j, b), summed here,
-    # is within 4 * b^(1 - Re s - k) |r_k (s)_k/(k+1)!|. At 50 + 1000i the
-    # terms grow until |s + k|/(k + 2) < b, so no k before that may be claimed
+    # at every k >= k0 the a-priori majorant of the tail past k
+    # (_tail_factor) is at least the tail
+    # sum_{j>k} |r_j (s)_j/(j+1)!| zeta(Re s + j, N), summed here; also at
+    # 50 + 1000i, where the terms grow until |s + k| is about N k
     spec = specs64[p]
-    b = 1 << base_bits
+    bits = 3000  # |V_k| is many ulps at every k the test reaches
     re, im = s if isinstance(s, tuple) else (s, F(0))
-    point = _integer_point(re, im)
-    claimed = [
-        k for k in range(spec.k0 + 8, 200) if evalzeta._tail_bounded(spec, point, k, base_bits)
-    ]
-    assert claimed
+    inner = _InnerSums((re, im), {5: 20, 6: 40, 7: 100}[base_bits], bits, 0)
+    n = inner.n
+    assert n == 1 << base_bits
+    depth = _Depth(spec)
     with mp.workdps(30):
         z, sigma = _mp_point(s), _mp_point(re)
-        # n^-(Re s + j) for n = b..4b-1, for an upper bound on
-        # zeta(Re s + j, b): those terms, then (4b)^-x (1 + 4b/(x - 1))
-        ns = range(b, 4 * b)
-        powers = [mp.mpf(n) ** -sigma for n in ns]
-        sizes, terms, a = [], [], mp.mpf(1)
+        terms, a = [], mp.mpf(1)
         for j in range(400):
-            x = sigma + j
-            sizes.append(abs(spec.series_coefficient(j) * a))
-            terms.append(sizes[-1] * (sum(powers) + mp.mpf(4 * b) ** -x * (1 + 4 * b / (x - 1))))
+            terms.append(abs(spec.series_coefficient(j) * a) * mp.zeta(sigma + j, n))
             a *= (z + j) / (j + 2)
-            powers = [power / n for power, n in zip(powers, ns)]
         # past j = 400 each term is below a fifth of the one before
         tails = [mp.zero]
         for term in reversed(terms[1:]):
             tails.append(tails[-1] + term)
         tails.reverse()  # tails[k] = sum_{k<j<400} terms[j]
-        for k in claimed:
-            assert tails[k] <= 4 * mp.mpf(b) ** (1 - sigma - k) * sizes[k], k
+        for k in range(spec.k0, 200):
+            growth, below = evalzeta._tail_factor(inner, k)
+            majorant = -(-growth * depth.majorant(k) // (below * depth.den * factorial(k + 1)))
+            assert tails[k] * 2**bits <= majorant, k
 
 
 @pytest.mark.parametrize("digits, first_n", [(15, 32), (40, 64), (100, 128), (300, 512)])
@@ -977,7 +1007,7 @@ def test_zeta_prime_at_zero_meets_the_contract(specs64, p, digits):
     spec = specs64[p] if p in specs64 else derive_identity(p, p + 2)
     report = zeta_prime_at_zero(spec, digits)
     assert report.p_used == p
-    assert report.terms_used >= spec.k0 + 8
+    assert report.terms_used >= spec.k0
     # the reference resolves the estimate as well as the target: at p >= 64
     # the scale, sized by the first coefficient r_k0/(k0(k0+1)), is far
     # finer than the terms, and the estimate falls far below 10^-(digits+20)
