@@ -48,20 +48,18 @@ beta_j = B_2j/(2j)!, Euler-Maclaurin at N times (s)_k reads
     G_k = (s)_k zeta(s+k, N) = V_(k-1) + V_k/2 + sum_j beta_j V_(k+2j-1) + R,
 
 since (s)_k (s+k)_i = (s)_(k+i), and the outer term is rho_k G_k with the
-exact rho_k = r_k/(k+1)! (_InnerSums, _outer_pass). The bare coefficients
-r_k (s)_k/(k+1)! can grow by many bits before the terms fall (by 2^57 at
-|Im s| = 40), but no rounding meets them: each floor of V_m is relative to
-V_m, and rho_k is exact, so every rounding counts against its term. P is
-the bit length of 10^(digits+5), plus log2 of the largest first
-coefficient |r_k (s)_k/(k+1)!| or of the largest head weight times the
-error of the value it multiplies (3 |W_m| ulps for m^-s, 3 (m - 2)
-|g_j (s)_j| for S_j), plus _GUARD_BITS, with no scan of the series. Where
-the terms still grow relative to the first one, the rounding tally shows
-it: if a depth's tally exceeds its share of 10^-(digits+5), the pass runs
-once more at a scale finer by the bits of that excess (_outer_series).
-Every bound is a tally of the ulps actually lost, whatever P is. A call
-whose final bound still exceeds 10^-digits, compared in integers, raises
-PrecisionError, which carries the reports.
+exact rho_k = r_k/(k+1)! (_InnerSums, _outer_series). The bare
+coefficients r_k (s)_k/(k+1)! can grow by many bits before the terms fall
+(by 2^57 at |Im s| = 40), but no rounding meets them: each floor of V_m is
+relative to V_m, the error of V_m is capped by its size, and rho_k is
+exact, so every rounding counts against its term and the series' tally is
+a count of ulps that does not grow with P. So P is set once, from what the
+pass rounds: the bit length of 10^(digits+5), plus log2 of the largest
+head weight times the error of the value it multiplies (3 |W_m| ulps for
+m^-s, 3 (m - 2) |g_j (s)_j| for S_j), plus _GUARD_BITS, with no scan of
+the series; one pass runs at that scale. Every bound is a tally of the
+ulps actually lost, whatever P is. A call whose bound exceeds 10^-digits,
+compared in integers, raises PrecisionError, which carries the reports.
 
 The independent cross-check `zeta_em_reference` computes zeta directly by
 Euler-Maclaurin summation in mpmath floats, on a private mpmath context
@@ -133,8 +131,8 @@ from .derive import IdentitySpec
 from .exactmath import bernoulli_over_factorial, bernoulli_ratios
 
 _GUARD = 10
-# Bits of the fixed-point scale beyond 10^-(digits+5) and the first outer
-# coefficient; the ulp tally of a few hundred terms stays far below them.
+# Bits of the fixed-point scale beyond 10^-(digits+5) and the head weights'
+# errors; the series' ulp tally stays far below them.
 _GUARD_BITS = 24
 # Each depth's summed inner truncation, and its rounding tally, aims at
 # threshold / _INNER_SAFETY ulps (at least 1).
@@ -152,8 +150,8 @@ class PoleError(ValueError):
 
 class PrecisionError(ValueError):
     """Some depth's error bound exceeds 10^-digits. reports holds the
-    reports of the last pass, one per depth: each bound still holds, but
-    at least one is above the target."""
+    reports of the pass, one per depth: each bound still holds, but at
+    least one is above the target."""
 
     def __init__(self, message: str, reports: list):
         super().__init__(message)
@@ -179,12 +177,10 @@ class EvalReport:
     zeta_prime_at_zero the head values are S_j(0), j >= 1, and the logs
     log m and log((m-1)!), each within 2 ulps, and the tally counts them
     the same way. The outer truncation bound is the a-priori majorant of
-    the tail past terms_used (_tail_factor). The estimate is that of the
-    last pass: a call whose first tally exceeds its share runs once more
-    at a finer scale. A call whose estimate still exceeds 10^-digits
-    raises PrecisionError, whose reports are these.
+    the tail past terms_used (_tail_factor). A call whose estimate exceeds
+    10^-digits raises PrecisionError, whose reports are these.
 
-    The last three fields record the inner schedule of that pass.
+    The last three fields record the inner schedule of the pass.
     split_point is N = _split_point(digits), m + 1 of the shifted split and
     the least power of two >= 10 + digits, at which every inner sum of
     every caller is an Euler-Maclaurin sum zeta(s + k, N). correction_order
@@ -326,8 +322,9 @@ def _threshold_bits(digits: int) -> int:
 
 
 def _scale_bits(digits: int, peak: int) -> int:
-    """P for a call whose largest first outer coefficient or weighted head
-    error is at most 2^peak."""
+    """P for a call whose largest head weight times the ulps of the value
+    it multiplies is at most 2^peak; the outer series adds no bits
+    (_outer_series)."""
     return _threshold_bits(digits) + max(peak, 0) + _GUARD_BITS
 
 
@@ -1021,7 +1018,7 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
 
 def _outer_series(specs, point, start, heads, head_ulps, values, digits: int) -> list[EvalReport]:
     """head + sum_i w_i x_i + sum_{k >= k0} rho_k G_k for each spec, in one
-    pass over k from the least k0 (_outer_pass), for the exact s = point,
+    pass over k from the least k0, for the exact s = point,
     rho_k = r_k/(k+1)! and G_k = (s + start)_(k - start) zeta(s + k, N)
     (_InnerSums), N = _split_point(digits); one report per (exact head,
     weights w_i) in heads, each an integer triple (re, im, den).
@@ -1032,61 +1029,11 @@ def _outer_series(specs, point, start, heads, head_ulps, values, digits: int) ->
     rho_k G_k is r_k/(k(k+1)) zeta(k, N), the s-derivative at 0 of the
     same term, and the weights of S_j(0), log m and log((m-1)!).
 
-    Each rounding of G_k counts against its term, since rho_k is exact,
-    so P needs only the bits of the largest first coefficient
-    |rho_k (s + start)_(k - start)| at the least k0 and of the head weights
-    times the ulps of the values they multiply (_scale_bits). Where the
-    terms grow relative to the first one, the rounding tally grows with
-    them: if a depth's tally exceeds share = threshold // _INNER_SAFETY
-    ulps (at least 1), the pass runs once more at P plus the bit length of
-    tally // share, and that pass's reports are final. If the error bound
-    of any of them, in ulps, exceeds 2^P 10^-digits, PrecisionError raises
-    with them."""
-    k = min(spec.k0 for spec in specs)
-    zr, zi, den = _integer_point(*point)
-    # (s + start)_(k - start) / (k+1)! at the least k0
-    ar, ai = _rising((zr + start * den, zi, den), k - start + 1)[-1]
-    scale = den ** (k - start) * factorial(k + 1)
-    factor = Fraction(ar, scale), Fraction(ai, scale)
-    peak = 0
-    for spec, (_, weights) in zip(specs, heads):
-        r = spec.series_coefficient(k)
-        if r and any(factor):
-            peak = max(peak, _log2_up(*_integer_point(r * factor[0], r * factor[1])))
-        for (wr, wi, wd), ulps in zip(weights, head_ulps):
-            peak = max(peak, _log2_up(wr, wi, wd) + ulps.bit_length())
-    bits = _scale_bits(digits, peak)
-    args = specs, point, start, heads, head_ulps, values, digits
-    reports, tally, errors = _outer_pass(*args, bits)
-    share = max((1 << bits) // 10 ** (digits + 5) // _INNER_SAFETY, 1)
-    if tally > share:
-        bits += (tally // share).bit_length()
-        reports, _, errors = _outer_pass(*args, bits)
-    missed = [r for r, ulps in zip(reports, errors) if ulps * 10**digits > 1 << bits]
-    if missed:
-        bounds = ", ".join(f"{r.error_estimate:.3e} (depth {r.p_used})" for r in missed)
-        raise PrecisionError(f"cannot meet 10^-{digits}: error bound {bounds}", reports)
-    return reports
-
-
-def _band(inner: _InnerSums, ks: list[int], depths: list[_Depth], k_star: int, order: int):
-    """The band of `order` over the G_k, k in ks (_outer_pass): the orders
-    M_k = min(order, (T - k + 1) // 2), T = max(k_star + 2 order - 1,
-    K + 1) and K the last k, so no G_k reads V past V_T; and
-    each depth's summed truncation sum_k |rho_k| R_k in ulps, R_k the
-    remainder bound of M_k, rounded up per k."""
-    last = max(ks[-1] + 1, k_star + 2 * order - 1)
-    orders = [min(order, (last - k + 1) // 2) for k in ks]
-    bounds = [inner.remainder(k, m) for k, m in zip(ks, orders)]
-    truncation = [sum(-(-size * bounds[i] // rden) for i, _, size, rden in d.terms) for d in depths]
-    return orders, truncation
-
-
-def _outer_pass(specs, point, start, heads, head_ulps, values, digits: int, bits: int):
-    """One pass of _outer_series at scale 2^-bits, with head_ulps the
-    errors of the values the head weights multiply: the reports, the
-    largest rounding tally among them, and each report's error bound, all
-    in ulps.
+    P is set once (_scale_bits), from the largest head weight times the
+    ulps of the value it multiplies. The series adds nothing to it: each
+    rounding of G_k counts against its exact rho_k, and the error of each
+    V_m is capped by its size, so the series' tally is a count of ulps
+    that does not grow with P.
 
     First each depth's last k: a depth stops at the first k >= k0 where
     the a-priori majorant of its tail past k (_tail_factor) is under the
@@ -1100,7 +1047,11 @@ def _outer_pass(specs, point, start, heads, head_ulps, values, digits: int, bits
     some depth's summed truncation exceeds share and one more order at
     least halves every such sum; otherwise the reports carry the bound
     reached. Every running depth then adds rho_k G_k at each of its k, G_k
-    shared; G_k is exactly 0 where V_k is, and is skipped there."""
+    shared; G_k is exactly 0 where V_k is, and is skipped there. If the
+    error bound of any depth, in ulps, exceeds 2^P 10^-digits,
+    PrecisionError raises with every report."""
+    weighted = [_log2_up(*w) + u.bit_length() for _, ws in heads for w, u in zip(ws, head_ulps)]
+    bits = _scale_bits(digits, max(weighted, default=0))
     depths = [_Depth(spec) for spec in specs]
     k = min(spec.k0 for spec in specs)
     threshold = (1 << bits) // 10 ** (digits + 5)
@@ -1165,25 +1116,40 @@ def _outer_pass(specs, point, start, heads, head_ulps, values, digits: int, bits
             d.total_im += total_im
             d.rounding += rounding
             d.products += len(d.terms)
-    reports, tally, errors = [], 0, []
+    reports, missed = [], []
     for d, ((hr, hi, hd), _) in zip(depths, heads):
         # the head's two floors and each product's two: 2 ulps each
-        rounding = d.rounding + 2 * (d.products + 1)
-        tally = max(tally, rounding)
-        errors.append(d.tail_bound + d.inner_err + rounding)
+        error = d.tail_bound + d.inner_err + d.rounding + 2 * (d.products + 1)
         value = _mp_value(d.total_re + (hr << bits) // hd, d.total_im + (hi << bits) // hd, bits)
-        reports.append(
-            EvalReport(
-                value=value,
-                p_used=d.spec.p,
-                terms_used=d.terms_used,
-                error_estimate=_float_up(errors[-1], bits),
-                split_point=inner.n,
-                correction_order=order,
-                last_em_k=ks[-1] if ks else None,
-            )
+        report = EvalReport(
+            value=value,
+            p_used=d.spec.p,
+            terms_used=d.terms_used,
+            error_estimate=_float_up(error, bits),
+            split_point=inner.n,
+            correction_order=order,
+            last_em_k=ks[-1] if ks else None,
         )
-    return reports, tally, errors
+        reports.append(report)
+        if error * 10**digits > 1 << bits:
+            missed.append(report)
+    if missed:
+        bounds = ", ".join(f"{r.error_estimate:.3e} (depth {r.p_used})" for r in missed)
+        raise PrecisionError(f"cannot meet 10^-{digits}: error bound {bounds}", reports)
+    return reports
+
+
+def _band(inner: _InnerSums, ks: list[int], depths: list[_Depth], k_star: int, order: int):
+    """The band of `order` over the G_k, k in ks (_outer_series): the orders
+    M_k = min(order, (T - k + 1) // 2), T = max(k_star + 2 order - 1,
+    K + 1) and K the last k, so no G_k reads V past V_T; and
+    each depth's summed truncation sum_k |rho_k| R_k in ulps, R_k the
+    remainder bound of M_k, rounded up per k."""
+    last = max(ks[-1] + 1, k_star + 2 * order - 1)
+    orders = [min(order, (last - k + 1) // 2) for k in ks]
+    bounds = [inner.remainder(k, m) for k, m in zip(ks, orders)]
+    truncation = [sum(-(-size * bounds[i] // rden) for i, _, size, rden in d.terms) for d in depths]
+    return orders, truncation
 
 
 def sum_zeta_m1(digits: int = 40):

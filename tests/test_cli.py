@@ -198,6 +198,21 @@ def test_every_check_reads_the_file(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "FAIL  pairing: depths 3 and 4 differ\n"
 
 
+def test_pairing_reads_records_of_different_k_max(tmp_path, capsys):
+    # the odd depths listed through k = 64, the even ones through k = 14:
+    # each pair is still one identity
+    full, short = tmp_path / "full.json", tmp_path / "short.json"
+    main(["derive", "--p", "1..12", "--out", str(full)])
+    main(["derive", "--p", "1..12", "--kmax", "14", "--out", str(short)])
+    odd = [r for r in json.loads(full.read_text()) if r["p"] % 2]
+    even = [r for r in json.loads(short.read_text()) if not r["p"] % 2]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(odd + even))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path), "--only", "pairing"]) == 0
+    assert capsys.readouterr().out.startswith("PASS  pairing")
+
+
 def test_file_must_hold_the_depths_a_check_reads(tmp_path, capsys):
     path = tmp_path / "identities.json"
     main(["derive", "--p", "1..3", "--out", str(path)])

@@ -48,20 +48,26 @@ def _mp_point(s):
     return mp.mpf(s.numerator) / s.denominator
 
 
-def _record_passes(monkeypatch):
-    """(reports, rounding tally, scale bits) of every pass of _outer_series,
-    in order, from here on. A call whose first rounding tally exceeds its
-    share runs a second, finer pass, whose reports it returns."""
-    passes = []
-    run = evalzeta._outer_pass
+def _record_scales(monkeypatch):
+    """The scale bits P of every call from here on, in order."""
+    scales = []
+    scale_bits = evalzeta._scale_bits
 
-    def recording(*args):
-        reports, tally, errors = run(*args)
-        passes.append((reports, tally, args[-1]))
-        return reports, tally, errors
+    def recording(digits, peak):
+        scales.append(scale_bits(digits, peak))
+        return scales[-1]
 
-    monkeypatch.setattr(evalzeta, "_outer_pass", recording)
-    return passes
+    monkeypatch.setattr(evalzeta, "_scale_bits", recording)
+    return scales
+
+
+def _reports_or_raised(call):
+    """The reports of call(), or those of the PrecisionError it raises,
+    with whether it raised."""
+    try:
+        return call(), False
+    except PrecisionError as raised:
+        return raised.reports, True
 
 
 def _without_closed_form(spec):
@@ -376,18 +382,43 @@ def test_error_estimate_covers_mpmath_zeta_in_every_strip(
             assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.integers(1, 12),
+    re_steps=st.integers(1, 10**6),
+    im_steps=st.integers(-(3 * 10**7), 3 * 10**7),
+    digits=st.integers(15, 60),
+)
+def test_every_strip_meets_or_raises_up_to_three_hundred(specs64, p, re_steps, im_steps, digits):
+    # as test_error_estimate_covers_mpmath_zeta_in_every_strip, with
+    # |Im s| <= 300: past |Im s| = 100 or so N = 32 or 64 cannot meet every
+    # target, so each batch either meets it or raises PrecisionError, and
+    # every bound either way holds. |zeta(s)| is below 10^30 here, so the
+    # reference carries digits + 60.
+    spec = specs64[p]
+    left = max(spec.effective_validity, F(3, 2) - spec.k0)
+    s = (left + F(re_steps, 5 * 10**5), F(im_steps, 10**5))
+    assume(s != (1, 0))
+    batch = [other for other in specs64.values() if supports(other, s)]
+    reports, raised = _reports_or_raised(lambda: eval_identities(batch, s, digits))
+    assert raised or all(r.error_estimate <= 10.0**-digits for r in reports)
+    with mp.workdps(digits + 60):
+        target = mp.zeta(_mp_point(s))
+        for report in reports:
+            err = abs(report.value - target)
+            assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
+
+
 @pytest.mark.parametrize("s", [F(10**4), F(3 * 10**4)])
-def test_large_real_part_runs_one_pass(specs64, monkeypatch, s):
+def test_large_real_part_runs_one_pass(specs64, s):
     # N^-s is far below one ulp, and so is every V_m = (s)_m N^-(s+m) the
     # series reaches: the error of V_m is capped by its size, not grown by
-    # |s + m| / N at each step, so the first pass meets its share
-    passes = _record_passes(monkeypatch)
+    # |s + m| / N at each step, so the one pass meets the target
     report = eval_identity(specs64[1], s, 20)
-    assert len(passes) == 1
     assert report.error_estimate <= 1e-20
 
 
-@pytest.mark.parametrize("s, terms", [(F(10**4), 90), (F(10**5), 617), (F(10**6), 4537)])
+@pytest.mark.parametrize("s, terms", [(F(10**4), 90), (F(10**5), 618), (F(10**6), 4538)])
 def test_large_real_part_stops_at_the_majorant(specs64, s, terms):
     # every term past k0 is far below the threshold. The majorant of the
     # tail past k carries y 2^ceil(3y/2), y = |s + k|/(N - 1), from the
@@ -404,15 +435,30 @@ def test_large_real_part_stops_at_the_majorant(specs64, s, terms):
     assert err <= report.error_estimate <= 10.0**-20
 
 
-def test_deep_zeta_prime_at_zero_stops_at_k0(monkeypatch):
+def test_deep_zeta_prime_at_zero_stops_at_k0():
     # r_k/(k(k+1)) zeta(k, N) falls like N^-k from k0 = 128: the majorant
-    # of the tail past k0 is under the threshold at once, in one pass
+    # of the tail past k0 is under the threshold at once
     # (test_zeta_prime_at_zero_meets_the_contract checks its value)
     spec = derive_identity(128, 130)
-    passes = _record_passes(monkeypatch)
     report = zeta_prime_at_zero(spec, 40)
-    assert len(passes) == 1
     assert report.terms_used == spec.k0
+
+
+def test_scale_carries_no_first_coefficient_bits(monkeypatch):
+    # at depth 128 the first outer coefficient is about 2^371 for zeta'(0)
+    # and 2^363 at s = -126.25, yet every term it multiplies is tiny: P
+    # takes the head weights' bits and no more (547 and 506 bits when it
+    # carried the coefficient), and the one pass meets the contract
+    spec = derive_identity(128, 130)
+    scales = _record_scales(monkeypatch)
+    zeta0 = zeta_prime_at_zero(spec, 40)
+    far = eval_identity(spec, F(-505, 4), 30)
+    assert scales[0] <= 200 and scales[1] <= 160
+    assert f"{far.error_estimate:.3e}" == "8.066e-37"
+    with mp.workdps(60):
+        assert abs(zeta0.value + mp.log(2 * mp.pi) / 2) <= zeta0.error_estimate <= 1e-40
+    with mp.workdps(330):
+        assert abs(far.value - mp.zeta(mp.mpf(-505) / 4)) <= far.error_estimate <= 1e-30
 
 
 # ---- eval_identities: several depths in one pass ----
@@ -445,25 +491,23 @@ def test_guard_bits_cover_every_depth_at_sixty_digits(specs64):
 
 @pytest.mark.parametrize("s", [F(-145, 14), (F(1, 2), F(40)), (F(-8, 5), F(31)), (F(3, 4), F(2))])
 def test_error_estimate_holds_at_a_coarse_scale(specs64, monkeypatch, s):
-    # with a scale 2 bits finer than 10^-45, and no bits for the outer
-    # coefficients or guard, the rounding tally of the first pass dominates
-    # its estimate and calls for a second pass; the estimate of every pass
-    # must still bound the error
+    # with a scale 2 bits finer than 10^-45, and no bits for the head
+    # weights or guard, the rounding tally dominates the estimate, which
+    # must still bound the error, whether the call returns its reports or
+    # raises PrecisionError with them
     monkeypatch.setattr(
         evalzeta, "_scale_bits", lambda digits, peak: evalzeta._threshold_bits(digits) + 2
     )
-    passes = _record_passes(monkeypatch)
     batch = [spec for spec in specs64.values() if supports(spec, s)]
-    eval_identities(batch, s, 40)
-    assert len(passes) == 2
-    _, tally, bits = passes[0]
-    assert tally > (1 << bits) // 10**45  # more than the truncation threshold
+    reports, _ = _reports_or_raised(lambda: eval_identities(batch, s, 40))
+    assert len(reports) == len(batch)
+    # more than the truncation threshold
+    assert min(r.error_estimate for r in reports) > 1e-45
     with mp.workdps(70):
         target = mp.zeta(_mp_point(s))
-        for reports, _, _ in passes:
-            for report in reports:
-                err = abs(report.value - target)
-                assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
+        for report in reports:
+            err = abs(report.value - target)
+            assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
 
 
 def test_three_hundred_digits(specs64):
@@ -628,23 +672,21 @@ def test_head_weights_are_tallied(specs64, monkeypatch, s):
     # a scale that ignores the weights' size: near the pole |W_m| is about
     # 10^13, and m^-s, within 3 ulps, then costs 10^13 ulps. Only the tally
     # of 3 |W_m| ulps, and of 3 (m - 2) |g_j (s)_j| ulps per power sum S_j,
-    # covers that. The first pass is checked as well as the second it calls
-    # for, whose scale adds the bits of the tally
+    # covers that. Near the pole the call raises PrecisionError; either way
+    # each bound must hold
     monkeypatch.setattr(
         evalzeta, "_scale_bits", lambda digits, peak: evalzeta._threshold_bits(digits) + 2
     )
-    passes = _record_passes(monkeypatch)
     batch = [spec for spec in specs64.values() if supports(spec, s)]
-    eval_identities(batch, s, 30)
-    assert len(passes) == 2
-    _, tally, bits = passes[0]
-    assert tally > (1 << bits) // 10**35  # more than the truncation threshold
+    reports, _ = _reports_or_raised(lambda: eval_identities(batch, s, 30))
+    assert len(reports) == len(batch)
+    # more than the truncation threshold
+    assert min(r.error_estimate for r in reports) > 1e-35
     with mp.workdps(80):
         target = mp.zeta(_mp_point(s))
-        for reports, _, _ in passes:
-            for report in reports:
-                err = abs(report.value - target)
-                assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
+        for report in reports:
+            err = abs(report.value - target)
+            assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
 
 
 @pytest.mark.parametrize("base_bits", [5, 6, 7])  # N at 15..22, 23..54 and 55..118 digits
@@ -1009,8 +1051,8 @@ def test_zeta_prime_at_zero_meets_the_contract(specs64, p, digits):
     assert report.p_used == p
     assert report.terms_used >= spec.k0
     # the reference resolves the estimate as well as the target: at p >= 64
-    # the scale, sized by the first coefficient r_k0/(k0(k0+1)), is far
-    # finer than the terms, and the estimate falls far below 10^-(digits+20)
+    # the head weights g_j (j-1)! make the scale finer than the target, and
+    # the estimate can fall far below 10^-(digits+20)
     below = int(-mp.log10(report.error_estimate))
     with mp.workdps(20 + max(digits, below)):
         err = abs(report.value + mp.log(2 * mp.pi) / 2)
@@ -1022,11 +1064,9 @@ def test_zeta_prime_at_zero_meets_the_contract(specs64, p, digits):
 # digits and 1006/1225/2041 at 300
 @pytest.mark.parametrize("digits, extra", [(40, 40), (300, 150)])
 @pytest.mark.parametrize("p", [2, 32, 128])
-def test_zeta_prime_at_zero_work_is_pinned(specs64, monkeypatch, p, digits, extra):
+def test_zeta_prime_at_zero_work_is_pinned(specs64, p, digits, extra):
     spec = specs64[p] if p in specs64 else derive_identity(p, p + 2)
-    passes = _record_passes(monkeypatch)
     assert zeta_prime_at_zero(spec, digits).terms_used <= spec.k0 + extra
-    assert len(passes) == 1  # no second, finer pass
 
 
 # ---- no shared precision ----
