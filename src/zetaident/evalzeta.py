@@ -62,14 +62,18 @@ ulps actually lost, whatever P is. A call whose bound exceeds 10^-digits,
 compared in integers, raises PrecisionError, which carries the reports.
 
 The independent cross-check `zeta_em_reference` computes zeta directly by
-Euler-Maclaurin summation in mpmath floats, on a private mpmath context
-per thread, and shares nothing with `eval_identity` except the Bernoulli
-table, `_least_factor` and the exact reading of s, so agreement between
-the two is meaningful.
+Euler-Maclaurin summation, also in fixed point on Python integers: its own
+calls of the same mpmath kernels give each p^-s at its own working
+precision, and exact rationals give every other factor. It uses no mpmath
+context and shares nothing with `eval_identity` except the Bernoulli
+table, `_least_factor` and the exact reading of s and writing of the
+result, so agreement between the two is meaningful.
 
 `eval_identities` evaluates several depths at one point in one pass over
 k: every depth's identity has the same G_k, and only r_k and the weights
-differ. `eval_identity` is the batch of one. `zeta_prime_at_zero`
+differ. Twins, specs equal in k0, pole, Q and closed form (depths 3 and
+4, say), are one identity and share one evaluation; each still gets its
+own report. `eval_identity` is the batch of one. `zeta_prime_at_zero`
 differentiates the shifted split term by term at s = 0, where (s)_j
 vanishes for j >= 1 and has derivative (j-1)!. That leaves the exact
 Q'(0) - pole + W_1'(0) + W_m'(0), the power sums S_j(0) with the weights
@@ -82,10 +86,10 @@ zeta_m1 takes G_0 = zeta(z, N), with V_(-1) = N V_0/(z - 1).
 Each call computes n^-s for n = 2..N-1 once and steps them by floor
 divisions into the power sums S_j (_power_sums); sum_zeta_m1 and zeta_m1
 add zeta(z + k, N) to the power sum sum_{n<N} n^-(z+k) to make
-zeta(z + k) - 1. The oracle sums
-10 + digits direct terms and adds correction terms while they exceed
-10^-(digits + _GUARD). Each depth's outer series stops at the first
-k >= k0 whose tail past k has an a-priori majorant below 10^-(digits+5)
+zeta(z + k) - 1. The oracle sums 10 + digits direct terms and adds
+correction terms while they are at least 10^-(digits + _GUARD), compared
+in integers. Each depth's outer series stops at the first k >= k0 whose
+tail past k has an a-priori majorant below 10^-(digits+5)
 (_tail_factor), after Borwein, Bradley and Crandall's series in
 (s)_k (zeta(s+k) - 1) and Johansson's truncation from rigorous a-priori
 bounds: with the falling coefficients beta_i of r_k and A = |s + k|,
@@ -116,14 +120,13 @@ from __future__ import annotations
 
 import re as _re
 import sys
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, floor, inf, isfinite, isqrt, lcm, nextafter
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from mpmath import MPContext, mp
+from mpmath import mp
 from mpmath.libmp import from_man_exp, log_int_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
@@ -131,6 +134,8 @@ from .derive import IdentitySpec
 from .exactmath import bernoulli_over_factorial, bernoulli_ratios
 
 _GUARD = 10
+# Bits of the oracle's working precision beyond 10^-(digits + _GUARD).
+_ORACLE_GUARD_BITS = 16
 # Bits of the fixed-point scale beyond 10^-(digits+5) and the head weights'
 # errors; the series' ulp tally stays far below them.
 _GUARD_BITS = 24
@@ -150,8 +155,8 @@ class PoleError(ValueError):
 
 class PrecisionError(ValueError):
     """Some depth's error bound exceeds 10^-digits. reports holds the
-    reports of the pass, one per depth: each bound still holds, but at
-    least one is above the target."""
+    reports of the pass, one per spec, in order: each bound still holds,
+    but at least one is above the target."""
 
     def __init__(self, message: str, reports: list):
         super().__init__(message)
@@ -643,81 +648,92 @@ def zeta_m1(sigma, digits: int = 40):
     return _mp_value(vr + hr, vi + hi if im else None, bits)
 
 
-class _OracleContext(threading.local):
-    """One private mpmath context per thread for zeta_em_reference, so its
-    working precision is neither mpmath's shared one nor another thread's."""
-
-    def __init__(self):
-        self.ctx = MPContext()
-
-
-_ORACLE = _OracleContext()
-
-
 def zeta_em_reference(s, digits: int = 40):
-    """Independent zeta oracle: direct Euler-Maclaurin continuation.
+    """Independent zeta oracle: direct Euler-Maclaurin continuation, in
+    fixed point on Python integers.
 
-    Shares only the Bernoulli table, _least_factor and the reading of s
-    (_exact_point) with the identity evaluator, and works in mpmath floats
-    on a private context of the calling thread: it never sets mpmath's
-    shared precision. The direct sum runs to N = 10 + digits, each n^-z
-    from a power for a prime n and as a product of two earlier powers
-    otherwise; correction terms are added until the next one falls below
-    10^-(digits + _GUARD), or stops falling (the series is asymptotic), so
-    the order grows with |s| as well as with digits. For Re s < 1 the
-    direct sum grows like N^(1-Re s) while zeta(s) = O(1), so the lost
-    leading digits are compensated with extra working precision. Returns an
-    mpf for real s, else an mpc, built exactly from the private result.
+    Shares only the Bernoulli table, _least_factor, the exact reading of s
+    (_exact_point, _integer_point) and the exact conversion of its result
+    (_mp_value) with the identity evaluator, and calls none of its inner
+    sums. With z = s and N = 10 + digits,
+
+        zeta(z) = sum_{n<N} n^-z + N^(1-z)/(z-1) + N^-z/2
+                  + sum_{j>=1} B_2j/(2j)! (z)_(2j-1) N^(-z-2j+1) + R.
+
+    Each p^-z, p <= N prime, is an integer pair in units of 2^-wp from
+    mpmath's fixed-point kernels at the oracle's own wp: exp_fixed of
+    -Re z log p and cos_sin_fixed of -Im z log p, log p from
+    log_int_fixed. A composite n^-z is the integer product of two earlier
+    powers. Every other factor is an exact rational, and each term is
+    floored once. Corrections are added until the next one falls below
+    10^-(digits + _GUARD), or stops falling (the series is asymptotic),
+    compared in integers, so the order grows with |s| as well as with
+    digits. wp resolves 10^-(digits + _GUARD) with _ORACLE_GUARD_BITS to
+    spare; for Re s < 1 the direct sum grows like N^(1-Re s) while
+    zeta(s) = O(1), so wp adds the bits of N^(1-Re s) and of two more
+    decimal digits. No mpmath context is used: the oracle neither reads
+    nor sets mpmath's shared precision, so concurrent calls get the
+    serial bits. Returns an mpf for real s, else an mpc, exactly; raises
+    PoleError at s = 1.
     """
     _check_digits(digits)
     re, im = _exact_point(s)
-    ctx = _ORACLE.ctx
-    n_direct = 10 + digits
-
-    def point():
-        x = ctx.mpf(re.numerator) / re.denominator
-        return ctx.mpc(x, ctx.mpf(im.numerator) / im.denominator) if im else x
-
-    ctx.dps = digits + _GUARD
-    probe = point()
-    if probe == 1:
+    if re == 1 and not im:
         raise PoleError("zeta has a pole at s = 1")
-    re_s = ctx.re(probe)
-    extra = 0
-    if re_s < 1:
-        extra = int(ctx.ceil((1 - re_s) * ctx.log10(n_direct))) + 2
-    ctx.dps = digits + _GUARD + extra
-    z = point()
-    # n^-z for n = 1..N: a power for a prime n, and p^-z (n/p)^-z for a
-    # composite n with least prime factor p
-    powers = [None, ctx.mpf(1)]
+    n_direct = 10 + digits
+    zr, zi, den = _integer_point(re, im)
+    wp = (10 ** (digits + _GUARD)).bit_length() + _ORACLE_GUARD_BITS
+    if re < 1:
+        # (1 - Re s) log2 N, bounded by the bit length of N, plus 2 digits
+        wp += _ceil_div((den - zr) * n_direct.bit_length(), den) + 7
+    # n^-z for n = 1..N: the kernels for a prime n, and p^-z (n/p)^-z for
+    # a composite n with least prime factor p
+    powers = [None, (1 << wp, 0)]
     for n in range(2, n_direct + 1):
         p = _least_factor(n)
-        powers.append(ctx.power(n, -z) if p == n else powers[p] * powers[n // p])
-    total = ctx.mpf(0)
-    for x in powers[1:n_direct]:
-        total += x
-    nf = ctx.mpf(n_direct)
-    total += powers[n_direct] * nf / (z - 1)
-    total += powers[n_direct] / 2
-    small = ctx.mpf(10) ** -(digits + _GUARD)
-    poch = z
-    npow = powers[n_direct] / nf
-    inv_n2 = 1 / (nf * nf)
-    previous = ctx.inf
+        if p < n:
+            (ar, ai), (br, bi) = powers[p], powers[n // p]
+            powers.append(((ar * br - ai * bi) >> wp, (ar * bi + ai * br) >> wp))
+            continue
+        log = log_int_fixed(n, wp)
+        u = exp_fixed(-(zr * log) // den, wp)
+        if zi:
+            cos, sin = cos_sin_fixed(-(zi * log) // den, wp)
+            powers.append(((u * cos) >> wp, (u * sin) >> wp))
+        else:
+            powers.append((u, 0))
+    *direct, (xr, xi) = powers[1:]
+    total_re = sum(x for x, _ in direct) + (xr >> 1)
+    total_im = sum(y for _, y in direct) + (xi >> 1)
+    # N^(1-z)/(z-1) = X_N N den (a - i zi) / |a + i zi|^2, a = zr - den
+    a = zr - den
+    q, scale = a * a + zi * zi, n_direct * den
+    total_re += scale * (xr * a + xi * zi) // q
+    total_im += scale * (xi * a - xr * zi) // q
+    # B_2j/(2j)! (z)_(2j-1) N^(-z-2j+1) = bn (pr + i pi) X_N / (bd (den N)^(2j-1)),
+    # pr + i pi = (z)_(2j-1) den^(2j-1), all integers; a term of t ulps is
+    # below 10^-(digits + _GUARD) when |t|^2 10^(2 (digits + _GUARD)) < 2^(2 wp)
+    tens, unit = 10 ** (2 * (digits + _GUARD)), 1 << 2 * wp
+    pr, pi, step, below = zr, zi, scale * scale, scale
+    previous = None
     j = 1
     while True:
         bn, bd = bernoulli_over_factorial(j)
-        term = ctx.mpf(bn) / bd * poch * npow
-        size = abs(term)
-        if size < small or size >= previous:
+        d = bd * below
+        tr = bn * (xr * pr - xi * pi) // d
+        ti = bn * (xr * pi + xi * pr) // d
+        size = tr * tr + ti * ti
+        if size * tens < unit or (previous is not None and size >= previous):
             break
-        total += term
+        total_re += tr
+        total_im += ti
         previous = size
-        poch = poch * (z + 2 * j - 1) * (z + 2 * j)
-        npow = npow * inv_n2
+        for shift in (2 * j - 1, 2 * j):
+            fr = zr + shift * den
+            pr, pi = pr * fr - pi * zi, pr * zi + pi * fr
+        below *= step
         j += 1
-    return mp.make_mpc(total._mpc_) if im else mp.make_mpf(total._mpf_)
+    return _mp_value(total_re, total_im if im else None, wp)
 
 
 def _outside(spec: IdentitySpec, re: Fraction) -> str:
@@ -732,19 +748,25 @@ def _outside(spec: IdentitySpec, re: Fraction) -> str:
 
 def supports(spec: IdentitySpec, s: Number) -> bool:
     """Whether eval_identity accepts s for this identity (_outside)."""
-    return not _outside(spec, _exact_point(s)[0])
+    return bool(supporting([spec], s))
 
 
-def _check_point(spec: IdentitySpec, re: Fraction, im: Fraction, digits: int) -> None:
-    """Raise what eval_identity raises when spec cannot be evaluated at
-    s = re + i im."""
+def supporting(specs: Sequence[IdentitySpec], s: Number) -> list[IdentitySpec]:
+    """The specs that eval_identity accepts at s, in order; s is read once."""
+    re = _exact_point(s)[0]
+    return [spec for spec in specs if not _outside(spec, re)]
+
+
+def _check_point(spec: IdentitySpec, re: Fraction, near_pole: bool, digits: int) -> None:
+    """Raise what eval_identity raises when spec cannot be evaluated at an s
+    with real part re, near_pole telling whether |s - 1|^2 <= 10^-digits."""
     outside = _outside(spec, re)
     if outside == "validity":
         raise ValueError(
             f"s with Re s = {re} is outside the validity "
             f"half-plane Re s > {spec.effective_validity} of the depth-{spec.p} identity"
         )
-    if (re - 1) ** 2 + im**2 <= Fraction(1, 10**digits):
+    if near_pole:
         raise PoleError(
             f"s is within the pole guard radius 10^-({digits}/2) of s = 1"
         )
@@ -951,30 +973,44 @@ def eval_identities(
     fixed-point scale (the largest any of them needs) and at each k one
     G_k = (s)_k zeta(s + k, m + 1), from one band of Euler-Maclaurin orders
     that meets every depth's summed budget (_band). Each depth keeps its
-    own total, error tallies and tail bound, and stops on its own. Every
-    spec is checked before any work: the first that cannot be evaluated at
-    s raises what eval_identity raises for it. An empty specs raises
-    ValueError, and a depth whose bound exceeds 10^-digits PrecisionError
-    for the whole batch.
+    own total, error tallies and tail bound, and stops on its own. Specs
+    equal in k0, pole, Q and closed form, the fields first_difference
+    compares, are one identity: they share one head and one share of the
+    pass, and each gets that identity's report with its own p_used. Every
+    spec is checked before any work, against its own validity half-plane:
+    the first that cannot be evaluated at s raises what eval_identity
+    raises for it. An empty specs raises ValueError, and a depth whose
+    bound exceeds 10^-digits PrecisionError for the whole batch.
     """
     _check_digits(digits)
     if not specs:
         raise ValueError("eval_identities needs at least one identity")
     re, im = _exact_point(s)
+    near_pole = (re - 1) ** 2 + im**2 <= Fraction(1, 10**digits)
     for spec in specs:
-        _check_point(spec, re, im, digits)
+        _check_point(spec, re, near_pole, digits)
     m = _split_point(digits) - 1
     point = _integer_point(re, im)
-    heads = []
+    # twins, equal in every field first_difference compares, are one
+    # identity: one head and one share of the pass serve them all. The key
+    # holds the polynomials as their cached integer coefficients, which
+    # hash and compare faster than tuples of Fractions
+    owners, distinct, heads = [], {}, []
     for spec in specs:
-        hr, hi, hd = _head(spec, point)
-        (wr, wi, wd), coefficients, last = _shifted_head(spec, point, m)
-        head = hr * wd + wr * hd, hi * wd + wi * hd, hd * wd
-        heads.append((head, [last, *coefficients]))  # in the order of _head_values
-    count = max(len(weights) for _, weights in heads) - 1
+        q, closed = spec.q_poly.integer_coefficients(), spec.closed_form.integer_coefficients()
+        key = spec.k0, spec.pole_coefficient, q, closed
+        if key not in distinct:
+            distinct[key] = len(heads)
+            hr, hi, hd = _head(spec, point)
+            (wr, wi, wd), coefficients, last = _shifted_head(spec, point, m)
+            head = hr * wd + wr * hd, hi * wd + wi * hd, hd * wd
+            # the weights in the order of _head_values
+            heads.append((spec, head, [last, *coefficients]))
+        owners.append(distinct[key])
+    count = max(len(weights) for _, _, weights in heads) - 1
     head_ulps = [_ENTRY_ULPS] + [_ENTRY_ULPS * (m - 2)] * count
     values = lambda inner: _head_values(inner.head(), count)
-    return _outer_series(specs, (re, im), 0, heads, head_ulps, values, digits)
+    return _outer_series(specs, owners, (re, im), 0, heads, head_ulps, values, digits)
 
 
 def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
@@ -1012,16 +1048,20 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
     head_ulps = [_ENTRY_ULPS * (m - 2)] * (size - 1) + [2, 2]
     values = lambda inner: _head_values(inner.head(), size)[2:] + inner.logs()
     zero = Fraction(0)
-    heads = [((head.numerator, 0, head.denominator), weights)]
-    return _outer_series([spec], (zero, zero), 1, heads, head_ulps, values, digits)[0]
+    heads = [(spec, (head.numerator, 0, head.denominator), weights)]
+    return _outer_series([spec], [0], (zero, zero), 1, heads, head_ulps, values, digits)[0]
 
 
-def _outer_series(specs, point, start, heads, head_ulps, values, digits: int) -> list[EvalReport]:
-    """head + sum_i w_i x_i + sum_{k >= k0} rho_k G_k for each spec, in one
-    pass over k from the least k0, for the exact s = point,
+def _outer_series(
+    specs, owners, point, start, heads, head_ulps, values, digits: int
+) -> list[EvalReport]:
+    """head + sum_i w_i x_i + sum_{k >= k0} rho_k G_k for each identity, in
+    one pass over k from the least k0, for the exact s = point,
     rho_k = r_k/(k+1)! and G_k = (s + start)_(k - start) zeta(s + k, N)
-    (_InnerSums), N = _split_point(digits); one report per (exact head,
-    weights w_i) in heads, each an integer triple (re, im, den).
+    (_InnerSums), N = _split_point(digits). heads holds one
+    (spec, exact head, weights w_i) per distinct identity, head and weights
+    integer triples (re, im, den); specs[i] takes the result of
+    heads[owners[i]], with its own p_used, and gets one report.
     values(inner) gives the x_i in ulps of the pass's _InnerSums, each
     within head_ulps[i]. eval_identities passes start 0, so rho_k G_k is
     r_k (s)_k/(k+1)! zeta(s + k, N), the weights W_m and g_j (s)_j and
@@ -1050,14 +1090,14 @@ def _outer_series(specs, point, start, heads, head_ulps, values, digits: int) ->
     shared; G_k is exactly 0 where V_k is, and is skipped there. If the
     error bound of any depth, in ulps, exceeds 2^P 10^-digits,
     PrecisionError raises with every report."""
-    weighted = [_log2_up(*w) + u.bit_length() for _, ws in heads for w, u in zip(ws, head_ulps)]
+    weighted = [_log2_up(*w) + u.bit_length() for _, _, ws in heads for w, u in zip(ws, head_ulps)]
     bits = _scale_bits(digits, max(weighted, default=0))
-    depths = [_Depth(spec) for spec in specs]
-    k = min(spec.k0 for spec in specs)
+    depths = [_Depth(spec) for spec, _, _ in heads]
+    k = min(d.spec.k0 for d in depths)
     threshold = (1 << bits) // 10 ** (digits + 5)
     inner = _InnerSums(point, digits, bits, start)
     head_values = values(inner)
-    for d, (_, weights) in zip(depths, heads):
+    for d, (_, _, weights) in zip(depths, heads):
         for (xr, xi), ulps, (wr, wi, wd) in zip(head_values, head_ulps, weights):
             d.total_re += (wr * xr - wi * xi) // wd
             d.total_im += (wr * xi + wi * xr) // wd
@@ -1116,22 +1156,27 @@ def _outer_series(specs, point, start, heads, head_ulps, values, digits: int) ->
             d.total_im += total_im
             d.rounding += rounding
             d.products += len(d.terms)
-    reports, missed = [], []
-    for d, ((hr, hi, hd), _) in zip(depths, heads):
+    results = []
+    for d, (_, (hr, hi, hd), _) in zip(depths, heads):
         # the head's two floors and each product's two: 2 ulps each
         error = d.tail_bound + d.inner_err + d.rounding + 2 * (d.products + 1)
         value = _mp_value(d.total_re + (hr << bits) // hd, d.total_im + (hi << bits) // hd, bits)
+        miss = error * 10**digits > 1 << bits
+        results.append((value, d.terms_used, _float_up(error, bits), miss))
+    reports, missed = [], []
+    for spec, owner in zip(specs, owners):
+        value, terms_used, estimate, miss = results[owner]
         report = EvalReport(
             value=value,
-            p_used=d.spec.p,
-            terms_used=d.terms_used,
-            error_estimate=_float_up(error, bits),
+            p_used=spec.p,
+            terms_used=terms_used,
+            error_estimate=estimate,
             split_point=inner.n,
             correction_order=order,
             last_em_k=ks[-1] if ks else None,
         )
         reports.append(report)
-        if error * 10**digits > 1 << bits:
+        if miss:
             missed.append(report)
     if missed:
         bounds = ", ".join(f"{r.error_estimate:.3e} (depth {r.p_used})" for r in missed)

@@ -88,6 +88,13 @@ def test_verify_named_checks(capsys):
     assert out.count("PASS") == 2
 
 
+def test_oracle_check_counts_every_depth_it_compares(capsys):
+    # twins share one evaluation, but the check still compares, and
+    # counts, every depth that accepts each grid point
+    assert main(["verify", "--only", "oracle", "--digits", "15"]) == 0
+    assert capsys.readouterr().out.startswith("PASS  oracle: 221 (s, p) evaluations match")
+
+
 def test_verify_derives_each_depth_once(monkeypatch, capsys):
     derived = []
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath import ctx_mp_python, mp
+from mpmath import MPContext, ctx_mp_python, mp
 
 from zetaident import derive_identity, evalzeta, exactmath
 from zetaident.cli import ORACLE_GRID
@@ -146,8 +146,8 @@ def test_em_reference_deterministic():
 
 
 def test_em_reference_threads_get_the_serial_bits():
-    # each thread works on a context of its own: no call sets mpmath's
-    # shared precision, so calls at other digits cannot change its bits
+    # the oracle uses no mpmath context: no call sets mpmath's shared
+    # precision, so calls at other digits cannot change its bits
     points = [F(-21, 2), (F(1, 2), F(5)), F(5, 2)]
     tasks = [(s, digits) for s in points for digits in (20, 100)]
     run = lambda task: _raw(zeta_em_reference(*task))
@@ -164,17 +164,37 @@ def test_em_reference_threads_get_the_serial_bits():
     assert mp.dps == dps
 
 
-@pytest.mark.parametrize("digits", [40, 60, 100])
+@pytest.mark.parametrize("digits", [15, 40, 60, 100])
 def test_em_reference_meets_its_digits_on_the_oracle_grid(digits):
     # the correction order follows |s| as well as digits: with an order
     # fixed by digits alone the reference missed 10^-55 at s = -10.5 and
-    # 60 digits by four orders of magnitude
-    for point in ORACLE_GRID:
+    # 60 digits by four orders of magnitude. 0.5 + 30i and -3.5 + 40i lie
+    # past the grid's |Im s| <= 20
+    for point in ORACLE_GRID + (0.5 + 30j, -3.5 + 40j):
         s = (Fraction(point.real), Fraction(point.imag))
         value = zeta_em_reference(s, digits)
         with mp.workdps(digits + 20):
             err = abs(value - mp.zeta(_mp_point(s)))
             assert err <= mp.mpf(10) ** -(digits + 1), (point, mp.nstr(err, 3))
+
+
+def test_em_reference_works_in_integers(monkeypatch):
+    # every power comes from the fixed-point kernels: no mpmath context
+    # computes one, and mpmath's shared precision is neither set nor read
+    tasks = [(F(-21, 2), 40), ((F(1, 2), F(5)), 20), (F(5, 2), 100)]
+    run = lambda: [_raw(zeta_em_reference(*task)) for task in tasks]
+    expected = run()
+    with mp.workdps(300):
+        assert run() == expected
+
+    def refuse(*args):
+        raise AssertionError("the oracle used an mpmath context")
+
+    context = ctx_mp_python.PythonMPContext
+    monkeypatch.setattr(MPContext, "power", refuse)
+    monkeypatch.setattr(context, "prec", property(lambda ctx: ctx._prec, refuse))
+    monkeypatch.setattr(context, "dps", property(lambda ctx: ctx._dps, refuse))
+    assert run() == expected
 
 
 # ---- eval_identity: values ----
@@ -510,6 +530,33 @@ def test_error_estimate_holds_at_a_coarse_scale(specs64, monkeypatch, s):
             assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
 
 
+@pytest.mark.parametrize("p, s", [(1, (F(1, 2), F(40))), (12, (F(-8, 5), F(31))), (5, F(-13, 4))])
+def test_every_inner_sum_rounding_counts_against_its_term(specs64, monkeypatch, p, s):
+    # at a coarse scale, each G_k is moved by 2^40 times its rounding bound
+    # and reports a bound that covers the move, so the G_k roundings times
+    # |r_k/(k+1)!|, about 10^-9 at depth 12, dominate the estimate, which
+    # must still hold. Left as they are, the G_k roundings stay below an
+    # eighth of the estimate wherever they were tried (|Im s| up to 1500,
+    # depths 1 to 128), too little for any other test to miss them
+    monkeypatch.setattr(
+        evalzeta, "_scale_bits", lambda digits, peak: evalzeta._threshold_bits(digits) + 2
+    )
+    call = lambda: eval_identities([specs64[p]], s, 40)
+    [plain], _ = _reports_or_raised(call)
+    sums = _InnerSums.sums
+
+    def widened(inner, pairs):
+        out = sums(inner, pairs)
+        return [((vr + (err << 40), vi - (err << 40)), err << 41) for (vr, vi), err in out]
+
+    monkeypatch.setattr(_InnerSums, "sums", widened)
+    [report], _ = _reports_or_raised(call)
+    assert report.error_estimate > 3 * plain.error_estimate
+    with mp.workdps(70):
+        err = abs(report.value - mp.zeta(_mp_point(s)))
+    assert err <= report.error_estimate, (mp.nstr(err, 3), report.error_estimate)
+
+
 def test_three_hundred_digits(specs64):
     # every bound is an integer tally: nothing overflows a float
     report = eval_identity(specs64[5], 2, 300)
@@ -546,6 +593,79 @@ def test_batch_of_one_is_eval_identity(specs64, p, s):
     alone = eval_identity(specs64[p], s, 40)
     for field in dataclasses.fields(EvalReport):
         assert getattr(batch[0], field.name) == getattr(alone, field.name), field.name
+
+
+def _count_depths(monkeypatch):
+    """The depth of every _Depth built from here on, in order."""
+    built = []
+    depth = evalzeta._Depth
+
+    def counting(spec):
+        built.append(spec.p)
+        return depth(spec)
+
+    monkeypatch.setattr(evalzeta, "_Depth", counting)
+    return built
+
+
+# the fields a report takes from the whole pass, not from its identity
+_SCHEDULE = ("correction_order", "last_em_k")
+
+
+@pytest.mark.parametrize("s", [F(-9, 4), (F(1, 2), F(14134725, 10**6))])
+def test_twins_share_one_evaluation(specs64, monkeypatch, s):
+    # depths 3 and 4, and 5 and 6, are one identity each (the pairing
+    # check): the batch evaluates each once, and every spec still gets a
+    # report of its own, that of its identity
+    batch = [specs64[p] for p in (3, 4, 5, 6)]
+    alone = [eval_identity(spec, s, 40) for spec in batch]
+    built = _count_depths(monkeypatch)
+    reports = eval_identities(batch, s, 40)
+    assert built == [3, 5]
+    assert [r.p_used for r in reports] == [3, 4, 5, 6]
+    for report, single in zip(reports, alone):
+        for field in dataclasses.fields(EvalReport):
+            if field.name not in _SCHEDULE:
+                assert getattr(report, field.name) == getattr(single, field.name), field.name
+    schedule = lambda r: tuple(getattr(r, name) for name in _SCHEDULE)
+    assert len({schedule(r) for r in reports}) == 1
+    # a pass of one identity is the pass eval_identity runs
+    twins = eval_identities(batch[:2], s, 40)
+    assert built == [3, 5, 3]
+    assert twins == alone[:2]
+
+
+def test_a_twin_with_another_closed_form_is_evaluated_on_its_own(specs64, monkeypatch):
+    # twins are found by content, not by depth: a depth-4 record whose
+    # closed form differs from depth 3's is an identity of its own
+    other = dataclasses.replace(specs64[4], closed_form=2 * specs64[4].closed_form)
+    batch = [specs64[3], other, specs64[5], specs64[6]]
+    s = F(5, 2)
+    alone = eval_identity(other, s, 40)
+    built = _count_depths(monkeypatch)
+    reports = eval_identities(batch, s, 40)
+    assert built == [3, 4, 5]
+    assert reports[1].value == alone.value != reports[0].value
+    assert reports[1].error_estimate == alone.error_estimate
+
+
+def test_a_batch_of_twins_raises_with_a_report_per_spec(specs64):
+    # one evaluation per identity, but PrecisionError still carries one
+    # report per spec, in order, and names every depth that missed
+    batch = [specs64[p] for p in (3, 4, 5, 6)]
+    s = (F(1, 2), F(200))
+    with pytest.raises(PrecisionError) as raised:
+        eval_identities(batch, s, 20)
+    reports = raised.value.reports
+    assert [r.p_used for r in reports] == [3, 4, 5, 6]
+    for p in (3, 4, 5, 6):
+        assert f"(depth {p})" in str(raised.value)
+    for first, second in (reports[:2], reports[2:]):
+        assert dataclasses.replace(second, p_used=first.p_used) == first
+    with mp.workdps(60):
+        target = mp.zeta(_mp_point(s))
+        for report in reports:
+            assert abs(report.value - target) <= report.error_estimate
 
 
 # ---- the shifted split ----
