@@ -23,7 +23,6 @@ from .evalzeta import (
     PrecisionError,
     eval_identities,
     eval_identity,
-    supporting,
     supports,
     sum_zeta_m1,
     zeta_em_reference,
@@ -59,7 +58,6 @@ __all__ = [
     "reference_identity",
     "series_poly",
     "subtraction_poly",
-    "supporting",
     "supports",
     "sum_zeta_m1",
     "zeta_em_reference",

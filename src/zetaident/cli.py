@@ -32,7 +32,7 @@ from .evalzeta import (
     eval_identities,
     eval_identity,
     parse_complex_literal,
-    supporting,
+    _supporting,
     supports,
     sum_zeta_m1,
     zeta_em_reference,
@@ -267,7 +267,7 @@ def _check_trivial_zeros(specs: list[IdentitySpec], digits: int) -> _Result:
     """zeta(s) = 0 at s = -2, -4, ...: one batch per zero, of the depths
     that support it, each value held to _off_target. Lines by depth."""
     found, misses, worst, s = {spec.p: [] for spec in specs}, [], mp.mpf(0), -2
-    while batch := supporting(specs, s):
+    while batch := _supporting(specs, s):
         values, miss, diff = _exact_value(batch, s, 0, digits, magnitude=True)
         for spec, line in zip(batch, values):
             found[spec.p].append(line)
@@ -313,7 +313,7 @@ def _check_oracle(specs: list[IdentitySpec], digits: int) -> _Result:
     for point in ORACLE_GRID:
         arg = _point_arg((Fraction(point.real), Fraction(point.imag)))
         reference = zeta_em_reference(arg, digits)
-        batch = supporting(specs, arg)
+        batch = _supporting(specs, arg)
         for spec, report in zip(batch, eval_identities(batch, arg, digits)):
             diffs.append(abs(report.value - reference))
             if not diffs[-1] < tolerance:

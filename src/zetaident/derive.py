@@ -109,6 +109,20 @@ class IdentitySpec:
         return self.closed_form(k)
 
     @cached_property
+    def identity_key(self) -> tuple:
+        """What makes two specs one identity, hashable: k0, the pole
+        coefficient, and Q and the closed form as their integer
+        coefficients, which hash and compare faster than Fractions. Specs
+        with equal keys agree in every field first_difference compares, so
+        one evaluation serves them all (eval_identities)."""
+        return (
+            self.k0,
+            self.pole_coefficient,
+            self.q_poly.integer_coefficients(),
+            self.closed_form.integer_coefficients(),
+        )
+
+    @cached_property
     def falling_coefficients(self) -> tuple[Fraction, ...]:
         """closed_form in the falling-factorial basis series_poly builds it
         in: beta_0, beta_1, ... with r_k = sum_i beta_i (k+1) k ... (k+2-i)
@@ -318,6 +332,8 @@ def first_difference(a: IdentitySpec, b: IdentitySpec, k_max: int) -> Optional[s
     """
     if a.k_max < k_max or b.k_max < k_max:
         raise ValueError("both identities must store terms through k_max")
+    if a.identity_key == b.identity_key:
+        return None
     if a.pole_coefficient != b.pole_coefficient:
         return f"pole coefficient {a.pole_coefficient} != {b.pole_coefficient}"
     if a.q_poly != b.q_poly:

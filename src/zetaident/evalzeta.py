@@ -748,10 +748,10 @@ def _outside(spec: IdentitySpec, re: Fraction) -> str:
 
 def supports(spec: IdentitySpec, s: Number) -> bool:
     """Whether eval_identity accepts s for this identity (_outside)."""
-    return bool(supporting([spec], s))
+    return not _outside(spec, _exact_point(s)[0])
 
 
-def supporting(specs: Sequence[IdentitySpec], s: Number) -> list[IdentitySpec]:
+def _supporting(specs: Sequence[IdentitySpec], s: Number) -> list[IdentitySpec]:
     """The specs that eval_identity accepts at s, in order; s is read once."""
     re = _exact_point(s)[0]
     return [spec for spec in specs if not _outside(spec, re)]
@@ -974,13 +974,13 @@ def eval_identities(
     G_k = (s)_k zeta(s + k, m + 1), from one band of Euler-Maclaurin orders
     that meets every depth's summed budget (_band). Each depth keeps its
     own total, error tallies and tail bound, and stops on its own. Specs
-    equal in k0, pole, Q and closed form, the fields first_difference
-    compares, are one identity: they share one head and one share of the
-    pass, and each gets that identity's report with its own p_used. Every
-    spec is checked before any work, against its own validity half-plane:
-    the first that cannot be evaluated at s raises what eval_identity
-    raises for it. An empty specs raises ValueError, and a depth whose
-    bound exceeds 10^-digits PrecisionError for the whole batch.
+    with equal identity_key (k0, pole, Q and closed form) are one
+    identity: they share one head and one share of the pass, and each gets
+    that identity's report with its own p_used. Every spec is checked
+    before any work, against its own validity half-plane: the first that
+    cannot be evaluated at s raises what eval_identity raises for it. An
+    empty specs raises ValueError, and a depth whose bound exceeds
+    10^-digits PrecisionError for the whole batch.
     """
     _check_digits(digits)
     if not specs:
@@ -991,14 +991,11 @@ def eval_identities(
         _check_point(spec, re, near_pole, digits)
     m = _split_point(digits) - 1
     point = _integer_point(re, im)
-    # twins, equal in every field first_difference compares, are one
-    # identity: one head and one share of the pass serve them all. The key
-    # holds the polynomials as their cached integer coefficients, which
-    # hash and compare faster than tuples of Fractions
+    # twins, equal in identity_key, are one identity: one head and one
+    # share of the pass serve them all
     owners, distinct, heads = [], {}, []
     for spec in specs:
-        q, closed = spec.q_poly.integer_coefficients(), spec.closed_form.integer_coefficients()
-        key = spec.k0, spec.pole_coefficient, q, closed
+        key = spec.identity_key
         if key not in distinct:
             distinct[key] = len(heads)
             hr, hi, hd = _head(spec, point)

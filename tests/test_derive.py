@@ -368,6 +368,18 @@ def test_first_difference_of_a_shared_closed_form_is_at_the_lesser_k0(specs64):
     assert first_difference(a, a, 64) is None
 
 
+def test_identity_key_is_what_first_difference_compares(specs64):
+    # twins share a key and first_difference finds nothing between them;
+    # specs that first_difference tells apart have different keys
+    assert specs64[3].identity_key == specs64[4].identity_key
+    assert first_difference(specs64[3], specs64[4], 64) is None
+    shifted = dataclasses.replace(specs64[3], p=5, k0=5)
+    other = dataclasses.replace(specs64[4], closed_form=2 * specs64[4].closed_form)
+    for a, b in ((specs64[3], specs64[5]), (specs64[3], shifted), (specs64[3], other)):
+        assert a.identity_key != b.identity_key
+        assert first_difference(a, b, 64) is not None
+
+
 def test_identities_equal_needs_enough_terms(specs64):
     short = derive_identity(3, 10)
     with pytest.raises(ValueError):
