@@ -26,7 +26,6 @@ from .evalzeta import (
     supports,
     sum_zeta_m1,
     zeta_em_reference,
-    zeta_m1,
     zeta_prime_at_zero,
 )
 from .reference import MAX_REFERENCE_DEPTH, reference_identity
@@ -61,7 +60,6 @@ __all__ = [
     "supports",
     "sum_zeta_m1",
     "zeta_em_reference",
-    "zeta_m1",
     "zeta_prime_at_zero",
     "__version__",
 ]

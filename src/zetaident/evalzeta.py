@@ -80,19 +80,20 @@ Q'(0) - pole + W_1'(0) + W_m'(0), the power sums S_j(0) with the weights
 g_j (j-1)!, j >= 1, the two logs -g_0 log((m-1)!) and -W_m(0) log m, and
 the series rho_k G'_k = r_k/(k(k+1)) zeta(k, N), G'_k read off
 V'_m = (m-1)! N^-m in the same way: the same pass, so zeta'(0) gets an
-error bound too. sum_zeta_m1 takes G'_k / (k-1)! = zeta(k, N), and
-zeta_m1 takes G_0 = zeta(z, N), with V_(-1) = N V_0/(z - 1).
+error bound too. sum_zeta_m1 runs that pass for the paper's sum
+identity: sum_{k>=2} (zeta(k) - 1) is the exact (N-2)/(N-1), since
+sum_{k>=2} n^-k = 1/(n(n-1)) telescopes over n = 2..N-1, plus the series
+sum_{k>=2} zeta(k, N), r_k = k(k+1) from k0 = 2 with the same G_k.
 
 Each call computes n^-s for n = 2..N-1 once and steps them by floor
-divisions into the power sums S_j (_power_sums); sum_zeta_m1 and zeta_m1
-add zeta(z + k, N) to the power sum sum_{n<N} n^-(z+k) to make
-zeta(z + k) - 1. The oracle sums 10 + digits direct terms and adds
-correction terms while they are at least 10^-(digits + _GUARD), compared
-in integers. Each depth's outer series stops at the first k >= k0 whose
-tail past k has an a-priori majorant below 10^-(digits+5)
-(_tail_factor), after Borwein, Bradley and Crandall's series in
-(s)_k (zeta(s+k) - 1) and Johansson's truncation from rigorous a-priori
-bounds: with the falling coefficients beta_i of r_k and A = |s + k|,
+divisions into the power sums S_j (_power_sums). The oracle sums
+10 + digits direct terms and adds correction terms while they are at
+least 10^-(digits + _GUARD), compared in integers. Each depth's outer series
+stops at the first k >= k0 whose tail past k has an a-priori majorant
+below 10^-(digits+5) (_tail_factor), after Borwein, Bradley and
+Crandall's series in (s)_k (zeta(s+k) - 1) and Johansson's truncation
+from rigorous a-priori bounds: with the falling coefficients beta_i of
+r_k and A = |s + k|,
 
     |V_k| (1 + N/(Re s + k - 1)) sum_i |beta_i|/(k+1-i)! ((1 - 1/N)^-A - 1),
 
@@ -112,8 +113,7 @@ min(J, (T - k + 1) // 2) terms. J widens by one while some depth's summed
 truncation sum_k |rho_k| R_k exceeds max(10^-(digits+5) / 16, 1 ulp) and
 one more order at least halves it. Each G_k is then three integer dot
 products over one common denominator of the B_2j/(2j)!
-(exactmath.bernoulli_ratios). zeta_m1 and sum_zeta_m1 search the order
-once, for their own budget, and take the same dot products.
+(exactmath.bernoulli_ratios).
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ import re as _re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, floor, inf, isfinite, isqrt, lcm, nextafter
+from math import ceil, factorial, inf, isfinite, isqrt, lcm, nextafter
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -131,7 +131,7 @@ from mpmath.libmp import from_man_exp, log_int_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .derive import IdentitySpec
-from .exactmath import bernoulli_over_factorial, bernoulli_ratios
+from .exactmath import Polynomial, bernoulli_over_factorial, bernoulli_ratios
 
 _GUARD = 10
 # Bits of the oracle's working precision beyond 10^-(digits + _GUARD).
@@ -165,11 +165,14 @@ class PrecisionError(ValueError):
 
 @dataclass
 class EvalReport:
-    """Result of one identity evaluation.
+    """Result of one evaluation: every evaluator but the oracle
+    zeta_em_reference returns one.
 
     value is an mpmath mpc, the fixed-point result converted exactly.
-    error_estimate bounds |value - zeta(s)| (|value - zeta'(0)| for
-    zeta_prime_at_zero), rounded up to a float. It is
+    p_used is the depth of the identity evaluated; sum_zeta_m1, whose
+    series belongs to no depth, reports 0. error_estimate bounds
+    |value - zeta(s)| (|value - zeta'(0)| for zeta_prime_at_zero and
+    |value - 1| for sum_zeta_m1), rounded up to a float. It is
     the sum of, in ulps of the call's scale 2^-P: the outer truncation
     bound; the inner truncation bounds, each times its |r_k/(k+1)!|,
     summed per depth; and the rounding tally, which covers the head,
@@ -349,9 +352,9 @@ def _integer_point(re: Fraction, im: Fraction) -> tuple[int, int, int]:
 class _InnerSums:
     """The sums G_k = (c)_(k - start) zeta(z + k, N), c = z + start and
     N = _split_point(digits), in fixed point at scale 2^-bits, for one exact
-    z and k >= start, each with a truncation bound and a rounding bound in
-    ulps; and the head entries n^-(z + shift), n < N, that _power_sums
-    steps. eval_identities takes start = 0, so G_k = (s)_k zeta(s + k, N);
+    z and k > start, each with a truncation bound and a rounding bound in
+    ulps; and the head entries n^-z, n < N, that _power_sums steps.
+    eval_identities takes start = 0, so G_k = (s)_k zeta(s + k, N);
     zeta_prime_at_zero and sum_zeta_m1 take z = 0 and start = 1, so
     G_k = (k-1)! zeta(k, N).
 
@@ -361,9 +364,8 @@ class _InnerSums:
     since (c)_(k-start) (z+k)_i = (c)_(k-start+i), reads
 
         G_k = V_(k-1) + V_k/2 + sum_{j<=M} beta_j V_(k+2j-1) + R,
-        |R| <= |beta_(M+1)| |V_(k+2M+1)| |z+k+2M+1| / (Re z + k + 2M + 1),
+        |R| <= |beta_(M+1)| |V_(k+2M+1)| |z+k+2M+1| / (Re z + k + 2M + 1).
 
-    V_(start-1) = N V_start / (c - 1) standing in for V_(k-1) at k = start.
     z = (zr + i zi) / den with integers zr, zi, den, so every z + m, and
     every factor the sums need, is exact.
 
@@ -502,10 +504,10 @@ class _InnerSums:
         drop, q = self.wp - self.bits, n**shift
         return (xr >> drop) // q, (xi >> drop) // q
 
-    def head(self, shift: int = 0) -> list[tuple[int, int]]:
-        """n^-(z + shift) for n = 2..N-1 as (re, im) pairs of ulps, each
-        within _ENTRY_ULPS in modulus."""
-        return [self._entry(n, shift) for n in range(2, self.n)]
+    def head(self) -> list[tuple[int, int]]:
+        """n^-z for n = 2..N-1 as (re, im) pairs of ulps, each within
+        _ENTRY_ULPS in modulus."""
+        return [self._entry(n, 0) for n in range(2, self.n)]
 
     def logs(self) -> list[tuple[int, int]]:
         """log m and log((m-1)!), m = N - 1, as (re, 0) pairs of ulps, each
@@ -576,7 +578,7 @@ class _InnerSums:
 
     def sums(self, pairs: list[tuple[int, int]]) -> list[tuple[tuple[int, int], int]]:
         """((re, im) of G_k with M correction terms, rounding bound), all in
-        ulps, for each (k, M) in pairs."""
+        ulps, for each (k, M) in pairs, k > start: G_k reads V_(k-1)."""
         count = max(m for _, m in pairs)
         self.size(max(k + 2 * m for k, m in pairs))
         if count > self.count:
@@ -588,17 +590,7 @@ class _InnerSums:
         for k, m in pairs:
             index = k - start
             xr, xi, x_err = re[index], im[index], errs[index]
-            if index:
-                vr, vi, rounding = re[index - 1], im[index - 1], errs[index - 1]
-            else:
-                # V_(k-1) = n V_k / (w - 1) = V_k n den conj(c) / |c|^2,
-                # w = z + k and c = (w - 1) den
-                cr, ci = self.zr + (k - 1) * self.den, self.zi
-                q = cr * cr + ci * ci
-                scale = self.n * self.den
-                vr = scale * (xr * cr + xi * ci) // q
-                vi = scale * (xi * cr - xr * ci) // q
-                rounding = _ceil_div(x_err * scale, isqrt(q)) + 2
+            vr, vi, rounding = re[index - 1], im[index - 1], errs[index - 1]
             vr += xr >> 1
             vi += xi >> 1
             rounding += (x_err + 1) // 2 + 2
@@ -624,28 +616,6 @@ def _power_sums(entries: list[tuple[int, int]]):
         yield sum(x for x, _ in re), sum(y for y, _ in im)
         re = [(step, n) for x, n in re if (step := x // n)]
         im = [(step, n) for y, n in im if (step := y // n)]
-
-
-def zeta_m1(sigma, digits: int = 40):
-    """zeta(sigma) - 1, keeping full relative accuracy when the value is
-    tiny (large Re sigma). Requires Re sigma >= 1.5. Returns an mpf for
-    real sigma, else an mpc."""
-    _check_digits(digits)
-    re, im = _exact_point(sigma)
-    if not re >= Fraction(3, 2):
-        raise ValueError(
-            "zeta_m1 requires Re(sigma) >= 1.5; identity evaluation keeps "
-            "inner arguments in this range"
-        )
-    # the scale resolves 10^-(digits+5) relative to 2^-Re z, the size of
-    # zeta(z) - 1 for large Re z, and so does the budget
-    bits = _threshold_bits(digits) + floor(re) + 1 + _GUARD_BITS
-    budget = (1 << (bits - ceil(re))) // 10 ** (digits + 5)
-    # sum_{n<N} n^-z plus zeta(z, N), G_0 at start 0
-    inner = _InnerSums((re, im), digits, bits, 0)
-    hr, hi = next(_power_sums(inner.head()))
-    [((vr, vi), _)] = inner.sums([(0, inner.order(0, budget))])
-    return _mp_value(vr + hr, vi + hi if im else None, bits)
 
 
 def zeta_em_reference(s, digits: int = 40):
@@ -889,19 +859,20 @@ def _head_values(entries: list[tuple[int, int]], count: int) -> list[tuple[int, 
 
 
 class _Depth:
-    """One identity's share of a pass: its running outer sum (an (re, im)
+    """One series' share of a pass: its running outer sum (an (re, im)
     pair of ulps), its error tallies in ulps, the G_k it adds, and, once its
     tail majorant is under the threshold, where it stopped and that
-    majorant (tail_bound, in ulps)."""
+    majorant (tail_bound, in ulps). The series is sum_{k>=k0} r_k/(k+1)! G_k
+    with r_k = closed_form(k), and beta its falling coefficients (as
+    IdentitySpec.falling_coefficients)."""
 
-    def __init__(self, spec: IdentitySpec):
-        self.spec = spec
+    def __init__(self, k0: int, closed_form: Polynomial, beta: Sequence[Fraction]):
+        self.k0 = k0
         # the closed form's integer coefficients over den, highest degree first
-        numerators, self.den = spec.closed_form.integer_coefficients()
+        numerators, self.den = closed_form.integer_coefficients()
         self.numerators = numerators[::-1]
         # (1 - i, |beta_i| den) for the falling coefficients beta_i, highest
         # i first (integers: the basis change from k^j has integer entries)
-        beta = spec.falling_coefficients
         self.falling = [
             (1 - i, _ceil_div(abs(b.numerator) * self.den, b.denominator))
             for i, b in reversed(list(enumerate(beta)))
@@ -933,7 +904,8 @@ def _tail_factor(inner: _InnerSums, k: int) -> tuple[int, int]:
       and (k+1+m-i)! >= (k+1-i)! m!;
     - |(c)_(k+m-start)| <= |(c)_(k-start)| (A)_m, A = |z + k|;
     - zeta(sigma+k+m, N) <= N^-m N^-(sigma+k) (1 + N/(sigma+k-1)),
-      sigma = Re z, with sigma + k - 1 >= 1/2 by _outside.
+      sigma = Re z, with sigma + k - 1 >= 1/2 by _outside (sum_zeta_m1:
+      k >= 2 at z = 0).
 
     So the tail is at most |V_k| (1 + N/(sigma+k-1))
     sum_i |beta_i|/(k+1-i)! sum_{m>=1} (A)_m/m! N^-m, and the last sum is
@@ -1001,13 +973,15 @@ def eval_identities(
             hr, hi, hd = _head(spec, point)
             (wr, wi, wd), coefficients, last = _shifted_head(spec, point, m)
             head = hr * wd + wr * hd, hi * wd + wi * hd, hd * wd
+            series = spec.k0, spec.closed_form, spec.falling_coefficients
             # the weights in the order of _head_values
-            heads.append((spec, head, [last, *coefficients]))
+            heads.append((series, head, [last, *coefficients]))
         owners.append(distinct[key])
     count = max(len(weights) for _, _, weights in heads) - 1
     head_ulps = [_ENTRY_ULPS] + [_ENTRY_ULPS * (m - 2)] * count
     values = lambda inner: _head_values(inner.head(), count)
-    return _outer_series(specs, owners, (re, im), 0, heads, head_ulps, values, digits)
+    ps = [spec.p for spec in specs]
+    return _outer_series(ps, owners, (re, im), 0, heads, head_ulps, values, digits)
 
 
 def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
@@ -1045,26 +1019,30 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
     head_ulps = [_ENTRY_ULPS * (m - 2)] * (size - 1) + [2, 2]
     values = lambda inner: _head_values(inner.head(), size)[2:] + inner.logs()
     zero = Fraction(0)
-    heads = [(spec, (head.numerator, 0, head.denominator), weights)]
-    return _outer_series([spec], [0], (zero, zero), 1, heads, head_ulps, values, digits)[0]
+    series = spec.k0, spec.closed_form, spec.falling_coefficients
+    heads = [(series, (head.numerator, 0, head.denominator), weights)]
+    return _outer_series([spec.p], [0], (zero, zero), 1, heads, head_ulps, values, digits)[0]
 
 
 def _outer_series(
-    specs, owners, point, start, heads, head_ulps, values, digits: int
+    ps, owners, point, start, heads, head_ulps, values, digits: int
 ) -> list[EvalReport]:
-    """head + sum_i w_i x_i + sum_{k >= k0} rho_k G_k for each identity, in
-    one pass over k from the least k0, for the exact s = point,
+    """head + sum_i w_i x_i + sum_{k >= k0} rho_k G_k for each distinct
+    series, in one pass over k from the least k0, for the exact s = point,
     rho_k = r_k/(k+1)! and G_k = (s + start)_(k - start) zeta(s + k, N)
-    (_InnerSums), N = _split_point(digits). heads holds one
-    (spec, exact head, weights w_i) per distinct identity, head and weights
-    integer triples (re, im, den); specs[i] takes the result of
-    heads[owners[i]], with its own p_used, and gets one report.
-    values(inner) gives the x_i in ulps of the pass's _InnerSums, each
-    within head_ulps[i]. eval_identities passes start 0, so rho_k G_k is
+    (_InnerSums), N = _split_point(digits), k0 > start. heads holds one
+    (series, exact head, weights w_i) per distinct series: series is
+    (k0, closed form, falling coefficients) as _Depth takes them, head and
+    weights integer triples (re, im, den). Report i takes the result of
+    heads[owners[i]], with p_used = ps[i]. values(inner) gives the x_i in
+    ulps of the pass's _InnerSums, each within head_ulps[i].
+    eval_identities passes start 0, so rho_k G_k is
     r_k (s)_k/(k+1)! zeta(s + k, N), the weights W_m and g_j (s)_j and
     _head_values; zeta_prime_at_zero passes s = 0 and start 1, so
     rho_k G_k is r_k/(k(k+1)) zeta(k, N), the s-derivative at 0 of the
-    same term, and the weights of S_j(0), log m and log((m-1)!).
+    same term, and the weights of S_j(0), log m and log((m-1)!);
+    sum_zeta_m1 passes s = 0, start 1 and r_k = k(k+1), so rho_k G_k is
+    zeta(k, N), with no weights.
 
     P is set once (_scale_bits), from the largest head weight times the
     ulps of the value it multiplies. The series adds nothing to it: each
@@ -1075,9 +1053,9 @@ def _outer_series(
     First each depth's last k: a depth stops at the first k >= k0 where
     the a-priori majorant of its tail past k (_tail_factor) is under the
     threshold, at once where V_k, and so every later term, is exactly 0.
-    It covers zeta_prime_at_zero as well: there z = 0, start = 1, A = k
-    and V_k = (k-1)! N^-k. Then one band of orders for every G_k (_band):
-    J is the least order that meets share = max(threshold // _INNER_SAFETY,
+    It covers zeta_prime_at_zero and sum_zeta_m1 as well: there z = 0,
+    start = 1, A = k and V_k = (k-1)! N^-k. Then one band of orders for
+    every G_k (_band): J is the least order that meets share = max(threshold // _INNER_SAFETY,
     1) at k*, the k with the largest bound |rho_k| size(k) of
     |rho_k V_k|, relative to its rho_k*, or the order where that remainder
     stops falling. J widens by one while
@@ -1089,8 +1067,8 @@ def _outer_series(
     PrecisionError raises with every report."""
     weighted = [_log2_up(*w) + u.bit_length() for _, _, ws in heads for w, u in zip(ws, head_ulps)]
     bits = _scale_bits(digits, max(weighted, default=0))
-    depths = [_Depth(spec) for spec, _, _ in heads]
-    k = min(d.spec.k0 for d in depths)
+    depths = [_Depth(*series) for series, _, _ in heads]
+    k = min(d.k0 for d in depths)
     threshold = (1 << bits) // 10 ** (digits + 5)
     inner = _InnerSums(point, digits, bits, start)
     head_values = values(inner)
@@ -1108,7 +1086,7 @@ def _outer_series(
     while running:
         size = inner.size(k)
         growth, below = _tail_factor(inner, k)
-        for d in [d for d in running if d.spec.k0 <= k]:
+        for d in [d for d in running if d.k0 <= k]:
             num = 0  # rho_k = r_k / (k+1)! = num / rden, num by integer Horner
             for c in d.numerators:
                 num = num * k + c
@@ -1161,11 +1139,11 @@ def _outer_series(
         miss = error * 10**digits > 1 << bits
         results.append((value, d.terms_used, _float_up(error, bits), miss))
     reports, missed = [], []
-    for spec, owner in zip(specs, owners):
+    for p, owner in zip(ps, owners):
         value, terms_used, estimate, miss = results[owner]
         report = EvalReport(
             value=value,
-            p_used=spec.p,
+            p_used=p,
             terms_used=terms_used,
             error_estimate=estimate,
             split_point=inner.n,
@@ -1194,23 +1172,19 @@ def _band(inner: _InnerSums, ks: list[int], depths: list[_Depth], k_star: int, o
     return orders, truncation
 
 
-def sum_zeta_m1(digits: int = 40):
-    """Partial sum of sum_{k>=2} (zeta(k) - 1), truncated at the first K
-    with 2*2^-K < 10^-digits. The full sum is exactly 1. Each zeta(k) - 1
-    is the power sum sum_{n<N} n^-k plus zeta(k, N) = G_k / (k-1)!, G_k
-    from the _InnerSums of z = 0 at start 1."""
+def sum_zeta_m1(digits: int = 40) -> EvalReport:
+    """The paper's sum identity sum_{k>=2} (zeta(k) - 1) = 1, summed in the
+    split at N = _split_point(digits), with an error bound like any
+    evaluation (p_used 0: the series belongs to no depth). The part n < N
+    is exact: sum_{n=2..N-1} 1/(n(n-1)) = (N-2)/(N-1). The rest,
+    sum_{k>=2} zeta(k, N), is the series rho_k G_k of zeta_prime_at_zero's
+    pass with r_k = k(k+1) from k0 = 2, so rho_k = 1/(k-1)! and
+    G_k = (k-1)! zeta(k, N). Raises PrecisionError when the bound exceeds
+    10^-digits."""
     _check_digits(digits)
-    k_top = (2 * 10**digits).bit_length()  # the least K with 2^K > 2 * 10^digits
-    bits = _scale_bits(digits, 0)
-    inner = _InnerSums((Fraction(0), Fraction(0)), digits, bits, 1)
-    sums = _power_sums(inner.head(2))
-    # G_k / (k-1)! = zeta(k, N) is largest at k = 2: its order J sets the
-    # band, and no G_k reads V past V_(2J+1), the last one G_2 reads
-    order = inner.order(2, (1 << bits) // (10 ** (digits + 5) * _INNER_SAFETY))
-    ks = range(2, k_top + 1)
-    orders = [max(min(order, order + 1 - (k + 1) // 2), 0) for k in ks]
-    total, weight = 0, 1
-    for k, ((vr, _), _) in zip(ks, inner.sums(list(zip(ks, orders)))):
-        weight *= k - 1  # (k-1)!
-        total += next(sums)[0] + vr // weight
-    return _mp_value(total, None, bits)
+    n = _split_point(digits)
+    # r_k = (k+1) k: one falling product of two factors
+    series = (2, Polynomial((0, 1, 1)), (0, 0, 1))
+    zero = Fraction(0)
+    heads = [(series, (n - 2, 0, n - 1), [])]
+    return _outer_series([0], [0], (zero, zero), 1, heads, [], lambda inner: [], digits)[0]

@@ -433,6 +433,13 @@ def test_special_trivial_zeros_domains(capsys):
         assert all(float(line.rsplit("= ", 1)[1]) < 1e-39 for line in lines)
 
 
+def test_special_sum_identity_prints_the_real_sum(capsys):
+    # the sum is an mpc with a zero imaginary part; the check prints its
+    # real part
+    assert main(["special", "--check", "sum_identity"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "sum_(k>=2) (zeta(k) - 1) = 1.0"
+
+
 def test_special_depth_one_is_domain_error():
     assert main(["special", "--check", "zetaprime0", "--p", "1"]) == 2
 
@@ -461,10 +468,12 @@ def test_failing_check_fails_both_views(name, monkeypatch, capsys):
     assert capsys.readouterr().out == "stubbed value\nFAIL\n"
 
 
-@pytest.mark.parametrize("name", ["zeta0", "zeta2", "zetaprime0", "trivial_zeros"])
+@pytest.mark.parametrize("name", ["zeta0", "zeta2", "zetaprime0", "trivial_zeros", "sum_identity"])
 def test_exact_values_must_lie_within_their_estimate(name, monkeypatch, capsys):
     # moves every value by 10^-(digits-2): outside its error estimate (at
-    # most 10^-digits) but inside the tolerance 10^-(digits-5)
+    # most 10^-digits) but inside the tolerance 10^-(digits-5); and the
+    # sum, whose target 1 is exact, by 10 times its estimate, still below
+    # 10^-digits
     digits = 25
     shift = mp.mpf(10) ** (2 - digits)
 
@@ -472,12 +481,19 @@ def test_exact_values_must_lie_within_their_estimate(name, monkeypatch, capsys):
         assert report.error_estimate < shift / 100
         return dataclasses.replace(report, value=report.value + shift)
 
+    def nudged(report):
+        assert 10 * report.error_estimate < mp.mpf(10) ** -digits
+        return dataclasses.replace(report, value=report.value + 10 * report.error_estimate)
+
     # every evaluator entry point, whichever a check calls
     batch, single, derivative = cli.eval_identities, cli.eval_identity, cli.zeta_prime_at_zero
+    total = cli.sum_zeta_m1
     monkeypatch.setattr(cli, "eval_identities", lambda *a: list(map(moved, batch(*a))))
     monkeypatch.setattr(cli, "eval_identity", lambda *a: moved(single(*a)))
     monkeypatch.setattr(cli, "zeta_prime_at_zero", lambda *a: moved(derivative(*a)))
+    monkeypatch.setattr(cli, "sum_zeta_m1", lambda *a: nudged(total(*a)))
     assert main(["verify", "--only", name, "--digits", str(digits)]) == 1
+    assert "(error estimate " in capsys.readouterr().out
     assert main(["special", "--check", name, "--digits", str(digits)]) == 1
 
 

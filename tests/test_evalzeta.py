@@ -31,7 +31,6 @@ from zetaident.evalzeta import (
     supports,
     sum_zeta_m1,
     zeta_em_reference,
-    zeta_m1,
     zeta_prime_at_zero,
 )
 
@@ -75,43 +74,8 @@ def _without_closed_form(spec):
     return identity_from_json({**identity_to_json(spec), "closed_form": None})
 
 
-# ---- zeta_m1 ----
-
-
-def test_zeta_m1_at_two():
-    with mp.workdps(60):
-        assert abs(zeta_m1(2, 40) - (mp.pi**2 / 6 - 1)) < mp.mpf(10) ** -44
-
-
-def test_zeta_m1_at_four():
-    with mp.workdps(60):
-        assert abs(zeta_m1(4, 40) - (mp.pi**4 / 90 - 1)) < mp.mpf(10) ** -44
-
-
-def test_zeta_m1_keeps_relative_accuracy_when_tiny():
-    with mp.workdps(60):
-        value = zeta_m1(60, 40)
-        assert abs(value * mp.mpf(2) ** 60 - 1) < mp.mpf(10) ** -9
-
-
-def test_zeta_m1_complex_argument():
-    # at each split point: N = 32, 64, 128 and 512
-    for digits in (15, 40, 100, 300):
-        value = zeta_m1(mp.mpc(2, 20), digits)
-        with mp.workdps(digits + 20):
-            assert abs(value) < 1
-            assert abs(value - (mp.zeta(mp.mpc(2, 20)) - 1)) < mp.mpf(10) ** -digits, digits
-
-
-def test_zeta_m1_domain():
-    with pytest.raises(ValueError):
-        zeta_m1(1.2, 40)
-    zeta_m1(1.5, 40)  # boundary is allowed
-
-
 def test_digits_floor():
     for call in (
-        lambda: zeta_m1(2, 14),
         lambda: zeta_em_reference(2, 14),
         lambda: sum_zeta_m1(14),
     ):
@@ -595,14 +559,15 @@ def test_batch_of_one_is_eval_identity(specs64, p, s):
         assert getattr(batch[0], field.name) == getattr(alone, field.name), field.name
 
 
-def _count_depths(monkeypatch):
-    """The depth of every _Depth built from here on, in order."""
+def _count_depths(monkeypatch, specs):
+    """The depth of every _Depth built from here on, in order: that of the
+    first of specs with its k0 and closed form."""
     built = []
     depth = evalzeta._Depth
 
-    def counting(spec):
-        built.append(spec.p)
-        return depth(spec)
+    def counting(k0, closed_form, beta):
+        built.append(next(s.p for s in specs if (s.k0, s.closed_form) == (k0, closed_form)))
+        return depth(k0, closed_form, beta)
 
     monkeypatch.setattr(evalzeta, "_Depth", counting)
     return built
@@ -619,7 +584,7 @@ def test_twins_share_one_evaluation(specs64, monkeypatch, s):
     # report of its own, that of its identity
     batch = [specs64[p] for p in (3, 4, 5, 6)]
     alone = [eval_identity(spec, s, 40) for spec in batch]
-    built = _count_depths(monkeypatch)
+    built = _count_depths(monkeypatch, batch)
     reports = eval_identities(batch, s, 40)
     assert built == [3, 5]
     assert [r.p_used for r in reports] == [3, 4, 5, 6]
@@ -642,7 +607,7 @@ def test_a_twin_with_another_closed_form_is_evaluated_on_its_own(specs64, monkey
     batch = [specs64[3], other, specs64[5], specs64[6]]
     s = F(5, 2)
     alone = eval_identity(other, s, 40)
-    built = _count_depths(monkeypatch)
+    built = _count_depths(monkeypatch, batch)
     reports = eval_identities(batch, s, 40)
     assert built == [3, 4, 5]
     assert reports[1].value == alone.value != reports[0].value
@@ -822,7 +787,7 @@ def test_tail_proof_holds_where_it_claims(specs64, p, s, base_bits):
     inner = _InnerSums((re, im), {5: 20, 6: 40, 7: 100}[base_bits], bits, 0)
     n = inner.n
     assert n == 1 << base_bits
-    depth = _Depth(spec)
+    depth = _Depth(spec.k0, spec.closed_form, spec.falling_coefficients)
     with mp.workdps(30):
         z, sigma = _mp_point(s), _mp_point(re)
         terms, a = [], mp.mpf(1)
@@ -883,8 +848,8 @@ def _shift(z, k):
 
 
 def _inner_sum(inner, k, budget):
-    """G_k at the least order whose remainder meets budget, as zeta_m1 takes
-    it: (value, truncation bound, rounding bound), all in ulps."""
+    """G_k at the least order whose remainder meets budget:
+    (value, truncation bound, rounding bound), all in ulps."""
     order = inner.order(k, budget)
     [(value, rounding)] = inner.sums([(k, order)])
     return value, inner.remainder(k, order), rounding
@@ -900,12 +865,12 @@ def _rising_budget(c, j, bits, digits):
 @pytest.mark.parametrize("stride", [1, 7])  # 7: k skips several shifts at once
 @pytest.mark.parametrize("z, k0", [((F(2), F(0)), 0), ((F(1, 2), F(14134725, 10**6)), 1)])
 def test_inner_sums_within_their_bounds(z, k0, stride):
-    # G_k = (z + k0)_(k - k0) zeta(z + k, N), N = 64 at 40 digits, from the
-    # one sequence V_m started at N^-(z+k0): several correction terms while
-    # V_k is large, none once V_(k-1) + V_k/2 alone meets the budget, 1e-50
-    # scaled as G_k is
+    # G_k = (z + k0)_(k - k0) zeta(z + k, N) for k > k0, N = 64 at 40
+    # digits, from the one sequence V_m started at N^-(z+k0): several
+    # correction terms while V_k is large, none once V_(k-1) + V_k/2 alone
+    # meets the budget, 1e-50 scaled as G_k is
     digits, bits = 40, 200
-    ks = range(k0, 201, stride)
+    ks = range(k0 + 1, 201, stride)
     orders, results = set(), []
     inner = _InnerSums(z, digits, bits, k0)
     assert inner.n == 64
@@ -926,28 +891,32 @@ def test_inner_sums_within_their_bounds(z, k0, stride):
 
 
 def test_inner_sum_reports_an_unmet_budget():
-    # Euler-Maclaurin at N = 64 cannot take zeta(1.5 + 14i, 64) to 1e-200:
-    # its terms stop shrinking near 1e-167
+    # Euler-Maclaurin at N = 64 cannot take G_1 = z zeta(z + 1, 64),
+    # z = 1.5 + 14i, to 1e-200: its terms stop shrinking near 1e-167
     bits = 700
     budget = (1 << bits) // 10**200
     z = (F(3, 2), F(14))
-    value, err, rounding = _inner_sum(_InnerSums(z, 40, bits, 0), 0, budget)
+    value, err, rounding = _inner_sum(_InnerSums(z, 40, bits, 0), 1, budget)
     assert err > budget
-    with mp.workdps(80):
+    # G_1 is a product: its reference needs the digits of 2^-700 as well
+    with mp.workdps(230):
         bound = mp.mpf(err + rounding) / mp.mpf(2) ** bits
-        assert abs(_ulps_to_mp(value, bits) - mp.zeta(_mp_point(z), 64)) <= bound
+        target = _mp_point(z) * mp.zeta(_mp_point(z) + 1, 64)
+        assert abs(_ulps_to_mp(value, bits) - target) <= bound
 
 
-# z = 5/2, not 2: 64^-2 is a power of two, so at z = 2 no floor touches the
-# entry and the other floors stay under the truncation bound
-@pytest.mark.parametrize("z", [(F(5, 2), F(0)), (F(3, 2), F(7))])
+# z = 3/2, so G_1 = z zeta(5/2, 64); at z = 2 (and at 5/2) the floors of
+# G_1 stay under its truncation bound
+@pytest.mark.parametrize("z", [(F(3, 2), F(0)), (F(3, 2), F(7))])
 def test_inner_sum_rounding_is_tallied(z):
-    # at a scale of 2^-64 the floors of the Euler-Maclaurin route cost more
-    # than its truncation: only the rounding bound covers them
+    # at a scale of 2^-64 the floors of the Euler-Maclaurin route to
+    # G_1 = z zeta(z + 1, 64) cost more than its truncation: only the
+    # rounding bound covers them
     bits = 64
-    value, err, rounding = _inner_sum(_InnerSums(z, 40, bits, 0), 0, 4)
+    value, err, rounding = _inner_sum(_InnerSums(z, 40, bits, 0), 1, 4)
     with mp.workdps(60):
-        actual = abs(mp.mpc(*value) - mp.zeta(_mp_point(z), 64) * mp.mpf(2) ** bits)
+        target = _mp_point(z) * mp.zeta(_mp_point(z) + 1, 64)
+        actual = abs(mp.mpc(*value) - target * mp.mpf(2) ** bits)
     assert err < actual <= err + rounding
 
 
@@ -956,11 +925,11 @@ def test_inner_sum_rounding_is_tallied(z):
     [
         ((F(1, 2), F(40)), 1, 40),
         ((F(1, 2), F(-100)), 1, 40),
-        ((F(2), F(0)), 0, 100),
-        ((F(3, 2), F(14134725, 10**6)), 0, 100),
+        ((F(2), F(0)), 1, 100),
+        ((F(3, 2), F(14134725, 10**6)), 1, 100),
         ((F(1, 4), F(30)), 2, 300),
         # a point of the `points` benchmark, on its grid of 10^-6
-        ((F(1801021, 400000), F(8670021, 500000)), 0, 40),
+        ((F(1801021, 400000), F(8670021, 500000)), 1, 40),
     ],
 )
 def test_shifted_inner_sums_within_their_bounds(z, k, digits):
@@ -996,8 +965,9 @@ def test_shifted_inner_sums_within_their_bounds(z, k, digits):
     ],
 )
 def test_head_entries_within_two_ulps(z, digits):
-    # every component of every head entry n^-(z + shift), n < N, is within
-    # 2 + 2^-16 ulps of its value, as _ENTRY_ULPS = 3 assumes
+    # every component of every entry n^-(z + shift), n < N, is within
+    # 2 + 2^-16 ulps of its value, as _ENTRY_ULPS = 3 assumes; the head
+    # takes them at shift 0
     bits = evalzeta._scale_bits(digits, 0)
     n_split = _least_power_of_two(10 + digits)
     inner = _InnerSums(z, digits, bits, 0)
@@ -1008,7 +978,8 @@ def test_head_entries_within_two_ulps(z, digits):
     with mp.workprec(bits + int(extra) + 40):
         w = _mp_point(z)
         for shift in (0, 3):
-            for n, (xr, xi) in enumerate(inner.head(shift), 2):
+            for n in range(2, n_split):
+                xr, xi = inner._entry(n, shift)
                 x = mp.power(n, -(w + shift)) * mp.mpf(2) ** bits
                 assert abs(xr - x.real) <= bound and abs(xi - x.imag) <= bound, (n, shift)
 
@@ -1021,7 +992,7 @@ def test_head_entries_are_exact_at_zero(digits):
     inner = _InnerSums((F(0), F(0)), digits, bits, 0)
     for shift in (0, 1, 2, 7):
         expected = [((1 << bits) // n**shift, 0) for n in range(2, inner.n)]
-        assert inner.head(shift) == expected, shift
+        assert [inner._entry(n, shift) for n in range(2, inner.n)] == expected, shift
 
 
 @pytest.mark.parametrize("digits", [15, 40, 100, 300])
@@ -1201,9 +1172,7 @@ def test_evaluator_never_sets_mpmath_precision(specs64, monkeypatch):
         lambda: [_raw(r.value) for r in eval_identities([specs64[3], specs64[5]], F(-9, 4), 40)],
         lambda: _raw(eval_identity(specs64[2], (F(1, 2), F(14134725, 10**6)), 30).value),
         lambda: _raw(zeta_prime_at_zero(specs64[2], 40).value),
-        lambda: _raw(zeta_m1(F(5, 2), 40)),
-        lambda: _raw(zeta_m1((F(3, 2), F(7)), 40)),
-        lambda: _raw(sum_zeta_m1(25)),
+        lambda: _raw(sum_zeta_m1(25).value),
     ]
     expected = [call() for call in calls]
 
@@ -1295,7 +1264,11 @@ def test_bits_do_not_depend_on_call_history():
 
 
 def test_sum_zeta_m1_totals_one():
-    # at N = 64, 128 and 512
-    for digits in (40, 100, 300):
+    # at N = 32, 64, 128 and 512: the exact (N-2)/(N-1) plus the series
+    # sum_{k>=2} zeta(k, N), which stops where its tail majorant does
+    for digits, terms in ((15, 14), (40, 26), (100, 51), (300, 113)):
+        report = sum_zeta_m1(digits)
+        assert report.p_used == 0 and report.terms_used == terms, digits
         with mp.workdps(digits + 20):
-            assert abs(sum_zeta_m1(digits) - 1) < mp.mpf(10) ** -digits, digits
+            err = abs(report.value - 1)
+            assert err <= report.error_estimate <= mp.mpf(10) ** -digits, digits
