@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from math import factorial, lcm
 from typing import Optional, Sequence
 
@@ -53,8 +54,8 @@ class IdentitySpec:
     coefficient is exactly 1: zeta has residue 1 at s = 1. A spec that
     breaks any of these raises ValueError naming its depth, since the
     evaluator would otherwise return a wrong value with a small error
-    bound: it sums the series from k0 and splits the head with the closed
-    form at every k < k0.
+    bound: it sums the series from k0, and its head assumes the identity
+    is Euler-Maclaurin at n = 1, which last_weight_coefficients proves.
     validity_re_gt is the nominal half-plane bound -(p-1);
     extended_validity_re_gt is set to -p when the depth-(p+1) derivation
     produces the identical identity, and is None otherwise.
@@ -130,25 +131,51 @@ class IdentitySpec:
         return falling_factorial_coefficients(self.closed_form)
 
     @cached_property
-    def shifted_head_coefficients(self) -> tuple[int, tuple[int, ...], tuple[int, ...], int, int]:
-        """The s-independent data of the shifted head (evalzeta's
-        _shifted_head), over one common denominator L: (size, G, H, b0, L)
-        with G_j = L g_j for j < size = max(len(beta) - 1, k0),
-        H_j = L h_j for j < k0 and b0 = L beta_0, where beta is
-        falling_coefficients, h_j = R(j)/(j+1)! for the closed form R and
-        g_j = beta_(j+1) - [j < k0] h_j."""
-        beta = self.falling_coefficients
-        k0 = self.k0
-        size = max(len(beta) - 1, k0)
+    def last_weight_coefficients(self) -> tuple[tuple[int, ...], int, int]:
+        """The s-independent data of W_m, the one weight of the evaluator's
+        head (evalzeta._last_weight), over one common denominator L:
+        (H, b0, L) with H_j = L h_j, h_j = R(j)/(j+1)! for j < k0 and the
+        closed form R, and b0 = L beta_0, beta = falling_coefficients.
+
+        It first proves the identity. With g_j = beta_(j+1) - [j < k0] h_j,
+        the binomial series gives, for Re s > 1,
+
+            identity - zeta(s) = (pole + beta_0)/(s-1) + Q(s) + sum_{j<k0} h_j (s)_j
+                                 + (g_0 - 1) zeta(s) + sum_{j>=1} g_j (s)_j zeta(s+j),
+
+        which vanishes identically under three exact conditions: beta_0 =
+        -pole; g_0 = 1 and g_j = 0 for j >= 1; and L Q(s) =
+        -sum_{j<k0} H_j (s)_j, compared on integer coefficient lists. Then
+        the identity is Euler-Maclaurin at n = 1, and every weight W_n,
+        1 <= n < m, of the evaluator's split is exactly 1. A spec that fails
+        one raises ValueError naming its depth and the condition, since the
+        evaluator would otherwise return a wrong value with a small error
+        bound."""
+        beta, k0 = self.falling_coefficients, self.k0
+
+        def refuse(condition: str):
+            raise ValueError(
+                f"depth-{self.p} identity is not Euler-Maclaurin at n = 1: {condition}"
+            )
+
+        if beta[0] != -self.pole_coefficient:
+            refuse(f"beta_0 = {beta[0]}, not -pole = {-self.pole_coefficient}")
         h = [self.closed_form(j) / factorial(j + 1) for j in range(k0)]
-        g = [
-            (beta[j + 1] if j + 1 < len(beta) else 0) - (h[j] if j < k0 else 0)
-            for j in range(size)
-        ]
-        L = lcm(beta[0].denominator, *(Fraction(x).denominator for x in g + h))
-        G = tuple(x.numerator * (L // x.denominator) for x in g)
+        for j in range(max(len(beta) - 1, k0)):
+            g = (beta[j + 1] if j + 1 < len(beta) else 0) - (h[j] if j < k0 else 0)
+            if g != (1 if j == 0 else 0):
+                refuse(f"g_{j} = beta_{j + 1} - h_{j} = {g}, not {1 if j == 0 else 0}")
+        L = lcm(beta[0].denominator, *(x.denominator for x in h))
         H = tuple(x.numerator * (L // x.denominator) for x in h)
-        return size, G, H, beta[0].numerator * (L // beta[0].denominator), L
+        # sum_{j<k0} H_j (s)_j by Horner: H_0 + s (H_1 + (s + 1) (H_2 + ...))
+        rising = [H[-1]]
+        for j in range(k0 - 2, -1, -1):
+            rising = times_linear(rising, j)
+            rising[0] += H[j]
+        numerators, den = self.q_poly.integer_coefficients()
+        if any(L * q + den * r for q, r in zip_longest(numerators, rising, fillvalue=0)):
+            refuse("Q(s) != -sum_{j<k0} h_j (s)_j")
+        return H, beta[0].numerator * (L // beta[0].denominator), L
 
 
 # ---- construction of the three exact pieces ----

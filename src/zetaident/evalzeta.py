@@ -1,21 +1,20 @@
 """Arbitrary-precision evaluation of the derived identities.
 
 Each identity zeta(s) = pole/(s-1) + Q(s) + sum_{k>=k0} r_k (s)_k/(k+1)!
-(zeta(s+k) - 1) is evaluated in its shifted split: the part n <= m of each
-inner sum zeta(s+k) - 1 = sum_{n>=2} n^-(s+k) moves into the head, exactly,
+(zeta(s+k) - 1) is Euler-Maclaurin summation at n = 1, its remainder
+written as that series; IdentitySpec.last_weight_coefficients proves so
+exactly, per spec, before any evaluation. It is evaluated in its shifted
+split: the part n <= m of each inner sum zeta(s+k) - 1 = sum_{n>=2} n^-(s+k)
+moves into the head, exactly, and the head is Euler-Maclaurin at m,
 
-    zeta(s) = [pole/(s-1) + Q(s)] + sum_{n=1..m} n^-s W_n(s)
+    zeta(s) = sum_{n=1..m-1} n^-s + m^-s W_m(s)
               + sum_{k>=k0} r_k (s)_k/(k+1)! zeta(s+k, m+1),
 
-so the outer series shrinks like (m+1)^-k instead of 2^-k. The weights
-W_n(s) are exact complex rationals (`_shifted_head`): with r_k written in
-the falling-factorial basis of its closed form, the sum over k of each
-n^-(s+k) is a binomial series in 1/n. For 1 < n < m the weight is a
-polynomial in 1/n, W_n = sum_j g_j (s)_j n^-j, so those n are summed by
-powers, not by n: sum_{n=2..m-1} n^-s W_n = sum_j g_j (s)_j S_j with the
-power sums S_j = sum_{n=2..m-1} n^-(s+j), which every depth of a batch
-shares. W_1 and W_m have closed forms of their own. r_k, k0 and the
-validity half-plane do not depend on m.
+so the outer series shrinks like (m+1)^-k instead of 2^-k. The plain
+partial sum is shared by every depth of a batch, and the one weight
+W_m(s) = pole m/(s-1) - sum_{j<k0} h_j (s)_j m^-j, h_j = r(j)/(j+1)! for
+the closed form r, is an exact complex rational (_last_weight). r_k, k0
+and the validity half-plane do not depend on m.
 
 N = m + 1 = _split_point(digits), the least power of two >= 10 + digits
 (32 up to 22 digits, 64 at 40, 128 at 100, 512 at 300), is the one cutoff
@@ -36,10 +35,9 @@ into p^-s as an integer pair; a composite n takes n^-s as the integer
 product q^-s (n/q)^-s of two earlier powers, q its least prime factor
 (_InnerSums). Each kernel takes its precision as an argument: no call sets
 mpmath's shared precision, so concurrent calls cannot disturb each other.
-Everything rational (s itself, the head pole/(s-1) + Q(s) + W_1, the
-weights W_m and g_j (s)_j, r_k/(k+1)! and B_2j/(2j)!) is exact; each is
-floored once where it meets a fixed-point number. Values are returned as
-mpmath numbers, built exactly.
+Everything rational (s itself, the weight W_m, r_k/(k+1)! and
+B_2j/(2j)!) is exact; each is floored once where it meets a fixed-point
+number. Values are returned as mpmath numbers, built exactly.
 
 Every term of the outer series comes from one sequence,
 V_m = (s)_m N^-(s+m), V_0 = N^-s and V_(m+1) = V_m (s + m)/N. With
@@ -56,7 +54,7 @@ exact, so every rounding counts against its term and the series' tally is
 a count of ulps that does not grow with P. So P is set once, from what the
 pass rounds: the bit length of 10^(digits+5), plus log2 of the largest
 head weight times the error of the value it multiplies (3 |W_m| ulps for
-m^-s, 3 (m - 2) |g_j (s)_j| for S_j), plus _GUARD_BITS, with no scan of
+m^-s, 3 (m - 2) for the partial sum), plus _GUARD_BITS, with no scan of
 the series; one pass runs at that scale. Every bound is a tally of the
 ulps actually lost, whatever P is. A call whose bound exceeds 10^-digits,
 compared in integers, raises PrecisionError, which carries the reports.
@@ -76,19 +74,17 @@ differ. Twins, specs equal in k0, pole, Q and closed form (depths 3 and
 own report. `eval_identity` is the batch of one. `zeta_prime_at_zero`
 differentiates the shifted split term by term at s = 0, where (s)_j
 vanishes for j >= 1 and has derivative (j-1)!. That leaves the exact
-Q'(0) - pole + W_1'(0) + W_m'(0), the power sums S_j(0) with the weights
-g_j (j-1)!, j >= 1, the two logs -g_0 log((m-1)!) and -W_m(0) log m, and
-the series rho_k G'_k = r_k/(k(k+1)) zeta(k, N), G'_k read off
-V'_m = (m-1)! N^-m in the same way: the same pass, so zeta'(0) gets an
+W_m'(0), the two logs -log((m-1)!) and -W_m(0) log m, and the series
+rho_k G'_k = r_k/(k(k+1)) zeta(k, N), G'_k read off V'_m = (m-1)! N^-m
+in the same way: the same pass, so zeta'(0) gets an
 error bound too. sum_zeta_m1 runs that pass for the paper's sum
 identity: sum_{k>=2} (zeta(k) - 1) is the exact (N-2)/(N-1), since
 sum_{k>=2} n^-k = 1/(n(n-1)) telescopes over n = 2..N-1, plus the series
 sum_{k>=2} zeta(k, N), r_k = k(k+1) from k0 = 2 with the same G_k.
 
-Each call computes n^-s for n = 2..N-1 once and steps them by floor
-divisions into the power sums S_j (_power_sums). The oracle sums
-10 + digits direct terms and adds correction terms while they are at
-least 10^-(digits + _GUARD), compared in integers. Each depth's outer series
+Each call computes n^-s for n = 2..N-1 once: the partial sum and m^-s.
+The oracle sums 10 + digits direct terms and adds correction terms while
+they are at least 10^-(digits + _GUARD), compared in integers. Each depth's outer series
 stops at the first k >= k0 whose tail past k has an a-priori majorant
 below 10^-(digits+5) (_tail_factor), after Borwein, Bradley and
 Crandall's series in (s)_k (zeta(s+k) - 1) and Johansson's truncation
@@ -176,15 +172,14 @@ class EvalReport:
     the sum of, in ulps of the call's scale 2^-P: the outer truncation
     bound; the inner truncation bounds, each times its |r_k/(k+1)!|,
     summed per depth; and the rounding tally, which covers the head,
-    _ENTRY_ULPS times |W_m| for m^-s and _ENTRY_ULPS (m - 2) times
-    |g_j (s)_j| for each power sum S_j of the shifted head, the rounding
-    of each G_k (every floor of the V_m it reads, carried forward through
+    _ENTRY_ULPS times |W_m| for m^-s and _ENTRY_ULPS (m - 2) for the
+    partial sum sum_{n=2..m-1} n^-s, whose weight is 1, the rounding of
+    each G_k (every floor of the V_m it reads, carried forward through
     |s + m|/N and capped by the size of V_m, and of its dot product) times
     the exact |r_k/(k+1)!|, each rounded up, and the floor of each
-    product. For
-    zeta_prime_at_zero the head values are S_j(0), j >= 1, and the logs
-    log m and log((m-1)!), each within 2 ulps, and the tally counts them
-    the same way. The outer truncation bound is the a-priori majorant of
+    product. For zeta_prime_at_zero the head values are the logs log m and
+    log((m-1)!), each within 2 ulps, and the tally counts them the same
+    way. The outer truncation bound is the a-priori majorant of
     the tail past terms_used (_tail_factor). A call whose estimate exceeds
     10^-digits raises PrecisionError, whose reports are these.
 
@@ -353,7 +348,7 @@ class _InnerSums:
     """The sums G_k = (c)_(k - start) zeta(z + k, N), c = z + start and
     N = _split_point(digits), in fixed point at scale 2^-bits, for one exact
     z and k > start, each with a truncation bound and a rounding bound in
-    ulps; and the head entries n^-z, n < N, that _power_sums steps.
+    ulps; and the head entries n^-z, n < N.
     eval_identities takes start = 0, so G_k = (s)_k zeta(s + k, N);
     zeta_prime_at_zero and sum_zeta_m1 take z = 0 and start = 1, so
     G_k = (k-1)! zeta(k, N).
@@ -603,21 +598,6 @@ class _InnerSums:
         return out
 
 
-def _power_sums(entries: list[tuple[int, int]]):
-    """Yield the power sums sum_n n^-(z+j) for j = 0, 1, ..., from the
-    entries n^-z, n = 2, 3, ... (_InnerSums.head), each an (re, im) pair of
-    ulps. Each entry steps from j to j + 1 as x -> floor(x / n), so it is,
-    as in _InnerSums, floor(X / n^j), within _ENTRY_ULPS, and a sum of c
-    entries is within _ENTRY_ULPS c. A part that floors to 0 stays 0, so it
-    is dropped."""
-    re = [(x, n) for n, (x, _) in enumerate(entries, 2) if x]
-    im = [(y, n) for n, (_, y) in enumerate(entries, 2) if y]
-    while True:
-        yield sum(x for x, _ in re), sum(y for y, _ in im)
-        re = [(step, n) for x, n in re if (step := x // n)]
-        im = [(step, n) for y, n in im if (step := y // n)]
-
-
 def zeta_em_reference(s, digits: int = 40):
     """Independent zeta oracle: direct Euler-Maclaurin continuation, in
     fixed point on Python integers.
@@ -747,115 +727,42 @@ def _check_point(spec: IdentitySpec, re: Fraction, near_pole: bool, digits: int)
         )
 
 
-def _head(spec: IdentitySpec, point: tuple[int, int, int]) -> tuple[int, int, int]:
-    """pole/(s - 1) + Q(s), exactly, as integers (re, im, den) with the
-    value (re + i im) / den, for s = (zr + i zi) / den given as
-    point = (zr, zi, den) and s != 1.
+def _last_weight(spec: IdentitySpec, point: tuple[int, int, int], m: int) -> tuple[int, int, int]:
+    """W_m, the weight of m^-s in the head sum_{n<m} n^-s + m^-s W_m, for
+    s = (zr + i zi) / den given as point = (zr, zi, den), s != 1 and
+    m >= 2, as an (re, im, den) triple of integers with the value
+    (re + i im) / den.
 
-    With Q = sum_i N_i s^i / D, integer Horner gives
-    sum_i N_i (zr + i zi)^i den^(d-i) = Q(s) D den^d, and
-    pole/(s - 1) = pole den (zr - den - i zi) / |zr - den + i zi|^2."""
-    zr, zi, den = point
-    numerators, q_den = spec.q_poly.integer_coefficients()
-    hr = hi = 0
-    scale = 1
-    for c in reversed(numerators):
-        hr, hi = hr * zr - hi * zi + c * scale, hr * zi + hi * zr
-        scale *= den
-    q_den *= den ** max(spec.q_poly.degree, 0)
-    pole = spec.pole_coefficient
-    ar = zr - den
-    q = ar * ar + zi * zi
-    pole_scale = pole.numerator * den * q_den
-    return (
-        hr * pole.denominator * q + ar * pole_scale,
-        hi * pole.denominator * q - zi * pole_scale,
-        q_den * pole.denominator * q,
-    )
-
-
-def _horner(coefficients: list[int], rising: list[tuple[int, int]], step: int) -> tuple[int, int]:
-    """sum_j coefficients[j] * rising[j] * step^(J - j), J = len(coefficients)
-    - 1, as an (re, im) pair of integers."""
-    ar = ai = 0
-    for c, (cr, ci) in zip(coefficients, rising):
-        ar, ai = ar * step + c * cr, ai * step + c * ci
-    return ar, ai
-
-
-def _rising(point: tuple[int, int, int], count: int) -> list[tuple[int, int]]:
-    """(s)_j den^j for j < count as (re, im) pairs of integers, for
-    s = (zr + i zi) / den given as point = (zr, zi, den)."""
-    zr, zi, den = point
-    out = [(1, 0)]
-    for j in range(count - 1):
-        cr, ci = out[-1]
-        fr = zr + j * den
-        out.append((cr * fr - ci * zi, cr * zi + ci * fr))
-    return out
-
-
-def _shifted_head(spec: IdentitySpec, point: tuple[int, int, int], m: int):
-    """The exact parts of the head split off the inner sums,
-
-        sum_{n=2..m} sum_{k>=k0} r_k (s)_k/(k+1)! n^(-s-k)
-            = W_1 + sum_j g_j (s)_j S_j + m^-s W_m,
-        S_j = sum_{n=2..m-1} n^-(s+j),
-
-    for s = (zr + i zi) / den given as point = (zr, zi, den) and m >= 2.
-    Returns W_1, the list of g_j (s)_j for j < size, and W_m, each an
-    (re, im, den) triple of integers with the value (re + i im) / den.
-
-    With r_k = sum_i beta_i (k+1) k ... (k+2-i) (spec.falling_coefficients)
-    and R the closed form at every k, the binomial series gives, for
-    x = 1/n, sum_{k>=0} (k+1) k ... (k+2-i) (s)_k/(k+1)! x^k =
+    The head is pole/(s-1) + Q(s) plus the parts n <= m of the inner sums,
+    sum_{n=2..m} sum_{k>=k0} r_k (s)_k/(k+1)! n^(-s-k). With
+    r_k = sum_i beta_i (k+1) k ... (k+2-i) (spec.falling_coefficients) and
+    R the closed form at every k, the binomial series gives, for x = 1/n,
+    sum_{k>=0} (k+1) k ... (k+2-i) (s)_k/(k+1)! x^k =
     (s)_(i-1) x^(i-1) (1 - x)^(1-i-s) for i >= 1 and
     (1 - (1 - x)^(1-s)) / ((1 - s) x) for i = 0. Summed over n (the i = 0
     part telescopes), less the terms k < k0, where r_k = 0 but R(k) need
-    not be, the left side is
+    not be, the parts n <= m are
 
         beta_0 (m^(1-s) - 1)/(1-s) + sum_{i>=1} beta_i (s)_(i-1) sum_{n=1..m-1} n^(1-i-s)
         - sum_{k<k0} R(k) (s)_k/(k+1)! sum_{n=2..m} n^(-s-k).
 
-    So W_1 = sum_{i>=1} beta_i (s)_(i-1) - beta_0/(1-s), the weight of
-    n^-s for 1 < n < m is W_n = sum_j g_j (s)_j n^-j with
-    g_j = beta_(j+1) - [j < k0] h_j and h_j = R(j)/(j+1)!, and
-    W_m = beta_0 m/(1-s) - sum_{j<k0} h_j (s)_j m^-j: exact rationals.
-    G, H and beta_0 over one denominator L come from
-    spec.shifted_head_coefficients, computed once per spec.
-    """
+    The three conditions spec.last_weight_coefficients proves make the
+    constant part and the weight of every n^-s, 1 < n < m, exactly 1, and
+    leave W_m = beta_0 m/(1-s) - sum_{j<k0} h_j (s)_j m^-j,
+    h_j = R(j)/(j+1)!: an exact rational."""
     zr, zi, den = point
-    size, G, H, b0, L = spec.shifted_head_coefficients
-    k0 = spec.k0
-    rising = _rising(point, size)
-    # beta_0 / (1 - s) = b0 den (den - zr + i zi) / (L q)
+    H, b0, L = spec.last_weight_coefficients
+    # L sum_j h_j (s)_j m^-j = (hr + i hi) / scale by Horner in the rising
+    # factorials, H_0 + (s/m) (H_1 + ((s+1)/m) (H_2 + ...)): scale = (den m)^(k0-1)
+    hr, hi, scale = H[-1], 0, 1
+    for j in range(len(H) - 2, -1, -1):
+        scale *= den * m
+        fr = zr + j * den
+        hr, hi = H[j] * scale + hr * fr - hi * zi, hr * zi + hi * fr
+    # beta_0 m / (1 - s) = b0 m den (den - zr + i zi) / (L q)
     q = (den - zr) ** 2 + zi * zi
-    pole_r, pole_i = b0 * den * (den - zr), b0 * den * zi
-    # W_1: the coefficients of sum_{i>=1} beta_i (s)_(i-1) are G + H, and
-    # W_1 = (a q - pole den^(size-1)) / (L den^(size-1) q)
-    ar, ai = _horner([x + (H[j] if j < k0 else 0) for j, x in enumerate(G)], rising, den)
-    power = den ** (size - 1)
-    first = ar * q - pole_r * power, ai * q - pole_i * power, L * power * q
-    coefficients = []
-    scale = L
-    for g, (cr, ci) in zip(G, rising):
-        coefficients.append((g * cr, g * ci, scale))
-        scale *= den
-    step = den * m
-    kr, ki = _horner(H, rising, step)
-    scale = step ** (k0 - 1)
-    last = pole_r * m * scale - kr * q, pole_i * m * scale - ki * q, L * q * scale
-    return first, coefficients, last
-
-
-def _head_values(entries: list[tuple[int, int]], count: int) -> list[tuple[int, int]]:
-    """The values the shifted head's weights multiply, from the entries
-    n^-s, n = 2..m (_InnerSums.head): m^-s, within _ENTRY_ULPS, then the
-    power sums S_j = sum_{n=2..m-1} n^-(s+j) for j < count, each within
-    _ENTRY_ULPS (m - 2) (_power_sums). All depths of a batch share them."""
-    *middle, last = entries
-    sums = _power_sums(middle)
-    return [last] + [next(sums) for _ in range(count)]
+    pole = b0 * m * den * scale
+    return pole * (den - zr) - hr * q, pole * zi - hi * q, L * q * scale
 
 
 class _Depth:
@@ -924,10 +831,11 @@ def eval_identity(spec: IdentitySpec, s: Number, digits: int = 40) -> EvalReport
     """Evaluate zeta(s) through the depth-p identity at the given target
     precision.
 
-    Raises ValueError outside the validity half-plane or when the inner
-    series arguments would leave Re >= 1.5, PoleError (a ValueError)
-    within 10^(-digits/2) of s = 1, and PrecisionError (a ValueError) when
-    the error bound reached exceeds 10^-digits.
+    Raises ValueError outside the validity half-plane, when the inner
+    series arguments would leave Re >= 1.5, or for a spec that is no
+    identity (IdentitySpec.last_weight_coefficients); PoleError (a
+    ValueError) within 10^(-digits/2) of s = 1; and PrecisionError (a
+    ValueError) when the error bound reached exceeds 10^-digits.
     """
     return eval_identities([spec], s, digits)[0]
 
@@ -939,9 +847,9 @@ def eval_identities(
     report per spec, in order.
 
     Each identity is evaluated in its shifted split (see the module
-    docstring): the head pole/(s-1) + Q(s) + sum_{n<=m} n^-s W_n and the
-    series over the inner sums zeta(s + k, m + 1), m + 1 = _split_point(digits).
-    The identities share z, the sequence V_m = (s)_m (m+1)^-(s+m), the
+    docstring): the head sum_{n<m} n^-s + m^-s W_m and the series over the
+    inner sums zeta(s + k, m + 1), m + 1 = _split_point(digits). The
+    identities share z, the partial sum, the sequence V_m = (s)_m (m+1)^-(s+m), the
     fixed-point scale (the largest any of them needs) and at each k one
     G_k = (s)_k zeta(s + k, m + 1), from one band of Euler-Maclaurin orders
     that meets every depth's summed budget (_band). Each depth keeps its
@@ -950,9 +858,11 @@ def eval_identities(
     identity: they share one head and one share of the pass, and each gets
     that identity's report with its own p_used. Every spec is checked
     before any work, against its own validity half-plane: the first that
-    cannot be evaluated at s raises what eval_identity raises for it. An
-    empty specs raises ValueError, and a depth whose bound exceeds
-    10^-digits PrecisionError for the whole batch.
+    cannot be evaluated at s raises what eval_identity raises for it. Then
+    each distinct identity is proved (IdentitySpec.last_weight_coefficients):
+    the first that is not Euler-Maclaurin at n = 1 raises ValueError naming
+    its depth. An empty specs raises ValueError, and a depth whose bound
+    exceeds 10^-digits PrecisionError for the whole batch.
     """
     _check_digits(digits)
     if not specs:
@@ -964,22 +874,23 @@ def eval_identities(
     m = _split_point(digits) - 1
     point = _integer_point(re, im)
     # twins, equal in identity_key, are one identity: one head and one
-    # share of the pass serve them all
+    # share of the pass serve them all. Each head is exactly 1, with weight
+    # 1 on sum_{n=2..m-1} n^-s and W_m on m^-s; _last_weight reads the proof
+    # of the identity, or raises, before any work
     owners, distinct, heads = [], {}, []
     for spec in specs:
         key = spec.identity_key
         if key not in distinct:
             distinct[key] = len(heads)
-            hr, hi, hd = _head(spec, point)
-            (wr, wi, wd), coefficients, last = _shifted_head(spec, point, m)
-            head = hr * wd + wr * hd, hi * wd + wi * hd, hd * wd
             series = spec.k0, spec.closed_form, spec.falling_coefficients
-            # the weights in the order of _head_values
-            heads.append((series, head, [last, *coefficients]))
+            heads.append((series, (1, 0, 1), [(1, 0, 1), _last_weight(spec, point, m)]))
         owners.append(distinct[key])
-    count = max(len(weights) for _, _, weights in heads) - 1
-    head_ulps = [_ENTRY_ULPS] + [_ENTRY_ULPS * (m - 2)] * count
-    values = lambda inner: _head_values(inner.head(), count)
+    head_ulps = [_ENTRY_ULPS * (m - 2), _ENTRY_ULPS]
+
+    def values(inner):
+        *middle, last = inner.head()
+        return [(sum(x for x, _ in middle), sum(y for _, y in middle)), last]
+
     ps = [spec.p for spec in specs]
     return _outer_series(ps, owners, (re, im), 0, heads, head_ulps, values, digits)
 
@@ -987,41 +898,33 @@ def eval_identities(
 def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
     """zeta'(0) from the shifted split differentiated term by term at
     s = 0, with an error bound like any evaluation. For j >= 1, (s)_j
-    vanishes at 0 and has derivative (j-1)!. So with (size, G, H, b0, L) =
-    spec.shifted_head_coefficients (see _shifted_head), m = N - 1,
-    g_j = G_j / L and S_j(0) = sum_{n=2..m-1} n^-j,
+    vanishes at 0 and has derivative (j-1)!. So with (H, b0, L) =
+    spec.last_weight_coefficients (see _last_weight) and m = N - 1,
 
-        zeta'(0) = Q'(0) - pole + W_1'(0) + W_m'(0)
-                   + sum_{j>=1} g_j (j-1)! S_j(0)
-                   - g_0 log((m-1)!) - W_m(0) log m
+        zeta'(0) = W_m'(0) - log((m-1)!) - W_m(0) log m
                    + sum_{k>=k0} r_k / (k(k+1)) zeta(k, N),
 
-    with the exact W_1'(0) = [sum_{j>=1} (G_j + [j < k0] H_j) (j-1)! - b0] / L,
-    W_m'(0) = [b0 m - sum_{1<=j<k0} H_j (j-1)! m^-j] / L and
-    W_m(0) = (b0 m - H_0) / L. The S_j(0) come from _head_values, and
-    the logs from _InnerSums.logs, each within 2 ulps.
+    with the exact W_m'(0) = [b0 m - sum_{1<=j<k0} H_j (j-1)! m^-j] / L and
+    W_m(0) = (b0 m - H_0) / L. The logs come from _InnerSums.logs, each
+    within 2 ulps.
 
-    Needs an identity valid at 0, i.e. depth p >= 2.
+    Needs an identity valid at 0, i.e. depth p >= 2, and raises
+    ValueError for a spec that is no identity, as eval_identity does.
     """
     _check_digits(digits)
     if _outside(spec, Fraction(0)):
         raise ValueError(f"depth-{spec.p} identity is not valid at s = 0; use p >= 2")
     m = _split_point(digits) - 1
-    size, G, H, b0, L = spec.shifted_head_coefficients
-    k0 = spec.k0
-    weights = [(g * factorial(j - 1), 0, L) for j, g in enumerate(G) if j]
-    # L (W_1'(0) + W_m'(0)) = sum_{j>=1} G_j (j-1)! + b0 (m - 1)
-    # + sum_{1<=j<k0} H_j (j-1)! (1 - m^-j)
-    tail = sum(h * factorial(j - 1) * (m**j - 1) * m ** (k0 - 1 - j) for j, h in enumerate(H) if j)
-    exact = sum(w for w, _, _ in weights) + b0 * (m - 1) + Fraction(tail, m ** (k0 - 1))
-    head = spec.q_poly.derivative().coefficient(0) - spec.pole_coefficient + exact / L
-    weights += [(H[0] - b0 * m, 0, L), (-G[0], 0, L)]  # of log m and log((m-1)!)
-    head_ulps = [_ENTRY_ULPS * (m - 2)] * (size - 1) + [2, 2]
-    values = lambda inner: _head_values(inner.head(), size)[2:] + inner.logs()
+    H, b0, L = spec.last_weight_coefficients
+    # W_m'(0) over L m^(k0-1)
+    top = len(H) - 1
+    head = b0 * m ** (top + 1)
+    head -= sum(h * factorial(j - 1) * m ** (top - j) for j, h in enumerate(H) if j)
+    weights = [(H[0] - b0 * m, 0, L), (-1, 0, 1)]  # of log m and log((m-1)!)
     zero = Fraction(0)
     series = spec.k0, spec.closed_form, spec.falling_coefficients
-    heads = [(series, (head.numerator, 0, head.denominator), weights)]
-    return _outer_series([spec.p], [0], (zero, zero), 1, heads, head_ulps, values, digits)[0]
+    heads = [(series, (head, 0, L * m**top), weights)]
+    return _outer_series([spec.p], [0], (zero, zero), 1, heads, [2, 2], _InnerSums.logs, digits)[0]
 
 
 def _outer_series(
@@ -1035,12 +938,15 @@ def _outer_series(
     (k0, closed form, falling coefficients) as _Depth takes them, head and
     weights integer triples (re, im, den). Report i takes the result of
     heads[owners[i]], with p_used = ps[i]. values(inner) gives the x_i in
-    ulps of the pass's _InnerSums, each within head_ulps[i].
+    ulps of the pass's _InnerSums, x_i within u_i = head_ulps[i] ulps, and
+    the tally adds u_i |w_i|, rounded up: |w_i| exactly for a real weight,
+    else bounded by _modulus_up.
     eval_identities passes start 0, so rho_k G_k is
-    r_k (s)_k/(k+1)! zeta(s + k, N), the weights W_m and g_j (s)_j and
-    _head_values; zeta_prime_at_zero passes s = 0 and start 1, so
-    rho_k G_k is r_k/(k(k+1)) zeta(k, N), the s-derivative at 0 of the
-    same term, and the weights of S_j(0), log m and log((m-1)!);
+    r_k (s)_k/(k+1)! zeta(s + k, N), the head 1 and the weights 1 of the
+    partial sum sum_{n=2..m-1} n^-s and W_m of m^-s; zeta_prime_at_zero
+    passes s = 0 and start 1, so rho_k G_k is r_k/(k(k+1)) zeta(k, N), the
+    s-derivative at 0 of the same term, and the weights of log m and
+    log((m-1)!);
     sum_zeta_m1 passes s = 0, start 1 and r_k = k(k+1), so rho_k G_k is
     zeta(k, N), with no weights.
 
@@ -1076,7 +982,7 @@ def _outer_series(
         for (xr, xi), ulps, (wr, wi, wd) in zip(head_values, head_ulps, weights):
             d.total_re += (wr * xr - wi * xi) // wd
             d.total_im += (wr * xi + wi * xr) // wd
-            d.rounding += _ceil_div(ulps * _modulus_up(wr, wi), wd)
+            d.rounding += _ceil_div(ulps * (_modulus_up(wr, wi) if wi else abs(wr)), wd)
             d.products += 1
     top = factorial(k + 1)  # (k+1)!, exact at every k
     running = list(depths)

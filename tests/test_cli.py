@@ -205,6 +205,23 @@ def test_every_check_reads_the_file(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "FAIL  pairing: depths 3 and 4 differ\n"
 
 
+def test_a_record_that_is_no_identity_exits_two(tmp_path, capsys):
+    # the same altered depth-4 record loads, but it is not Euler-Maclaurin
+    # at n = 1: zeta0 refuses to evaluate it, a domain error naming the
+    # depth, while pairing, which evaluates nothing, still FAILs
+    path = tmp_path / "identities.json"
+    main(["derive", "--p", "1..12", "--out", str(path)])
+    records = json.loads(path.read_text())
+    records[3]["q_poly"][0] = "7/6"
+    path.write_text(json.dumps(records))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path), "--only", "zeta0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: depth-4 identity is not Euler-Maclaurin at n = 1")
+    assert main(["verify", "--in", str(path), "--only", "pairing"]) == 1
+
+
 def test_pairing_reads_records_of_different_k_max(tmp_path, capsys):
     # the odd depths listed through k = 64, the even ones through k = 14:
     # each pair is still one identity

@@ -299,6 +299,22 @@ def test_spec_falling_coefficients(specs64):
         assert spec.closed_form(k) == spec.closed_form(F(k)), k
 
 
+@pytest.mark.parametrize("p", [*range(1, 65), 96, 128])
+def test_every_derived_depth_is_euler_maclaurin_at_one(p):
+    # the three exact conditions of last_weight_coefficients hold, and it
+    # returns H_j = L r(j)/(j+1)! for j < k0 and b0 = L beta_0 = -L
+    spec = derive_identity(p, p + 2)
+    H, b0, L = spec.last_weight_coefficients
+    assert b0 == -L
+    assert [F(x, L) for x in H] == [spec.closed_form(j) / factorial(j + 1) for j in range(spec.k0)]
+    if p <= 32:  # Q = -sum_{j<k0} h_j (s)_j, again on Fraction polynomials
+        total, rising = Polynomial.zero(), Polynomial.constant(1)
+        for j, x in enumerate(H):
+            total = total - rising * F(x, L)
+            rising = rising * Polynomial((j, 1))  # times (s + j)
+        assert total == spec.q_poly
+
+
 def test_derive_argument_validation():
     with pytest.raises(ValueError):
         derive_identity(0)

@@ -22,10 +22,9 @@ from zetaident.evalzeta import (
     PrecisionError,
     _Depth,
     _InnerSums,
-    _head,
     _integer_point,
+    _last_weight,
     _modulus_up,
-    _shifted_head,
     eval_identities,
     eval_identity,
     supports,
@@ -601,16 +600,21 @@ def test_twins_share_one_evaluation(specs64, monkeypatch, s):
 
 
 def test_a_twin_with_another_closed_form_is_evaluated_on_its_own(specs64, monkeypatch):
-    # twins are found by content, not by depth: a depth-4 record whose
-    # closed form differs from depth 3's is an identity of its own
-    other = dataclasses.replace(specs64[4], closed_form=2 * specs64[4].closed_form)
+    # twins are found by content, not by depth: depth 5's identity relabelled
+    # as a depth-4 record (validity -3, no extension) shares the evaluation
+    # of depths 5 and 6, not that of depth 3
+    other = dataclasses.replace(
+        specs64[5], p=4, validity_re_gt=F(-3), extended_validity_re_gt=None
+    )
     batch = [specs64[3], other, specs64[5], specs64[6]]
     s = F(5, 2)
-    alone = eval_identity(other, s, 40)
+    alone = eval_identity(specs64[5], s, 40)
     built = _count_depths(monkeypatch, batch)
     reports = eval_identities(batch, s, 40)
-    assert built == [3, 4, 5]
-    assert reports[1].value == alone.value != reports[0].value
+    assert built == [3, 4]
+    assert [r.p_used for r in reports] == [3, 4, 5, 6]
+    assert reports[0].value != reports[1].value == reports[2].value == reports[3].value
+    assert reports[1].value == alone.value
     assert reports[1].error_estimate == alone.error_estimate
 
 
@@ -636,61 +640,61 @@ def test_a_batch_of_twins_raises_with_a_report_per_spec(specs64):
 # ---- the shifted split ----
 
 
+def _false_identity(specs64, which):
+    """(spec, depth, condition) of a record that loads but is no identity:
+    depth 4 with Q's constant set to 7/6, depth 4 with its closed form
+    doubled, and depth 3 with k0 = 5, which drops r_4 = -1/6."""
+    four = specs64[4]
+    if which == "q":
+        q = (F(7, 6), *four.q_poly.coefficients[1:])
+        return dataclasses.replace(four, q_poly=exactmath.Polynomial(q)), 4, "Q(s) != "
+    if which == "closed_form":
+        return dataclasses.replace(four, closed_form=2 * four.closed_form), 4, "beta_0 = -2"
+    return dataclasses.replace(specs64[3], p=5, k0=5), 5, "g_4 = beta_5 - h_4 = 1/720"
+
+
+@pytest.mark.parametrize("which", ["q", "closed_form", "k0"])
+@pytest.mark.parametrize("call", ["eval_identity", "eval_identities", "zeta_prime_at_zero"])
+def test_a_false_identity_is_refused_before_any_work(specs64, monkeypatch, which, call):
+    # every evaluator reads IdentitySpec.last_weight_coefficients first, so
+    # a record that is not Euler-Maclaurin at n = 1 never reaches the pass
+    spec, p, condition = _false_identity(specs64, which)
+    monkeypatch.setattr(evalzeta, "_outer_series", None)  # any call would raise
+    run = {
+        "eval_identity": lambda: eval_identity(spec, F(5, 2), 40),
+        "eval_identities": lambda: eval_identities([specs64[2], spec], F(-1, 2), 40),
+        "zeta_prime_at_zero": lambda: zeta_prime_at_zero(spec, 40),
+    }[call]
+    with pytest.raises(ValueError) as raised:
+        run()
+    message = str(raised.value)
+    assert f"depth-{p} identity is not Euler-Maclaurin at n = 1" in message
+    assert condition in message
+
+
 @pytest.mark.parametrize("m", [2, 3, 7, 15, 31, 63])
 @pytest.mark.parametrize("p", [1, 4, 12])
 @pytest.mark.parametrize("s", [F(5, 2), (F(3, 4), F(2))])
 def test_head_weights_are_the_split_off_sum(specs64, s, p, m):
-    # W_1 + sum_j g_j (s)_j S_j + m^-s W_m, S_j = sum_{n=2..m-1} n^-(s+j),
-    # against the sum it replaces,
-    # sum_{n=2..m} sum_{k>=k0} r_k (s)_k/(k+1)! n^(-s-k), summed term by term
+    # 1 + sum_{n=2..m-1} n^-s + m^-s W_m against the head it replaces,
+    # pole/(s-1) + Q(s) + sum_{n=2..m} sum_{k>=k0} r_k (s)_k/(k+1)! n^(-s-k),
+    # summed term by term, so the pole and Q are checked numerically too
     spec = specs64[p]
     re, im = s if isinstance(s, tuple) else (s, F(0))
-    point = _integer_point(re, im)
-    first, coefficients, last = _shifted_head(spec, point, m)
-    assert len(coefficients) == spec.shifted_head_coefficients[0]
+    wr, wi, wd = _last_weight(spec, _integer_point(re, im), m)
     with mp.workdps(60):
         z = _mp_point(s)
         ns = range(2, m + 1)
         # powers[i] = n^-(s+k) for n = ns[i], at k = 0, 1, ...
         powers = [mp.mpf(n) ** -z for n in ns]
-        split = mp.mpc(*first[:2]) / first[2] + powers[-1] * mp.mpc(*last[:2]) / last[2]
-        direct, a = 0, 1
+        split = 1 + sum(powers[:-1]) + powers[-1] * mp.mpc(wr, wi) / wd
+        direct, a = _mp_point(spec.pole_coefficient) / (z - 1) + spec.q_poly(z), 1
         for k in range(400):
-            if k < len(coefficients):
-                cr, ci, cd = coefficients[k]
-                split += mp.mpc(cr, ci) / cd * sum(powers[:-1])
             if k >= spec.k0:
                 direct += spec.series_coefficient(k) * a * sum(powers)
             a *= (z + k) / (k + 2)
             powers = [x / n for x, n in zip(powers, ns)]
         assert abs(split - direct) < mp.mpf(10) ** -50, mp.nstr(abs(split - direct), 3)
-
-
-def _fraction_head(spec, re, im):
-    """pole/(s - 1) + Q(s) by Horner's rule on Fractions."""
-    hr = hi = F(0)
-    for c in reversed(spec.q_poly.coefficients):
-        hr, hi = hr * re - hi * im + c, hr * im + hi * re
-    ar = re - 1
-    scale = spec.pole_coefficient / (ar * ar + im * im)
-    return hr + ar * scale, hi - im * scale
-
-
-@pytest.mark.parametrize("p", range(1, 13))
-def test_head_is_the_fraction_horner(specs64, p):
-    # real, complex, and decimal points whose den is 10^6
-    points = [
-        (F(5, 2), F(0)),
-        (F(-37, 4), F(0)),
-        (F(3, 4), F(2)),
-        (F(-3, 2), F(-40)),
-        (F(-1234567, 10**6), F(0)),
-        (F(2500001, 10**6), F(-3141593, 10**6)),
-        (1 + F(1, 10**6), F(0)),
-    ]
-    for re, im in points:
-        hr, hi, hd = _head(specs64[p], _integer_point(re, im))
-        assert (F(hr, hd), F(hi, hd)) == _fraction_head(specs64[p], re, im), (re, im)
 
 
 def _least_power_of_two(n):
@@ -734,8 +738,9 @@ def test_shifted_split_meets_the_contract_at_every_depth(specs64, s, digits):
 @pytest.mark.parametrize(
     "p, s, digits",
     [
-        # deep identities: the shifted head sums 96 and 128 power sums S_j
-        # against coefficients |g_j (s)_j| far above zeta(s)
+        # deep identities far left: the partial sum's entries n^-s run to
+        # m^126.25 > 10^227, far above zeta(s), and W_m has k0 = 96 and 128
+        # terms
         (96, F(-189, 2), 30),
         (128, F(-505, 4), 60),
         (12, (F(-37, 4), F(3, 2)), 300),
@@ -756,8 +761,7 @@ def test_shifted_head_meets_the_contract_far_left(specs64, p, s, digits):
 def test_head_weights_are_tallied(specs64, monkeypatch, s):
     # a scale that ignores the weights' size: near the pole |W_m| is about
     # 10^13, and m^-s, within 3 ulps, then costs 10^13 ulps. Only the tally
-    # of 3 |W_m| ulps, and of 3 (m - 2) |g_j (s)_j| ulps per power sum S_j,
-    # covers that. Near the pole the call raises PrecisionError; either way
+    # of 3 |W_m| ulps for m^-s covers that. Near the pole the call raises PrecisionError; either way
     # each bound must hold
     monkeypatch.setattr(
         evalzeta, "_scale_bits", lambda digits, peak: evalzeta._threshold_bits(digits) + 2
@@ -1132,8 +1136,8 @@ def test_zeta_prime_needs_validity_at_zero(specs64):
 
 
 # 300 digits: N moves the most there, from 10 + digits = 310 to 512.
-# p >= 32: r_k / (k (k+1)) grows like k^(p-3), and the head weights
-# g_j (j-1)! of the power sums S_j(0) run to j = k0 - 1
+# p >= 32: r_k / (k (k+1)) grows like k^(p-3), and the exact W_m'(0)
+# sums H_j (j-1)! m^-j for j = 1..k0 - 1
 @pytest.mark.parametrize("digits", [15, 40, 100, 300])
 @pytest.mark.parametrize("p", [2, 3, 5, 12, 32, 64, 128])
 def test_zeta_prime_at_zero_meets_the_contract(specs64, p, digits):
@@ -1141,9 +1145,9 @@ def test_zeta_prime_at_zero_meets_the_contract(specs64, p, digits):
     report = zeta_prime_at_zero(spec, digits)
     assert report.p_used == p
     assert report.terms_used >= spec.k0
-    # the reference resolves the estimate as well as the target: at p >= 64
-    # the head weights g_j (j-1)! make the scale finer than the target, and
-    # the estimate can fall far below 10^-(digits+20)
+    # the reference resolves the estimate as well as the target: where the
+    # series stops at k0 itself (p >= 32 at 15 digits, p >= 64 at 40), the
+    # estimate is a few ulps of a scale _GUARD_BITS below 10^-(digits+5)
     below = int(-mp.log10(report.error_estimate))
     with mp.workdps(20 + max(digits, below)):
         err = abs(report.value + mp.log(2 * mp.pi) / 2)
