@@ -21,6 +21,7 @@ from mpmath import mp
 
 from .derive import (
     IdentitySpec,
+    _fraction_from_str,
     derive_identity,
     first_difference,
     identities_equal,
@@ -95,8 +96,8 @@ def parse_p_range(text: str) -> list[int]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Grid coordinates: decimal or num/den rational."""
-    return Fraction(text.strip())
+    """Grid coordinates: decimal or num/den rational, read as a record's are."""
+    return _fraction_from_str(text.strip())
 
 
 def _default_digits() -> int:

@@ -28,7 +28,7 @@ from itertools import zip_longest
 from math import factorial, lcm
 from typing import Optional, Sequence
 
-from .exactmath import Polynomial, divide_linear, faulhaber, taylor_shift, times_linear
+from .exactmath import Polynomial, bernoulli, divide_linear, faulhaber, taylor_shift, times_linear
 
 
 class CancellationError(ArithmeticError):
@@ -54,8 +54,9 @@ class IdentitySpec:
     coefficient is exactly 1: zeta has residue 1 at s = 1. A spec that
     breaks any of these raises ValueError naming its depth, since the
     evaluator would otherwise return a wrong value with a small error
-    bound: it sums the series from k0, and its head assumes the identity
-    is Euler-Maclaurin at n = 1, which last_weight_coefficients proves.
+    bound: it sums the series from k0 and reads every coefficient from
+    euler_maclaurin_coefficients, which proves the spec is the
+    Euler-Maclaurin identity at n = 1 of its k0.
     validity_re_gt is the nominal half-plane bound -(p-1);
     extended_validity_re_gt is set to -p when the depth-(p+1) derivation
     produces the identical identity, and is None otherwise.
@@ -110,72 +111,64 @@ class IdentitySpec:
         return self.closed_form(k)
 
     @cached_property
-    def identity_key(self) -> tuple:
-        """What makes two specs one identity, hashable: k0, the pole
-        coefficient, and Q and the closed form as their integer
-        coefficients, which hash and compare faster than Fractions. Specs
-        with equal keys agree in every field first_difference compares, so
-        one evaluation serves them all (eval_identities)."""
-        return (
-            self.k0,
-            self.pole_coefficient,
-            self.q_poly.integer_coefficients(),
-            self.closed_form.integer_coefficients(),
-        )
+    def euler_maclaurin_coefficients(self) -> tuple[tuple[int, ...], int]:
+        """(B, L): the Euler-Maclaurin coefficients beta_i = B_i/L, i < k0,
+        of the identity, over their least common denominator L, with
+        beta_i = -b_i/i! for the Bernoulli numbers b_i, b_1 = -1/2. The
+        evaluator reads nothing of the spec but these and k0: r_k =
+        sum_i beta_i (k+1) k ... (k+2-i) (i factors in term i) for k >= k0,
+        and the head weight W_m takes h_j = beta_(j+1) - [j = 0], beta_k0 = 0
+        (evalzeta._last_weight).
 
-    @cached_property
-    def falling_coefficients(self) -> tuple[Fraction, ...]:
-        """closed_form in the falling-factorial basis series_poly builds it
-        in: beta_0, beta_1, ... with r_k = sum_i beta_i (k+1) k ... (k+2-i)
-        (i factors) at every k, those below k0 included."""
-        return falling_factorial_coefficients(self.closed_form)
-
-    @cached_property
-    def last_weight_coefficients(self) -> tuple[tuple[int, ...], int, int]:
-        """The s-independent data of W_m, the one weight of the evaluator's
-        head (evalzeta._last_weight), over one common denominator L:
-        (H, b0, L) with H_j = L h_j, h_j = R(j)/(j+1)! for j < k0 and the
-        closed form R, and b0 = L beta_0, beta = falling_coefficients.
-
-        It first proves the identity. With g_j = beta_(j+1) - [j < k0] h_j,
-        the binomial series gives, for Re s > 1,
+        It first proves that the spec is this identity, the Euler-Maclaurin
+        identity of its k0, by two comparisons on integer coefficient lists
+        over L: L r(k) = sum_i B_i (k+1) k ... (k+2-i) for the closed form r,
+        and -L Q(s) = sum_{j<k0} H_j (s)_j with H_j = B_(j+1) - [j = 0] L and
+        B_k0 = 0. The pole is 1 (__post_init__). That is a proof. With
+        h_j = r(j)/(j+1)! and g_j = beta_(j+1) - [j < k0] h_j, beta_i now
+        the falling coefficients of r, the binomial series gives, for
+        Re s > 1,
 
             identity - zeta(s) = (pole + beta_0)/(s-1) + Q(s) + sum_{j<k0} h_j (s)_j
                                  + (g_0 - 1) zeta(s) + sum_{j>=1} g_j (s)_j zeta(s+j),
 
-        which vanishes identically under three exact conditions: beta_0 =
-        -pole; g_0 = 1 and g_j = 0 for j >= 1; and L Q(s) =
-        -sum_{j<k0} H_j (s)_j, compared on integer coefficient lists. Then
-        the identity is Euler-Maclaurin at n = 1, and every weight W_n,
-        1 <= n < m, of the evaluator's split is exactly 1. A spec that fails
-        one raises ValueError naming its depth and the condition, since the
-        evaluator would otherwise return a wrong value with a small error
-        bound."""
-        beta, k0 = self.falling_coefficients, self.k0
-
-        def refuse(condition: str):
-            raise ValueError(
-                f"depth-{self.p} identity is not Euler-Maclaurin at n = 1: {condition}"
-            )
-
-        if beta[0] != -self.pole_coefficient:
-            refuse(f"beta_0 = {beta[0]}, not -pole = {-self.pole_coefficient}")
-        h = [self.closed_form(j) / factorial(j + 1) for j in range(k0)]
-        for j in range(max(len(beta) - 1, k0)):
-            g = (beta[j + 1] if j + 1 < len(beta) else 0) - (h[j] if j < k0 else 0)
-            if g != (1 if j == 0 else 0):
-                refuse(f"g_{j} = beta_{j + 1} - h_{j} = {g}, not {1 if j == 0 else 0}")
-        L = lcm(beta[0].denominator, *(x.denominator for x in h))
-        H = tuple(x.numerator * (L // x.denominator) for x in h)
-        # sum_{j<k0} H_j (s)_j by Horner: H_0 + s (H_1 + (s + 1) (H_2 + ...))
+        and each term vanishes. beta_0 = -1 = -pole. The beta_i are 0 from
+        k0 on, so g_j = 0 for j >= k0. For j < k0, h_j = sum_{i<=j}
+        beta_i/(j+1-i)! + [j + 1 < k0] beta_(j+1), so g_j =
+        sum_{i<n} C(n, i) b_i / n! with n = j + 1: 1 at n = 1, and 0 for
+        n >= 2 by the Bernoulli recurrence. And Q = -sum_{j<k0} h_j (s)_j
+        is the second comparison. A spec that fails either comparison
+        raises ValueError naming its depth and the closed form or Q, since
+        the evaluator would otherwise return a wrong value with a small
+        error bound."""
+        k0 = self.k0
+        # bernoulli takes b_1 = +1/2, and b_i = 0 for odd i >= 3
+        beta = [(-1) ** (i + 1) * bernoulli(i) / factorial(i) for i in range(k0)]
+        L = lcm(*(b.denominator for b in beta))
+        B = tuple(b.numerator * (L // b.denominator) for b in beta)
+        # by Horner in the falling factorials: B_0 + (k + 1) (B_1 + k (B_2 + ...))
+        falling = [B[-1]]
+        for i in range(k0 - 1, 0, -1):
+            falling = times_linear(falling, 2 - i)
+            falling[0] += B[i - 1]
+        # by Horner in the rising factorials: H_0 + s (H_1 + (s + 1) (H_2 + ...))
+        H = [*B[1:], 0]
+        H[0] -= L
         rising = [H[-1]]
         for j in range(k0 - 2, -1, -1):
             rising = times_linear(rising, j)
             rising[0] += H[j]
-        numerators, den = self.q_poly.integer_coefficients()
-        if any(L * q + den * r for q, r in zip_longest(numerators, rising, fillvalue=0)):
-            refuse("Q(s) != -sum_{j<k0} h_j (s)_j")
-        return H, beta[0].numerator * (L // beta[0].denominator), L
+        for poly, ours, name in (
+            (self.closed_form, falling, "closed form r_k != sum_{i<k0} beta_i (k+1) k ... (k+2-i)"),
+            (self.q_poly, [-x for x in rising], "Q(s) != -sum_{j<k0} h_j (s)_j"),
+        ):
+            numerators, den = poly.integer_coefficients()
+            if any(L * c != den * x for c, x in zip_longest(numerators, ours, fillvalue=0)):
+                raise ValueError(
+                    f"depth-{self.p} identity is not Euler-Maclaurin at n = 1: {name}, "
+                    "beta_i = -b_i/i! for Bernoulli b_i, h_j = beta_(j+1) - [j = 0]"
+                )
+        return B, L
 
 
 # ---- construction of the three exact pieces ----
@@ -289,22 +282,6 @@ def series_poly(p: int) -> Polynomial:
     return Polynomial.from_integers(out, den * factorial(p - 1))
 
 
-def falling_factorial_coefficients(poly: Polynomial) -> tuple[Fraction, ...]:
-    """beta_0..beta_d, d the degree, with
-    poly(k) = sum_i beta_i (k+1) k ... (k+2-i), i factors in term i.
-
-    In u = k + 1 the basis is the falling factorial u(u-1)...(u-i+1), so
-    beta_i is the i-th forward difference of poly at k = -1 over i!
-    (Newton's forward-difference formula), exactly.
-    """
-    values = [poly(k) for k in range(-1, poly.degree)]
-    out = []
-    for i in range(poly.degree + 1):
-        out.append(values[0] / factorial(i))
-        values = [b - a for a, b in zip(values, values[1:])]
-    return tuple(out)
-
-
 def derive_identity(p: int, k_max: int = 64) -> IdentitySpec:
     """Derive the depth-p identity, its record listing r_k through k_max.
 
@@ -359,8 +336,6 @@ def first_difference(a: IdentitySpec, b: IdentitySpec, k_max: int) -> Optional[s
     """
     if a.k_max < k_max or b.k_max < k_max:
         raise ValueError("both identities must store terms through k_max")
-    if a.identity_key == b.identity_key:
-        return None
     if a.pole_coefficient != b.pole_coefficient:
         return f"pole coefficient {a.pole_coefficient} != {b.pole_coefficient}"
     if a.q_poly != b.q_poly:
@@ -398,7 +373,10 @@ def _fraction_to_str(q: Fraction) -> str:
 def _fraction_from_str(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ValueError(f"expected rational string, got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
 
 
 def _poly_to_json(poly: Polynomial) -> list[str]:

@@ -2,8 +2,11 @@
 
 Each identity zeta(s) = pole/(s-1) + Q(s) + sum_{k>=k0} r_k (s)_k/(k+1)!
 (zeta(s+k) - 1) is Euler-Maclaurin summation at n = 1, its remainder
-written as that series; IdentitySpec.last_weight_coefficients proves so
-exactly, per spec, before any evaluation. It is evaluated in its shifted
+written as that series, and so a function of k0 and the Bernoulli numbers
+alone: r_k = sum_{i<k0} beta_i (k+1) k ... (k+2-i) with beta_i = -B_i/i!,
+B_1 = -1/2. IdentitySpec.euler_maclaurin_coefficients proves so exactly,
+per spec, before any evaluation, and gives the beta_i: the evaluator reads
+no other coefficient of a spec. It is evaluated in its shifted
 split: the part n <= m of each inner sum zeta(s+k) - 1 = sum_{n>=2} n^-(s+k)
 moves into the head, exactly, and the head is Euler-Maclaurin at m,
 
@@ -12,8 +15,8 @@ moves into the head, exactly, and the head is Euler-Maclaurin at m,
 
 so the outer series shrinks like (m+1)^-k instead of 2^-k. The plain
 partial sum is shared by every depth of a batch, and the one weight
-W_m(s) = pole m/(s-1) - sum_{j<k0} h_j (s)_j m^-j, h_j = r(j)/(j+1)! for
-the closed form r, is an exact complex rational (_last_weight). r_k, k0
+W_m(s) = pole m/(s-1) - sum_{j<k0} h_j (s)_j m^-j, h_j = beta_(j+1) -
+[j = 0], is an exact complex rational (_last_weight). r_k, k0
 and the validity half-plane do not depend on m.
 
 N = m + 1 = _split_point(digits), the least power of two >= 10 + digits
@@ -69,9 +72,9 @@ result, so agreement between the two is meaningful.
 
 `eval_identities` evaluates several depths at one point in one pass over
 k: every depth's identity has the same G_k, and only r_k and the weights
-differ. Twins, specs equal in k0, pole, Q and closed form (depths 3 and
-4, say), are one identity and share one evaluation; each still gets its
-own report. `eval_identity` is the batch of one. `zeta_prime_at_zero`
+differ. Twins, specs equal in k0 (depths 3 and 4, say), are one
+identity once each is proved, and share one evaluation; each still gets
+its own report. `eval_identity` is the batch of one. `zeta_prime_at_zero`
 differentiates the shifted split term by term at s = 0, where (s)_j
 vanishes for j >= 1 and has derivative (j-1)!. That leaves the exact
 W_m'(0), the two logs -log((m-1)!) and -W_m(0) log m, and the series
@@ -88,8 +91,7 @@ they are at least 10^-(digits + _GUARD), compared in integers. Each depth's oute
 stops at the first k >= k0 whose tail past k has an a-priori majorant
 below 10^-(digits+5) (_tail_factor), after Borwein, Bradley and
 Crandall's series in (s)_k (zeta(s+k) - 1) and Johansson's truncation
-from rigorous a-priori bounds: with the falling coefficients beta_i of
-r_k and A = |s + k|,
+from rigorous a-priori bounds: with the beta_i of r_k and A = |s + k|,
 
     |V_k| (1 + N/(Re s + k - 1)) sum_i |beta_i|/(k+1-i)! ((1 - 1/N)^-A - 1),
 
@@ -127,7 +129,7 @@ from mpmath.libmp import from_man_exp, log_int_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .derive import IdentitySpec
-from .exactmath import Polynomial, bernoulli_over_factorial, bernoulli_ratios
+from .exactmath import bernoulli_over_factorial, bernoulli_ratios
 
 _GUARD = 10
 # Bits of the oracle's working precision beyond 10^-(digits + _GUARD).
@@ -727,6 +729,17 @@ def _check_point(spec: IdentitySpec, re: Fraction, near_pole: bool, digits: int)
         )
 
 
+def _weight_coefficients(spec: IdentitySpec) -> tuple[list[int], int, int]:
+    """(H, b0, L), the s-independent data of W_m (_last_weight), from
+    (B, L) = spec.euler_maclaurin_coefficients, which raises ValueError for
+    a spec that is no identity: H_j = L h_j = B_(j+1) - [j = 0] L for
+    j < k0, with B_k0 = 0, and b0 = L beta_0 = B_0 = -L."""
+    B, L = spec.euler_maclaurin_coefficients
+    H = [*B[1:], 0]
+    H[0] -= L
+    return H, B[0], L
+
+
 def _last_weight(spec: IdentitySpec, point: tuple[int, int, int], m: int) -> tuple[int, int, int]:
     """W_m, the weight of m^-s in the head sum_{n<m} n^-s + m^-s W_m, for
     s = (zr + i zi) / den given as point = (zr, zi, den), s != 1 and
@@ -735,8 +748,9 @@ def _last_weight(spec: IdentitySpec, point: tuple[int, int, int], m: int) -> tup
 
     The head is pole/(s-1) + Q(s) plus the parts n <= m of the inner sums,
     sum_{n=2..m} sum_{k>=k0} r_k (s)_k/(k+1)! n^(-s-k). With
-    r_k = sum_i beta_i (k+1) k ... (k+2-i) (spec.falling_coefficients) and
-    R the closed form at every k, the binomial series gives, for x = 1/n,
+    r_k = sum_i beta_i (k+1) k ... (k+2-i), (B, L) =
+    spec.euler_maclaurin_coefficients and beta_i = B_i/L, and R that sum at
+    every k, the binomial series gives, for x = 1/n,
     sum_{k>=0} (k+1) k ... (k+2-i) (s)_k/(k+1)! x^k =
     (s)_(i-1) x^(i-1) (1 - x)^(1-i-s) for i >= 1 and
     (1 - (1 - x)^(1-s)) / ((1 - s) x) for i = 0. Summed over n (the i = 0
@@ -746,12 +760,13 @@ def _last_weight(spec: IdentitySpec, point: tuple[int, int, int], m: int) -> tup
         beta_0 (m^(1-s) - 1)/(1-s) + sum_{i>=1} beta_i (s)_(i-1) sum_{n=1..m-1} n^(1-i-s)
         - sum_{k<k0} R(k) (s)_k/(k+1)! sum_{n=2..m} n^(-s-k).
 
-    The three conditions spec.last_weight_coefficients proves make the
-    constant part and the weight of every n^-s, 1 < n < m, exactly 1, and
-    leave W_m = beta_0 m/(1-s) - sum_{j<k0} h_j (s)_j m^-j,
-    h_j = R(j)/(j+1)!: an exact rational."""
+    The Euler-Maclaurin identity, which spec.euler_maclaurin_coefficients
+    proves the spec is, makes the constant part and the weight of every
+    n^-s, 1 < n < m, exactly 1, and leaves W_m = beta_0 m/(1-s) -
+    sum_{j<k0} h_j (s)_j m^-j, h_j = R(j)/(j+1)! = beta_(j+1) - [j = 0]:
+    an exact rational."""
     zr, zi, den = point
-    H, b0, L = spec.last_weight_coefficients
+    H, b0, L = _weight_coefficients(spec)
     # L sum_j h_j (s)_j m^-j = (hr + i hi) / scale by Horner in the rising
     # factorials, H_0 + (s/m) (H_1 + ((s+1)/m) (H_2 + ...)): scale = (den m)^(k0-1)
     hr, hi, scale = H[-1], 0, 1
@@ -770,20 +785,12 @@ class _Depth:
     pair of ulps), its error tallies in ulps, the G_k it adds, and, once its
     tail majorant is under the threshold, where it stopped and that
     majorant (tail_bound, in ulps). The series is sum_{k>=k0} r_k/(k+1)! G_k
-    with r_k = closed_form(k), and beta its falling coefficients (as
-    IdentitySpec.falling_coefficients)."""
+    with r_k = sum_i beta_i (k+1) k ... (k+2-i), beta_i = beta[i]/den (as
+    IdentitySpec.euler_maclaurin_coefficients gives them)."""
 
-    def __init__(self, k0: int, closed_form: Polynomial, beta: Sequence[Fraction]):
-        self.k0 = k0
-        # the closed form's integer coefficients over den, highest degree first
-        numerators, self.den = closed_form.integer_coefficients()
-        self.numerators = numerators[::-1]
-        # (1 - i, |beta_i| den) for the falling coefficients beta_i, highest
-        # i first (integers: the basis change from k^j has integer entries)
-        self.falling = [
-            (1 - i, _ceil_div(abs(b.numerator) * self.den, b.denominator))
-            for i, b in reversed(list(enumerate(beta)))
-        ]
+    def __init__(self, k0: int, beta: Sequence[int], den: int):
+        self.k0, self.beta, self.den = k0, beta, den
+        self.sizes = [abs(b) for b in beta]
         self.total_re = self.total_im = 0
         # (index of k in the pass, num, |num|, rden): rho_k = num/rden
         self.terms = []
@@ -793,12 +800,17 @@ class _Depth:
         self.terms_used = self.tail_bound = None
 
     def majorant(self, k: int) -> int:
-        """sum_i |beta_i| (k+1) k ... (k+2-i) times den, by Horner: at least
-        |r_k| den."""
-        out = 0
-        for shift, c in self.falling:
-            out = out * (k + shift) + c
-        return out
+        """sum_i |beta_i| (k+1) k ... (k+2-i) times den: at least |r_k| den."""
+        return _falling(self.sizes, k)
+
+
+def _falling(coefficients: Sequence[int], k: int) -> int:
+    """sum_i c_i (k+1) k ... (k+2-i), i factors in term i, by Horner:
+    c_0 + (k + 1) (c_1 + k (c_2 + ...))."""
+    out = 0
+    for i in range(len(coefficients) - 1, -1, -1):
+        out = out * (k + 1 - i) + coefficients[i]
+    return out
 
 
 def _tail_factor(inner: _InnerSums, k: int) -> tuple[int, int]:
@@ -807,7 +819,7 @@ def _tail_factor(inner: _InnerSums, k: int) -> tuple[int, int]:
     growth * d.majorant(k) / (below * d.den * (k+1)!) ulps, for z, N and
     the bound size(k) of |V_k| from inner. It rests on three facts:
 
-    - rho_j = r_j/(j+1)! = sum_i beta_i/(j+1-i)!, beta = falling_coefficients,
+    - rho_j = r_j/(j+1)! = sum_i beta_i/(j+1-i)!, the beta_i of _Depth,
       and (k+1+m-i)! >= (k+1-i)! m!;
     - |(c)_(k+m-start)| <= |(c)_(k-start)| (A)_m, A = |z + k|;
     - zeta(sigma+k+m, N) <= N^-m N^-(sigma+k) (1 + N/(sigma+k-1)),
@@ -833,7 +845,7 @@ def eval_identity(spec: IdentitySpec, s: Number, digits: int = 40) -> EvalReport
 
     Raises ValueError outside the validity half-plane, when the inner
     series arguments would leave Re >= 1.5, or for a spec that is no
-    identity (IdentitySpec.last_weight_coefficients); PoleError (a
+    identity (IdentitySpec.euler_maclaurin_coefficients); PoleError (a
     ValueError) within 10^(-digits/2) of s = 1; and PrecisionError (a
     ValueError) when the error bound reached exceeds 10^-digits.
     """
@@ -853,16 +865,16 @@ def eval_identities(
     fixed-point scale (the largest any of them needs) and at each k one
     G_k = (s)_k zeta(s + k, m + 1), from one band of Euler-Maclaurin orders
     that meets every depth's summed budget (_band). Each depth keeps its
-    own total, error tallies and tail bound, and stops on its own. Specs
-    with equal identity_key (k0, pole, Q and closed form) are one
-    identity: they share one head and one share of the pass, and each gets
-    that identity's report with its own p_used. Every spec is checked
-    before any work, against its own validity half-plane: the first that
-    cannot be evaluated at s raises what eval_identity raises for it. Then
-    each distinct identity is proved (IdentitySpec.last_weight_coefficients):
-    the first that is not Euler-Maclaurin at n = 1 raises ValueError naming
-    its depth. An empty specs raises ValueError, and a depth whose bound
-    exceeds 10^-digits PrecisionError for the whole batch.
+    own total, error tallies and tail bound, and stops on its own. Every
+    spec is checked before any work, against its own validity half-plane:
+    the first that cannot be evaluated at s raises what eval_identity
+    raises for it. Then every spec is proved the Euler-Maclaurin identity
+    of its k0 (IdentitySpec.euler_maclaurin_coefficients): the first that
+    is not raises ValueError naming its depth. So specs with equal k0 are
+    one identity (depths 3 and 4, say): they share one head and one share
+    of the pass, and each gets that identity's report with its own p_used.
+    An empty specs raises ValueError, and a depth whose bound exceeds
+    10^-digits PrecisionError for the whole batch.
     """
     _check_digits(digits)
     if not specs:
@@ -873,18 +885,17 @@ def eval_identities(
         _check_point(spec, re, near_pole, digits)
     m = _split_point(digits) - 1
     point = _integer_point(re, im)
-    # twins, equal in identity_key, are one identity: one head and one
+    # each spec is proved the identity of its k0, or raises, before any
+    # work; twins, equal in k0, are then one identity, and one head and one
     # share of the pass serve them all. Each head is exactly 1, with weight
-    # 1 on sum_{n=2..m-1} n^-s and W_m on m^-s; _last_weight reads the proof
-    # of the identity, or raises, before any work
+    # 1 on sum_{n=2..m-1} n^-s and W_m on m^-s
     owners, distinct, heads = [], {}, []
     for spec in specs:
-        key = spec.identity_key
-        if key not in distinct:
-            distinct[key] = len(heads)
-            series = spec.k0, spec.closed_form, spec.falling_coefficients
+        series = spec.k0, *spec.euler_maclaurin_coefficients
+        if spec.k0 not in distinct:
+            distinct[spec.k0] = len(heads)
             heads.append((series, (1, 0, 1), [(1, 0, 1), _last_weight(spec, point, m)]))
-        owners.append(distinct[key])
+        owners.append(distinct[spec.k0])
     head_ulps = [_ENTRY_ULPS * (m - 2), _ENTRY_ULPS]
 
     def values(inner):
@@ -899,7 +910,7 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
     """zeta'(0) from the shifted split differentiated term by term at
     s = 0, with an error bound like any evaluation. For j >= 1, (s)_j
     vanishes at 0 and has derivative (j-1)!. So with (H, b0, L) =
-    spec.last_weight_coefficients (see _last_weight) and m = N - 1,
+    _weight_coefficients(spec) (see _last_weight) and m = N - 1,
 
         zeta'(0) = W_m'(0) - log((m-1)!) - W_m(0) log m
                    + sum_{k>=k0} r_k / (k(k+1)) zeta(k, N),
@@ -915,15 +926,14 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
     if _outside(spec, Fraction(0)):
         raise ValueError(f"depth-{spec.p} identity is not valid at s = 0; use p >= 2")
     m = _split_point(digits) - 1
-    H, b0, L = spec.last_weight_coefficients
+    H, b0, L = _weight_coefficients(spec)
     # W_m'(0) over L m^(k0-1)
     top = len(H) - 1
     head = b0 * m ** (top + 1)
     head -= sum(h * factorial(j - 1) * m ** (top - j) for j, h in enumerate(H) if j)
     weights = [(H[0] - b0 * m, 0, L), (-1, 0, 1)]  # of log m and log((m-1)!)
     zero = Fraction(0)
-    series = spec.k0, spec.closed_form, spec.falling_coefficients
-    heads = [(series, (head, 0, L * m**top), weights)]
+    heads = [((spec.k0, *spec.euler_maclaurin_coefficients), (head, 0, L * m**top), weights)]
     return _outer_series([spec.p], [0], (zero, zero), 1, heads, [2, 2], _InnerSums.logs, digits)[0]
 
 
@@ -935,7 +945,7 @@ def _outer_series(
     rho_k = r_k/(k+1)! and G_k = (s + start)_(k - start) zeta(s + k, N)
     (_InnerSums), N = _split_point(digits), k0 > start. heads holds one
     (series, exact head, weights w_i) per distinct series: series is
-    (k0, closed form, falling coefficients) as _Depth takes them, head and
+    (k0, beta, den) as _Depth takes them, head and
     weights integer triples (re, im, den). Report i takes the result of
     heads[owners[i]], with p_used = ps[i]. values(inner) gives the x_i in
     ulps of the pass's _InnerSums, x_i within u_i = head_ulps[i] ulps, and
@@ -947,8 +957,9 @@ def _outer_series(
     passes s = 0 and start 1, so rho_k G_k is r_k/(k(k+1)) zeta(k, N), the
     s-derivative at 0 of the same term, and the weights of log m and
     log((m-1)!);
-    sum_zeta_m1 passes s = 0, start 1 and r_k = k(k+1), so rho_k G_k is
-    zeta(k, N), with no weights.
+    sum_zeta_m1 passes s = 0, start 1 and r_k = k(k+1), the falling
+    product of beta_2 = 1 alone, so rho_k G_k is zeta(k, N), with no
+    weights.
 
     P is set once (_scale_bits), from the largest head weight times the
     ulps of the value it multiplies. The series adds nothing to it: each
@@ -993,10 +1004,7 @@ def _outer_series(
         size = inner.size(k)
         growth, below = _tail_factor(inner, k)
         for d in [d for d in running if d.k0 <= k]:
-            num = 0  # rho_k = r_k / (k+1)! = num / rden, num by integer Horner
-            for c in d.numerators:
-                num = num * k + c
-            rden = d.den * top
+            num, rden = _falling(d.beta, k), d.den * top  # rho_k = r_k/(k+1)! = num/rden
             if size and num:
                 if not ks or ks[-1] != k:
                     ks.append(k)
@@ -1089,8 +1097,8 @@ def sum_zeta_m1(digits: int = 40) -> EvalReport:
     10^-digits."""
     _check_digits(digits)
     n = _split_point(digits)
-    # r_k = (k+1) k: one falling product of two factors
-    series = (2, Polynomial((0, 1, 1)), (0, 0, 1))
+    # r_k = (k+1) k: beta_2 = 1, one falling product of two factors
+    series = (2, (0, 0, 1), 1)
     zero = Fraction(0)
     heads = [(series, (n - 2, 0, n - 1), [])]
     return _outer_series([0], [0], (zero, zero), 1, heads, [], lambda inner: [], digits)[0]

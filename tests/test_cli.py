@@ -42,6 +42,9 @@ def test_parse_p_range():
 def test_parse_rational():
     assert parse_rational("0.25") == F(1, 4)
     assert parse_rational("-1/3") == F(-1, 3)
+    # a zero denominator is a usage error, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
+        parse_rational(" 1/0")
 
 
 # ---- derive ----
@@ -220,6 +223,23 @@ def test_a_record_that_is_no_identity_exits_two(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: depth-4 identity is not Euler-Maclaurin at n = 1")
     assert main(["verify", "--in", str(path), "--only", "pairing"]) == 1
+
+
+@pytest.mark.parametrize("field", ["pole_coefficient", "terms", "q_poly"])
+def test_a_zero_denominator_in_a_record_exits_two(tmp_path, capsys, field):
+    path = tmp_path / "identities.json"
+    main(["derive", "--p", "1..4", "--out", str(path)])
+    records = json.loads(path.read_text())
+    if field == "terms":
+        records[2]["terms"][0]["r"] = "1/0"
+    elif field == "q_poly":
+        records[2]["q_poly"][0] = "1/0"
+    else:
+        records[2][field] = "1/0"
+    path.write_text(json.dumps(records))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == "error: rational '1/0' has a zero denominator\n"
 
 
 def test_pairing_reads_records_of_different_k_max(tmp_path, capsys):
@@ -416,6 +436,15 @@ def test_table_skip_message_reads_back_for_a_negative_imaginary_part(capsys):
 def test_table_bad_grid():
     assert main(["table", "--start", "2", "--stop", "1", "--step", "1"]) == 2
     assert main(["table", "--start", "1", "--stop", "2", "--step", "0"]) == 2
+
+
+@pytest.mark.parametrize("option", ["--start", "--stop", "--step", "--im"])
+def test_table_zero_denominator_exits_two(option, capsys):
+    grid = {"--start": "1", "--stop": "3", "--step": "1", "--im": "0", option: "1/0"}
+    assert main(["table", *(x for pair in grid.items() for x in pair)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rational '1/0' has a zero denominator\n"
 
 
 # ---- special ----

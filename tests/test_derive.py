@@ -10,7 +10,6 @@ from zetaident.derive import (
     IdentitySpec,
     closed_form_part,
     derive_identity,
-    falling_factorial_coefficients,
     first_difference,
     identities_equal,
     identity_from_json,
@@ -19,7 +18,7 @@ from zetaident.derive import (
     series_poly,
     subtraction_poly,
 )
-from zetaident.exactmath import Polynomial, faulhaber
+from zetaident.exactmath import Polynomial, bernoulli, faulhaber
 from zetaident.reference import reference_identity
 
 
@@ -44,6 +43,22 @@ def fraction_horner(poly, x):
     for c in reversed(poly.coefficients):
         acc = acc * x + c
     return acc
+
+
+def falling_factorial_coefficients(poly):
+    """beta_0..beta_d, d the degree, with
+    poly(k) = sum_i beta_i (k+1) k ... (k+2-i), i factors in term i: in
+    u = k + 1 the basis is the falling factorial u(u-1)...(u-i+1), so beta_i
+    is the i-th forward difference of poly at k = -1 over i! (Newton's
+    forward-difference formula), on Fractions. The oracle the Bernoulli
+    coefficients of IdentitySpec.euler_maclaurin_coefficients are checked
+    against."""
+    values = [poly(k) for k in range(-1, poly.degree)]
+    out = []
+    for i in range(poly.degree + 1):
+        out.append(values[0] / factorial(i))
+        values = [b - a for a, b in zip(values, values[1:])]
+    return tuple(out)
 
 
 def rising_poly(n):
@@ -275,6 +290,9 @@ def test_series_coefficient_past_k_max_is_the_closed_form(specs64, p):
     spec = specs64[p]
     for k in range(spec.k0, 401):
         assert spec.series_coefficient(k) == spec.closed_form(F(k)), k
+    for k in range(-3, spec.k0):
+        # integer Horner at an int k below k0 is the polynomial's Fraction value
+        assert spec.closed_form(k) == spec.closed_form(F(k)), k
 
 
 @pytest.mark.parametrize("p", range(1, 33))
@@ -291,28 +309,50 @@ def test_falling_coefficients_are_the_closed_form(p):
     assert total == closed
 
 
-def test_spec_falling_coefficients(specs64):
-    spec = specs64[5]
-    assert spec.falling_coefficients == falling_factorial_coefficients(spec.closed_form)
-    for k in range(-3, spec.k0):
-        # integer Horner at an int k is the polynomial's Fraction value
-        assert spec.closed_form(k) == spec.closed_form(F(k)), k
-
-
-@pytest.mark.parametrize("p", [*range(1, 65), 96, 128])
+@pytest.mark.parametrize("p", [*range(1, 65), 96, 128, 256])
 def test_every_derived_depth_is_euler_maclaurin_at_one(p):
-    # the three exact conditions of last_weight_coefficients hold, and it
-    # returns H_j = L r(j)/(j+1)! for j < k0 and b0 = L beta_0 = -L
+    # the gate passes, and the three exact conditions hold for the falling
+    # coefficients of the closed form, taken by forward differences; those
+    # are the gate's Bernoulli coefficients beta_i = B_i/L, 0 from k0 on
     spec = derive_identity(p, p + 2)
-    H, b0, L = spec.last_weight_coefficients
-    assert b0 == -L
-    assert [F(x, L) for x in H] == [spec.closed_form(j) / factorial(j + 1) for j in range(spec.k0)]
-    if p <= 32:  # Q = -sum_{j<k0} h_j (s)_j, again on Fraction polynomials
-        total, rising = Polynomial.zero(), Polynomial.constant(1)
-        for j, x in enumerate(H):
-            total = total - rising * F(x, L)
-            rising = rising * Polynomial((j, 1))  # times (s + j)
-        assert total == spec.q_poly
+    B, L = spec.euler_maclaurin_coefficients
+    k0, beta = spec.k0, falling_factorial_coefficients(spec.closed_form)
+    assert len(B) == k0 >= len(beta)
+    assert [F(x, L) for x in B] == [*beta, *[0] * (k0 - len(beta))]
+    # beta_0 = -pole; g_0 = 1 and g_j = 0 for j >= 1, with
+    # g_j = beta_(j+1) - [j < k0] h_j and h_j = r(j)/(j+1)!; and
+    # Q = -sum_{j<k0} h_j (s)_j, on Fraction polynomials
+    assert beta[0] == -spec.pole_coefficient
+    h = [spec.closed_form(j) / factorial(j + 1) for j in range(k0)]
+    for j in range(k0):
+        assert (beta[j + 1] if j + 1 < len(beta) else 0) - h[j] == (1 if j == 0 else 0), j
+    total, rising = Polynomial.zero(), Polynomial.constant(1)
+    for j, x in enumerate(h):
+        total = total - rising * x
+        rising = rising * Polynomial((j, 1))  # times (s + j)
+    assert total == spec.q_poly
+
+
+def test_bernoulli_coefficients_meet_the_conditions_at_every_k0():
+    # beta_i = -B_i/i! (B_1 = -1/2) for i < k0, beta_k0 = 0, and the closed
+    # form r(k) = sum_{i<k0} beta_i (k+1) k ... (k+2-i) meet the conditions
+    # at every k0, derived or not: beta_0 = -1 = -pole; with
+    # h_j = r(j)/(j+1)! = sum_{i<=j+1, i<k0} beta_i/(j+1-i)!, g_j =
+    # beta_(j+1) - h_j is 1 at j = 0 and 0 for 1 <= j < k0 (the Bernoulli
+    # recurrence), and every later beta is 0; and Q = -sum_{j<k0} h_j (s)_j
+    # is the Bernoulli Q, -sum_{j<k0} (beta_(j+1) - [j = 0]) (s)_j, by the
+    # same equalities, the (s)_j being a basis
+    top = 131
+    b = [(-1) ** (i + 1) * bernoulli(i) / factorial(i) for i in range(top)]
+    inverse = [F(1, factorial(n)) for n in range(top + 1)]
+    # h_j with every beta_i, i <= j + 1: k0 = j + 1 drops beta_(j+1) from it
+    full = [sum(b[i] * inverse[j + 1 - i] for i in range(j + 2)) for j in range(top - 1)]
+    for k0 in range(1, top):
+        beta = b[:k0]
+        assert beta[0] == -1
+        h = [*full[: k0 - 1], full[k0 - 1] - b[k0]]
+        g = [(beta[j + 1] if j + 1 < k0 else 0) - h[j] for j in range(k0)]
+        assert g == [1] + [0] * (k0 - 1), k0
 
 
 def test_derive_argument_validation():
@@ -382,18 +422,6 @@ def test_first_difference_of_a_shared_closed_form_is_at_the_lesser_k0(specs64):
     assert first_difference(b, a, 64) == "k=4: coefficient 0 != reference -1/6"
     assert first_difference(a, b, 3) is None  # past the k compared
     assert first_difference(a, a, 64) is None
-
-
-def test_identity_key_is_what_first_difference_compares(specs64):
-    # twins share a key and first_difference finds nothing between them;
-    # specs that first_difference tells apart have different keys
-    assert specs64[3].identity_key == specs64[4].identity_key
-    assert first_difference(specs64[3], specs64[4], 64) is None
-    shifted = dataclasses.replace(specs64[3], p=5, k0=5)
-    other = dataclasses.replace(specs64[4], closed_form=2 * specs64[4].closed_form)
-    for a, b in ((specs64[3], specs64[5]), (specs64[3], shifted), (specs64[3], other)):
-        assert a.identity_key != b.identity_key
-        assert first_difference(a, b, 64) is not None
 
 
 def test_identities_equal_needs_enough_terms(specs64):

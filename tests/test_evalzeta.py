@@ -177,9 +177,23 @@ def test_zeta_of_two_through_depth_five(specs64):
 
 
 def test_zeta_at_minus_one(specs64):
+    # at s = -n with n < k0 every (-n)_k of the series is 0, so the identity
+    # gives zeta(-n) = -B_(n+1)/(n+1) exactly (B_1 = +1/2: n = 0 gives
+    # -1/2, n = 1 gives -1/12): every depth p <= 32 at every such n where it
+    # accepts s = -n, each value within its own error estimate
+    specs = [*specs64.values(), *(derive_identity(p, p + 2) for p in range(13, 33))]
+    cases = 0
     with mp.workdps(60):
-        report = eval_identity(specs64[3], -1, 40)
-        assert abs(report.value + F(1, 12)) < mp.mpf(10) ** -40
+        for n in range(max(spec.k0 for spec in specs)):
+            batch = [spec for spec in specs if n < spec.k0 and supports(spec, -n)]
+            if not batch:
+                continue
+            exact = _mp_point(-exactmath.bernoulli(n + 1) / (n + 1))
+            for report in eval_identities(batch, -n, 40):
+                assert abs(report.value - exact) <= report.error_estimate, (report.p_used, n)
+                assert report.error_estimate <= mp.mpf(10) ** -40
+            cases += len(batch)
+    assert cases == 511
 
 
 def test_depths_agree_with_each_other(specs64):
@@ -560,13 +574,13 @@ def test_batch_of_one_is_eval_identity(specs64, p, s):
 
 def _count_depths(monkeypatch, specs):
     """The depth of every _Depth built from here on, in order: that of the
-    first of specs with its k0 and closed form."""
+    first of specs with its k0."""
     built = []
     depth = evalzeta._Depth
 
-    def counting(k0, closed_form, beta):
-        built.append(next(s.p for s in specs if (s.k0, s.closed_form) == (k0, closed_form)))
-        return depth(k0, closed_form, beta)
+    def counting(k0, beta, den):
+        built.append(next(s.p for s in specs if s.k0 == k0))
+        return depth(k0, beta, den)
 
     monkeypatch.setattr(evalzeta, "_Depth", counting)
     return built
@@ -600,7 +614,7 @@ def test_twins_share_one_evaluation(specs64, monkeypatch, s):
 
 
 def test_a_twin_with_another_closed_form_is_evaluated_on_its_own(specs64, monkeypatch):
-    # twins are found by content, not by depth: depth 5's identity relabelled
+    # twins are found by k0, not by depth: depth 5's identity relabelled
     # as a depth-4 record (validity -3, no extension) shares the evaluation
     # of depths 5 and 6, not that of depth 3
     other = dataclasses.replace(
@@ -649,15 +663,15 @@ def _false_identity(specs64, which):
         q = (F(7, 6), *four.q_poly.coefficients[1:])
         return dataclasses.replace(four, q_poly=exactmath.Polynomial(q)), 4, "Q(s) != "
     if which == "closed_form":
-        return dataclasses.replace(four, closed_form=2 * four.closed_form), 4, "beta_0 = -2"
-    return dataclasses.replace(specs64[3], p=5, k0=5), 5, "g_4 = beta_5 - h_4 = 1/720"
+        return dataclasses.replace(four, closed_form=2 * four.closed_form), 4, "closed form r_k != "
+    return dataclasses.replace(specs64[3], p=5, k0=5), 5, "closed form r_k != "
 
 
 @pytest.mark.parametrize("which", ["q", "closed_form", "k0"])
 @pytest.mark.parametrize("call", ["eval_identity", "eval_identities", "zeta_prime_at_zero"])
 def test_a_false_identity_is_refused_before_any_work(specs64, monkeypatch, which, call):
-    # every evaluator reads IdentitySpec.last_weight_coefficients first, so
-    # a record that is not Euler-Maclaurin at n = 1 never reaches the pass
+    # every evaluator reads IdentitySpec.euler_maclaurin_coefficients first,
+    # so a record that is not Euler-Maclaurin at n = 1 never reaches the pass
     spec, p, condition = _false_identity(specs64, which)
     monkeypatch.setattr(evalzeta, "_outer_series", None)  # any call would raise
     run = {
@@ -667,6 +681,20 @@ def test_a_false_identity_is_refused_before_any_work(specs64, monkeypatch, which
     }[call]
     with pytest.raises(ValueError) as raised:
         run()
+    message = str(raised.value)
+    assert f"depth-{p} identity is not Euler-Maclaurin at n = 1" in message
+    assert condition in message
+
+
+@pytest.mark.parametrize("which", ["q", "closed_form"])
+def test_a_false_twin_is_refused_beside_a_true_one(specs64, monkeypatch, which):
+    # twins are keyed on k0 only once each is proved: a false depth-4 record
+    # has the k0 of depth 3, but cannot ride on depth 3's evaluation
+    spec, p, condition = _false_identity(specs64, which)
+    assert spec.k0 == specs64[3].k0
+    monkeypatch.setattr(evalzeta, "_outer_series", None)
+    with pytest.raises(ValueError) as raised:
+        eval_identities([specs64[3], spec], F(5, 2), 40)
     message = str(raised.value)
     assert f"depth-{p} identity is not Euler-Maclaurin at n = 1" in message
     assert condition in message
@@ -791,7 +819,7 @@ def test_tail_proof_holds_where_it_claims(specs64, p, s, base_bits):
     inner = _InnerSums((re, im), {5: 20, 6: 40, 7: 100}[base_bits], bits, 0)
     n = inner.n
     assert n == 1 << base_bits
-    depth = _Depth(spec.k0, spec.closed_form, spec.falling_coefficients)
+    depth = _Depth(spec.k0, *spec.euler_maclaurin_coefficients)
     with mp.workdps(30):
         z, sigma = _mp_point(s), _mp_point(re)
         terms, a = [], mp.mpf(1)
@@ -997,6 +1025,73 @@ def test_head_entries_are_exact_at_zero(digits):
     for shift in (0, 1, 2, 7):
         expected = [((1 << bits) // n**shift, 0) for n in range(2, inner.n)]
         assert [inner._entry(n, shift) for n in range(2, inner.n)] == expected, shift
+
+
+@pytest.mark.parametrize("bits", [8, 16, 30, 60])
+@pytest.mark.parametrize("digits", [15, 40])
+@pytest.mark.parametrize(
+    "z",
+    [
+        (F(5, 2), F(0)),
+        (F(1, 2), F(40)),
+        (F(-7, 4), F(3)),
+        (F(3, 4), F(100)),
+        (F(300), F(0)),
+        (F(61, 2), F(5)),
+    ],
+)
+def test_each_v_is_within_its_own_error(z, digits, bits):
+    # every V_m = (z)_m N^-(z+m), m = 0..119, that `size` steps to is within
+    # its own err[m] ulps of the exact value, at coarse scales where the
+    # floors of the steps are what V_m's error is made of (the worst case
+    # here uses 0.96 of err[m]). This catches a step error without the 2
+    # ulps of its floors. It cannot catch a cap of err[m] at the stored
+    # |V_m| + 1 alone, without 2^level: that cap is wrong only where the
+    # computed V_m is off by more than its own size plus an ulp, so where
+    # the exact |V_m| is a few ulps and the floors have lost as much; the
+    # floors lose far less than their tally, and no sampled point shows it.
+    # The term stays, for the worst case the _InnerSums docstring proves.
+    inner = _InnerSums(z, digits, bits, 0)
+    inner.size(119)
+    with mp.workdps(200):
+        w, n = _mp_point(z), inner.n
+        exact = mp.power(n, -w) * mp.mpf(2) ** bits
+        for m in range(120):
+            computed = mp.mpc(inner.re[m], inner.im[m])
+            assert abs(computed - exact) <= inner.err[m], m
+            exact *= (w + m) / n
+
+
+@pytest.mark.parametrize("bits", [6, 8, 16])
+@pytest.mark.parametrize(
+    "z",
+    [
+        (F(5, 2), F(0)),
+        (F(1, 2), F(40)),
+        (F(97, 8), F(1165, 8)),
+        (F(35, 2), F(665, 8)),
+    ],
+)
+def test_each_g_is_within_its_own_rounding(z, bits):
+    # G_k with M correction terms against the exact truncated sum
+    # V_(k-1) + V_k/2 + sum_{j<=M} B_2j/(2j)! V_(k+2j-1), from the exact V_m:
+    # the truncation leaves the comparison, so the rounding bound of `sums`
+    # alone must cover the difference. At coarse scales and large |Im z| it
+    # is nearly all of it: this kills the mutants that drop the half of E_k
+    # and its floors, or the dot product's tally and floor, from the bound
+    inner = _InnerSums(z, 15, bits, 0)
+    pairs = [(k, m) for k in range(1, 80) for m in (0, 1, 2, 3, 5, 10, 30)]
+    with mp.workdps(250):
+        w, n = _mp_point(z), inner.n
+        exact = [mp.power(n, -w) * mp.mpf(2) ** bits]
+        for m in range(140):
+            exact.append(exact[-1] * (w + m) / n)
+        for (k, m), ((vr, vi), rounding) in zip(pairs, inner.sums(pairs)):
+            target = exact[k - 1] + exact[k] / 2
+            for j in range(1, m + 1):
+                numerator, denominator = exactmath.bernoulli_over_factorial(j)
+                target += exact[k + 2 * j - 1] * numerator / denominator
+            assert abs(mp.mpc(vr, vi) - target) <= rounding, (k, m)
 
 
 @pytest.mark.parametrize("digits", [15, 40, 100, 300])
