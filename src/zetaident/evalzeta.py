@@ -33,11 +33,15 @@ each operation is tallied in ulps as an integer, rounded up, so no float
 enters any bound; the modulus of a complex number in a bound is the
 square-root-free max + min/2 + 1 of its parts (_modulus_up). mpmath's
 fixed-point kernels give the irrational inputs. For each prime p <= N,
-log_int_fixed gives log p, and exp_fixed and cos_sin_fixed turn -s log p
-into p^-s as an integer pair; a composite n takes n^-s as the integer
-product q^-s (n/q)^-s of two earlier powers, q its least prime factor
-(_InnerSums). Each kernel takes its precision as an argument: no call sets
-mpmath's shared precision, so concurrent calls cannot disturb each other.
+log_int_fixed gives log p, exp_fixed gives |p^-s| = exp(-Re s log p), and
+the angle -Im s log p, reduced modulo pi/2, goes through the Taylor series
+of exponential_series for its cosine and sine, so p^-s is an integer
+pair; a composite n takes n^-s as the integer product q^-s (n/q)^-s of
+two earlier powers, q its least prime factor (_InnerSums). The cosine and
+sine read no table: cos_sin_fixed, below 400 bits, reads mpmath's
+cos_sin_cache, a process-wide table filled one cell per new argument.
+Each kernel takes its precision as an argument: no call sets mpmath's
+shared precision, so concurrent calls cannot disturb each other.
 Everything rational (s itself, the weight W_m, r_k/(k+1)! and
 B_2j/(2j)!) is exact; each is floored once where it meets a fixed-point
 number. Values are returned as mpmath numbers, built exactly.
@@ -63,12 +67,13 @@ ulps actually lost, whatever P is. A call whose bound exceeds 10^-digits,
 compared in integers, raises PrecisionError, which carries the reports.
 
 The independent cross-check `zeta_em_reference` computes zeta directly by
-Euler-Maclaurin summation, also in fixed point on Python integers: its own
-calls of the same mpmath kernels give each p^-s at its own working
-precision, and exact rationals give every other factor. It uses no mpmath
-context and shares nothing with `eval_identity` except the Bernoulli
-table, `_least_factor` and the exact reading of s and writing of the
-result, so agreement between the two is meaningful.
+Euler-Maclaurin summation, also in fixed point on Python integers: mpmath's
+log_int_fixed, exp_fixed and cos_sin_fixed give each p^-s at its own
+working precision, so its cosine and sine come from another kernel than
+the evaluator's below 400 bits, and exact rationals give every other
+factor. It uses no mpmath context and shares nothing with `eval_identity`
+except the Bernoulli table, `_least_factor` and the exact reading of s and
+writing of the result, so agreement between the two is meaningful.
 
 `eval_identities` evaluates several depths at one point in one pass over
 k: every depth's identity has the same G_k, and only r_k and the weights
@@ -87,9 +92,10 @@ sum_{k>=2} zeta(k, N), r_k = k(k+1) from k0 = 2 with the same G_k.
 
 Each call computes n^-s for n = 2..N-1 once: the partial sum and m^-s.
 The oracle sums 10 + digits direct terms and adds correction terms while
-they are at least 10^-(digits + _GUARD), compared in integers. Each depth's outer series
+they are at least 10^-(digits + _GUARD), compared in integers, and raises
+where they stop falling first. Each depth's outer series
 stops at the first k >= k0 whose tail past k has an a-priori majorant
-below 10^-(digits+5) (_tail_factor), after Borwein, Bradley and
+below 10^-(digits+5) (_tail_factors), after Borwein, Bradley and
 Crandall's series in (s)_k (zeta(s+k) - 1) and Johansson's truncation
 from rigorous a-priori bounds: with the beta_i of r_k and A = |s + k|,
 
@@ -109,15 +115,17 @@ relative to rho_k* (or the order where that remainder stops falling),
 T = max(k* + 2J - 1, K + 1), and G_k takes
 min(J, (T - k + 1) // 2) terms. J widens by one while some depth's summed
 truncation sum_k |rho_k| R_k exceeds max(10^-(digits+5) / 16, 1 ulp) and
-one more order at least halves it. Each G_k is then three integer dot
-products over one common denominator of the B_2j/(2j)!
-(exactmath.bernoulli_ratios).
+one more order at least halves it: first summed over k* .. k* + 4 alone,
+then over the whole band, so one sweep of the band mostly suffices. Each
+G_k is then three integer dot products over one common denominator of the
+B_2j/(2j)! (exactmath.bernoulli_ratios).
 """
 
 from __future__ import annotations
 
 import re as _re
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, inf, isfinite, isqrt, lcm, nextafter
@@ -126,7 +134,7 @@ from typing import Optional, Sequence, Union
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, log_int_fixed
-from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, exponential_series, pi_fixed
 
 from .derive import IdentitySpec
 from .exactmath import bernoulli_over_factorial, bernoulli_ratios
@@ -182,7 +190,7 @@ class EvalReport:
     product. For zeta_prime_at_zero the head values are the logs log m and
     log((m-1)!), each within 2 ulps, and the tally counts them the same
     way. The outer truncation bound is the a-priori majorant of
-    the tail past terms_used (_tail_factor). A call whose estimate exceeds
+    the tail past terms_used (_tail_factors). A call whose estimate exceeds
     10^-digits raises PrecisionError, whose reports are these.
 
     The last three fields record the inner schedule of the pass.
@@ -373,25 +381,29 @@ class _InnerSums:
     rounded up, and X_n = n^-z. For each prime p:
 
     - L = log_int_fixed(p, wp) is within e_L = 2 units of log p 2^wp, and so
-      are the ln 2 and pi/2 that exp_fixed and cos_sin_fixed reduce by.
-      mpmath caches all three and serves a lower precision by shifting
+      are the ln 2 that exp_fixed reduces by and the pi/2 = pi_fixed(wp - 1)
+      that _powers reduces by. mpmath caches all three, each one number,
+      and serves a lower precision by shifting
       the highest one computed so far; each is within 2 units either way
       (in practice the exact floor), so no bound depends on the calls
       before. log_int_fixed takes any integer n through the same mpf_log
       of the exact n with 15 guard bits, so logs() is within 2 units at
       wp as well, while the log is below 2^14, and within 2 ulps once
       shifted right by wp - bits >= 16.
-    - u = exp_fixed(floor(-Re z L)) and (c, s) = cos_sin_fixed(floor(-Im z L)).
+    - u = exp_fixed(floor(-Re z L)), and (c, s) are the cosine and sine of
+      x = floor(-Im z L): x reduced modulo pi/2 to t in [0, pi/2),
+      exponential_series(t, wp, 2), and the signs and order of the
+      quadrant x // (pi/2), as cos_sin_fixed takes them above 400 bits.
       Their arguments are within |Re z| e_L + 1 and |Im z| e_L + 1 units of
       -z log p 2^wp. Reducing modulo ln 2 and pi/2 adds 2 units per multiple
       taken off: at most |Re z| log2 p + 2 multiples for exp, and
       0.45 |Im z| log2 p + 2 for cos and sin.
-    - The basecase kernels are within e_b units. Each sums about sqrt(wp)
+    - The series kernels are within e_b units. Each sums about sqrt(wp)
       Taylor terms, floored once or twice each, with guard bits for its
-      r ~ sqrt(wp)/2 squarings or doublings. Above 400 bits (cos, sin) or
-      600 (exp), mpmath takes sin or sinh as a square root. That divides
-      the error of cos or cosh, 2^-10 units per term, by a reduced argument
-      as small as 2^-(r/2).
+      r ~ sqrt(wp)/2 squarings or doublings. exponential_series takes sin
+      as a square root at every wp, and exp_fixed sinh above 600 bits. That
+      divides the error of cos or cosh, 2^-10 units per term, by a reduced
+      argument as small as 2^-(r/2).
     - So u is within a relative error of d_u = (2 |Re z| + 1)
       + 2 (|Re z| log2 p + 2) + e_b units, plus one unit for its floor where
       exp_fixed shifts right, and c and s within d_cs = (2 |Im z| + 1)
@@ -439,8 +451,10 @@ class _InnerSums:
     product. M comes from the caller:
     `order` finds the least M whose remainder bound meets a budget, or,
     where the bounds stop falling first (the series is asymptotic), the M
-    of the least one; `remainder` gives the bound of a given M. No float
-    enters: every test and bound is an integer.
+    of the least one; `remainders` gives the bounds of given (k, M) pairs,
+    reading |V_m| and _modulus_up(den (z + m)) off the lists `size` fills,
+    so a band of them costs one call. No float enters: every test and bound
+    is an integer.
     """
 
     def __init__(self, z: tuple[Fraction, Fraction], digits: int, bits: int, start: int):
@@ -461,11 +475,12 @@ class _InnerSums:
                 break
             wp = need
         self.wp = wp
-        # index n: n^-z as an (re, im) pair of units 2^-wp
-        self.powers = [None, None]
-        # V_m for m = start, start + 1, ...: its parts, its error E_m and
-        # the bound _modulus_up + E_m of |V_m|, and the L of the last one
-        self.re, self.im, self.err, self.bound = [], [], [], []
+        # index n: n^-z as an (re, im) pair of units 2^-wp, n = 2..N
+        self.powers = self._powers()
+        # V_m for m = start, start + 1, ...: its parts, its error E_m, the
+        # bound _modulus_up + E_m of |V_m| and _modulus_up(den (z + m)),
+        # and the L of the last one
+        self.re, self.im, self.err, self.bound, self.modulus = [], [], [], [], []
         self.level = ceil(bits - (re + start) * log_n)
         # |B_2j/(2j)!| as (|numerator|, denominator), from j = 1
         self.betas = [None]
@@ -473,38 +488,48 @@ class _InnerSums:
         # largest order summed so far
         self.count, self.ratios = -1, None
 
-    def _power(self, n: int) -> tuple[int, int]:
-        """n^-z in units of 2^-wp, computing the powers below n first."""
-        powers, wp = self.powers, self.wp
-        if not (self.zr or self.zi):
-            return 1 << wp, 0
-        while len(powers) <= n:
-            i = len(powers)
+    def _powers(self) -> list:
+        """n^-z for n = 0..N in units of 2^-wp, None at 0 and 1, in one loop:
+        exp and cos/sin of -z log p for a prime p, the integer product
+        q^-z (n/q)^-z for a composite n with least prime factor q."""
+        wp, zr, zi, den, n = self.wp, self.zr, self.zi, self.den, self.n
+        powers = [None, None]
+        if not (zr or zi):
+            return powers + [(1 << wp, 0)] * (n - 1)
+        quarter = pi_fixed(wp - 1)  # pi/2 in units of 2^-wp
+        append = powers.append
+        for i in range(2, n + 1):
             p = _least_factor(i)
             if p < i:
                 (ar, ai), (br, bi) = powers[p], powers[i // p]
-                powers.append(((ar * br - ai * bi) >> wp, (ar * bi + ai * br) >> wp))
+                append(((ar * br - ai * bi) >> wp, (ar * bi + ai * br) >> wp))
                 continue
             log = log_int_fixed(i, wp)
-            u = exp_fixed(-(self.zr * log) // self.den, wp)
-            if self.zi:
-                c, s = cos_sin_fixed(-(self.zi * log) // self.den, wp)
-                powers.append(((u * c) >> wp, (u * s) >> wp))
-            else:
-                powers.append((u, 0))
-        return powers[n]
+            u = exp_fixed(-(zr * log) // den, wp)
+            if not zi:
+                append((u, 0))
+                continue
+            # cos and sin of the angle reduced to [0, pi/2), by the Taylor
+            # series of exponential_series, which reads no table; then the
+            # quadrant's signs, as cos_sin_fixed takes them
+            turns, angle = divmod(-(zi * log) // den, quarter)
+            c, s = exponential_series(angle, wp, 2)
+            c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[turns & 3]
+            append(((u * c) >> wp, (u * s) >> wp))
+        return powers
 
     def _entry(self, n: int, shift: int) -> tuple[int, int]:
         """n^-(z + shift) * 2^bits as (x >> (wp - bits)) // n^shift of each
         component, x the power n^-z at wp: within 2 + 2^-16 ulps."""
-        xr, xi = self._power(n)
+        xr, xi = self.powers[n]
         drop, q = self.wp - self.bits, n**shift
         return (xr >> drop) // q, (xi >> drop) // q
 
     def head(self) -> list[tuple[int, int]]:
         """n^-z for n = 2..N-1 as (re, im) pairs of ulps, each within
         _ENTRY_ULPS in modulus."""
-        return [self._entry(n, 0) for n in range(2, self.n)]
+        drop = self.wp - self.bits
+        return [(xr >> drop, xi >> drop) for xr, xi in self.powers[2 : self.n]]
 
     def logs(self) -> list[tuple[int, int]]:
         """log m and log((m-1)!), m = N - 1, as (re, 0) pairs of ulps, each
@@ -515,7 +540,7 @@ class _InnerSums:
     def size(self, m: int) -> int:
         """The bound of |V_m| in ulps, m >= start, 0 only where V_m is
         exactly 0. Steps the sequence on to m first."""
-        re, im, errs, bounds = self.re, self.im, self.err, self.bound
+        re, im, errs, bounds, moduli = self.re, self.im, self.err, self.bound, self.modulus
         index = m - self.start
         if index < len(bounds):
             return bounds[index]
@@ -526,12 +551,12 @@ class _InnerSums:
             im.append(vi)
             errs.append(_ENTRY_ULPS)
             bounds.append(_modulus_up(vr, vi) + _ENTRY_ULPS)
+            moduli.append(_modulus_up(zr + self.start * den, zi))
         q, den_bits = self.n * den, den.bit_length() + self.log_n - 1
-        vr, vi, err, level = re[-1], im[-1], errs[-1], self.level
+        vr, vi, err, size, level = re[-1], im[-1], errs[-1], moduli[-1], self.level
         fr = zr + (self.start + len(bounds) - 1) * den
         while len(bounds) <= index:
             if err and (fr or zi):
-                size = _modulus_up(fr, zi)
                 vr, vi = (vr * fr - vi * zi) // q, (vr * zi + vi * fr) // q
                 level += size.bit_length() - den_bits
                 err = -(-err * size // q) + 2
@@ -541,33 +566,41 @@ class _InnerSums:
                 bound += err
             else:
                 vr = vi = err = bound = 0
+            fr += den
+            size = _modulus_up(fr, zi)
             re.append(vr)
             im.append(vi)
             errs.append(err)
             bounds.append(bound)
-            fr += den
+            moduli.append(size)
         self.level = level
         return bounds[index]
 
-    def remainder(self, k: int, order: int) -> int:
-        """The bound of R for G_k with M = order correction terms, in ulps:
-        |beta_(M+1)| |V_(k+2M+1)| |w + 2M + 1| / (Re w + 2M + 1), w = z + k,
-        rounded up."""
+    def remainders(self, pairs: list[tuple[int, int]]) -> list[int]:
+        """The bound of R for G_k with M correction terms, in ulps, for each
+        (k, M) in pairs: |beta_(M+1)| |V_(k+2M+1)| |w + 2M + 1| /
+        (Re w + 2M + 1), w = z + k, rounded up. One call steps V and the
+        table of |beta_j| as far as every pair needs."""
         betas = self.betas
-        while len(betas) <= order + 1:
+        while len(betas) <= max(order for _, order in pairs) + 1:
             bn, bd = bernoulli_over_factorial(len(betas))
             betas.append((abs(bn), bd))
-        size, bd = betas[order + 1]
-        m = k + 2 * order + 1
-        gr = self.zr + m * self.den  # > 0
-        return -(-self.size(m) * size * _modulus_up(gr, self.zi) // (bd * gr))
+        self.size(max(k + 2 * order for k, order in pairs) + 1)
+        bounds, moduli, zr, den, start = self.bound, self.modulus, self.zr, self.den, self.start
+        out = []
+        for k, order in pairs:
+            size, bd = betas[order + 1]
+            m = k + 2 * order + 1
+            # |V_m| |z + m| den / (bd den (Re z + m)), Re z + m > 0
+            out.append(-(-bounds[m - start] * size * moduli[m - start] // (bd * (zr + m * den))))
+        return out
 
     def order(self, k: int, budget: int) -> int:
         """The least M whose remainder bound for G_k is at most budget ulps,
         or, where the bounds stop falling first, the M of the least one."""
-        order, best = 0, self.remainder(k, 0)
+        order, [best] = 0, self.remainders([(k, 0)])
         while best > budget:
-            nearer = self.remainder(k, order + 1)
+            [nearer] = self.remainders([(k, order + 1)])
             if nearer >= best:
                 break
             order, best = order + 1, nearer
@@ -618,9 +651,11 @@ def zeta_em_reference(s, digits: int = 40):
     log_int_fixed. A composite n^-z is the integer product of two earlier
     powers. Every other factor is an exact rational, and each term is
     floored once. Corrections are added until the next one falls below
-    10^-(digits + _GUARD), or stops falling (the series is asymptotic),
-    compared in integers, so the order grows with |s| as well as with
-    digits. wp resolves 10^-(digits + _GUARD) with _ORACLE_GUARD_BITS to
+    10^-(digits + _GUARD), compared in integers, so the order grows with
+    |s| as well as with digits. The series is asymptotic: where a term
+    stops falling while still above 10^-(digits + _GUARD), no order meets
+    the target at N, and the oracle raises ValueError naming s and the
+    order j. wp resolves 10^-(digits + _GUARD) with _ORACLE_GUARD_BITS to
     spare; for Re s < 1 the direct sum grows like N^(1-Re s) while
     zeta(s) = O(1), so wp adds the bits of N^(1-Re s) and of two more
     decimal digits. No mpmath context is used: the oracle neither reads
@@ -675,8 +710,15 @@ def zeta_em_reference(s, digits: int = 40):
         tr = bn * (xr * pr - xi * pi) // d
         ti = bn * (xr * pi + xi * pr) // d
         size = tr * tr + ti * ti
-        if size * tens < unit or (previous is not None and size >= previous):
+        if size * tens < unit:
             break
+        if previous is not None and size >= previous:
+            point = f"{re}{'-' if im < 0 else '+'}{abs(im)}i" if im else f"{re}"
+            raise ValueError(
+                f"zeta_em_reference cannot meet 10^-{digits} at s = {point}: "
+                f"its correction terms stop falling at order j = {j}, above "
+                f"10^-{digits + _GUARD}, with N = {n_direct}"
+            )
         total_re += tr
         total_im += ti
         previous = size
@@ -813,11 +855,12 @@ def _falling(coefficients: Sequence[int], k: int) -> int:
     return out
 
 
-def _tail_factor(inner: _InnerSums, k: int) -> tuple[int, int]:
-    """(growth, below) with which the a-priori majorant of any depth d's
-    outer tail past k >= k0, sum_{m>=1} |rho_(k+m)| |G_(k+m)|, is
-    growth * d.majorant(k) / (below * d.den * (k+1)!) ulps, for z, N and
-    the bound size(k) of |V_k| from inner. It rests on three facts:
+def _tail_factors(inner: _InnerSums, k: int):
+    """(size, growth, below) for k, k + 1, ...: size is the bound of |V_k|
+    from inner, and the a-priori majorant of any depth d's outer tail past
+    k >= k0, sum_{m>=1} |rho_(k+m)| |G_(k+m)|, is
+    growth * d.majorant(k) / (below * d.den * (k+1)!) ulps, for z and N
+    from inner. It rests on three facts:
 
     - rho_j = r_j/(j+1)! = sum_i beta_i/(j+1-i)!, the beta_i of _Depth,
       and (k+1+m-i)! >= (k+1-i)! m!;
@@ -832,11 +875,21 @@ def _tail_factor(inner: _InnerSums, k: int) -> tuple[int, int]:
     Everything is an integer: with z = (zr + i zi) / den,
     a = _modulus_up(den (z + k)) > den A and g = den (sigma + k - 1), and
     d.majorant(k) / (d.den (k+1)!) = sum_i |beta_i|/(k+1-i)!. The majorant
-    is exactly 0 where V_k is, and so is every later term."""
-    zr, zi, den, n = inner.zr, inner.zi, inner.den, inner.n
-    a, g = _modulus_up(zr + k * den, zi), zr + (k - 1) * den
-    growth = (inner.size(k) * (g + n * den) * a) << _ceil_div(3 * a, 2 * den * (n - 1))
-    return growth, g * den * (n - 1)
+    is exactly 0 where V_k is, and so is every later term.
+
+    size and a are read off the lists inner.size fills, stepped on eight
+    indices at a time."""
+    zr, den, n, start = inner.zr, inner.den, inner.n, inner.start
+    bounds, moduli = inner.bound, inner.modulus
+    lift, span, below = n * den, 2 * den * (n - 1), den * (n - 1)
+    g = zr + (k - 1) * den
+    while True:
+        if k - start >= len(bounds):
+            inner.size(k + 7)
+        size, a = bounds[k - start], moduli[k - start]
+        yield size, (size * (g + lift) * a) << _ceil_div(3 * a, span), g * below
+        k += 1
+        g += den
 
 
 def eval_identity(spec: IdentitySpec, s: Number, digits: int = 40) -> EvalReport:
@@ -968,7 +1021,7 @@ def _outer_series(
     that does not grow with P.
 
     First each depth's last k: a depth stops at the first k >= k0 where
-    the a-priori majorant of its tail past k (_tail_factor) is under the
+    the a-priori majorant of its tail past k (_tail_factors) is under the
     threshold, at once where V_k, and so every later term, is exactly 0.
     It covers zeta_prime_at_zero and sum_zeta_m1 as well: there z = 0,
     start = 1, A = k and V_k = (k-1)! N^-k. Then one band of orders for
@@ -977,7 +1030,8 @@ def _outer_series(
     |rho_k V_k|, relative to its rho_k*, or the order where that remainder
     stops falling. J widens by one while
     some depth's summed truncation exceeds share and one more order at
-    least halves every such sum; otherwise the reports carry the bound
+    least halves every such sum (_widen), summed first over k* .. k* + 4,
+    then over the whole band; otherwise the reports carry the bound
     reached. Every running depth then adds rho_k G_k at each of its k, G_k
     shared; G_k is exactly 0 where V_k is, and is skipped there. If the
     error bound of any depth, in ulps, exceeds 2^P 10^-digits,
@@ -1000,9 +1054,9 @@ def _outer_series(
     # each k whose G_k some depth adds, and the k of the largest bound
     # |num| size(k) / rden of |rho_k V_k|, with that bound
     ks, peak, star = [], (0, 1), None
+    factors = _tail_factors(inner, k)
     while running:
-        size = inner.size(k)
-        growth, below = _tail_factor(inner, k)
+        size, growth, below = next(factors)
         for d in [d for d in running if d.k0 <= k]:
             num, rden = _falling(d.beta, k), d.den * top  # rho_k = r_k/(k+1)! = num/rden
             if size and num:
@@ -1024,14 +1078,13 @@ def _outer_series(
         share = max(threshold // _INNER_SAFETY, 1)
         k_star, num, rden = star
         order = inner.order(k_star, share * rden // num)
-        orders, truncation = _band(inner, ks, depths, k_star, order)
-        while max(truncation) > share:
-            wider, widened = _band(inner, ks, depths, k_star, order + 1)
-            # one more order costs one more product per G_k: worth it only
-            # while it at least halves every sum over the share
-            if any(2 * w > t for t, w in zip(truncation, widened) if t > share):
-                break
-            order, orders, truncation = order + 1, wider, widened
+        # widen on k* .. k* + 4 first, whose truncations make most of each
+        # sum, then on the whole band, which then rarely widens further
+        first, near = ks.index(k_star), bisect_right(ks, k_star + 4)
+        terms = [d.terms for d in depths]
+        nearby = [[t for t in d.terms if first <= t[0] < near] for d in depths]
+        order, _ = _widen(lambda j: _band(inner, ks, nearby, k_star, j, first, near), order, share)
+        order, (orders, truncation) = _widen(lambda j: _band(inner, ks, terms, k_star, j), order, share)
         sums = inner.sums(list(zip(ks, orders)))
         for d, t in zip(depths, truncation):
             d.inner_err = t
@@ -1073,17 +1126,34 @@ def _outer_series(
     return reports
 
 
-def _band(inner: _InnerSums, ks: list[int], depths: list[_Depth], k_star: int, order: int):
-    """The band of `order` over the G_k, k in ks (_outer_series): the orders
-    M_k = min(order, (T - k + 1) // 2), T = max(k_star + 2 order - 1,
-    K + 1) and K the last k, so no G_k reads V past V_T; and
-    each depth's summed truncation sum_k |rho_k| R_k in ulps, R_k the
+def _band(inner: _InnerSums, ks: list[int], terms: list, k_star: int, order: int,
+          lo: int = 0, hi: Optional[int] = None):
+    """The band of `order` over the G_k, k in ks[lo:hi] (_outer_series),
+    all of ks by default: the orders M_k = min(order, (T - k + 1) // 2),
+    T = max(k_star + 2 order - 1, K + 1) and K the last k, so no G_k reads
+    V past V_T; and each depth's summed truncation sum_k |rho_k| R_k in
+    ulps over its terms (_Depth.terms, those in ks[lo:hi]), R_k the
     remainder bound of M_k, rounded up per k."""
+    hi = len(ks) if hi is None else hi
     last = max(ks[-1] + 1, k_star + 2 * order - 1)
-    orders = [min(order, (last - k + 1) // 2) for k in ks]
-    bounds = [inner.remainder(k, m) for k, m in zip(ks, orders)]
-    truncation = [sum(-(-size * bounds[i] // rden) for i, _, size, rden in d.terms) for d in depths]
+    orders = [min(order, (last - k + 1) // 2) for k in ks[lo:hi]]
+    bounds = inner.remainders(list(zip(ks[lo:hi], orders)))
+    truncation = [sum(-(-size * bounds[i - lo] // rden) for i, _, size, rden in t) for t in terms]
     return orders, truncation
+
+
+def _widen(sweep, order: int, share: int):
+    """(order, sweep(order)) for the order reached by widening one at a time
+    while some depth's truncation in sweep(order) exceeds share and one
+    more order at least halves every such sum: one more order costs one
+    more product per G_k, worth it only while it halves them."""
+    done = sweep(order)
+    while max(done[1]) > share:
+        wider = sweep(order + 1)
+        if any(2 * w > t for t, w in zip(done[1], wider[1]) if t > share):
+            break
+        order, done = order + 1, wider
+    return order, done
 
 
 def sum_zeta_m1(digits: int = 40) -> EvalReport:

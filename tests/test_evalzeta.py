@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re as _re
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import MPContext, ctx_mp_python, mp
+from mpmath.libmp import libelefun
 
 from zetaident import derive_identity, evalzeta, exactmath
 from zetaident.cli import ORACLE_GRID
@@ -139,6 +141,21 @@ def test_em_reference_meets_its_digits_on_the_oracle_grid(digits):
         with mp.workdps(digits + 20):
             err = abs(value - mp.zeta(_mp_point(s)))
             assert err <= mp.mpf(10) ** -(digits + 1), (point, mp.nstr(err, 3))
+
+
+@pytest.mark.parametrize(
+    "t, digits, order", [(200, 20, 3), (1000, 40, 2), (100, 20, 81), (-100, 20, 81)]
+)
+def test_em_reference_raises_where_its_terms_stop_falling(t, digits, order):
+    # N = 10 + digits direct terms leave the asymptotic series no order that
+    # meets 10^-(digits + 10) at 0.5 + ti: it stopped there and returned a
+    # value 0.771 off at t = 200, 20 digits, and 1.03 off at t = 1000, 40
+    # digits, and now raises, naming s and the order whose term stopped
+    # falling
+    s = (F(1, 2), F(t))
+    point = f"1/2{t:+d}i"
+    with pytest.raises(ValueError, match=rf"s = {_re.escape(point)}: .* order j = {order},"):
+        zeta_em_reference(s, digits)
 
 
 def test_em_reference_works_in_integers(monkeypatch):
@@ -810,7 +827,7 @@ def test_head_weights_are_tallied(specs64, monkeypatch, s):
 @pytest.mark.parametrize("p, s", [(1, (F(50), F(1000))), (1, F(300)), (5, (F(1, 2), F(100)))])
 def test_tail_proof_holds_where_it_claims(specs64, p, s, base_bits):
     # at every k >= k0 the a-priori majorant of the tail past k
-    # (_tail_factor) is at least the tail
+    # (_tail_factors) is at least the tail
     # sum_{j>k} |r_j (s)_j/(j+1)!| zeta(Re s + j, N), summed here; also at
     # 50 + 1000i, where the terms grow until |s + k| is about N k
     spec = specs64[p]
@@ -831,8 +848,9 @@ def test_tail_proof_holds_where_it_claims(specs64, p, s, base_bits):
         for term in reversed(terms[1:]):
             tails.append(tails[-1] + term)
         tails.reverse()  # tails[k] = sum_{k<j<400} terms[j]
-        for k in range(spec.k0, 200):
-            growth, below = evalzeta._tail_factor(inner, k)
+        factors = evalzeta._tail_factors(inner, spec.k0)
+        for k, (size, growth, below) in zip(range(spec.k0, 200), factors):
+            assert size == inner.size(k), k
             majorant = -(-growth * depth.majorant(k) // (below * depth.den * factorial(k + 1)))
             assert tails[k] * 2**bits <= majorant, k
 
@@ -884,7 +902,8 @@ def _inner_sum(inner, k, budget):
     (value, truncation bound, rounding bound), all in ulps."""
     order = inner.order(k, budget)
     [(value, rounding)] = inner.sums([(k, order)])
-    return value, inner.remainder(k, order), rounding
+    [truncation] = inner.remainders([(k, order)])
+    return value, truncation, rounding
 
 
 def _rising_budget(c, j, bits, digits):
@@ -994,6 +1013,10 @@ def test_shifted_inner_sums_within_their_bounds(z, k, digits):
         (F(3, 2), F(10**5)),
         # a point of the `points` benchmark, on its grid of 10^-6
         (F(1801021, 400000), F(8670021, 500000)),
+        # at 40 digits wp = 398 and wp = 401, either side of 400 bits, where
+        # cos_sin_fixed would switch from its table to the Taylor series
+        (F(-61, 2), F(10**5)),
+        (F(-63, 2), F(7, 3)),
     ],
 )
 def test_head_entries_within_two_ulps(z, digits):
@@ -1014,6 +1037,22 @@ def test_head_entries_within_two_ulps(z, digits):
                 xr, xi = inner._entry(n, shift)
                 x = mp.power(n, -(w + shift)) * mp.mpf(2) ** bits
                 assert abs(xr - x.real) <= bound and abs(xi - x.imag) <= bound, (n, shift)
+
+
+def test_evaluation_fills_no_cos_sin_table_cell(specs64, monkeypatch):
+    # below 400 bits cos_sin_fixed reads mpmath's process-wide cos_sin_cache
+    # and fills one cell per new argument; the evaluator's cosines and sines
+    # come from the Taylor series alone, so an empty table stays empty
+    cache = {}
+    monkeypatch.setattr(libelefun, "cos_sin_cache", cache)
+    for digits in (15, 40):
+        inner = _InnerSums((F(9, 2), F(38)), digits, evalzeta._scale_bits(digits, 0), 0)
+        assert inner.wp <= libelefun.COS_SIN_CACHE_PREC
+        eval_identity(specs64[1], (F(9, 2), F(38)), digits)
+    assert sorted(cache) == []
+    # the oracle still calls cos_sin_fixed, so the table is the one it reads
+    zeta_em_reference((F(9, 2), F(38)), 15)
+    assert cache
 
 
 @pytest.mark.parametrize("digits", [15, 40, 100, 300])
