@@ -4,6 +4,7 @@ reference tables and the independent oracle, and evaluate zeta.
 Exit codes: 0 success, 1 verification mismatch, 2 usage/domain errors,
 3 I/O errors. Every command but derive takes --digits; where it is not
 given, the ZETA_DIGITS environment variable overrides the default (40).
+Digits below 15, from either, exit 2 before any work.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .derive import (
 )
 from .evalzeta import (
     EvalReport,
+    _check_digits,
     eval_identities,
     eval_identity,
     parse_complex_literal,
@@ -585,8 +587,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if "digits" in args and args.digits is None:  # every command but derive
-            args.digits = _default_digits()
+        if "digits" in args:  # every command but derive, checked before any work
+            if args.digits is None:
+                args.digits = _default_digits()
+            _check_digits(args.digits)
         return _HANDLERS[args.command](args)
     except json.JSONDecodeError as exc:
         print(f"error: cannot parse JSON input: {exc}", file=sys.stderr)

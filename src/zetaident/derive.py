@@ -58,8 +58,9 @@ class IdentitySpec:
     euler_maclaurin_coefficients, which proves the spec is the
     Euler-Maclaurin identity at n = 1 of its k0.
     validity_re_gt is the nominal half-plane bound -(p-1);
-    extended_validity_re_gt is set to -p when the depth-(p+1) derivation
-    produces the identical identity, and is None otherwise.
+    extended_validity_re_gt is 1 - k0 when k0 > p, since every
+    zeta(s+k), k >= k0, of the series is analytic on Re s > 1 - k0, and is
+    None otherwise.
     """
 
     p: int
@@ -288,10 +289,11 @@ def derive_identity(p: int, k_max: int = 64) -> IdentitySpec:
     The series coefficients are the values of series_poly(p), stored as
     closed_form; k0 is the first k >= p where it is nonzero. k_max must be
     at least p+2 so the record lists more than the possible leading zero
-    block. The extended validity -p is set exactly when depth p+1 yields
-    the same identity: the same pole and Q, the same r_k polynomial, and
-    the same first index. Polynomial equality makes that a proof for every
-    k (it holds for odd p >= 3).
+    block. The identity is Euler-Maclaurin summation at n = 1 with its
+    remainder written as the series from k0, so it holds wherever every
+    zeta(s+k), k >= k0, is analytic: on Re s > 1 - k0. That extends the
+    nominal bound 1 - p exactly when k0 > p (odd p >= 3, where r_p = 0),
+    and extended_validity_re_gt is 1 - k0 then, None otherwise.
     """
     if p < 1:
         raise ValueError("depth p must be >= 1")
@@ -304,14 +306,6 @@ def derive_identity(p: int, k_max: int = 64) -> IdentitySpec:
     k0 = p
     while closed(k0) == 0:  # at most p-1 roots, so this ends
         k0 += 1
-    extended: Optional[Fraction] = None
-    # depth p+1 starts its series at k = p+1, so it can only match if r_p = 0
-    if (
-        k0 > p
-        and closed_form_part(p + 1) == (pole, q_poly)
-        and series_poly(p + 1) == closed
-    ):
-        extended = Fraction(-p)
     return IdentitySpec(
         p=p,
         k0=k0,
@@ -320,7 +314,8 @@ def derive_identity(p: int, k_max: int = 64) -> IdentitySpec:
         k_max=k_max,
         closed_form=closed,
         validity_re_gt=Fraction(-(p - 1)),
-        extended_validity_re_gt=extended,
+        # every zeta(s+k), k >= k0, of the series is analytic on Re s > 1 - k0
+        extended_validity_re_gt=Fraction(1 - k0) if k0 > p else None,
     )
 
 

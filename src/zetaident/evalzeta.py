@@ -114,18 +114,16 @@ k, J is the least order whose remainder at k* meets 10^-(digits+5) / 16
 relative to rho_k* (or the order where that remainder stops falling),
 T = max(k* + 2J - 1, K + 1), and G_k takes
 min(J, (T - k + 1) // 2) terms. J widens by one while some depth's summed
-truncation sum_k |rho_k| R_k exceeds max(10^-(digits+5) / 16, 1 ulp) and
-one more order at least halves it: first summed over k* .. k* + 4 alone,
-then over the whole band, so one sweep of the band mostly suffices. Each
-G_k is then three integer dot products over one common denominator of the
-B_2j/(2j)! (exactmath.bernoulli_ratios).
+truncation sum_k |rho_k| R_k over the whole band exceeds
+max(10^-(digits+5) / 16, 1 ulp) and one more order at least halves it.
+Each G_k is then three integer dot products over one common denominator
+of the B_2j/(2j)! (exactmath.bernoulli_ratios).
 """
 
 from __future__ import annotations
 
 import re as _re
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, inf, isfinite, isqrt, lcm, nextafter
@@ -1029,11 +1027,11 @@ def _outer_series(
     1) at k*, the k with the largest bound |rho_k| size(k) of
     |rho_k V_k|, relative to its rho_k*, or the order where that remainder
     stops falling. J widens by one while
-    some depth's summed truncation exceeds share and one more order at
-    least halves every such sum (_widen), summed first over k* .. k* + 4,
-    then over the whole band; otherwise the reports carry the bound
-    reached. Every running depth then adds rho_k G_k at each of its k, G_k
-    shared; G_k is exactly 0 where V_k is, and is skipped there. If the
+    some depth's truncation summed over the whole band exceeds share and
+    one more order at least halves every such sum; otherwise the reports
+    carry the bound reached. Every running depth then adds rho_k G_k at
+    each of its k, G_k shared; G_k is exactly 0 where V_k is, and is
+    skipped there. If the
     error bound of any depth, in ulps, exceeds 2^P 10^-digits,
     PrecisionError raises with every report."""
     weighted = [_log2_up(*w) + u.bit_length() for _, _, ws in heads for w, u in zip(ws, head_ulps)]
@@ -1078,13 +1076,14 @@ def _outer_series(
         share = max(threshold // _INNER_SAFETY, 1)
         k_star, num, rden = star
         order = inner.order(k_star, share * rden // num)
-        # widen on k* .. k* + 4 first, whose truncations make most of each
-        # sum, then on the whole band, which then rarely widens further
-        first, near = ks.index(k_star), bisect_right(ks, k_star + 4)
-        terms = [d.terms for d in depths]
-        nearby = [[t for t in d.terms if first <= t[0] < near] for d in depths]
-        order, _ = _widen(lambda j: _band(inner, ks, nearby, k_star, j, first, near), order, share)
-        order, (orders, truncation) = _widen(lambda j: _band(inner, ks, terms, k_star, j), order, share)
+        orders, truncation = _band(inner, ks, depths, k_star, order)
+        # one more order costs one more product per G_k, worth it only
+        # while it at least halves every summed truncation above share
+        while max(truncation) > share:
+            wider = _band(inner, ks, depths, k_star, order + 1)
+            if any(2 * w > t for t, w in zip(truncation, wider[1]) if t > share):
+                break
+            order, (orders, truncation) = order + 1, wider
         sums = inner.sums(list(zip(ks, orders)))
         for d, t in zip(depths, truncation):
             d.inner_err = t
@@ -1126,34 +1125,18 @@ def _outer_series(
     return reports
 
 
-def _band(inner: _InnerSums, ks: list[int], terms: list, k_star: int, order: int,
-          lo: int = 0, hi: Optional[int] = None):
-    """The band of `order` over the G_k, k in ks[lo:hi] (_outer_series),
-    all of ks by default: the orders M_k = min(order, (T - k + 1) // 2),
+def _band(inner: _InnerSums, ks: list[int], depths: list[_Depth], k_star: int, order: int):
+    """The band of `order` over every G_k of the pass, k in ks
+    (_outer_series): the orders M_k = min(order, (T - k + 1) // 2),
     T = max(k_star + 2 order - 1, K + 1) and K the last k, so no G_k reads
     V past V_T; and each depth's summed truncation sum_k |rho_k| R_k in
-    ulps over its terms (_Depth.terms, those in ks[lo:hi]), R_k the
-    remainder bound of M_k, rounded up per k."""
-    hi = len(ks) if hi is None else hi
+    ulps over its terms (_Depth.terms), R_k the remainder bound of M_k,
+    rounded up per k."""
     last = max(ks[-1] + 1, k_star + 2 * order - 1)
-    orders = [min(order, (last - k + 1) // 2) for k in ks[lo:hi]]
-    bounds = inner.remainders(list(zip(ks[lo:hi], orders)))
-    truncation = [sum(-(-size * bounds[i - lo] // rden) for i, _, size, rden in t) for t in terms]
+    orders = [min(order, (last - k + 1) // 2) for k in ks]
+    bounds = inner.remainders(list(zip(ks, orders)))
+    truncation = [sum(-(-size * bounds[i] // rden) for i, _, size, rden in d.terms) for d in depths]
     return orders, truncation
-
-
-def _widen(sweep, order: int, share: int):
-    """(order, sweep(order)) for the order reached by widening one at a time
-    while some depth's truncation in sweep(order) exceeds share and one
-    more order at least halves every such sum: one more order costs one
-    more product per G_k, worth it only while it halves them."""
-    done = sweep(order)
-    while max(done[1]) > share:
-        wider = sweep(order + 1)
-        if any(2 * w > t for t, w in zip(done[1], wider[1]) if t > share):
-            break
-        order, done = order + 1, wider
-    return order, done
 
 
 def sum_zeta_m1(digits: int = 40) -> EvalReport:

@@ -350,6 +350,24 @@ def test_eval_digits_floor():
     assert main(["eval", "--p", "3", "--s", "2", "--digits", "5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--start", "0", "--stop", "1", "--step", "1", "--digits", "14"],
+        ["verify", "--digits", "14"],
+        ["verify", "--only", "pairing", "--digits", "14"],
+        ["special", "--check", "zeta2", "--digits", "14"],
+    ],
+)
+def test_digits_below_fifteen_exit_two_before_any_work(argv, monkeypatch, capsys):
+    # checked once, before anything is derived or printed
+    monkeypatch.setattr(cli, "_derive_many", lambda p_values: pytest.fail("derived"))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "digits must be an integer >= 15" in err
+
+
 # ---- table ----
 
 
@@ -557,6 +575,15 @@ def test_digits_env_override(monkeypatch, capsys):
 def test_digits_env_invalid(monkeypatch):
     monkeypatch.setenv("ZETA_DIGITS", "plenty")
     assert main(["eval", "--p", "5", "--s", "2"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["eval", "--s", "2"], ["verify", "--only", "pairing"]])
+def test_digits_env_below_fifteen_exits_two(argv, monkeypatch, capsys):
+    monkeypatch.setenv("ZETA_DIGITS", "14")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "digits must be an integer >= 15" in err
 
 
 def test_derive_ignores_digits_env(monkeypatch, capsys):

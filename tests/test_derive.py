@@ -269,6 +269,27 @@ def test_extension_only_for_odd_depths(specs64):
             assert spec.extended_validity_re_gt is None
 
 
+@pytest.mark.parametrize("p", range(1, 14))
+def test_each_derivation_runs_the_engine_once(p, monkeypatch):
+    # the extension is read off k0, not off a second derivation at p + 1
+    calls = {"closed_form_part": [], "series_poly": []}
+    for name, log in calls.items():
+        wrapped = getattr(derive, name)
+        monkeypatch.setattr(derive, name, lambda q, f=wrapped, log=log: log.append(q) or f(q))
+    derive_identity(p, p + 2)
+    assert calls == {"closed_form_part": [p], "series_poly": [p]}
+
+
+@pytest.mark.parametrize("p", [13, 14, 31, 32, 63, 64, 127, 128])
+def test_extension_past_the_reference_tables_is_one_minus_k0(p):
+    spec = derive_identity(p, p + 2)
+    if p % 2:
+        assert spec.k0 == p + 1
+        assert spec.extended_validity_re_gt == -p == 1 - spec.k0
+    else:
+        assert spec.extended_validity_re_gt is None
+
+
 def test_closed_form_reproduces_all_stored_terms(specs64):
     for spec in specs64.values():
         assert spec.closed_form is not None

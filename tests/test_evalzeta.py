@@ -1133,6 +1133,32 @@ def test_each_g_is_within_its_own_rounding(z, bits):
             assert abs(mp.mpc(vr, vi) - target) <= rounding, (k, m)
 
 
+@pytest.mark.parametrize("digits", [15, 40, 100])
+def test_every_product_floor_is_tallied(monkeypatch, digits):
+    # sum_zeta_m1 on known G_k: each exactly -1 ulp, with no truncation and
+    # no rounding of its own, at the least scale, where the tail majorant
+    # is below one ulp. The pass has no head weights, so what is left of
+    # its error is the floor of the exact head and of each rho_k G_k, and
+    # G_k = -1 makes that floor lose 1 - rho_k = 1 - 1/(k-1)!: nearly an
+    # ulp per term, which only the 2 ulps per product of the bound cover
+    monkeypatch.setattr(evalzeta, "_scale_bits", lambda digits, peak: evalzeta._threshold_bits(digits))
+    monkeypatch.setattr(_InnerSums, "remainders", lambda inner, pairs: [0] * len(pairs))
+    summed = []
+
+    def known(inner, pairs):
+        summed.append((inner.bits, [k for k, _ in pairs]))
+        return [((-1, 0), 0)] * len(pairs)
+
+    monkeypatch.setattr(_InnerSums, "sums", known)
+    report = evalzeta.sum_zeta_m1(digits)
+    [(bits, ks)] = summed
+    n = report.split_point
+    exact = F(n - 2, n - 1) - sum(F(1, factorial(k - 1)) for k in ks) / 2**bits
+    lost = abs(evalzeta._exact_real(report.value.real) - exact) * 2**bits
+    assert lost > len(ks) / 2 > 4
+    assert lost <= Fraction(report.error_estimate) * 2**bits
+
+
 @pytest.mark.parametrize("digits", [15, 40, 100, 300])
 def test_logs_within_two_ulps(digits):
     # zeta_prime_at_zero's log m and log((m-1)!), m = N - 1, at several scales
