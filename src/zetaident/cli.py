@@ -591,7 +591,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.digits is None:
                 args.digits = _default_digits()
             _check_digits(args.digits)
-        return _HANDLERS[args.command](args)
+        status = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader stopped (say `| head -1`): exit quietly, as the signal
+        # module's SIGPIPE note advises, with stdout on devnull so the
+        # flush at exit raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except json.JSONDecodeError as exc:
         print(f"error: cannot parse JSON input: {exc}", file=sys.stderr)
         return 3

@@ -13,9 +13,13 @@ step function, a degree-p subtraction polynomial splits off the closed-form
 part (the pole and Q_p), and repeated integration by parts of the period-1
 remainder emits one exact rational coefficient r_k per step. Integrating a
 monomial repeatedly has a closed form, so all the steps collapse into one
-polynomial in k of degree at most p-1 (series_poly). Every value is an
-exact rational, computed on integer numerators over one common denominator
-and returned as Fractions; nothing is approximated or fitted.
+polynomial in k of degree at most p-1 (series_poly), summed by Horner's
+rule in falling factorials. The subtraction polynomial is the negated
+periodic remainder, f_p = -g_p, and the closed-form part comes from
+interpolating its integral's numerator at the p integer roots of the
+denominator (closed_form_part). Every value is an exact rational, computed
+on integer coefficient lists over one common denominator and wrapped once
+in a Polynomial record; nothing is approximated or fitted.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from itertools import zip_longest
 from math import factorial, lcm
 from typing import Optional, Sequence
 
-from .exactmath import Polynomial, bernoulli, divide_linear, faulhaber, taylor_shift, times_linear
+from .exactmath import Polynomial, bernoulli, divide_linear, faulhaber, times_linear
 
 
 class CancellationError(ArithmeticError):
@@ -179,14 +183,12 @@ def subtraction_poly(p: int) -> Polynomial:
     """The polynomial f_p subtracted from the step function at depth p.
 
     f_1(x) = x; for p >= 2, f_p(x) = P_{p-1}(x-1) where P_m is the power-sum
-    polynomial, so f_p interpolates sum_{i<x} i^{p-1} at integers.
+    polynomial, so f_p interpolates sum_{i<x} i^{p-1} at integers. Since
+    P_m(x-1) = P_m(x) - x^m, f_p = -g_p, the periodic remainder, at every p
+    (x against -t at p = 1), and it is built that way.
     """
-    if p < 1:
-        raise ValueError("depth p must be >= 1")
-    if p == 1:
-        return Polynomial((0, 1))
-    numerators, den = faulhaber(p - 1).integer_coefficients()
-    return Polynomial.from_integers(taylor_shift(numerators, -1), den)
+    g, den = _remainder_integers(p)
+    return Polynomial.from_integers([-x for x in g], den)
 
 
 def periodic_remainder(p: int) -> Polynomial:
@@ -223,9 +225,20 @@ def closed_form_part(p: int) -> tuple[Fraction, Polynomial]:
     (s + p - 1) G(s) / ((s - 1) (p-1)!), whose division by s - 1 gives the
     pole (the remainder) and Q_p (the quotient).
 
-    All on integer coefficient lists, in O(p^2): F once, each
-    F/(s + p - 1 - j) by synthetic division, then one multiplication and
-    one division by a linear factor.
+    G is found by interpolation at the p roots of F. At s = j - p + 1 every
+    term of G but the j-th vanishes, so
+
+        G(j - p + 1) = a_j prod_{i != j} (j - i) = a_j (-1)^(p-j) (j-1)! (p-j)!,
+
+    and deg G <= p - 1, so these p values at consecutive integers fix G
+    exactly: Newton's forward differences D_m at s = 2 - p give
+    G(s) = sum_m D_m/m! (s + p - 2) (s + p - 3) ... (s + p - 1 - m). With
+    the a_j as integers over one denominator, G has integer coefficients,
+    and so each D_m/m! is an integer. All on integer coefficient lists:
+    O(p^2) additions for the differences, O(p^2) small-by-large products
+    for the Newton form by Horner's rule, then the product with s + p - 1
+    and the division by s - 1. f_p = -g_p (subtraction_poly), so a_j is
+    read off the periodic remainder.
 
     The cancellation itself cannot fail, so it is not checked: a check that
     divides (s)_p G by (s)_(p-1) is a tautology, since
@@ -234,24 +247,26 @@ def closed_form_part(p: int) -> tuple[Fraction, Polynomial]:
     residue 1 there, so a pole coefficient other than exactly 1 raises
     CancellationError.
     """
-    if p < 1:
-        raise ValueError("depth p must be >= 1")
-    f = subtraction_poly(p)
-    if f.coefficient(0) != 0:
+    g, den = _remainder_integers(p)
+    if g[0]:
         raise CancellationError("subtraction polynomial has a constant term")
-    a, den = f.integer_coefficients()
-    F = [1]  # (s - 1) s (s + 1) ... (s + p - 2)
-    for c in range(-1, p - 1):
-        F = times_linear(F, c)
-    g = [0] * p
-    for j in range(1, min(p + 1, len(a))):
-        if a[j]:
-            quotient, _ = divide_linear(F, p - 1 - j)
-            for i, x in enumerate(quotient):
-                g[i] += a[j] * x
+    fact = [1]
+    for i in range(1, p):
+        fact.append(fact[-1] * i)
+    # G at s = j - p + 1, j = 1..p, with a_j = -g_j
+    values = [(-1) ** (p - j + 1) * g[j] * fact[j - 1] * fact[p - j] for j in range(1, p + 1)]
+    newton, scale = [], 1
+    for m in range(p):
+        newton.append(values[0] // scale)
+        values = [b - a for a, b in zip(values, values[1:])]
+        scale *= m + 1
+    G = [newton[-1]]
+    for m in range(p - 2, -1, -1):
+        G = times_linear(G, p - 2 - m)
+        G[0] += newton[m]
     # (s + p - 1) G(s) = q(s) (s - 1) + pole, all over base
-    q, pole = divide_linear(times_linear(g, p - 1), -1)
-    base = den * factorial(p - 1)
+    q, pole = divide_linear(times_linear(G, p - 1), -1)
+    base = den * fact[p - 1]
     if pole != base:
         raise CancellationError(
             f"pole coefficient {Fraction(pole, base)} != 1 at depth p={p}"
@@ -269,18 +284,19 @@ def series_poly(p: int) -> Polynomial:
         r_k = (1/(p-1)!) * sum_j g_j * j! * (k+1)(k)...(k+j-p+2),
 
     a falling factorial of p-j factors. The polynomial holds for every
-    k >= p, including the indices below k0 where it vanishes. Summed on
-    integer coefficient lists over g_p's common denominator.
+    k >= p, including the indices below k0 where it vanishes. Summed by
+    Horner's rule in those falling factorials, c_j = g_j j!:
+    (c_1 (k+3-p) + c_2) (k+4-p) + c_3 and so on up to c_p, on integer
+    coefficient lists over g_p's common denominator, so each step
+    multiplies by a small linear factor.
     """
     g, den = _remainder_integers(p)
-    out = [0] * p
-    falling = [1]  # (k+1)(k)...(k+j-p+2) for j = p
-    for j in range(p, 0, -1):
-        c = g[j] * factorial(j) if j < len(g) else 0
-        for i, x in enumerate(falling):
-            out[i] += c * x
-        falling = times_linear(falling, j - p + 1)
-    return Polynomial.from_integers(out, den * factorial(p - 1))
+    acc, c = [g[1]], 1
+    for j in range(2, p + 1):
+        c *= j
+        acc = times_linear(acc, j - p + 1)
+        acc[0] += g[j] * c
+    return Polynomial.from_integers(acc, den * factorial(p - 1))
 
 
 def derive_identity(p: int, k_max: int = 64) -> IdentitySpec:

@@ -1,13 +1,13 @@
-"""Exact rational building blocks: polynomials over Q, Bernoulli numbers,
-and power-sum (Faulhaber) polynomials.
+"""Exact rational building blocks: integer coefficient lists, a polynomial
+record, Bernoulli numbers, and power-sum (Faulhaber) polynomials.
 
 Everything here is exact. Values are `fractions.Fraction` rationals in
-lowest terms, and no floating point enters any computation. The inner
-loops run on integer numerators over one common denominator: a polynomial
-evaluates at a rational point by integer Horner steps, and the helpers
-times_linear, divide_linear and taylor_shift work on integer coefficient
-lists. The numeric layer converts to big floats only at
-evaluation time.
+lowest terms, and no floating point enters any computation. The exact work
+runs on integer coefficient lists over one common denominator:
+times_linear and divide_linear multiply and divide such a list by a linear
+factor, and a Polynomial records a result once and evaluates it at a
+rational point by integer Horner steps. The numeric layer converts to big
+floats only at evaluation time.
 
 Bernoulli numbers use the B1 = +1/2 convention, which is the one under
 which sum_{i=1}^{n} i^m = (1/(m+1)) sum_j C(m+1, j) B_j n^{m+1-j}.
@@ -48,23 +48,15 @@ def divide_linear(a: Sequence[int], c: int) -> tuple[list[int], int]:
     return quotient, a[0] - c * acc
 
 
-def taylor_shift(a: Sequence[int], c: int) -> list[int]:
-    """The coefficients of sum_i a_i (x + c)^i: repeated synthetic
-    division by (x - c)."""
-    b = list(a)
-    for i in range(len(b) - 1):
-        for j in range(len(b) - 2, i - 1, -1):
-            b[j] += c * b[j + 1]
-    return b
-
-
 class Polynomial:
-    """Dense univariate polynomial with Fraction coefficients.
+    """An immutable record of a polynomial over Q: its coefficients, in
+    ascending degree, as Fractions in lowest terms with trailing zeros
+    trimmed, so the zero polynomial stores none and has degree -1.
 
-    Coefficients are stored in ascending degree order with trailing zeros
-    trimmed, so the leading coefficient of a nonzero polynomial is nonzero.
-    The zero polynomial stores no coefficients and has degree -1.
-    Instances are immutable and hashable.
+    It holds a result and does no algebra: the exact work runs on integer
+    coefficient lists (times_linear, divide_linear), and each result is
+    wrapped once. It evaluates exactly, prints itself and compares equal
+    to a record with the same coefficients. Instances are hashable.
     """
 
     __slots__ = ("_coeffs", "_integers")
@@ -75,28 +67,10 @@ class Polynomial:
             coeffs.pop()
         self._coeffs: tuple[Fraction, ...] = tuple(coeffs)
 
-    # ---- constructors ----
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "Polynomial":
-        return cls((c,))
-
     @classmethod
     def from_integers(cls, numerators: Iterable[int], den: int = 1) -> "Polynomial":
         """sum_i numerators[i] x^i / den."""
         return cls(Fraction(n, den) for n in numerators)
-
-    @classmethod
-    def monomial(cls, degree: int, coefficient: Scalar = 1) -> "Polynomial":
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * degree + (coefficient,))
-
-    # ---- basic structure ----
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -137,133 +111,16 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    # ---- ring operations ----
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self._coeffs)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a:
-                    for j, b in enumerate(other._coeffs):
-                        out[i + j] += a * b
-            return Polynomial(out)
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(c * other for c in self._coeffs)
-        return NotImplemented
-
-    def __rmul__(self, other: Scalar) -> "Polynomial":
-        return self.__mul__(other)
-
-    def __truediv__(self, other: Scalar) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(c / other for c in self._coeffs)
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.constant(1)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact long division: self = q*other + r with deg r < deg other."""
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        d = other.degree
-        lead = other._coeffs[-1]
-        rem = list(self._coeffs)
-        if len(rem) <= d and d > 0:
-            return Polynomial(), self
-        quot = [Fraction(0)] * max(0, len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] / lead
-            if c:
-                quot[i - d] = c
-                for j, oc in enumerate(other._coeffs):
-                    rem[i - d + j] -= c * oc
-            rem[i] = Fraction(0)
-        return Polynomial(quot), Polynomial(rem[:d])
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    # ---- calculus and composition ----
-
-    def __call__(self, x):
-        """Evaluate by Horner's rule.
-
-        Exact for int/Fraction arguments x = a/b, by integer Horner on the
-        numerators: sum_i N_i a^i b^(d-i) over den b^d. Also works for any
-        ring element that mixes with Fraction (e.g. mpmath mpf/mpc),
-        rounding at the caller's working precision.
-        """
-        if isinstance(x, (int, Fraction)):
-            numerators, den = self.integer_coefficients()
-            a, b = x.numerator, x.denominator
-            acc, scale = 0, 1
-            for c in reversed(numerators):
-                acc = acc * a + c * scale
-                scale *= b
-            return Fraction(acc, den * b ** max(self.degree, 0))
-        if not self._coeffs:
-            return 0 * x
-        acc = self._coeffs[-1]
-        for c in reversed(self._coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self._coeffs) if i > 0)
-
-    def antiderivative(self) -> "Polynomial":
-        """The antiderivative whose value at 0 is 0."""
-        out = [Fraction(0)]
-        out.extend(c / (i + 1) for i, c in enumerate(self._coeffs))
-        return Polynomial(out)
-
-    def shift(self, offset: Scalar) -> "Polynomial":
-        """The composition P(x + offset), expanded exactly."""
-        offset = Fraction(offset)
-        if offset == 0 or self.is_zero:
-            return self
-        linear = Polynomial((offset, 1))
-        acc = Polynomial.constant(self._coeffs[-1])
-        for c in reversed(self._coeffs[:-1]):
-            acc = acc * linear + Polynomial.constant(c)
-        return acc
-
-    # ---- display ----
+    def __call__(self, x: Scalar) -> Fraction:
+        """The exact value at an int or Fraction x = a/b, by integer Horner
+        on the numerators: sum_i N_i a^i b^(d-i) over den b^d."""
+        numerators, den = self.integer_coefficients()
+        a, b = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in reversed(numerators):
+            acc = acc * a + c * scale
+            scale *= b
+        return Fraction(acc, den * b ** max(self.degree, 0))
 
     def to_str(self, var: str = "x") -> str:
         if not self._coeffs:

@@ -87,11 +87,17 @@ _SERIES_TABLE: dict[int, tuple[int, Fraction, tuple[tuple[int, ...], ...]]] = {
 
 
 def _expand_closed_form(p_base: int) -> Polynomial:
+    """The printed factors multiplied out by convolving integer lists, a
+    route of its own that shares no helper with the engine."""
     _, prefactor, factors = _SERIES_TABLE[p_base]
-    poly = Polynomial.constant(prefactor)
-    for coeffs in factors:
-        poly = poly * Polynomial(coeffs)
-    return poly
+    product = [1]
+    for factor in factors:
+        out = [0] * (len(product) + len(factor) - 1)
+        for i, x in enumerate(product):
+            for j, y in enumerate(factor):
+                out[i + j] += x * y
+        product = out
+    return Polynomial(prefactor * c for c in product)
 
 
 def reference_identity(p: int, k_max: int = 64) -> IdentitySpec:

@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -80,6 +84,25 @@ def test_derive_rejects_bad_depth(capsys):
 def test_derive_unwritable_output(tmp_path):
     path = tmp_path / "missing" / "identities.json"
     assert main(["derive", "--p", "2", "--out", str(path)]) == 3
+
+
+def test_closed_stdout_exits_quietly():
+    # a reader that takes one line and closes the pipe, as `| head -1` does,
+    # while derive still has 110 kB to write
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "zetaident", "derive", "--p", "127", "--kmax", "129"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"p=127: k0=128")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 # ---- verify ----

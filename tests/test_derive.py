@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from fractions import Fraction
 from math import factorial
 
@@ -12,6 +13,7 @@ from zetaident.derive import (
     derive_identity,
     first_difference,
     identities_equal,
+    identities_to_json_text,
     identity_from_json,
     identity_to_json,
     periodic_remainder,
@@ -21,6 +23,16 @@ from zetaident.derive import (
 from zetaident.exactmath import Polynomial, bernoulli, faulhaber
 from zetaident.reference import reference_identity
 
+from listpoly import (
+    add,
+    antiderivative,
+    closed_form_part_oracle,
+    horner,
+    mul,
+    series_poly_oracle,
+    shift,
+)
+
 
 def F(n, d=1):
     return Fraction(n, d)
@@ -29,20 +41,12 @@ def F(n, d=1):
 def recursion_terms(p, k_max):
     """r_k for k = p..k_max by repeated integration by parts, one step at a
     time: the route series_poly collapses into a closed form."""
-    h = periodic_remainder(p)
+    h = periodic_remainder(p).coefficients
     out = []
     for k in range(p, k_max + 1):
-        h = h.antiderivative()
-        out.append((k, h(1) * F(factorial(k + 1), factorial(p - 1))))
+        h = antiderivative(h)
+        out.append((k, sum(h) * F(factorial(k + 1), factorial(p - 1))))
     return out
-
-
-def fraction_horner(poly, x):
-    """poly(x) by Horner's rule on the Fraction coefficients."""
-    acc = F(0)
-    for c in reversed(poly.coefficients):
-        acc = acc * x + c
-    return acc
 
 
 def falling_factorial_coefficients(poly):
@@ -59,42 +63,6 @@ def falling_factorial_coefficients(poly):
         out.append(values[0] / factorial(i))
         values = [b - a for a, b in zip(values, values[1:])]
     return tuple(out)
-
-
-def rising_poly(n):
-    """(s)_n as a polynomial in s."""
-    out = Polynomial.constant(1)
-    for m in range(n):
-        out = out * Polynomial((m, 1))
-    return out
-
-
-def closed_form_part_oracle(p):
-    """Pole and Q_p by Polynomial/Fraction arithmetic in O(p^3): the product
-    of p - 1 linear factors for each j, times (s)_p, divided by (s)_(p-1)
-    and then by s - 1."""
-    f = faulhaber(p - 1).shift(-1) if p > 1 else Polynomial((0, 1))
-    g = Polynomial.zero()
-    for j in range(1, p + 1):
-        prod = Polynomial.constant(f.coefficient(j))
-        for i in range(1, p + 1):
-            if i != j:
-                prod = prod * Polynomial((p - 1 - i, 1))
-        g = g + prod
-    quotient, remainder = divmod(rising_poly(p) * g, rising_poly(p - 1))
-    assert remainder.is_zero
-    q2, const = divmod(quotient, Polynomial((-1, 1)))
-    return const.coefficient(0) / factorial(p - 1), q2 / factorial(p - 1)
-
-
-def series_poly_oracle(p):
-    """r_k as a polynomial in k by Polynomial/Fraction arithmetic."""
-    g = periodic_remainder(p)
-    out, falling = Polynomial.zero(), Polynomial.constant(1)
-    for j in range(p, 0, -1):
-        out = out + falling * (g.coefficient(j) * factorial(j))
-        falling = falling * Polynomial((j - p + 1, 1))
-    return out / factorial(p - 1)
 
 
 # ---- subtraction polynomial and periodic remainder ----
@@ -117,8 +85,8 @@ def test_subtraction_poly_depth_five():
 
 def test_subtraction_poly_depth_eleven():
     # x(6x^10 - 33x^9 + 55x^8 - 66x^6 + 66x^4 - 33x^2 + 5)/66
-    inner = Polynomial((5, 0, -33, 0, 66, 0, -66, 0, 55, -33, 6)) / 66
-    assert subtraction_poly(11) == inner * Polynomial((0, 1))
+    expected = Polynomial.from_integers((0, 5, 0, -33, 0, 66, 0, -66, 0, 55, -33, 6), 66)
+    assert subtraction_poly(11) == expected
 
 
 def test_subtraction_poly_interpolates_partial_sums():
@@ -128,6 +96,15 @@ def test_subtraction_poly_interpolates_partial_sums():
         for x in range(1, 30):
             assert f(x) == total
             total += x ** (p - 1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 11, 12, 63, 64, 127, 128])
+def test_subtraction_poly_is_the_shifted_power_sum(p):
+    # f_p = P_(p-1)(x - 1) by a Taylor shift on lists, the route the engine
+    # no longer takes: it negates g_p, since P_m(x - 1) = P_m(x) - x^m
+    shifted = shift(faulhaber(p - 1).coefficients, -1) if p > 1 else [0, 1]
+    assert subtraction_poly(p) == Polynomial(shifted)
+    assert subtraction_poly(p).coefficients == tuple(-c for c in periodic_remainder(p).coefficients)
 
 
 def test_periodic_remainder_depth_one():
@@ -164,39 +141,48 @@ def test_closed_form_part_small_depths():
 def test_closed_form_part_depth_seven():
     pole, q = closed_form_part(7)
     assert pole == 1
-    assert q * 30240 == Polynomial((15120, 2460, -76, -7, 10, 1))
+    assert q == Polynomial.from_integers((15120, 2460, -76, -7, 10, 1), 30240)
 
 
 def test_closed_form_part_depth_eleven():
     pole, q = closed_form_part(11)
     assert pole == 1
-    expected = Polynomial(
-        (119750400, 19542240, -403272, 213628, 270090, 85515, 18522, 2532, 180, 5)
+    expected = Polynomial.from_integers(
+        (119750400, 19542240, -403272, 213628, 270090, 85515, 18522, 2532, 180, 5), 239500800
     )
-    assert q * 239500800 == expected
+    assert q == expected
 
 
 @pytest.mark.parametrize("k_max", [64, 128])
 @pytest.mark.parametrize("p", range(1, 33))
 def test_derivation_is_the_fraction_oracle(p, k_max):
     # the integer routes of closed_form_part, series_poly and the stored
-    # terms give exactly what Polynomial/Fraction arithmetic gives
+    # terms give exactly what schoolbook Fraction arithmetic on lists gives
     spec = derive_identity(p, k_max)
     pole, q = closed_form_part_oracle(p)
     assert spec.pole_coefficient == pole
-    assert spec.q_poly == q
+    assert spec.q_poly == Polynomial(q)
     closed = series_poly_oracle(p)
-    assert spec.closed_form == closed
-    assert spec.terms == tuple(
-        (k, fraction_horner(closed, k)) for k in range(spec.k0, k_max + 1)
-    )
+    assert spec.closed_form == Polynomial(closed)
+    assert spec.terms == tuple((k, horner(closed, F(k))) for k in range(spec.k0, k_max + 1))
+
+
+def test_engine_output_is_pinned():
+    # SHA-256 of this JSON text as written by the engine at commit 18e8055,
+    # which summed the closed-form part term by term over synthetic
+    # divisions, f_p by a Taylor shift, and r_k falling factorial by
+    # falling factorial; the same expression there printed this digest
+    depths = [*range(1, 65), 95, 96, 127, 128, 255, 512]
+    text = identities_to_json_text([derive_identity(p, p + 2) for p in depths])
+    digest = "668c9883eadb734316a4fe4198eeaf5f4a4a515524dff783022a08a975c87697"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_pole_other_than_one_is_a_cancellation_error(monkeypatch):
-    # twice f_p doubles the pole; the old division by (s)_(p-1) had a zero
-    # remainder whatever f_p was, so only the pole check can catch this
-    f = subtraction_poly(5)
-    monkeypatch.setattr(derive, "subtraction_poly", lambda p: f * 2)
+    # twice f_p = -g_p doubles the pole; the old division by (s)_(p-1) had
+    # a zero remainder whatever f_p was, so only the pole check can catch this
+    g, den = derive._remainder_integers(5)
+    monkeypatch.setattr(derive, "_remainder_integers", lambda p: ([2 * x for x in g], den))
     with pytest.raises(CancellationError, match="pole coefficient 2 != 1"):
         closed_form_part(5)
 
@@ -323,11 +309,11 @@ def test_falling_coefficients_are_the_closed_form(p):
     closed = series_poly(p)
     beta = falling_factorial_coefficients(closed)
     assert len(beta) == closed.degree + 1
-    total, falling = Polynomial.zero(), Polynomial.constant(1)
+    total, falling = [], [F(1)]
     for i, b in enumerate(beta):
-        total = total + falling * b
-        falling = falling * Polynomial((1 - i, 1))  # times (k + 1 - i)
-    assert total == closed
+        total = add(total, [x * b for x in falling])
+        falling = mul(falling, [1 - i, 1])  # times (k + 1 - i)
+    assert Polynomial(total) == closed
 
 
 @pytest.mark.parametrize("p", [*range(1, 65), 96, 128, 256])
@@ -347,11 +333,11 @@ def test_every_derived_depth_is_euler_maclaurin_at_one(p):
     h = [spec.closed_form(j) / factorial(j + 1) for j in range(k0)]
     for j in range(k0):
         assert (beta[j + 1] if j + 1 < len(beta) else 0) - h[j] == (1 if j == 0 else 0), j
-    total, rising = Polynomial.zero(), Polynomial.constant(1)
+    total, rising = [], [F(1)]
     for j, x in enumerate(h):
-        total = total - rising * x
-        rising = rising * Polynomial((j, 1))  # times (s + j)
-    assert total == spec.q_poly
+        total = add(total, [-c * x for c in rising])
+        rising = mul(rising, [j, 1])  # times (s + j)
+    assert Polynomial(total) == spec.q_poly
 
 
 def test_bernoulli_coefficients_meet_the_conditions_at_every_k0():
@@ -393,7 +379,7 @@ def test_derive_minimal_k_max():
 
 
 def test_vanishing_series_is_a_cancellation_error(monkeypatch):
-    monkeypatch.setattr(derive, "series_poly", lambda p: Polynomial.zero())
+    monkeypatch.setattr(derive, "series_poly", lambda p: Polynomial())
     with pytest.raises(CancellationError):
         derive_identity(3)
 

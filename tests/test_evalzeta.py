@@ -35,6 +35,8 @@ from zetaident.evalzeta import (
     zeta_prime_at_zero,
 )
 
+from listpoly import horner
+
 
 def F(n, d=1):
     return Fraction(n, d)
@@ -680,7 +682,7 @@ def _false_identity(specs64, which):
         q = (F(7, 6), *four.q_poly.coefficients[1:])
         return dataclasses.replace(four, q_poly=exactmath.Polynomial(q)), 4, "Q(s) != "
     if which == "closed_form":
-        return dataclasses.replace(four, closed_form=2 * four.closed_form), 4, "closed form r_k != "
+        return dataclasses.replace(four, closed_form=exactmath.Polynomial(2 * c for c in four.closed_form.coefficients)), 4, "closed form r_k != "
     return dataclasses.replace(specs64[3], p=5, k0=5), 5, "closed form r_k != "
 
 
@@ -733,7 +735,7 @@ def test_head_weights_are_the_split_off_sum(specs64, s, p, m):
         # powers[i] = n^-(s+k) for n = ns[i], at k = 0, 1, ...
         powers = [mp.mpf(n) ** -z for n in ns]
         split = 1 + sum(powers[:-1]) + powers[-1] * mp.mpc(wr, wi) / wd
-        direct, a = _mp_point(spec.pole_coefficient) / (z - 1) + spec.q_poly(z), 1
+        direct, a = _mp_point(spec.pole_coefficient) / (z - 1) + horner(spec.q_poly.coefficients, z), 1
         for k in range(400):
             if k >= spec.k0:
                 direct += spec.series_coefficient(k) * a * sum(powers)

@@ -13,9 +13,10 @@ from zetaident.exactmath import (
     bernoulli_ratios,
     divide_linear,
     faulhaber,
-    taylor_shift,
     times_linear,
 )
+
+from listpoly import add, horner, mul, shift
 
 
 def bernoulli_oracle(n):
@@ -35,7 +36,7 @@ def test_trims_trailing_zeros_and_degree():
     assert Polynomial((1, 2, 0, 0)).degree == 1
     assert Polynomial().degree == -1
     assert Polynomial((0,)).is_zero
-    assert Polynomial.monomial(3).coefficients == (0, 0, 0, 1)
+    assert Polynomial.from_integers((0, 0, 0, 2, 0), 2).coefficients == (0, 0, 0, 1)
 
 
 def test_coefficient_beyond_degree_is_zero():
@@ -45,54 +46,10 @@ def test_coefficient_beyond_degree_is_zero():
         p.coefficient(-1)
 
 
-def test_arithmetic():
-    a = Polynomial((1, 1))
-    b = Polynomial((-1, 1))
-    assert a * b == Polynomial((-1, 0, 1))
-    assert a + b == Polynomial((0, 2))
-    assert a - a == Polynomial.zero()
-    assert 3 * a == Polynomial((3, 3))
-    assert a / 2 == Polynomial((Fraction(1, 2), Fraction(1, 2)))
-    assert b**2 == Polynomial((1, -2, 1))
-
-
 def test_evaluation_is_exact():
     p = Polynomial((Fraction(1, 3), 0, 1))
     assert p(Fraction(1, 2)) == Fraction(1, 3) + Fraction(1, 4)
     assert p(2) == Fraction(13, 3)
-
-
-def test_divmod_exact_division():
-    # (x^2 + 5x - 6) = (x + 6)(x - 1)
-    num = Polynomial((-6, 5, 1))
-    q, r = divmod(num, Polynomial((-1, 1)))
-    assert q == Polynomial((6, 1))
-    assert r.is_zero
-
-
-def test_divmod_with_remainder():
-    num = Polynomial((1, 0, 1))
-    q, r = divmod(num, Polynomial((1, 1)))
-    assert q * Polynomial((1, 1)) + r == num
-    assert r.degree < 1
-
-
-def test_divmod_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        divmod(Polynomial((1,)), Polynomial())
-
-
-def test_shift_example():
-    # (x - 1)^2 = x^2 - 2x + 1
-    assert Polynomial((0, 0, 1)).shift(-1) == Polynomial((1, -2, 1))
-
-
-def test_antiderivative_example():
-    # t/2 - t^2/2 integrates to t^2/4 - t^3/6, value 1/12 at 1
-    p = Polynomial((0, Fraction(1, 2), Fraction(-1, 2)))
-    anti = p.antiderivative()
-    assert anti == Polynomial((0, 0, Fraction(1, 4), Fraction(-1, 6)))
-    assert anti(1) == Fraction(1, 12)
 
 
 def test_str_formatting():
@@ -107,16 +64,8 @@ small_polys = st.lists(small_fractions, max_size=8).map(Polynomial)
 
 
 @given(small_polys, small_fractions)
-def test_shift_round_trip(poly, c):
-    assert poly.shift(c).shift(-c) == poly
-
-
-@given(small_polys, small_fractions)
 def test_evaluation_is_the_fraction_horner(poly, x):
-    acc = Fraction(0)
-    for c in reversed(poly.coefficients):
-        acc = acc * x + c
-    assert poly(x) == acc
+    assert poly(x) == horner(poly.coefficients, x)
     assert poly(x.numerator) == poly(Fraction(x.numerator))
 
 
@@ -127,33 +76,34 @@ def test_integer_coefficients():
     assert Polynomial().integer_coefficients() == ((), 1)
 
 
+# ---- integer coefficient lists, against schoolbook list arithmetic ----
+
+
+def test_divmod_exact_division():
+    # (x^2 + 5x - 6) = (x + 6)(x - 1)
+    assert divide_linear([-6, 5, 1], -1) == ([6, 1], 0)
+
+
+def test_divmod_with_remainder():
+    # x^2 + 1 = (x - 1)(x + 1) + 2
+    assert divide_linear([1, 0, 1], 1) == ([-1, 1], 2)
+
+
 small_ints = st.lists(st.integers(-50, 50), max_size=8)
 
 
 @given(small_ints, st.integers(-9, 9))
 def test_linear_factor_helpers(a, c):
-    linear = Polynomial((c, 1))
     product = times_linear(a, c)
-    assert Polynomial(product) == Polynomial(a) * linear
+    assert add(product, []) == mul(a, [c, 1])
     assert divide_linear(product, c) == (list(a) + [0] * (len(product) - 1 - len(a)), 0)
-    if a:
-        q, r = divide_linear(a, c)
-        assert Polynomial(q) * linear + Polynomial.constant(r) == Polynomial(a)
-    assert Polynomial(taylor_shift(a, c)) == Polynomial(a).shift(c)
 
 
-@given(small_polys)
-def test_antiderivative_inverts_derivative(poly):
-    anti = poly.antiderivative()
-    assert anti.derivative() == poly
-    assert anti.coefficient(0) == 0
-
-
-@given(small_polys, small_polys.filter(lambda p: not p.is_zero))
-def test_divmod_reconstructs(a, b):
-    q, r = divmod(a, b)
-    assert q * b + r == a
-    assert r.degree < b.degree
+@given(small_ints.filter(bool), st.integers(-9, 9))
+def test_divmod_reconstructs(a, c):
+    q, r = divide_linear(a, c)
+    assert len(q) == len(a) - 1
+    assert add(mul(q, [c, 1]), [r]) == add(a, [])
 
 
 # ---- Bernoulli ----
@@ -272,8 +222,8 @@ def test_faulhaber_structure():
 def test_faulhaber_difference_identity():
     # P_m(y) - P_m(y-1) = y^m as polynomials
     for m in range(0, 13):
-        poly = faulhaber(m)
-        assert poly - poly.shift(-1) == Polynomial.monomial(m)
+        poly = faulhaber(m).coefficients
+        assert add(poly, [-c for c in shift(poly, -1)]) == [0] * m + [1]
 
 
 def test_faulhaber_negative():
