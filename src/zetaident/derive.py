@@ -214,8 +214,10 @@ def _remainder_integers(p: int) -> tuple[list[int], int]:
     return out, den
 
 
-def closed_form_part(p: int) -> tuple[Fraction, Polynomial]:
+def closed_form_part(p: int, remainder=None) -> tuple[Fraction, Polynomial]:
     """Pole coefficient and polynomial part Q_p of the depth-p identity.
+    remainder, if given, is _remainder_integers(p), g_p's integers over one
+    denominator: derive_identity builds them once, for this and series_poly.
 
     Integrating the subtraction polynomial f_p = sum_j a_j x^j term by term
     gives sum_j a_j / (s + p - 1 - j), j = 1..p, which is G(s)/F(s) over
@@ -247,7 +249,7 @@ def closed_form_part(p: int) -> tuple[Fraction, Polynomial]:
     residue 1 there, so a pole coefficient other than exactly 1 raises
     CancellationError.
     """
-    g, den = _remainder_integers(p)
+    g, den = remainder or _remainder_integers(p)
     if g[0]:
         raise CancellationError("subtraction polynomial has a constant term")
     fact = [1]
@@ -274,8 +276,9 @@ def closed_form_part(p: int) -> tuple[Fraction, Polynomial]:
     return Fraction(1), Polynomial.from_integers(q, base)
 
 
-def series_poly(p: int) -> Polynomial:
-    """r_k as an exact polynomial in k, of degree at most p-1.
+def series_poly(p: int, remainder=None) -> Polynomial:
+    """r_k as an exact polynomial in k, of degree at most p-1; remainder as
+    for closed_form_part.
 
     Integrating t^j from 0 a further n times gives t^(j+n) * j!/(j+n)!, so
     the integration-by-parts step that emits r_k (after k-p+1 integrations
@@ -290,7 +293,7 @@ def series_poly(p: int) -> Polynomial:
     coefficient lists over g_p's common denominator, so each step
     multiplies by a small linear factor.
     """
-    g, den = _remainder_integers(p)
+    g, den = remainder or _remainder_integers(p)
     acc, c = [g[1]], 1
     for j in range(2, p + 1):
         c *= j
@@ -315,8 +318,9 @@ def derive_identity(p: int, k_max: int = 64) -> IdentitySpec:
         raise ValueError("depth p must be >= 1")
     if k_max < p + 2:
         raise ValueError("k_max must be at least p + 2")
-    pole, q_poly = closed_form_part(p)
-    closed = series_poly(p)
+    remainder = _remainder_integers(p)
+    pole, q_poly = closed_form_part(p, remainder)
+    closed = series_poly(p, remainder)
     if closed.is_zero:
         raise CancellationError(f"series coefficients vanish at depth p={p}")
     k0 = p

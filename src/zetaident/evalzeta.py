@@ -19,10 +19,16 @@ W_m(s) = pole m/(s-1) - sum_{j<k0} h_j (s)_j m^-j, h_j = beta_(j+1) -
 [j = 0], is an exact complex rational (_last_weight). r_k, k0
 and the validity half-plane do not depend on m.
 
-N = m + 1 = _split_point(digits), the least power of two >= 10 + digits
-(32 up to 22 digits, 64 at 40, 128 at 100, 512 at 300), is the one cutoff
-of every inner sum of every caller: each is the Hurwitz sum
-zeta(s + k, N), an Euler-Maclaurin sum at N with no direct terms.
+N = m + 1 = _split_point(digits, s), decided once per call before any
+work, is the one cutoff of every inner sum of every caller: each is the
+Hurwitz sum zeta(s + k, N), an Euler-Maclaurin sum at N with no direct
+terms. N is the least power of two >= 10 + digits (32 up to 22 digits, 64
+at 40, 128 at 100, 512 at 300) with |Im s| <= 333/106 N, 333/106 just
+below pi. Then |Im w|/(2 pi N) <= 1/2 at every w = s + k, so each further
+Euler-Maclaurin order gains at least 2 bits from the imaginary part
+alone, as Johansson sizes the cutoff from |s| and the target. An N past
+2^16 (|Im s| beyond about 2 10^5) raises ValueError before any power is
+computed.
 
 The identity evaluator works in fixed point on Python integers. One call
 chooses a scale 2^P; a real number x is held as an integer within a few
@@ -107,17 +113,16 @@ holds the series on until 1/(k+1)! outgrows it (k = 90 at s = 10^4,
 N = 32), and no longer.
 
 Once every depth's last k is known, one band of Euler-Maclaurin orders
-serves the whole pass (_band), after Johansson, who fixes the order from
-the target rather than term by term. The last V index G_k reads barely
-moves with k, so with k* the k of the largest |rho_k V_k| and K the last
-k, J is the least order whose remainder at k* meets 10^-(digits+5) / 16
-relative to rho_k* (or the order where that remainder stops falling),
-T = max(k* + 2J - 1, K + 1), and G_k takes
-min(J, (T - k + 1) // 2) terms. J widens by one while some depth's summed
-truncation sum_k |rho_k| R_k over the whole band exceeds
-max(10^-(digits+5) / 16, 1 ulp) and one more order at least halves it.
-Each G_k is then three integer dot products over one common denominator
-of the B_2j/(2j)! (exactmath.bernoulli_ratios).
+serves the whole pass, after Johansson, who fixes the order from the
+target rather than term by term. The last V index G_k reads barely moves
+with k, so with k* the k of the largest |rho_k V_k| and K the last k, J
+is taken once: the least order whose remainder at k* meets
+10^-(digits+5) / 16 relative to rho_k* (or the order where that remainder
+stops falling). With T = max(k* + 2J - 1, K + 1), G_k takes
+min(J, (T - k + 1) // 2) terms, and the band is swept once: one call for
+the remainder bounds, whose sum_k |rho_k| R_k is each depth's inner
+truncation, and one for the G_k. Each G_k is three integer dot products
+over one common denominator of the B_2j/(2j)! (exactmath.bernoulli_ratios).
 """
 
 from __future__ import annotations
@@ -149,6 +154,8 @@ _INNER_SAFETY = 16
 # Every entry n^-(z+k) is within this many ulps (in modulus) of its value,
 # at any shift: see _InnerSums.
 _ENTRY_ULPS = 3
+# log2 of the largest inner cutoff N (_split_point): |Im s| up to about 2 10^5.
+_SPLIT_BITS = 16
 
 Number = Union[int, float, complex, Fraction, str]
 
@@ -192,14 +199,14 @@ class EvalReport:
     10^-digits raises PrecisionError, whose reports are these.
 
     The last three fields record the inner schedule of the pass.
-    split_point is N = _split_point(digits), m + 1 of the shifted split and
-    the least power of two >= 10 + digits, at which every inner sum of
-    every caller is an Euler-Maclaurin sum zeta(s + k, N). correction_order
-    is the order J of the pass's band, the most correction terms any G_k
-    took (G_k takes min(J, (T - k + 1) // 2), see _band), or 0 if no G_k
-    was summed. last_em_k is the last k whose G_k the pass summed, the
-    last k of the pass unless V_k is exactly 0 there, or None if no G_k
-    was summed. The reports of one eval_identities batch share one band,
+    split_point is N = _split_point(digits, s), m + 1 of the shifted split:
+    the least power of two >= 10 + digits with |Im s| <= 333/106 N, at
+    which every inner sum of every caller is an Euler-Maclaurin sum
+    zeta(s + k, N). correction_order is the order J of the pass's band, the
+    most correction terms any G_k took (G_k takes min(J, (T - k + 1) // 2),
+    see _outer_series), or 0 if no G_k was summed. last_em_k is the last k
+    whose G_k the pass summed, the last k of the pass unless V_k is exactly
+    0 there, or None if no G_k was summed. The reports of one eval_identities batch share one band,
     so they all carry the same schedule, that of the whole pass.
     """
 
@@ -217,11 +224,21 @@ def _check_digits(digits: int) -> None:
         raise ValueError("digits must be an integer >= 15")
 
 
-def _split_point(digits: int) -> int:
-    """N, the one cutoff of every inner sum: the least power of two
-    >= 10 + digits. Every inner sum is an Euler-Maclaurin sum at N, and N is
-    m + 1 of the shifted split."""
-    return 1 << (9 + digits).bit_length()
+def _split_point(digits: int, s: tuple[Fraction, Fraction]) -> int:
+    """N, the one cutoff of every inner sum for the exact point s = (re, im):
+    the least power of two >= 10 + digits with |Im s| <= 333/106 N, 333/106
+    the rational below pi, so |Im w|/(2 pi N) <= 1/2 at every w = s + k and
+    each further Euler-Maclaurin order gains at least 2 bits. Every inner
+    sum is an Euler-Maclaurin sum at N, and N is m + 1 of the shifted
+    split. Raises ValueError for an N past 2^_SPLIT_BITS, before any work."""
+    im = abs(s[1])
+    n = 1 << (max(10 + digits, ceil(106 * im / 333)) - 1).bit_length()
+    if n > 1 << _SPLIT_BITS:
+        raise ValueError(
+            f"|Im s| = {float(im):.4g} at {digits} digits needs the inner cutoff "
+            f"N = 2^{n.bit_length() - 1}, past the limit N <= 2^{_SPLIT_BITS}"
+        )
+    return n
 
 
 def _least_factor(n: int) -> int:
@@ -272,8 +289,10 @@ def _exact_point(s) -> tuple[Fraction, Fraction]:
     """s as an exact (re, im) pair of rationals. Ints, floats, complex and
     mpmath numbers are binary fractions, and a string is read as a decimal
     literal "a", "a+bi" or "a-bi", so nothing rounds. Raises ValueError for
-    a non-finite s and for a part beyond the float range: the outer series
-    at such an s would run for about |s| / N terms before they fall."""
+    a non-finite s and for a part beyond the float range: at such a Re s the
+    tail majorant (_tail_factors) would hold the outer series on for about
+    Re s / N terms. A large |Im s| raises later, at the limit of
+    _split_point, before any power is computed."""
     if isinstance(s, tuple) and len(s) == 2:
         re, im = _exact_real(s[0]), _exact_real(s[1])
     elif isinstance(s, str):
@@ -354,7 +373,7 @@ def _integer_point(re: Fraction, im: Fraction) -> tuple[int, int, int]:
 
 class _InnerSums:
     """The sums G_k = (c)_(k - start) zeta(z + k, N), c = z + start and
-    N = _split_point(digits), in fixed point at scale 2^-bits, for one exact
+    N = _split_point(digits, z), in fixed point at scale 2^-bits, for one exact
     z and k > start, each with a truncation bound and a rounding bound in
     ulps; and the head entries n^-z, n < N.
     eval_identities takes start = 0, so G_k = (s)_k zeta(s + k, N);
@@ -459,7 +478,7 @@ class _InnerSums:
         re, im = z
         self.zr, self.zi, self.den = _integer_point(re, im)
         self.bits = bits
-        self.n = n = _split_point(digits)
+        self.n = n = _split_point(digits, z)
         self.start = start
         # wp, the least fixed point of the class docstring's error model
         spread = (abs(self.zr) + abs(self.zi)) // self.den + 1
@@ -911,11 +930,11 @@ def eval_identities(
 
     Each identity is evaluated in its shifted split (see the module
     docstring): the head sum_{n<m} n^-s + m^-s W_m and the series over the
-    inner sums zeta(s + k, m + 1), m + 1 = _split_point(digits). The
+    inner sums zeta(s + k, m + 1), m + 1 = _split_point(digits, s). The
     identities share z, the partial sum, the sequence V_m = (s)_m (m+1)^-(s+m), the
     fixed-point scale (the largest any of them needs) and at each k one
     G_k = (s)_k zeta(s + k, m + 1), from one band of Euler-Maclaurin orders
-    that meets every depth's summed budget (_band). Each depth keeps its
+    taken once (_outer_series). Each depth keeps its
     own total, error tallies and tail bound, and stops on its own. Every
     spec is checked before any work, against its own validity half-plane:
     the first that cannot be evaluated at s raises what eval_identity
@@ -934,7 +953,7 @@ def eval_identities(
     near_pole = (re - 1) ** 2 + im**2 <= Fraction(1, 10**digits)
     for spec in specs:
         _check_point(spec, re, near_pole, digits)
-    m = _split_point(digits) - 1
+    m = _split_point(digits, (re, im)) - 1
     point = _integer_point(re, im)
     # each spec is proved the identity of its k0, or raises, before any
     # work; twins, equal in k0, are then one identity, and one head and one
@@ -976,14 +995,14 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
     _check_digits(digits)
     if _outside(spec, Fraction(0)):
         raise ValueError(f"depth-{spec.p} identity is not valid at s = 0; use p >= 2")
-    m = _split_point(digits) - 1
+    zero = Fraction(0)
+    m = _split_point(digits, (zero, zero)) - 1
     H, b0, L = _weight_coefficients(spec)
     # W_m'(0) over L m^(k0-1)
     top = len(H) - 1
     head = b0 * m ** (top + 1)
     head -= sum(h * factorial(j - 1) * m ** (top - j) for j, h in enumerate(H) if j)
     weights = [(H[0] - b0 * m, 0, L), (-1, 0, 1)]  # of log m and log((m-1)!)
-    zero = Fraction(0)
     heads = [((spec.k0, *spec.euler_maclaurin_coefficients), (head, 0, L * m**top), weights)]
     return _outer_series([spec.p], [0], (zero, zero), 1, heads, [2, 2], _InnerSums.logs, digits)[0]
 
@@ -994,7 +1013,7 @@ def _outer_series(
     """head + sum_i w_i x_i + sum_{k >= k0} rho_k G_k for each distinct
     series, in one pass over k from the least k0, for the exact s = point,
     rho_k = r_k/(k+1)! and G_k = (s + start)_(k - start) zeta(s + k, N)
-    (_InnerSums), N = _split_point(digits), k0 > start. heads holds one
+    (_InnerSums), N = _split_point(digits, point), k0 > start. heads holds one
     (series, exact head, weights w_i) per distinct series: series is
     (k0, beta, den) as _Depth takes them, head and
     weights integer triples (re, im, den). Report i takes the result of
@@ -1023,17 +1042,18 @@ def _outer_series(
     threshold, at once where V_k, and so every later term, is exactly 0.
     It covers zeta_prime_at_zero and sum_zeta_m1 as well: there z = 0,
     start = 1, A = k and V_k = (k-1)! N^-k. Then one band of orders for
-    every G_k (_band): J is the least order that meets share = max(threshold // _INNER_SAFETY,
-    1) at k*, the k with the largest bound |rho_k| size(k) of
-    |rho_k V_k|, relative to its rho_k*, or the order where that remainder
-    stops falling. J widens by one while
-    some depth's truncation summed over the whole band exceeds share and
-    one more order at least halves every such sum; otherwise the reports
-    carry the bound reached. Every running depth then adds rho_k G_k at
-    each of its k, G_k shared; G_k is exactly 0 where V_k is, and is
-    skipped there. If the
-    error bound of any depth, in ulps, exceeds 2^P 10^-digits,
-    PrecisionError raises with every report."""
+    every G_k, decided once: J is one _InnerSums.order call, the least
+    order that meets share = max(threshold // _INNER_SAFETY, 1) at k*, the
+    k with the largest bound |rho_k| size(k) of |rho_k V_k|, relative to
+    its rho_k*, or the order where that remainder stops falling. G_k takes
+    M_k = min(J, (T - k + 1) // 2) terms, T = max(k* + 2J - 1, K + 1) and K
+    the last k, so no G_k reads V past V_T. The band is swept once: one
+    remainders call gives each depth's inner truncation sum_k |rho_k| R_k,
+    R_k the bound of M_k rounded up per term, and one sums call the G_k.
+    Every running depth adds rho_k G_k at each of its k, G_k shared; G_k is
+    exactly 0 where V_k is, and is skipped there. If the error bound of any
+    depth, in ulps, exceeds 2^P 10^-digits, PrecisionError raises with
+    every report, each bound still holding."""
     weighted = [_log2_up(*w) + u.bit_length() for _, _, ws in heads for w, u in zip(ws, head_ulps)]
     bits = _scale_bits(digits, max(weighted, default=0))
     depths = [_Depth(*series) for series, _, _ in heads]
@@ -1076,26 +1096,22 @@ def _outer_series(
         share = max(threshold // _INNER_SAFETY, 1)
         k_star, num, rden = star
         order = inner.order(k_star, share * rden // num)
-        orders, truncation = _band(inner, ks, depths, k_star, order)
-        # one more order costs one more product per G_k, worth it only
-        # while it at least halves every summed truncation above share
-        while max(truncation) > share:
-            wider = _band(inner, ks, depths, k_star, order + 1)
-            if any(2 * w > t for t, w in zip(truncation, wider[1]) if t > share):
-                break
-            order, (orders, truncation) = order + 1, wider
-        sums = inner.sums(list(zip(ks, orders)))
-        for d, t in zip(depths, truncation):
-            d.inner_err = t
-            total_re = total_im = rounding = 0
+        # the band: no G_k reads V past V_T, T = max(k* + 2J - 1, K + 1)
+        last = max(ks[-1] + 1, k_star + 2 * order - 1)
+        band = [(k, min(order, (last - k + 1) // 2)) for k in ks]
+        remainders, sums = inner.remainders(band), inner.sums(band)
+        for d in depths:
+            total_re = total_im = rounding = truncation = 0
             for i, num, size, rden in d.terms:
                 (vr, vi), err = sums[i]
                 total_re += vr * num // rden
                 total_im += vi * num // rden
                 rounding -= -size * err // rden
+                truncation -= -size * remainders[i] // rden
             d.total_re += total_re
             d.total_im += total_im
             d.rounding += rounding
+            d.inner_err = truncation
             d.products += len(d.terms)
     results = []
     for d, (_, (hr, hi, hd), _) in zip(depths, heads):
@@ -1125,33 +1141,19 @@ def _outer_series(
     return reports
 
 
-def _band(inner: _InnerSums, ks: list[int], depths: list[_Depth], k_star: int, order: int):
-    """The band of `order` over every G_k of the pass, k in ks
-    (_outer_series): the orders M_k = min(order, (T - k + 1) // 2),
-    T = max(k_star + 2 order - 1, K + 1) and K the last k, so no G_k reads
-    V past V_T; and each depth's summed truncation sum_k |rho_k| R_k in
-    ulps over its terms (_Depth.terms), R_k the remainder bound of M_k,
-    rounded up per k."""
-    last = max(ks[-1] + 1, k_star + 2 * order - 1)
-    orders = [min(order, (last - k + 1) // 2) for k in ks]
-    bounds = inner.remainders(list(zip(ks, orders)))
-    truncation = [sum(-(-size * bounds[i] // rden) for i, _, size, rden in d.terms) for d in depths]
-    return orders, truncation
-
-
 def sum_zeta_m1(digits: int = 40) -> EvalReport:
     """The paper's sum identity sum_{k>=2} (zeta(k) - 1) = 1, summed in the
-    split at N = _split_point(digits), with an error bound like any
-    evaluation (p_used 0: the series belongs to no depth). The part n < N
+    split at N = _split_point(digits, s) for s = 0, with an error bound
+    like any evaluation (p_used 0: the series belongs to no depth). The part n < N
     is exact: sum_{n=2..N-1} 1/(n(n-1)) = (N-2)/(N-1). The rest,
     sum_{k>=2} zeta(k, N), is the series rho_k G_k of zeta_prime_at_zero's
     pass with r_k = k(k+1) from k0 = 2, so rho_k = 1/(k-1)! and
     G_k = (k-1)! zeta(k, N). Raises PrecisionError when the bound exceeds
     10^-digits."""
     _check_digits(digits)
-    n = _split_point(digits)
+    zero = Fraction(0)
+    n = _split_point(digits, (zero, zero))
     # r_k = (k+1) k: beta_2 = 1, one falling product of two factors
     series = (2, (0, 0, 1), 1)
-    zero = Fraction(0)
     heads = [(series, (n - 2, 0, n - 1), [])]
     return _outer_series([0], [0], (zero, zero), 1, heads, [], lambda inner: [], digits)[0]

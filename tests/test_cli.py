@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -360,13 +361,41 @@ def test_eval_out_of_range_s_exits_two(capsys):
 
 
 def test_eval_missed_target_exits_two(capsys):
-    # Euler-Maclaurin at N = 64 cannot reach 30 digits at |Im s| = 1000:
-    # the bound still holds, but the call raises PrecisionError and the CLI
-    # exits 2 with the bound it reached, printing no value
-    assert main(["eval", "--s", "0.5+1000i", "--digits", "30"]) == 2
+    # the Euler-Maclaurin budget of depth 256 at s = -254.5 is far more than
+    # N = 64 reaches at 30 digits: the bound still holds, but the call
+    # raises PrecisionError and the CLI exits 2 with the bound it reached,
+    # printing no value
+    assert main(["eval", "--s", "-254.5", "--p", "256", "--digits", "30"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "cannot meet 10^-30: error bound 4.745e+06 (depth 1)" in err
+    assert "cannot meet 10^-30: error bound 3.784e+125 (depth 256)" in err
+
+
+@pytest.mark.parametrize("s", ["0.5+1e9i", "0.5+1e300i"])
+def test_eval_past_the_split_limit_exits_two_at_once(s, capsys):
+    # N would pass 2^16 inner terms: a usage error before any power
+    start = time.process_time()
+    assert main(["eval", "--s", s]) == 2
+    assert time.process_time() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "past the limit N <= 2^16" in err
+
+
+def test_table_at_large_imaginary_part_skips_no_row(capsys):
+    # N grows with |Im s| (512 at 1000), so every row meets 30 digits
+    grid = ["--start", "0", "--stop", "1", "--step", "1/2", "--im", "1000"]
+    assert main(["table", *grid, "--digits", "30", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert "skipping" not in err
+    rows = json.loads(out)
+    assert [row["s_re"] for row in rows] == ["0.0", "0.5", "1.0"]
+    with mp.workdps(60):
+        for row in rows:
+            value = mp.mpc(row["value_re"], row["value_im"])
+            target = mp.zeta(mp.mpc(row["s_re"], 1000))
+            # the printed value rounds to 30 significant digits
+            assert abs(value - target) <= float(row["error_estimate"]) + abs(target) * 10**-29
 
 
 def test_eval_digits_floor():

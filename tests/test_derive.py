@@ -257,13 +257,15 @@ def test_extension_only_for_odd_depths(specs64):
 
 @pytest.mark.parametrize("p", range(1, 14))
 def test_each_derivation_runs_the_engine_once(p, monkeypatch):
-    # the extension is read off k0, not off a second derivation at p + 1
-    calls = {"closed_form_part": [], "series_poly": []}
+    # the extension is read off k0, not off a second derivation at p + 1;
+    # and g_p's integers are built once, for both
+    calls = {"closed_form_part": [], "series_poly": [], "_remainder_integers": []}
     for name, log in calls.items():
         wrapped = getattr(derive, name)
-        monkeypatch.setattr(derive, name, lambda q, f=wrapped, log=log: log.append(q) or f(q))
+        logged = lambda q, *rest, f=wrapped, log=log: log.append(q) or f(q, *rest)
+        monkeypatch.setattr(derive, name, logged)
     derive_identity(p, p + 2)
-    assert calls == {"closed_form_part": [p], "series_poly": [p]}
+    assert calls == {"closed_form_part": [p], "series_poly": [p], "_remainder_integers": [p]}
 
 
 @pytest.mark.parametrize("p", [13, 14, 31, 32, 63, 64, 127, 128])
@@ -379,7 +381,7 @@ def test_derive_minimal_k_max():
 
 
 def test_vanishing_series_is_a_cancellation_error(monkeypatch):
-    monkeypatch.setattr(derive, "series_poly", lambda p: Polynomial())
+    monkeypatch.setattr(derive, "series_poly", lambda p, remainder: Polynomial())
     with pytest.raises(CancellationError):
         derive_identity(3)
 

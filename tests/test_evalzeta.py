@@ -278,8 +278,10 @@ def test_report_fields(specs64):
     assert report.error_estimate >= 0
     # m + 1 = 64 at 40 digits: every inner sum is Euler-Maclaurin at n = 64,
     # with the band's order J and through the pass's last k
-    assert (report.split_point, report.correction_order, report.last_em_k) == (64, 14, 24)
+    assert (report.split_point, report.correction_order, report.last_em_k) == (64, 13, 24)
     assert report.terms_used == 24
+    with mp.workdps(60):
+        assert abs(report.value - mp.zeta(3)) <= report.error_estimate <= 1e-40
 
 
 def test_series_short_circuits_at_negative_even_integers(specs64):
@@ -344,28 +346,19 @@ def test_contract_against_mpmath_zeta(specs64, p, s, digits):
 
 
 @pytest.mark.parametrize(
-    "t, digits, order",
-    # no more than a least order searched at every k takes at these points
-    [(100, 20, 54), (200, 20, 17), (400, 40, 25), (1000, 40, 1)],
+    "t, digits, n",
+    [(100, 20, 32), (200, 20, 64), (400, 40, 128), (1000, 40, 512), (3000, 40, 1024)],
 )
-def test_band_stops_widening_at_large_imaginary_part(specs64, t, digits, order):
-    # depth 1 at 0.5 + ti: past t = 100 Euler-Maclaurin at N = 32 or 64
-    # cannot meet the target, and one more order lowers the summed
-    # truncation by little or nothing. The band stops widening there, and
-    # the call raises PrecisionError with the reports of the bound it
-    # reached, which must still hold.
+def test_large_imaginary_part_meets_the_contract(specs64, t, digits, n):
+    # depth 1 at 0.5 + ti: N is the least power of two >= 10 + digits with
+    # |Im s| <= 333/106 N, so each Euler-Maclaurin order gains at least 2
+    # bits and one band of orders meets the target
     s = (F(1, 2), F(t))
     start = time.process_time()
-    if t == 100:
-        [report] = eval_identities([specs64[1]], s, digits)
-        assert report.error_estimate <= 10.0**-digits
-    else:
-        with pytest.raises(PrecisionError, match=f"cannot meet 10\\^-{digits}") as raised:
-            eval_identities([specs64[1]], s, digits)
-        [report] = raised.value.reports
-        assert report.error_estimate > 10.0**-digits
+    [report] = eval_identities([specs64[1]], s, digits)
     assert time.process_time() - start < 1
-    assert report.correction_order <= order
+    assert report.split_point == n
+    assert report.error_estimate <= 10.0**-digits
     with mp.workdps(digits + 40):
         err = abs(report.value - mp.zeta(_mp_point(s)))
     assert err <= report.error_estimate, (mp.nstr(err, 3), report.error_estimate)
@@ -407,17 +400,16 @@ def test_error_estimate_covers_mpmath_zeta_in_every_strip(
 )
 def test_every_strip_meets_or_raises_up_to_three_hundred(specs64, p, re_steps, im_steps, digits):
     # as test_error_estimate_covers_mpmath_zeta_in_every_strip, with
-    # |Im s| <= 300: past |Im s| = 100 or so N = 32 or 64 cannot meet every
-    # target, so each batch either meets it or raises PrecisionError, and
-    # every bound either way holds. |zeta(s)| is below 10^30 here, so the
-    # reference carries digits + 60.
+    # |Im s| <= 300: N grows with |Im s| (_split_point), so every batch
+    # meets its target, raising nothing, and every bound holds. |zeta(s)|
+    # is below 10^30 here, so the reference carries digits + 60.
     spec = specs64[p]
     left = max(spec.effective_validity, F(3, 2) - spec.k0)
     s = (left + F(re_steps, 5 * 10**5), F(im_steps, 10**5))
     assume(s != (1, 0))
     batch = [other for other in specs64.values() if supports(other, s)]
-    reports, raised = _reports_or_raised(lambda: eval_identities(batch, s, digits))
-    assert raised or all(r.error_estimate <= 10.0**-digits for r in reports)
+    reports = eval_identities(batch, s, digits)
+    assert all(r.error_estimate <= 10.0**-digits for r in reports)
     with mp.workdps(digits + 60):
         target = mp.zeta(_mp_point(s))
         for report in reports:
@@ -470,7 +462,7 @@ def test_scale_carries_no_first_coefficient_bits(monkeypatch):
     zeta0 = zeta_prime_at_zero(spec, 40)
     far = eval_identity(spec, F(-505, 4), 30)
     assert scales[0] <= 200 and scales[1] <= 160
-    assert f"{far.error_estimate:.3e}" == "8.066e-37"
+    assert f"{far.error_estimate:.3e}" == "2.893e-35"
     with mp.workdps(60):
         assert abs(zeta0.value + mp.log(2 * mp.pi) / 2) <= zeta0.error_estimate <= 1e-40
     with mp.workdps(330):
@@ -653,18 +645,22 @@ def test_a_twin_with_another_closed_form_is_evaluated_on_its_own(specs64, monkey
 
 def test_a_batch_of_twins_raises_with_a_report_per_spec(specs64):
     # one evaluation per identity, but PrecisionError still carries one
-    # report per spec, in order, and names every depth that missed
-    batch = [specs64[p] for p in (3, 4, 5, 6)]
-    s = (F(1, 2), F(200))
-    with pytest.raises(PrecisionError) as raised:
-        eval_identities(batch, s, 20)
+    # report per spec, in order, and names every depth that missed: at
+    # s = -254.5 the Euler-Maclaurin budget of depths 255..258 is far more
+    # than N = 64 reaches at 30 digits
+    depths = (255, 256, 257, 258)
+    batch = [derive_identity(p, p + 2) for p in depths]
+    s = F(-509, 2)
+    with pytest.raises(PrecisionError, match="cannot meet 10\\^-30") as raised:
+        eval_identities(batch, s, 30)
     reports = raised.value.reports
-    assert [r.p_used for r in reports] == [3, 4, 5, 6]
-    for p in (3, 4, 5, 6):
+    assert [r.p_used for r in reports] == list(depths)
+    for p in depths:
         assert f"(depth {p})" in str(raised.value)
     for first, second in (reports[:2], reports[2:]):
         assert dataclasses.replace(second, p_used=first.p_used) == first
-    with mp.workdps(60):
+    # |zeta(-254.5)| is about 10^300
+    with mp.workdps(360):
         target = mp.zeta(_mp_point(s))
         for report in reports:
             assert abs(report.value - target) <= report.error_estimate
@@ -827,11 +823,14 @@ def test_head_weights_are_tallied(specs64, monkeypatch, s):
 
 @pytest.mark.parametrize("base_bits", [5, 6, 7])  # N at 15..22, 23..54 and 55..118 digits
 @pytest.mark.parametrize("p, s", [(1, (F(50), F(1000))), (1, F(300)), (5, (F(1, 2), F(100)))])
-def test_tail_proof_holds_where_it_claims(specs64, p, s, base_bits):
+def test_tail_proof_holds_where_it_claims(specs64, monkeypatch, p, s, base_bits):
     # at every k >= k0 the a-priori majorant of the tail past k
     # (_tail_factors) is at least the tail
     # sum_{j>k} |r_j (s)_j/(j+1)!| zeta(Re s + j, N), summed here; also at
-    # 50 + 1000i, where the terms grow until |s + k| is about N k
+    # 50 + 1000i, where the terms grow until |s + k| is about N k. The
+    # proof holds at any N, so N is held at 2^base_bits, below what
+    # _split_point takes at |Im s| = 1000
+    monkeypatch.setattr(evalzeta, "_split_point", lambda digits, s: 1 << base_bits)
     spec = specs64[p]
     bits = 3000  # |V_k| is many ulps at every k the test reaches
     re, im = s if isinstance(s, tuple) else (s, F(0))
@@ -868,6 +867,91 @@ def test_split_point_is_the_euler_maclaurin_cutoff(specs64, digits, first_n):
     # and so is every inner sum zeta(k, N) of zeta'(0)
     report = zeta_prime_at_zero(specs64[2], digits)
     assert report.split_point == first_n and report.last_em_k is not None, report
+
+
+@pytest.mark.parametrize("digits", [15, 22, 23, 40, 100, 300])
+def test_split_point_grows_with_the_imaginary_part(digits):
+    # N is the least power of two >= 10 + digits with |Im s| <= 333/106 N,
+    # 333/106 just below pi: the N of the digits alone while |Im s| is at
+    # most pi (10 + digits), and twice N just past each N's reach
+    base = _least_power_of_two(10 + digits)
+    for im in (F(0), F(-20), F(314 * (10 + digits), 100)):
+        assert evalzeta._split_point(digits, (F(1, 2), im)) == base
+    for n in (base, 2 * base, 8 * base):
+        reach = F(333 * n, 106)
+        assert evalzeta._split_point(digits, (F(-3), reach)) == n
+        assert evalzeta._split_point(digits, (F(-3), -reach - F(1, 10**9))) == 2 * n
+
+
+def test_the_split_limit_raises_before_any_power(specs64, monkeypatch):
+    # N = 2^16 reaches |Im s| = 333/106 2^16, about 2.06 10^5: past it, and
+    # past 2^16 - 10 digits, every evaluator raises ValueError naming the
+    # limit before _InnerSums computes a power
+    def no_powers(self):
+        raise AssertionError("powers computed")
+
+    monkeypatch.setattr(_InnerSums, "_powers", no_powers)
+    reach = F(333 << 16, 106)
+    limit = r"past the limit N <= 2\^16"
+    for s in [(F(1, 2), reach + F(1, 10**9)), (F(1, 2), F(10**9)), "0.5-1e300i"]:
+        with pytest.raises(ValueError, match=limit):
+            eval_identity(specs64[1], s, 40)
+    for call in (
+        lambda: eval_identities([specs64[1]], 2, (1 << 16) - 9),
+        lambda: zeta_prime_at_zero(specs64[2], (1 << 16) - 9),
+        lambda: sum_zeta_m1((1 << 16) - 9),
+    ):
+        with pytest.raises(ValueError, match=limit):
+            call()
+    # at the limit itself the pass goes on to the powers
+    with pytest.raises(AssertionError, match="powers computed"):
+        eval_identity(specs64[1], (F(1, 2), reach), 40)
+
+
+def test_each_pass_sweeps_its_band_once(specs64, monkeypatch):
+    # J is taken once, by one _InnerSums.order call at k*, and the band is
+    # swept once: one remainders call and one sums call over the same
+    # (k, M) pairs, here at points like those of the benchmark and for each
+    # caller of the pass
+    log, inside = [], []
+    order, remainders, sums = _InnerSums.order, _InnerSums.remainders, _InnerSums.sums
+
+    def logged_order(self, k, budget):
+        log.append("order")
+        inside.append(k)
+        try:
+            return order(self, k, budget)
+        finally:
+            inside.pop()
+
+    def logged_remainders(self, pairs):
+        if not inside:
+            log.append(("remainders", pairs))
+        return remainders(self, pairs)
+
+    def logged_sums(self, pairs):
+        log.append(("sums", pairs))
+        return sums(self, pairs)
+
+    monkeypatch.setattr(_InnerSums, "order", logged_order)
+    monkeypatch.setattr(_InnerSums, "remainders", logged_remainders)
+    monkeypatch.setattr(_InnerSums, "sums", logged_sums)
+    batch = [spec for spec in specs64.values() if supports(spec, F(-11, 4))]
+    passes = [
+        lambda: eval_identity(specs64[1], (F(1, 2), F(100)), 20),
+        lambda: eval_identity(specs64[1], (F(9, 2), F(38)), 40),
+        lambda: eval_identity(specs64[1], (F(9, 2), F(38)), 100),
+        lambda: eval_identity(specs64[1], (F(1, 2), F(3000)), 40),
+        lambda: eval_identities(batch, F(-11, 4), 40),
+        lambda: zeta_prime_at_zero(specs64[2], 40),
+        lambda: sum_zeta_m1(40),
+    ]
+    for call in passes:
+        log.clear()
+        call()
+        assert len(log) == 3 and log[0] == "order", log
+        (first, band), (second, swept) = log[1:]
+        assert (first, second) == ("remainders", "sums") and swept == band and len(band) > 1
 
 
 def test_shifted_split_shrinks_the_outer_series(specs64):
