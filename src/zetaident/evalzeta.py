@@ -78,14 +78,19 @@ log_int_fixed, exp_fixed and cos_sin_fixed give each p^-s at its own
 working precision, so its cosine and sine come from another kernel than
 the evaluator's below 400 bits, and exact rationals give every other
 factor. It uses no mpmath context and shares nothing with `eval_identity`
-except the Bernoulli table, `_least_factor` and the exact reading of s and
+except the Bernoulli table, `_least_factors` and the exact reading of s and
 writing of the result, so agreement between the two is meaningful.
 
 `eval_identities` evaluates several depths at one point in one pass over
 k: every depth's identity has the same G_k, and only r_k and the weights
 differ. Twins, specs equal in k0 (depths 3 and 4, say), are one
 identity once each is proved, and share one evaluation; each still gets
-its own report. `eval_identity` is the batch of one. `zeta_prime_at_zero`
+its own report. The beta_i = -B_i/i! do not depend on k0, so the depths of
+a batch are truncations of one series: over the deepest one's common
+denominator L, each depth's coefficients are the first k0 of the deepest
+one's, at each k one rden = L (k+1)! serves them all, and one running sum
+over i gives every depth's L r_k as a prefix sum. `eval_identity` is the
+batch of one. `zeta_prime_at_zero`
 differentiates the shifted split term by term at s = 0, where (s)_j
 vanishes for j >= 1 and has derivative (j-1)!. That leaves the exact
 W_m'(0), the two logs -log((m-1)!) and -W_m(0) log m, and the series
@@ -110,7 +115,12 @@ from rigorous a-priori bounds: with the beta_i of r_k and A = |s + k|,
 and the last factor is at most y 2^ceil(3y/2), y = A/(N - 1). The bound is
 the proof: no term past k is looked at. At large |s| the factor 2^(3y/2)
 holds the series on until 1/(k+1)! outgrows it (k = 90 at s = 10^4,
-N = 32), and no longer.
+N = 32), and no longer. The majorants of a batch are nested: at every k
+the sum over i of a deeper depth has more terms, none negative, so the
+depths whose test passes at k are a prefix of the running ones in k0
+order. The pass tests only the shallowest running depth, and moves on to
+the next while it passes: at most one failed test per k, one passed test
+per depth, and each depth still stops at its own first passing k.
 
 Once every depth's last k is known, one band of Euler-Maclaurin orders
 serves the whole pass, after Johansson, who fixes the order from the
@@ -122,7 +132,9 @@ stops falling). With T = max(k* + 2J - 1, K + 1), G_k takes
 min(J, (T - k + 1) // 2) terms, and the band is swept once: one call for
 the remainder bounds, whose sum_k |rho_k| R_k is each depth's inner
 truncation, and one for the G_k. Each G_k is three integer dot products
-over one common denominator of the B_2j/(2j)! (exactmath.bernoulli_ratios).
+over one common denominator of the B_2j/(2j)! (exactmath.bernoulli_ratios);
+at real s, where every V and G_k is exactly real, the imaginary ones are
+skipped.
 """
 
 from __future__ import annotations
@@ -130,8 +142,9 @@ from __future__ import annotations
 import re as _re
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from fractions import Fraction
-from math import ceil, factorial, inf, isfinite, isqrt, lcm, nextafter
+from math import ceil, factorial, inf, isfinite, isqrt, lcm, ldexp
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -241,12 +254,15 @@ def _split_point(digits: int, s: tuple[Fraction, Fraction]) -> int:
     return n
 
 
-def _least_factor(n: int) -> int:
-    """The least prime factor of n >= 2 (n itself when n is prime)."""
-    p = 2
-    while p * p <= n and n % p:
-        p += 1
-    return p if p * p <= n else n
+def _least_factors(n: int) -> list[int]:
+    """The least prime factor of each i = 0..n (i itself for a prime, 0 and
+    1), by one sieve: each p <= sqrt(n), in descending order, marks its
+    multiples from p^2, so the least prime factor of a composite marks it
+    last."""
+    least = list(range(n + 1))
+    for p in range(isqrt(n), 1, -1):
+        least[p * p :: p] = [p] * ((n - p * p) // p + 1)
+    return least
 
 
 _DECIMAL = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -337,13 +353,17 @@ def _mp_value(re: int, im: Optional[int], bits: int):
 
 
 def _float_up(ulps: int, bits: int) -> float:
-    """The least float >= ulps * 2^-bits: inf beyond the float range, as
-    the bound of a pass at too coarse a scale can be (_outer_series)."""
-    exact = Fraction(ulps, 1 << bits)
-    if exact > _FLOAT_MAX:
+    """The least float >= ulps * 2^-bits, ulps >= 0: inf beyond the float
+    range, as the bound of a pass at too coarse a scale can be
+    (_outer_series). In integers: the unit of the last place is 2^(e - 53)
+    for a value in [2^(e-1), 2^e), and never below 2^-1074, the least
+    subnormal; ulps is rounded up to a multiple of it and scaled exactly."""
+    unit = max(ulps.bit_length() - bits - 53, -1074)
+    shift = unit + bits
+    top = -(-ulps >> shift) if shift > 0 else ulps << -shift
+    if top.bit_length() + unit > 1024:
         return inf
-    x = float(exact)
-    return x if x >= exact else nextafter(x, inf)
+    return ldexp(top, unit)
 
 
 def _threshold_bits(digits: int) -> int:
@@ -429,7 +449,8 @@ class _InnerSums:
       more for the second-order terms, and two for the floors. In modulus
       that is within (6S + 3e_b + 20) log2 p max(1, |X_p|) units.
 
-    A composite n = a b, a its least prime factor, is the integer product
+    A composite n = a b, a its least prime factor (read off one sieve,
+    _least_factors), is the integer product
     of the entries of a and b, shifted right by wp. Its error is that of
     a times |X_b|, plus that of b times |X_a|, plus 2 units per product: the
     floors of two components and the product of the two errors. By
@@ -468,10 +489,12 @@ class _InnerSums:
     product. M comes from the caller:
     `order` finds the least M whose remainder bound meets a budget, or,
     where the bounds stop falling first (the series is asymptotic), the M
-    of the least one; `remainders` gives the bounds of given (k, M) pairs,
+    of the least one, in one loop over M that steps the table of |beta_j|
+    and V as it goes; `remainders` gives the bounds of given (k, M) pairs,
     reading |V_m| and _modulus_up(den (z + m)) off the lists `size` fills,
     so a band of them costs one call. No float enters: every test and bound
-    is an integer.
+    is an integer. At real z every V_m is exactly real, and neither the
+    steps nor the dot products touch an imaginary part.
     """
 
     def __init__(self, z: tuple[Fraction, Fraction], digits: int, bits: int, start: int):
@@ -514,9 +537,9 @@ class _InnerSums:
         if not (zr or zi):
             return powers + [(1 << wp, 0)] * (n - 1)
         quarter = pi_fixed(wp - 1)  # pi/2 in units of 2^-wp
-        append = powers.append
+        least, append = _least_factors(n), powers.append
         for i in range(2, n + 1):
-            p = _least_factor(i)
+            p = least[i]
             if p < i:
                 (ar, ai), (br, bi) = powers[p], powers[i // p]
                 append(((ar * br - ai * bi) >> wp, (ar * bi + ai * br) >> wp))
@@ -574,7 +597,10 @@ class _InnerSums:
         fr = zr + (self.start + len(bounds) - 1) * den
         while len(bounds) <= index:
             if err and (fr or zi):
-                vr, vi = (vr * fr - vi * zi) // q, (vr * zi + vi * fr) // q
+                if zi:
+                    vr, vi = (vr * fr - vi * zi) // q, (vr * zi + vi * fr) // q
+                else:  # vi is exactly 0 at real z
+                    vr = vr * fr // q
                 level += size.bit_length() - den_bits
                 err = -(-err * size // q) + 2
                 bound = _modulus_up(vr, vi)
@@ -593,31 +619,32 @@ class _InnerSums:
         self.level = level
         return bounds[index]
 
-    def remainders(self, pairs: list[tuple[int, int]]) -> list[int]:
-        """The bound of R for G_k with M correction terms, in ulps, for each
-        (k, M) in pairs: |beta_(M+1)| |V_(k+2M+1)| |w + 2M + 1| /
-        (Re w + 2M + 1), w = z + k, rounded up. One call steps V and the
-        table of |beta_j| as far as every pair needs."""
+    def _remainder(self, k: int, order: int) -> int:
+        """The bound of R for G_k with M = order correction terms, in ulps:
+        |beta_(M+1)| |V_(k+2M+1)| |w + 2M + 1| / (Re w + 2M + 1), w = z + k,
+        rounded up. Steps the table of |beta_j| and V as far as it needs."""
         betas = self.betas
-        while len(betas) <= max(order for _, order in pairs) + 1:
+        while len(betas) <= order + 1:
             bn, bd = bernoulli_over_factorial(len(betas))
             betas.append((abs(bn), bd))
-        self.size(max(k + 2 * order for k, order in pairs) + 1)
-        bounds, moduli, zr, den, start = self.bound, self.modulus, self.zr, self.den, self.start
-        out = []
-        for k, order in pairs:
-            size, bd = betas[order + 1]
-            m = k + 2 * order + 1
-            # |V_m| |z + m| den / (bd den (Re z + m)), Re z + m > 0
-            out.append(-(-bounds[m - start] * size * moduli[m - start] // (bd * (zr + m * den))))
-        return out
+        size, bd = betas[order + 1]
+        m = k + 2 * order + 1
+        index, bounds = m - self.start, self.bound
+        bound = bounds[index] if index < len(bounds) else self.size(m)
+        # |V_m| |z + m| den / (bd den (Re z + m)), Re z + m > 0
+        return -(-bound * size * self.modulus[index] // (bd * (self.zr + m * self.den)))
+
+    def remainders(self, pairs: list[tuple[int, int]]) -> list[int]:
+        """The bound of R (_remainder) for each (k, M) in pairs."""
+        return [self._remainder(k, order) for k, order in pairs]
 
     def order(self, k: int, budget: int) -> int:
         """The least M whose remainder bound for G_k is at most budget ulps,
-        or, where the bounds stop falling first, the M of the least one."""
-        order, [best] = 0, self.remainders([(k, 0)])
+        or, where the bounds stop falling first, the M of the least one: one
+        loop over M, each step reading one more |beta_j| and two more V."""
+        order, best = 0, self._remainder(k, 0)
         while best > budget:
-            [nearer] = self.remainders([(k, order + 1)])
+            nearer = self._remainder(k, order + 1)
             if nearer >= best:
                 break
             order, best = order + 1, nearer
@@ -632,7 +659,7 @@ class _InnerSums:
             den, numerators = bernoulli_ratios(count)
             self.count, self.ratios = count, (den, numerators[1:], [abs(x) for x in numerators[1:]])
         den, numerators, sizes = self.ratios
-        re, im, errs, start = self.re, self.im, self.err, self.start
+        re, im, errs, start, real = self.re, self.im, self.err, self.start, not self.zi
         out = []
         for k, m in pairs:
             index = k - start
@@ -644,7 +671,8 @@ class _InnerSums:
             if m:
                 part = slice(index + 1, index + 2 * m, 2)  # V_(k+1), V_(k+3), ...
                 vr += sum(map(mul, numerators, re[part])) // den
-                vi += sum(map(mul, numerators, im[part])) // den
+                if not real:  # every V is exactly real at real z
+                    vi += sum(map(mul, numerators, im[part])) // den
                 rounding -= -sum(map(mul, sizes, errs[part])) // den - 2
             out.append(((vr, vi), rounding))
         return out
@@ -654,7 +682,7 @@ def zeta_em_reference(s, digits: int = 40):
     """Independent zeta oracle: direct Euler-Maclaurin continuation, in
     fixed point on Python integers.
 
-    Shares only the Bernoulli table, _least_factor, the exact reading of s
+    Shares only the Bernoulli table, _least_factors, the exact reading of s
     (_exact_point, _integer_point) and the exact conversion of its result
     (_mp_value) with the identity evaluator, and calls none of its inner
     sums. With z = s and N = 10 + digits,
@@ -692,9 +720,9 @@ def zeta_em_reference(s, digits: int = 40):
         wp += _ceil_div((den - zr) * n_direct.bit_length(), den) + 7
     # n^-z for n = 1..N: the kernels for a prime n, and p^-z (n/p)^-z for
     # a composite n with least prime factor p
-    powers = [None, (1 << wp, 0)]
+    powers, least = [None, (1 << wp, 0)], _least_factors(n_direct)
     for n in range(2, n_direct + 1):
-        p = _least_factor(n)
+        p = least[n]
         if p < n:
             (ar, ai), (br, bi) = powers[p], powers[n // p]
             powers.append(((ar * br - ai * bi) >> wp, (ar * bi + ai * br) >> wp))
@@ -747,34 +775,37 @@ def zeta_em_reference(s, digits: int = 40):
     return _mp_value(total_re, total_im if im else None, wp)
 
 
-def _outside(spec: IdentitySpec, re: Fraction) -> str:
+def _outside(spec: IdentitySpec, zr: int, den: int) -> str:
     """The validity rule of every evaluation: which half-plane excludes
-    Re s = re for this identity, or "" if none does. s must lie inside the
-    validity half-plane Re s > effective_validity ("validity"), and the
-    inner arguments need Re s + k0 >= 3/2 ("inner")."""
-    if not re > spec.effective_validity:
+    Re s = zr/den, den > 0, for this identity, or "" if none does, compared
+    in integers. s must lie inside the validity half-plane
+    Re s > effective_validity ("validity"), and the inner arguments need
+    Re s + k0 >= 3/2 ("inner")."""
+    bound = spec.effective_validity
+    if zr * bound.denominator <= bound.numerator * den:
         return "validity"
-    return "" if re + spec.k0 >= Fraction(3, 2) else "inner"
+    return "" if 2 * (zr + spec.k0 * den) >= 3 * den else "inner"
 
 
 def supports(spec: IdentitySpec, s: Number) -> bool:
     """Whether eval_identity accepts s for this identity (_outside)."""
-    return not _outside(spec, _exact_point(s)[0])
+    zr, _, den = _integer_point(*_exact_point(s))
+    return not _outside(spec, zr, den)
 
 
 def _supporting(specs: Sequence[IdentitySpec], s: Number) -> list[IdentitySpec]:
     """The specs that eval_identity accepts at s, in order; s is read once."""
-    re = _exact_point(s)[0]
-    return [spec for spec in specs if not _outside(spec, re)]
+    zr, _, den = _integer_point(*_exact_point(s))
+    return [spec for spec in specs if not _outside(spec, zr, den)]
 
 
-def _check_point(spec: IdentitySpec, re: Fraction, near_pole: bool, digits: int) -> None:
+def _check_point(spec: IdentitySpec, zr: int, den: int, near_pole: bool, digits: int) -> None:
     """Raise what eval_identity raises when spec cannot be evaluated at an s
-    with real part re, near_pole telling whether |s - 1|^2 <= 10^-digits."""
-    outside = _outside(spec, re)
+    with real part zr/den, near_pole telling whether |s - 1|^2 <= 10^-digits."""
+    outside = _outside(spec, zr, den)
     if outside == "validity":
         raise ValueError(
-            f"s with Re s = {re} is outside the validity "
+            f"s with Re s = {Fraction(zr, den)} is outside the validity "
             f"half-plane Re s > {spec.effective_validity} of the depth-{spec.p} identity"
         )
     if near_pole:
@@ -844,12 +875,11 @@ class _Depth:
     pair of ulps), its error tallies in ulps, the G_k it adds, and, once its
     tail majorant is under the threshold, where it stopped and that
     majorant (tail_bound, in ulps). The series is sum_{k>=k0} r_k/(k+1)! G_k
-    with r_k = sum_i beta_i (k+1) k ... (k+2-i), beta_i = beta[i]/den (as
-    IdentitySpec.euler_maclaurin_coefficients gives them)."""
+    with r_k = sum_{i<length} beta_i (k+1) k ... (k+2-i): its beta_i are the
+    first `length` of the pass's coefficients (_outer_series)."""
 
-    def __init__(self, k0: int, beta: Sequence[int], den: int):
-        self.k0, self.beta, self.den = k0, beta, den
-        self.sizes = [abs(b) for b in beta]
+    def __init__(self, k0: int, length: int):
+        self.k0, self.length = k0, length
         self.total_re = self.total_im = 0
         # (index of k in the pass, num, |num|, rden): rho_k = num/rden
         self.terms = []
@@ -858,29 +888,17 @@ class _Depth:
         self.products = 0  # term products, each floored
         self.terms_used = self.tail_bound = None
 
-    def majorant(self, k: int) -> int:
-        """sum_i |beta_i| (k+1) k ... (k+2-i) times den: at least |r_k| den."""
-        return _falling(self.sizes, k)
-
-
-def _falling(coefficients: Sequence[int], k: int) -> int:
-    """sum_i c_i (k+1) k ... (k+2-i), i factors in term i, by Horner:
-    c_0 + (k + 1) (c_1 + k (c_2 + ...))."""
-    out = 0
-    for i in range(len(coefficients) - 1, -1, -1):
-        out = out * (k + 1 - i) + coefficients[i]
-    return out
-
 
 def _tail_factors(inner: _InnerSums, k: int):
     """(size, growth, below) for k, k + 1, ...: size is the bound of |V_k|
-    from inner, and the a-priori majorant of any depth d's outer tail past
-    k >= k0, sum_{m>=1} |rho_(k+m)| |G_(k+m)|, is
-    growth * d.majorant(k) / (below * d.den * (k+1)!) ulps, for z and N
-    from inner. It rests on three facts:
+    from inner, and the a-priori majorant of the outer tail past k >= k0 of
+    a series with r_k = sum_i beta_i (k+1) k ... (k+2-i), beta_i = B_i/L,
+    sum_{m>=1} |rho_(k+m)| |G_(k+m)|, is growth * U_k / (below L (k+1)!)
+    ulps, U_k = sum_i |B_i| (k+1) k ... (k+2-i), for z and N from inner. It
+    rests on three facts:
 
-    - rho_j = r_j/(j+1)! = sum_i beta_i/(j+1-i)!, the beta_i of _Depth,
-      and (k+1+m-i)! >= (k+1-i)! m!;
+    - rho_j = r_j/(j+1)! = sum_i beta_i/(j+1-i)!, and (k+1+m-i)! >=
+      (k+1-i)! m!;
     - |(c)_(k+m-start)| <= |(c)_(k-start)| (A)_m, A = |z + k|;
     - zeta(sigma+k+m, N) <= N^-m N^-(sigma+k) (1 + N/(sigma+k-1)),
       sigma = Re z, with sigma + k - 1 >= 1/2 by _outside (sum_zeta_m1:
@@ -891,8 +909,10 @@ def _tail_factors(inner: _InnerSums, k: int):
     (1 - 1/N)^-A - 1 <= e^y - 1 <= y e^y <= y 2^ceil(3y/2), y = A/(N-1).
     Everything is an integer: with z = (zr + i zi) / den,
     a = _modulus_up(den (z + k)) > den A and g = den (sigma + k - 1), and
-    d.majorant(k) / (d.den (k+1)!) = sum_i |beta_i|/(k+1-i)!. The majorant
-    is exactly 0 where V_k is, and so is every later term.
+    U_k / (L (k+1)!) = sum_i |beta_i|/(k+1-i)!. The majorant is exactly 0
+    where V_k is, and so is every later term. U_k only grows with the
+    number of coefficients, so of two series whose coefficients are
+    prefixes of one list, the longer one's majorant is the larger.
 
     size and a are read off the lists inner.size fills, stepped on eight
     indices at a time."""
@@ -907,6 +927,13 @@ def _tail_factors(inner: _InnerSums, k: int):
         yield size, (size * (g + lift) * a) << _ceil_div(3 * a, span), g * below
         k += 1
         g += den
+
+
+def _tail_bound(bound: int, scale: int, threshold: int) -> Optional[int]:
+    """The tail majorant bound / scale in ulps, rounded up, if it is under
+    threshold ulps, else None. Compared by a product, not divided, since at
+    large Re s both run to tens of thousands of bits."""
+    return _ceil_div(bound, scale) if bound < threshold * scale else None
 
 
 def eval_identity(spec: IdentitySpec, s: Number, digits: int = 40) -> EvalReport:
@@ -950,22 +977,26 @@ def eval_identities(
     if not specs:
         raise ValueError("eval_identities needs at least one identity")
     re, im = _exact_point(s)
-    near_pole = (re - 1) ** 2 + im**2 <= Fraction(1, 10**digits)
+    point = zr, zi, den = _integer_point(re, im)
+    # |s - 1|^2 <= 10^-digits, in integers
+    near_pole = ((zr - den) ** 2 + zi * zi) * 10**digits <= den * den
     for spec in specs:
-        _check_point(spec, re, near_pole, digits)
+        _check_point(spec, zr, den, near_pole, digits)
     m = _split_point(digits, (re, im)) - 1
-    point = _integer_point(re, im)
     # each spec is proved the identity of its k0, or raises, before any
     # work; twins, equal in k0, are then one identity, and one head and one
-    # share of the pass serve them all. Each head is exactly 1, with weight
-    # 1 on sum_{n=2..m-1} n^-s and W_m on m^-s
-    owners, distinct, heads = [], {}, []
+    # share of the pass serve them all, in ascending k0. Each head is
+    # exactly 1, with weight 1 on sum_{n=2..m-1} n^-s and W_m on m^-s. The
+    # beta_i = -b_i/i! do not depend on k0, so each series' coefficients are
+    # the first k0 of the deepest one's
+    firsts = {}
     for spec in specs:
-        series = spec.k0, *spec.euler_maclaurin_coefficients
-        if spec.k0 not in distinct:
-            distinct[spec.k0] = len(heads)
-            heads.append((series, (1, 0, 1), [(1, 0, 1), _last_weight(spec, point, m)]))
-        owners.append(distinct[spec.k0])
+        spec.euler_maclaurin_coefficients  # the proof: raises for a false spec
+        firsts.setdefault(spec.k0, spec)
+    k0s = sorted(firsts)
+    owners = [k0s.index(spec.k0) for spec in specs]
+    heads = [(k0, k0, (1, 0, 1), [(1, 0, 1), _last_weight(firsts[k0], point, m)]) for k0 in k0s]
+    coefficients = firsts[k0s[-1]].euler_maclaurin_coefficients
     head_ulps = [_ENTRY_ULPS * (m - 2), _ENTRY_ULPS]
 
     def values(inner):
@@ -973,7 +1004,7 @@ def eval_identities(
         return [(sum(x for x, _ in middle), sum(y for _, y in middle)), last]
 
     ps = [spec.p for spec in specs]
-    return _outer_series(ps, owners, (re, im), 0, heads, head_ulps, values, digits)
+    return _outer_series(ps, owners, (re, im), 0, coefficients, heads, head_ulps, values, digits)
 
 
 def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
@@ -993,7 +1024,7 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
     ValueError for a spec that is no identity, as eval_identity does.
     """
     _check_digits(digits)
-    if _outside(spec, Fraction(0)):
+    if _outside(spec, 0, 1):
         raise ValueError(f"depth-{spec.p} identity is not valid at s = 0; use p >= 2")
     zero = Fraction(0)
     m = _split_point(digits, (zero, zero)) - 1
@@ -1003,33 +1034,38 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
     head = b0 * m ** (top + 1)
     head -= sum(h * factorial(j - 1) * m ** (top - j) for j, h in enumerate(H) if j)
     weights = [(H[0] - b0 * m, 0, L), (-1, 0, 1)]  # of log m and log((m-1)!)
-    heads = [((spec.k0, *spec.euler_maclaurin_coefficients), (head, 0, L * m**top), weights)]
-    return _outer_series([spec.p], [0], (zero, zero), 1, heads, [2, 2], _InnerSums.logs, digits)[0]
+    heads = [(spec.k0, spec.k0, (head, 0, L * m**top), weights)]
+    coefficients = spec.euler_maclaurin_coefficients
+    return _outer_series([spec.p], [0], (zero, zero), 1, coefficients, heads, [2, 2], _InnerSums.logs, digits)[0]
 
 
 def _outer_series(
-    ps, owners, point, start, heads, head_ulps, values, digits: int
+    ps, owners, point, start, coefficients, heads, head_ulps, values, digits: int
 ) -> list[EvalReport]:
     """head + sum_i w_i x_i + sum_{k >= k0} rho_k G_k for each distinct
     series, in one pass over k from the least k0, for the exact s = point,
     rho_k = r_k/(k+1)! and G_k = (s + start)_(k - start) zeta(s + k, N)
-    (_InnerSums), N = _split_point(digits, point), k0 > start. heads holds one
-    (series, exact head, weights w_i) per distinct series: series is
-    (k0, beta, den) as _Depth takes them, head and
-    weights integer triples (re, im, den). Report i takes the result of
-    heads[owners[i]], with p_used = ps[i]. values(inner) gives the x_i in
+    (_InnerSums), N = _split_point(digits, point), k0 > start.
+    coefficients is (B, L), beta_i = B_i/L, and every series is a prefix of
+    it: heads holds one (k0, length, exact head, weights w_i) per distinct
+    series, in ascending k0 and length, with r_k = sum_{i<length} beta_i
+    (k+1) k ... (k+2-i); head and weights are integer triples
+    (re, im, den). Report i takes the result of heads[owners[i]], with
+    p_used = ps[i]. values(inner) gives the x_i in
     ulps of the pass's _InnerSums, x_i within u_i = head_ulps[i] ulps, and
     the tally adds u_i |w_i|, rounded up: |w_i| exactly for a real weight,
     else bounded by _modulus_up.
-    eval_identities passes start 0, so rho_k G_k is
+    eval_identities passes start 0 and the Euler-Maclaurin coefficients of
+    its deepest series, of which each shallower one's (B, L) is the first
+    k0 scaled by a divisor of L, so rho_k G_k is
     r_k (s)_k/(k+1)! zeta(s + k, N), the head 1 and the weights 1 of the
     partial sum sum_{n=2..m-1} n^-s and W_m of m^-s; zeta_prime_at_zero
     passes s = 0 and start 1, so rho_k G_k is r_k/(k(k+1)) zeta(k, N), the
     s-derivative at 0 of the same term, and the weights of log m and
     log((m-1)!);
     sum_zeta_m1 passes s = 0, start 1 and r_k = k(k+1), the falling
-    product of beta_2 = 1 alone, so rho_k G_k is zeta(k, N), with no
-    weights.
+    product of beta_2 = 1 alone from k0 = 2, so rho_k G_k is zeta(k, N),
+    with no weights.
 
     P is set once (_scale_bits), from the largest head weight times the
     ulps of the value it multiplies. The series adds nothing to it: each
@@ -1041,54 +1077,84 @@ def _outer_series(
     the a-priori majorant of its tail past k (_tail_factors) is under the
     threshold, at once where V_k, and so every later term, is exactly 0.
     It covers zeta_prime_at_zero and sum_zeta_m1 as well: there z = 0,
-    start = 1, A = k and V_k = (k-1)! N^-k. Then one band of orders for
+    start = 1, A = k and V_k = (k-1)! N^-k. At each k every running
+    series has rho_k = num/rden over the one rden = L (k+1)!, and one
+    running sum over i, as far as the longest running series reads, gives
+    each one's num = L r_k and its majorant's U_k (_tail_factors) as
+    prefix sums. The majorants are nested, a longer prefix's the larger,
+    so the series that stop at k are a prefix of those running, in k0
+    order: the walk tests the shallowest running series and moves on
+    while it passes, one failed test per k at most. Then one band of orders for
     every G_k, decided once: J is one _InnerSums.order call, the least
     order that meets share = max(threshold // _INNER_SAFETY, 1) at k*, the
     k with the largest bound |rho_k| size(k) of |rho_k V_k|, relative to
-    its rho_k*, or the order where that remainder stops falling. G_k takes
+    its rho_k*, or the order where that remainder stops falling; at each k
+    it is one comparison, of the largest |num|. G_k takes
     M_k = min(J, (T - k + 1) // 2) terms, T = max(k* + 2J - 1, K + 1) and K
     the last k, so no G_k reads V past V_T. The band is swept once: one
     remainders call gives each depth's inner truncation sum_k |rho_k| R_k,
     R_k the bound of M_k rounded up per term, and one sums call the G_k.
     Every running depth adds rho_k G_k at each of its k, G_k shared; G_k is
-    exactly 0 where V_k is, and is skipped there. If the error bound of any
+    exactly 0 where V_k is, and is skipped there, and so is every
+    imaginary part that is exactly 0. If the error bound of any
     depth, in ulps, exceeds 2^P 10^-digits, PrecisionError raises with
     every report, each bound still holding."""
-    weighted = [_log2_up(*w) + u.bit_length() for _, _, ws in heads for w, u in zip(ws, head_ulps)]
+    weighted = [_log2_up(*w) + u.bit_length() for _, _, _, ws in heads for w, u in zip(ws, head_ulps)]
     bits = _scale_bits(digits, max(weighted, default=0))
-    depths = [_Depth(*series) for series, _, _ in heads]
-    k = min(d.k0 for d in depths)
+    depths = [_Depth(k0, length) for k0, length, _, _ in heads]
+    k = depths[0].k0
     threshold = (1 << bits) // 10 ** (digits + 5)
     inner = _InnerSums(point, digits, bits, start)
     head_values = values(inner)
-    for d, (_, _, weights) in zip(depths, heads):
+    for d, (_, _, _, weights) in zip(depths, heads):
         for (xr, xi), ulps, (wr, wi, wd) in zip(head_values, head_ulps, weights):
             d.total_re += (wr * xr - wi * xi) // wd
             d.total_im += (wr * xi + wi * xr) // wd
             d.rounding += _ceil_div(ulps * (_modulus_up(wr, wi) if wi else abs(wr)), wd)
             d.products += 1
+    B, L = coefficients
+    sizes = [abs(b) for b in B]
     top = factorial(k + 1)  # (k+1)!, exact at every k
-    running = list(depths)
+    # depths[lo:hi] run at k: those below lo have stopped, those from hi on
+    # start past k
+    lo = hi = 0
     # each k whose G_k some depth adds, and the k of the largest bound
     # |num| size(k) / rden of |rho_k V_k|, with that bound
     ks, peak, star = [], (0, 1), None
     factors = _tail_factors(inner, k)
-    while running:
+    while lo < len(depths):
         size, growth, below = next(factors)
-        for d in [d for d in running if d.k0 <= k]:
-            num, rden = _falling(d.beta, k), d.den * top  # rho_k = r_k/(k+1)! = num/rden
-            if size and num:
-                if not ks or ks[-1] != k:
-                    ks.append(k)
-                d.terms.append((len(ks) - 1, num, abs(num), rden))
-                if abs(num) * size * peak[1] > peak[0] * rden:
-                    peak, star = (abs(num) * size, rden), (k, abs(num), rden)
-            # the majorant is bound / scale ulps: compared by a product, not
-            # divided, since at large Re s both run to tens of thousands of bits
-            bound, scale = growth * d.majorant(k), below * rden
-            if bound < threshold * scale:
-                d.terms_used, d.tail_bound = k, _ceil_div(bound, scale)
-                running.remove(d)
+        while hi < len(depths) and depths[hi].k0 <= k:
+            hi += 1
+        running, rden = depths[lo:hi], L * top
+        # (k+1) k ... (k+2-i) for each i the longest running depth reads,
+        # and the prefix sums of B_i times them: num = L r_k of a depth of
+        # length l is the (l-1)-th
+        longest = running[-1].length if running else 1
+        falling = list(accumulate(range(k + 1, k + 2 - longest, -1), mul, initial=1))
+        prefix = list(accumulate(map(mul, B, falling)))
+        # each running depth adds its term, unless V_k or r_k is exactly 0,
+        # and k* needs only the largest |num|
+        largest, index = 0, len(ks)
+        for d in running if size else ():
+            num = prefix[d.length - 1]
+            if num:
+                d.terms.append((index, num, abs(num), rden))
+                largest = max(largest, abs(num))
+        if largest:
+            ks.append(k)
+            if largest * size * peak[1] > peak[0] * rden:
+                peak, star = (largest * size, rden), (k, largest, rden)
+        # U_k, the prefix sums of |B_i| falling_i, only grows with the
+        # length, so the depths that stop at k are the first of running:
+        # test the shallowest and move on only while it passes
+        majorants = list(accumulate(map(mul, sizes, falling)))
+        for d in running:
+            tail = _tail_bound(growth * majorants[d.length - 1], below * rden, threshold)
+            if tail is None:
+                break
+            d.terms_used, d.tail_bound = k, tail
+            lo += 1
         k += 1
         top *= k + 1
     order = 0
@@ -1105,7 +1171,8 @@ def _outer_series(
             for i, num, size, rden in d.terms:
                 (vr, vi), err = sums[i]
                 total_re += vr * num // rden
-                total_im += vi * num // rden
+                if vi:
+                    total_im += vi * num // rden
                 rounding -= -size * err // rden
                 truncation -= -size * remainders[i] // rden
             d.total_re += total_re
@@ -1114,7 +1181,7 @@ def _outer_series(
             d.inner_err = truncation
             d.products += len(d.terms)
     results = []
-    for d, (_, (hr, hi, hd), _) in zip(depths, heads):
+    for d, (_, _, (hr, hi, hd), _) in zip(depths, heads):
         # the head's two floors and each product's two: 2 ulps each
         error = d.tail_bound + d.inner_err + d.rounding + 2 * (d.products + 1)
         value = _mp_value(d.total_re + (hr << bits) // hd, d.total_im + (hi << bits) // hd, bits)
@@ -1153,7 +1220,7 @@ def sum_zeta_m1(digits: int = 40) -> EvalReport:
     _check_digits(digits)
     zero = Fraction(0)
     n = _split_point(digits, (zero, zero))
-    # r_k = (k+1) k: beta_2 = 1, one falling product of two factors
-    series = (2, (0, 0, 1), 1)
-    heads = [(series, (n - 2, 0, n - 1), [])]
-    return _outer_series([0], [0], (zero, zero), 1, heads, [], lambda inner: [], digits)[0]
+    # r_k = (k+1) k from k0 = 2: beta_2 = 1, one falling product of two
+    # factors, so the series reads three coefficients
+    heads = [(2, 3, (n - 2, 0, n - 1), [])]
+    return _outer_series([0], [0], (zero, zero), 1, ((0, 0, 1), 1), heads, [], lambda inner: [], digits)[0]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import re as _re
 import subprocess
@@ -6,11 +7,11 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, inf, isqrt, nextafter, perm
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import MPContext, ctx_mp_python, mp
 from mpmath.libmp import libelefun
@@ -22,8 +23,8 @@ from zetaident.evalzeta import (
     EvalReport,
     PoleError,
     PrecisionError,
-    _Depth,
     _InnerSums,
+    _float_up,
     _integer_point,
     _last_weight,
     _modulus_up,
@@ -589,9 +590,9 @@ def _count_depths(monkeypatch, specs):
     built = []
     depth = evalzeta._Depth
 
-    def counting(k0, beta, den):
+    def counting(k0, length):
         built.append(next(s.p for s in specs if s.k0 == k0))
-        return depth(k0, beta, den)
+        return depth(k0, length)
 
     monkeypatch.setattr(evalzeta, "_Depth", counting)
     return built
@@ -821,6 +822,12 @@ def test_head_weights_are_tallied(specs64, monkeypatch, s):
             assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
 
 
+def _majorant(B, k):
+    """sum_i |B_i| (k+1) k ... (k+2-i): L times the sum_i |beta_i| (k+1)!/(k+1-i)!
+    of _tail_factors, term by term."""
+    return sum(abs(b) * perm(k + 1, i) for i, b in enumerate(B))
+
+
 @pytest.mark.parametrize("base_bits", [5, 6, 7])  # N at 15..22, 23..54 and 55..118 digits
 @pytest.mark.parametrize("p, s", [(1, (F(50), F(1000))), (1, F(300)), (5, (F(1, 2), F(100)))])
 def test_tail_proof_holds_where_it_claims(specs64, monkeypatch, p, s, base_bits):
@@ -837,7 +844,7 @@ def test_tail_proof_holds_where_it_claims(specs64, monkeypatch, p, s, base_bits)
     inner = _InnerSums((re, im), {5: 20, 6: 40, 7: 100}[base_bits], bits, 0)
     n = inner.n
     assert n == 1 << base_bits
-    depth = _Depth(spec.k0, *spec.euler_maclaurin_coefficients)
+    B, L = spec.euler_maclaurin_coefficients
     with mp.workdps(30):
         z, sigma = _mp_point(s), _mp_point(re)
         terms, a = [], mp.mpf(1)
@@ -852,7 +859,7 @@ def test_tail_proof_holds_where_it_claims(specs64, monkeypatch, p, s, base_bits)
         factors = evalzeta._tail_factors(inner, spec.k0)
         for k, (size, growth, below) in zip(range(spec.k0, 200), factors):
             assert size == inner.size(k), k
-            majorant = -(-growth * depth.majorant(k) // (below * depth.den * factorial(k + 1)))
+            majorant = -(-growth * _majorant(B, k) // (below * L * factorial(k + 1)))
             assert tails[k] * 2**bits <= majorant, k
 
 
@@ -952,6 +959,119 @@ def test_each_pass_sweeps_its_band_once(specs64, monkeypatch):
         assert len(log) == 3 and log[0] == "order", log
         (first, band), (second, swept) = log[1:]
         assert (first, second) == ("remainders", "sums") and swept == band and len(band) > 1
+
+
+def _record_inner(monkeypatch):
+    """The _InnerSums of every pass from here on, in order, read off the
+    first call of _tail_factors in each."""
+    passes = []
+    factors = evalzeta._tail_factors
+
+    def recording(inner, k):
+        if not passes or passes[-1] is not inner:
+            passes.append(inner)
+        return factors(inner, k)
+
+    monkeypatch.setattr(evalzeta, "_tail_factors", recording)
+    return passes
+
+
+def _stop_walk_batches(specs64):
+    """(batch, s, digits): depths 2..12 at every ORACLE_GRID point, 31..34
+    at -30.5 and 1..12 at 2.5 + 20i."""
+    at_zero = [specs64[p] for p in range(2, 13)]
+    for point in ORACLE_GRID:
+        s = (Fraction(point.real), Fraction(point.imag))
+        yield [spec for spec in at_zero if supports(spec, s)], s, 40
+    yield [derive_identity(p, p + 2) for p in range(31, 35)], F(-61, 2), 40
+    yield list(specs64.values()), (F(5, 2), F(20)), 40
+
+
+def test_each_depth_stops_at_its_own_first_passing_k(specs64, monkeypatch):
+    # the pass tests only the shallowest running depth at each k, since the
+    # majorants are nested; each depth must still stop at the first k >= k0
+    # where its own majorant is under the threshold, found here depth by
+    # depth from _tail_factors
+    passes = _record_inner(monkeypatch)
+    for batch, s, digits in _stop_walk_batches(specs64):
+        reports = eval_identities(batch, s, digits)
+        inner = passes[-1]
+        threshold = (1 << inner.bits) // 10 ** (digits + 5)
+        for spec, report in zip(batch, reports):
+            B, L = spec.euler_maclaurin_coefficients
+            for k, (_, growth, below) in enumerate(evalzeta._tail_factors(inner, spec.k0), spec.k0):
+                if growth * _majorant(B, k) < threshold * below * L * factorial(k + 1):
+                    break
+            assert report.terms_used == k, (s, spec.p)
+
+
+def test_each_pass_makes_one_failed_tail_test_per_k(specs64, monkeypatch):
+    # a pass tests the majorant of the shallowest running series at each k
+    # and moves on only while it passes, so it makes at most one test per k
+    # plus one per distinct series
+    tests = []
+    tail_bound = evalzeta._tail_bound
+
+    def counting(bound, scale, threshold):
+        tests.append(bound)
+        return tail_bound(bound, scale, threshold)
+
+    monkeypatch.setattr(evalzeta, "_tail_bound", counting)
+    # (the k0 of each series, the call)
+    cases = [
+        ([spec.k0 for spec in batch], lambda b=batch, s=s, d=digits: eval_identities(b, s, d))
+        for batch, s, digits in _stop_walk_batches(specs64)
+    ]
+    cases.append(([specs64[2].k0], lambda: [zeta_prime_at_zero(specs64[2], 40)]))
+    cases.append(([2], lambda: [sum_zeta_m1(40)]))
+    for k0s, call in cases:
+        tests.clear()
+        reports = call()
+        ks = max(r.terms_used for r in reports) - min(k0s) + 1
+        distinct = len(set(k0s))
+        assert distinct <= len(tests) <= ks + distinct, (k0s, len(tests), ks)
+
+
+def test_evaluator_output_is_pinned(specs64):
+    # every report's exact value and schedule over a spread of batches and
+    # callers: the digest moves with any bit of any value or estimate
+    start = time.process_time()
+    at_zero = [specs64[p] for p in range(2, 13)]
+    reports = []
+    for digits in (15, 40, 100):
+        for point in ORACLE_GRID:
+            s = (Fraction(point.real), Fraction(point.imag))
+            reports += eval_identities([spec for spec in at_zero if supports(spec, s)], s, digits)
+    s = -2
+    while batch := [spec for spec in at_zero if supports(spec, s)]:
+        reports += eval_identities(batch, s, 40)
+        s -= 2
+    deep = derive_identity(32, 34)
+    reports += [zeta_prime_at_zero(spec, 40) for spec in (specs64[2], specs64[3], deep)]
+    reports += [sum_zeta_m1(digits) for digits in (15, 40, 300)]
+    points = [
+        (specs64[1], F(2)),
+        (specs64[1], F(33, 4)),
+        (specs64[1], F(30)),
+        (specs64[6], F(-7, 2)),
+        (specs64[12], F(-19, 2)),
+        (deep, F(-61, 2)),
+        (specs64[1], (F(1, 2), F(14134725, 10**6))),
+        (specs64[1], (F(9, 2), F(38))),
+        (specs64[1], (F(5, 2), F(20))),
+        (specs64[2], (F(1, 4), F(30))),
+        (specs64[4], (F(-3, 2), F(20))),
+        (specs64[8], (F(-13, 2), F(3))),
+    ]
+    for digits in (40, 100):
+        reports += [eval_identity(spec, s, digits) for spec, s in points]
+    text = "\n".join(
+        repr((_raw(r.value), r.p_used, r.error_estimate.hex(), r.terms_used, r.correction_order, r.last_em_k, r.split_point))
+        for r in reports
+    )
+    assert len(reports) == 723
+    assert hashlib.sha256(text.encode()).hexdigest() == "a28c795c35221e07d1c8ffd343fd755c051d70e720836e8f6790c4e4e6efe7b6"
+    assert time.process_time() - start < 3
 
 
 def test_shifted_split_shrinks_the_outer_series(specs64):
@@ -1141,6 +1261,15 @@ def test_evaluation_fills_no_cos_sin_table_cell(specs64, monkeypatch):
     assert cache
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 25, 32, 64, 1000, 1 << 10])
+def test_least_factors_is_a_sieve_of_least_prime_factors(n):
+    # each entry against trial division: the least d >= 2 dividing i
+    least = evalzeta._least_factors(n)
+    assert least[:2] == [0, 1] and len(least) == n + 1
+    for i in range(2, n + 1):
+        assert least[i] == next(d for d in range(2, i + 1) if i % d == 0), i
+
+
 @pytest.mark.parametrize("digits", [15, 40, 100, 300])
 def test_head_entries_are_exact_at_zero(digits):
     # at z = 0 every power n^-z is exactly 1, so each entry n^-shift is the
@@ -1266,6 +1395,44 @@ _BIG = st.integers(min_value=-(2**2000), max_value=2**2000)
 def test_modulus_up_is_a_tight_upper_bound(a, b):
     root = isqrt(a * a + b * b)
     assert root < _modulus_up(a, b) <= (9 * root) // 8 + 2
+
+
+def _float_up_by_fraction(ulps, bits):
+    """The least float >= ulps 2^-bits, through Fraction and nextafter."""
+    exact = Fraction(ulps, 1 << bits)
+    if exact > Fraction(sys.float_info.max):
+        return inf
+    x = float(exact)
+    return x if x >= exact else nextafter(x, inf)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=0, max_value=2**54),
+    # the bottom of the subnormals (-1074), the normal range (-1022) and
+    # the top of the floats (1024), with a margin either side
+    st.sampled_from([None, -1130, -1075, -1074, -1023, -1022, 970, 971, 972, 1023, 1024]),
+    st.integers(min_value=-3, max_value=3),
+)
+@example(bits=10, mantissa=2**53 - 1, edge=971, offset=0)  # the largest float
+@example(bits=10, mantissa=2**53 - 1, edge=971, offset=1)  # past it: inf
+@example(bits=3000, mantissa=1, edge=-1200, offset=0)  # below 2^-1074: the least subnormal
+@example(bits=5, mantissa=0, edge=None, offset=0)
+def test_float_up_is_the_least_float_above(bits, mantissa, edge, offset):
+    # ulps = mantissa 2^(edge + bits) + offset, near the edges of the float
+    # range and of its subnormals; without an edge, mantissa itself
+    if edge is None:
+        ulps = mantissa
+    else:
+        shift = edge + bits
+        ulps = max(0, (mantissa << shift if shift >= 0 else mantissa >> -shift) + offset)
+    assert _float_up(ulps, bits) == _float_up_by_fraction(ulps, bits)
+
+
+def test_an_estimate_below_the_subnormals_is_the_least_float(specs64):
+    # at 400 digits the bound is about 10^-405, below every float but 0
+    assert eval_identity(specs64[1], 2, 400).error_estimate == 5e-324
 
 
 # ---- eval_identity: errors ----
