@@ -32,11 +32,12 @@ from .derive import (
 from .evalzeta import (
     EvalReport,
     _check_digits,
+    _eval_point,
+    _exact_point,
+    _supporting,
     eval_identities,
     eval_identity,
     parse_complex_literal,
-    _supporting,
-    supports,
     sum_zeta_m1,
     zeta_em_reference,
     zeta_prime_at_zero,
@@ -116,11 +117,6 @@ def _tolerance(digits: int):
     return mp.mpf(10) ** (-(digits - 5))
 
 
-def _point_arg(s: tuple[Fraction, Fraction]):
-    re_part, im_part = s
-    return re_part if im_part == 0 else (re_part, im_part)
-
-
 def _p_values(text: Optional[str]) -> Optional[list[int]]:
     """The depths an optional --p names, or None without one."""
     return parse_p_range(text) if text else None
@@ -134,15 +130,12 @@ def _derive_many(p_values: Sequence[int]) -> dict[int, IdentitySpec]:
 
 def _choose_depth(specs: dict[int, IdentitySpec], s) -> Optional[IdentitySpec]:
     """Smallest usable depth, preferring the even twin (same identity,
-    nominal instead of extended validity)."""
-    for p in sorted(specs):
-        spec = specs[p]
-        if supports(spec, s):
-            twin = specs.get(p + 1)
-            if p % 2 == 1 and p >= 3 and twin is not None and supports(twin, s):
-                return twin
-            return spec
-    return None
+    nominal instead of extended validity); s is read once."""
+    usable = {spec.p: spec for spec in _supporting(specs.values(), _exact_point(s))}
+    if not usable:
+        return None
+    p = min(usable)
+    return usable.get(p + 1, usable[p]) if p % 2 == 1 and p >= 3 else usable[p]
 
 
 def _depth_for(
@@ -237,12 +230,12 @@ def _off_target(p: int, name: str, report: EvalReport, target, digits: int):
     return diff, [f"p={p}: {name} off by {mp.nstr(diff, 3)} (error estimate {estimate})"]
 
 
-def _exact_value(specs: list[IdentitySpec], s: int, target, digits: int, magnitude=False):
-    """Each depth's zeta(s), in one batch, against an exact target
-    (_off_target): a line per depth with Re zeta(s) to digits, or |zeta(s)|
-    to 4 if magnitude; the misses; and the largest difference."""
+def _exact_value(specs: list[IdentitySpec], reports, s: int, target, digits: int, magnitude=False):
+    """Each depth's zeta(s), its report from one batch, against an exact
+    target (_off_target): a line per depth with Re zeta(s) to digits, or
+    |zeta(s)| to 4 if magnitude; the misses; and the largest difference."""
     lines, misses, worst = [], [], mp.mpf(0)
-    for spec, report in zip(specs, eval_identities(specs, s, digits)):
+    for spec, report in zip(specs, reports):
         if magnitude:
             lines.append(f"p={spec.p}: |zeta({s})| = {float(abs(report.value)):.3e}")
         else:
@@ -254,13 +247,14 @@ def _exact_value(specs: list[IdentitySpec], s: int, target, digits: int, magnitu
 
 
 def _check_zeta0(specs: list[IdentitySpec], digits: int) -> _Result:
-    lines, misses, _ = _exact_value(specs, 0, -mp.mpf(1) / 2, digits)
+    reports = eval_identities(specs, 0, digits)
+    lines, misses, _ = _exact_value(specs, reports, 0, -mp.mpf(1) / 2, digits)
     return _verdict(misses, f"zeta(0) = -1/2 for p = {specs[0].p}..{specs[-1].p}", lines)
 
 
 def _check_zeta2(specs: list[IdentitySpec], digits: int) -> _Result:
     target = mp.pi**2 / 6
-    lines, misses, worst = _exact_value(specs, 2, target, digits)
+    lines, misses, worst = _exact_value(specs, eval_identities(specs, 2, digits), 2, target, digits)
     lines += [f"pi^2/6     = {mp.nstr(target, digits)}", f"difference = {mp.nstr(worst, 3)}"]
     depths = ", ".join(str(spec.p) for spec in specs)
     return _verdict(misses, f"zeta(2) = pi^2/6 through the depth-{depths} series", lines)
@@ -268,10 +262,12 @@ def _check_zeta2(specs: list[IdentitySpec], digits: int) -> _Result:
 
 def _check_trivial_zeros(specs: list[IdentitySpec], digits: int) -> _Result:
     """zeta(s) = 0 at s = -2, -4, ...: one batch per zero, of the depths
-    that support it, each value held to _off_target. Lines by depth."""
+    that support it, each value held to _off_target; each zero is read
+    once. Lines by depth."""
     found, misses, worst, s = {spec.p: [] for spec in specs}, [], mp.mpf(0), -2
-    while batch := _supporting(specs, s):
-        values, miss, diff = _exact_value(batch, s, 0, digits, magnitude=True)
+    while batch := _supporting(specs, point := _exact_point(s)):
+        reports = _eval_point(batch, point, digits)
+        values, miss, diff = _exact_value(batch, reports, s, 0, digits, magnitude=True)
         for spec, line in zip(batch, values):
             found[spec.p].append(line)
         misses += miss
@@ -316,15 +312,15 @@ def _check_sum_identity(specs: list[IdentitySpec], digits: int) -> _Result:
 
 def _check_oracle(specs: list[IdentitySpec], digits: int) -> _Result:
     misses, diffs, tolerance = [], [], _tolerance(digits)
-    for point in ORACLE_GRID:
-        arg = _point_arg((Fraction(point.real), Fraction(point.imag)))
-        reference = zeta_em_reference(arg, digits)
-        batch = _supporting(specs, arg)
-        for spec, report in zip(batch, eval_identities(batch, arg, digits)):
+    for s in ORACLE_GRID:
+        reference = zeta_em_reference(s, digits)
+        point = _exact_point(s)
+        batch = _supporting(specs, point)
+        for spec, report in zip(batch, _eval_point(batch, point, digits)):
             diffs.append(abs(report.value - reference))
             if not diffs[-1] < tolerance:
                 misses.append(
-                    f"s={point}, p={spec.p}: identity and direct summation "
+                    f"s={s}, p={spec.p}: identity and direct summation "
                     f"differ by {mp.nstr(diffs[-1], 3)}"
                 )
     worst = mp.nstr(max(diffs, default=mp.zero), 3)
@@ -406,14 +402,13 @@ def cmd_special(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     p_values, s = _p_values(args.p), parse_complex_literal(args.s)
-    arg = _point_arg(s)
-    spec = _depth_for("eval", p_values)(arg)
+    spec = _depth_for("eval", p_values)(s)
     if spec is None:
         raise ValueError(
             f"no identity with p <= {MAX_REFERENCE_DEPTH} covers "
             f"Re s = {float(s[0])}"
         )
-    report = eval_identity(spec, arg, args.digits)
+    report = eval_identity(spec, s, args.digits)
     with mp.workdps(args.digits + 10):
         if mp.im(report.value) == 0:
             print(f"zeta(s) = {mp.nstr(mp.re(report.value), args.digits)}")
@@ -460,12 +455,11 @@ def cmd_table(args: argparse.Namespace) -> int:
     rows = []
     with mp.workdps(digits + 10):
         for s in points:
-            arg = _point_arg(s)
             try:
-                spec = depth_for(arg)
+                spec = depth_for(s)
                 if spec is None:
                     raise ValueError("no identity covers it")
-                report = eval_identity(spec, arg, digits)
+                report = eval_identity(spec, s, digits)
             except ValueError as exc:
                 # "a+bi" or "a-bi", as parse_complex_literal reads it
                 sign = "-" if s[1] < 0 else "+"

@@ -19,9 +19,11 @@ W_m(s) = pole m/(s-1) - sum_{j<k0} h_j (s)_j m^-j, h_j = beta_(j+1) -
 [j = 0], is an exact complex rational (_last_weight). r_k, k0
 and the validity half-plane do not depend on m.
 
-N = m + 1 = _split_point(digits, s), decided once per call before any
-work, is the one cutoff of every inner sum of every caller: each is the
-Hurwitz sum zeta(s + k, N), an Euler-Maclaurin sum at N with no direct
+s is read once per call, by _exact_point, as integers: s = (zr + i zi)/den
+with den > 0, and everything downstream takes that triple. N = m + 1 =
+_split_point(digits, zi, den), decided once per call before any work and
+passed down, is the one cutoff of every inner sum of every caller: each is
+the Hurwitz sum zeta(s + k, N), an Euler-Maclaurin sum at N with no direct
 terms. N is the least power of two >= 10 + digits (32 up to 22 digits, 64
 at 40, 128 at 100, 512 at 300) with |Im s| <= 333/106 N, 333/106 just
 below pi. Then |Im w|/(2 pi N) <= 1/2 at every w = s + k, so each further
@@ -115,12 +117,15 @@ from rigorous a-priori bounds: with the beta_i of r_k and A = |s + k|,
 and the last factor is at most y 2^ceil(3y/2), y = A/(N - 1). The bound is
 the proof: no term past k is looked at. At large |s| the factor 2^(3y/2)
 holds the series on until 1/(k+1)! outgrows it (k = 90 at s = 10^4,
-N = 32), and no longer. The majorants of a batch are nested: at every k
-the sum over i of a deeper depth has more terms, none negative, so the
-depths whose test passes at k are a prefix of the running ones in k0
-order. The pass tests only the shallowest running depth, and moves on to
-the next while it passes: at most one failed test per k, one passed test
-per depth, and each depth still stops at its own first passing k.
+N = 32), and no longer. So a call whose ceil(3y/2) at the least k0 is
+past 2^16 bits (Re s beyond about 2^17 (N - 1)/3: 1.35 10^6 at 20
+digits, 2.75 10^6 at 40) raises ValueError before any power is
+computed. The majorants of a batch are nested: at every k the sum over i
+of a deeper depth has more terms, none negative, so the depths whose test
+passes at k are a prefix of the running ones in k0 order. The pass
+tests only the shallowest running depth, and moves on to the next while
+it passes: at most one failed test per k, one passed test per depth, and
+each depth still stops at its own first passing k.
 
 Once every depth's last k is known, one band of Euler-Maclaurin orders
 serves the whole pass, after Johansson, who fixes the order from the
@@ -144,7 +149,7 @@ import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from fractions import Fraction
-from math import ceil, factorial, inf, isfinite, isqrt, lcm, ldexp
+from math import factorial, inf, isfinite, isqrt, lcm, ldexp
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -169,8 +174,14 @@ _INNER_SAFETY = 16
 _ENTRY_ULPS = 3
 # log2 of the largest inner cutoff N (_split_point): |Im s| up to about 2 10^5.
 _SPLIT_BITS = 16
+# log2 of the largest shift of the tail majorant at the least k0
+# (_tail_shift): Re s up to about 2^17 (N - 1)/3, 1.35 10^6 at 20 digits.
+# At the limit a call takes about 0.15 s and 47 MB; at 2^17, 0.37 s and 119 MB.
+_TAIL_BITS = 16
 
 Number = Union[int, float, complex, Fraction, str]
+# s = (zr + i zi) / den as the integers (zr, zi, den), den > 0: _exact_point
+Point = tuple[int, int, int]
 
 
 class PoleError(ValueError):
@@ -212,7 +223,8 @@ class EvalReport:
     10^-digits raises PrecisionError, whose reports are these.
 
     The last three fields record the inner schedule of the pass.
-    split_point is N = _split_point(digits, s), m + 1 of the shifted split:
+    split_point is N = _split_point(digits, zi, den), m + 1 of the shifted
+    split, decided once per call for s = (zr + i zi)/den:
     the least power of two >= 10 + digits with |Im s| <= 333/106 N, at
     which every inner sum of every caller is an Euler-Maclaurin sum
     zeta(s + k, N). correction_order is the order J of the pass's band, the
@@ -237,18 +249,19 @@ def _check_digits(digits: int) -> None:
         raise ValueError("digits must be an integer >= 15")
 
 
-def _split_point(digits: int, s: tuple[Fraction, Fraction]) -> int:
-    """N, the one cutoff of every inner sum for the exact point s = (re, im):
-    the least power of two >= 10 + digits with |Im s| <= 333/106 N, 333/106
-    the rational below pi, so |Im w|/(2 pi N) <= 1/2 at every w = s + k and
-    each further Euler-Maclaurin order gains at least 2 bits. Every inner
-    sum is an Euler-Maclaurin sum at N, and N is m + 1 of the shifted
-    split. Raises ValueError for an N past 2^_SPLIT_BITS, before any work."""
-    im = abs(s[1])
-    n = 1 << (max(10 + digits, ceil(106 * im / 333)) - 1).bit_length()
+def _split_point(digits: int, zi: int, den: int) -> int:
+    """N, the one cutoff of every inner sum for a point with Im s = zi/den,
+    den > 0: the least power of two >= 10 + digits with
+    |Im s| <= 333/106 N, 333/106 the rational below pi, so
+    |Im w|/(2 pi N) <= 1/2 at every w = s + k and each further
+    Euler-Maclaurin order gains at least 2 bits. Every inner sum is an
+    Euler-Maclaurin sum at N, and N is m + 1 of the shifted split. Each
+    evaluation calls it once and passes N down. Raises ValueError for an N
+    past 2^_SPLIT_BITS, before any work."""
+    n = 1 << (max(10 + digits, _ceil_div(106 * abs(zi), 333 * den)) - 1).bit_length()
     if n > 1 << _SPLIT_BITS:
         raise ValueError(
-            f"|Im s| = {float(im):.4g} at {digits} digits needs the inner cutoff "
+            f"|Im s| = {abs(zi) / den:.4g} at {digits} digits needs the inner cutoff "
             f"N = 2^{n.bit_length() - 1}, past the limit N <= 2^{_SPLIT_BITS}"
         )
     return n
@@ -298,17 +311,18 @@ def _exact_real(x) -> Fraction:
     return value * 2**exp if exp >= 0 else value / 2**-exp
 
 
-_FLOAT_MAX = Fraction(sys.float_info.max)
+_FLOAT_MAX = int(sys.float_info.max)
 
 
-def _exact_point(s) -> tuple[Fraction, Fraction]:
-    """s as an exact (re, im) pair of rationals. Ints, floats, complex and
-    mpmath numbers are binary fractions, and a string is read as a decimal
-    literal "a", "a+bi" or "a-bi", so nothing rounds. Raises ValueError for
-    a non-finite s and for a part beyond the float range: at such a Re s the
-    tail majorant (_tail_factors) would hold the outer series on for about
-    Re s / N terms. A large |Im s| raises later, at the limit of
-    _split_point, before any power is computed."""
+def _exact_point(s) -> Point:
+    """s as the integer triple (zr, zi, den), den > 0, in lowest terms, with
+    s = (zr + i zi) / den: the one reading of a point. Ints, floats, complex
+    and mpmath numbers are binary fractions, a string is read as a decimal
+    literal "a", "a+bi" or "a-bi", and a pair as (Re s, Im s), so nothing
+    rounds. Raises ValueError for a non-finite s and for a part beyond the
+    float range, compared in integers. Within it, a large |Im s| raises at
+    the limit of _split_point and a large Re s at that of the tail majorant
+    (_tail_shift), each before any power is computed."""
     if isinstance(s, tuple) and len(s) == 2:
         re, im = _exact_real(s[0]), _exact_real(s[1])
     elif isinstance(s, str):
@@ -317,9 +331,11 @@ def _exact_point(s) -> tuple[Fraction, Fraction]:
         re, im = _exact_real(s.real), _exact_real(s.imag)
     else:
         re, im = _exact_real(s), Fraction(0)
-    if abs(re) > _FLOAT_MAX or abs(im) > _FLOAT_MAX:
+    den = lcm(re.denominator, im.denominator)
+    zr, zi = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+    if max(abs(zr), abs(zi)) > _FLOAT_MAX * den:
         raise ValueError(f"s has a part beyond the float range, |part| > {sys.float_info.max:.4g}")
-    return re, im
+    return zr, zi, den
 
 
 # ---- fixed point: integers in units of 2^-bits ----
@@ -385,17 +401,12 @@ def _log2_up(re: int, im: int, den: int) -> int:
     return max(re.bit_length(), im.bit_length()) - den.bit_length() + 2
 
 
-def _integer_point(re: Fraction, im: Fraction) -> tuple[int, int, int]:
-    """(zr, zi, den) with re + i im = (zr + i zi) / den."""
-    den = lcm(re.denominator, im.denominator)
-    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
-
-
 class _InnerSums:
-    """The sums G_k = (c)_(k - start) zeta(z + k, N), c = z + start and
-    N = _split_point(digits, z), in fixed point at scale 2^-bits, for one exact
-    z and k > start, each with a truncation bound and a rounding bound in
-    ulps; and the head entries n^-z, n < N.
+    """The sums G_k = (c)_(k - start) zeta(z + k, N), c = z + start, in
+    fixed point at scale 2^-bits, for one exact z = point = (zr, zi, den)
+    read by _exact_point, the caller's N = n from _split_point and k > start,
+    each with a truncation bound and a rounding bound in ulps; and the head
+    entries n^-z, n < N.
     eval_identities takes start = 0, so G_k = (s)_k zeta(s + k, N);
     zeta_prime_at_zero and sum_zeta_m1 take z = 0 and start = 1, so
     G_k = (k-1)! zeta(k, N).
@@ -456,10 +467,10 @@ class _InnerSums:
     floors of two components and the product of the two errors. By
     induction, every entry n is within kappa log2 n max(1, |X_n|) units in
     modulus, kappa = 6S + 3e_b + 22. And |X_n| <= 2^h, h = max(0,
-    ceil(-Re z)) log2 N. wp is the least fixed point of wp >= bits + 16 + h
-    + bitlen(kappa log2 N); e_b grows with wp. So every component of every
-    power is within 2^-16 ulps of n^-z 2^bits once shifted right by
-    wp - bits.
+    ceil(-Re z)) log2 N, with ceil(-Re z) = -(zr // den). wp is the least
+    fixed point of wp >= bits + 16 + h + bitlen(kappa log2 N); e_b grows
+    with wp. So every component of every power is within 2^-16 ulps of
+    n^-z 2^bits once shifted right by wp - bits.
 
     An entry at shift k is (x >> (wp - bits)) // n^k, x the power n^-z at
     wp. So each of its components is within 2 + 2^-16 ulps, and the entry
@@ -472,7 +483,8 @@ class _InnerSums:
     thousands), that product would grow the bound by |z + m| / N per step
     while the value stays under one ulp; so the step also carries an
     integer L_m >= log2(|V_m| 2^bits): L_start = ceil(bits - (Re z + start)
-    log2 N), exact since N is a power of two, and L_(m+1) = L_m +
+    log2 N) = bits - (zr + start den) log2 N // den, exact since N is a
+    power of two, and L_(m+1) = L_m +
     bitlen(_modulus_up(fr, zi)) - bitlen(den) + 1 - log2 N. Then E_m is
     also at most |V_m| + 2^max(L_m, 0), |V_m| the stored value bounded by
     _modulus_up, and the lesser bound is kept. Where z + m = 0, every
@@ -497,16 +509,15 @@ class _InnerSums:
     steps nor the dot products touch an imaginary part.
     """
 
-    def __init__(self, z: tuple[Fraction, Fraction], digits: int, bits: int, start: int):
-        re, im = z
-        self.zr, self.zi, self.den = _integer_point(re, im)
+    def __init__(self, point: Point, n: int, bits: int, start: int):
+        self.zr, self.zi, self.den = zr, zi, den = point
         self.bits = bits
-        self.n = n = _split_point(digits, z)
+        self.n = n
         self.start = start
         # wp, the least fixed point of the class docstring's error model
-        spread = (abs(self.zr) + abs(self.zi)) // self.den + 1
+        spread = (abs(zr) + abs(zi)) // den + 1
         self.log_n = log_n = n.bit_length() - 1
-        least = bits + 16 + max(0, ceil(-re)) * log_n
+        least = bits + 16 + max(0, -(zr // den)) * log_n
         wp = least
         while True:
             kernel = wp << (isqrt(wp) // 4 + 1)  # e_b at wp
@@ -521,7 +532,7 @@ class _InnerSums:
         # bound _modulus_up + E_m of |V_m| and _modulus_up(den (z + m)),
         # and the L of the last one
         self.re, self.im, self.err, self.bound, self.modulus = [], [], [], [], []
-        self.level = ceil(bits - (re + start) * log_n)
+        self.level = bits - (zr + start * den) * log_n // den
         # |B_2j/(2j)!| as (|numerator|, denominator), from j = 1
         self.betas = [None]
         # D and the n_j, |n_j| for j >= 1 of bernoulli_ratios(M), M the
@@ -683,9 +694,9 @@ def zeta_em_reference(s, digits: int = 40):
     fixed point on Python integers.
 
     Shares only the Bernoulli table, _least_factors, the exact reading of s
-    (_exact_point, _integer_point) and the exact conversion of its result
-    (_mp_value) with the identity evaluator, and calls none of its inner
-    sums. With z = s and N = 10 + digits,
+    (_exact_point, the integer triple z = (zr + i zi)/den) and the exact
+    conversion of its result (_mp_value) with the identity evaluator, and
+    calls none of its inner sums. With N = 10 + digits,
 
         zeta(z) = sum_{n<N} n^-z + N^(1-z)/(z-1) + N^-z/2
                   + sum_{j>=1} B_2j/(2j)! (z)_(2j-1) N^(-z-2j+1) + R.
@@ -709,13 +720,12 @@ def zeta_em_reference(s, digits: int = 40):
     PoleError at s = 1.
     """
     _check_digits(digits)
-    re, im = _exact_point(s)
-    if re == 1 and not im:
+    zr, zi, den = _exact_point(s)
+    if zr == den and not zi:
         raise PoleError("zeta has a pole at s = 1")
     n_direct = 10 + digits
-    zr, zi, den = _integer_point(re, im)
     wp = (10 ** (digits + _GUARD)).bit_length() + _ORACLE_GUARD_BITS
-    if re < 1:
+    if zr < den:
         # (1 - Re s) log2 N, bounded by the bit length of N, plus 2 digits
         wp += _ceil_div((den - zr) * n_direct.bit_length(), den) + 7
     # n^-z for n = 1..N: the kernels for a prime n, and p^-z (n/p)^-z for
@@ -758,6 +768,7 @@ def zeta_em_reference(s, digits: int = 40):
         if size * tens < unit:
             break
         if previous is not None and size >= previous:
+            re, im = Fraction(zr, den), Fraction(zi, den)
             point = f"{re}{'-' if im < 0 else '+'}{abs(im)}i" if im else f"{re}"
             raise ValueError(
                 f"zeta_em_reference cannot meet 10^-{digits} at s = {point}: "
@@ -772,7 +783,7 @@ def zeta_em_reference(s, digits: int = 40):
             pr, pi = pr * fr - pi * zi, pr * zi + pi * fr
         below *= step
         j += 1
-    return _mp_value(total_re, total_im if im else None, wp)
+    return _mp_value(total_re, total_im if zi else None, wp)
 
 
 def _outside(spec: IdentitySpec, zr: int, den: int) -> str:
@@ -789,13 +800,14 @@ def _outside(spec: IdentitySpec, zr: int, den: int) -> str:
 
 def supports(spec: IdentitySpec, s: Number) -> bool:
     """Whether eval_identity accepts s for this identity (_outside)."""
-    zr, _, den = _integer_point(*_exact_point(s))
+    zr, _, den = _exact_point(s)
     return not _outside(spec, zr, den)
 
 
-def _supporting(specs: Sequence[IdentitySpec], s: Number) -> list[IdentitySpec]:
-    """The specs that eval_identity accepts at s, in order; s is read once."""
-    zr, _, den = _integer_point(*_exact_point(s))
+def _supporting(specs: Sequence[IdentitySpec], point: Point) -> list[IdentitySpec]:
+    """The specs that eval_identity accepts at the point _exact_point read,
+    in order."""
+    zr, _, den = point
     return [spec for spec in specs if not _outside(spec, zr, den)]
 
 
@@ -830,7 +842,7 @@ def _weight_coefficients(spec: IdentitySpec) -> tuple[list[int], int, int]:
     return H, B[0], L
 
 
-def _last_weight(spec: IdentitySpec, point: tuple[int, int, int], m: int) -> tuple[int, int, int]:
+def _last_weight(spec: IdentitySpec, point: Point, m: int) -> tuple[int, int, int]:
     """W_m, the weight of m^-s in the head sum_{n<m} n^-s + m^-s W_m, for
     s = (zr + i zi) / den given as point = (zr, zi, den), s != 1 and
     m >= 2, as an (re, im, den) triple of integers with the value
@@ -918,15 +930,23 @@ def _tail_factors(inner: _InnerSums, k: int):
     indices at a time."""
     zr, den, n, start = inner.zr, inner.den, inner.n, inner.start
     bounds, moduli = inner.bound, inner.modulus
-    lift, span, below = n * den, 2 * den * (n - 1), den * (n - 1)
+    lift, below = n * den, den * (n - 1)
     g = zr + (k - 1) * den
     while True:
         if k - start >= len(bounds):
             inner.size(k + 7)
         size, a = bounds[k - start], moduli[k - start]
-        yield size, (size * (g + lift) * a) << _ceil_div(3 * a, span), g * below
+        yield size, (size * (g + lift) * a) << _tail_shift(a, den, n), g * below
         k += 1
         g += den
+
+
+def _tail_shift(a: int, den: int, n: int) -> int:
+    """ceil(3y/2), y = a/(den (N - 1)) for a = _modulus_up(den (z + k)): the
+    bits of the tail majorant's factor 2^ceil(3y/2) at k (_tail_factors).
+    The series runs until (k+1)! outgrows it, about 3 Re s/(2 (N - 1))
+    bits at a large Re s."""
+    return _ceil_div(3 * a, 2 * den * (n - 1))
 
 
 def _tail_bound(bound: int, scale: int, threshold: int) -> Optional[int]:
@@ -957,7 +977,8 @@ def eval_identities(
 
     Each identity is evaluated in its shifted split (see the module
     docstring): the head sum_{n<m} n^-s + m^-s W_m and the series over the
-    inner sums zeta(s + k, m + 1), m + 1 = _split_point(digits, s). The
+    inner sums zeta(s + k, m + 1), m + 1 = N = _split_point(digits, zi, den)
+    for s = (zr + i zi)/den as _exact_point reads it, once. The
     identities share z, the partial sum, the sequence V_m = (s)_m (m+1)^-(s+m), the
     fixed-point scale (the largest any of them needs) and at each k one
     G_k = (s)_k zeta(s + k, m + 1), from one band of Euler-Maclaurin orders
@@ -974,15 +995,22 @@ def eval_identities(
     10^-digits PrecisionError for the whole batch.
     """
     _check_digits(digits)
+    return _eval_point(specs, _exact_point(s), digits)
+
+
+def _eval_point(specs: Sequence[IdentitySpec], point: Point, digits: int) -> list[EvalReport]:
+    """eval_identities at a point _exact_point has read, for checked digits:
+    a caller that also picks the depths at the point (_supporting) reads it
+    once for both."""
     if not specs:
         raise ValueError("eval_identities needs at least one identity")
-    re, im = _exact_point(s)
-    point = zr, zi, den = _integer_point(re, im)
+    zr, zi, den = point
     # |s - 1|^2 <= 10^-digits, in integers
     near_pole = ((zr - den) ** 2 + zi * zi) * 10**digits <= den * den
     for spec in specs:
         _check_point(spec, zr, den, near_pole, digits)
-    m = _split_point(digits, (re, im)) - 1
+    n = _split_point(digits, zi, den)
+    m = n - 1
     # each spec is proved the identity of its k0, or raises, before any
     # work; twins, equal in k0, are then one identity, and one head and one
     # share of the pass serve them all, in ascending k0. Each head is
@@ -1004,7 +1032,7 @@ def eval_identities(
         return [(sum(x for x, _ in middle), sum(y for _, y in middle)), last]
 
     ps = [spec.p for spec in specs]
-    return _outer_series(ps, owners, (re, im), 0, coefficients, heads, head_ulps, values, digits)
+    return _outer_series(ps, owners, point, n, 0, coefficients, heads, head_ulps, values, digits)
 
 
 def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
@@ -1026,8 +1054,8 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
     _check_digits(digits)
     if _outside(spec, 0, 1):
         raise ValueError(f"depth-{spec.p} identity is not valid at s = 0; use p >= 2")
-    zero = Fraction(0)
-    m = _split_point(digits, (zero, zero)) - 1
+    n = _split_point(digits, 0, 1)
+    m = n - 1
     H, b0, L = _weight_coefficients(spec)
     # W_m'(0) over L m^(k0-1)
     top = len(H) - 1
@@ -1036,16 +1064,17 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
     weights = [(H[0] - b0 * m, 0, L), (-1, 0, 1)]  # of log m and log((m-1)!)
     heads = [(spec.k0, spec.k0, (head, 0, L * m**top), weights)]
     coefficients = spec.euler_maclaurin_coefficients
-    return _outer_series([spec.p], [0], (zero, zero), 1, coefficients, heads, [2, 2], _InnerSums.logs, digits)[0]
+    return _outer_series([spec.p], [0], (0, 0, 1), n, 1, coefficients, heads, [2, 2], _InnerSums.logs, digits)[0]
 
 
 def _outer_series(
-    ps, owners, point, start, coefficients, heads, head_ulps, values, digits: int
+    ps, owners, point, n, start, coefficients, heads, head_ulps, values, digits: int
 ) -> list[EvalReport]:
     """head + sum_i w_i x_i + sum_{k >= k0} rho_k G_k for each distinct
-    series, in one pass over k from the least k0, for the exact s = point,
+    series, in one pass over k from the least k0, for the exact
+    s = point = (zr, zi, den) that _exact_point read,
     rho_k = r_k/(k+1)! and G_k = (s + start)_(k - start) zeta(s + k, N)
-    (_InnerSums), N = _split_point(digits, point), k0 > start.
+    (_InnerSums), N = n the caller's _split_point, k0 > start.
     coefficients is (B, L), beta_i = B_i/L, and every series is a prefix of
     it: heads holds one (k0, length, exact head, weights w_i) per distinct
     series, in ascending k0 and length, with r_k = sum_{i<length} beta_i
@@ -1073,7 +1102,9 @@ def _outer_series(
     V_m is capped by its size, so the series' tally is a count of ulps
     that does not grow with P.
 
-    First each depth's last k: a depth stops at the first k >= k0 where
+    Before any power, a point whose tail majorant's shift (_tail_shift) at
+    the least k0 exceeds 2^_TAIL_BITS bits raises ValueError naming the
+    limit. Then each depth's last k: a depth stops at the first k >= k0 where
     the a-priori majorant of its tail past k (_tail_factors) is under the
     threshold, at once where V_k, and so every later term, is exactly 0.
     It covers zeta_prime_at_zero and sum_zeta_m1 as well: there z = 0,
@@ -1099,12 +1130,19 @@ def _outer_series(
     imaginary part that is exactly 0. If the error bound of any
     depth, in ulps, exceeds 2^P 10^-digits, PrecisionError raises with
     every report, each bound still holding."""
+    zr, zi, den = point
+    k = heads[0][0]
+    shift = _tail_shift(_modulus_up(zr + k * den, zi), den, n)
+    if shift > 1 << _TAIL_BITS:
+        raise ValueError(
+            f"Re s = {zr / den:.4g} at {digits} digits needs a tail majorant shift of "
+            f"{shift:.4g} bits at N = {n}, past the limit of 2^{_TAIL_BITS} bits"
+        )
     weighted = [_log2_up(*w) + u.bit_length() for _, _, _, ws in heads for w, u in zip(ws, head_ulps)]
     bits = _scale_bits(digits, max(weighted, default=0))
     depths = [_Depth(k0, length) for k0, length, _, _ in heads]
-    k = depths[0].k0
     threshold = (1 << bits) // 10 ** (digits + 5)
-    inner = _InnerSums(point, digits, bits, start)
+    inner = _InnerSums(point, n, bits, start)
     head_values = values(inner)
     for d, (_, _, _, weights) in zip(depths, heads):
         for (xr, xi), ulps, (wr, wi, wd) in zip(head_values, head_ulps, weights):
@@ -1210,7 +1248,7 @@ def _outer_series(
 
 def sum_zeta_m1(digits: int = 40) -> EvalReport:
     """The paper's sum identity sum_{k>=2} (zeta(k) - 1) = 1, summed in the
-    split at N = _split_point(digits, s) for s = 0, with an error bound
+    split at N = _split_point(digits, 0, 1) for s = 0, with an error bound
     like any evaluation (p_used 0: the series belongs to no depth). The part n < N
     is exact: sum_{n=2..N-1} 1/(n(n-1)) = (N-2)/(N-1). The rest,
     sum_{k>=2} zeta(k, N), is the series rho_k G_k of zeta_prime_at_zero's
@@ -1218,9 +1256,8 @@ def sum_zeta_m1(digits: int = 40) -> EvalReport:
     G_k = (k-1)! zeta(k, N). Raises PrecisionError when the bound exceeds
     10^-digits."""
     _check_digits(digits)
-    zero = Fraction(0)
-    n = _split_point(digits, (zero, zero))
+    n = _split_point(digits, 0, 1)
     # r_k = (k+1) k from k0 = 2: beta_2 = 1, one falling product of two
     # factors, so the series reads three coefficients
     heads = [(2, 3, (n - 2, 0, n - 1), [])]
-    return _outer_series([0], [0], (zero, zero), 1, ((0, 0, 1), 1), heads, [], lambda inner: [], digits)[0]
+    return _outer_series([0], [0], (0, 0, 1), n, 1, ((0, 0, 1), 1), heads, [], lambda inner: [], digits)[0]

@@ -84,14 +84,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def coefficient(self, i: int) -> Fraction:
-        """Coefficient of x**i (zero beyond the degree)."""
-        if i < 0:
-            raise ValueError("coefficient index must be nonnegative")
-        if i >= len(self._coeffs):
-            return Fraction(0)
-        return self._coeffs[i]
-
     def integer_coefficients(self) -> tuple[tuple[int, ...], int]:
         """(numerators, den): the coefficients, ascending, as integers over
         their least common denominator. Computed once per instance."""

@@ -102,6 +102,6 @@ def series_poly_oracle(p):
     g = periodic_remainder(p)
     out, falling = [], [Fraction(1)]
     for j in range(p, 0, -1):
-        out = add(out, [x * g.coefficient(j) * factorial(j) for x in falling])
+        out = add(out, [x * g.coefficients[j] * factorial(j) for x in falling])
         falling = mul(falling, [j - p + 1, 1])
     return [c / factorial(p - 1) for c in out]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from zetaident import cli, derive_identity, eval_identity
+from zetaident import cli, derive_identity, eval_identity, evalzeta
 from zetaident.cli import main, parse_complex_literal, parse_p_range, parse_rational
 
 
@@ -360,6 +360,37 @@ def test_eval_out_of_range_s_exits_two(capsys):
     assert main(["eval", "--p", "1", "--s", "2+1e400i"]) == 2
 
 
+def test_eval_huge_real_part_exits_two(capsys):
+    # the tail majorant would hold the series on for millions of bits at
+    # Re s = 10^8: past its limit the evaluator raises before any power, so
+    # the CLI exits 2 at once with the limit named
+    for argv in (["eval", "--s", "1e308"], ["eval", "--s", "1e8", "--digits", "20"]):
+        start = time.process_time()
+        assert main(argv) == 2
+        assert time.process_time() - start < 1
+        assert "past the limit of 2^16 bits" in capsys.readouterr().err
+
+
+def test_verify_reads_each_point_once(monkeypatch, capsys):
+    # _exact_point is the one reading of a point. The oracle check reads each
+    # of the 25 grid points for the oracle and once more for both the
+    # supporting depths and their batch; trivial_zeros reads each zero once
+    # (-2 .. -10, and -12, which no depth supports); zeta0 and zeta2 read one
+    # point each: 58 reads, where reading for the depths and for the batch
+    # apart made 88
+    calls = []
+    original = evalzeta._exact_point
+
+    def counted(s):
+        calls.append(s)
+        return original(s)
+
+    monkeypatch.setattr(evalzeta, "_exact_point", counted)
+    monkeypatch.setattr(cli, "_exact_point", counted)
+    assert main(["verify"]) == 0
+    assert len(calls) == 58
+
+
 def test_eval_missed_target_exits_two(capsys):
     # the Euler-Maclaurin budget of depth 256 at s = -254.5 is far more than
     # N = 64 reaches at 30 digits: the bound still holds, but the call
@@ -603,8 +634,9 @@ def test_exact_values_must_lie_within_their_estimate(name, monkeypatch, capsys):
 
     # every evaluator entry point, whichever a check calls
     batch, single, derivative = cli.eval_identities, cli.eval_identity, cli.zeta_prime_at_zero
-    total = cli.sum_zeta_m1
+    total, at_point = cli.sum_zeta_m1, cli._eval_point
     monkeypatch.setattr(cli, "eval_identities", lambda *a: list(map(moved, batch(*a))))
+    monkeypatch.setattr(cli, "_eval_point", lambda *a: list(map(moved, at_point(*a))))
     monkeypatch.setattr(cli, "eval_identity", lambda *a: moved(single(*a)))
     monkeypatch.setattr(cli, "zeta_prime_at_zero", lambda *a: moved(derivative(*a)))
     monkeypatch.setattr(cli, "sum_zeta_m1", lambda *a: nudged(total(*a)))

@@ -7,14 +7,14 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import factorial, inf, isqrt, nextafter, perm
+from math import factorial, gcd, inf, isqrt, nextafter, perm
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import MPContext, ctx_mp_python, mp
-from mpmath.libmp import libelefun
+from mpmath.libmp import from_man_exp, libelefun
 
 from zetaident import derive_identity, evalzeta, exactmath
 from zetaident.cli import ORACLE_GRID
@@ -24,8 +24,8 @@ from zetaident.evalzeta import (
     PoleError,
     PrecisionError,
     _InnerSums,
+    _exact_point,
     _float_up,
-    _integer_point,
     _last_weight,
     _modulus_up,
     eval_identities,
@@ -49,6 +49,12 @@ def _mp_point(s):
     if isinstance(s, tuple):
         return mp.mpc(*(mp.mpf(x.numerator) / x.denominator for x in s))
     return mp.mpf(s.numerator) / s.denominator
+
+
+def _inner_for(z, digits, bits, start):
+    """_InnerSums for the exact z at the N an evaluation takes at digits."""
+    point = _exact_point(z)
+    return _InnerSums(point, evalzeta._split_point(digits, *point[1:]), bits, start)
 
 
 def _record_scales(monkeypatch):
@@ -724,8 +730,7 @@ def test_head_weights_are_the_split_off_sum(specs64, s, p, m):
     # pole/(s-1) + Q(s) + sum_{n=2..m} sum_{k>=k0} r_k (s)_k/(k+1)! n^(-s-k),
     # summed term by term, so the pole and Q are checked numerically too
     spec = specs64[p]
-    re, im = s if isinstance(s, tuple) else (s, F(0))
-    wr, wi, wd = _last_weight(spec, _integer_point(re, im), m)
+    wr, wi, wd = _last_weight(spec, _exact_point(s), m)
     with mp.workdps(60):
         z = _mp_point(s)
         ns = range(2, m + 1)
@@ -830,18 +835,17 @@ def _majorant(B, k):
 
 @pytest.mark.parametrize("base_bits", [5, 6, 7])  # N at 15..22, 23..54 and 55..118 digits
 @pytest.mark.parametrize("p, s", [(1, (F(50), F(1000))), (1, F(300)), (5, (F(1, 2), F(100)))])
-def test_tail_proof_holds_where_it_claims(specs64, monkeypatch, p, s, base_bits):
+def test_tail_proof_holds_where_it_claims(specs64, p, s, base_bits):
     # at every k >= k0 the a-priori majorant of the tail past k
     # (_tail_factors) is at least the tail
     # sum_{j>k} |r_j (s)_j/(j+1)!| zeta(Re s + j, N), summed here; also at
     # 50 + 1000i, where the terms grow until |s + k| is about N k. The
     # proof holds at any N, so N is held at 2^base_bits, below what
     # _split_point takes at |Im s| = 1000
-    monkeypatch.setattr(evalzeta, "_split_point", lambda digits, s: 1 << base_bits)
     spec = specs64[p]
     bits = 3000  # |V_k| is many ulps at every k the test reaches
-    re, im = s if isinstance(s, tuple) else (s, F(0))
-    inner = _InnerSums((re, im), {5: 20, 6: 40, 7: 100}[base_bits], bits, 0)
+    re = s[0] if isinstance(s, tuple) else s
+    inner = _InnerSums(_exact_point(s), 1 << base_bits, bits, 0)
     n = inner.n
     assert n == 1 << base_bits
     B, L = spec.euler_maclaurin_coefficients
@@ -883,11 +887,12 @@ def test_split_point_grows_with_the_imaginary_part(digits):
     # most pi (10 + digits), and twice N just past each N's reach
     base = _least_power_of_two(10 + digits)
     for im in (F(0), F(-20), F(314 * (10 + digits), 100)):
-        assert evalzeta._split_point(digits, (F(1, 2), im)) == base
+        assert evalzeta._split_point(digits, im.numerator, im.denominator) == base
     for n in (base, 2 * base, 8 * base):
         reach = F(333 * n, 106)
-        assert evalzeta._split_point(digits, (F(-3), reach)) == n
-        assert evalzeta._split_point(digits, (F(-3), -reach - F(1, 10**9))) == 2 * n
+        assert evalzeta._split_point(digits, reach.numerator, reach.denominator) == n
+        beyond = -reach - F(1, 10**9)
+        assert evalzeta._split_point(digits, beyond.numerator, beyond.denominator) == 2 * n
 
 
 def test_the_split_limit_raises_before_any_power(specs64, monkeypatch):
@@ -913,6 +918,67 @@ def test_the_split_limit_raises_before_any_power(specs64, monkeypatch):
     # at the limit itself the pass goes on to the powers
     with pytest.raises(AssertionError, match="powers computed"):
         eval_identity(specs64[1], (F(1, 2), reach), 40)
+
+
+@pytest.mark.parametrize("s", [F(10**8), "1e308", (F(10**8), F(3)), sys.float_info.max])
+def test_a_huge_real_part_raises_at_the_tail_limit(specs64, monkeypatch, s):
+    # the tail majorant holds the series on until (k+1)! outgrows
+    # 2^ceil(3y/2), y = |s + k|/(N - 1): millions of bits at Re s = 10^8,
+    # where the pass ran out of memory, and more digits than an int may
+    # print at 10^308. Past a shift of 2^16 bits at the least k0 the call
+    # raises ValueError naming the limit, before any power, at once
+    def no_powers(self):
+        raise AssertionError("powers computed")
+
+    monkeypatch.setattr(_InnerSums, "_powers", no_powers)
+    start = time.process_time()
+    with pytest.raises(ValueError, match=r"past the limit of 2\^16 bits"):
+        eval_identity(specs64[1], s, 20)
+    assert time.process_time() - start < 1
+
+
+@pytest.mark.parametrize("digits, n", [(20, 32), (40, 64)])
+def test_the_tail_limit_is_a_shift_of_two_to_the_sixteen_bits(specs64, monkeypatch, digits, n):
+    # at a real integer s and k0 = 1 the shift is ceil(3 (s + 2)/(2 (N - 1))),
+    # _modulus_up(s + 1) = s + 2: the largest s it accepts (1,354,408 at 20
+    # digits, 2,752,510 at 40) goes on to the powers, and the next raises
+    def no_powers(self):
+        raise AssertionError("powers computed")
+
+    monkeypatch.setattr(_InnerSums, "_powers", no_powers)
+    largest = 2 * (n - 1) * 2**16 // 3 - 2
+    with pytest.raises(AssertionError, match="powers computed"):
+        eval_identity(specs64[1], largest, digits)
+    with pytest.raises(ValueError, match=r"past the limit of 2\^16 bits"):
+        eval_identity(specs64[1], largest + 1, digits)
+
+
+def test_each_call_reads_its_point_and_decides_n_once(specs64, monkeypatch):
+    # _exact_point is the one reading of a point and _split_point the one
+    # decision of N: each evaluator makes each at most once, and passes the
+    # triple and N down. zeta'(0) and the sum start from the triple (0, 0, 1)
+    calls = []
+    for name in ("_exact_point", "_split_point"):
+
+        def counted(*args, name=name, original=getattr(evalzeta, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(evalzeta, name, counted)
+
+    def count(call):
+        calls.clear()
+        call()
+        return calls.count("_exact_point"), calls.count("_split_point")
+
+    batch = [specs64[p] for p in (6, 7, 8, 12)]
+    assert count(lambda: eval_identities(batch, (F(1, 2), F(14)), 40)) == (1, 1)
+    assert count(lambda: eval_identities(batch, -3.5, 100)) == (1, 1)
+    assert count(lambda: eval_identity(specs64[1], "2", 15)) == (1, 1)
+    assert count(lambda: zeta_prime_at_zero(specs64[2], 40)) == (0, 1)
+    assert count(lambda: sum_zeta_m1(40)) == (0, 1)
+    assert count(lambda: zeta_em_reference("0.5+14i", 40)) == (1, 0)
+    assert count(lambda: zeta_em_reference(-10.5, 15)) == (1, 0)
 
 
 def test_each_pass_sweeps_its_band_once(specs64, monkeypatch):
@@ -1129,7 +1195,7 @@ def test_inner_sums_within_their_bounds(z, k0, stride):
     digits, bits = 40, 200
     ks = range(k0 + 1, 201, stride)
     orders, results = set(), []
-    inner = _InnerSums(z, digits, bits, k0)
+    inner = _inner_for(z, digits, bits, k0)
     assert inner.n == 64
     for k in ks:
         budget = _rising_budget(_shift(z, k0), k - k0, bits, 50)
@@ -1153,7 +1219,7 @@ def test_inner_sum_reports_an_unmet_budget():
     bits = 700
     budget = (1 << bits) // 10**200
     z = (F(3, 2), F(14))
-    value, err, rounding = _inner_sum(_InnerSums(z, 40, bits, 0), 1, budget)
+    value, err, rounding = _inner_sum(_inner_for(z, 40, bits, 0), 1, budget)
     assert err > budget
     # G_1 is a product: its reference needs the digits of 2^-700 as well
     with mp.workdps(230):
@@ -1170,7 +1236,7 @@ def test_inner_sum_rounding_is_tallied(z):
     # G_1 = z zeta(z + 1, 64) cost more than its truncation: only the
     # rounding bound covers them
     bits = 64
-    value, err, rounding = _inner_sum(_InnerSums(z, 40, bits, 0), 1, 4)
+    value, err, rounding = _inner_sum(_inner_for(z, 40, bits, 0), 1, 4)
     with mp.workdps(60):
         target = _mp_point(z) * mp.zeta(_mp_point(z) + 1, 64)
         actual = abs(mp.mpc(*value) - target * mp.mpf(2) ** bits)
@@ -1196,7 +1262,7 @@ def test_shifted_inner_sums_within_their_bounds(z, k, digits):
     bits = evalzeta._threshold_bits(digits) + evalzeta._GUARD_BITS
     n = _least_power_of_two(10 + digits)
     budget = _rising_budget(z, k, bits, digits + 5)
-    inner = _InnerSums(z, digits, bits, 0)
+    inner = _inner_for(z, digits, bits, 0)
     value, err, rounding = _inner_sum(inner, k, budget)
     assert inner.n == n
     assert err <= budget
@@ -1231,7 +1297,7 @@ def test_head_entries_within_two_ulps(z, digits):
     # takes them at shift 0
     bits = evalzeta._scale_bits(digits, 0)
     n_split = _least_power_of_two(10 + digits)
-    inner = _InnerSums(z, digits, bits, 0)
+    inner = _inner_for(z, digits, bits, 0)
     bound = 2 + mp.mpf(2) ** -16
     # the entries are as large as N^-Re z; 40 bits more than that resolve
     # the reference to 2^-40 ulps
@@ -1252,7 +1318,7 @@ def test_evaluation_fills_no_cos_sin_table_cell(specs64, monkeypatch):
     cache = {}
     monkeypatch.setattr(libelefun, "cos_sin_cache", cache)
     for digits in (15, 40):
-        inner = _InnerSums((F(9, 2), F(38)), digits, evalzeta._scale_bits(digits, 0), 0)
+        inner = _inner_for((F(9, 2), F(38)), digits, evalzeta._scale_bits(digits, 0), 0)
         assert inner.wp <= libelefun.COS_SIN_CACHE_PREC
         eval_identity(specs64[1], (F(9, 2), F(38)), digits)
     assert sorted(cache) == []
@@ -1275,7 +1341,7 @@ def test_head_entries_are_exact_at_zero(digits):
     # at z = 0 every power n^-z is exactly 1, so each entry n^-shift is the
     # floor of 2^bits / n^shift, with no error at all
     bits = evalzeta._scale_bits(digits, 0)
-    inner = _InnerSums((F(0), F(0)), digits, bits, 0)
+    inner = _inner_for((F(0), F(0)), digits, bits, 0)
     for shift in (0, 1, 2, 7):
         expected = [((1 << bits) // n**shift, 0) for n in range(2, inner.n)]
         assert [inner._entry(n, shift) for n in range(2, inner.n)] == expected, shift
@@ -1305,7 +1371,7 @@ def test_each_v_is_within_its_own_error(z, digits, bits):
     # the exact |V_m| is a few ulps and the floors have lost as much; the
     # floors lose far less than their tally, and no sampled point shows it.
     # The term stays, for the worst case the _InnerSums docstring proves.
-    inner = _InnerSums(z, digits, bits, 0)
+    inner = _inner_for(z, digits, bits, 0)
     inner.size(119)
     with mp.workdps(200):
         w, n = _mp_point(z), inner.n
@@ -1333,7 +1399,7 @@ def test_each_g_is_within_its_own_rounding(z, bits):
     # alone must cover the difference. At coarse scales and large |Im z| it
     # is nearly all of it: this kills the mutants that drop the half of E_k
     # and its floors, or the dot product's tally and floor, from the bound
-    inner = _InnerSums(z, 15, bits, 0)
+    inner = _inner_for(z, 15, bits, 0)
     pairs = [(k, m) for k in range(1, 80) for m in (0, 1, 2, 3, 5, 10, 30)]
     with mp.workdps(250):
         w, n = _mp_point(z), inner.n
@@ -1378,7 +1444,7 @@ def test_every_product_floor_is_tallied(monkeypatch, digits):
 def test_logs_within_two_ulps(digits):
     # zeta_prime_at_zero's log m and log((m-1)!), m = N - 1, at several scales
     for bits in (64, 201, evalzeta._scale_bits(digits, 0)):
-        inner = _InnerSums((F(0), F(0)), digits, bits, 0)
+        inner = _inner_for((F(0), F(0)), digits, bits, 0)
         m = inner.n - 1
         (log_m, zero), (log_factorial, _) = inner.logs()
         assert zero == 0
@@ -1457,6 +1523,74 @@ def test_non_finite_or_out_of_range_s_is_a_value_error(specs64, s):
         eval_identity(specs64[1], s, 20)
     with pytest.raises(ValueError, match="finite|float range"):
         supports(specs64[1], s)
+
+
+def _decimal_case(sign, whole, fraction, exponent):
+    """A decimal literal and its value, built digit by digit."""
+    text = f"{sign}{whole}" + (f".{fraction}" if fraction else "") + (f"e{exponent}" if exponent else "")
+    value = (whole + F(int(fraction or "0"), 10 ** len(fraction))) * F(10) ** exponent
+    return text, -value if sign == "-" else value
+
+
+_DECIMALS = st.builds(
+    _decimal_case,
+    st.sampled_from(["", "+", "-"]),
+    st.integers(0, 10**30),
+    st.text("0123456789", max_size=20),
+    st.integers(-400, 400),
+)
+_MPFS = st.builds(
+    lambda man, exp: (mp.make_mpf(from_man_exp(man, exp)), man * F(2) ** exp),
+    st.integers(-(2**200), 2**200),
+    st.integers(-1300, 1100),
+)
+# (input, exact value) for every kind of real s
+_REALS = st.one_of(
+    st.integers(-(2**1100), 2**1100).map(lambda n: (n, F(n))),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: (x, Fraction(x))),
+    st.fractions().map(lambda q: (q, q)),
+    _DECIMALS,
+    _MPFS,
+)
+# (s, Re s, Im s) for every kind of point
+_POINTS = st.one_of(
+    _REALS.map(lambda x: (x[0], x[1], F(0))),
+    st.tuples(_REALS, _REALS).map(lambda p: ((p[0][0], p[1][0]), p[0][1], p[1][1])),
+    st.complex_numbers(allow_nan=False, allow_infinity=False).map(lambda z: (z, Fraction(z.real), Fraction(z.imag))),
+    st.tuples(_MPFS, _MPFS).map(
+        lambda p: (mp.make_mpc((p[0][0]._mpf_, p[1][0]._mpf_)), p[0][1], p[1][1])
+    ),
+    st.tuples(_DECIMALS, _DECIMALS).map(
+        lambda p: (f"{p[0][0]}{'-' if p[1][1] < 0 else '+'}{p[1][0].lstrip('+-')}i", p[0][1], p[1][1])
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_POINTS)
+def test_exact_point_is_the_fraction_reading(case):
+    # the one reading of a point: the exact (Re s, Im s) pair over its least
+    # common denominator, den > 0 and the triple in lowest terms, or
+    # ValueError for a part beyond the float range
+    s, re, im = case
+    if max(abs(re), abs(im)) > Fraction(sys.float_info.max):
+        with pytest.raises(ValueError, match="float range"):
+            _exact_point(s)
+        return
+    zr, zi, den = _exact_point(s)
+    assert den > 0 and gcd(zr, zi, den) == 1
+    assert (F(zr, den), F(zi, den)) == (re, im)
+
+
+def test_exact_point_takes_the_whole_float_range():
+    top = Fraction(sys.float_info.max)
+    for s in (sys.float_info.max, complex(0, -sys.float_info.max), (top, -top), str(int(top))):
+        zr, zi, den = _exact_point(s)
+        assert den == 1 and top in (abs(zr), abs(zi))
+    above = top + F(1, 10**400)
+    for s in (above, (0, -above), f"{int(top)}.{'0' * 399}1", f"1+{int(top)}.5i"):
+        with pytest.raises(ValueError, match="float range"):
+            _exact_point(s)
 
 
 def test_outside_validity(specs64):
@@ -1629,7 +1763,7 @@ _HISTORY_SCRIPT = """
 import sys
 from fractions import Fraction as F
 from zetaident import derive_identity
-from zetaident.evalzeta import _InnerSums, eval_identity
+from zetaident.evalzeta import _InnerSums, _exact_point, _split_point, eval_identity
 
 spec = derive_identity(6, 64)
 if sys.argv[1] == "warm":
@@ -1643,9 +1777,9 @@ results = []
 # interpreter's caches serve each from just above it, the warm one's from
 # about 3400 bits
 for s in points:
-    z = s if isinstance(s, tuple) else (s, F(0))
+    z = _exact_point(s)
     for bits in range(150, 250):
-        inner = _InnerSums(z, 40, bits, 0)
+        inner = _InnerSums(z, _split_point(40, *z[1:]), bits, 0)
         inner.head()
         results.append(inner.powers)
 for s in points:

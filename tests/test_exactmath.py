@@ -39,13 +39,6 @@ def test_trims_trailing_zeros_and_degree():
     assert Polynomial.from_integers((0, 0, 0, 2, 0), 2).coefficients == (0, 0, 0, 1)
 
 
-def test_coefficient_beyond_degree_is_zero():
-    p = Polynomial((1, 2))
-    assert p.coefficient(7) == 0
-    with pytest.raises(ValueError):
-        p.coefficient(-1)
-
-
 def test_evaluation_is_exact():
     p = Polynomial((Fraction(1, 3), 0, 1))
     assert p(Fraction(1, 2)) == Fraction(1, 3) + Fraction(1, 4)
@@ -197,7 +190,7 @@ def test_faulhaber_printed_forms():
     )
     p10 = faulhaber(10)
     assert p10.degree == 11
-    assert p10.coefficient(11) == Fraction(1, 11)
+    assert p10.coefficients[11] == Fraction(1, 11)
     assert p10(1) == 1
 
 
@@ -213,7 +206,7 @@ def test_faulhaber_brute_force():
 def test_faulhaber_structure():
     for m in range(0, 13):
         poly = faulhaber(m)
-        assert poly.coefficient(0) == 0
+        assert poly.coefficients[0] == 0
         assert poly.degree == m + 1
         assert poly(0) == 0
         assert poly(1) == 1
