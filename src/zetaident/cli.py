@@ -34,6 +34,7 @@ from .evalzeta import (
     _check_digits,
     _eval_point,
     _exact_point,
+    _format_bound,
     _supporting,
     eval_identities,
     eval_identity,
@@ -113,8 +114,12 @@ def _default_digits() -> int:
         raise ValueError("ZETA_DIGITS must be an integer") from None
 
 
-def _tolerance(digits: int):
-    return mp.mpf(10) ** (-(digits - 5))
+def _limits(digits: int):
+    """The tolerance 10^-(digits-5) of a value against its target, and the
+    slack 10^-(digits+9) on its error estimate, which covers the target's
+    rounding at digits + 10: computed once per check."""
+    ten = mp.mpf(10)
+    return ten ** (5 - digits), ten ** (-(digits + 9))
 
 
 def _p_values(text: Optional[str]) -> Optional[list[int]]:
@@ -218,19 +223,19 @@ def _check_pairing(specs: list[IdentitySpec], digits: int) -> _Result:
     return True, "depths (3,4), (5,6), (7,8), (9,10), (11,12) pair up exactly", ()
 
 
-def _off_target(p: int, name: str, report: EvalReport, target, digits: int):
+def _off_target(p: int, name: str, report: EvalReport, target, limits):
     """|value - target| for depth p's value of name, and the miss, if any:
     a value passes inside the tolerance and inside its error estimate plus
-    10^-(digits+9), which covers the target's rounding at digits + 10."""
+    the slack, limits = _limits(digits)."""
     diff = abs(report.value - target)
-    bound = mp.mpf(report.error_estimate) + mp.mpf(10) ** (-(digits + 9))
-    if diff < _tolerance(digits) and diff <= bound:
+    tolerance, slack = limits
+    if diff < tolerance and diff <= report.error_estimate + slack:
         return diff, []
-    estimate = f"{report.error_estimate:.3e}"
+    estimate = _format_bound(report.error_estimate)
     return diff, [f"p={p}: {name} off by {mp.nstr(diff, 3)} (error estimate {estimate})"]
 
 
-def _exact_value(specs: list[IdentitySpec], reports, s: int, target, digits: int, magnitude=False):
+def _exact_value(specs: list[IdentitySpec], reports, s: int, target, digits: int, limits, magnitude=False):
     """Each depth's zeta(s), its report from one batch, against an exact
     target (_off_target): a line per depth with Re zeta(s) to digits, or
     |zeta(s)| to 4 if magnitude; the misses; and the largest difference."""
@@ -240,7 +245,7 @@ def _exact_value(specs: list[IdentitySpec], reports, s: int, target, digits: int
             lines.append(f"p={spec.p}: |zeta({s})| = {float(abs(report.value)):.3e}")
         else:
             lines.append(f"p={spec.p}: zeta({s}) = {mp.nstr(mp.re(report.value), digits)}")
-        diff, miss = _off_target(spec.p, f"zeta({s})", report, target, digits)
+        diff, miss = _off_target(spec.p, f"zeta({s})", report, target, limits)
         worst = max(worst, diff)
         misses += miss
     return lines, misses, worst
@@ -248,13 +253,14 @@ def _exact_value(specs: list[IdentitySpec], reports, s: int, target, digits: int
 
 def _check_zeta0(specs: list[IdentitySpec], digits: int) -> _Result:
     reports = eval_identities(specs, 0, digits)
-    lines, misses, _ = _exact_value(specs, reports, 0, -mp.mpf(1) / 2, digits)
+    lines, misses, _ = _exact_value(specs, reports, 0, -mp.mpf(1) / 2, digits, _limits(digits))
     return _verdict(misses, f"zeta(0) = -1/2 for p = {specs[0].p}..{specs[-1].p}", lines)
 
 
 def _check_zeta2(specs: list[IdentitySpec], digits: int) -> _Result:
     target = mp.pi**2 / 6
-    lines, misses, worst = _exact_value(specs, eval_identities(specs, 2, digits), 2, target, digits)
+    reports = eval_identities(specs, 2, digits)
+    lines, misses, worst = _exact_value(specs, reports, 2, target, digits, _limits(digits))
     lines += [f"pi^2/6     = {mp.nstr(target, digits)}", f"difference = {mp.nstr(worst, 3)}"]
     depths = ", ".join(str(spec.p) for spec in specs)
     return _verdict(misses, f"zeta(2) = pi^2/6 through the depth-{depths} series", lines)
@@ -265,9 +271,10 @@ def _check_trivial_zeros(specs: list[IdentitySpec], digits: int) -> _Result:
     that support it, each value held to _off_target; each zero is read
     once. Lines by depth."""
     found, misses, worst, s = {spec.p: [] for spec in specs}, [], mp.mpf(0), -2
+    limits = _limits(digits)
     while batch := _supporting(specs, point := _exact_point(s)):
         reports = _eval_point(batch, point, digits)
-        values, miss, diff = _exact_value(batch, reports, s, 0, digits, magnitude=True)
+        values, miss, diff = _exact_value(batch, reports, s, 0, digits, limits, magnitude=True)
         for spec, line in zip(batch, values):
             found[spec.p].append(line)
         misses += miss
@@ -288,10 +295,10 @@ def _check_zetaprime0(specs: list[IdentitySpec], digits: int) -> _Result:
     lines.append(f"-log(2*pi)/2 = {mp.nstr(target, digits)}")
     listed = " and ".join(f"p={p}" for p in reports)
     # the depths must agree with each other as well as with the target
-    spread = max(values) - min(values)
-    misses = [] if spread < _tolerance(digits) else [f"{listed} disagree by {mp.nstr(spread, 3)}"]
+    spread, limits = max(values) - min(values), _limits(digits)
+    misses = [] if spread < limits[0] else [f"{listed} disagree by {mp.nstr(spread, 3)}"]
     for p, report in reports.items():
-        misses += _off_target(p, "zeta'(0)", report, target, digits)[1]
+        misses += _off_target(p, "zeta'(0)", report, target, limits)[1]
     return _verdict(misses, f"zeta'(0) = -log(2*pi)/2 from {listed}", lines)
 
 
@@ -306,23 +313,23 @@ def _check_sum_identity(specs: list[IdentitySpec], digits: int) -> _Result:
     ]
     if diff < mp.mpf(10) ** (-digits) and diff <= report.error_estimate:
         return True, "sum_{k>=2} (zeta(k) - 1) = 1", lines
-    miss = f"off 1 by {mp.nstr(diff, 3)} (error estimate {report.error_estimate:.3e})"
+    miss = f"off 1 by {mp.nstr(diff, 3)} (error estimate {_format_bound(report.error_estimate)})"
     return False, f"sum_k (zeta(k)-1) {miss}", lines
 
 
 def _check_oracle(specs: list[IdentitySpec], digits: int) -> _Result:
-    misses, diffs, tolerance = [], [], _tolerance(digits)
+    """Every (s, p) of the grid against direct summation, each value held
+    to _off_target: the oracle's rounding at digits + 10 is covered by the
+    slack as an exact target's is."""
+    misses, diffs, limits = [], [], _limits(digits)
     for s in ORACLE_GRID:
         reference = zeta_em_reference(s, digits)
         point = _exact_point(s)
         batch = _supporting(specs, point)
         for spec, report in zip(batch, _eval_point(batch, point, digits)):
-            diffs.append(abs(report.value - reference))
-            if not diffs[-1] < tolerance:
-                misses.append(
-                    f"s={s}, p={spec.p}: identity and direct summation "
-                    f"differ by {mp.nstr(diffs[-1], 3)}"
-                )
+            diff, miss = _off_target(spec.p, f"zeta at {s} against direct summation", report, reference, limits)
+            diffs.append(diff)
+            misses += miss
     worst = mp.nstr(max(diffs, default=mp.zero), 3)
     passed = f"{len(diffs)} (s, p) evaluations match direct summation (worst {worst})"
     return _verdict(misses, passed)
@@ -416,7 +423,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             print(f"zeta(s) = {mp.nstr(report.value, args.digits)}")
     print(
         f"p = {report.p_used}, terms used through k = {report.terms_used}, "
-        f"error estimate <= {report.error_estimate:.3e}"
+        f"error estimate <= {_format_bound(report.error_estimate)}"
     )
     return 0
 
@@ -473,7 +480,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                     "value_re": mp.nstr(mp.re(report.value), digits),
                     "value_im": mp.nstr(mp.im(report.value), digits),
                     "terms_used": report.terms_used,
-                    "error_estimate": repr(report.error_estimate),
+                    "error_estimate": mp.nstr(report.error_estimate, 17),
                 }
             )
     header = ["s_re", "s_im", "value_re", "value_im", "terms_used", "error_estimate"]

@@ -71,7 +71,8 @@ pass rounds: the bit length of 10^(digits+5), plus log2 of the largest
 head weight times the error of the value it multiplies (3 |W_m| ulps for
 m^-s, 3 (m - 2) for the partial sum), plus _GUARD_BITS, with no scan of
 the series; one pass runs at that scale. Every bound is a tally of the
-ulps actually lost, whatever P is. A call whose bound exceeds 10^-digits,
+ulps actually lost, whatever P is, and is returned as that tally times
+2^-P, exactly, an mpf of any size. A call whose bound exceeds 10^-digits,
 compared in integers, raises PrecisionError, which carries the reports.
 
 The independent cross-check `zeta_em_reference` computes zeta directly by
@@ -149,7 +150,7 @@ import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from fractions import Fraction
-from math import factorial, inf, isfinite, isqrt, lcm, ldexp
+from math import factorial, isfinite, isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -205,10 +206,13 @@ class EvalReport:
 
     value is an mpmath mpc, the fixed-point result converted exactly.
     p_used is the depth of the identity evaluated; sum_zeta_m1, whose
-    series belongs to no depth, reports 0. error_estimate bounds
+    series belongs to no depth, reports 0. error_estimate, an mpf, bounds
     |value - zeta(s)| (|value - zeta'(0)| for zeta_prime_at_zero and
-    |value - 1| for sum_zeta_m1), rounded up to a float. It is
-    the sum of, in ulps of the call's scale 2^-P: the outer truncation
+    |value - 1| for sum_zeta_m1). It is the pass's integer tally times
+    2^-P, converted exactly (_mp_value), so a bound of any size shows as
+    it is, below the least float at 400 digits or past the largest far
+    left; every check and printout reads it, through _format_bound. The
+    tally is the sum of, in ulps of the call's scale 2^-P: the outer truncation
     bound; the inner truncation bounds, each times its |r_k/(k+1)!|,
     summed per depth; and the rounding tally, which covers the head,
     _ENTRY_ULPS times |W_m| for m^-s and _ENTRY_ULPS (m - 2) for the
@@ -238,7 +242,7 @@ class EvalReport:
     value: object
     p_used: int
     terms_used: int
-    error_estimate: float
+    error_estimate: object
     split_point: int
     correction_order: int
     last_em_k: Optional[int]
@@ -368,18 +372,11 @@ def _mp_value(re: int, im: Optional[int], bits: int):
     return mp.make_mpc((from_man_exp(re, -bits), from_man_exp(im, -bits)))
 
 
-def _float_up(ulps: int, bits: int) -> float:
-    """The least float >= ulps * 2^-bits, ulps >= 0: inf beyond the float
-    range, as the bound of a pass at too coarse a scale can be
-    (_outer_series). In integers: the unit of the last place is 2^(e - 53)
-    for a value in [2^(e-1), 2^e), and never below 2^-1074, the least
-    subnormal; ulps is rounded up to a multiple of it and scaled exactly."""
-    unit = max(ulps.bit_length() - bits - 53, -1074)
-    shift = unit + bits
-    top = -(-ulps >> shift) if shift > 0 else ulps << -shift
-    if top.bit_length() + unit > 1024:
-        return inf
-    return ldexp(top, unit)
+def _format_bound(x) -> str:
+    """An error bound x > 0 to 4 significant digits, in the form '%.3e'
+    gives a float, at any exponent: the one printed form of every bound."""
+    mantissa, _, exponent = mp.nstr(x, 4, strip_zeros=False, min_fixed=mp.inf, max_fixed=-mp.inf).partition("e")
+    return f"{mantissa}e{int(exponent or 0):+03d}"
 
 
 def _threshold_bits(digits: int) -> int:
@@ -1127,9 +1124,11 @@ def _outer_series(
     R_k the bound of M_k rounded up per term, and one sums call the G_k.
     Every running depth adds rho_k G_k at each of its k, G_k shared; G_k is
     exactly 0 where V_k is, and is skipped there, and so is every
-    imaginary part that is exactly 0. If the error bound of any
-    depth, in ulps, exceeds 2^P 10^-digits, PrecisionError raises with
-    every report, each bound still holding."""
+    imaginary part that is exactly 0. Each depth's error bound is its
+    tally in ulps, and its report's error_estimate is that tally times
+    2^-P, exactly. If any tally exceeds 2^P 10^-digits, PrecisionError
+    raises with every report, each bound still holding, and names each
+    missed bound through _format_bound."""
     zr, zi, den = point
     k = heads[0][0]
     shift = _tail_shift(_modulus_up(zr + k * den, zi), den, n)
@@ -1224,7 +1223,7 @@ def _outer_series(
         error = d.tail_bound + d.inner_err + d.rounding + 2 * (d.products + 1)
         value = _mp_value(d.total_re + (hr << bits) // hd, d.total_im + (hi << bits) // hd, bits)
         miss = error * 10**digits > 1 << bits
-        results.append((value, d.terms_used, _float_up(error, bits), miss))
+        results.append((value, d.terms_used, _mp_value(error, None, bits), miss))
     reports, missed = [], []
     for p, owner in zip(ps, owners):
         value, terms_used, estimate, miss = results[owner]
@@ -1241,7 +1240,7 @@ def _outer_series(
         if miss:
             missed.append(report)
     if missed:
-        bounds = ", ".join(f"{r.error_estimate:.3e} (depth {r.p_used})" for r in missed)
+        bounds = ", ".join(f"{_format_bound(r.error_estimate)} (depth {r.p_used})" for r in missed)
         raise PrecisionError(f"cannot meet 10^-{digits}: error bound {bounds}", reports)
     return reports
 

@@ -20,6 +20,7 @@ from zetaident.derive import (
     periodic_remainder,
 )
 from zetaident.evalzeta import (
+    _format_bound,
     eval_identities,
     eval_identity,
     sum_zeta_m1,
@@ -153,7 +154,7 @@ def test_sum_of_zeta_minus_one():
         "sum identity",
         diff <= report.error_estimate < 1e-30 and elapsed < 1.0,
         f"sum over k >= 2 of (zeta(k)-1) = 1 (|diff| {mp.nstr(diff, 3)}, "
-        f"error estimate {report.error_estimate:.3e}, tolerance 1e-30, "
+        f"error estimate {_format_bound(report.error_estimate)}, tolerance 1e-30, "
         f"{elapsed:.2f}s, budget 1s)",
     )
 

@@ -402,6 +402,21 @@ def test_eval_missed_target_exits_two(capsys):
     assert "cannot meet 10^-30: error bound 3.784e+125 (depth 256)" in err
 
 
+def test_eval_missed_target_past_the_floats_exits_two(capsys):
+    # depth 384 at s = -382.5 misses by far more: the bound it reached is
+    # past the float range, and is printed all the same
+    assert main(["eval", "--s", "-382.5", "--p", "384", "--digits", "30"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cannot meet 10^-30: error bound 3.301e+343 (depth 384)" in err
+
+
+def test_eval_prints_a_bound_below_the_floats(capsys):
+    # about 10^-405, below the least float: printed from the exact tally
+    assert main(["eval", "--s", "2", "--digits", "400"]) == 0
+    assert capsys.readouterr().out.endswith("error estimate <= 1.744e-405\n")
+
+
 @pytest.mark.parametrize("s", ["0.5+1e9i", "0.5+1e300i"])
 def test_eval_past_the_split_limit_exits_two_at_once(s, capsys):
     # N would pass 2^16 inner terms: a usage error before any power
@@ -427,6 +442,16 @@ def test_table_at_large_imaginary_part_skips_no_row(capsys):
             target = mp.zeta(mp.mpc(row["s_re"], 1000))
             # the printed value rounds to 30 significant digits
             assert abs(value - target) <= float(row["error_estimate"]) + abs(target) * 10**-29
+
+
+def test_table_writes_a_bound_below_the_floats(capsys):
+    # at 400 digits every bound is below the least float, and the column
+    # holds it to 17 significant digits, not a float's 0
+    assert main(["table", "--start", "2", "--stop", "3", "--step", "1/2", "--digits", "400", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 3
+    for row in rows:
+        assert 0 < mp.mpf(row["error_estimate"]) < mp.mpf("1e-400"), row["error_estimate"]
 
 
 def test_eval_digits_floor():
@@ -643,6 +668,25 @@ def test_exact_values_must_lie_within_their_estimate(name, monkeypatch, capsys):
     assert main(["verify", "--only", name, "--digits", str(digits)]) == 1
     assert "(error estimate " in capsys.readouterr().out
     assert main(["special", "--check", name, "--digits", str(digits)]) == 1
+
+
+def test_oracle_values_must_lie_within_their_estimate(monkeypatch, capsys):
+    # moves every value by 10^-(digits-2): inside the tolerance
+    # 10^-(digits-5) of direct summation, but outside its own estimate
+    digits = 25
+    shift = mp.mpf(10) ** (2 - digits)
+    at_point = cli._eval_point
+
+    def moved(*args):
+        reports = at_point(*args)
+        assert all(report.error_estimate < shift / 100 for report in reports)
+        return [dataclasses.replace(report, value=report.value + shift) for report in reports]
+
+    monkeypatch.setattr(cli, "_eval_point", moved)
+    assert main(["verify", "--only", "oracle", "--digits", str(digits)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL  oracle: p=")
+    assert "against direct summation off by 1.0e-23 (error estimate " in out
 
 
 # ---- global behavior ----
