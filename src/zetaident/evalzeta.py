@@ -30,7 +30,9 @@ below pi. Then |Im w|/(2 pi N) <= 1/2 at every w = s + k, so each further
 Euler-Maclaurin order gains at least 2 bits from the imaginary part
 alone, as Johansson sizes the cutoff from |s| and the target. An N past
 2^16 (|Im s| beyond about 2 10^5) raises ValueError before any power is
-computed.
+computed. Past half that reach, |Im s| > 333/212 N, a deep series can
+still miss at the top digits of an N band; eval_identities then runs its
+pass once more at 2N, where |Im w|/(2 pi N) <= 1/4.
 
 The identity evaluator works in fixed point on Python integers. One call
 chooses a scale 2^P; a real number x is held as an integer within a few
@@ -227,11 +229,12 @@ class EvalReport:
     10^-digits raises PrecisionError, whose reports are these.
 
     The last three fields record the inner schedule of the pass.
-    split_point is N = _split_point(digits, zi, den), m + 1 of the shifted
-    split, decided once per call for s = (zr + i zi)/den:
-    the least power of two >= 10 + digits with |Im s| <= 333/106 N, at
-    which every inner sum of every caller is an Euler-Maclaurin sum
-    zeta(s + k, N). correction_order is the order J of the pass's band, the
+    split_point is N, m + 1 of the shifted split, at which every inner sum
+    of every caller is an Euler-Maclaurin sum zeta(s + k, N): for
+    s = (zr + i zi)/den, _split_point(digits, zi, den), the least power of
+    two >= 10 + digits with |Im s| <= 333/106 N, or twice that where
+    eval_identities missed at that N past half its reach. correction_order
+    is the order J of the pass's band, the
     most correction terms any G_k took (G_k takes min(J, (T - k + 1) // 2),
     see _outer_series), or 0 if no G_k was summed. last_em_k is the last k
     whose G_k the pass summed, the last k of the pass unless V_k is exactly
@@ -989,7 +992,9 @@ def eval_identities(
     one identity (depths 3 and 4, say): they share one head and one share
     of the pass, and each gets that identity's report with its own p_used.
     An empty specs raises ValueError, and a depth whose bound exceeds
-    10^-digits PrecisionError for the whole batch.
+    10^-digits PrecisionError for the whole batch, unless |Im s| is past
+    half the reach of N, |Im s| > 333/212 N: then the pass runs once more
+    at 2N, and raises only if that one misses.
     """
     _check_digits(digits)
     return _eval_point(specs, _exact_point(s), digits)
@@ -1007,7 +1012,6 @@ def _eval_point(specs: Sequence[IdentitySpec], point: Point, digits: int) -> lis
     for spec in specs:
         _check_point(spec, zr, den, near_pole, digits)
     n = _split_point(digits, zi, den)
-    m = n - 1
     # each spec is proved the identity of its k0, or raises, before any
     # work; twins, equal in k0, are then one identity, and one head and one
     # share of the pass serve them all, in ascending k0. Each head is
@@ -1020,16 +1024,29 @@ def _eval_point(specs: Sequence[IdentitySpec], point: Point, digits: int) -> lis
         firsts.setdefault(spec.k0, spec)
     k0s = sorted(firsts)
     owners = [k0s.index(spec.k0) for spec in specs]
-    heads = [(k0, k0, (1, 0, 1), [(1, 0, 1), _last_weight(firsts[k0], point, m)]) for k0 in k0s]
     coefficients = firsts[k0s[-1]].euler_maclaurin_coefficients
-    head_ulps = [_ENTRY_ULPS * (m - 2), _ENTRY_ULPS]
+    ps = [spec.p for spec in specs]
 
     def values(inner):
         *middle, last = inner.head()
         return [(sum(x for x, _ in middle), sum(y for _, y in middle)), last]
 
-    ps = [spec.p for spec in specs]
-    return _outer_series(ps, owners, point, n, 0, coefficients, heads, head_ulps, values, digits)
+    def shifted_pass(n):
+        m = n - 1
+        heads = [(k0, k0, (1, 0, 1), [(1, 0, 1), _last_weight(firsts[k0], point, m)]) for k0 in k0s]
+        head_ulps = [_ENTRY_ULPS * (m - 2), _ENTRY_ULPS]
+        return _outer_series(ps, owners, point, n, 0, coefficients, heads, head_ulps, values, digits)
+
+    try:
+        return shifted_pass(n)
+    except PrecisionError:
+        # past half the reach of N, |Im s| > 333/212 N, the least
+        # Euler-Maclaurin remainder at N is only about 2^-(3 N) to 2^-(6 N),
+        # short of a deep series' peak term at the top digits of an N band;
+        # at 2N, |Im w|/(2 pi 2N) <= 1/4 and it is below 2^-(11 N)
+        if 212 * abs(zi) <= 333 * den * n or n == 1 << _SPLIT_BITS:
+            raise
+    return shifted_pass(2 * n)
 
 
 def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:

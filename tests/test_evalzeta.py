@@ -11,7 +11,7 @@ from math import factorial, gcd, isqrt, perm
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import MPContext, ctx_mp_python, mp
 from mpmath.libmp import from_man_exp, libelefun
@@ -405,11 +405,13 @@ def test_error_estimate_covers_mpmath_zeta_in_every_strip(
     im_steps=st.integers(-(3 * 10**7), 3 * 10**7),
     digits=st.integers(15, 60),
 )
+@example(p=7, re_steps=1, im_steps=9767658, digits=22)
 def test_every_strip_meets_or_raises_up_to_three_hundred(specs64, p, re_steps, im_steps, digits):
     # as test_error_estimate_covers_mpmath_zeta_in_every_strip, with
-    # |Im s| <= 300: N grows with |Im s| (_split_point), so every batch
-    # meets its target, raising nothing, and every bound holds. |zeta(s)|
-    # is below 10^30 here, so the reference carries digits + 60.
+    # |Im s| <= 300: N grows with |Im s| (_split_point), and a batch that
+    # misses past half its reach runs again at 2N, so every batch meets
+    # its target, raising nothing, and every bound holds. |zeta(s)| is
+    # below 10^30 here, so the reference carries digits + 60.
     spec = specs64[p]
     left = max(spec.effective_validity, F(3, 2) - spec.k0)
     s = (left + F(re_steps, 5 * 10**5), F(im_steps, 10**5))
@@ -417,6 +419,31 @@ def test_every_strip_meets_or_raises_up_to_three_hundred(specs64, p, re_steps, i
     batch = [other for other in specs64.values() if supports(other, s)]
     reports = eval_identities(batch, s, digits)
     assert all(r.error_estimate <= 10.0**-digits for r in reports)
+    with mp.workdps(digits + 60):
+        target = mp.zeta(_mp_point(s))
+        for report in reports:
+            err = abs(report.value - target)
+            assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
+
+
+@pytest.mark.parametrize(
+    "s, digits",
+    [
+        ((F(-3249999, 500000), F(4883829, 50000)), 22),
+        ((F(-19, 2), F(100)), 20),
+        ((F(-11, 2), F(201)), 54),
+    ],
+)
+def test_a_miss_past_half_the_reach_runs_again_at_twice_n(specs64, s, digits):
+    # |Im s| > 333/212 N: the least Euler-Maclaurin remainder at N falls
+    # short of the peak term of depths 7..12 here, so the pass misses at N
+    # and runs once more at 2N, which meets, and every bound holds
+    n = evalzeta._split_point(digits, s[1].numerator, s[1].denominator)
+    assert 212 * s[1] > 333 * n
+    batch = [spec for spec in specs64.values() if supports(spec, s)]
+    reports = eval_identities(batch, s, digits)
+    assert [r.split_point for r in reports] == [2 * n] * len(batch)
+    assert all(r.error_estimate <= mp.mpf(10) ** -digits for r in reports)
     with mp.workdps(digits + 60):
         target = mp.zeta(_mp_point(s))
         for report in reports:
