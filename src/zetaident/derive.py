@@ -398,7 +398,11 @@ def _poly_to_json(poly: Polynomial) -> list[str]:
     return [_fraction_to_str(c) for c in poly.coefficients]
 
 
-def _poly_from_json(data: Sequence[str]) -> Polynomial:
+def _poly_from_json(record: dict, field: str) -> Polynomial:
+    data = record[field]
+    # a string would be read one character at a time
+    if not isinstance(data, list):
+        raise TypeError(f"{field} must be a list of rational strings, not {data!r}")
     return Polynomial(_fraction_from_str(c) for c in data)
 
 
@@ -455,9 +459,9 @@ def identity_from_json(data: dict) -> IdentitySpec:
             p=p,
             k0=k0,
             pole_coefficient=_fraction_from_str(data["pole_coefficient"]),
-            q_poly=_poly_from_json(data["q_poly"]),
+            q_poly=_poly_from_json(data, "q_poly"),
             closed_form=_closed_form_of(
-                p, k0, terms, None if closed is None else _poly_from_json(closed["k_poly"])
+                p, k0, terms, None if closed is None else _poly_from_json(closed, "k_poly")
             ),
             k_max=terms[-1][0],
             validity_re_gt=_fraction_from_str(data["validity_re_gt"]),

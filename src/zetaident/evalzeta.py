@@ -28,11 +28,12 @@ terms. N is the least power of two >= 10 + digits (32 up to 22 digits, 64
 at 40, 128 at 100, 512 at 300) with |Im s| <= 333/106 N, 333/106 just
 below pi. Then |Im w|/(2 pi N) <= 1/2 at every w = s + k, so each further
 Euler-Maclaurin order gains at least 2 bits from the imaginary part
-alone, as Johansson sizes the cutoff from |s| and the target. An N past
-2^16 (|Im s| beyond about 2 10^5) raises ValueError before any power is
-computed. Past half that reach, |Im s| > 333/212 N, a deep series can
-still miss at the top digits of an N band; eval_identities then runs its
-pass once more at 2N, where |Im w|/(2 pi N) <= 1/4.
+alone, as Johansson sizes the cutoff from |s| and the target. Where that
+N is the digits' own N_1 and |Im s| is past half its reach,
+|Im s| > 333/212 N_1, N is 2 N_1 instead, where |Im w|/(2 pi N) <= 1/4:
+at N_1 a deep series could miss at the top digits of an N_1 band. So each
+call runs one pass, at the N it starts with. An N past 2^16 (|Im s|
+beyond about 2 10^5) raises ValueError before any power is computed.
 
 The identity evaluator works in fixed point on Python integers. One call
 chooses a scale 2^P; a real number x is held as an integer within a few
@@ -232,8 +233,8 @@ class EvalReport:
     split_point is N, m + 1 of the shifted split, at which every inner sum
     of every caller is an Euler-Maclaurin sum zeta(s + k, N): for
     s = (zr + i zi)/den, _split_point(digits, zi, den), the least power of
-    two >= 10 + digits with |Im s| <= 333/106 N, or twice that where
-    eval_identities missed at that N past half its reach. correction_order
+    two >= 10 + digits with |Im s| <= 333/106 N, doubled where that is
+    the digits' own N_1 and |Im s| > 333/212 N_1. correction_order
     is the order J of the pass's band, the
     most correction terms any G_k took (G_k takes min(J, (T - k + 1) // 2),
     see _outer_series), or 0 if no G_k was summed. last_em_k is the last k
@@ -261,11 +262,20 @@ def _split_point(digits: int, zi: int, den: int) -> int:
     den > 0: the least power of two >= 10 + digits with
     |Im s| <= 333/106 N, 333/106 the rational below pi, so
     |Im w|/(2 pi N) <= 1/2 at every w = s + k and each further
-    Euler-Maclaurin order gains at least 2 bits. Every inner sum is an
-    Euler-Maclaurin sum at N, and N is m + 1 of the shifted split. Each
-    evaluation calls it once and passes N down. Raises ValueError for an N
-    past 2^_SPLIT_BITS, before any work."""
-    n = 1 << (max(10 + digits, _ceil_div(106 * abs(zi), 333 * den)) - 1).bit_length()
+    Euler-Maclaurin order gains at least 2 bits. Where that N is N_1, the
+    least power of two >= 10 + digits, and |Im s| is past half its reach,
+    |Im s| > 333/212 N_1, N is 2 N_1 (unless N_1 is 2^_SPLIT_BITS): there
+    the least Euler-Maclaurin remainder at N_1 is only about 2^-(3 N_1) to
+    2^-(6 N_1), short of a deep series' peak term at the top digits of an
+    N_1 band, while at 2 N_1, |Im w|/(2 pi N) <= 1/4 and it is below
+    2^-(11 N_1). An N that |Im s| sets, past N_1, is not doubled. Every
+    inner sum is an Euler-Maclaurin sum at N, and N is m + 1 of the
+    shifted split. Each evaluation calls it once, before any work, and
+    passes N down. Raises ValueError for an N past 2^_SPLIT_BITS."""
+    n1 = 1 << (9 + digits).bit_length()
+    n = 1 << (max(n1, _ceil_div(106 * abs(zi), 333 * den)) - 1).bit_length()
+    if n == n1 < 1 << _SPLIT_BITS and 212 * abs(zi) > 333 * den * n:
+        n *= 2
     if n > 1 << _SPLIT_BITS:
         raise ValueError(
             f"|Im s| = {abs(zi) / den:.4g} at {digits} digits needs the inner cutoff "
@@ -992,9 +1002,8 @@ def eval_identities(
     one identity (depths 3 and 4, say): they share one head and one share
     of the pass, and each gets that identity's report with its own p_used.
     An empty specs raises ValueError, and a depth whose bound exceeds
-    10^-digits PrecisionError for the whole batch, unless |Im s| is past
-    half the reach of N, |Im s| > 333/212 N: then the pass runs once more
-    at 2N, and raises only if that one misses.
+    10^-digits PrecisionError for the whole batch. N is decided before
+    any work, and the batch is one pass at it.
     """
     _check_digits(digits)
     return _eval_point(specs, _exact_point(s), digits)
@@ -1031,22 +1040,10 @@ def _eval_point(specs: Sequence[IdentitySpec], point: Point, digits: int) -> lis
         *middle, last = inner.head()
         return [(sum(x for x, _ in middle), sum(y for _, y in middle)), last]
 
-    def shifted_pass(n):
-        m = n - 1
-        heads = [(k0, k0, (1, 0, 1), [(1, 0, 1), _last_weight(firsts[k0], point, m)]) for k0 in k0s]
-        head_ulps = [_ENTRY_ULPS * (m - 2), _ENTRY_ULPS]
-        return _outer_series(ps, owners, point, n, 0, coefficients, heads, head_ulps, values, digits)
-
-    try:
-        return shifted_pass(n)
-    except PrecisionError:
-        # past half the reach of N, |Im s| > 333/212 N, the least
-        # Euler-Maclaurin remainder at N is only about 2^-(3 N) to 2^-(6 N),
-        # short of a deep series' peak term at the top digits of an N band;
-        # at 2N, |Im w|/(2 pi 2N) <= 1/4 and it is below 2^-(11 N)
-        if 212 * abs(zi) <= 333 * den * n or n == 1 << _SPLIT_BITS:
-            raise
-    return shifted_pass(2 * n)
+    m = n - 1
+    heads = [(k0, k0, (1, 0, 1), [(1, 0, 1), _last_weight(firsts[k0], point, m)]) for k0 in k0s]
+    head_ulps = [_ENTRY_ULPS * (m - 2), _ENTRY_ULPS]
+    return _outer_series(ps, owners, point, n, 0, coefficients, heads, head_ulps, values, digits)
 
 
 def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:

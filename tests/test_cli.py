@@ -178,6 +178,22 @@ def test_verify_rejects_wrong_closed_form(tmp_path, capsys):
     assert "depth-2" in err and "closed_form" in err and "r_2 = 7" in err
 
 
+@pytest.mark.parametrize("field, value", [("q_poly", "1"), ("q_poly", "0"), ("k_poly", "-1")])
+def test_verify_rejects_a_polynomial_field_that_is_no_list(tmp_path, capsys, field, value):
+    # read one character at a time, "1" would pass as Q = 1, "0" FAIL the
+    # coefficients and "-1" fail to parse "-": each is a malformed record
+    path = tmp_path / "identities.json"
+    main(["derive", "--p", "1", "--out", str(path)])
+    records = json.loads(path.read_text())
+    (records[0]["closed_form"] if field == "k_poly" else records[0])[field] = value
+    path.write_text(json.dumps(records))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert captured.err.startswith(f"error: malformed identity record: {field} must be a list")
+
+
 def test_verify_rejects_wrong_extended_validity(tmp_path, capsys):
     path = tmp_path / "identities.json"
     main(["derive", "--p", "1..12", "--out", str(path)])

@@ -354,12 +354,14 @@ def test_contract_against_mpmath_zeta(specs64, p, s, digits):
 
 @pytest.mark.parametrize(
     "t, digits, n",
-    [(100, 20, 32), (200, 20, 64), (400, 40, 128), (1000, 40, 512), (3000, 40, 1024)],
+    [(100, 20, 64), (200, 20, 64), (400, 40, 128), (1000, 40, 512), (3000, 40, 1024)],
 )
 def test_large_imaginary_part_meets_the_contract(specs64, t, digits, n):
     # depth 1 at 0.5 + ti: N is the least power of two >= 10 + digits with
     # |Im s| <= 333/106 N, so each Euler-Maclaurin order gains at least 2
-    # bits and one band of orders meets the target
+    # bits and one band of orders meets the target. At t = 100 and 20
+    # digits that is the digits' own N_1 = 32, and 100 is past half its
+    # reach, so N = 2 N_1
     s = (F(1, 2), F(t))
     start = time.process_time()
     [report] = eval_identities([specs64[1]], s, digits)
@@ -408,10 +410,11 @@ def test_error_estimate_covers_mpmath_zeta_in_every_strip(
 @example(p=7, re_steps=1, im_steps=9767658, digits=22)
 def test_every_strip_meets_or_raises_up_to_three_hundred(specs64, p, re_steps, im_steps, digits):
     # as test_error_estimate_covers_mpmath_zeta_in_every_strip, with
-    # |Im s| <= 300: N grows with |Im s| (_split_point), and a batch that
-    # misses past half its reach runs again at 2N, so every batch meets
-    # its target, raising nothing, and every bound holds. |zeta(s)| is
-    # below 10^30 here, so the reference carries digits + 60.
+    # |Im s| <= 300: N grows with |Im s| (_split_point), and doubles past
+    # half the reach of the digits' own N_1, so every batch meets its
+    # target in one pass, raising nothing, and every bound holds. The
+    # example missed at N_1 = 32. |zeta(s)| is below 10^30 here, so the
+    # reference carries digits + 60.
     spec = specs64[p]
     left = max(spec.effective_validity, F(3, 2) - spec.k0)
     s = (left + F(re_steps, 5 * 10**5), F(im_steps, 10**5))
@@ -426,29 +429,74 @@ def test_every_strip_meets_or_raises_up_to_three_hundred(specs64, p, re_steps, i
             assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
 
 
-@pytest.mark.parametrize(
-    "s, digits",
-    [
-        ((F(-3249999, 500000), F(4883829, 50000)), 22),
-        ((F(-19, 2), F(100)), 20),
-        ((F(-11, 2), F(201)), 54),
-    ],
-)
-def test_a_miss_past_half_the_reach_runs_again_at_twice_n(specs64, s, digits):
-    # |Im s| > 333/212 N: the least Euler-Maclaurin remainder at N falls
-    # short of the peak term of depths 7..12 here, so the pass misses at N
-    # and runs once more at 2N, which meets, and every bound holds
-    n = evalzeta._split_point(digits, s[1].numerator, s[1].denominator)
-    assert 212 * s[1] > 333 * n
-    batch = [spec for spec in specs64.values() if supports(spec, s)]
-    reports = eval_identities(batch, s, digits)
-    assert [r.split_point for r in reports] == [2 * n] * len(batch)
-    assert all(r.error_estimate <= mp.mpf(10) ** -digits for r in reports)
+def _check_one_pass_at_twice_n1(specs, s, digits):
+    """Every depth that accepts s, one batch: one pass (one _InnerSums
+    built), at 2 N_1, meeting 10^-digits and mp.zeta; the reports."""
+    n1 = _least_power_of_two(10 + digits)
+    batch = [spec for spec in specs.values() if supports(spec, s)]
+    built = []
+    inner_sums = evalzeta._InnerSums
+
+    def counting(point, n, bits, start):
+        built.append(n)
+        return inner_sums(point, n, bits, start)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(evalzeta, "_InnerSums", counting)
+        reports = eval_identities(batch, s, digits)
+    assert built == [2 * n1]
+    assert [r.split_point for r in reports] == [2 * n1] * len(batch)
     with mp.workdps(digits + 60):
         target = mp.zeta(_mp_point(s))
         for report in reports:
             err = abs(report.value - target)
-            assert err <= report.error_estimate, (report.p_used, mp.nstr(err, 3))
+            assert err <= report.error_estimate <= mp.mpf(10) ** -digits, (
+                report.p_used,
+                mp.nstr(err, 3),
+            )
+    return reports
+
+
+@pytest.mark.parametrize(
+    "s, digits, bound",
+    [
+        ((F(-3249999, 500000), F(4883829, 50000)), 22, "1.855e-27"),
+        ((F(-19, 2), F(100)), 20, "5.846e-25"),
+        ((F(-11, 2), F(201)), 54, "2.271e-59"),
+    ],
+)
+def test_past_half_the_reach_one_pass_runs_at_twice_n1(specs64, s, digits, bound):
+    # |Im s| > 333/212 N_1, N_1 the digits' own N: the least
+    # Euler-Maclaurin remainder at N_1 falls short of the peak term of
+    # depths 7..12 here, so N is 2 N_1 from the start, and the one pass
+    # there meets with the largest bound a pass at 2 N_1 gives
+    n1 = _least_power_of_two(10 + digits)
+    assert 333 * n1 < 212 * s[1] <= 666 * n1
+    reports = _check_one_pass_at_twice_n1(specs64, s, digits)
+    assert _format_bound(max(r.error_estimate for r in reports)) == bound
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.integers(1, 12),
+    re_steps=st.integers(1, 10**5),
+    im_steps=st.integers(1, 10**6),
+    negative=st.booleans(),
+    digits=st.integers(15, 60),
+)
+def test_every_left_edge_past_half_the_reach_meets_in_one_pass(
+    specs64, p, re_steps, im_steps, negative, digits
+):
+    # Re s in (left, left + 1/2] at the edge of what the depth-p identity
+    # accepts, and |Im s| in (333/212 N_1, 333/106 N_1], where N_1 alone
+    # could miss at the top digits of its band: every depth that accepts s
+    # meets in one pass at 2 N_1
+    spec = specs64[p]
+    left = max(spec.effective_validity, F(3, 2) - spec.k0)
+    half = F(333 * _least_power_of_two(10 + digits), 212)
+    im = half * (1 + F(im_steps, 10**6))
+    s = (left + F(re_steps, 2 * 10**5), -im if negative else im)
+    _check_one_pass_at_twice_n1(specs64, s, digits)
 
 
 @pytest.mark.parametrize("s", [F(10**4), F(3 * 10**4)])
@@ -802,11 +850,14 @@ def test_shifted_split_meets_the_contract_at_every_depth(specs64, s, digits):
     # every depth that accepts s, in one batch; at s = 2 that is all twelve
     batch = [spec for spec in specs64.values() if supports(spec, s)]
     reports = eval_identities(batch, s, digits)
+    # N_1, the digits' own N, but 2 N_1 at 0.5 + 100i and 20 digits: 100
+    # is past half N_1's reach, 333/212 N_1
+    n = _least_power_of_two(10 + digits) * (2 if s == (F(1, 2), F(100)) else 1)
     # 30 more digits: at 1 + 10^-15, zeta moves 10^30 times as far as s
     with mp.workdps(digits + 50):
         target = mp.zeta(_mp_point(s))
         for report in reports:
-            assert report.split_point == _least_power_of_two(10 + digits)
+            assert report.split_point == n
             err = abs(report.value - target)
             assert err <= report.error_estimate <= 10.0**-digits, (report.p_used, mp.nstr(err, 3))
 
@@ -910,16 +961,32 @@ def test_split_point_is_the_euler_maclaurin_cutoff(specs64, digits, first_n):
 @pytest.mark.parametrize("digits", [15, 22, 23, 40, 100, 300])
 def test_split_point_grows_with_the_imaginary_part(digits):
     # N is the least power of two >= 10 + digits with |Im s| <= 333/106 N,
-    # 333/106 just below pi: the N of the digits alone while |Im s| is at
-    # most pi (10 + digits), and twice N just past each N's reach
+    # 333/106 just below pi, doubled where that is the digits' own N_1 and
+    # |Im s| is past half its reach, 333/212 N_1: N_1 up to that edge,
+    # 2 N_1 just past it and at N_1's reach, and an N that |Im s| sets,
+    # past N_1, up to its own reach and twice N just past it
+    def split(im):
+        return evalzeta._split_point(digits, im.numerator, im.denominator)
+
     base = _least_power_of_two(10 + digits)
-    for im in (F(0), F(-20), F(314 * (10 + digits), 100)):
-        assert evalzeta._split_point(digits, im.numerator, im.denominator) == base
-    for n in (base, 2 * base, 8 * base):
+    half = F(333 * base, 212)
+    for im in (F(0), F(-20), half):
+        assert split(im) == base
+    for im in (-half - F(1, 10**9), F(333 * base, 106)):
+        assert split(im) == 2 * base
+    for n in (2 * base, 8 * base):
         reach = F(333 * n, 106)
-        assert evalzeta._split_point(digits, reach.numerator, reach.denominator) == n
-        beyond = -reach - F(1, 10**9)
-        assert evalzeta._split_point(digits, beyond.numerator, beyond.denominator) == 2 * n
+        assert split(reach) == n
+        assert split(-reach - F(1, 10**9)) == 2 * n
+
+
+def test_the_doubling_stops_at_the_split_limit():
+    # at 2^16 - 10 digits the digits' own N is 2^16, the limit: past half
+    # its reach it is not doubled, and past its reach the call raises
+    digits = (1 << 16) - 10
+    assert evalzeta._split_point(digits, 333 << 16, 106) == 1 << 16
+    with pytest.raises(ValueError, match=r"past the limit N <= 2\^16"):
+        evalzeta._split_point(digits, (333 << 16) + 1, 106)
 
 
 def test_the_split_limit_raises_before_any_power(specs64, monkeypatch):

@@ -157,6 +157,17 @@ def test_malformed_records_rejected(specs64):
         identity_from_json(broken)
 
 
+@pytest.mark.parametrize("value", ["1", "-1", 1, {"0": "1"}])
+@pytest.mark.parametrize("field", ["q_poly", "k_poly"])
+def test_polynomial_fields_must_be_lists(specs64, field, value):
+    # a string would be read one character at a time: "1" as the
+    # polynomial 1, and "-1" as the rational "-"
+    record = json.loads(json.dumps(identity_to_json(specs64[1])))
+    (record["closed_form"] if field == "k_poly" else record)[field] = value
+    with pytest.raises(ValueError, match=f"^malformed identity record: {field} must be a list"):
+        identity_from_json(record)
+
+
 def test_top_level_shape_rejected():
     with pytest.raises(ValueError):
         identities_from_json_text('"just a string"')
