@@ -3,10 +3,11 @@
 For each integration-by-parts depth p >= 1 this module produces the exact
 data of an identity
 
-    zeta(s) = pole_coefficient/(s-1) + Q_p(s)
+    zeta(s) = 1/(s-1) + Q_p(s)
               + sum_{k >= k0} r_k * (s)_k / (k+1)! * (zeta(s+k) - 1),
 
-valid for Re s > validity_re_gt, where (s)_k is the rising factorial.
+valid for Re s > 1 - k0, where (s)_k is the rising factorial and k0 the
+first k >= p where r_k is nonzero.
 
 The construction: the tail sum_{n} n^{-s} is rewritten as an integral of a
 step function, a degree-p subtraction polynomial splits off the closed-form
@@ -28,7 +29,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
+from itertools import count, zip_longest
 from math import factorial, lcm
 from typing import Optional, Sequence
 
@@ -47,54 +48,58 @@ class CancellationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """Exact data of one derived identity.
+    """Exact data of one derived identity: its depth p, Q_p, the closed
+    form and k_max. Every other fact of the identity follows from these.
 
-    closed_form is the polynomial in k giving r_k at every k >= k0, the
-    first index k >= p where it is nonzero, and the one place r_k is held
-    (a record read with a null closed_form gets series_poly(p), see
-    identity_from_json). k_max is the last k a JSON record of the spec
-    lists, and changes no value: terms computes those (k, r_k) pairs from
-    the closed form, which gives r_k past k_max as well. The pole
-    coefficient is exactly 1: zeta has residue 1 at s = 1. A spec that
-    breaks any of these raises ValueError naming its depth, since the
-    evaluator would otherwise return a wrong value with a small error
-    bound: it sums the series from k0 and reads every coefficient from
+    closed_form is the polynomial in k giving r_k at every k >= k0, and the
+    one place r_k is held (a record read with a null closed_form gets
+    series_poly(p), see identity_from_json). k0 is the first k >= p where
+    it is nonzero. k_max is the last k a JSON record of the spec lists, and
+    changes no value: terms computes those (k, r_k) pairs from the closed
+    form, which gives r_k past k_max as well. The pole coefficient is
+    exactly 1, zeta's residue at s = 1, so no spec holds one. The evaluator
+    sums the series from k0 and reads every coefficient from
     euler_maclaurin_coefficients, which proves the spec is the
-    Euler-Maclaurin identity at n = 1 of its k0.
-    validity_re_gt is the nominal half-plane bound -(p-1);
-    extended_validity_re_gt is 1 - k0 when k0 > p, since every
-    zeta(s+k), k >= k0, of the series is analytic on Re s > 1 - k0, and is
-    None otherwise.
+    Euler-Maclaurin identity at n = 1 of its k0: it holds wherever every
+    zeta(s+k), k >= k0, is analytic, on Re s > 1 - k0 (effective_validity).
+    validity_re_gt is the nominal half-plane bound 1 - p;
+    extended_validity_re_gt is 1 - k0 when k0 > p (odd p >= 3, where
+    r_p = 0), and None otherwise.
     """
 
     p: int
-    k0: int
-    pole_coefficient: Fraction
     q_poly: Polynomial
     k_max: int
     closed_form: Polynomial
-    validity_re_gt: Fraction
-    extended_validity_re_gt: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
         if self.p < 1:
             raise ValueError("depth p must be >= 1")
+        if self.closed_form.is_zero:
+            raise ValueError(f"depth-{self.p} identity has a zero closed form")
         if self.k_max < self.k0:
             raise ValueError("k_max must be at least k0")
-        if not self.closed_form(self.k0):
-            raise ValueError("coefficient at k0 must be nonzero")
-        if self.pole_coefficient != 1:
-            raise ValueError(
-                f"depth-{self.p} identity has pole coefficient {self.pole_coefficient}, not 1"
-            )
-        if self.k0 < self.p:
-            raise ValueError(f"depth-{self.p} identity has k0 = {self.k0} < p")
-        for k in range(self.p, self.k0):
-            if self.closed_form(k):
-                raise ValueError(
-                    f"depth-{self.p} identity has k0 = {self.k0}, but its closed form gives "
-                    f"r_{k} = {self.closed_form(k)}, not 0"
-                )
+
+    @cached_property
+    def k0(self) -> int:
+        """The first k >= p where the closed form is nonzero: it has at most
+        its degree of roots, so the search ends."""
+        return next(k for k in count(self.p) if self.closed_form(k))
+
+    @property
+    def validity_re_gt(self) -> Fraction:
+        """The nominal half-plane bound, Re s > 1 - p."""
+        return Fraction(1 - self.p)
+
+    @property
+    def extended_validity_re_gt(self) -> Optional[Fraction]:
+        """1 - k0 when the series starts past p, else None."""
+        return Fraction(1 - self.k0) if self.k0 > self.p else None
+
+    @property
+    def effective_validity(self) -> Fraction:
+        """The sharpest known half-plane bound, Re s > 1 - k0."""
+        return Fraction(1 - self.k0)
 
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
@@ -129,7 +134,7 @@ class IdentitySpec:
         identity of its k0, by two comparisons on integer coefficient lists
         over L: L r(k) = sum_i B_i (k+1) k ... (k+2-i) for the closed form r,
         and -L Q(s) = sum_{j<k0} H_j (s)_j with H_j = B_(j+1) - [j = 0] L and
-        B_k0 = 0. The pole is 1 (__post_init__). That is a proof. With
+        B_k0 = 0. The pole is 1, zeta's residue. That is a proof. With
         h_j = r(j)/(j+1)! and g_j = beta_(j+1) - [j < k0] h_j, beta_i now
         the falling coefficients of r, the binomial series gives, for
         Re s > 1,
@@ -306,53 +311,34 @@ def derive_identity(p: int, k_max: int = 64) -> IdentitySpec:
     """Derive the depth-p identity, its record listing r_k through k_max.
 
     The series coefficients are the values of series_poly(p), stored as
-    closed_form; k0 is the first k >= p where it is nonzero. k_max must be
-    at least p+2 so the record lists more than the possible leading zero
-    block. The identity is Euler-Maclaurin summation at n = 1 with its
-    remainder written as the series from k0, so it holds wherever every
-    zeta(s+k), k >= k0, is analytic: on Re s > 1 - k0. That extends the
-    nominal bound 1 - p exactly when k0 > p (odd p >= 3, where r_p = 0),
-    and extended_validity_re_gt is 1 - k0 then, None otherwise.
+    closed_form; the spec derives k0 and the validity bounds from it. k_max
+    must be at least p+2 so the record lists more than the possible leading
+    zero block.
     """
     if p < 1:
         raise ValueError("depth p must be >= 1")
     if k_max < p + 2:
         raise ValueError("k_max must be at least p + 2")
     remainder = _remainder_integers(p)
-    pole, q_poly = closed_form_part(p, remainder)
+    _, q_poly = closed_form_part(p, remainder)
     closed = series_poly(p, remainder)
     if closed.is_zero:
         raise CancellationError(f"series coefficients vanish at depth p={p}")
-    k0 = p
-    while closed(k0) == 0:  # at most p-1 roots, so this ends
-        k0 += 1
-    return IdentitySpec(
-        p=p,
-        k0=k0,
-        pole_coefficient=pole,
-        q_poly=q_poly,
-        k_max=k_max,
-        closed_form=closed,
-        validity_re_gt=Fraction(-(p - 1)),
-        # every zeta(s+k), k >= k0, of the series is analytic on Re s > 1 - k0
-        extended_validity_re_gt=Fraction(1 - k0) if k0 > p else None,
-    )
+    return IdentitySpec(p=p, q_poly=q_poly, k_max=k_max, closed_form=closed)
 
 
 def first_difference(a: IdentitySpec, b: IdentitySpec, k_max: int) -> Optional[str]:
     """The first way identity a differs from the reference b, as text, or
-    None when they agree exactly: pole, Q, the closed form of r_k, and every
-    r_k with k <= k_max (treating indices below k0 as zero). With the
-    closed forms equal, r_k can differ only below the larger k0, and does
-    at the smaller one, where one closed form is nonzero and the other
-    series has not started.
+    None when they agree exactly: Q, the closed form of r_k, and every r_k
+    with k <= k_max (treating indices below k0 as zero). Every spec's pole
+    is 1, so there is none to compare. With the closed forms equal, r_k can
+    differ only below the larger k0, and does at the smaller one, where one
+    closed form is nonzero and the other series has not started.
 
     Both specs must list terms through k_max.
     """
     if a.k_max < k_max or b.k_max < k_max:
         raise ValueError("both identities must store terms through k_max")
-    if a.pole_coefficient != b.pole_coefficient:
-        return f"pole coefficient {a.pole_coefficient} != {b.pole_coefficient}"
     if a.q_poly != b.q_poly:
         return f"Q polynomial ({a.q_poly.to_str('s')}) != ({b.q_poly.to_str('s')})"
     if a.closed_form != b.closed_form:
@@ -378,11 +364,12 @@ def identities_equal(a: IdentitySpec, b: IdentitySpec, k_max: int) -> bool:
 # fields are present with null. A record lists r_k for k = k0..k_max, each
 # the closed form's value. closed_form is always written; a null one is
 # accepted on read as series_poly(p) once that polynomial reproduces every
-# listed r_k. The round trip is lossless.
+# listed r_k. A record also states k0, the pole and both validity bounds,
+# which the spec derives: reading checks each. The round trip is lossless.
 
 
-def _fraction_to_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+def _fraction_to_str(q: Optional[Fraction]) -> Optional[str]:
+    return None if q is None else f"{q.numerator}/{q.denominator}"
 
 
 def _fraction_from_str(text: str) -> Fraction:
@@ -392,6 +379,14 @@ def _fraction_from_str(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"rational {text!r} has a zero denominator") from None
+
+
+def _integer(record: dict, field: str) -> int:
+    value = record[field]
+    # int() would read 3.9 as 3 and "3" as 3
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, not {value!r}")
+    return value
 
 
 def _poly_to_json(poly: Polynomial) -> list[str]:
@@ -411,16 +406,12 @@ def identity_to_json(spec: IdentitySpec) -> dict:
     return {
         "p": spec.p,
         "k0": spec.k0,
-        "pole_coefficient": _fraction_to_str(spec.pole_coefficient),
+        "pole_coefficient": "1/1",
         "q_poly": _poly_to_json(spec.q_poly),
         "terms": [{"k": k, "r": _fraction_to_str(r)} for k, r in spec.terms],
         "closed_form": {"k_poly": _poly_to_json(spec.closed_form)},
         "validity_re_gt": _fraction_to_str(spec.validity_re_gt),
-        "extended_validity_re_gt": (
-            None
-            if spec.extended_validity_re_gt is None
-            else _fraction_to_str(spec.extended_validity_re_gt)
-        ),
+        "extended_validity_re_gt": _fraction_to_str(spec.extended_validity_re_gt),
     }
 
 
@@ -446,29 +437,36 @@ def _closed_form_of(
 
 
 def identity_from_json(data: dict) -> IdentitySpec:
-    """Parse one identity record; raises ValueError on malformed data. The
-    listed terms must run consecutively from k0, and the closed form,
-    series_poly(p) when closed_form is null, must reproduce every one; the
-    spec's k_max is the last k listed."""
+    """Parse one identity record; raises ValueError on malformed data. p, k0
+    and each listed k must be JSON integers. The listed terms must run
+    consecutively from k0, and the closed form, series_poly(p) when
+    closed_form is null, must reproduce every one; the spec's k_max is the
+    last k listed. The record's stated k0, pole coefficient and validity
+    bounds must then equal the spec's derived ones; a mismatch names the
+    field, the stated value and the derived one."""
     try:
-        p, k0 = int(data["p"]), int(data["k0"])
-        terms = tuple((int(t["k"]), _fraction_from_str(t["r"])) for t in data["terms"])
+        p, k0 = _integer(data, "p"), _integer(data, "k0")
+        terms = tuple((_integer(t, "k"), _fraction_from_str(t["r"])) for t in data["terms"])
         closed = data["closed_form"]
-        extended = data["extended_validity_re_gt"]
-        return IdentitySpec(
+        spec = IdentitySpec(
             p=p,
-            k0=k0,
-            pole_coefficient=_fraction_from_str(data["pole_coefficient"]),
             q_poly=_poly_from_json(data, "q_poly"),
             closed_form=_closed_form_of(
                 p, k0, terms, None if closed is None else _poly_from_json(closed, "k_poly")
             ),
             k_max=terms[-1][0],
-            validity_re_gt=_fraction_from_str(data["validity_re_gt"]),
-            extended_validity_re_gt=(
-                None if extended is None else _fraction_from_str(extended)
-            ),
         )
+        extended = data["extended_validity_re_gt"]
+        extended = None if extended is None else _fraction_from_str(extended)
+        for field, stated, derived in (
+            ("k0", k0, spec.k0),
+            ("pole_coefficient", _fraction_from_str(data["pole_coefficient"]), 1),
+            ("validity_re_gt", _fraction_from_str(data["validity_re_gt"]), spec.validity_re_gt),
+            ("extended_validity_re_gt", extended, spec.extended_validity_re_gt),
+        ):
+            if stated != derived:
+                raise ValueError(f"depth-{p} record states {field} = {stated}, not the derived {derived}")
+        return spec
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed identity record: {exc}") from exc
 

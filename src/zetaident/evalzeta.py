@@ -800,10 +800,9 @@ def _outside(spec: IdentitySpec, zr: int, den: int) -> str:
     """The validity rule of every evaluation: which half-plane excludes
     Re s = zr/den, den > 0, for this identity, or "" if none does, compared
     in integers. s must lie inside the validity half-plane
-    Re s > effective_validity ("validity"), and the inner arguments need
+    Re s > 1 - k0 ("validity"), and the inner arguments need
     Re s + k0 >= 3/2 ("inner")."""
-    bound = spec.effective_validity
-    if zr * bound.denominator <= bound.numerator * den:
+    if zr + (spec.k0 - 1) * den <= 0:
         return "validity"
     return "" if 2 * (zr + spec.k0 * den) >= 3 * den else "inner"
 

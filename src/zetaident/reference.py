@@ -8,8 +8,8 @@ independent transcription, so any slip in either route shows up as a
 mismatch.
 
 Even depths 4, 6, 8, 10, 12 produce the same identity as the preceding odd
-depth (the derivation pairs up), so their records reuse the odd-depth data
-with the nominal validity bound of the even depth.
+depth (the derivation pairs up), so their records reuse the odd-depth data;
+the spec derives each depth's validity bounds.
 """
 
 from __future__ import annotations
@@ -104,22 +104,20 @@ def reference_identity(p: int, k_max: int = 64) -> IdentitySpec:
     """The depth-p identity built from the transcribed tables, its record
     listing r_k through k_max: the closed form's values, which is exactly
     what the source's formulas assert. Supported depths are 1 <= p <= 12.
+    The transcribed k0 must be where the closed form starts; a mismatch
+    raises ValueError.
     """
     if not 1 <= p <= MAX_REFERENCE_DEPTH:
         raise ValueError(
             f"reference tables cover depths 1..{MAX_REFERENCE_DEPTH}, got p={p}"
         )
     base = p if p in _SERIES_TABLE else p - 1
-    k0 = _SERIES_TABLE[base][0]
-    closed = _expand_closed_form(base)
-    extended = Fraction(-p) if (p == base and p % 2 == 1 and p >= 3) else None
-    return IdentitySpec(
-        p=p,
-        k0=k0,
-        pole_coefficient=Fraction(1),
-        q_poly=Polynomial(_Q_TABLE[base]),
-        k_max=k_max,
-        closed_form=closed,
-        validity_re_gt=Fraction(-(p - 1)),
-        extended_validity_re_gt=extended,
+    spec = IdentitySpec(
+        p=p, q_poly=Polynomial(_Q_TABLE[base]), k_max=k_max, closed_form=_expand_closed_form(base)
     )
+    if spec.k0 != _SERIES_TABLE[base][0]:
+        raise ValueError(
+            f"depth-{p} reference table gives k0 = {_SERIES_TABLE[base][0]}, "
+            f"but its closed form starts at k = {spec.k0}"
+        )
+    return spec

@@ -201,9 +201,70 @@ def test_verify_rejects_wrong_extended_validity(tmp_path, capsys):
     records[1]["extended_validity_re_gt"] = "-5/1"  # p=2, which has no extension
     path.write_text(json.dumps(records))
     capsys.readouterr()
-    assert main(["verify", "--in", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("FAIL  coefficients: p=2: extended validity")
+    # refused when the file is read, whichever checks run
+    for only in ([], ["--only", "coefficients"], ["--only", "zeta0"], ["--only", "pairing"]):
+        assert main(["verify", "--in", str(path), *only]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: depth-2 record states extended_validity_re_gt = -5, not the derived None\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "depth, field, value, message",
+    [
+        (2, "validity_re_gt", "5/1", "depth-2 record states validity_re_gt = 5, not the derived -1"),
+        (3, "extended_validity_re_gt", "-100/1", "depth-3 record states extended_validity_re_gt = -100, not the derived -3"),
+        (3, "p", 3.9, "malformed identity record: p must be an integer, not 3.9"),
+        (4, "k0", 4.5, "malformed identity record: k0 must be an integer, not 4.5"),
+    ],
+)
+@pytest.mark.parametrize("only", [[], ["--only", "zeta0"], ["--only", "pairing"]])
+def test_verify_refuses_a_wrong_stated_fact_whichever_check_runs(tmp_path, capsys, depth, field, value, message, only):
+    # each record is checked once, when the file is read: before, a wrong
+    # validity bound exited 1 under coefficients, 2 under zeta0 (which then
+    # saw s = 0 outside it) or 0, and a depth of 3.9 was read as 3
+    path = tmp_path / "identities.json"
+    main(["derive", "--p", "1..12", "--out", str(path)])
+    records = json.loads(path.read_text())
+    records[depth - 1][field] = value
+    path.write_text(json.dumps(records))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path), *only]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_verify_reads_a_term_index_as_an_integer(tmp_path, capsys):
+    path = tmp_path / "identities.json"
+    main(["derive", "--p", "1..4", "--out", str(path)])
+    records = json.loads(path.read_text())
+    records[2]["terms"][0]["k"] = 4.2
+    path.write_text(json.dumps(records))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == "error: malformed identity record: k must be an integer, not 4.2\n"
+
+
+@pytest.mark.parametrize("only", [[], ["--only", "zeta0"], ["--only", "pairing"]])
+def test_verify_refuses_a_depth_held_twice(tmp_path, capsys, only):
+    # a false depth-4 record (Q's constant 7/6) before the true one: keeping
+    # the last of each depth, zeta0 and pairing passed it
+    path = tmp_path / "identities.json"
+    main(["derive", "--p", "1..12", "--out", str(path)])
+    records = json.loads(path.read_text())
+    false = json.loads(json.dumps(records[3]))
+    false["q_poly"][0] = "7/6"
+    path.write_text(json.dumps([false, *records]))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path), *only]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {path} holds depth 4 twice\n")
+    # the same record twice is refused too
+    path.write_text(json.dumps([*records, records[3]]))
+    assert main(["verify", "--in", str(path), *only]) == 2
+    assert capsys.readouterr().err == f"error: {path} holds depth 4 twice\n"
 
 
 def test_verify_reads_null_closed_forms(tmp_path, capsys):

@@ -160,7 +160,7 @@ def test_derivation_is_the_fraction_oracle(p, k_max):
     # terms give exactly what schoolbook Fraction arithmetic on lists gives
     spec = derive_identity(p, k_max)
     pole, q = closed_form_part_oracle(p)
-    assert spec.pole_coefficient == pole
+    assert closed_form_part(p)[0] == pole
     assert spec.q_poly == Polynomial(q)
     closed = series_poly_oracle(p)
     assert spec.closed_form == Polynomial(closed)
@@ -210,7 +210,7 @@ def test_q_degree_pattern():
 def test_derive_depth_one(specs64):
     spec = specs64[1]
     assert spec.k0 == 1
-    assert spec.pole_coefficient == 1
+    assert closed_form_part(1)[0] == 1
     assert spec.q_poly == Polynomial((1,))
     assert all(r == -1 for _, r in spec.terms)
     assert spec.closed_form == Polynomial((-1,))
@@ -331,7 +331,7 @@ def test_every_derived_depth_is_euler_maclaurin_at_one(p):
     # beta_0 = -pole; g_0 = 1 and g_j = 0 for j >= 1, with
     # g_j = beta_(j+1) - [j < k0] h_j and h_j = r(j)/(j+1)!; and
     # Q = -sum_{j<k0} h_j (s)_j, on Fraction polynomials
-    assert beta[0] == -spec.pole_coefficient
+    assert beta[0] == -closed_form_part(p)[0]
     h = [spec.closed_form(j) / factorial(j + 1) for j in range(k0)]
     for j in range(k0):
         assert (beta[j + 1] if j + 1 < len(beta) else 0) - h[j] == (1 if j == 0 else 0), j
@@ -425,7 +425,7 @@ def test_first_difference_of_a_shared_closed_form_is_at_the_lesser_k0(specs64):
     # depth 3's closed form vanishes at k = 2, 3; read as a depth-5 series
     # it starts at k0 = 5, so the two differ first at r_4 = -1/6
     a = specs64[3]
-    b = dataclasses.replace(a, p=5, k0=5)
+    b = dataclasses.replace(a, p=5)
     assert (a.k0, b.k0, a.closed_form == b.closed_form) == (4, 5, True)
     assert first_difference(a, b, 64) == "k=4: coefficient -1/6 != reference 0"
     assert first_difference(b, a, 64) == "k=4: coefficient 0 != reference -1/6"
@@ -464,16 +464,7 @@ def test_reference_depth_range():
 
 
 def _records(spec):
-    return dict(
-        p=spec.p,
-        k0=spec.k0,
-        pole_coefficient=spec.pole_coefficient,
-        q_poly=spec.q_poly,
-        k_max=spec.k_max,
-        closed_form=spec.closed_form,
-        validity_re_gt=spec.validity_re_gt,
-        extended_validity_re_gt=spec.extended_validity_re_gt,
-    )
+    return {field.name: getattr(spec, field.name) for field in dataclasses.fields(spec)}
 
 
 def test_spec_stores_no_terms(specs64):
@@ -500,10 +491,16 @@ def test_spec_rejects_zero_leading_coefficient(specs64):
     record["terms"][0]["r"] = "0/1"
     with pytest.raises(ValueError, match=r"depth-2 record has a closed_form that gives r_2 = 1/2"):
         identity_from_json(record)
-    # ... and a spec whose closed form vanishes at k0 is refused
+    # ... and a spec's k0 is where its closed form starts: (k - 2)/2 gives
+    # r_2 = 0, so depth 2 with it starts at k0 = 3, validity extended to -2
     fields = _records(specs64[2])
-    fields["closed_form"] = Polynomial((-1, F(1, 2)))  # (k - 2)/2: r_2 = 0
-    with pytest.raises(ValueError, match="coefficient at k0 must be nonzero"):
+    fields["closed_form"] = Polynomial((-1, F(1, 2)))
+    spec = IdentitySpec(**fields)
+    assert (spec.k0, spec.series_coefficient(2), spec.series_coefficient(3)) == (3, 0, F(1, 2))
+    assert (spec.validity_re_gt, spec.extended_validity_re_gt, spec.effective_validity) == (-1, -2, -2)
+    # a closed form that is zero has no k0, and is refused
+    fields["closed_form"] = Polynomial()
+    with pytest.raises(ValueError, match="depth-2 identity has a zero closed form"):
         IdentitySpec(**fields)
 
 
@@ -515,10 +512,15 @@ def test_spec_rejects_k_max_below_k0(specs64):
 
 
 def test_spec_rejects_k0_mismatch(specs64):
-    fields = _records(specs64[2])
-    fields["k0"] = 3
-    with pytest.raises(ValueError, match="k0 = 3, but its closed form gives r_2 = 1/2, not 0"):
-        IdentitySpec(**fields)
+    # k0 is no field of a spec; a record that states another k0 than its
+    # closed form's is refused when it is read
+    with pytest.raises(TypeError):
+        dataclasses.replace(specs64[2], k0=3)
+    record = identity_to_json(specs64[2])
+    record["k0"] = 3
+    record["terms"] = record["terms"][1:]
+    with pytest.raises(ValueError, match="depth-2 record states k0 = 3, not the derived 2"):
+        identity_from_json(record)
 
 
 def test_cancellation_error_is_internal():

@@ -18,7 +18,7 @@ from mpmath.libmp import from_man_exp, libelefun
 
 from zetaident import derive_identity, evalzeta, exactmath
 from zetaident.cli import ORACLE_GRID
-from zetaident.derive import identity_from_json, identity_to_json
+from zetaident.derive import closed_form_part, identity_from_json, identity_to_json
 from zetaident.evalzeta import (
     EvalReport,
     PoleError,
@@ -708,11 +708,10 @@ def test_twins_share_one_evaluation(specs64, monkeypatch, s):
 
 def test_a_twin_with_another_closed_form_is_evaluated_on_its_own(specs64, monkeypatch):
     # twins are found by k0, not by depth: depth 5's identity relabelled
-    # as a depth-4 record (validity -3, no extension) shares the evaluation
-    # of depths 5 and 6, not that of depth 3
-    other = dataclasses.replace(
-        specs64[5], p=4, validity_re_gt=F(-3), extended_validity_re_gt=None
-    )
+    # as a depth-4 record (validity -3, extended to -5 by its k0 = 6)
+    # shares the evaluation of depths 5 and 6, not that of depth 3
+    other = dataclasses.replace(specs64[5], p=4)
+    assert (other.k0, other.validity_re_gt, other.extended_validity_re_gt) == (6, -3, -5)
     batch = [specs64[3], other, specs64[5], specs64[6]]
     s = F(5, 2)
     alone = eval_identity(specs64[5], s, 40)
@@ -761,7 +760,7 @@ def _false_identity(specs64, which):
         return dataclasses.replace(four, q_poly=exactmath.Polynomial(q)), 4, "Q(s) != "
     if which == "closed_form":
         return dataclasses.replace(four, closed_form=exactmath.Polynomial(2 * c for c in four.closed_form.coefficients)), 4, "closed form r_k != "
-    return dataclasses.replace(specs64[3], p=5, k0=5), 5, "closed form r_k != "
+    return dataclasses.replace(specs64[3], p=5), 5, "closed form r_k != "
 
 
 @pytest.mark.parametrize("which", ["q", "closed_form", "k0"])
@@ -812,7 +811,7 @@ def test_head_weights_are_the_split_off_sum(specs64, s, p, m):
         # powers[i] = n^-(s+k) for n = ns[i], at k = 0, 1, ...
         powers = [mp.mpf(n) ** -z for n in ns]
         split = 1 + sum(powers[:-1]) + powers[-1] * mp.mpc(wr, wi) / wd
-        direct, a = _mp_point(spec.pole_coefficient) / (z - 1) + horner(spec.q_poly.coefficients, z), 1
+        direct, a = _mp_point(closed_form_part(p)[0]) / (z - 1) + horner(spec.q_poly.coefficients, z), 1
         for k in range(400):
             if k >= spec.k0:
                 direct += spec.series_coefficient(k) * a * sum(powers)

@@ -1,8 +1,13 @@
+import dataclasses
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
+from zetaident import reference
 from zetaident.derive import (
+    IdentitySpec,
     derive_identity,
     identities_from_json_text,
     identities_to_json_text,
@@ -92,12 +97,9 @@ def test_stored_closed_form_with_a_wrong_term_is_rejected():
     [
         # r_4 = -1/6 is the first nonzero term: a record that starts at 5
         # would drop it, and evaluate zeta(2) as 1.6478...
-        pytest.param(
-            5, r"depth-3 identity has k0 = 5, but its closed form gives r_4 = -1/6, not 0",
-            id="5",
-        ),
+        pytest.param(5, r"^depth-3 record states k0 = 5, not the derived 4$", id="5"),
         # r_1 = -1/6 is nonzero, but the series of depth 3 starts at k >= 3
-        pytest.param(1, r"depth-3 identity has k0 = 1 < p", id="1"),
+        pytest.param(1, r"^depth-3 record states k0 = 1, not the derived 4$", id="1"),
     ],
 )
 def test_record_with_a_wrong_k0_is_rejected(k0, match):
@@ -112,7 +114,7 @@ def test_record_with_a_wrong_k0_is_rejected(k0, match):
 def test_record_with_a_pole_other_than_one_is_rejected():
     record = identity_to_json(derive_identity(3, 12))
     record["pole_coefficient"] = "2/1"
-    with pytest.raises(ValueError, match=r"depth-3 identity has pole coefficient 2, not 1"):
+    with pytest.raises(ValueError, match=r"^depth-3 record states pole_coefficient = 2, not the derived 1$"):
         identity_from_json(record)
 
 
@@ -171,3 +173,83 @@ def test_polynomial_fields_must_be_lists(specs64, field, value):
 def test_top_level_shape_rejected():
     with pytest.raises(ValueError):
         identities_from_json_text('"just a string"')
+
+
+def test_a_spec_holds_p_q_the_closed_form_and_k_max_only(specs64):
+    # k0, the pole and both validity bounds follow from these four
+    names = tuple(field.name for field in dataclasses.fields(IdentitySpec))
+    assert names == ("p", "q_poly", "k_max", "closed_form")
+    assert not hasattr(specs64[3], "pole_coefficient")
+
+
+@pytest.mark.parametrize(
+    "field, value, stated, derived",
+    [
+        ("k0", 5, "5", "4"),
+        ("pole_coefficient", "2/1", "2", "1"),
+        ("validity_re_gt", "5/1", "5", "-2"),
+        ("validity_re_gt", "-3/1", "-3", "-2"),
+        ("extended_validity_re_gt", "-100/1", "-100", "-3"),
+        ("extended_validity_re_gt", None, "None", "-3"),
+    ],
+)
+def test_each_stated_fact_is_checked_when_read(field, value, stated, derived):
+    # one fact of the depth-3 record altered alone; the terms still run
+    # from the stated k0, so only the comparison with the spec can refuse it
+    spec = derive_identity(3, 12)
+    record = identity_to_json(spec)
+    record[field] = value
+    if field == "k0":
+        record["terms"] = record["terms"][1:]
+    message = f"depth-3 record states {field} = {stated}, not the derived {derived}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        identity_from_json(record)
+
+
+def test_an_equal_stated_fact_in_another_spelling_is_read():
+    # the stated facts are compared as rationals, not as text
+    spec = derive_identity(3, 12)
+    record = {**identity_to_json(spec), "pole_coefficient": "2/2", "validity_re_gt": "-2"}
+    assert identity_from_json(record) == spec
+
+
+@pytest.mark.parametrize("p", [*range(1, 65), 127, 128, 255, 256])
+def test_k0_and_the_extension_follow_from_the_depth(p):
+    spec = derive_identity(p, p + 2)
+    odd = p % 2 == 1 and p >= 3
+    assert spec.k0 == (p + 1 if odd else p)
+    assert spec.validity_re_gt == 1 - p
+    assert spec.extended_validity_re_gt == (Fraction(-p) if odd else None)
+    assert spec.effective_validity == 1 - spec.k0
+    assert identity_from_json(json.loads(json.dumps(identity_to_json(spec)))) == spec
+
+
+@pytest.mark.parametrize(
+    "where, field, value",
+    [
+        ("record", "p", 3.9),
+        ("record", "p", "3"),
+        ("record", "p", 3.0),
+        ("record", "p", True),
+        ("record", "k0", 4.5),
+        ("record", "k0", "4"),
+        ("term", "k", 4.2),
+        ("term", "k", None),
+    ],
+)
+def test_integer_fields_must_be_json_integers(where, field, value):
+    # int() would read 3.9 as depth 3 and "3" as 3
+    record = identity_to_json(derive_identity(3, 12))
+    (record["terms"][0] if where == "term" else record)[field] = value
+    message = f"malformed identity record: {field} must be an integer, not {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        identity_from_json(record)
+
+
+def test_the_reference_tables_transcribed_k0_is_checked(monkeypatch):
+    # the transcribed k0 column is compared with where the transcribed
+    # closed form starts
+    base = reference._SERIES_TABLE[3]
+    monkeypatch.setitem(reference._SERIES_TABLE, 3, (5, *base[1:]))
+    with pytest.raises(ValueError, match="depth-4 reference table gives k0 = 5, but its closed form starts at k = 4"):
+        reference.reference_identity(4)
