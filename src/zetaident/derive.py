@@ -106,13 +106,6 @@ class IdentitySpec:
         """(k, r_k) for k = k0..k_max, from the closed form."""
         return tuple((k, self.closed_form(k)) for k in range(self.k0, self.k_max + 1))
 
-    @property
-    def effective_validity(self) -> Fraction:
-        """The sharpest known half-plane bound (extended when available)."""
-        if self.extended_validity_re_gt is not None:
-            return self.extended_validity_re_gt
-        return self.validity_re_gt
-
     def series_coefficient(self, k: int) -> Fraction:
         """r_k: zero below k0, and from k0 on the closed form, exactly, by
         integer Horner over a common denominator (Polynomial.__call__)."""

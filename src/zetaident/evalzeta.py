@@ -42,17 +42,23 @@ pair of them. Sums are exact integer additions, products are integer
 products shifted right, and every rounding is a floor. The error of
 each operation is tallied in ulps as an integer, rounded up, so no float
 enters any bound; the modulus of a complex number in a bound is the
-square-root-free max + min/2 + 1 of its parts (_modulus_up). mpmath's
-fixed-point kernels give the irrational inputs. For each prime p <= N,
-log_int_fixed gives log p, exp_fixed gives |p^-s| = exp(-Re s log p), and
-the angle -Im s log p, reduced modulo pi/2, goes through the Taylor series
-of exponential_series for its cosine and sine, so p^-s is an integer
-pair; a composite n takes n^-s as the integer product q^-s (n/q)^-s of
-two earlier powers, q its least prime factor (_InnerSums). The cosine and
-sine read no table: cos_sin_fixed, below 400 bits, reads mpmath's
-cos_sin_cache, a process-wide table filled one cell per new argument.
-Each kernel takes its precision as an argument: no call sets mpmath's
-shared precision, so concurrent calls cannot disturb each other.
+square-root-free max + min/2 + 1 of its parts (_modulus_up). The logs
+come from the evaluator's own tables (_LogTable): one per precision class,
+the least power of two >= the working precision, holding ln 2, pi/2 and
+log p for every prime p up to the largest N asked at that class, each
+summed from integer atanh and arctan series with every floor tallied, and
+each entry depending on (p, class) alone. For each prime p <= N, the
+table gives log p, exp_fixed gives |p^-s| = exp(-Re s log p), reduced by
+the table's ln 2, and the angle -Im s log p, reduced modulo the table's
+pi/2, goes through the Taylor series of exponential_series for its
+cosine and sine, so p^-s is an integer pair; a composite n takes n^-s as
+the integer product q^-s (n/q)^-s of two earlier powers, q its least
+prime factor (_InnerSums). So the evaluator reads none of mpmath's
+process-wide caches: not log_int_fixed's logs, not the ln 2 and pi of
+ln2_fixed and pi_fixed, and not the cos_sin_cache that cos_sin_fixed fills
+below 400 bits. Each kernel takes its precision as an argument: no call
+sets mpmath's shared precision, so concurrent calls cannot disturb each
+other.
 Everything rational (s itself, the weight W_m, r_k/(k+1)! and
 B_2j/(2j)!) is exact; each is floored once where it meets a fixed-point
 number. Values are returned as mpmath numbers, built exactly.
@@ -81,11 +87,12 @@ compared in integers, raises PrecisionError, which carries the reports.
 The independent cross-check `zeta_em_reference` computes zeta directly by
 Euler-Maclaurin summation, also in fixed point on Python integers: mpmath's
 log_int_fixed, exp_fixed and cos_sin_fixed give each p^-s at its own
-working precision, so its cosine and sine come from another kernel than
-the evaluator's below 400 bits, and exact rationals give every other
-factor. It uses no mpmath context and shares nothing with `eval_identity`
-except the Bernoulli table, `_least_factors` and the exact reading of s and
-writing of the result, so agreement between the two is meaningful.
+working precision, so its logs come from another kernel than the
+evaluator's, and so do its cosines and sines below 400 bits, and exact
+rationals give every other factor. It uses no mpmath context and shares
+nothing with `eval_identity` except the Bernoulli table, `_least_factors`
+and the exact reading of s and writing of the result, so agreement
+between the two is meaningful.
 
 `eval_identities` evaluates several depths at one point in one pass over
 k: every depth's identity has the same G_k, and only r_k and the weights
@@ -150,6 +157,7 @@ from __future__ import annotations
 
 import re as _re
 import sys
+import threading
 from dataclasses import dataclass
 from itertools import accumulate
 from fractions import Fraction
@@ -159,7 +167,7 @@ from typing import Optional, Sequence, Union
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, log_int_fixed
-from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, exponential_series, pi_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, exponential_series
 
 from .derive import IdentitySpec
 from .exactmath import bernoulli_over_factorial, bernoulli_ratios
@@ -176,6 +184,9 @@ _INNER_SAFETY = 16
 # Every entry n^-(z+k) is within this many ulps (in modulus) of its value,
 # at any shift: see _InnerSums.
 _ENTRY_ULPS = 3
+# Bits of each _LogTable entry below its class: every entry's tally of
+# floors stays below 2^_TABLE_GUARD units.
+_TABLE_GUARD = 32
 # log2 of the largest inner cutoff N (_split_point): |Im s| up to about 2 10^5.
 _SPLIT_BITS = 16
 # log2 of the largest shift of the tail majorant at the least k0
@@ -224,9 +235,9 @@ class EvalReport:
     |s + m|/N and capped by the size of V_m, and of its dot product) times
     the exact |r_k/(k+1)!|, each rounded up, and the floor of each
     product. For zeta_prime_at_zero the head values are the logs log m and
-    log((m-1)!), each within 2 ulps, and the tally counts them the same
-    way. The outer truncation bound is the a-priori majorant of
-    the tail past terms_used (_tail_factors). A call whose estimate exceeds
+    log((m-1)!), sums of table logs, and the tally counts the ulps each is
+    within (_InnerSums.logs) the same way. The outer truncation bound is
+    the a-priori majorant of the tail past terms_used (_tail_factors). A call whose estimate exceeds
     10^-digits raises PrecisionError, whose reports are these.
 
     The last three fields record the inner schedule of the pass.
@@ -411,6 +422,110 @@ def _log2_up(re: int, im: int, den: int) -> int:
     return max(re.bit_length(), im.bit_length()) - den.bit_length() + 2
 
 
+def _inverse_series(k: int, bits: int, alternating: bool) -> tuple[int, int]:
+    """(x, t): atanh(1/k), or arctan(1/k) when alternating, k >= 3, as an
+    integer x in units of 2^-bits within t units, from the Taylor series
+    sum_j (+-1)^j k^-(2j+1)/(2j+1). Each power k^-(2j+1) is the floor of
+    the one before over k^2, so it is short of its value by less than
+    1 + 1/(k^2 - 1) <= 9/8 units, and each term, its floor over 2j + 1, by
+    less than 1 at j = 0 and 11/8 after. The loop stops at the first power
+    that floors to 0, j = J; the terms past it sum to less than 1 unit. So
+    x is within 2 + 11/8 J units: t = 2 J + 2 is the tally."""
+    power = (1 << bits) // k
+    total, square, odd = power, k * k, 3
+    while power:
+        power //= square
+        term = power // odd
+        total += -term if alternating and odd & 2 else term
+        odd += 2
+    return total, odd - 1
+
+
+class _LogTable:
+    """ln 2, pi/2 and log p for every prime p <= top, for one precision
+    class W, a power of two: each an integer in units of 2^-bits,
+    bits = W + _TABLE_GUARD, summed from integer series (_inverse_series),
+    after Johansson's Machin-like logs of small primes:
+
+        ln 2 = 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749),
+        pi/2 = 8 arctan(1/5) - 2 arctan(1/239),
+        log p = (log(p-1) + log(p+1))/2 + atanh(1/(2p^2 - 1)), p odd,
+
+    log(p -+ 1) the sum of the logs of their prime factors, all below p.
+    Every floor is tallied, as Brent and Zimmermann count the errors of a
+    fixed-point series: a sum of entries is within the sum of their
+    tallies, the halving adds 1, and each series its own. An entry depends
+    on (p, W) alone, so a table grown from a small top holds the bits of
+    one built at once, and no call's bits depend on the calls before.
+
+    Every tally is below 2^_TABLE_GUARD (checked as the table grows: below
+    2^21 up to 5,000 digits at N = 2^16), so an entry served at wp <= W,
+    x >> (bits - wp), is within e_L = 2 units of its value times 2^wp: less
+    than 1 from the tally, once shifted, and less than 1 from the floor.
+
+    _log_table keeps one table per class, and builds and grows them under
+    one lock; a reader takes `logs` after `top` covers its N, and reads only
+    entries up to that N, which never change."""
+
+    def __init__(self, width: int):
+        self.bits = bits = width + _TABLE_GUARD
+        (a, ta), (b, tb), (c, tc) = (_inverse_series(k, bits, False) for k in (26, 4801, 8749))
+        (d, td), (e, te) = (_inverse_series(k, bits, True) for k in (5, 239))
+        self.ln2, self.half_pi = 18 * a - 2 * b + 8 * c, 8 * d - 2 * e
+        # index n <= top: log n and its tally at a prime n, 0 elsewhere
+        self.logs, self.tallies = [0, 0, self.ln2], [0, 0, 18 * ta + 2 * tb + 8 * tc]
+        self._check(max(self.tallies[2], 8 * td + 2 * te))
+        self.top = 2
+
+    def _check(self, tally: int) -> None:
+        if tally >> _TABLE_GUARD:
+            raise ArithmeticError(f"a log table tally of {tally} units exceeds 2^{_TABLE_GUARD}")
+
+    def grow(self, n: int) -> None:
+        """Cover every prime <= n: log p for each prime top < p <= n. The
+        caller holds _LOG_TABLES_LOCK."""
+        top = self.top
+        if n <= top:
+            return
+        logs, tallies = self.logs + [0] * (n - top), self.tallies + [0] * (n - top)
+        least = _least_factors(n + 1)
+
+        def log(i):  # of a composite i <= n + 1, from its prime factors
+            x = t = 0
+            while i > 1:
+                q = least[i]
+                x, t, i = x + logs[q], t + tallies[q], i // q
+            return x, t
+
+        for p in range(top + 1, n + 1):
+            if least[p] == p:
+                (x, t), (y, u) = log(p - 1), log(p + 1)
+                z, v = _inverse_series(2 * p * p - 1, self.bits, False)
+                logs[p], tallies[p] = ((x + y) >> 1) + z, -(-(t + u) // 2) + 1 + v
+        self._check(max(tallies[top + 1 :]))
+        self.logs, self.tallies = logs, tallies
+        self.top = n
+
+
+_LOG_TABLES: dict[int, _LogTable] = {}
+_LOG_TABLES_LOCK = threading.Lock()
+
+
+def _log_table(wp: int, n: int) -> _LogTable:
+    """The _LogTable of wp's class, the least power of two >= wp, covering
+    every prime <= n: built by the first call that needs the class, and
+    grown by the first that needs a larger n."""
+    width = 1 << (wp - 1).bit_length()
+    table = _LOG_TABLES.get(width)
+    if table is None or table.top < n:
+        with _LOG_TABLES_LOCK:
+            table = _LOG_TABLES.get(width)
+            if table is None:
+                table = _LOG_TABLES[width] = _LogTable(width)
+            table.grow(n)
+    return table
+
+
 class _InnerSums:
     """The sums G_k = (c)_(k - start) zeta(z + k, N), c = z + start, in
     fixed point at scale 2^-bits, for one exact z = point = (zr, zi, den)
@@ -433,21 +548,20 @@ class _InnerSums:
     every factor the sums need, is exact.
 
     Every power n^-z, n <= N, is an (re, im) pair of integers in units of
-    2^-wp, from mpmath's fixed-point kernels and integer products; at
-    z = 0 every power is exactly 2^wp. Below, a
+    2^-wp, from the class table's logs, mpmath's fixed-point exp_fixed and
+    exponential_series, and integer products; at z = 0 every power is
+    exactly 2^wp, and no log is read. Below, a
     unit is 2^-wp, e_b = wp 2^(isqrt(wp)//4 + 1), S = |Re z| + |Im z|
     rounded up, and X_n = n^-z. For each prime p:
 
-    - L = log_int_fixed(p, wp) is within e_L = 2 units of log p 2^wp, and so
-      are the ln 2 that exp_fixed reduces by and the pi/2 = pi_fixed(wp - 1)
-      that _powers reduces by. mpmath caches all three, each one number,
-      and serves a lower precision by shifting
-      the highest one computed so far; each is within 2 units either way
-      (in practice the exact floor), so no bound depends on the calls
-      before. log_int_fixed takes any integer n through the same mpf_log
-      of the exact n with 15 guard bits, so logs() is within 2 units at
-      wp as well, while the log is below 2^14, and within 2 ulps once
-      shifted right by wp - bits >= 16.
+    - L, log p from the table of wp's class (_LogTable) shifted right to
+      wp, is within e_L = 2 units of log p 2^wp, and so are the ln 2 that
+      exp_fixed reduces by and the pi/2 that _powers reduces by, shifted
+      from the same table. Each table entry's tally of floors is below
+      2^_TABLE_GUARD units of 2^-(W + _TABLE_GUARD), so less than one
+      unit once shifted, and the shift's floor adds less than one. An
+      entry depends on p and the class alone, so no bound or bit depends
+      on the calls before, and a call shifts only the primes <= its own N.
     - u = exp_fixed(floor(-Re z L)), and (c, s) are the cosine and sine of
       x = floor(-Im z L): x reduced modulo pi/2 to t in [0, pi/2),
       exponential_series(t, wp, 2), and the signs and order of the
@@ -557,7 +671,11 @@ class _InnerSums:
         powers = [None, None]
         if not (zr or zi):
             return powers + [(1 << wp, 0)] * (n - 1)
-        quarter = pi_fixed(wp - 1)  # pi/2 in units of 2^-wp
+        # ln 2, pi/2 and each log p shifted from the class table to wp,
+        # each within 2 units
+        table = _log_table(wp, n)
+        shift, logs = table.bits - wp, table.logs
+        ln2, quarter = table.ln2 >> shift, table.half_pi >> shift
         least, append = _least_factors(n), powers.append
         for i in range(2, n + 1):
             p = least[i]
@@ -565,8 +683,8 @@ class _InnerSums:
                 (ar, ai), (br, bi) = powers[p], powers[i // p]
                 append(((ar * br - ai * bi) >> wp, (ar * bi + ai * br) >> wp))
                 continue
-            log = log_int_fixed(i, wp)
-            u = exp_fixed(-(zr * log) // den, wp)
+            log = logs[i] >> shift
+            u = exp_fixed(-(zr * log) // den, wp, ln2)
             if not zi:
                 append((u, 0))
                 continue
@@ -592,11 +710,36 @@ class _InnerSums:
         drop = self.wp - self.bits
         return [(xr >> drop, xi >> drop) for xr, xi in self.powers[2 : self.n]]
 
-    def logs(self) -> list[tuple[int, int]]:
-        """log m and log((m-1)!), m = N - 1, as (re, 0) pairs of ulps, each
-        within 2 ulps."""
-        drop, m = self.wp - self.bits, self.n - 1
-        return [(log_int_fixed(x, self.wp) >> drop, 0) for x in (m, factorial(m - 1))]
+    def logs(self) -> list[tuple[tuple[int, int], int]]:
+        """log m and log((m-1)!), m = N - 1, each as ((re, 0), its error in
+        ulps): sums of the table's log p, shifted to wp (_LogTable), over the
+        prime factors of m and, by Legendre's formula, of (m-1)!, where p
+        has multiplicity sum_i floor((m-1)/p^i). A sum of c logs is within
+        2c units at wp, so within 1 + ceil(2c / 2^(wp - bits)) ulps once
+        shifted right to the scale: 2 ulps while 2c <= 2^(wp - bits)."""
+        wp, m = self.wp, self.n - 1
+        table = _log_table(wp, m)
+        shift, drop, logs = table.bits - wp, wp - self.bits, table.logs
+        least = _least_factors(m)
+        # each prime's multiplicity in m, and in (m-1)!
+        of_m, i = {}, m
+        while i > 1:
+            of_m[least[i]] = of_m.get(least[i], 0) + 1
+            i //= least[i]
+        of_factorial = {}
+        for p in range(2, m):
+            if least[p] == p:
+                power, count = p, 0
+                while power < m:
+                    count += (m - 1) // power
+                    power *= p
+                of_factorial[p] = count
+        out = []
+        for counts in (of_m, of_factorial):
+            total = sum(c * (logs[p] >> shift) for p, c in counts.items())
+            units = 2 * sum(counts.values())
+            out.append(((total >> drop, 0), 1 + _ceil_div(units, 1 << drop)))
+        return out
 
     def size(self, m: int) -> int:
         """The bound of |V_m| in ulps, m >= start, 0 only where V_m is
@@ -1035,13 +1178,14 @@ def _eval_point(specs: Sequence[IdentitySpec], point: Point, digits: int) -> lis
     coefficients = firsts[k0s[-1]].euler_maclaurin_coefficients
     ps = [spec.p for spec in specs]
 
-    def values(inner):
-        *middle, last = inner.head()
-        return [(sum(x for x, _ in middle), sum(y for _, y in middle)), last]
-
     m = n - 1
     heads = [(k0, k0, (1, 0, 1), [(1, 0, 1), _last_weight(firsts[k0], point, m)]) for k0 in k0s]
     head_ulps = [_ENTRY_ULPS * (m - 2), _ENTRY_ULPS]
+
+    def values(inner):
+        *middle, last = inner.head()
+        return list(zip([(sum(x for x, _ in middle), sum(y for _, y in middle)), last], head_ulps))
+
     return _outer_series(ps, owners, point, n, 0, coefficients, heads, head_ulps, values, digits)
 
 
@@ -1055,8 +1199,8 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
                    + sum_{k>=k0} r_k / (k(k+1)) zeta(k, N),
 
     with the exact W_m'(0) = [b0 m - sum_{1<=j<k0} H_j (j-1)! m^-j] / L and
-    W_m(0) = (b0 m - H_0) / L. The logs come from _InnerSums.logs, each
-    within 2 ulps.
+    W_m(0) = (b0 m - H_0) / L. The logs come from _InnerSums.logs, sums of
+    the log table's log p, each with the ulps it is within.
 
     Needs an identity valid at 0, i.e. depth p >= 2, and raises
     ValueError for a spec that is no identity, as eval_identity does.
@@ -1090,10 +1234,12 @@ def _outer_series(
     series, in ascending k0 and length, with r_k = sum_{i<length} beta_i
     (k+1) k ... (k+2-i); head and weights are integer triples
     (re, im, den). Report i takes the result of heads[owners[i]], with
-    p_used = ps[i]. values(inner) gives the x_i in
-    ulps of the pass's _InnerSums, x_i within u_i = head_ulps[i] ulps, and
-    the tally adds u_i |w_i|, rounded up: |w_i| exactly for a real weight,
-    else bounded by _modulus_up.
+    p_used = ps[i]. values(inner) gives each x_i in ulps of the pass's
+    _InnerSums with u_i, the ulps it is within, and the tally adds
+    u_i |w_i|, rounded up: |w_i| exactly for a real weight, else bounded
+    by _modulus_up. head_ulps[i] is the u_i the scale is set for, before
+    the pass: for zeta_prime_at_zero's logs, the 2 ulps that hold while
+    their summed units fit the shift (_InnerSums.logs).
     eval_identities passes start 0 and the Euler-Maclaurin coefficients of
     its deepest series, of which each shallower one's (B, L) is the first
     k0 scaled by a divisor of L, so rho_k G_k is
@@ -1157,7 +1303,7 @@ def _outer_series(
     inner = _InnerSums(point, n, bits, start)
     head_values = values(inner)
     for d, (_, _, _, weights) in zip(depths, heads):
-        for (xr, xi), ulps, (wr, wi, wd) in zip(head_values, head_ulps, weights):
+        for ((xr, xi), ulps), (wr, wi, wd) in zip(head_values, weights):
             d.total_re += (wr * xr - wi * xi) // wd
             d.total_im += (wr * xi + wi * xr) // wd
             d.rounding += _ceil_div(ulps * (_modulus_up(wr, wi) if wi else abs(wr)), wd)

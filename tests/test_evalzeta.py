@@ -1404,20 +1404,78 @@ def test_head_entries_within_two_ulps(z, digits):
                 assert abs(xr - x.real) <= bound and abs(xi - x.imag) <= bound, (n, shift)
 
 
-def test_evaluation_fills_no_cos_sin_table_cell(specs64, monkeypatch):
-    # below 400 bits cos_sin_fixed reads mpmath's process-wide cos_sin_cache
-    # and fills one cell per new argument; the evaluator's cosines and sines
-    # come from the Taylor series alone, so an empty table stays empty
-    cache = {}
-    monkeypatch.setattr(libelefun, "cos_sin_cache", cache)
+def test_evaluation_reads_no_mpmath_cache(specs64, monkeypatch):
+    # log_int_fixed, ln2_fixed and pi_fixed keep process-wide caches, and
+    # below 400 bits cos_sin_fixed fills mpmath's cos_sin_cache one cell per
+    # new argument. The evaluator takes its logs, ln 2 and pi/2 from its own
+    # class tables and its cosines and sines from the Taylor series, so with
+    # all three refusing and fresh tables it returns the same bits, and an
+    # empty cos_sin_cache stays empty
+    calls = [
+        lambda: eval_identities([specs64[1], specs64[2]], F(5, 2), 40),
+        lambda: eval_identities([specs64[1]], (F(9, 2), F(38)), 15),
+        lambda: eval_identities([specs64[1]], (F(9, 2), F(38)), 40),
+        lambda: eval_identities([specs64[6], specs64[7]], F(-7, 2), 40),
+        lambda: eval_identities([specs64[2]], (F(1, 4), F(30)), 100),
+        lambda: [zeta_prime_at_zero(specs64[2], 40)],
+        lambda: [sum_zeta_m1(40)],
+    ]
+
+    def bits(reports):
+        return [(_raw(r.value), _raw(r.error_estimate), r.terms_used) for r in reports]
+
+    expected = [bits(call()) for call in calls]
     for digits in (15, 40):
         inner = _inner_for((F(9, 2), F(38)), digits, evalzeta._scale_bits(digits, 0), 0)
         assert inner.wp <= libelefun.COS_SIN_CACHE_PREC
-        eval_identity(specs64[1], (F(9, 2), F(38)), digits)
-    assert sorted(cache) == []
-    # the oracle still calls cos_sin_fixed, so the table is the one it reads
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an mpmath constant cache was read")
+
+    assert not hasattr(evalzeta, "pi_fixed")
+    cached = [(evalzeta, "log_int_fixed"), (libelefun, "ln2_fixed"), (libelefun, "pi_fixed")]
+    kernels = [getattr(module, name) for module, name in cached]
+    for module, name in cached:
+        monkeypatch.setattr(module, name, refuse)
+    cache = {}
+    monkeypatch.setattr(libelefun, "cos_sin_cache", cache)
+    monkeypatch.setattr(evalzeta, "_LOG_TABLES", {})
+    assert [bits(call()) for call in calls] == expected
+    assert cache == {}
+    # the oracle keeps mpmath's kernels: its logs come from log_int_fixed,
+    # and with them back, its cosines and sines fill the table it reads
+    with pytest.raises(AssertionError, match="constant cache"):
+        zeta_em_reference(F(5, 2), 40)
+    for (module, name), kernel in zip(cached, kernels):
+        monkeypatch.setattr(module, name, kernel)
     zeta_em_reference((F(9, 2), F(38)), 15)
     assert cache
+
+
+_PRIMES_TO_4096 = [p for p, q in enumerate(evalzeta._least_factors(1 << 12)) if p > 1 and p == q]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_PRIMES_TO_4096), st.integers(32, 4096), st.integers(2, 1 << 12))
+def test_log_table_serves_within_two_units(p, wp, small):
+    # log p, ln 2 and pi/2 from the table of wp's class, shifted to wp:
+    # each within 2 units of the floor of its value times 2^wp
+    table = evalzeta._log_table(wp, p)
+    shift = table.bits - wp
+    served = (table.logs[p] >> shift, table.ln2 >> shift, table.half_pi >> shift)
+    with mp.workprec(wp + 64):
+        unit = mp.mpf(2) ** wp
+        for x, value in zip(served, (mp.log(p), mp.log(2), mp.pi / 2)):
+            assert abs(x - mp.floor(value * unit)) <= 2, (p, wp)
+    # an entry depends on (p, class) alone: a table grown from a small N
+    # holds the entries of one built for the large N at once
+    width = 1 << (wp - 1).bit_length()
+    once, stepped = evalzeta._LogTable(width), evalzeta._LogTable(width)
+    once.grow(p)
+    stepped.grow(min(small, p))
+    stepped.grow(p)
+    assert stepped.logs == once.logs and stepped.tallies == once.tallies
+    assert table.logs[: p + 1] == once.logs
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 25, 32, 64, 1000, 1 << 10])
@@ -1535,12 +1593,13 @@ def test_every_product_floor_is_tallied(monkeypatch, digits):
 
 @pytest.mark.parametrize("digits", [15, 40, 100, 300])
 def test_logs_within_two_ulps(digits):
-    # zeta_prime_at_zero's log m and log((m-1)!), m = N - 1, at several scales
+    # zeta_prime_at_zero's log m and log((m-1)!), m = N - 1, at several
+    # scales: sums of table logs whose units all fit the shift to the scale
     for bits in (64, 201, evalzeta._scale_bits(digits, 0)):
         inner = _inner_for((F(0), F(0)), digits, bits, 0)
         m = inner.n - 1
-        (log_m, zero), (log_factorial, _) = inner.logs()
-        assert zero == 0
+        ((log_m, zero), ulps), ((log_factorial, _), more) = inner.logs()
+        assert zero == 0 and ulps == more == 2
         with mp.workprec(bits + 80):
             unit = mp.mpf(2) ** bits
             assert abs(log_m - mp.log(m) * unit) <= 2, bits
@@ -1860,9 +1919,11 @@ def test_threads_get_the_serial_bits(specs64, monkeypatch):
         return _raw(report.value), report.error_estimate, report.terms_used
 
     serial = [run(task) for task in tasks]
-    # a fresh Bernoulli table: the threads grow its common-denominator
-    # snapshots at 40 and 300 digits while others read them
+    # a fresh Bernoulli table and fresh log tables: the threads grow the
+    # common-denominator snapshots at 40 and 300 digits, and build and grow
+    # each class's logs, while others read them
     monkeypatch.setattr(exactmath, "_BERNOULLI", exactmath.BernoulliCache())
+    monkeypatch.setattr(evalzeta, "_LOG_TABLES", {})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
@@ -1881,15 +1942,18 @@ from zetaident.evalzeta import _InnerSums, _exact_point, _split_point, eval_iden
 
 spec = derive_identity(6, 64)
 if sys.argv[1] == "warm":
-    # mpmath caches ln 2, pi and log n at the highest precision asked for
-    # and serves lower ones by shifting: fill them at about 3400 bits
+    # the log tables of classes 4096 and 1024, and those of classes 256 and
+    # 512, which serve the powers below, grown to N = 1024 at |Im s| = 3000;
+    # and mpmath's caches, which the oracle reads, filled at about 3400 bits
     eval_identity(spec, (F(1, 2), F(7)), 1000)
     eval_identity(spec, (F(-5, 2), F(3)), 300)
+    eval_identity(spec, (F(1, 2), F(3000)), 40)
+    eval_identity(spec, (F(1, 2), F(3000)), 80)
 points = [F(-13, 4), F(5, 2), (F(1, 2), F(3)), (F(-2), F(5, 2))]
 results = []
 # the powers n^-z before any shift, at rising working precisions: the cold
-# interpreter's caches serve each from just above it, the warm one's from
-# about 3400 bits
+# interpreter builds the tables of classes 256 and 512 for N = 64, the warm
+# one reads its larger ones
 for s in points:
     z = _exact_point(s)
     for bits in range(150, 250):
@@ -1908,8 +1972,8 @@ print(repr(results))
 
 def test_bits_do_not_depend_on_call_history():
     # two fresh interpreters evaluate the same points; one of them first
-    # runs 1000- and 300-digit evaluations, so mpmath's fixed-point caches
-    # serve the second from higher precisions than the first
+    # runs 1000- and 300-digit evaluations and two at |Im s| = 3000, so its
+    # log tables cover more classes and larger N than the first one's
     env = dict(os.environ)
     src = str(Path(evalzeta.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
