@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from mpmath import mp
 
@@ -78,7 +78,7 @@ ORACLE_GRID: tuple[complex, ...] = (
 )
 
 _ALL_DEPTHS = tuple(range(1, MAX_REFERENCE_DEPTH + 1))
-_DEPTHS_AT_ZERO = _ALL_DEPTHS[1:]  # depth 1 is valid only for Re s > 0
+_DEPTHS_AT_ZERO = _ALL_DEPTHS[1:]  # depth 1's domain is Re s >= 1/2
 
 
 # ---- argument parsing helpers ----
@@ -116,8 +116,8 @@ def _default_digits() -> int:
 
 def _limits(digits: int):
     """The tolerance 10^-(digits-5) of a value against its target, and the
-    slack 10^-(digits+9) on its error estimate, which covers the target's
-    rounding at digits + 10: computed once per check."""
+    slack 10^-(digits+9) on its error estimate, which allows for the
+    target's rounding at digits + 10: computed once per check."""
     ten = mp.mpf(10)
     return ten ** (5 - digits), ten ** (-(digits + 9))
 
@@ -136,7 +136,7 @@ def _derive_many(p_values: Sequence[int]) -> dict[int, IdentitySpec]:
 def _choose_depth(specs: dict[int, IdentitySpec], s) -> Optional[IdentitySpec]:
     """Smallest usable depth, preferring the twin p + 1 of a depth whose
     series starts past p (same identity, nominal instead of extended
-    validity); s is read once."""
+    validity), or None where no depth supports s; s is read once."""
     usable = {spec.p: spec for spec in _supporting(specs.values(), _exact_point(s))}
     if not usable:
         return None
@@ -144,18 +144,17 @@ def _choose_depth(specs: dict[int, IdentitySpec], s) -> Optional[IdentitySpec]:
     return usable.get(p + 1, usable[p]) if usable[p].k0 > p else usable[p]
 
 
-def _depth_for(
-    command: str, p_values: Optional[list[int]]
-) -> Callable[[object], Optional[IdentitySpec]]:
+def _depth_for(command: str, p_values: Optional[list[int]]) -> Callable[[object], IdentitySpec]:
     """The depth `eval` and `table` use at a point: the single depth --p
-    names, else _choose_depth over p = 1..12 (None where none covers it)."""
+    names, else _choose_depth over p = 1..12, and depth 12 where none
+    supports s, so the evaluator's refusal names the domain."""
     if p_values:
         if len(p_values) != 1:
             raise ValueError(f"{command} expects a single depth, not a range")
         (spec,) = _derive_many(p_values).values()
         return lambda s: spec
     specs = _derive_many(_ALL_DEPTHS)
-    return lambda s: _choose_depth(specs, s)
+    return lambda s: _choose_depth(specs, s) or specs[MAX_REFERENCE_DEPTH]
 
 
 # ---- subcommand: derive ----
@@ -404,11 +403,6 @@ def cmd_special(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     p_values, s = _p_values(args.p), parse_complex_literal(args.s)
     spec = _depth_for("eval", p_values)(s)
-    if spec is None:
-        raise ValueError(
-            f"no identity with p <= {MAX_REFERENCE_DEPTH} covers "
-            f"Re s = {float(s[0])}"
-        )
     report = eval_identity(spec, s, args.digits)
     with mp.workdps(args.digits + 10):
         if mp.im(report.value) == 0:
@@ -427,20 +421,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _grid_points(
     start: Fraction, stop: Fraction, step: Fraction, im: Fraction
-) -> list[tuple[Fraction, Fraction]]:
+) -> Iterator[tuple[Fraction, Fraction]]:
+    """(start + j step, im) for each j with start + j step <= stop: the
+    grid is checked at once and its points made one at a time, so a fine
+    grid holds no list."""
     if step <= 0:
         raise ValueError("grid step must be positive")
     if stop < start:
         raise ValueError("grid stop must not precede start")
-    points = []
-    j = 0
-    while True:
-        s_re = start + j * step
-        if s_re > stop:
-            break
-        points.append((s_re, im))
-        j += 1
-    return points
+    return ((start + j * step, im) for j in range((stop - start) // step + 1))
 
 
 def _decimal(x: Fraction, digits: int) -> str:
@@ -457,10 +446,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     with mp.workdps(digits + 10):
         for s in points:
             try:
-                spec = depth_for(s)
-                if spec is None:
-                    raise ValueError("no identity covers it")
-                report = eval_identity(spec, s, digits)
+                report = eval_identity(depth_for(s), s, digits)
             except ValueError as exc:
                 # "a+bi" or "a-bi", as parse_complex_literal reads it
                 sign = "-" if s[1] < 0 else "+"

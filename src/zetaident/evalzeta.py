@@ -17,7 +17,7 @@ so the outer series shrinks like (m+1)^-k instead of 2^-k. The plain
 partial sum is shared by every depth of a batch, and the one weight
 W_m(s) = pole m/(s-1) - sum_{j<k0} h_j (s)_j m^-j, h_j = beta_(j+1) -
 [j = 0], is an exact complex rational (_last_weight). r_k, k0
-and the validity half-plane do not depend on m.
+and the domain Re s >= 3/2 - k0 do not depend on m.
 
 s is read once per call, by _exact_point, as integers: s = (zr + i zi)/den
 with den > 0, and everything downstream takes that triple. N = m + 1 =
@@ -712,34 +712,27 @@ class _InnerSums:
 
     def logs(self) -> list[tuple[tuple[int, int], int]]:
         """log m and log((m-1)!), m = N - 1, each as ((re, 0), its error in
-        ulps): sums of the table's log p, shifted to wp (_LogTable), over the
-        prime factors of m and, by Legendre's formula, of (m-1)!, where p
-        has multiplicity sum_i floor((m-1)/p^i). A sum of c logs is within
-        2c units at wp, so within 1 + ceil(2c / 2^(wp - bits)) ulps once
-        shifted right to the scale: 2 ulps while 2c <= 2^(wp - bits)."""
+        ulps). log n for n = 2..m is built as _powers builds n^-z: the
+        table's log p shifted to wp (_LogTable) for a prime, log q + log(n/q)
+        for a composite whose least prime factor is q; log((m-1)!) is the sum
+        over n < m. Each is a sum of table logs, and its units follow the
+        same recurrence, 2 per log: a sum within u units at wp is within
+        1 + ceil(u / 2^(wp - bits)) ulps once shifted right to the scale,
+        2 ulps while u <= 2^(wp - bits)."""
         wp, m = self.wp, self.n - 1
         table = _log_table(wp, m)
-        shift, drop, logs = table.bits - wp, wp - self.bits, table.logs
-        least = _least_factors(m)
-        # each prime's multiplicity in m, and in (m-1)!
-        of_m, i = {}, m
-        while i > 1:
-            of_m[least[i]] = of_m.get(least[i], 0) + 1
-            i //= least[i]
-        of_factorial = {}
-        for p in range(2, m):
-            if least[p] == p:
-                power, count = p, 0
-                while power < m:
-                    count += (m - 1) // power
-                    power *= p
-                of_factorial[p] = count
-        out = []
-        for counts in (of_m, of_factorial):
-            total = sum(c * (logs[p] >> shift) for p, c in counts.items())
-            units = 2 * sum(counts.values())
-            out.append(((total >> drop, 0), 1 + _ceil_div(units, 1 << drop)))
-        return out
+        shift, drop, least = table.bits - wp, wp - self.bits, _least_factors(m)
+        # index n: (log n at wp, the units it is within), n = 2..m
+        logs = [None, None]
+        for n in range(2, m + 1):
+            q = least[n]
+            if q == n:
+                logs.append((table.logs[n] >> shift, 2))
+            else:
+                (a, u), (b, v) = logs[q], logs[n // q]
+                logs.append((a + b, u + v))
+        log_factorial = (sum(x for x, _ in logs[2:m]), sum(u for _, u in logs[2:m]))
+        return [((x >> drop, 0), 1 + _ceil_div(u, 1 << drop)) for x, u in (logs[m], log_factorial)]
 
     def size(self, m: int) -> int:
         """The bound of |V_m| in ulps, m >= start, 0 only where V_m is
@@ -939,47 +932,39 @@ def zeta_em_reference(s, digits: int = 40):
     return _mp_value(total_re, total_im if zi else None, wp)
 
 
-def _outside(spec: IdentitySpec, zr: int, den: int) -> str:
-    """The validity rule of every evaluation: which half-plane excludes
-    Re s = zr/den, den > 0, for this identity, or "" if none does, compared
-    in integers. s must lie inside the validity half-plane
-    Re s > 1 - k0 ("validity"), and the inner arguments need
-    Re s + k0 >= 3/2 ("inner")."""
-    if zr + (spec.k0 - 1) * den <= 0:
-        return "validity"
-    return "" if 2 * (zr + spec.k0 * den) >= 3 * den else "inner"
+def _outside(spec: IdentitySpec, zr: int, den: int) -> bool:
+    """The one domain rule of every evaluation: whether Re s = zr/den,
+    den > 0, lies left of this identity's domain Re s >= 3/2 - k0, compared
+    in integers. The tail majorant (_tail_factors) needs
+    Re s + k - 1 >= 1/2 from k = k0 on; that half-plane lies inside the
+    validity half-plane Re s > 1 - k0, so no point of the domain is outside
+    the identity's validity."""
+    return 2 * (zr + spec.k0 * den) < 3 * den
 
 
 def supports(spec: IdentitySpec, s: Number) -> bool:
-    """Whether eval_identity accepts s for this identity (_outside)."""
+    """Whether s lies in this identity's domain (_outside). That answers the
+    domain only: eval_identity can still refuse s for the pole guard, for
+    the limits of N and of the tail majorant, or for a missed target, each
+    of which depends on the digits."""
     zr, _, den = _exact_point(s)
     return not _outside(spec, zr, den)
 
 
 def _supporting(specs: Sequence[IdentitySpec], point: Point) -> list[IdentitySpec]:
-    """The specs that eval_identity accepts at the point _exact_point read,
-    in order."""
+    """The specs whose domain holds the point _exact_point read, in order."""
     zr, _, den = point
     return [spec for spec in specs if not _outside(spec, zr, den)]
 
 
-def _check_point(spec: IdentitySpec, zr: int, den: int, near_pole: bool, digits: int) -> None:
-    """Raise what eval_identity raises when spec cannot be evaluated at an s
-    with real part zr/den, near_pole telling whether |s - 1|^2 <= 10^-digits."""
-    outside = _outside(spec, zr, den)
-    if outside == "validity":
+def _check_point(spec: IdentitySpec, zr: int, den: int) -> None:
+    """The one refusal of a point with Re s = zr/den outside spec's domain
+    (_outside): a ValueError naming both bounds."""
+    if _outside(spec, zr, den):
         raise ValueError(
-            f"s with Re s = {Fraction(zr, den)} is outside the validity "
-            f"half-plane Re s > {spec.effective_validity} of the depth-{spec.p} identity"
-        )
-    if near_pole:
-        raise PoleError(
-            f"s is within the pole guard radius 10^-({digits}/2) of s = 1"
-        )
-    if outside:
-        raise ValueError(
-            f"inner series argument Re(s) + k0 = Re(s) + {spec.k0} falls "
-            f"below 1.5; use a deeper identity (larger p)"
+            f"Re s = {Fraction(zr, den)} is outside the domain Re s >= {Fraction(3, 2) - spec.k0} "
+            f"of the depth-{spec.p} identity (its validity half-plane is "
+            f"Re s > {spec.effective_validity}); use a deeper identity (larger p)"
         )
 
 
@@ -1065,8 +1050,9 @@ def _tail_factors(inner: _InnerSums, k: int):
       (k+1-i)! m!;
     - |(c)_(k+m-start)| <= |(c)_(k-start)| (A)_m, A = |z + k|;
     - zeta(sigma+k+m, N) <= N^-m N^-(sigma+k) (1 + N/(sigma+k-1)),
-      sigma = Re z, with sigma + k - 1 >= 1/2 by _outside (sum_zeta_m1:
-      k >= 2 at z = 0).
+      sigma = Re z, with sigma + k - 1 >= 1/2 from k = k0 on by the one
+      domain rule, Re s >= 3/2 - k0 (_outside; sum_zeta_m1: k >= 2 at
+      z = 0).
 
     So the tail is at most |V_k| (1 + N/(sigma+k-1))
     sum_i |beta_i|/(k+1-i)! sum_{m>=1} (A)_m/m! N^-m, and the last sum is
@@ -1112,8 +1098,10 @@ def eval_identity(spec: IdentitySpec, s: Number, digits: int = 40) -> EvalReport
     """Evaluate zeta(s) through the depth-p identity at the given target
     precision.
 
-    Raises ValueError outside the validity half-plane, when the inner
-    series arguments would leave Re >= 1.5, or for a spec that is no
+    Raises ValueError for an s left of the identity's domain
+    Re s >= 3/2 - k0, which lies inside its validity half-plane
+    Re s > 1 - k0 (_check_point, one message naming both bounds), for an s
+    past the limits of N or of the tail majorant, or for a spec that is no
     identity (IdentitySpec.euler_maclaurin_coefficients); PoleError (a
     ValueError) within 10^(-digits/2) of s = 1; and PrecisionError (a
     ValueError) when the error bound reached exceeds 10^-digits.
@@ -1136,9 +1124,10 @@ def eval_identities(
     G_k = (s)_k zeta(s + k, m + 1), from one band of Euler-Maclaurin orders
     taken once (_outer_series). Each depth keeps its
     own total, error tallies and tail bound, and stops on its own. Every
-    spec is checked before any work, against its own validity half-plane:
-    the first that cannot be evaluated at s raises what eval_identity
-    raises for it. Then every spec is proved the Euler-Maclaurin identity
+    spec is checked before any work, against its own domain
+    Re s >= 3/2 - k0 (_check_point): the first whose domain misses s raises
+    what eval_identity raises for it. Then the pole guard, and every spec
+    is proved the Euler-Maclaurin identity
     of its k0 (IdentitySpec.euler_maclaurin_coefficients): the first that
     is not raises ValueError naming its depth. So specs with equal k0 are
     one identity (depths 3 and 4, say): they share one head and one share
@@ -1158,10 +1147,11 @@ def _eval_point(specs: Sequence[IdentitySpec], point: Point, digits: int) -> lis
     if not specs:
         raise ValueError("eval_identities needs at least one identity")
     zr, zi, den = point
-    # |s - 1|^2 <= 10^-digits, in integers
-    near_pole = ((zr - den) ** 2 + zi * zi) * 10**digits <= den * den
     for spec in specs:
-        _check_point(spec, zr, den, near_pole, digits)
+        _check_point(spec, zr, den)
+    # |s - 1|^2 <= 10^-digits, in integers
+    if ((zr - den) ** 2 + zi * zi) * 10**digits <= den * den:
+        raise PoleError(f"s is within the pole guard radius 10^-({digits}/2) of s = 1")
     n = _split_point(digits, zi, den)
     # each spec is proved the identity of its k0, or raises, before any
     # work; twins, equal in k0, are then one identity, and one head and one
@@ -1202,12 +1192,13 @@ def zeta_prime_at_zero(spec: IdentitySpec, digits: int = 40) -> EvalReport:
     W_m(0) = (b0 m - H_0) / L. The logs come from _InnerSums.logs, sums of
     the log table's log p, each with the ulps it is within.
 
-    Needs an identity valid at 0, i.e. depth p >= 2, and raises
-    ValueError for a spec that is no identity, as eval_identity does.
+    Needs an identity whose domain Re s >= 3/2 - k0 holds 0, k0 >= 2, and
+    raises for one that does not (_check_point, the message eval_identity
+    gives at s = 0) and for a spec that is no identity, as eval_identity
+    does.
     """
     _check_digits(digits)
-    if _outside(spec, 0, 1):
-        raise ValueError(f"depth-{spec.p} identity is not valid at s = 0; use p >= 2")
+    _check_point(spec, 0, 1)
     n = _split_point(digits, 0, 1)
     m = n - 1
     H, b0, L = _weight_coefficients(spec)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -421,10 +422,12 @@ def test_depth_beyond_the_default_kmax(capsys):
     assert main(["derive", "--p", "128"]) == 2
 
 
-def test_eval_domain_errors():
+def test_eval_domain_errors(capsys):
     assert main(["eval", "--p", "3", "--s", "-5"]) == 2
     assert main(["eval", "--s", "1"]) == 2
     assert main(["eval", "--s", "-30"]) == 2
+    # no depth up to 12 supports -30: depth 12 refuses it, naming its domain
+    assert "Re s >= -21/2" in capsys.readouterr().err
     assert main(["eval", "--p", "1..3", "--s", "2"]) == 2
     assert main(["eval", "--p", "3", "--s", "nonsense"]) == 2
     assert main(["eval", "--s", ""]) == 2
@@ -639,6 +642,17 @@ def test_table_skip_message_reads_back_for_a_negative_imaginary_part(capsys):
 def test_table_bad_grid():
     assert main(["table", "--start", "2", "--stop", "1", "--step", "1"]) == 2
     assert main(["table", "--start", "1", "--stop", "2", "--step", "0"]) == 2
+
+
+def test_grid_points_are_made_one_at_a_time(monkeypatch):
+    # a grid of 10^12 + 1 points yields its first three at once, holding
+    # no list of the rest
+    points = cli._grid_points(F(0), F(1), F(1, 10**12), F(1, 3))
+    assert list(itertools.islice(points, 3)) == [(F(j, 10**12), F(1, 3)) for j in range(3)]
+    assert list(cli._grid_points(F(-1), F(1), F(3, 4), F(0))) == [(F(-1), 0), (F(-1, 4), 0), (F(1, 2), 0)]
+    # a bad grid is still refused before anything is derived
+    monkeypatch.setattr(cli, "_derive_many", lambda p_values: pytest.fail("derived"))
+    assert main(["table", "--start", "0", "--stop", "1", "--step", "-1"]) == 2
 
 
 @pytest.mark.parametrize("option", ["--start", "--stop", "--step", "--im"])

@@ -19,6 +19,7 @@ from mpmath.libmp import from_man_exp, libelefun
 from zetaident import derive_identity, evalzeta, exactmath
 from zetaident.cli import ORACLE_GRID
 from zetaident.derive import closed_form_part, identity_from_json, identity_to_json
+from zetaident.reference import reference_identity
 from zetaident.evalzeta import (
     EvalReport,
     PoleError,
@@ -1835,6 +1836,68 @@ def test_supports_half_plane(specs64):
     assert supports(specs64[12], F(-21, 2))
     assert not supports(specs64[2], F(-3, 4))  # inner constraint
     assert supports(specs64[3], complex(-0.75, 2.0))
+    # every depth's domain edge Re s = 3/2 - k0 is evaluated, and just left
+    # of it, as at its validity bound 1 - k0, one message names both bounds;
+    # a batch with a deeper depth that supports s raises that message too
+    deeper = derive_identity(14, 16)
+    for p, spec in specs64.items():
+        edge = F(3, 2) - spec.k0
+        for s in (edge, (edge, F(1, 3))):
+            assert supports(spec, s)
+            report = eval_identity(spec, s, 20)
+            with mp.workdps(50):
+                err = abs(report.value - mp.zeta(_mp_point(s)))
+            assert err <= report.error_estimate <= mp.mpf(10) ** -20
+        for s in (edge - F(1, 10**6), F(1 - spec.k0)):
+            assert not supports(spec, s)
+            with pytest.raises(ValueError) as alone:
+                eval_identity(spec, s, 20)
+            message = str(alone.value)
+            assert f"Re s >= {edge}" in message
+            assert f"Re s > {1 - spec.k0}" in message
+            assert "use a deeper identity (larger p)" in message
+            assert supports(deeper, s)
+            for batch in ([spec, deeper], [deeper, spec]):
+                with pytest.raises(ValueError) as batched:
+                    eval_identities(batch, s, 20)
+                assert str(batched.value) == message
+    with pytest.raises(ValueError) as at_zero:
+        zeta_prime_at_zero(specs64[1], 40)
+    with pytest.raises(ValueError) as alone:
+        eval_identity(specs64[1], 0, 40)
+    assert str(at_zero.value) == str(alone.value)
+
+
+def _series_at_minus(spec, n):
+    """spec's identity summed over Q at s = -n, where its series ends: for
+    k0 <= k <= n, zeta(k - n) = -B_(n-k+1)/(n-k+1) (B_1 = +1/2); at
+    k = n + 1, (s)_k (zeta(s + k) - 1) tends to (-1)^n n!; past it (s)_k
+    is 0 and zeta(s + k) finite."""
+    s = -n
+    total = F(1, s - 1) + spec.q_poly(s)
+    rising = 1  # (s)_k
+    for k in range(1, n + 1):
+        rising *= s + k - 1
+        if k >= spec.k0:
+            zeta = -exactmath.bernoulli(n - k + 1) / (n - k + 1)
+            total += spec.series_coefficient(k) * rising / factorial(k + 1) * (zeta - 1)
+    if n + 1 >= spec.k0:
+        total += spec.series_coefficient(n + 1) * (-1) ** n * F(factorial(n), factorial(n + 2))
+    return total
+
+
+@pytest.mark.parametrize(
+    "source, depths, last",
+    [(reference_identity, range(1, 13), 79), (lambda p: derive_identity(p, p + 2), range(1, 33), 40)],
+    ids=["reference", "derived"],
+)
+def test_identities_hold_exactly_at_negative_integers(source, depths, last):
+    # each identity holds on C \ {1}, far outside its domain: at s = -n its
+    # series ends, and it gives zeta(-n) = -B_(n+1)/(n+1) over Q
+    for p in depths:
+        spec = source(p)
+        for n in range(last + 1):
+            assert _series_at_minus(spec, n) == -exactmath.bernoulli(n + 1) / (n + 1), (p, n)
 
 
 # ---- derivative, sums, trivial zeros ----
